@@ -1,0 +1,232 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// runByRunEnsemble is the fold EnsembleCtx used before accumulators: one
+// float64 partial per trajectory, summed in run order. It stays here as
+// the oracle the integer fold must match bit for bit.
+func runByRunEnsemble(m *Model, r *stats.RNG, runs int) EnsembleStats {
+	b := m.p.B
+	potSum := make([]float64, b+1)
+	potCnt := make([]int64, b+1)
+	fpSum := make([]float64, b+1)
+	fpCnt := make([]int64, b+1)
+	times := []float64{}
+	truncated := 0
+	var phases phaseAccumulator
+	for i := 0; i < runs; i++ {
+		traj := m.SampleTrajectory(r.At(i))
+		runPot := make([]float64, b+1)
+		nextB := 0
+		for step, s := range traj {
+			runPot[s.B] += float64(s.I)
+			potCnt[s.B]++
+			for ; nextB <= s.B; nextB++ {
+				fpSum[nextB] += float64(step)
+				fpCnt[nextB]++
+			}
+		}
+		for bb := range potSum {
+			potSum[bb] += runPot[bb]
+		}
+		if traj[len(traj)-1].B == b {
+			times = append(times, float64(len(traj)-1))
+		} else {
+			truncated++
+		}
+		phases.add(ClassifyPhases(m.p, traj))
+	}
+	out := EnsembleStats{
+		PotentialByPieces: make([]float64, b+1),
+		FirstPassage:      make([]float64, b+1),
+		CompletionSteps:   stats.Summarize(times),
+		CompletionTimes:   times,
+		Truncated:         truncated,
+		Phases:            phases.summary(runs),
+	}
+	for bb := range potSum {
+		out.PotentialByPieces[bb] = math.NaN()
+		if potCnt[bb] > 0 {
+			out.PotentialByPieces[bb] = potSum[bb] / float64(potCnt[bb])
+		}
+		out.FirstPassage[bb] = math.NaN()
+		if fpCnt[bb] > 0 {
+			out.FirstPassage[bb] = fpSum[bb] / float64(fpCnt[bb])
+		}
+	}
+	return out
+}
+
+// sameEnsemble compares bit for bit: DeepEqual treats NaN != NaN, but
+// the sparse-bucket NaNs are part of the contract.
+func sameEnsemble(a, b EnsembleStats) bool {
+	sameBits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !sameBits(a.PotentialByPieces, b.PotentialByPieces) ||
+		!sameBits(a.FirstPassage, b.FirstPassage) ||
+		!sameBits(a.CompletionTimes, b.CompletionTimes) {
+		return false
+	}
+	a.PotentialByPieces, b.PotentialByPieces = nil, nil
+	a.FirstPassage, b.FirstPassage = nil, nil
+	a.CompletionTimes, b.CompletionTimes = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestAccumFoldMatchesEnsemble is the exactness argument as a property:
+// for seeded model parameters and ensemble sizes, folding the
+// accumulators of any partition of [0, runs) into contiguous ranges —
+// singletons, one range, serve's default 32-run shards, random cuts, each
+// also through the JSON a shard crosses the wire as — equals Ensemble,
+// and Ensemble equals the former run-by-run float64 fold, on every bit
+// of every curve and with CompletionTimes in run order.
+func TestAccumFoldMatchesEnsemble(t *testing.T) {
+	const shardRuns = 32 // serve.DefaultShardRuns
+	gen := stats.NewRNG(2007, 12)
+	for c := 0; c < 12; c++ {
+		b := 1 + gen.IntN(60)
+		p := Params{
+			B: b, K: 1 + gen.IntN(8), S: 1 + gen.IntN(50),
+			PInit: gen.Float64(), PR: gen.Float64(), PN: gen.Float64(),
+			// Away from 0, where a stuck peer walks to the step cap.
+			Alpha: 0.05 + 0.95*gen.Float64(), Gamma: 0.05 + 0.95*gen.Float64(),
+			Phi: UniformPhi(b),
+		}
+		runs := 1 + gen.IntN(150)
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		r := stats.NewRNG(uint64(c), 99)
+		want, err := m.Ensemble(r, runs)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		if got := runByRunEnsemble(m, r, runs); !sameEnsemble(got, want) {
+			t.Fatalf("case %d (%+v, runs %d): Ensemble diverges from the run-by-run float fold:\n got: %+v\nwant: %+v", c, p, runs, want, got)
+		}
+
+		every := func(size int) []int { // cut points of fixed-size ranges
+			var cuts []int
+			for lo := size; lo < runs; lo += size {
+				cuts = append(cuts, lo)
+			}
+			return cuts
+		}
+		partitions := map[string][]int{
+			"singletons": every(1),
+			"one range":  nil,
+			"shards":     every(shardRuns),
+		}
+		for i := 0; i < 3; i++ {
+			var cuts []int
+			for lo := 1; lo < runs; lo++ {
+				if gen.IntN(8) == 0 {
+					cuts = append(cuts, lo)
+				}
+			}
+			partitions["random"+string(rune('0'+i))] = cuts
+		}
+		for name, cuts := range partitions {
+			for _, wire := range []bool{false, true} {
+				acc := NewEnsembleAccum(b)
+				lo := 0
+				for _, hi := range append(cuts, runs) {
+					part, err := m.SampleRuns(context.Background(), r, lo, hi)
+					if err != nil {
+						t.Fatalf("case %d %s [%d,%d): %v", c, name, lo, hi, err)
+					}
+					if part.Runs() != hi-lo {
+						t.Fatalf("case %d %s [%d,%d): accumulator holds %d runs", c, name, lo, hi, part.Runs())
+					}
+					if wire {
+						enc, err := json.Marshal(part)
+						if err != nil {
+							t.Fatal(err)
+						}
+						part = &EnsembleAccum{}
+						if err := json.Unmarshal(enc, part); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := acc.Merge(part); err != nil {
+						t.Fatalf("case %d %s [%d,%d): %v", c, name, lo, hi, err)
+					}
+					lo = hi
+				}
+				if got := acc.Stats(); !sameEnsemble(got, want) {
+					t.Fatalf("case %d (%+v, runs %d) partition %q wire=%v diverges from Ensemble:\n got: %+v\nwant: %+v",
+						c, p, runs, name, wire, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAccumChunkRule: the local fan-out never cuts more chunks than
+// runs, keeps small ensembles in one accumulator, and holds a bounded
+// number of accumulators however large the ensemble.
+func TestAccumChunkRule(t *testing.T) {
+	for _, runs := range []int{1, 20, 32, 33, 512, 2048, 2049, 20000, 1 << 20} {
+		chunk := chunkRuns(runs)
+		chunks := (runs + chunk - 1) / chunk
+		if chunk < minChunkRuns || chunks > maxChunks {
+			t.Errorf("runs %d: %d chunks of %d", runs, chunks, chunk)
+		}
+		if runs <= minChunkRuns && chunks != 1 {
+			t.Errorf("runs %d: %d chunks, want 1", runs, chunks)
+		}
+	}
+}
+
+// TestAccumMergeValidation: an accumulator sized for the wrong B is
+// rejected, whichever curve gives it away, rather than silently
+// mis-merged.
+func TestAccumMergeValidation(t *testing.T) {
+	m, err := NewModel(DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := m.SampleRuns(context.Background(), stats.NewRNG(1, 2), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]func(a *EnsembleAccum){
+		"short potSum": func(a *EnsembleAccum) { a.PotSum = a.PotSum[:len(a.PotSum)-1] },
+		"short potCnt": func(a *EnsembleAccum) { a.PotCnt = a.PotCnt[:len(a.PotCnt)-1] },
+		"no fpSum":     func(a *EnsembleAccum) { a.FPSum = nil },
+		"long fpCnt":   func(a *EnsembleAccum) { a.FPCnt = append(a.FPCnt, 0) },
+	}
+	for name, corrupt := range bad {
+		part := *good
+		corrupt(&part)
+		acc := NewEnsembleAccum(m.p.B)
+		if err := acc.Merge(&part); err == nil {
+			t.Errorf("%s: merged without error", name)
+		}
+		if acc.Runs() != 0 {
+			t.Errorf("%s: rejected merge still changed the accumulator", name)
+		}
+	}
+	acc := NewEnsembleAccum(m.p.B)
+	if err := acc.Merge(good); err != nil || acc.Runs() != 3 {
+		t.Fatalf("valid merge: runs %d, err %v", acc.Runs(), err)
+	}
+}

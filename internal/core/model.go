@@ -29,19 +29,26 @@ func NewModel(p Params) (*Model, error) {
 	}
 	m := &Model{p: p}
 	m.power = TradingPowerCurve(p.Phi)
+	// The B+2 potential-set tables share N = S, so they share one
+	// log-choose row; the K+1 distinct factors of each connection-count
+	// convolution are tabulated once, not once per (n, slots) pair.
+	logChooseS := stats.LogChooseRow(p.S)
 	m.iDist = make([][]float64, p.B+1)
 	for x := 0; x <= p.B; x++ {
-		m.iDist[x] = stats.Binomial{N: p.S, P: m.power[x]}.PMFTable()
+		m.iDist[x] = stats.Binomial{N: p.S, P: m.power[x]}.PMFTableFrom(logChooseS)
 	}
-	m.iInit = stats.Binomial{N: p.S, P: p.PInit}.PMFTable()
+	m.iInit = stats.Binomial{N: p.S, P: p.PInit}.PMFTableFrom(logChooseS)
+	y1 := make([][]float64, p.K+1)
+	y2 := make([][]float64, p.K+1)
+	for n := 0; n <= p.K; n++ {
+		y1[n] = stats.Binomial{N: n, P: p.PR}.PMFTable()
+		y2[n] = stats.Binomial{N: n, P: p.PN}.PMFTable()
+	}
 	m.nDist = make([][][]float64, p.K+1)
 	for n := 0; n <= p.K; n++ {
 		m.nDist[n] = make([][]float64, p.K+1)
 		for slots := 0; slots <= p.K; slots++ {
-			m.nDist[n][slots] = convolvePMF(
-				stats.Binomial{N: n, P: p.PR}.PMFTable(),
-				stats.Binomial{N: slots, P: p.PN}.PMFTable(),
-			)
+			m.nDist[n][slots] = convolvePMF(y1[n], y2[slots])
 		}
 	}
 	return m, nil

@@ -81,38 +81,49 @@ type PhaseSummary struct {
 	FracLastPhase float64
 }
 
+// phaseAccumulator sums phase breakdowns over runs. It is the phase part
+// of an EnsembleAccum and crosses the wire with it.
 type phaseAccumulator struct {
-	runs           int
-	boot, eff, lst int
-	stuckBoot      int
-	hasLast        int
+	Bootstrap int64 `json:"bootstrap"`
+	Efficient int64 `json:"efficient"`
+	Last      int64 `json:"last"`
+	// StuckBootstrap and HasLast count runs, not steps.
+	StuckBootstrap int64 `json:"stuckBootstrap"`
+	HasLast        int64 `json:"hasLast"`
 }
 
 func (a *phaseAccumulator) add(pb PhaseBreakdown) {
-	a.runs++
-	a.boot += pb.Bootstrap
-	a.eff += pb.Efficient
-	a.lst += pb.Last
+	a.Bootstrap += int64(pb.Bootstrap)
+	a.Efficient += int64(pb.Efficient)
+	a.Last += int64(pb.Last)
 	if pb.Bootstrap > 1 {
-		a.stuckBoot++
+		a.StuckBootstrap++
 	}
 	if pb.Last > 0 {
-		a.hasLast++
+		a.HasLast++
 	}
 }
 
-func (a *phaseAccumulator) summary() PhaseSummary {
-	if a.runs == 0 {
+func (a *phaseAccumulator) merge(o phaseAccumulator) {
+	a.Bootstrap += o.Bootstrap
+	a.Efficient += o.Efficient
+	a.Last += o.Last
+	a.StuckBootstrap += o.StuckBootstrap
+	a.HasLast += o.HasLast
+}
+
+func (a phaseAccumulator) summary(runs int) PhaseSummary {
+	if runs == 0 {
 		return PhaseSummary{}
 	}
-	n := float64(a.runs)
+	n := float64(runs)
 	return PhaseSummary{
-		Runs:               a.runs,
-		MeanBootstrap:      float64(a.boot) / n,
-		MeanEfficient:      float64(a.eff) / n,
-		MeanLast:           float64(a.lst) / n,
-		FracStuckBootstrap: float64(a.stuckBoot) / n,
-		FracLastPhase:      float64(a.hasLast) / n,
+		Runs:               runs,
+		MeanBootstrap:      float64(a.Bootstrap) / n,
+		MeanEfficient:      float64(a.Efficient) / n,
+		MeanLast:           float64(a.Last) / n,
+		FracStuckBootstrap: float64(a.StuckBootstrap) / n,
+		FracLastPhase:      float64(a.HasLast) / n,
 	}
 }
 

@@ -86,7 +86,7 @@ func (m *SeededModel) SampleTrajectory(r *stats.RNG) Trajectory {
 	s := State{}
 	traj := make(Trajectory, 1, m.base.p.B+16)
 	traj[0] = s
-	for step := 0; step < maxTrajectorySteps; step++ {
+	for step := 0; step < MaxTrajectorySteps; step++ {
 		if s.B == m.base.p.B {
 			break
 		}

@@ -165,7 +165,7 @@ func TestPhaseSummaryAggregation(t *testing.T) {
 	var acc phaseAccumulator
 	acc.add(PhaseBreakdown{Bootstrap: 4, Efficient: 10, Last: 0})
 	acc.add(PhaseBreakdown{Bootstrap: 1, Efficient: 10, Last: 6})
-	s := acc.summary()
+	s := acc.summary(2)
 	if s.Runs != 2 {
 		t.Errorf("runs = %d", s.Runs)
 	}
@@ -179,7 +179,7 @@ func TestPhaseSummaryAggregation(t *testing.T) {
 		t.Errorf("last frac = %g, want 0.5", s.FracLastPhase)
 	}
 	var empty phaseAccumulator
-	if empty.summary() != (PhaseSummary{}) {
+	if empty.summary(0) != (PhaseSummary{}) {
 		t.Error("empty accumulator must produce zero summary")
 	}
 }

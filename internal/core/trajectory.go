@@ -14,9 +14,11 @@ import (
 // holds the state after t transition steps; entry 0 is the joining state.
 type Trajectory []State
 
-// maxTrajectorySteps caps a single sampled download so pathological
-// parameter choices (e.g. α = γ = 0) terminate.
-const maxTrajectorySteps = 1_000_000
+// MaxTrajectorySteps caps a single sampled download so pathological
+// parameter choices (e.g. α = γ = 0) terminate. It also bounds every
+// count an EnsembleAccum holds (see there), which is why it is exported:
+// callers that cap ensemble sizes check their caps against it.
+const MaxTrajectorySteps = 1_000_000
 
 // ctxCheckSteps is how many transition steps pass between context polls
 // inside a single trajectory. Typical downloads complete in a few hundred
@@ -37,10 +39,15 @@ func (m *Model) SampleTrajectory(r *stats.RNG) Trajectory {
 // with the context's error. A nil ctx skips every check — the fast path
 // is identical to SampleTrajectory and allocates nothing extra.
 func (m *Model) SampleTrajectoryCtx(ctx context.Context, r *stats.RNG) (Trajectory, error) {
+	return m.appendTrajectory(ctx, r, make(Trajectory, 0, m.p.B+16))
+}
+
+// appendTrajectory is SampleTrajectoryCtx into buf[:0], so an ensemble
+// chunk walks all its runs through one buffer.
+func (m *Model) appendTrajectory(ctx context.Context, r *stats.RNG, buf Trajectory) (Trajectory, error) {
 	s := State{}
-	traj := make(Trajectory, 1, m.p.B+16)
-	traj[0] = s
-	for step := 0; step < maxTrajectorySteps; step++ {
+	traj := append(buf[:0], s)
+	for step := 0; step < MaxTrajectorySteps; step++ {
 		if s.B == m.p.B {
 			break
 		}
@@ -90,154 +97,201 @@ type EnsembleStats struct {
 	Phases PhaseSummary
 }
 
-// RunPartial is one trajectory's contribution to the ensemble curves:
-// the additive state folded — in run-index order — into EnsembleStats.
-// It is exported (with JSON tags) so distributed workers can compute
-// partials remotely and ship them back for the identical merge; Go's
-// encoding/json round-trips float64 exactly (shortest representation),
-// so a partial that crosses a wire merges bit-identically to one that
-// never left the process.
-type RunPartial struct {
-	// PotSum[b] sums potential-set sizes over steps spent at b pieces.
-	PotSum []float64 `json:"potSum"`
-	// PotCnt[b] counts steps spent holding exactly b pieces.
-	PotCnt []int32 `json:"potCnt"`
-	// First[b] is the first step holding >= b pieces, -1 if never.
-	First []int32 `json:"first"`
-	// Steps is the trajectory length in transition steps.
-	Steps int `json:"steps"`
-	// Done reports completion (B pieces before the step cap).
-	Done bool `json:"done"`
-	// Phases is the trajectory's phase breakdown.
-	Phases PhaseBreakdown `json:"phases"`
+// EnsembleAccum is the additive state of an ensemble over a set of runs;
+// every curve in EnsembleStats is a ratio of two of its entries. It is
+// the only unit of merge: a chunk of the local pool and a shard of a
+// distributed task are both sampled straight into one (SampleRuns) and
+// folded with Merge, and it is exported with JSON tags so a shard can
+// cross a wire.
+//
+// Every entry is an integer count or a sum of counts. Integer addition
+// is associative, so any partition of [0, runs) into contiguous ranges,
+// folded in index order, yields the same accumulator as one serial pass —
+// and the curves match a float64 run-by-run fold bit for bit as long as
+// every sum stays below 2^53, where float64 still holds each integer
+// exactly. The largest is PotSum: at most runs × (MaxTrajectorySteps+1)
+// × S.
+type EnsembleAccum struct {
+	// PotSum[b] sums potential-set sizes over the steps spent holding
+	// exactly b pieces; PotCnt[b] counts those steps.
+	PotSum []int64 `json:"potSum"`
+	PotCnt []int64 `json:"potCnt"`
+	// FPSum[b] sums, over the runs that ever held >= b pieces, the first
+	// step at which they did; FPCnt[b] counts those runs.
+	FPSum []int64 `json:"fpSum"`
+	FPCnt []int64 `json:"fpCnt"`
+	// Phases totals the per-run phase breakdowns.
+	Phases phaseAccumulator `json:"phases"`
+	// Completion holds the step count of each completed run, in run order.
+	Completion []int `json:"completion"`
+	// Truncated counts the runs that hit the step cap instead.
+	Truncated int `json:"truncated"`
+}
+
+// NewEnsembleAccum returns the empty accumulator of a B-piece model.
+func NewEnsembleAccum(b int) *EnsembleAccum {
+	n := b + 1
+	buf := make([]int64, 4*n)
+	return &EnsembleAccum{
+		PotSum: buf[0*n : 1*n : 1*n],
+		PotCnt: buf[1*n : 2*n : 2*n],
+		FPSum:  buf[2*n : 3*n : 3*n],
+		FPCnt:  buf[3*n : 4*n : 4*n],
+	}
+}
+
+// addRun folds one trajectory in. The piece count is monotone along a
+// trajectory (F never decreases b), so first-passage steps are found
+// with a single rising cursor instead of a per-run seen bitmap.
+func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
+	nextB := 0
+	for step, s := range traj {
+		a.PotSum[s.B] += int64(s.I)
+		a.PotCnt[s.B]++
+		for ; nextB <= s.B; nextB++ {
+			a.FPSum[nextB] += int64(step)
+			a.FPCnt[nextB]++
+		}
+	}
+	if steps := len(traj) - 1; traj[steps].B == p.B {
+		a.Completion = append(a.Completion, steps)
+	} else {
+		a.Truncated++
+	}
+	a.Phases.add(ClassifyPhases(p, traj))
+}
+
+// Runs is the number of trajectories folded in.
+func (a *EnsembleAccum) Runs() int { return len(a.Completion) + a.Truncated }
+
+// Merge folds o — the runs that follow a's — into a. It rejects an
+// accumulator sized for a different B, so a shard of some other query
+// fails the merge instead of skewing it.
+func (a *EnsembleAccum) Merge(o *EnsembleAccum) error {
+	n := len(a.PotSum)
+	if len(o.PotSum) != n || len(o.PotCnt) != n || len(o.FPSum) != n || len(o.FPCnt) != n {
+		return fmt.Errorf("core: accumulator curves hold %d/%d/%d/%d entries, want %d (B+1)",
+			len(o.PotSum), len(o.PotCnt), len(o.FPSum), len(o.FPCnt), n)
+	}
+	a.merge(o)
+	return nil
+}
+
+func (a *EnsembleAccum) merge(o *EnsembleAccum) {
+	for b := range a.PotSum {
+		a.PotSum[b] += o.PotSum[b]
+		a.PotCnt[b] += o.PotCnt[b]
+		a.FPSum[b] += o.FPSum[b]
+		a.FPCnt[b] += o.FPCnt[b]
+	}
+	a.Phases.merge(o.Phases)
+	a.Completion = append(a.Completion, o.Completion...)
+	a.Truncated += o.Truncated
+}
+
+// Stats finishes the accumulator into the curves the paper plots.
+func (a *EnsembleAccum) Stats() EnsembleStats {
+	times := make([]float64, len(a.Completion))
+	for i, steps := range a.Completion {
+		times[i] = float64(steps)
+	}
+	out := EnsembleStats{
+		PotentialByPieces: make([]float64, len(a.PotSum)),
+		FirstPassage:      make([]float64, len(a.PotSum)),
+		CompletionSteps:   stats.Summarize(times),
+		CompletionTimes:   times,
+		Truncated:         a.Truncated,
+		Phases:            a.Phases.summary(a.Runs()),
+	}
+	for b := range a.PotSum {
+		out.PotentialByPieces[b] = ratioOrNaN(a.PotSum[b], a.PotCnt[b])
+		out.FirstPassage[b] = ratioOrNaN(a.FPSum[b], a.FPCnt[b])
+	}
+	return out
+}
+
+func ratioOrNaN(sum, n int64) float64 {
+	if n == 0 {
+		return math.NaN()
+	}
+	return float64(sum) / float64(n)
 }
 
 // Ensemble samples runs independent trajectories and aggregates them.
 //
-// Trajectories are fanned across a bounded worker pool (internal/par; the
-// worker count follows the process default, e.g. btexp -jobs). Run i
-// draws from the indexed substream r.At(i), which equals the stream the
-// former serial Split loop gave it, and the per-run partials are merged
-// in run order — so the result is bit-identical for any worker count.
+// Run i draws from the indexed substream r.At(i), which equals the
+// stream the former serial Split loop gave it. The runs are cut into
+// fixed chunks, fanned across a bounded worker pool (internal/par; the
+// worker count follows the process default, e.g. btexp -jobs) and folded
+// in chunk order — and the fold is integer addition, so the result is
+// bit-identical for any worker count and any chunking.
 func (m *Model) Ensemble(r *stats.RNG, runs int) (EnsembleStats, error) {
 	return m.EnsembleCtx(context.Background(), r, runs)
 }
 
 // EnsembleCtx is Ensemble with cooperative cancellation: the context is
-// checked before every run (by the worker pool) and periodically inside
-// each trajectory, so a server deadline or client disconnect aborts the
-// whole ensemble promptly. The result is bit-identical to Ensemble when
-// the context never fires.
+// checked before every run and periodically inside each trajectory, so a
+// server deadline or client disconnect aborts the whole ensemble
+// promptly. The result is bit-identical to Ensemble when the context
+// never fires.
 func (m *Model) EnsembleCtx(ctx context.Context, r *stats.RNG, runs int) (EnsembleStats, error) {
 	if runs < 1 {
 		return EnsembleStats{}, errors.New("core: ensemble needs runs >= 1")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	partials, err := par.MapSeeded(ctx, runs, 0, r,
-		func(_ int, rr *stats.RNG) (RunPartial, error) {
-			return m.SamplePartial(ctx, rr)
-		})
+	acc, err := m.SampleRuns(ctx, r, 0, runs)
 	if err != nil {
 		return EnsembleStats{}, err
 	}
-	return m.MergePartials(partials)
+	return acc.Stats(), nil
 }
 
-// MergePartials folds per-run partials — in slice order — into the
-// ensemble aggregate. It is the single merge both the local pool
-// (EnsembleCtx) and the distributed coordinator path use: feeding it
-// the same partials in the same run order yields bit-identical
-// EnsembleStats regardless of where or how the partials were computed.
-// Every partial must carry exactly B+1 entries per curve.
-func (m *Model) MergePartials(partials []RunPartial) (EnsembleStats, error) {
-	b := m.p.B
-	potSum := make([]float64, b+1)
-	potCnt := make([]int, b+1)
-	fpSum := make([]float64, b+1)
-	fpCnt := make([]int, b+1)
-	times := make([]float64, 0, len(partials))
-	truncated := 0
-	var phases phaseAccumulator
-	for i, rp := range partials {
-		if len(rp.PotSum) != b+1 || len(rp.PotCnt) != b+1 || len(rp.First) != b+1 {
-			return EnsembleStats{}, fmt.Errorf(
-				"core: partial %d sized for %d pieces, model has %d",
-				i, max(len(rp.PotSum), max(len(rp.PotCnt), len(rp.First)))-1, b)
-		}
-		for bb := 0; bb <= b; bb++ {
-			potSum[bb] += rp.PotSum[bb]
-			potCnt[bb] += int(rp.PotCnt[bb])
-			if rp.First[bb] >= 0 {
-				fpSum[bb] += float64(rp.First[bb])
-				fpCnt[bb]++
+// Chunk rule of SampleRuns: 32-run chunks (a few hundred microseconds
+// each, well above par.Map's per-job cost) until there are 64 of them,
+// then 64 equal chunks, so a large ensemble holds a bounded number of
+// accumulators however many runs it has. The rule reads only the range
+// length — never the worker count — and since the fold is exact it could
+// not change the result even if it did.
+const (
+	minChunkRuns = 32
+	maxChunks    = 64
+)
+
+func chunkRuns(n int) int {
+	return max(minChunkRuns, (n+maxChunks-1)/maxChunks)
+}
+
+// SampleRuns samples runs [lo, hi) of the ensemble rooted at r — run i
+// from r.At(i) — into one accumulator. EnsembleCtx calls it with the
+// whole ensemble and a distributed worker with its shard; the chunks of
+// the range fan over the local pool either way.
+func (m *Model) SampleRuns(ctx context.Context, r *stats.RNG, lo, hi int) (*EnsembleAccum, error) {
+	if lo < 0 || hi <= lo {
+		return nil, fmt.Errorf("core: empty run range [%d,%d)", lo, hi)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	chunk := chunkRuns(hi - lo)
+	parts, err := par.Map(ctx, (hi-lo+chunk-1)/chunk, 0, func(c int) (*EnsembleAccum, error) {
+		acc := NewEnsembleAccum(m.p.B)
+		var traj Trajectory
+		for i := lo + c*chunk; i < min(lo+(c+1)*chunk, hi); i++ {
+			var err error
+			if traj, err = m.appendTrajectory(ctx, r.At(i), traj); err != nil {
+				return nil, err
 			}
+			acc.addRun(m.p, traj)
 		}
-		if rp.Done {
-			times = append(times, float64(rp.Steps))
-		} else {
-			truncated++
-		}
-		phases.add(rp.Phases)
-	}
-
-	out := EnsembleStats{
-		PotentialByPieces: make([]float64, b+1),
-		FirstPassage:      make([]float64, b+1),
-		CompletionSteps:   stats.Summarize(times),
-		CompletionTimes:   times,
-		Truncated:         truncated,
-		Phases:            phases.summary(),
-	}
-	for bb := 0; bb <= b; bb++ {
-		out.PotentialByPieces[bb] = ratioOrNaN(potSum[bb], potCnt[bb])
-		out.FirstPassage[bb] = ratioOrNaN(fpSum[bb], fpCnt[bb])
-	}
-	return out, nil
-}
-
-// SamplePartial draws one trajectory from r and reduces it to its
-// additive ensemble contribution. Run i of an ensemble draws from the
-// indexed substream rng.At(i); the partial is a pure function of that
-// stream, which is what lets a remote worker reproduce it exactly. The
-// piece count is monotone along a trajectory (F never decreases b), so
-// first-passage steps are found with a single rising cursor instead of
-// a per-run seen bitmap.
-func (m *Model) SamplePartial(ctx context.Context, r *stats.RNG) (RunPartial, error) {
-	b := m.p.B
-	traj, err := m.SampleTrajectoryCtx(ctx, r)
+		return acc, nil
+	})
 	if err != nil {
-		return RunPartial{}, err
+		return nil, err
 	}
-	rp := RunPartial{
-		PotSum: make([]float64, b+1),
-		PotCnt: make([]int32, b+1),
-		First:  make([]int32, b+1),
-		Steps:  len(traj) - 1,
+	acc := parts[0]
+	for _, part := range parts[1:] {
+		acc.merge(part)
 	}
-	nextB := 0
-	for step, s := range traj {
-		rp.PotSum[s.B] += float64(s.I)
-		rp.PotCnt[s.B]++
-		for nextB <= s.B {
-			rp.First[nextB] = int32(step)
-			nextB++
-		}
-	}
-	for bb := nextB; bb <= b; bb++ {
-		rp.First[bb] = -1
-	}
-	rp.Done = traj[len(traj)-1].B == b
-	rp.Phases = ClassifyPhases(m.p, traj)
-	return rp, nil
-}
-
-func ratioOrNaN(sum float64, n int) float64 {
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
+	return acc, nil
 }
 
 // PotentialRatioCurve returns E[i | b] / s for b = 0..B: the Figure 1(a)

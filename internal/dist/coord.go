@@ -538,6 +538,9 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 		s.attempts++
 		c.grantLocked(w, s, now, "")
 	}
+	// Drop the tail's pointers: granted shards must not stay reachable —
+	// with their task and its payloads — from the backing array.
+	clear(c.queue[len(rest):])
 	c.queue = rest
 	c.gPending.Set(float64(len(c.queue)))
 
@@ -999,7 +1002,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 				c.handleHeartbeat(w, f.Addr)
 			case TypeResult:
 				c.hRemoteEval.Observe(float64(f.EvalMs))
-				c.handleResult(w, f.Addr, append([]byte(nil), f.Payload...), f.Spans)
+				c.handleResult(w, f.Addr, f.Payload, f.Spans)
 			case TypeNack:
 				c.handleNack(w, f.Addr, f.Err)
 			case TypeGoodbye:

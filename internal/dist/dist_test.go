@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,6 +271,10 @@ func TestChaosConnDropReassignment(t *testing.T) {
 		Name: "b-steady", Slots: 2, Addr: addr,
 	}, "sum", sumEval)
 	defer stopB()
+	// Both connected before the task starts: otherwise the steady worker
+	// can finish all six shards while the flaky one is still dialing, and
+	// its byte budget never runs out.
+	waitFor(t, func() bool { return coord.Workers() == 2 })
 
 	got, err := coord.Run(ctx, task)
 	if err != nil {
@@ -280,9 +285,10 @@ func TestChaosConnDropReassignment(t *testing.T) {
 			t.Fatalf("shard %d payload diverged under chaos:\n got %s\nwant %s", i, got[i], want[i])
 		}
 	}
-	if dials.Load() < 2 {
-		t.Fatalf("fault injection never tripped: %d dials", dials.Load())
-	}
+	// The steady worker can finish the requeued shards before the flaky
+	// one redials; the second dial is what proves its conn died. waitFor
+	// fails the test if it never comes.
+	waitFor(t, func() bool { return dials.Load() >= 2 })
 }
 
 // TestStragglerReissue checks a shard stuck on a slow worker is
@@ -292,8 +298,8 @@ func TestStragglerReissue(t *testing.T) {
 	defer cancel()
 	reg := obs.NewRegistry()
 	coord := dist.New(dist.Config{
-		Registry: reg,
-		LeaseTTL: 10 * time.Second, // no expiry: stragglers only
+		Registry:       reg,
+		LeaseTTL:       10 * time.Second, // no expiry: stragglers only
 		SweepEvery:     20 * time.Millisecond,
 		StragglerAfter: 100 * time.Millisecond,
 	})
@@ -342,8 +348,10 @@ func TestStragglerReissue(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch speaks a future protocol version at the
-// coordinator and expects a nack naming both versions.
+// TestHelloVersionMismatch speaks a future protocol version, and the
+// previous one, at the coordinator and expects each to be nacked at the
+// handshake with both versions named. A v1 worker's result payloads are
+// per-run partials a v2 merge cannot fold; it must never get a lease.
 func TestHelloVersionMismatch(t *testing.T) {
 	coord := dist.New(dist.Config{})
 	addr, err := coord.Listen("127.0.0.1:0")
@@ -351,20 +359,71 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer coord.Close()
-	conn, err := net.Dial("tcp", addr)
+	for _, v := range []int{dist.ProtocolVersion + 41, 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		if err := dist.WriteFrame(conn, &dist.Frame{T: dist.TypeHello, V: v, Worker: "old", Slots: 1}); err != nil {
+			t.Fatalf("write hello v%d: %v", v, err)
+		}
+		reply, err := dist.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("read reply to v%d: %v", v, err)
+		}
+		if reply.T != dist.TypeNack ||
+			!strings.Contains(reply.Err, fmt.Sprintf("version %d ", v)) ||
+			!strings.Contains(reply.Err, fmt.Sprintf("v%d", dist.ProtocolVersion)) {
+			t.Fatalf("reply to v%d = %+v, want a nack naming both versions", v, reply)
+		}
+		// The nack is the last word: the coordinator hangs up, and the
+		// rejected worker was never registered.
+		if f, err := dist.ReadFrame(conn); err == nil {
+			t.Fatalf("coordinator kept talking to a v%d worker: %+v", v, f)
+		}
+	}
+	if n := coord.Workers(); n != 0 {
+		t.Fatalf("%d workers registered after rejected handshakes", n)
+	}
+}
+
+// TestFinishedTaskUnreachable: once Run has returned and the caller has
+// dropped the payloads, nothing in the coordinator — open map, lease
+// tables, or the dispatch queue's backing array behind its length — may
+// still reach the task. The queue's tail once did.
+func TestFinishedTaskUnreachable(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := dist.New(dist.Config{})
+	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("listen: %v", err)
 	}
-	defer conn.Close()
-	if err := dist.WriteFrame(conn, &dist.Frame{T: dist.TypeHello, V: dist.ProtocolVersion + 41}); err != nil {
-		t.Fatalf("write hello: %v", err)
-	}
-	reply, err := dist.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	if reply.T != dist.TypeNack || !strings.Contains(reply.Err, "version") {
-		t.Fatalf("reply = %+v, want version nack", reply)
+	defer coord.Close()
+	stop := startWorker(t, ctx, dist.WorkerConfig{Name: "w", Slots: 2, Addr: addr}, "sum", sumEval)
+	defer stop()
+
+	collected := make(chan struct{})
+	func() {
+		payloads, err := coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`"retained"`), N: 8, ShardSize: 2})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		// The payload slice is the task's own; it dies only if the task
+		// is unreachable too.
+		runtime.SetFinalizer(&payloads[0], func(*[]byte) { close(collected) })
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("finished task's payloads still reachable from the coordinator after 10s of GC cycles")
+		}
 	}
 }
 

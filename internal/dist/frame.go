@@ -45,14 +45,22 @@ import (
 )
 
 // ProtocolVersion is the wire-protocol version exchanged in hello
-// frames; both sides must speak the same version.
-const ProtocolVersion = 1
+// frames; both sides must speak the same version. Version 2 changed
+// what a model shard's result payload means (one folded accumulator per
+// shard where v1 carried a partial per run); the frame layout is v1's.
+const ProtocolVersion = 2
 
 // MaxFrameBytes bounds a single frame body. The largest legitimate
-// frames are shard result payloads (serialized run partials), which stay
-// well under a few MiB; anything larger is a corrupt or hostile length
-// prefix and is rejected before allocation grows past the cap.
+// frames are result payloads of whole-response kinds (a sim or figure
+// body, tens of KiB; a model shard's accumulator is a few KiB) and
+// results carrying trace spans; anything near the cap is a corrupt or
+// hostile length prefix and is rejected.
 const MaxFrameBytes = 16 << 20
+
+// readChunkBytes is what ReadFrame allocates on the strength of a length
+// prefix alone. Most frames fit and are read in one piece; a longer body
+// doubles the buffer only after the bytes so far have arrived.
+const readChunkBytes = 64 << 10
 
 // ErrFrameTooLarge reports a length prefix beyond MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("dist: frame exceeds size limit")
@@ -140,29 +148,32 @@ type Lease struct {
 	ParentSpanID string `json:"parentSpan,omitempty"`
 }
 
-// WriteFrame encodes f as one length-prefixed JSONL frame on w.
+// WriteFrame encodes f as one length-prefixed JSONL frame on w, in a
+// single Write: on a TCP conn a separate 4-byte header is its own
+// segment and its own reader wake-up.
 func WriteFrame(w io.Writer, f *Frame) error {
-	body, err := json.Marshal(f)
-	if err != nil {
+	var buf bytes.Buffer
+	var hdr [4]byte // filled in below, once the body's length is known
+	buf.Write(hdr[:])
+	// Encode is Marshal plus the trailing newline.
+	if err := json.NewEncoder(&buf).Encode(f); err != nil {
 		return fmt.Errorf("dist: encode frame: %w", err)
 	}
-	body = append(body, '\n')
-	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(body))
+	frame := buf.Bytes()
+	n := len(frame) - 4
+	if n > MaxFrameBytes {
+		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
 // ReadFrame decodes one frame from r. Truncated streams, zero or
 // oversized length prefixes, and non-JSON bodies all error cleanly; the
-// body buffer grows only as bytes actually arrive, so a hostile length
-// prefix cannot force a large allocation.
+// body buffer starts at no more than readChunkBytes and grows only as
+// bytes actually arrive, so a hostile length prefix cannot force a large
+// allocation.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -171,22 +182,27 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		}
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadFrame, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 {
 		return nil, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
 	}
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	// Copy through a growing buffer instead of allocating n upfront:
-	// a lying length prefix on a short stream costs only the bytes that
-	// actually arrived.
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: truncated body (%d of %d bytes): %v", ErrBadFrame, body.Len(), n, err)
+	body := make([]byte, min(n, readChunkBytes))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated body (%d of %d bytes): %v", ErrBadFrame, got, n, err)
+		}
+		if got == n {
+			break
+		}
+		body = append(body, make([]byte, min(got, n-got))...)
 	}
 	f := &Frame{}
-	if err := json.Unmarshal(body.Bytes(), f); err != nil {
+	if err := json.Unmarshal(body, f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if f.T == "" {

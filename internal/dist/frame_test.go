@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -56,6 +57,55 @@ func TestFrameJSONL(t *testing.T) {
 	}
 }
 
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameSingleWrite: header and body leave in one Write, so a
+// frame is one TCP segment and one reader wake-up, not two.
+func TestWriteFrameSingleWrite(t *testing.T) {
+	var w countingWriter
+	if err := WriteFrame(&w, &Frame{T: TypeResult, Addr: "abc", Payload: json.RawMessage(`{"runs":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("WriteFrame made %d writes, want 1", w.writes)
+	}
+	if _, err := ReadFrame(&w); err != nil {
+		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestReadFrameBodyLongerThanFirstBuffer: a body longer than
+// readChunkBytes arrives through the growth path — here in halves of
+// whatever ReadFrame asks for — and still decodes whole; cut short, it
+// reports how far it got.
+func TestReadFrameBodyLongerThanFirstBuffer(t *testing.T) {
+	want := &Frame{T: TypeResult, Addr: "big", Payload: json.RawMessage(`"` + strings.Repeat("x", 5*readChunkBytes+17) + `"`)}
+	var wire bytes.Buffer
+	if err := WriteFrame(&wire, want); err != nil {
+		t.Fatal(err)
+	}
+	whole := wire.Bytes()
+	got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(whole)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Addr != want.Addr || !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatalf("large frame did not survive: addr %q, payload %d bytes (want %d)", got.Addr, len(got.Payload), len(want.Payload))
+	}
+	if _, err := ReadFrame(bytes.NewReader(whole[:len(whole)-1])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("frame missing its last byte: err = %v, want ErrBadFrame", err)
+	}
+}
+
 func TestReadFrameMalformed(t *testing.T) {
 	mk := func(b []byte) io.Reader { return bytes.NewReader(b) }
 	prefix := func(n uint32, body []byte) []byte {
@@ -72,7 +122,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"short header", []byte{0, 0}, ErrBadFrame},
 		{"zero length", prefix(0, nil), ErrBadFrame},
 		{"oversized prefix", prefix(MaxFrameBytes+1, nil), ErrFrameTooLarge},
-		{"lying prefix truncated body", prefix(1 << 20, []byte(`{"t":"x"}`)), ErrBadFrame},
+		{"lying prefix truncated body", prefix(1<<20, []byte(`{"t":"x"}`)), ErrBadFrame},
 		{"junk body", prefix(4, []byte("junk")), ErrBadFrame},
 		{"valid json missing type", prefix(3, []byte("{}\n")), ErrBadFrame},
 	}
@@ -105,6 +155,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(seed.Bytes())
 	seed.Reset()
 	_ = WriteFrame(&seed, &Frame{T: TypeGoodbye, Worker: "w"})
+	f.Add(seed.Bytes())
+	seed.Reset()
+	// A v2 model result: one folded accumulator (here B = 1, two runs).
+	_ = WriteFrame(&seed, &Frame{T: TypeResult, Addr: "a", EvalMs: 1, Payload: json.RawMessage(
+		`{"potSum":[1,0],"potCnt":[3,2],"fpSum":[0,5],"fpCnt":[2,2],` +
+			`"phases":{"bootstrap":2,"efficient":3,"last":0,"stuckBootstrap":0,"hasLast":0},` +
+			`"completion":[2,3],"truncated":0}`)})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})

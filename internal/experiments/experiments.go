@@ -38,7 +38,7 @@ func SetMetrics(reg *obs.Registry) { metrics.Store(reg) }
 // defer observeWalltime("fig1a", time.Now()) at the top of a harness.
 func observeWalltime(name string, start time.Time) {
 	if reg := metrics.Load(); reg != nil {
-		reg.Histogram("experiments."+name+".seconds").Observe(time.Since(start).Seconds())
+		reg.Histogram("experiments." + name + ".seconds").Observe(time.Since(start).Seconds())
 	}
 }
 

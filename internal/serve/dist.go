@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/par"
 )
 
 // DefaultShardRuns is the model-ensemble shard granularity used by
 // PoolEvaluator when none is given: small enough to spread a default
-// 200-run ensemble across a handful of workers, large enough that the
-// per-shard protocol overhead stays negligible.
+// 200-run ensemble across a handful of workers. A shard's fixed cost — a
+// lease round trip, a NewModel on the worker, and one accumulator back
+// (about 1.5 KB at B = 100, whatever the shard size) — is of the order
+// of sampling 32 runs, so smaller shards are mostly overhead.
 const DefaultShardRuns = 32
 
 // Evaluate computes a canonicalized request's response body locally. It
@@ -30,11 +31,13 @@ func Evaluate(ctx context.Context, req *Request) (any, error) {
 //
 // For KindModel the units are ensemble run indices: run i draws from
 // modelRNG(seed).At(i) — the identical substream the local evaluator
-// gives it — and the payload is the JSON []core.RunPartial for the
-// range, merged coordinator-side in index order. Every other kind is a
-// single indivisible unit ([0, 1)); the payload is the JSON response
-// body, embedded verbatim in the envelope so it carries the exact bytes
-// a local evaluation would have produced.
+// gives it — and the payload is the JSON core.EnsembleAccum of the
+// range, sampled by the same chunked core.Model.SampleRuns the local
+// evaluator runs over [0, runs) (so a large shard still fans over the
+// worker's -jobs) and folded coordinator-side in index order. Every
+// other kind is a single indivisible unit ([0, 1)); the payload is the
+// JSON response body, embedded verbatim in the envelope so it carries
+// the exact bytes a local evaluation would have produced.
 func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	req := &Request{}
 	if err := json.Unmarshal(spec, req); err != nil {
@@ -61,14 +64,11 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	rng := modelRNG(req.Seed)
-	partials, err := par.Map(ctx, hi-lo, 0, func(i int) (core.RunPartial, error) {
-		return m.SamplePartial(ctx, rng.At(lo+i))
-	})
+	acc, err := m.SampleRuns(ctx, modelRNG(req.Seed), lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(partials)
+	return json.Marshal(acc)
 }
 
 // Pool is the slice of a dist coordinator the serving layer needs;
@@ -79,12 +79,14 @@ type Pool interface {
 
 // PoolEvaluator returns a Server evaluator that delegates computation
 // to a worker pool. Model ensembles shard into shardRuns-sized index
-// ranges (DefaultShardRuns if <= 0) whose partials merge — in index
-// order, through the same core fold as the local pool — into results
-// bit-identical to local evaluation; other kinds ship as one shard and
-// the worker's response bytes are embedded verbatim. The evaluator sits
-// behind the server's existing cache, singleflight, and admission gate:
-// only admitted cache misses reach the pool.
+// ranges (DefaultShardRuns if <= 0) whose accumulators fold — in index
+// order, through the same core.EnsembleAccum merge as the local pool's
+// chunks — into results bit-identical to local evaluation; a payload
+// sized for another B, or payloads that do not account for every run,
+// fail the query. Other kinds ship as one shard and the worker's
+// response bytes are embedded verbatim. The evaluator sits behind the
+// server's existing cache, singleflight, and admission gate: only
+// admitted cache misses reach the pool.
 func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Request) (any, error) {
 	if shardRuns <= 0 {
 		shardRuns = DefaultShardRuns
@@ -112,25 +114,19 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 		if req.Kind != KindModel {
 			return json.RawMessage(payloads[0]), nil
 		}
-		partials := make([]core.RunPartial, 0, req.Model.Runs)
+		acc := core.NewEnsembleAccum(req.Model.B)
 		for i, p := range payloads {
-			var chunk []core.RunPartial
-			if err := json.Unmarshal(p, &chunk); err != nil {
+			var part core.EnsembleAccum
+			if err := json.Unmarshal(p, &part); err != nil {
 				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
 			}
-			partials = append(partials, chunk...)
+			if err := acc.Merge(&part); err != nil {
+				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
+			}
 		}
-		m, err := core.NewModel(req.Model.params())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		if acc.Runs() != req.Model.Runs {
+			return nil, fmt.Errorf("serve: pool returned %d runs for %d", acc.Runs(), req.Model.Runs)
 		}
-		if len(partials) != req.Model.Runs {
-			return nil, fmt.Errorf("serve: pool returned %d partials for %d runs", len(partials), req.Model.Runs)
-		}
-		es, err := m.MergePartials(partials)
-		if err != nil {
-			return nil, err
-		}
-		return modelOut(req.Model, es), nil
+		return modelOut(req.Model, acc.Stats()), nil
 	}
 }

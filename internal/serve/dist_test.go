@@ -209,6 +209,53 @@ func TestPoolChaosMidLeaseIdentity(t *testing.T) {
 	}
 }
 
+// payloadPool is a serve.Pool that answers every task with fixed
+// payloads, standing in for a worker that returns the wrong thing.
+type payloadPool [][]byte
+
+func (p payloadPool) Run(context.Context, dist.Task) ([][]byte, error) { return p, nil }
+
+// TestPoolMergeRejections: the coordinator-side fold refuses shard
+// payloads that are not accumulators of this query — sized for another
+// B, in protocol v1's format, or not adding up to runs — instead of
+// answering with a skewed ensemble.
+func TestPoolMergeRejections(t *testing.T) {
+	req := &serve.Request{Kind: serve.KindModel, Seed: 5, Model: &serve.ModelQuery{B: 20, Runs: 12}}
+	if err := req.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustJSON(t, req)
+	shard := func(spec []byte, lo, hi int) []byte {
+		t.Helper()
+		b, err := serve.EvalShard(context.Background(), spec, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	other := *req.Model
+	other.B = 21
+	otherSpec := mustJSON(t, &serve.Request{Kind: serve.KindModel, Seed: 5, Model: &other})
+
+	good := payloadPool{shard(spec, 0, 8), shard(spec, 8, 12)}
+	if _, err := serve.PoolEvaluator(good, 8)(context.Background(), req); err != nil {
+		t.Fatalf("valid payloads: %v", err)
+	}
+	cases := map[string]payloadPool{
+		"wrong B":       {shard(spec, 0, 8), shard(otherSpec, 8, 12)},
+		"missing shard": {shard(spec, 0, 8)},
+		"shard twice":   {shard(spec, 0, 8), shard(spec, 0, 8)},
+		"v1 partials":   {[]byte(`[{"potSum":[0],"potCnt":[1],"first":[0],"steps":3,"done":true}]`)},
+		"empty curves":  {[]byte(`{"potSum":[],"potCnt":[],"fpSum":[],"fpCnt":[],"completion":[1,1,1,1,1,1,1,1,1,1,1,1]}`)},
+		"not json":      {[]byte(`{`)},
+	}
+	for name, pool := range cases {
+		if _, err := serve.PoolEvaluator(pool, 8)(context.Background(), req); err == nil {
+			t.Errorf("%s: pool evaluator answered without error", name)
+		}
+	}
+}
+
 // TestEvalShardRejections: malformed specs and out-of-range shards fail
 // loudly instead of producing partial data.
 func TestEvalShardRejections(t *testing.T) {

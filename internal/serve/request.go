@@ -6,23 +6,23 @@
 //
 // The pipeline is the canonical shape of an inference-serving stack:
 //
-//	canonicalize → cache → admit → compute → (stream)
+//		canonicalize → cache → admit → compute → (stream)
 //
-//   - Requests carry a versioned schema over the paper's parameters
-//     (core.Params, sim.Config knobs, a seed). Normalization fills
-//     defaults and the canonical byte form is hashed into a
-//     content-addressed cache key, so semantically identical requests
-//     dedupe regardless of field order or explicit defaults.
-//   - Every evaluation in this repository is bit-deterministic in
-//     (request, seed) — the PR-3 determinism discipline — so a cached
-//     response is exactly the response a recomputation would produce,
-//     byte for byte.
-//   - A singleflight layer collapses N concurrent identical requests
-//     into one computation; an admission gate (internal/par.Gate)
-//     bounds concurrent work and sheds overload with 429s.
-//   - Long simulator runs stream incremental per-round JSONL records
-//     (the internal/trace type-tagged envelope convention) over a
-//     chunked response instead of making the client wait for the end.
+//	  - Requests carry a versioned schema over the paper's parameters
+//	    (core.Params, sim.Config knobs, a seed). Normalization fills
+//	    defaults and the canonical byte form is hashed into a
+//	    content-addressed cache key, so semantically identical requests
+//	    dedupe regardless of field order or explicit defaults.
+//	  - Every evaluation in this repository is bit-deterministic in
+//	    (request, seed) — the PR-3 determinism discipline — so a cached
+//	    response is exactly the response a recomputation would produce,
+//	    byte for byte.
+//	  - A singleflight layer collapses N concurrent identical requests
+//	    into one computation; an admission gate (internal/par.Gate)
+//	    bounds concurrent work and sheds overload with 429s.
+//	  - Long simulator runs stream incremental per-round JSONL records
+//	    (the internal/trace type-tagged envelope convention) over a
+//	    chunked response instead of making the client wait for the end.
 package serve
 
 import (

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // fp and ip build the pointer-typed knobs ("explicit value") in test
@@ -69,6 +71,20 @@ func TestCanonicalizeEfficiencyCalibratedPR(t *testing.T) {
 	}
 	if implicit.Key() != explicit.Key() {
 		t.Fatal("calibrated and explicit PR keyed differently")
+	}
+}
+
+// TestModelCapsKeepEnsembleFoldExact ties the serving caps to the
+// exactness argument behind core.EnsembleAccum: its largest entry sums
+// at most s per step over every step of every run, and the curves are
+// bit-identical across chunkings, shardings and the former float64 fold
+// only while float64 holds that integer exactly. Raising a cap past 2^53
+// must fail here, not drift a golden.
+func TestModelCapsKeepEnsembleFoldExact(t *testing.T) {
+	worst := float64(maxRuns) * float64(core.MaxTrajectorySteps+1) * float64(maxNeighbor)
+	if limit := float64(1 << 53); worst >= limit {
+		t.Fatalf("maxRuns %d × (MaxTrajectorySteps %d + 1) × maxNeighbor %d = %g >= 2^53 = %g",
+			maxRuns, core.MaxTrajectorySteps, maxNeighbor, worst, limit)
 	}
 }
 

@@ -137,12 +137,12 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 		})
 	}
 	doc := map[string]any{
-		"population":  ser(res.PopulationSeries.T, res.PopulationSeries.V),
-		"entropy":     ser(res.EntropySeries.T, res.EntropySeries.V),
-		"efficiency":  ser(res.EfficiencySeries.T, res.EfficiencySeries.V),
-		"pr":          ser(res.PRSeries.T, res.PRSeries.V),
-		"completions": completions,
-		"traces":      traces,
+		"population":               ser(res.PopulationSeries.T, res.PopulationSeries.V),
+		"entropy":                  ser(res.EntropySeries.T, res.EntropySeries.V),
+		"efficiency":               ser(res.EfficiencySeries.T, res.EfficiencySeries.V),
+		"pr":                       ser(res.PRSeries.T, res.PRSeries.V),
+		"completions":              completions,
+		"traces":                   traces,
 		"mean_potential_by_pieces": fs(res.MeanPotentialByPieces),
 		"end_time":                 f(res.EndTime),
 		"counters": map[string]int{

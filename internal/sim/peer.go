@@ -98,7 +98,7 @@ type peerStore struct {
 	optVer   []uint32
 	potEpoch []uint64 // potentialSize cache key
 	potVer   []uint32
-	potVal   []int32  // cached potential-set size
+	potVal   []int32 // cached potential-set size
 
 	free []int32 // free-slot stack (LIFO reuse)
 }

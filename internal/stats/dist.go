@@ -24,6 +24,21 @@ func LogChoose(n, k int) float64 {
 	return ln1 - lk1 - lnk1
 }
 
+// LogChooseRow returns ln C(n, k) for k = 0..n. Entry k is bit-equal to
+// LogChoose(n, k): the same difference of the same three Lgamma values,
+// each of which is computed once for the row instead of once per entry.
+func LogChooseRow(n int) []float64 {
+	lg := make([]float64, n+1) // lg[j] = ln j!
+	for j := range lg {
+		lg[j], _ = math.Lgamma(float64(j + 1))
+	}
+	row := make([]float64, n+1)
+	for k := 1; k < n; k++ {
+		row[k] = lg[n] - lg[k] - lg[n-k]
+	}
+	return row
+}
+
 // ChooseRatio returns C(a, m) / C(b, m) computed in log space, which stays
 // finite for the large piece counts (B in the hundreds) used by the model.
 // It returns 0 when C(a, m) = 0 and panics if C(b, m) = 0 with C(a, m) != 0.
@@ -129,9 +144,28 @@ func (b Binomial) Sample(r *RNG) int {
 
 // PMFTable returns the full probability vector Pr(X = 0..N).
 func (b Binomial) PMFTable() []float64 {
+	return b.PMFTableFrom(LogChooseRow(b.N))
+}
+
+// PMFTableFrom is PMFTable given logChoose = LogChooseRow(b.N), for a
+// caller tabulating many P at one N. Entry k is the expression PMF(k)
+// evaluates, with the two logarithms taken once, so it is bit-equal to
+// PMF(k).
+func (b Binomial) PMFTableFrom(logChoose []float64) []float64 {
 	out := make([]float64, b.N+1)
-	for k := 0; k <= b.N; k++ {
-		out[k] = b.PMF(k)
+	switch b.P {
+	case 0:
+		out[0] = 1
+		return out
+	case 1:
+		out[b.N] = 1
+		return out
+	}
+	logP, log1mP := math.Log(b.P), math.Log1p(-b.P)
+	for k := range out {
+		out[k] = math.Exp(logChoose[k] +
+			float64(k)*logP +
+			float64(b.N-k)*log1mP)
 	}
 	return out
 }

@@ -86,6 +86,37 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 	}
 }
 
+// TestBinomialPMFTableBitEqualsPMF pins the table kernel to the scalar
+// one: hoisting the logarithms and sharing the Lgamma row must not move
+// a single bit, or every transition table in core — and every golden
+// sampled from them — moves with it.
+func TestBinomialPMFTableBitEqualsPMF(t *testing.T) {
+	ps := []float64{0, 1, 1e-9, 0.9999, 0.5, 0.1, 0.3, 0.8, 0.9, 1 - 1e-12, math.SmallestNonzeroFloat64}
+	for i := 1; i < 64; i++ {
+		ps = append(ps, float64(i)/64)
+	}
+	for n := 0; n <= 60; n++ {
+		row := LogChooseRow(n)
+		for k := 0; k <= n; k++ {
+			if math.Float64bits(row[k]) != math.Float64bits(LogChoose(n, k)) {
+				t.Fatalf("LogChooseRow(%d)[%d] = %v, LogChoose = %v", n, k, row[k], LogChoose(n, k))
+			}
+		}
+		for _, p := range ps {
+			b := Binomial{N: n, P: p}
+			table := b.PMFTable()
+			if len(table) != n+1 {
+				t.Fatalf("N=%d P=%g: table has %d entries", n, p, len(table))
+			}
+			for k, got := range table {
+				if want := b.PMF(k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("N=%d P=%g: PMFTable()[%d] = %v, PMF = %v", n, p, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBinomialMomentsMatchSampling(t *testing.T) {
 	b := Binomial{N: 40, P: 0.3}
 	r := NewRNG(1, 2)

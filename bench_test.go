@@ -427,16 +427,6 @@ func BenchmarkExactPhaseDurations(b *testing.B) {
 	}
 }
 
-// BenchmarkFluidRK4 measures one Qiu-Srikant integration.
-func BenchmarkFluidRK4(b *testing.B) {
-	p := fluid.QSParams{Lambda: 4, C: 2, Mu: 0.25, Eta: 1, Gamma: 0.8}
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(1, 0, 100, 0.01); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFluidSolve measures one adaptive RK45 Qiu-Srikant solve with
 // a 200-point dense-output grid — the compute behind a kind=fluid query.
 func BenchmarkFluidSolve(b *testing.B) {

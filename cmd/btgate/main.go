@@ -37,19 +37,15 @@ import (
 
 func main() {
 	var (
-		addr            = flag.String("addr", ":8080", "listen address for /v1/query, /v1/batch, /v1/stream, /healthz, /metrics")
-		replicas        = flag.String("replicas", "", "comma-separated btserve base URLs to front (required)")
-		vnodes          = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		loadFactor      = flag.Float64("load-factor", gateway.DefaultLoadFactor, "bounded-load spill factor (>= 1)")
-		noFill          = flag.Bool("no-fill", false, "disable the cache-fill probe on spilled requests")
-		fillTimeout     = flag.Duration("fill-timeout", 0, "cache-fill probe budget (0 = serve default)")
-		forwardTimeout  = flag.Duration("forward-timeout", gateway.DefaultForwardTimeout, "per-exchange proxy budget for query/batch")
-		strikeThreshold = flag.Int("strike-threshold", 0, "transport failures before a replica is quarantined (0 = default 3, negative disables ejection)")
-		strikeWindow    = flag.Duration("strike-window", 0, "strike decay / base quarantine window (0 = default 10s)")
-		drainTimeout    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
-		debugAddr       = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6070)")
-		traceSpans      = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
-		logCfg          = obs.RegisterLogFlags(nil)
+		addr           = flag.String("addr", ":8080", "listen address for /v1/query, /v1/batch, /v1/stream, /healthz, /metrics")
+		replicas       = flag.String("replicas", "", "comma-separated btserve base URLs to front (required)")
+		vnodes         = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the hash ring")
+		loadFactor     = flag.Float64("load-factor", gateway.DefaultLoadFactor, "bounded-load spill factor (>= 1)")
+		forwardTimeout = flag.Duration("forward-timeout", gateway.DefaultForwardTimeout, "per-exchange proxy budget for query/batch")
+		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
+		debugAddr      = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6070)")
+		traceSpans     = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
+		logCfg         = obs.RegisterLogFlags(nil)
 	)
 	flag.Parse()
 	logger := logCfg.Logger()
@@ -57,10 +53,8 @@ func main() {
 	defer cancel()
 	if err := run(os.Stdout, logger, options{
 		addr: *addr, replicas: splitList(*replicas), vnodes: *vnodes,
-		loadFactor: *loadFactor, noFill: *noFill, fillTimeout: *fillTimeout,
-		forwardTimeout: *forwardTimeout, strikeThreshold: *strikeThreshold,
-		strikeWindow: *strikeWindow, drainTimeout: *drainTimeout,
-		debugAddr: *debugAddr, traceSpans: *traceSpans,
+		loadFactor: *loadFactor, forwardTimeout: *forwardTimeout,
+		drainTimeout: *drainTimeout, debugAddr: *debugAddr, traceSpans: *traceSpans,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btgate failed", "err", err)
 		os.Exit(1)
@@ -68,18 +62,14 @@ func main() {
 }
 
 type options struct {
-	addr            string
-	replicas        []string
-	vnodes          int
-	loadFactor      float64
-	noFill          bool
-	fillTimeout     time.Duration
-	forwardTimeout  time.Duration
-	strikeThreshold int
-	strikeWindow    time.Duration
-	drainTimeout    time.Duration
-	debugAddr       string
-	traceSpans      int
+	addr           string
+	replicas       []string
+	vnodes         int
+	loadFactor     float64
+	forwardTimeout time.Duration
+	drainTimeout   time.Duration
+	debugAddr      string
+	traceSpans     int
 }
 
 // splitList parses a comma-separated flag value, dropping empty parts.
@@ -115,17 +105,13 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 	}
 
 	g, err := gateway.New(gateway.Config{
-		Replicas:        o.replicas,
-		VNodes:          o.vnodes,
-		LoadFactor:      o.loadFactor,
-		FillProbeOff:    o.noFill,
-		FillTimeout:     o.fillTimeout,
-		ForwardTimeout:  o.forwardTimeout,
-		StrikeThreshold: o.strikeThreshold,
-		StrikeWindow:    o.strikeWindow,
-		Registry:        reg,
-		Logger:          logger,
-		Tracer:          tracer,
+		Replicas:       o.replicas,
+		VNodes:         o.vnodes,
+		LoadFactor:     o.loadFactor,
+		ForwardTimeout: o.forwardTimeout,
+		Registry:       reg,
+		Logger:         logger,
+		Tracer:         tracer,
 	})
 	if err != nil {
 		return err

@@ -14,9 +14,10 @@
 // same request sequence per worker; the corpus of request bodies is a
 // pure function of the flags. Two runs differ only in timing.
 //
-// The report (JSON on stdout) carries both exact quantiles (computed
-// from every recorded sample) and the obs histogram's estimates, so
-// the gate's numbers can be reconciled against the server's /metrics.
+// The report (JSON on stdout) carries exact nearest-rank quantiles
+// computed from every recorded sample — the numbers the SLO gates use.
+// The servers' /metrics quantiles are obs.Histogram estimates and agree
+// with these to within a factor of two (see obs.Histogram).
 package main
 
 import (
@@ -35,8 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func main() {
@@ -137,11 +136,6 @@ type report struct {
 	P95Ms float64 `json:"p95Ms"`
 	P99Ms float64 `json:"p99Ms"`
 	MaxMs float64 `json:"maxMs"`
-	// The obs histogram's view of the same samples, for reconciling the
-	// gate against the server's /metrics quantiles.
-	HistP50Ms float64 `json:"histP50Ms"`
-	HistP95Ms float64 `json:"histP95Ms"`
-	HistP99Ms float64 `json:"histP99Ms"`
 
 	DivergenceChecked int `json:"divergenceChecked,omitempty"`
 	DivergenceFailed  int `json:"divergenceFailed,omitempty"`
@@ -275,7 +269,6 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	rep := &report{Target: o.target, Duration: o.duration.String()}
 	var requests, items, ok, shed, errs, hits, fills atomic.Int64
 	var issued atomic.Int64
-	hist := &obs.Histogram{}
 	lats := make([][]float64, o.concurrency) // per-worker: no contention
 
 	start := time.Now()
@@ -334,7 +327,6 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 				items.Add(nitems)
 				ms := float64(elapsed.Nanoseconds()) / 1e6
 				lats[w] = append(lats[w], ms)
-				hist.Observe(ms)
 				switch {
 				case err != nil:
 					errs.Add(1)
@@ -376,8 +368,6 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	if len(all) > 0 {
 		rep.MaxMs = all[len(all)-1]
 	}
-	hs := hist.Snapshot()
-	rep.HistP50Ms, rep.HistP95Ms, rep.HistP99Ms = hs.P50, hs.P95, hs.P99
 
 	if o.divergence > 0 && len(o.replicas) > 0 {
 		checked, failed, err := checkDivergence(ctx, client, o, uniq)

@@ -89,11 +89,6 @@ func TestLoadRunAgainstLiveTarget(t *testing.T) {
 	if rep.P50Ms <= 0 || rep.P99Ms < rep.P95Ms || rep.P95Ms < rep.P50Ms || rep.MaxMs < rep.P99Ms {
 		t.Errorf("quantiles not monotone: p50=%v p95=%v p99=%v max=%v", rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.MaxMs)
 	}
-	// The histogram view must agree with the exact quantiles to within
-	// its bucket resolution (power-of-two buckets: a factor of 2).
-	if rep.HistP50Ms > rep.P50Ms*2 || rep.HistP50Ms < rep.P50Ms/2 {
-		t.Errorf("histogram p50 %.3f disagrees with exact p50 %.3f beyond bucket resolution", rep.HistP50Ms, rep.P50Ms)
-	}
 }
 
 func TestLoadRunDeterministicSequence(t *testing.T) {

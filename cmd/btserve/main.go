@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,8 +54,6 @@ func main() {
 		shardRuns    = flag.Int("shard-runs", serve.DefaultShardRuns, "model-ensemble runs per worker shard under -pool")
 		brThreshold  = flag.Int("breaker-threshold", 0, "consecutive pool failures before failing over to local evaluation (0 = default 3, negative disables the breaker)")
 		brCooldown   = flag.Duration("breaker-cooldown", 0, "how long the breaker stays open before re-probing the pool (0 = default 5s)")
-		peers        = flag.String("peers", "", "comma-separated peer replica base URLs to probe for cache fills before computing locally (e.g. http://host:8091,http://host:8092)")
-		fillTimeout  = flag.Duration("fill-timeout", serve.DefaultFillTimeout, "per-peer cache-fill probe budget under -peers")
 		traceSpans   = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
 		selftest     = flag.Bool("selftest", false, "run the self-contained serving smoke test and exit")
 		logCfg       = obs.RegisterLogFlags(nil)
@@ -79,7 +76,6 @@ func main() {
 		drainTimeout: *drainTimeout, debugAddr: *debugAddr,
 		poolAddr: *poolAddr, shardRuns: *shardRuns, traceSpans: *traceSpans,
 		breakerThreshold: *brThreshold, breakerCooldown: *brCooldown,
-		peers: splitList(*peers), fillTimeout: *fillTimeout,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btserve failed", "err", err)
 		os.Exit(1)
@@ -100,19 +96,6 @@ type options struct {
 	traceSpans       int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	peers            []string
-	fillTimeout      time.Duration
-}
-
-// splitList parses a comma-separated flag value, dropping empty parts.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // run serves until the listener fails or stop is closed, then drains
@@ -146,14 +129,6 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		Queue:          o.queue,
 		RequestTimeout: o.timeout,
 		Tracer:         tracer,
-	}
-	if len(o.peers) > 0 {
-		// Sibling replicas behind the gateway: on a local miss, fetch the
-		// peer's cached bytes before computing — a network copy of an
-		// identical result beats recomputing it (and keeps bytes identical
-		// by construction, since peers serve their stored envelopes).
-		cfg.CacheFill = serve.HTTPCacheFill(o.peers, o.fillTimeout, reg, logger)
-		fmt.Fprintf(w, "cache-fill peers: %s\n", strings.Join(o.peers, ", "))
 	}
 	var coord *dist.Coordinator
 	if o.poolAddr != "" {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/health"
 	"repro/internal/metainfo"
 	"repro/internal/obs"
 	"repro/internal/retry"
@@ -229,7 +230,7 @@ type Client struct {
 
 	// Event-loop-confined state.
 	conns    map[*peerConn]struct{}
-	bans     *banList
+	bans     *health.Book[string]
 	picker   *picker
 	limiter  *uploadLimiter
 	shaken   bool
@@ -277,7 +278,7 @@ func New(cfg Config) (*Client, error) {
 		dialCtx:    dialCtx,
 		dialCancel: dialCancel,
 		conns:      make(map[*peerConn]struct{}),
-		bans:       newBanList(cfg.BanThreshold, cfg.BanDuration, nil),
+		bans:       health.NewBook[string](cfg.BanThreshold, cfg.BanDuration),
 		limiter:    newUploadLimiter(cfg.UploadRate),
 		completeCh: make(chan struct{}),
 	}, nil
@@ -561,6 +562,8 @@ func (c *Client) onPeerList(peers []tracker.PeerInfo) {
 		selfPort, _ = strconv.Atoi(p)
 	}
 	budget := c.cfg.MaxPeers - len(c.conns)
+	now := time.Now()
+	c.bans.Prune(now) // every announce: the book never outgrows one window of offenders
 	for _, p := range peers {
 		if budget <= 0 {
 			return
@@ -572,7 +575,7 @@ func (c *Client) onPeerList(peers []tracker.PeerInfo) {
 			continue
 		}
 		addr := net.JoinHostPort(p.IP.String(), strconv.Itoa(p.Port))
-		if c.bans.banned(addr) {
+		if c.bans.Quarantined(addr, now) {
 			continue // quarantined: do not re-dial while the ban holds
 		}
 		budget--
@@ -626,7 +629,7 @@ func (c *Client) recordOffense(pc *peerConn, reason string) {
 	}
 	addr := pc.netc.RemoteAddr().String()
 	c.met.offense()
-	if c.bans.offense(addr) {
+	if c.bans.Strike(addr, time.Now()) {
 		c.met.ban()
 		c.log.Warn("peer banned", "peer", addr, "reason", reason)
 		c.onDisconnected(pc)
@@ -639,7 +642,7 @@ func (c *Client) onConnected(pc *peerConn) {
 		_ = pc.netc.Close()
 		return
 	}
-	if c.cfg.BanThreshold >= 0 && c.bans.banned(pc.netc.RemoteAddr().String()) {
+	if c.cfg.BanThreshold >= 0 && c.bans.Quarantined(pc.netc.RemoteAddr().String(), time.Now()) {
 		_ = pc.netc.Close()
 		return
 	}

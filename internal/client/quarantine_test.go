@@ -14,50 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-func TestBanListEscalationAndDecay(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBanList(2, time.Minute, clock)
-
-	if b.offense("a") {
-		t.Fatal("first offense banned immediately")
-	}
-	if b.banned("a") {
-		t.Fatal("quarantined address reported banned")
-	}
-	if !b.offense("a") {
-		t.Fatal("second offense did not ban at threshold 2")
-	}
-	if !b.banned("a") {
-		t.Fatal("banned address not reported banned")
-	}
-	// A third offense inside the window escalates: the ban doubles.
-	now = now.Add(30 * time.Second)
-	if !b.offense("a") {
-		t.Fatal("offense while banned did not keep the ban")
-	}
-	// 2 min from the escalation point: base window expired, doubled not.
-	now = now.Add(90 * time.Second)
-	if !b.banned("a") {
-		t.Fatal("escalated ban expired with the base window")
-	}
-	// Past the doubled window AND a clean decay window: fully forgiven.
-	now = now.Add(3 * time.Minute)
-	if b.banned("a") {
-		t.Fatal("ban did not decay")
-	}
-	if b.size() != 0 {
-		t.Fatalf("decayed entry not dropped, size = %d", b.size())
-	}
-	// After decay the slate is clean: one offense is quarantine, not ban.
-	if b.offense("a") {
-		t.Fatal("offense after decay banned immediately")
-	}
-	if b.banned("b") {
-		t.Fatal("unknown address reported banned")
-	}
-}
-
 // corruptingPeer serves correct content through a faults.CorruptConn
 // wrapper: its handshake and control frames pass untouched while every
 // piece frame arrives with a flipped byte and fails verification.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/retry"
@@ -18,15 +19,19 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultLeaseTTL        = 15 * time.Second
-	defaultRequeueBase     = 50 * time.Millisecond
-	defaultRequeueMax      = 2 * time.Second
-	defaultShardAttempts   = 8
-	defaultStragglerScale  = 4 // StragglerAfter = scale × LeaseTTL when unset
-	defaultStrikeThreshold = 3 // strikes within StrikeWindow before quarantine
-	defaultStrikeScale     = 4 // StrikeWindow = scale × LeaseTTL when unset
-	defaultHedgeFactor     = 3 // hedge threshold = factor × p95 shard latency
-	defaultHedgeMinSamples = 8 // completed shards before hedging activates
+	DefaultLeaseTTL      = 15 * time.Second
+	defaultRequeueBase   = 50 * time.Millisecond
+	defaultRequeueMax    = 2 * time.Second
+	defaultShardAttempts = 8
+)
+
+// Worker quarantine: strikeThreshold strikes (nacks, lease expiries,
+// disconnects with leases held) inside strikeWindowTTLs × LeaseTTL take
+// a worker out of scheduling for that long, doubling per further strike
+// (internal/health).
+const (
+	strikeThreshold  = 3
+	strikeWindowTTLs = 4
 )
 
 // ErrCoordinatorClosed reports a Run against a closed coordinator (or a
@@ -44,38 +49,13 @@ type Config struct {
 	// (DefaultLeaseTTL when zero). Workers heartbeat at TTL/3.
 	LeaseTTL time.Duration
 	// SweepEvery is the janitor interval scanning for expired leases and
-	// stragglers (LeaseTTL/4 when zero, floor 5ms).
+	// over-age shards to re-issue (LeaseTTL/4 when zero, floor 5ms).
 	SweepEvery time.Duration
 	// Requeue shapes reassignment: Delay(attempt) spaces out re-grants of
 	// a shard after failures, and MaxAttempts bounds lease grants per
 	// shard before the whole task fails (default 8 attempts, 50ms base,
 	// 2s cap).
 	Requeue retry.Policy
-	// StragglerAfter re-issues a still-leased shard to an idle worker
-	// once its oldest lease is this old (4×LeaseTTL when zero; negative
-	// disables both straggler re-issue and hedging).
-	StragglerAfter time.Duration
-	// StrikeThreshold is how many strikes (nacks, lease expiries,
-	// disconnects with leases held) within StrikeWindow quarantine a
-	// worker from scheduling (default 3; negative disables quarantine).
-	StrikeThreshold int
-	// StrikeWindow is the strike decay window and the base quarantine
-	// duration; quarantines double with each further strike, capped at
-	// 256× (4×LeaseTTL when zero).
-	StrikeWindow time.Duration
-	// HedgeFactor scales the latency-derived hedge threshold: a
-	// single-leased shard older than HedgeFactor × p95(shard latency) is
-	// speculatively re-issued to a healthy idle worker (default 3;
-	// negative disables hedging). Hedging activates only once
-	// HedgeMinSamples shards have completed; until then only the
-	// StragglerAfter hard threshold re-issues.
-	HedgeFactor float64
-	// HedgeMinSamples is the completed-shard count required before the
-	// latency percentile is trusted (default 8).
-	HedgeMinSamples int
-	// HedgeMin floors the hedge threshold so sub-millisecond p95s cannot
-	// hedge every shard (2×SweepEvery when zero).
-	HedgeMin time.Duration
 	// Registry receives the dist.* metrics (nil disables).
 	Registry *obs.Registry
 	// Logger receives coordinator events (nil = discard).
@@ -88,8 +68,8 @@ type Config struct {
 // Coordinator owns the shard queue and the worker pool: it accepts
 // btworker connections, leases shards, tracks lease TTLs via
 // heartbeats, requeues lost shards with backoff, speculatively
-// re-issues stragglers and latency hedges, scores worker health
-// (quarantining repeat offenders), and accepts results idempotently by
+// re-issues over-age shards, scores worker health (quarantining repeat
+// offenders), and accepts results idempotently by
 // shard content address. Construct with New, attach a listener with
 // Start, submit work with Run, Drain to finish in-flight tasks before
 // shutdown, and Close when done.
@@ -101,7 +81,8 @@ type Coordinator struct {
 	mu      sync.Mutex
 	ln      net.Listener
 	workers map[*workerConn]struct{}
-	health  *healthBook
+	strikes *health.Book[string] // by worker name, so a reconnect must live its record down
+	latency latencyEWMA
 	// open maps shard address → every open shard with that address
 	// (identical computations submitted concurrently share results).
 	open     map[string][]*shard
@@ -114,10 +95,9 @@ type Coordinator struct {
 	// Metrics (always non-nil; unregistered when cfg.Registry is nil).
 	gWorkers, gLeases, gPending, gQuarantined *obs.Gauge
 	cResults, cReassigned, cDuplicates        *obs.Counter
-	cNacks, cStragglers, cLate                *obs.Counter
+	cNacks, cLate                             *obs.Counter
 	cHedges, cHedgeWins, cStrikes, cGoodbyes  *obs.Counter
-	hShardLatency, hStragglerAge              *obs.Histogram
-	hRemoteEval                               *obs.Histogram
+	hShardLatency, hRemoteEval                *obs.Histogram
 }
 
 // shard is one leased unit of a task.
@@ -130,7 +110,7 @@ type shard struct {
 
 	attempts   int                         // queue-grant count (speculative re-issues excluded)
 	leases     map[*workerConn]*leaseGrant // active lease holders
-	firstIssue time.Time                   // first grant, for latency/straggler accounting
+	firstIssue time.Time                   // first grant, for latency and re-issue age
 	notBefore  time.Time                   // requeue backoff gate
 	queued     bool
 	done       bool
@@ -152,9 +132,9 @@ type leaseGrant struct {
 	// result frame racing the same sweep tick still counts as a result,
 	// not an expiry (and costs the worker no strike).
 	lapsed bool
-	// reason is "" for a queue grant, "hedge" for a latency-derived
-	// speculative duplicate, "straggler" for a hard-threshold one.
-	reason string
+	// hedge marks a speculative duplicate of an over-age shard, as
+	// opposed to a grant off the queue.
+	hedge bool
 }
 
 // endSpanLocked closes the grant span held for w (if any) with an
@@ -212,30 +192,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.Requeue.MaxDelay <= 0 {
 		cfg.Requeue.MaxDelay = defaultRequeueMax
 	}
-	if cfg.StragglerAfter == 0 {
-		cfg.StragglerAfter = defaultStragglerScale * cfg.LeaseTTL
-	}
-	switch {
-	case cfg.StrikeThreshold == 0:
-		cfg.StrikeThreshold = defaultStrikeThreshold
-	case cfg.StrikeThreshold < 0:
-		cfg.StrikeThreshold = 0 // quarantine disabled, strikes still counted
-	}
-	if cfg.StrikeWindow <= 0 {
-		cfg.StrikeWindow = defaultStrikeScale * cfg.LeaseTTL
-	}
-	switch {
-	case cfg.HedgeFactor == 0:
-		cfg.HedgeFactor = defaultHedgeFactor
-	case cfg.HedgeFactor < 0:
-		cfg.HedgeFactor = 0 // hedging disabled
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = defaultHedgeMinSamples
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 2 * cfg.SweepEvery
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -244,18 +200,18 @@ func New(cfg Config) *Coordinator {
 		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist"),
 		now:     cfg.now,
 		workers: make(map[*workerConn]struct{}),
-		health:  newHealthBook(cfg.StrikeThreshold, cfg.StrikeWindow),
+		strikes: health.NewBook[string](strikeThreshold, strikeWindowTTLs*cfg.LeaseTTL),
+		latency: latencyEWMA{},
 		open:    make(map[string][]*shard),
 		stop:    make(chan struct{}),
 
 		gWorkers: &obs.Gauge{}, gLeases: &obs.Gauge{}, gPending: &obs.Gauge{},
 		gQuarantined: &obs.Gauge{},
 		cResults:     &obs.Counter{}, cReassigned: &obs.Counter{}, cDuplicates: &obs.Counter{},
-		cNacks: &obs.Counter{}, cStragglers: &obs.Counter{}, cLate: &obs.Counter{},
+		cNacks: &obs.Counter{}, cLate: &obs.Counter{},
 		cHedges: &obs.Counter{}, cHedgeWins: &obs.Counter{},
 		cStrikes: &obs.Counter{}, cGoodbyes: &obs.Counter{},
-		hShardLatency: &obs.Histogram{}, hStragglerAge: &obs.Histogram{},
-		hRemoteEval: &obs.Histogram{},
+		hShardLatency: &obs.Histogram{}, hRemoteEval: &obs.Histogram{},
 	}
 	if reg := cfg.Registry; reg != nil {
 		c.gWorkers = reg.Gauge("dist.workers")
@@ -266,7 +222,6 @@ func New(cfg Config) *Coordinator {
 		c.cReassigned = reg.Counter("dist.reassignments")
 		c.cDuplicates = reg.Counter("dist.duplicate_results")
 		c.cNacks = reg.Counter("dist.nacks")
-		c.cStragglers = reg.Counter("dist.stragglers_reissued")
 		c.cLate = reg.Counter("dist.late_results")
 		c.cHedges = reg.Counter("dist.hedges")
 		c.cHedgeWins = reg.Counter("dist.hedge_wins")
@@ -274,7 +229,6 @@ func New(cfg Config) *Coordinator {
 		c.cGoodbyes = reg.Counter("dist.goodbyes")
 		c.hShardLatency = reg.Histogram("dist.shard_latency_ms")
 		c.hRemoteEval = reg.Histogram("dist.remote_eval_ms")
-		c.hStragglerAge = reg.Histogram("dist.straggler_age_ms")
 	}
 	return c
 }
@@ -385,7 +339,7 @@ func (c *Coordinator) HealthyWorkers() int {
 func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
 	n := 0
 	for w := range c.workers {
-		if !w.gone && !w.draining && !c.health.quarantined(w.name, now) {
+		if !w.gone && !w.draining && !c.strikes.Quarantined(w.name, now) {
 			n++
 		}
 	}
@@ -396,20 +350,32 @@ func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
 func (c *Coordinator) refreshHealthGaugeLocked(now time.Time) {
 	q := 0
 	for w := range c.workers {
-		if !w.gone && c.health.quarantined(w.name, now) {
+		if !w.gone && c.strikes.Quarantined(w.name, now) {
 			q++
 		}
 	}
 	c.gQuarantined.Set(float64(q))
 }
 
+// forgetLatencyLocked drops name's latency EWMA once no connection
+// carries that name: an unnamed worker is named by its ephemeral remote
+// address, so without this every redial would leave an entry behind.
+func (c *Coordinator) forgetLatencyLocked(name string) {
+	for w := range c.workers {
+		if w.name == name {
+			return
+		}
+	}
+	delete(c.latency, name)
+}
+
 // strikeLocked charges one health strike against w and logs a new
 // quarantine.
 func (c *Coordinator) strikeLocked(w *workerConn, now time.Time, why string) {
 	c.cStrikes.Inc()
-	if c.health.strike(w.name, now) {
+	if c.strikes.Strike(w.name, now) {
 		c.logger.Warn("worker quarantined", "worker", w.name,
-			"strikes", c.health.strikeCount(w.name), "why", why)
+			"strikes", c.strikes.Strikes(w.name), "why", why)
 	}
 	c.refreshHealthGaugeLocked(now)
 }
@@ -492,28 +458,26 @@ func (c *Coordinator) enqueueLocked(s *shard, notBefore time.Time) {
 	c.gPending.Set(float64(len(c.queue)))
 }
 
-// hedgeThresholdLocked derives the speculative re-issue age from the
-// observed shard-latency distribution: HedgeFactor × p95, floored at
-// HedgeMin, and only once HedgeMinSamples shards have completed. Zero
-// means hedging is not (yet) active.
-func (c *Coordinator) hedgeThresholdLocked() time.Duration {
-	if c.cfg.HedgeFactor <= 0 {
-		return 0
+// reissueAfter is the age at which a shard still on its first lease is
+// speculatively duplicated onto an idle worker (the first result wins,
+// the other is dropped whole): 4 × ttl until 8 shards have completed,
+// then 3 × their p95 latency, kept within [2 × sweepEvery, 4 × ttl] —
+// the floor so that sub-millisecond p95s cannot duplicate every shard.
+func reissueAfter(samples int64, p95, ttl, sweepEvery time.Duration) time.Duration {
+	const (
+		maxTTLs    = 4
+		minSamples = 8
+		p95s       = 3
+		minSweeps  = 2
+	)
+	if samples < minSamples {
+		return maxTTLs * ttl
 	}
-	snap := c.hShardLatency.Snapshot()
-	if snap.Count < int64(c.cfg.HedgeMinSamples) {
-		return 0
-	}
-	th := time.Duration(c.cfg.HedgeFactor * snap.P95 * float64(time.Millisecond))
-	if th < c.cfg.HedgeMin {
-		th = c.cfg.HedgeMin
-	}
-	return th
+	return min(max(p95s*p95, minSweeps*sweepEvery), maxTTLs*ttl)
 }
 
 // dispatchLocked matches queued shards to workers with free slots, and
-// speculatively re-issues stragglers and latency hedges when capacity
-// is left over.
+// speculatively re-issues over-age shards when capacity is left over.
 func (c *Coordinator) dispatchLocked(now time.Time) {
 	if c.closed {
 		return
@@ -536,7 +500,7 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 		}
 		s.queued = false
 		s.attempts++
-		c.grantLocked(w, s, now, "")
+		c.grantLocked(w, s, now, false)
 	}
 	// Drop the tail's pointers: granted shards must not stay reachable —
 	// with their task and its payloads — from the backing array.
@@ -545,26 +509,20 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 	c.gPending.Set(float64(len(c.queue)))
 
 	// Speculative re-issue: only when nothing is pending and capacity is
-	// idle, duplicate over-age single-leased shards. Two thresholds feed
-	// it: the hard StragglerAfter bound, and the adaptive hedge threshold
-	// derived from the completed-shard latency percentile.
-	if len(c.queue) > 0 || c.cfg.StragglerAfter < 0 {
+	// idle, duplicate over-age single-leased shards.
+	if len(c.queue) > 0 {
 		return
 	}
-	hedgeAfter := c.hedgeThresholdLocked()
+	snap := c.hShardLatency.Snapshot()
+	after := reissueAfter(snap.Count, time.Duration(snap.P95*float64(time.Millisecond)),
+		c.cfg.LeaseTTL, c.cfg.SweepEvery)
 	for _, ss := range c.open {
 		for _, s := range ss {
 			if s.done || len(s.leases) != 1 || s.firstIssue.IsZero() {
 				continue
 			}
 			age := now.Sub(s.firstIssue)
-			reason := ""
-			switch {
-			case c.cfg.StragglerAfter > 0 && age >= c.cfg.StragglerAfter:
-				reason = "straggler"
-			case hedgeAfter > 0 && age >= hedgeAfter:
-				reason = "hedge"
-			default:
+			if age < after {
 				continue
 			}
 			var holder *workerConn
@@ -575,15 +533,9 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 			if w == nil {
 				return // no idle capacity anywhere; stop scanning
 			}
-			if reason == "hedge" {
-				c.cHedges.Inc()
-				c.logger.Debug("hedge re-issue", "shard", s.addr[:12], "age", age, "threshold", hedgeAfter)
-			} else {
-				c.cStragglers.Inc()
-				c.hStragglerAge.Observe(float64(age.Milliseconds()))
-				c.logger.Debug("straggler re-issue", "shard", s.addr[:12], "age", age)
-			}
-			c.grantLocked(w, s, now, reason)
+			c.cHedges.Inc()
+			c.logger.Debug("hedge re-issue", "shard", s.addr[:12], "age", age, "threshold", after)
+			c.grantLocked(w, s, now, true)
 		}
 	}
 }
@@ -603,8 +555,8 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 		if w.active != cur.active {
 			return w.active < cur.active
 		}
-		wl, wok := c.health.latency(w.name)
-		cl, cok := c.health.latency(cur.name)
+		wl, wok := c.latency[w.name]
+		cl, cok := c.latency[cur.name]
 		if wok && cok && wl != cl {
 			return wl < cl
 		}
@@ -614,7 +566,7 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 		if w == except || w.gone || w.draining || w.active >= w.slots {
 			continue
 		}
-		if c.health.quarantined(w.name, now) {
+		if c.strikes.Quarantined(w.name, now) {
 			if better(w, bestBad) {
 				bestBad = w
 			}
@@ -630,13 +582,13 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 	return best
 }
 
-// grantLocked leases s to w and pushes the lease frame. reason is ""
-// for a queue grant, "hedge"/"straggler" for speculative duplicates.
-func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, reason string) {
+// grantLocked leases s to w and pushes the lease frame; hedge marks a
+// speculative duplicate.
+func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, hedge bool) {
 	if s.firstIssue.IsZero() {
 		s.firstIssue = now
 	}
-	s.leases[w] = &leaseGrant{exp: now.Add(c.cfg.LeaseTTL), granted: now, reason: reason}
+	s.leases[w] = &leaseGrant{exp: now.Add(c.cfg.LeaseTTL), granted: now, hedge: hedge}
 	w.active++
 	w.leased[s.addr]++
 	c.gLeases.Add(1)
@@ -651,8 +603,8 @@ func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, reason
 		sp.AnnotateInt("hi", s.hi)
 		sp.AnnotateInt("attempt", s.attempts)
 		sp.Annotate("worker", w.name)
-		if reason != "" {
-			sp.Annotate(reason, "true")
+		if hedge {
+			sp.Annotate("hedge", "true")
 		}
 		if s.spans == nil {
 			s.spans = make(map[*workerConn]*trace.Span)
@@ -759,8 +711,8 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 		// The winner's grant latency feeds its health EWMA; a hedge grant
 		// winning is the hedge surface's success signal.
 		if g := s.leases[w]; g != nil {
-			c.health.noteLatency(w.name, float64(now.Sub(g.granted).Milliseconds()))
-			if g.reason == "hedge" {
+			c.latency.note(w.name, float64(now.Sub(g.granted).Milliseconds()))
+			if g.hedge {
 				c.cHedgeWins.Inc()
 			}
 		}
@@ -768,11 +720,11 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 		// free up now; their eventual results land in the duplicate path.
 		for h, g := range s.leases {
 			switch {
-			case h == w && g.reason == "hedge":
+			case h == w && g.hedge:
 				s.endSpanLocked(h, "hedge-win")
 			case h == w:
 				s.endSpanLocked(h, "result")
-			case g.reason == "hedge":
+			case g.hedge:
 				c.cDuplicates.Inc()
 				s.endSpanLocked(h, "hedge-lose")
 			default:
@@ -921,6 +873,7 @@ func (c *Coordinator) sweepOnce() {
 			c.requeueLocked(s, now, "lease expired")
 		}
 	}
+	c.strikes.Prune(now)
 	c.refreshHealthGaugeLocked(now)
 	c.dispatchLocked(now)
 }
@@ -1021,6 +974,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	delete(c.workers, w)
 	w.gone = true
 	c.gWorkers.Set(float64(len(c.workers)))
+	c.forgetLatencyLocked(w.name)
 	abandoned := false
 	for addr := range w.leased {
 		for _, s := range c.open[addr] {

@@ -106,7 +106,6 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	coord := dist.New(dist.Config{
 		Registry: reg,
 		LeaseTTL: 100 * time.Millisecond, SweepEvery: 20 * time.Millisecond,
-		StragglerAfter: -1, // isolate the expiry path
 	})
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
@@ -297,11 +296,13 @@ func TestStragglerReissue(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	reg := obs.NewRegistry()
+	// No shard has completed, so the re-issue age is 4 × LeaseTTL = 480ms;
+	// the slow worker's heartbeats (every TTL/3) keep its lease from
+	// expiring meanwhile, as in TestHeartbeatKeepsLease.
 	coord := dist.New(dist.Config{
-		Registry:       reg,
-		LeaseTTL:       10 * time.Second, // no expiry: stragglers only
-		SweepEvery:     20 * time.Millisecond,
-		StragglerAfter: 100 * time.Millisecond,
+		Registry:   reg,
+		LeaseTTL:   120 * time.Millisecond,
+		SweepEvery: 20 * time.Millisecond,
 	})
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
@@ -330,7 +331,7 @@ func TestStragglerReissue(t *testing.T) {
 		payloads, err = coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`"st"`), N: 1})
 		resCh <- err
 	}()
-	time.Sleep(150 * time.Millisecond) // slow worker holds the lease past StragglerAfter
+	time.Sleep(150 * time.Millisecond) // the slow worker holds the lease before any idle capacity exists
 	stopFast := startWorker(t, ctx, dist.WorkerConfig{
 		Name: "a-fast", Slots: 1, Addr: addr,
 	}, "sum", sumEval)
@@ -343,8 +344,11 @@ func TestStragglerReissue(t *testing.T) {
 	if !bytes.Equal(payloads[0], want) {
 		t.Fatalf("payload %s, want %s", payloads[0], want)
 	}
-	if n := reg.Counter("dist.stragglers_reissued").Value(); n < 1 {
-		t.Fatalf("stragglers_reissued = %d, want >= 1", n)
+	if n := reg.Counter("dist.hedges").Value(); n < 1 {
+		t.Fatalf("hedges = %d, want >= 1", n)
+	}
+	if n := reg.Counter("dist.reassignments").Value(); n != 0 {
+		t.Fatalf("reassignments = %d, want 0 (the shard was duplicated, not expired)", n)
 	}
 }
 

@@ -1,136 +1,27 @@
 package dist
 
-import (
-	"time"
-)
-
-// healthAlpha is the EWMA smoothing factor for per-worker shard latency:
+// latencyAlpha is the EWMA smoothing factor for per-worker shard latency:
 // each completed shard contributes 20% of the new average, so the score
 // reacts within ~5 shards but a single outlier cannot capsize it.
-const healthAlpha = 0.2
+const latencyAlpha = 0.2
 
-// healthBook scores workers across connections, keyed by worker name so
-// a reconnecting worker keeps (and must live down) its record. Two
-// signals feed the score:
+// latencyEWMA holds, per worker name, an EWMA of per-grant shard latency
+// in milliseconds. The scheduler uses it to prefer the faster of two
+// equally loaded workers — a soft preference that never blocks a grant,
+// which is why it is kept here and not in the strike book: being slow is
+// not a failure. A name has an entry from its first completed shard
+// until its last connection leaves.
 //
-//   - an EWMA of per-grant shard latency, used to prefer faster workers
-//     when several have free slots (a soft signal — it never blocks);
-//   - a decaying strike counter fed by nacks, disconnects with leases
-//     held, and lease expiries, reusing the internal/client banList
-//     idiom: at the threshold the worker is quarantined for a window
-//     that doubles with every further strike (capped), and a worker
-//     that stays clean for a full window is forgiven.
-//
-// Quarantined workers are skipped by the scheduler while any healthy
-// worker exists; when the whole pool is quarantined the scheduler falls
-// back to the least-bad worker rather than stalling — quarantine routes
-// work away from flaky capacity, it never wedges the queue.
-//
-// All methods are coordinator-mutex-confined; no internal locking.
-type healthBook struct {
-	threshold int
-	window    time.Duration
-	entries   map[string]*workerHealth
-}
+// Coordinator-mutex-confined; no internal locking.
+type latencyEWMA map[string]float64
 
-type workerHealth struct {
-	ewmaMs  float64 // EWMA of per-grant shard latency (ms)
-	samples int64   // latency observations folded into ewmaMs
-	strikes int
-	last    time.Time // most recent strike
-	until   time.Time // quarantine expiry (zero while clean)
-}
-
-func newHealthBook(threshold int, window time.Duration) *healthBook {
-	return &healthBook{
-		threshold: threshold,
-		window:    window,
-		entries:   make(map[string]*workerHealth),
-	}
-}
-
-func (b *healthBook) get(name string) *workerHealth {
-	e := b.entries[name]
-	if e == nil {
-		e = &workerHealth{}
-		b.entries[name] = e
-	}
-	return e
-}
-
-// noteLatency folds one completed grant's latency into the worker's
-// EWMA.
-func (b *healthBook) noteLatency(name string, ms float64) {
+// note folds one completed grant's latency into the worker's average.
+func (l latencyEWMA) note(name string, ms float64) {
 	if ms < 0 {
 		ms = 0
 	}
-	e := b.get(name)
-	if e.samples == 0 {
-		e.ewmaMs = ms
-	} else {
-		e.ewmaMs = healthAlpha*ms + (1-healthAlpha)*e.ewmaMs
+	if prev, ok := l[name]; ok {
+		ms = latencyAlpha*ms + (1-latencyAlpha)*prev
 	}
-	e.samples++
-}
-
-// latency returns the worker's EWMA latency and whether any sample
-// exists.
-func (b *healthBook) latency(name string) (float64, bool) {
-	e := b.entries[name]
-	if e == nil || e.samples == 0 {
-		return 0, false
-	}
-	return e.ewmaMs, true
-}
-
-// strike records one strike against name and reports whether the worker
-// is now quarantined. Strikes decay: clean for a full window (and past
-// any quarantine) resets the count. Threshold <= 0 disables quarantine
-// entirely (strikes are still counted for telemetry).
-func (b *healthBook) strike(name string, now time.Time) bool {
-	e := b.get(name)
-	if !e.last.IsZero() && now.Sub(e.last) > b.window && now.After(e.until) {
-		e.strikes = 0 // clean for a full window: forgiven
-	}
-	e.strikes++
-	e.last = now
-	if b.threshold <= 0 {
-		return false
-	}
-	if e.strikes >= b.threshold {
-		// Escalate: each strike past the threshold doubles the quarantine.
-		d := b.window << uint(e.strikes-b.threshold)
-		const maxShift = 8
-		if lim := b.window << maxShift; d > lim || d <= 0 {
-			d = lim
-		}
-		e.until = now.Add(d)
-		return true
-	}
-	return false
-}
-
-// quarantined reports whether name is currently quarantined. Entries
-// that have fully decayed are dropped.
-func (b *healthBook) quarantined(name string, now time.Time) bool {
-	e := b.entries[name]
-	if e == nil {
-		return false
-	}
-	if now.Before(e.until) {
-		return true
-	}
-	if !e.last.IsZero() && now.Sub(e.last) > b.window && e.samples == 0 {
-		delete(b.entries, name) // fully decayed, no latency history worth keeping
-	}
-	return false
-}
-
-// strikeCount returns the worker's live strike count (tests/metrics).
-func (b *healthBook) strikeCount(name string) int {
-	e := b.entries[name]
-	if e == nil {
-		return 0
-	}
-	return e.strikes
+	l[name] = ms
 }

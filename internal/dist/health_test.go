@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -28,73 +29,50 @@ func (c *stubClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func TestHealthBookStrikesEscalateAndDecay(t *testing.T) {
-	base := time.Unix(1000, 0)
-	b := newHealthBook(3, time.Minute)
-	if b.quarantined("w", base) {
-		t.Fatal("fresh worker quarantined")
-	}
-	if b.strike("w", base) || b.strike("w", base.Add(time.Second)) {
-		t.Fatal("quarantined below threshold")
-	}
-	third := base.Add(2 * time.Second)
-	if !b.strike("w", third) {
-		t.Fatal("third strike within the window should quarantine")
-	}
-	if !b.quarantined("w", third.Add(30*time.Second)) {
-		t.Fatal("ban should hold for the full window")
-	}
-	// A fourth strike while still banned escalates: the ban doubles to
-	// two windows from the strike.
-	fourth := third.Add(40 * time.Second)
-	if !b.strike("w", fourth) {
-		t.Fatal("fourth strike should quarantine")
-	}
-	if !b.quarantined("w", fourth.Add(119*time.Second)) {
-		t.Fatal("escalated ban should last two windows")
-	}
-	if b.quarantined("w", fourth.Add(121*time.Second)) {
-		t.Fatal("escalated ban should lapse after two windows")
-	}
-	// Clean for a full window past the ban: the record is forgiven and a
-	// new strike starts from one.
-	late := fourth.Add(30 * time.Minute)
-	if b.strike("w", late) {
-		t.Fatal("forgiven worker quarantined on its first fresh strike")
-	}
-	if got := b.strikeCount("w"); got != 1 {
-		t.Fatalf("strike count after forgiveness = %d, want 1", got)
-	}
-}
-
-func TestHealthBookQuarantineDisabled(t *testing.T) {
-	b := newHealthBook(0, time.Minute)
-	now := time.Unix(1000, 0)
-	for i := 0; i < 10; i++ {
-		if b.strike("w", now) {
-			t.Fatal("threshold 0 must never quarantine")
-		}
-	}
-	if b.quarantined("w", now) {
-		t.Fatal("threshold 0 must never quarantine")
-	}
-	if got := b.strikeCount("w"); got != 10 {
-		t.Fatalf("strikes still counted for telemetry: got %d, want 10", got)
-	}
-}
-
 func TestHealthBookLatencyEWMA(t *testing.T) {
-	b := newHealthBook(3, time.Minute)
-	if _, ok := b.latency("w"); ok {
+	l := latencyEWMA{}
+	if _, ok := l["w"]; ok {
 		t.Fatal("latency reported with no samples")
 	}
-	b.noteLatency("w", 100)
-	if l, ok := b.latency("w"); !ok || l != 100 {
-		t.Fatalf("first sample should set the EWMA directly: %v %v", l, ok)
+	l.note("w", 100)
+	if got, ok := l["w"]; !ok || got != 100 {
+		t.Fatalf("first sample should set the EWMA directly: %v %v", got, ok)
 	}
-	b.noteLatency("w", 0)
-	if l, _ := b.latency("w"); l != 80 {
-		t.Fatalf("EWMA after 100 then 0 at alpha 0.2 = %v, want 80", l)
+	l.note("w", 0)
+	if got := l["w"]; got != 80 {
+		t.Fatalf("EWMA after 100 then 0 at alpha 0.2 = %v, want 80", got)
+	}
+	l.note("w", -5) // a clock step backwards counts as instant, not negative
+	if got := l["w"]; got != 64 {
+		t.Fatalf("EWMA after a negative sample = %v, want 64", got)
+	}
+}
+
+// TestReissueThreshold pins the one speculative re-issue rule: four
+// lease TTLs until eight shards have completed, then three times their
+// p95 latency, never below two sweeps nor above the four TTLs.
+func TestReissueThreshold(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name            string
+		samples         int64
+		p95, ttl, sweep time.Duration
+		want            time.Duration
+	}{
+		{"no samples", 0, 0, 15 * time.Second, 3750 * ms, time.Minute},
+		{"seven samples ignore a tiny p95", 7, ms, 15 * time.Second, 3750 * ms, time.Minute},
+		{"seven samples ignore a huge p95", 7, time.Hour, 100 * ms, 20 * ms, 400 * ms},
+		{"eight samples trust the p95", 8, 2 * time.Second, 15 * time.Second, ms, 6 * time.Second},
+		{"floor at two sweeps", 8, 0, 5 * time.Second, 10 * ms, 20 * ms},
+		{"floor just above 3·p95", 100, 6 * ms, 5 * time.Second, 10 * ms, 20 * ms},
+		{"3·p95 just above the floor", 100, 7 * ms, 5 * time.Second, 10 * ms, 21 * ms},
+		{"cap at four TTLs", 1000, 30 * time.Second, 15 * time.Second, 3750 * ms, time.Minute},
+		{"floor above cap yields the cap", 8, 0, 10 * ms, 50 * ms, 40 * ms},
+	} {
+		if got := reissueAfter(tc.samples, tc.p95, tc.ttl, tc.sweep); got != tc.want {
+			t.Errorf("%s: reissueAfter(%d, %v, %v, %v) = %v, want %v",
+				tc.name, tc.samples, tc.p95, tc.ttl, tc.sweep, got, tc.want)
+		}
 	}
 }
 
@@ -151,7 +129,7 @@ func TestSweepGraceResultRace(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{
 		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		StragglerAfter: -1, now: clk.Now,
+		now: clk.Now,
 	})
 	defer c.Close()
 	w := fakeWorkerConn(t, c, "w0")
@@ -161,7 +139,7 @@ func TestSweepGraceResultRace(t *testing.T) {
 	c.sweepOnce()                       // first sighting: lapsed, not expired
 	c.mu.Lock()
 	held := len(c.open[addr][0].leases)
-	strikes := c.health.strikeCount("w0")
+	strikes := c.strikes.Strikes("w0")
 	c.mu.Unlock()
 	if held != 1 || strikes != 0 {
 		t.Fatalf("lease released on first expired sighting: held=%d strikes=%d", held, strikes)
@@ -186,7 +164,7 @@ func TestSweepSecondTickExpires(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{
 		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		StragglerAfter: -1, now: clk.Now,
+		now: clk.Now,
 	})
 	defer c.Close()
 	w := fakeWorkerConn(t, c, "w0")
@@ -197,7 +175,7 @@ func TestSweepSecondTickExpires(t *testing.T) {
 	clk.Advance(50 * time.Millisecond)
 	c.sweepOnce() // expired: strike + requeue + immediate re-grant to w0
 	c.mu.Lock()
-	strikes := c.health.strikeCount("w0")
+	strikes := c.strikes.Strikes("w0")
 	c.mu.Unlock()
 	if strikes != 1 {
 		t.Fatalf("strikes after expiry = %d, want 1", strikes)
@@ -222,7 +200,7 @@ func TestHeartbeatClearsLapsedGrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{
 		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		StragglerAfter: -1, now: clk.Now,
+		now: clk.Now,
 	})
 	defer c.Close()
 	w := fakeWorkerConn(t, c, "w0")
@@ -234,7 +212,7 @@ func TestHeartbeatClearsLapsedGrace(t *testing.T) {
 	c.sweepOnce() // renewed: must not expire
 	c.mu.Lock()
 	held := len(c.open[addr][0].leases)
-	strikes := c.health.strikeCount("w0")
+	strikes := c.strikes.Strikes("w0")
 	c.mu.Unlock()
 	if held != 1 || strikes != 0 {
 		t.Fatalf("heartbeat did not rescue lapsed lease: held=%d strikes=%d", held, strikes)
@@ -242,5 +220,97 @@ func TestHeartbeatClearsLapsedGrace(t *testing.T) {
 	c.handleResult(w, addr, []byte(`[0]`), nil)
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestUnnamedWorkerChurnStaysBounded: an unnamed worker is known by its
+// remote address, a fresh ephemeral port on every redial. A thousand
+// connect → one shard → disconnect cycles must leave no latency entry
+// behind (the map is bounded by live connections), and the strikes some
+// of them earn must be pruned a window later, so neither map grows with
+// the number of workers the coordinator has ever seen.
+func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
+	clk := &stubClock{t: time.Unix(1000, 0)}
+	c := New(Config{now: clk.Now})
+	addr, err := c.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer c.Close()
+	poll := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	sizes := func() (latencies, strikes int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.latency), c.strikes.Len()
+	}
+	// One stub second per cycle against a 4 × 15 s strike window: a
+	// strike every tenth cycle keeps at most seven records alive.
+	const cycles, strikeEvery, maxStruck = 1000, 10, 7
+	for i := 0; i < cycles; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("cycle %d: dial: %v", i, err)
+		}
+		if err := WriteFrame(conn, &Frame{T: TypeHello, V: ProtocolVersion, Slots: 1}); err != nil {
+			t.Fatalf("cycle %d: hello: %v", i, err)
+		}
+		if f, err := ReadFrame(conn); err != nil || f.T != TypeHello {
+			t.Fatalf("cycle %d: hello ack = %+v, %v", i, f, err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte(strconv.Itoa(i)), N: 1})
+			done <- err
+		}()
+		lease, err := ReadFrame(conn)
+		if err != nil || lease.T != TypeLease {
+			t.Fatalf("cycle %d: lease = %+v, %v", i, lease, err)
+		}
+		if i%strikeEvery == 0 {
+			// Fail the shard once: a strike against this connection's
+			// ephemeral name, then a re-grant once the backoff has passed.
+			_, before := sizes()
+			if err := WriteFrame(conn, &Frame{T: TypeNack, Addr: lease.Lease.Addr, Err: "synthetic"}); err != nil {
+				t.Fatalf("cycle %d: nack: %v", i, err)
+			}
+			poll("the nack's strike", func() bool { _, n := sizes(); return n == before+1 })
+			clk.Advance(time.Second)
+			c.sweepOnce()
+			if lease, err = ReadFrame(conn); err != nil || lease.T != TypeLease {
+				t.Fatalf("cycle %d: re-grant = %+v, %v", i, lease, err)
+			}
+		}
+		if err := WriteFrame(conn, &Frame{T: TypeResult, Addr: lease.Lease.Addr, Payload: []byte(`[0]`)}); err != nil {
+			t.Fatalf("cycle %d: result: %v", i, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("cycle %d: run: %v", i, err)
+		}
+		if n, _ := sizes(); n != 1 {
+			t.Fatalf("cycle %d: %d latency entries with one worker connected", i, n)
+		}
+		_ = conn.Close()
+		poll("the worker to unregister", func() bool { return c.Workers() == 0 })
+		clk.Advance(time.Second)
+		c.sweepOnce()
+		if l, s := sizes(); l != 0 || s > maxStruck {
+			t.Fatalf("cycle %d: %d latency entries with no worker connected, %d strike records (want 0, <= %d)",
+				i, l, s, maxStruck)
+		}
+	}
+	if _, s := sizes(); s == 0 {
+		t.Fatal("no strike record survived to the end: the nack cycles did not strike")
+	}
+	clk.Advance(strikeWindowTTLs*DefaultLeaseTTL + time.Second)
+	c.sweepOnce()
+	if _, s := sizes(); s != 0 {
+		t.Fatalf("%d strike records a full window after the last strike, want 0", s)
 	}
 }

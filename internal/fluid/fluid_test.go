@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -74,6 +75,21 @@ func TestRK4Validation(t *testing.T) {
 	}
 }
 
+// solveQS integrates p with the adaptive solver and samples it once per
+// time unit, horizon included.
+func solveQS(t *testing.T, p QSParams, x0, y0, horizon float64) *Trajectory {
+	t.Helper()
+	grid := make([]float64, int(horizon)+1)
+	for i := range grid {
+		grid[i] = float64(i)
+	}
+	tr, _, err := p.SolveAdaptive(context.Background(), x0, y0, horizon, grid, SolveOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestQSValidation(t *testing.T) {
 	good := QSParams{Lambda: 1, C: 2, Mu: 0.5, Eta: 1, Gamma: 1}
 	if err := good.Validate(); err != nil {
@@ -108,10 +124,7 @@ func TestQSConvergesToClosedForm(t *testing.T) {
 	if math.Abs(ss.DownloadTime-2.75) > 1e-12 {
 		t.Errorf("closed-form T = %g, want 2.75", ss.DownloadTime)
 	}
-	tr, err := p.Run(1, 0, 400, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := solveQS(t, p, 1, 0, 400)
 	n := len(tr.Leechers)
 	if rel := math.Abs(tr.Leechers[n-1]-ss.Leechers) / ss.Leechers; rel > 0.01 {
 		t.Errorf("x(inf) = %g, closed form %g", tr.Leechers[n-1], ss.Leechers)
@@ -138,10 +151,7 @@ func TestQSDownloadConstrainedRegime(t *testing.T) {
 	if math.Abs(ss.DownloadTime-2) > 1e-12 {
 		t.Errorf("T = %g, want 1/c = 2", ss.DownloadTime)
 	}
-	tr, err := p.Run(0, 0, 300, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := solveQS(t, p, 0, 0, 300)
 	if rel := math.Abs(tr.MeanDownloadTime(p.Lambda)-2) / 2; rel > 0.05 {
 		t.Errorf("integrated T = %g, want ~2", tr.MeanDownloadTime(p.Lambda))
 	}
@@ -186,14 +196,8 @@ func TestQSAbortsReducePopulation(t *testing.T) {
 	noAbort := QSParams{Lambda: 5, Theta: 0, C: 2, Mu: 0.3, Eta: 1, Gamma: 0.7}
 	withAbort := noAbort
 	withAbort.Theta = 0.3
-	tr1, err := noAbort.Run(0, 0, 300, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := withAbort.Run(0, 0, 300, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr1 := solveQS(t, noAbort, 0, 0, 300)
+	tr2 := solveQS(t, withAbort, 0, 0, 300)
 	n := len(tr1.Leechers)
 	if tr2.Leechers[n-1] >= tr1.Leechers[n-1] {
 		t.Errorf("aborts must shrink the leecher population: %g vs %g",

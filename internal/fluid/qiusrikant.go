@@ -75,24 +75,6 @@ type Trajectory struct {
 	Seeds    []float64
 }
 
-// Run integrates the model from (x0, y0) to the horizon with step dt.
-func (p QSParams) Run(x0, y0, horizon, dt float64) (*Trajectory, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	out := &Trajectory{}
-	_, err := RK4(p.Derivs(), []float64{x0, y0}, 0, horizon, dt,
-		func(t float64, y []float64) {
-			out.T = append(out.T, t)
-			out.Leechers = append(out.Leechers, y[0])
-			out.Seeds = append(out.Seeds, y[1])
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SteadyState holds the closed-form equilibrium (valid for θ = 0, which
 // is the regime the paper's simulator also uses: nobody aborts).
 type SteadyState struct {
@@ -154,8 +136,7 @@ func (tr *Trajectory) MeanDownloadTime(lambda float64) float64 {
 // SolveAdaptive integrates the model with the adaptive Dormand–Prince
 // solver, sampling the dense output on grid (non-decreasing, within
 // [0, horizon]). It returns the sampled trajectory alongside the raw
-// Solution for its step counters. The fixed-step Run remains for callers
-// that want the exact legacy grid; new callers should prefer this.
+// Solution for its step counters.
 func (p QSParams) SolveAdaptive(ctx context.Context, x0, y0, horizon float64, grid []float64, opts SolveOpts) (*Trajectory, *Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
@@ -34,6 +35,22 @@ const DefaultForwardTimeout = 65 * time.Second
 
 const maxBodyBytes = 1 << 20
 
+// Replica quarantine: strikeThreshold transport failures inside
+// strikeWindow eject a replica for that long, doubling per further
+// strike (internal/health). Expiry admits the next request as the
+// half-open probe: success inside a clean window forgives the record,
+// failure re-strikes and escalates.
+const (
+	strikeThreshold = 3
+	strikeWindow    = 10 * time.Second
+)
+
+// fillTimeout bounds one cache-fill probe of a key's home replica. The
+// probe is an optimization: when the home is slow the spill target
+// should compute instead, so the budget stays well under any compute
+// time worth saving.
+const fillTimeout = 250 * time.Millisecond
+
 // Config configures a Gateway. Zero values take the defaults noted on
 // each field.
 type Config struct {
@@ -47,24 +64,10 @@ type Config struct {
 	// DefaultLoadFactor; values <= 1 are clamped to 1, meaning "spill as
 	// soon as the home exceeds an equal share").
 	LoadFactor float64
-	// FillProbe enables the cross-replica cache-fill short-circuit: when
-	// a request spills away from its home, the gateway first probes the
-	// home's GET /v1/cache/<key> and serves a hit directly — the home's
-	// cached bytes beat a recompute on the spill target (default on;
-	// set FillProbeOff to disable).
-	FillProbeOff bool
-	// FillTimeout bounds one cache-fill probe (default
-	// serve.DefaultFillTimeout).
-	FillTimeout time.Duration
 	// ForwardTimeout bounds one proxied query/batch exchange (default
 	// DefaultForwardTimeout). Streams are bounded by the client, not the
 	// gateway.
 	ForwardTimeout time.Duration
-	// StrikeThreshold and StrikeWindow tune the replica quarantine book
-	// (defaults DefaultStrikeThreshold / DefaultStrikeWindow; negative
-	// threshold disables ejection).
-	StrikeThreshold int
-	StrikeWindow    time.Duration
 	// Registry receives gateway.* metrics (nil disables export).
 	Registry *obs.Registry
 	// Logger receives routing events (nil = no logging).
@@ -92,7 +95,7 @@ type Gateway struct {
 	mu       sync.Mutex
 	inflight []int
 	total    int
-	book     *replicaBook
+	book     *health.Book[int] // by replica index
 
 	requests, batchRequests, batchItemsC *obs.Counter
 	spills, fills, fillMisses            *obs.Counter
@@ -117,9 +120,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = serve.DefaultFillTimeout
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -130,7 +130,7 @@ func New(cfg Config) (*Gateway, error) {
 		tracer:   cfg.Tracer,
 		mux:      http.NewServeMux(),
 		inflight: make([]int, len(cfg.Replicas)),
-		book:     newReplicaBook(len(cfg.Replicas), cfg.StrikeThreshold, cfg.StrikeWindow),
+		book:     health.NewBook[int](strikeThreshold, strikeWindow),
 
 		requests: &obs.Counter{}, batchRequests: &obs.Counter{}, batchItemsC: &obs.Counter{},
 		spills: &obs.Counter{}, fills: &obs.Counter{}, fillMisses: &obs.Counter{},
@@ -177,30 +177,53 @@ func New(cfg Config) (*Gateway, error) {
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// route picks the serving replica for a content-addressed key:
-// the key's home unless the home is quarantined (walk to the next
-// healthy replica) or over its bounded-load share (spill likewise).
-// The returned release must be called when the proxied exchange ends.
-func (g *Gateway) route(key string) (target, home int, spilled bool, release func()) {
+// healthyLocked filters a key's ring walk down to the replicas that are
+// not quarantined, in walk order, and publishes the quarantine gauge.
+// When the whole tier is ejected it degrades to the least-banned
+// replica rather than failing fast — degraded beats wedged. order is
+// overwritten.
+func (g *Gateway) healthyLocked(order []int, now time.Time) []int {
+	healthy := order[:0]
+	for _, i := range order {
+		if !g.book.Quarantined(i, now) {
+			healthy = append(healthy, i)
+		}
+	}
+	g.quarGauge.Set(float64(len(order) - len(healthy)))
+	if len(healthy) == 0 {
+		// Nothing was kept, so order is still the full walk.
+		return append(healthy, g.book.LeastBanned(order))
+	}
+	return healthy
+}
+
+// acquireLocked counts one exchange in flight on replica i; release
+// must follow when the exchange ends.
+func (g *Gateway) acquireLocked(i int) {
+	g.inflight[i]++
+	g.total++
+	g.inflightGauge.Set(float64(g.total))
+}
+
+func (g *Gateway) release(i int) {
+	g.mu.Lock()
+	g.inflight[i]--
+	g.total--
+	g.inflightGauge.Set(float64(g.total))
+	g.mu.Unlock()
+}
+
+// route picks the serving replica for a content-addressed key — the
+// key's home unless the home is quarantined (walk to the next healthy
+// replica) or over its bounded-load share (spill likewise) — and
+// acquires it. The caller must release(target) when the proxied
+// exchange ends.
+func (g *Gateway) route(key string) (target, home int, spilled bool) {
 	order := g.ring.Walk(key)
 	now := g.cfg.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	healthy := make([]int, 0, len(order))
-	quarantined := 0
-	for _, i := range order {
-		if g.book.quarantined(i, now) {
-			quarantined++
-			continue
-		}
-		healthy = append(healthy, i)
-	}
-	g.quarGauge.Set(float64(quarantined))
-	if len(healthy) == 0 {
-		// Whole tier ejected: degrade to the least-banned replica rather
-		// than failing fast — the healthBook contract.
-		healthy = []int{g.book.leastBanned()}
-	}
+	healthy := g.healthyLocked(order, now)
 	home = healthy[0]
 	// Bounded load: ceil(c·(total+1)/healthy) concurrent exchanges per
 	// replica; the +1 counts this request.
@@ -212,31 +235,50 @@ func (g *Gateway) route(key string) (target, home int, spilled bool, release fun
 			break
 		}
 	}
-	spilled = target != home
-	g.inflight[target]++
-	g.total++
-	g.inflightGauge.Set(float64(g.total))
-	return target, home, spilled, func() {
-		g.mu.Lock()
-		g.inflight[target]--
-		g.total--
-		g.inflightGauge.Set(float64(g.total))
-		g.mu.Unlock()
-	}
+	g.acquireLocked(target)
+	return target, home, target != home
 }
 
-// strikeReplica records a transport-level failure against replica i.
+// homeFor returns the key's first healthy ring replica. Batch items go
+// to their home without the bounded-load spill, and nothing is acquired
+// here: a sub-batch is one exchange however many items it carries, and
+// forwardSubBatch accounts for it.
+func (g *Gateway) homeFor(key string, now time.Time) int {
+	order := g.ring.Walk(key)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.healthyLocked(order, now)[0]
+}
+
+// strikeReplica records a transport-level failure against replica i: a
+// dial/read error or a truncated sub-batch. Real per-request statuses
+// (400/429/504) are the client's business and never strike.
 func (g *Gateway) strikeReplica(i int, err error) {
 	g.replicaErrors.Inc()
 	g.strikes.Inc()
+	now := g.cfg.now()
 	g.mu.Lock()
-	ejected := g.book.strike(i, g.cfg.now())
+	ejected := g.book.Strike(i, now)
+	if ejected {
+		g.quarGauge.Set(float64(g.quarantinedLocked(now)))
+	}
 	g.mu.Unlock()
 	if ejected {
 		g.logger.Warn("replica quarantined", "replica", g.cfg.Replicas[i], "err", err)
 	} else {
 		g.logger.Debug("replica strike", "replica", g.cfg.Replicas[i], "err", err)
 	}
+}
+
+// quarantinedLocked counts the replicas currently ejected.
+func (g *Gateway) quarantinedLocked(now time.Time) int {
+	n := 0
+	for i := range g.cfg.Replicas {
+		if g.book.Quarantined(i, now) {
+			n++
+		}
+	}
+	return n
 }
 
 // decode parses and canonicalizes a single-query body (the serve
@@ -316,8 +358,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	target, home, spilled, release := g.route(key)
-	defer release()
+	target, home, spilled := g.route(key)
+	defer g.release(target)
 	if spilled {
 		g.spills.Inc()
 		if root != nil {
@@ -326,17 +368,15 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The home replica probably holds this key's bytes — its cache is
 		// why the key was homed there. Serving the home's cached bytes
 		// beats recomputing on the spill target.
-		if !g.cfg.FillProbeOff {
-			if cached, ok := g.probeCache(tctx, home, key); ok {
-				g.fills.Inc()
-				w.Header().Set("X-Cache", "fill")
-				w.Header().Set("X-Replica", g.cfg.Replicas[home])
-				w.Header().Set("X-Route", "fill")
-				g.writeBody(w, http.StatusOK, cached)
-				return
-			}
-			g.fillMisses.Inc()
+		if cached, ok := g.probeCache(tctx, home, key); ok {
+			g.fills.Inc()
+			w.Header().Set("X-Cache", "fill")
+			w.Header().Set("X-Replica", g.cfg.Replicas[home])
+			w.Header().Set("X-Route", "fill")
+			g.writeBody(w, http.StatusOK, cached)
+			return
 		}
+		g.fillMisses.Inc()
 	}
 
 	// Forward, retrying transport failures on the ring-walk successors:
@@ -396,14 +436,14 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // probeCache asks replica i's cache endpoint for key, bounded by
-// FillTimeout.
+// fillTimeout.
 func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, bool) {
 	fctx, sp := trace.Start(tctx, "fill")
 	defer sp.End()
 	if sp != nil {
 		sp.Annotate("replica", g.cfg.Replicas[i])
 	}
-	ctx, cancel := context.WithTimeout(fctx, g.cfg.FillTimeout)
+	ctx, cancel := context.WithTimeout(fctx, fillTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Replicas[i]+"/v1/cache/"+key, nil)
 	if err != nil {
@@ -452,8 +492,8 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		g.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	target, _, spilled, release := g.route(key)
-	defer release()
+	target, _, spilled := g.route(key)
+	defer g.release(target)
 	if spilled {
 		g.spills.Inc()
 	}
@@ -598,10 +638,10 @@ func errorLine(index, status int, msg string, retrySec int) batchLine {
 	return batchLine{raw: b, status: status}
 }
 
-// indexPrefix locates the value of the "index" field in a replica item
-// line. BatchItem marshals "type" then "index" first, so the field is
-// in the fixed prefix; a probe decode is the fallback for anything
-// unexpected.
+// spliceIndex returns a copy of a replica item line with the value of
+// its "index" field replaced by index, or false when the line has no
+// such field. BatchItem marshals "type" then "index" first, so the
+// first occurrence is the field and never a match inside the payload.
 func spliceIndex(line []byte, index int) ([]byte, bool) {
 	const tag = `"index":`
 	i := bytes.Index(line, []byte(tag))
@@ -621,20 +661,6 @@ func spliceIndex(line []byte, index int) ([]byte, bool) {
 	out = strconv.AppendInt(out, int64(index), 10)
 	out = append(out, line[end:]...)
 	return out, true
-}
-
-// homeFor returns the key's first healthy ring replica, counting one
-// in-flight unit is not needed here: sub-batches are accounted per
-// forwarded call in forwardSubBatch.
-func (g *Gateway) homeFor(key string, now time.Time) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, i := range g.ring.Walk(key) {
-		if !g.book.quarantined(i, now) {
-			return i
-		}
-	}
-	return g.book.leastBanned()
 }
 
 // forwardSubBatch sends one replica its share of a batch and returns
@@ -664,16 +690,10 @@ func (g *Gateway) forwardSubBatch(tctx context.Context, target int, bodies []jso
 	defer cancel()
 
 	g.mu.Lock()
-	g.inflight[target]++
-	g.total++
+	g.acquireLocked(target)
 	g.mu.Unlock()
+	defer g.release(target)
 	resp, err := g.forward(ctx, target, "/v1/batch", payload, fsp)
-	defer func() {
-		g.mu.Lock()
-		g.inflight[target]--
-		g.total--
-		g.mu.Unlock()
-	}()
 	if err != nil {
 		fsp.Annotate("outcome", "error")
 		g.strikeReplica(target, err)
@@ -740,14 +760,10 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	now := g.cfg.now()
 	g.mu.Lock()
 	states := make([]replicaState, len(g.cfg.Replicas))
-	healthy := 0
 	for i, u := range g.cfg.Replicas {
-		q := g.book.quarantined(i, now)
-		if !q {
-			healthy++
-		}
-		states[i] = replicaState{URL: u, Inflight: g.inflight[i], Strikes: g.book.strikeCount(i), Quarantined: q}
+		states[i] = replicaState{URL: u, Inflight: g.inflight[i], Strikes: g.book.Strikes(i), Quarantined: g.book.Quarantined(i, now)}
 	}
+	healthy := len(states) - g.quarantinedLocked(now)
 	total := g.total
 	g.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")

@@ -359,13 +359,13 @@ func TestGatewayStrikesAndQuarantine(t *testing.T) {
 		}
 	}
 	g.mu.Lock()
-	quarantined := g.book.quarantined(0, now)
+	quarantined := g.book.Quarantined(0, now)
 	g.mu.Unlock()
 	if !quarantined {
 		t.Error("dead replica not quarantined after repeated transport failures")
 	}
-	if v := reg.Snapshot().Counters["gateway.strikes"]; v < DefaultStrikeThreshold {
-		t.Errorf("gateway.strikes = %d, want >= %d", v, DefaultStrikeThreshold)
+	if v := reg.Snapshot().Counters["gateway.strikes"]; v < strikeThreshold {
+		t.Errorf("gateway.strikes = %d, want >= %d", v, strikeThreshold)
 	}
 
 	hresp, err := http.Get(gw + "/healthz")
@@ -398,6 +398,102 @@ func TestGatewayStrikesAndQuarantine(t *testing.T) {
 	}
 	if !found {
 		t.Error("healthz missing the dead replica row")
+	}
+}
+
+// healthzQuarantined returns how many replicas /healthz reports ejected.
+func healthzQuarantined(t *testing.T, gw string) int {
+	t.Helper()
+	resp, err := http.Get(gw + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() //nolint:errcheck
+	var h struct {
+		Replicas []struct {
+			Quarantined bool `json:"quarantined"`
+		} `json:"replicas"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rs := range h.Replicas {
+		if rs.Quarantined {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGatewayBatchPublishesGauges: /v1/batch goes through the same
+// acquire/release and the same strike path as /v1/query, so under pure
+// batch traffic gateway.inflight is > 0 while a sub-batch is held open
+// and 0 after, and gateway.quarantined agrees with /healthz once three
+// sub-batches have failed on a dead replica.
+func TestGatewayBatchPublishesGauges(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-release
+		_, _ = io.WriteString(w, `{"type":"item","index":0,"status":200}`+"\n")
+	}))
+	defer slow.Close()
+	_, gw, reg := newGateway(t, Config{Replicas: []string{slow.URL}})
+	gauge := func(reg *obs.Registry, name string) float64 { return reg.Snapshot().Gauges[name] }
+
+	done := make(chan int, 1)
+	go func() {
+		resp, _ := post(t, gw, "/v1/batch", `[{"kind":"efficiency","efficiency":{"k":4}}]`)
+		done <- resp.StatusCode
+	}()
+	<-entered
+	if got := gauge(reg, "gateway.inflight"); got != 1 {
+		t.Errorf("gateway.inflight = %v with one sub-batch held open, want 1", got)
+	}
+	close(release)
+	if status := <-done; status != 200 {
+		t.Fatalf("batch status = %d", status)
+	}
+	if got := gauge(reg, "gateway.inflight"); got != 0 {
+		t.Errorf("gateway.inflight = %v after the batch returned, want 0", got)
+	}
+
+	_, live := newReplica(t, serve.Config{})
+	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	deadURL := dead.URL
+	dead.Close() // connection refused from here on
+	_, gw, reg = newGateway(t, Config{Replicas: []string{deadURL, live}})
+	// 24 keys per batch: some home on the dead replica, so every batch
+	// sends it one sub-batch and earns it one strike.
+	var items []string
+	for k := 2; k < 26; k++ {
+		items = append(items, fmt.Sprintf(`{"kind":"efficiency","efficiency":{"k":%d}}`, k))
+	}
+	batch := "[" + strings.Join(items, ",") + "]"
+	for i := 0; i < strikeThreshold; i++ {
+		if got := gauge(reg, "gateway.quarantined"); got != 0 {
+			t.Fatalf("gateway.quarantined = %v after %d strikes, want 0", got, i)
+		}
+		if resp, b := post(t, gw, "/v1/batch", batch); resp.StatusCode != 200 {
+			t.Fatalf("batch %d: status %d: %s", i, resp.StatusCode, b)
+		}
+	}
+	if got := reg.Snapshot().Counters["gateway.strikes"]; got != strikeThreshold {
+		t.Fatalf("gateway.strikes = %d after %d batches, want one each", got, strikeThreshold)
+	}
+	if h, g := healthzQuarantined(t, gw), gauge(reg, "gateway.quarantined"); h != 1 || g != 1 {
+		t.Errorf("after %d strikes through /v1/batch: healthz reports %d quarantined, gateway.quarantined = %v, want 1 and 1",
+			strikeThreshold, h, g)
+	}
+	// Quarantined, the dead replica gets no further sub-batch: every item
+	// of the next batch is answered by the live one.
+	resp, b := post(t, gw, "/v1/batch", batch)
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	summary := lines[len(lines)-1]
+	if resp.StatusCode != 200 || !bytes.Contains(summary, []byte(fmt.Sprintf(`"ok":%d`, len(items)))) {
+		t.Errorf("batch after quarantine: status %d, summary %s", resp.StatusCode, summary)
 	}
 }
 

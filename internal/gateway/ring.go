@@ -9,18 +9,17 @@
 // where its cached bytes live, the tier-wide hit rate approaches a
 // single process's, and adding a replica only re-homes the keys on the
 // ring segments it claims. This is the same trick the modeled BitTorrent
-// swarm uses for pieces: spread the content, let peers answer each
-// other's misses (see the cross-replica cache-fill path in
-// internal/serve).
+// swarm uses for pieces: spread the content, and answer a miss from
+// whoever already holds the bytes (the spill fill in handleQuery).
 //
 // Routing is the bounded-load variant of consistent hashing: a key
 // normally goes to its home replica, but when the home's in-flight
 // share exceeds the load factor the request spills to the next replica
 // on the ring — hot keys cannot capsize one node while others idle.
-// Replica failures feed a strike/quarantine book (the internal/dist
-// healthBook idiom), which is also the per-replica circuit breaker:
-// quarantine is the open state, its expiry is the half-open probe, and
-// a clean window closes it.
+// Replica failures feed a strike/quarantine book (internal/health),
+// which is also the per-replica circuit breaker: quarantine is the open
+// state, its expiry is the half-open probe, and a clean window closes
+// it.
 package gateway
 
 import (

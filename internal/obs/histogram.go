@@ -16,9 +16,11 @@ const (
 // Histogram is a streaming, lock-free histogram over non-negative
 // float64 observations (latencies in seconds, sizes in bytes, ...).
 // Negative observations are clamped to zero. Buckets are power-of-two
-// wide, which bounds quantile estimation error to a factor of sqrt(2) —
-// plenty for the "did announce latency regress 10x" questions this
-// layer answers. The zero value is ready to use.
+// wide, and a quantile estimate always lies in the same bucket as the
+// exact nearest-rank quantile of the observations, so for values inside
+// the bucket range the two differ by a ratio in (½, 2) — plenty for the
+// "did announce latency regress 10x" questions this layer answers, too
+// coarse to gate an SLO on. The zero value is ready to use.
 type Histogram struct {
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
@@ -137,8 +139,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot summarizes the current state. Quantiles are estimated from
-// the bucket distribution (geometric bucket midpoint, clamped to the
-// observed min/max).
+// the bucket distribution (the deciding bucket's conditional mean,
+// clamped to the observed min/max).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	n := h.count.Load()
 	if n == 0 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -35,6 +36,44 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 			if qs[i-1].v > qs[i].v {
 				t.Fatalf("trial %d: %s = %g > %s = %g (snapshot %+v)",
 					trial, qs[i-1].name, qs[i-1].v, qs[i].name, qs[i].v, s)
+			}
+		}
+	}
+}
+
+// TestHistogramQuantileSharesBucketWithNearestRank is the bound the
+// Histogram comment states: each snapshot quantile lies in the same
+// power-of-two bucket as the exact nearest-rank quantile of a sorted
+// copy of the samples, hence within a ratio of (½, 2) of it.
+func TestHistogramQuantileSharesBucketWithNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	draw := []func() float64{
+		func() float64 { return math.Exp(rng.NormFloat64()*3) * 5 },                // log-normal over many buckets
+		func() float64 { return 1 + 999*rng.Float64() },                            // uniform over ten
+		func() float64 { return []float64{0.4, 350}[rng.Intn(2)] + rng.Float64() }, // two distant modes
+		func() float64 { return 64 * (1 + rng.Float64()*0.999) },                   // all inside one bucket
+	}
+	for trial := 0; trial < 400; trial++ {
+		h := &Histogram{}
+		samples := make([]float64, 1+rng.Intn(2000))
+		for i := range samples {
+			samples[i] = draw[trial%len(draw)]()
+			h.Observe(samples[i])
+		}
+		sort.Float64s(samples)
+		s := h.Snapshot()
+		for _, q := range []struct {
+			level float64
+			got   float64
+		}{{0.50, s.P50}, {0.90, s.P90}, {0.95, s.P95}, {0.99, s.P99}} {
+			exact := samples[int(math.Ceil(q.level*float64(len(samples))))-1]
+			if bucketIndex(q.got) != bucketIndex(exact) {
+				t.Fatalf("trial %d (n=%d): p%g estimate %g is in bucket %d, nearest-rank %g in bucket %d",
+					trial, len(samples), 100*q.level, q.got, bucketIndex(q.got), exact, bucketIndex(exact))
+			}
+			if r := q.got / exact; r <= 0.5 || r >= 2 {
+				t.Fatalf("trial %d (n=%d): p%g estimate %g vs nearest-rank %g: ratio %g outside (1/2, 2)",
+					trial, len(samples), 100*q.level, q.got, exact, r)
 			}
 		}
 	}

@@ -37,7 +37,7 @@ type BatchItem struct {
 	Index         int             `json:"index"`
 	Status        int             `json:"status"`
 	Key           string          `json:"key,omitempty"`
-	Cache         string          `json:"cache,omitempty"` // hit | fill | miss | shared
+	Cache         string          `json:"cache,omitempty"` // hit | miss | shared
 	RetryAfterSec int             `json:"retryAfterSec,omitempty"`
 	Error         string          `json:"error,omitempty"`
 	Response      json.RawMessage `json:"response,omitempty"`
@@ -177,7 +177,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve unique keys concurrently. The admission gate still bounds
-	// actual compute; cache hits and peer fills cost no slot.
+	// actual compute; cache hits cost no slot.
 	type outcome struct {
 		body []byte
 		src  string

@@ -223,8 +223,8 @@ func TestBatchItemsCarryRetryHints(t *testing.T) {
 	}
 }
 
-// TestCachePeekServesStoredBytes covers the cross-replica fill
-// endpoint: a cached key replays its exact bytes, a cold key 404s, and
+// TestCachePeekServesStoredBytes covers the endpoint the gateway's
+// spill fill probes: a cached key replays its exact bytes, a cold key 404s, and
 // a malformed key 400s.
 func TestCachePeekServesStoredBytes(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
@@ -265,82 +265,6 @@ func TestCachePeekServesStoredBytes(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad key %q status %d, want 400", bad, resp.StatusCode)
 		}
-	}
-}
-
-// TestCacheFillShortCircuitsCompute wires a CacheFill hook and asserts
-// a fill hit returns the peer's bytes without consuming a computation,
-// and that the filled bytes equal a local recompute (the determinism
-// contract the whole cross-replica tier rests on).
-func TestCacheFillShortCircuitsCompute(t *testing.T) {
-	// Replica A computes the result for real.
-	_, tsA, _ := newTestServer(t, Config{})
-	const body = `{"kind":"model","seed":11,"model":{"b":20,"k":3,"s":8,"runs":40}}`
-	rA, bA := postQuery(t, tsA.URL, body)
-	if rA.StatusCode != http.StatusOK {
-		t.Fatalf("replica A status %d", rA.StatusCode)
-	}
-	key := rA.Header.Get("X-Cache-Key")
-
-	// Replica B fills from A instead of computing.
-	_, tsB, regB := newTestServer(t, Config{
-		CacheFill: HTTPCacheFill([]string{tsA.URL}, 0, nil, nil),
-	})
-	rB, bB := postQuery(t, tsB.URL, body)
-	if rB.StatusCode != http.StatusOK {
-		t.Fatalf("replica B status %d", rB.StatusCode)
-	}
-	if got := rB.Header.Get("X-Cache"); got != "fill" {
-		t.Fatalf("replica B X-Cache = %q, want fill", got)
-	}
-	if !bytes.Equal(bA, bB) {
-		t.Fatalf("filled bytes diverge from origin bytes")
-	}
-	if got := regB.Counter("serve.computations").Value(); got != 0 {
-		t.Fatalf("replica B computed %d times despite fill", got)
-	}
-	if got := regB.Counter("serve.fill.hits").Value(); got != 1 {
-		t.Fatalf("serve.fill.hits = %d, want 1", got)
-	}
-
-	// The fill must equal what B would have computed locally: replay the
-	// same request on a fill-less replica C and compare bytes.
-	_, tsC, _ := newTestServer(t, Config{})
-	_, bC := postQuery(t, tsC.URL, body)
-	if !bytes.Equal(bB, bC) {
-		t.Fatalf("cache-fill hit != local recompute:\nfill:  %s\nlocal: %s", bB, bC)
-	}
-
-	// Fill results are cached locally: a second request on B is a plain hit.
-	rB2, bB2 := postQuery(t, tsB.URL, body)
-	if got := rB2.Header.Get("X-Cache"); got != "hit" {
-		t.Fatalf("replica B second X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(bB, bB2) {
-		t.Fatalf("replica B replay diverged after fill")
-	}
-	_ = key
-}
-
-// TestCacheFillMissFallsThroughToCompute: every peer missing must leave
-// the pipeline exactly as it was — compute locally, count the miss.
-func TestCacheFillMissFallsThroughToCompute(t *testing.T) {
-	_, tsA, _ := newTestServer(t, Config{}) // cold peer
-	_, tsB, regB := newTestServer(t, Config{
-		CacheFill: HTTPCacheFill([]string{tsA.URL}, 0, nil, nil),
-	})
-	rB, _ := postQuery(t, tsB.URL, `{"kind":"efficiency","efficiency":{"k":6}}`)
-	if rB.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", rB.StatusCode)
-	}
-	if got := rB.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("X-Cache = %q, want miss (computed locally)", got)
-	}
-	if got := regB.Counter("serve.computations").Value(); got != 1 {
-		t.Fatalf("computations = %d, want 1", got)
-	}
-	if got := regB.Counter("serve.fill.misses").Value(); got != 1 {
-		t.Fatalf("serve.fill.misses = %d, want 1", got)
 	}
 }
 

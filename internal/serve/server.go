@@ -55,14 +55,6 @@ type Config struct {
 	// singleflight → gate → eval, plus whatever the evaluator adds
 	// downstream). Nil disables tracing at zero cost.
 	Tracer *trace.Tracer
-	// CacheFill, when set, is consulted on a cache miss before the
-	// computation is admitted: it should return a peer replica's cached
-	// response bytes for the content-addressed key, or false. Determinism
-	// makes a peer's bytes interchangeable with a local recompute, so the
-	// replica tier behaves as one content-addressed cache. The fetch runs
-	// inside the singleflight (one probe per flight) but outside the
-	// admission gate — a network copy must not occupy a compute slot.
-	CacheFill func(ctx context.Context, key string) ([]byte, bool)
 }
 
 // Server is the serving subsystem: an http.Handler implementing the
@@ -94,7 +86,6 @@ type Server struct {
 	requests, shed, computations, failures *obs.Counter
 	streamRounds                           *obs.Counter
 	fluidRequests, fluidSteps              *obs.Counter
-	fills, fillMisses                      *obs.Counter
 	cacheServes                            *obs.Counter
 	batchRequests, batchItems, batchBad    *obs.Counter
 	latency                                *obs.Histogram
@@ -143,7 +134,6 @@ func New(cfg Config) *Server {
 		computations: &obs.Counter{}, failures: &obs.Counter{},
 		streamRounds:  &obs.Counter{},
 		fluidRequests: &obs.Counter{}, fluidSteps: &obs.Counter{},
-		fills: &obs.Counter{}, fillMisses: &obs.Counter{},
 		cacheServes:   &obs.Counter{},
 		batchRequests: &obs.Counter{}, batchItems: &obs.Counter{}, batchBad: &obs.Counter{},
 		latency: &obs.Histogram{},
@@ -159,8 +149,6 @@ func New(cfg Config) *Server {
 		s.streamRounds = reg.Counter("serve.stream_rounds")
 		s.fluidRequests = reg.Counter("serve.fluid.requests")
 		s.fluidSteps = reg.Counter("serve.fluid.stream_steps")
-		s.fills = reg.Counter("serve.fill.hits")
-		s.fillMisses = reg.Counter("serve.fill.misses")
 		s.cacheServes = reg.Counter("serve.cachefill.serves")
 		s.batchRequests = reg.Counter("serve.batch.requests")
 		s.batchItems = reg.Counter("serve.batch.items")
@@ -264,10 +252,9 @@ func (s *Server) rootSpan(r *http.Request, key string) (context.Context, *trace.
 
 // resolve is the cached request path shared by /v1/query and each
 // /v1/batch item: probe the cache, then collapse concurrent duplicates
-// into a single admitted computation (with an optional peer cache-fill
-// short-circuit before the gate). src reports where the bytes came
-// from: "hit", "fill", "miss" (computed here), or "shared" (another
-// flight's result).
+// into a single admitted computation. src reports where the bytes came
+// from: "hit", "miss" (computed here), or "shared" (another flight's
+// result).
 func (s *Server) resolve(tctx context.Context, req *Request, key string) (body []byte, src string, err error) {
 	_, csp := trace.Start(tctx, "cache")
 	if body, ok := s.cache.Get(key); ok {
@@ -278,26 +265,7 @@ func (s *Server) resolve(tctx context.Context, req *Request, key string) (body [
 	csp.Annotate("outcome", "miss")
 	csp.End()
 	sfctx, fsp := trace.Start(tctx, "singleflight")
-	filled := false
 	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
-		// A peer replica may already hold this key (the gateway routes
-		// each key to one home replica, so a spilled or re-homed request
-		// usually has a warm peer). Fetching its bytes is strictly cheaper
-		// than recomputing and byte-identical by the determinism
-		// discipline; the probe happens once per flight, before admission.
-		if s.cfg.CacheFill != nil {
-			fctx, psp := trace.Start(sfctx, "fill")
-			if b, ok := s.cfg.CacheFill(fctx, key); ok {
-				psp.Annotate("outcome", "hit")
-				psp.End()
-				s.fills.Inc()
-				filled = true
-				return b, nil
-			}
-			psp.Annotate("outcome", "miss")
-			psp.End()
-			s.fillMisses.Inc()
-		}
 		// The flight leader acquires admission for the whole flight:
 		// N concurrent identical requests consume one worker slot, and
 		// a saturation rejection propagates to every waiter.
@@ -349,24 +317,17 @@ func (s *Server) resolve(tctx context.Context, req *Request, key string) (body [
 	if err != nil {
 		return nil, "", err
 	}
-	src = "miss"
-	switch {
-	case shared:
-		src = "shared"
-	case filled:
-		src = "fill"
+	if shared {
+		return body, "shared", nil
 	}
-	if !shared {
-		s.cache.Put(key, body)
-	}
-	return body, src, nil
+	s.cache.Put(key, body)
+	return body, "miss", nil
 }
 
-// handleCachePeek is the cross-replica cache-fill endpoint: a pure
-// cache probe returning the stored marshaled bytes for a
-// content-addressed key, or 404. It never computes, never touches the
-// admission gate, and never consults CacheFill — so peers probing each
-// other cannot recurse.
+// handleCachePeek is the cache-fill endpoint the gateway probes when a
+// request spills away from its home replica: a pure cache probe
+// returning the stored marshaled bytes for a content-addressed key, or
+// 404. It never computes and never touches the admission gate.
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if len(key) != 64 || !isHexKey(key) {

@@ -131,13 +131,11 @@ func soakRound(round, wc int, master uint64, logger *slog.Logger, agg *aggregate
 
 	reg := obs.NewRegistry()
 	coord := dist.New(dist.Config{
-		Registry:        reg,
-		Logger:          logger,
-		LeaseTTL:        400 * time.Millisecond,
-		SweepEvery:      25 * time.Millisecond,
-		StrikeThreshold: 3,
-		StrikeWindow:    10 * time.Second,
-		Requeue:         retry.Policy{MaxAttempts: 60, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		Registry:   reg,
+		Logger:     logger,
+		LeaseTTL:   400 * time.Millisecond,
+		SweepEvery: 25 * time.Millisecond,
+		Requeue:    retry.Policy{MaxAttempts: 60, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	})
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
@@ -239,14 +237,11 @@ func hedgePhase(master uint64, logger *slog.Logger) error {
 
 	reg := obs.NewRegistry()
 	coord := dist.New(dist.Config{
-		Registry:        reg,
-		Logger:          logger,
-		LeaseTTL:        5 * time.Second,
-		SweepEvery:      10 * time.Millisecond,
-		StragglerAfter:  time.Minute, // far off: the hedge path must do the rescue
-		HedgeFactor:     3,
-		HedgeMinSamples: 4,
-		HedgeMin:        50 * time.Millisecond,
+		Registry: reg,
+		Logger:   logger,
+		// 4 × LeaseTTL is far off: the latency percentile must do the rescue.
+		LeaseTTL:   5 * time.Second,
+		SweepEvery: 10 * time.Millisecond,
 	})
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
@@ -283,9 +278,11 @@ func hedgePhase(master uint64, logger *slog.Logger) error {
 	}
 
 	req := &serve.Request{
-		Kind:  serve.KindModel,
-		Seed:  master,
-		Model: &serve.ModelQuery{B: 40, Runs: 8},
+		Kind: serve.KindModel,
+		Seed: master,
+		// One run per shard: the fast worker completes at least the eight
+		// shards the percentile needs while the slow one sits on its first.
+		Model: &serve.ModelQuery{B: 40, Runs: 16},
 	}
 	if err := req.Canonicalize(); err != nil {
 		return err

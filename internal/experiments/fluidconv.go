@@ -103,11 +103,6 @@ func fluidConvSim(pieces, n int) sim.Config {
 	cfg.Horizon = fluidConvHorizon
 	cfg.TrackPeers = 0
 	cfg.PieceCensus = true
-	// Batched trading (DESIGN.md §14) at every scale, not just the large
-	// ones: the schedule shifts the stationary level by a small
-	// N-independent amount, and using one schedule throughout keeps that
-	// shift out of the cross-N comparison.
-	cfg.BatchedTrading = true
 	cfg.Seed1 = uint64(n)
 	cfg.Seed2 = 0xF10C
 	return cfg

@@ -284,14 +284,8 @@ func (g *Gateway) quarantinedLocked(now time.Time) int {
 // decode parses and canonicalizes a single-query body (the serve
 // schema, verbatim — the gateway speaks exactly the replica dialect).
 func (g *Gateway) decode(w http.ResponseWriter, r *http.Request) (*serve.Request, bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	req := &serve.Request{}
-	if err := dec.Decode(req); err != nil {
-		g.writeErr(w, http.StatusBadRequest, fmt.Errorf("%v", err))
-		return nil, false
-	}
-	if err := req.Canonicalize(); err != nil {
+	req, err := serve.DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		g.writeErr(w, serve.ErrorStatus(err), err)
 		return nil, false
 	}

@@ -101,6 +101,24 @@ func TestGatewayByteIdenticalWithDirectReplica(t *testing.T) {
 	if resp2.Header.Get("X-Cache-Key") == "" {
 		t.Error("gateway response missing X-Cache-Key")
 	}
+
+	// The 400 path is part of the identity: a body the request decoder
+	// rejects is answered by the gateway itself, and must read exactly as
+	// the replica's own rejection does.
+	for _, bad := range []struct{ name, body string }{
+		{"malformed JSON", `{"kind":"model",`},
+		{"unknown field", `{"kind":"model","seed":5,"nope":1}`},
+		{"invalid params", `{"kind":"model","model":{"b":-5}}`},
+	} {
+		respD, direct := post(t, urlA, "/v1/query", bad.body)
+		respG, via := post(t, gw2, "/v1/query", bad.body)
+		if respD.StatusCode != http.StatusBadRequest || respG.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status direct %d, gateway %d, want 400 from both", bad.name, respD.StatusCode, respG.StatusCode)
+		}
+		if !bytes.Equal(via, direct) {
+			t.Errorf("%s: gateway 400 body differs from the replica's:\n gateway %s replica %s", bad.name, via, direct)
+		}
+	}
 }
 
 // TestGatewayRetryAfterVerbatim is satellite 1: a saturated replica's

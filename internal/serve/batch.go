@@ -82,19 +82,10 @@ func checkEOF(dec *json.Decoder) error {
 	return nil
 }
 
-// DecodeBatchItem parses and canonicalizes one raw batch item with the
-// same strictness as the /v1/query body decoder.
+// DecodeBatchItem decodes one raw batch item exactly as /v1/query decodes
+// its body.
 func DecodeBatchItem(raw json.RawMessage) (*Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	req := &Request{}
-	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if err := req.Canonicalize(); err != nil {
-		return nil, err
-	}
-	return req, nil
+	return DecodeRequest(bytes.NewReader(raw))
 }
 
 // BatchKey derives the content address of a whole batch (for trace
@@ -108,9 +99,11 @@ func BatchKey(items []json.RawMessage) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ErrorStatus maps a pipeline error onto the HTTP status /v1/query
-// would answer with — shared with the batch path so a per-item status
-// means exactly what the single-query status does.
+// ErrorStatus is the one map from a pipeline error to an HTTP status:
+// validation → 400, saturation → 429, deadline → 504, server shutdown →
+// 503, anything else → 500. /v1/query, every batch item and the gateway
+// all answer with it, so a per-item status means exactly what the
+// single-query status does.
 func ErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):

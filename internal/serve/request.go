@@ -28,8 +28,10 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -82,6 +84,24 @@ const (
 // ErrBadRequest tags every request-validation failure, so transports can
 // map the whole class to a 400.
 var ErrBadRequest = errors.New("serve: bad request")
+
+// DecodeRequest reads one JSON request from r — unknown fields rejected —
+// and canonicalizes it. It is the only request decoder: the replica's
+// /v1/query and /v1/stream bodies, each /v1/batch item, and the gateway
+// all go through it, so a malformed body is the same ErrBadRequest, with
+// the same message, at every tier.
+func DecodeRequest(r io.Reader) (*Request, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	req := &Request{}
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if err := req.Canonicalize(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
 
 // Request is the versioned query envelope. Exactly one parameter section
 // (chosen by Kind) may be present; an omitted field means "use the

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -539,14 +538,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // decode reads, parses, and canonicalizes the request body, writing the
 // 400 itself on failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*Request, bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	req := &Request{}
-	if err := dec.Decode(req); err != nil {
-		s.writeError(w, r, fmt.Errorf("%w: %v", ErrBadRequest, err))
-		return nil, false
-	}
-	if err := req.Canonicalize(); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.writeError(w, r, err)
 		return nil, false
 	}
@@ -570,22 +563,13 @@ func (s *Server) retryAfterSeconds() int {
 	return min(max(secs, 1), 30)
 }
 
-// writeError maps pipeline errors onto HTTP statuses: validation → 400,
-// saturation → 429 + Retry-After, deadline → 504, server shutdown →
-// 503, anything else → 500.
+// writeError answers with the error's ErrorStatus, adding the live
+// Retry-After hint to a 429.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		status = http.StatusBadRequest
-	case errors.Is(err, par.ErrSaturated):
-		status = http.StatusTooManyRequests
+	status := ErrorStatus(err)
+	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		s.shed.Inc()
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = http.StatusServiceUnavailable
 	}
 	if status >= 500 {
 		s.failures.Inc()

@@ -122,15 +122,6 @@ type Config struct {
 	// fluid-convergence harness compares against the chunk-level ODE;
 	// off by default because the census row costs O(Pieces) per round.
 	PieceCensus bool
-	// BatchedTrading replaces the per-pair RNG draws of the trading steps
-	// (connection churn shuffles, piece picks, optimistic unchokes) with
-	// a bulk-refilled pool of raw 64-bit draws and per-list rotation
-	// offsets. Runs stay deterministic for a fixed seed pair, but the
-	// trajectory differs from the default per-pair schedule, so the mode
-	// is an explicit opt-in for large-population experiments (DESIGN.md
-	// §14). Structural randomness (arrivals, skew, slow-peer draws,
-	// aborts, fault streams) is unaffected.
-	BatchedTrading bool
 	// Observer, when non-nil, receives per-round telemetry (event
 	// counts, entropy/efficiency gauges). Nil disables observation at
 	// zero allocation cost; see NewRegistryObserver for the standard

@@ -102,7 +102,3 @@ func (s *Swarm) injectConnFailures(leechers []int32) {
 		}
 	}
 }
-
-// CrashedNow reports how many peers are currently crashed and awaiting
-// rejoin (for population accounting in tests and CLIs).
-func (s *Swarm) CrashedNow() int { return len(s.crashList) }

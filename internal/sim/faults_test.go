@@ -27,14 +27,7 @@ func faultTestConfig() Config {
 
 func runWith(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	sw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runChecked(t, cfg)
 	return res
 }
 
@@ -132,39 +125,17 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 }
 
 // TestCrashRejoinChurn: crashed peers vanish with their pieces and
-// return after the configured wait; the population books must balance.
+// return after the configured wait; checkInvariants balances the
+// population books (crashes = rejoins + awaiting) after every round.
 func TestCrashRejoinChurn(t *testing.T) {
 	cfg := faultTestConfig()
 	cfg.Faults = &faults.Plan{Seed: 11, CrashRate: 0.02, RejoinAfter: 5}
-	sw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runChecked(t, cfg)
 	if res.Crashes() == 0 {
 		t.Fatal("crash rate 0.02 produced no crashes")
 	}
 	if res.Rejoins() == 0 {
 		t.Fatal("no crashed peer ever rejoined")
-	}
-	if res.Rejoins()+sw.CrashedNow() != res.Crashes() {
-		t.Errorf("crashes = %d, rejoins = %d, pending = %d: books do not balance",
-			res.Crashes(), res.Rejoins(), sw.CrashedNow())
-	}
-	// Conservation: everyone who ever joined is accounted for.
-	joined := cfg.InitialPeers + res.Arrivals()
-	leechersNow := 0
-	for _, sl := range sw.alive {
-		if !sw.ps.seed[sl] {
-			leechersNow++
-		}
-	}
-	accounted := len(res.Completions) + res.Aborts() + leechersNow + sw.CrashedNow()
-	if joined != accounted {
-		t.Errorf("joined = %d, accounted = %d", joined, accounted)
 	}
 }
 

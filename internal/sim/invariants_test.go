@@ -1,0 +1,198 @@
+package sim
+
+import (
+	"math/bits"
+	"testing"
+)
+
+// checkInvariants is the one structural oracle of the package: it
+// re-derives from scratch everything the round loop maintains
+// incrementally and fails t on the first disagreement. It is meant to be
+// called after every round (see runChecked); each family below is one
+// thing a bug in link/unlink/give/removePeer/rejoin would break first.
+func checkInvariants(t testing.TB, s *Swarm) {
+	t.Helper()
+	ps, cfg := &s.ps, s.cfg
+	round := s.res.rounds
+
+	// alive: sorted by id, no slot twice, disjoint from the free list and
+	// from the slots reserved for crashed peers.
+	inAlive := make(map[int32]bool, len(s.alive))
+	for i, sl := range s.alive {
+		if i > 0 && ps.id[s.alive[i-1]] >= ps.id[sl] {
+			t.Fatalf("round %d: alive not sorted by id at %d: %d then %d",
+				round, i, ps.id[s.alive[i-1]], ps.id[sl])
+		}
+		inAlive[sl] = true
+	}
+	offline := make(map[int32]bool, len(ps.free)+len(s.crashList))
+	for _, sl := range ps.free {
+		if offline[sl] {
+			t.Fatalf("round %d: slot %d is on the free list twice", round, sl)
+		}
+		offline[sl] = true
+	}
+	for _, rec := range s.crashList {
+		if offline[rec.sl] {
+			t.Fatalf("round %d: crashed slot %d is also free (or crashed twice)", round, rec.sl)
+		}
+		offline[rec.sl] = true
+	}
+	for sl := range offline {
+		if inAlive[sl] {
+			t.Fatalf("round %d: slot %d (peer %d) is alive and on the free/crash list",
+				round, sl, ps.id[sl])
+		}
+	}
+	if len(s.alive)+len(offline) != ps.len() {
+		t.Fatalf("round %d: %d alive + %d free/crashed slots != %d allocated",
+			round, len(s.alive), len(offline), ps.len())
+	}
+
+	// The seed list is exactly the alive slots flagged as seeds.
+	seeds := 0
+	for _, sl := range s.alive {
+		if ps.seed[sl] {
+			seeds++
+		}
+	}
+	for _, sd := range s.seeds {
+		if !inAlive[sd] || !ps.seed[sd] {
+			t.Fatalf("round %d: seed list holds slot %d (alive %v, seed flag %v)",
+				round, sd, inAlive[sd], ps.seed[sd])
+		}
+	}
+	if seeds != len(s.seeds) {
+		t.Fatalf("round %d: %d alive seeds, seed list has %d", round, seeds, len(s.seeds))
+	}
+
+	// sortedLive checks one adjacency row: strictly ascending partner id
+	// (so no duplicates), every partner alive, no self-loop.
+	sortedLive := func(kind string, sl int32, row []int32) {
+		t.Helper()
+		for i, q := range row {
+			if q == sl || !inAlive[q] {
+				t.Fatalf("round %d: peer %d has %s %d (self or not alive)",
+					round, ps.id[sl], kind, ps.id[q])
+			}
+			if i > 0 && ps.id[row[i-1]] >= ps.id[q] {
+				t.Fatalf("round %d: peer %d %s row not sorted by id", round, ps.id[sl], kind)
+			}
+		}
+	}
+	leechers := 0
+	for _, sl := range s.alive {
+		id := ps.id[sl]
+		if !ps.seed[sl] {
+			leechers++
+		}
+
+		nbrs, conns := ps.nbrRow(sl), ps.connRow(sl)
+		if len(nbrs) > cfg.NeighborSet {
+			t.Fatalf("round %d: peer %d has %d neighbors > s=%d", round, id, len(nbrs), cfg.NeighborSet)
+		}
+		if len(conns) > cfg.MaxConns {
+			t.Fatalf("round %d: peer %d has %d conns > k=%d", round, id, len(conns), cfg.MaxConns)
+		}
+		sortedLive("neighbor", sl, nbrs)
+		sortedLive("conn", sl, conns)
+		for _, q := range nbrs {
+			if !ps.hasNbr(q, sl) {
+				t.Fatalf("round %d: neighbor relation asymmetric: %d -> %d", round, id, ps.id[q])
+			}
+		}
+		for _, q := range conns {
+			if !ps.hasNbr(sl, q) {
+				t.Fatalf("round %d: connection outside neighbor set: %d -> %d", round, id, ps.id[q])
+			}
+			if !ps.connected(q, sl) {
+				t.Fatalf("round %d: connection asymmetric: %d -> %d", round, id, ps.id[q])
+			}
+		}
+
+		// Piece inventory: the incremental popcount against the bitset row.
+		held := 0
+		for _, w := range ps.pieceRow(sl) {
+			held += bits.OnesCount64(w)
+		}
+		if held != int(ps.pieceCnt[sl]) || held > cfg.Pieces {
+			t.Fatalf("round %d: peer %d pieceCnt %d, row popcount %d (B=%d)",
+				round, id, ps.pieceCnt[sl], held, cfg.Pieces)
+		}
+
+		// Rarest-first view: the incremental table against a recount over
+		// the neighbor row.
+		if s.useRare {
+			recount := make([]int, cfg.Pieces)
+			for _, q := range nbrs {
+				countRowInto(recount, ps.pieceRow(q))
+			}
+			for j, want := range recount {
+				if got := int(ps.rare[int(sl)*ps.pieces+j]); got != want {
+					t.Fatalf("round %d: peer %d rare[%d] = %d, recount over neighbors = %d",
+						round, id, j, got, want)
+				}
+			}
+		}
+	}
+
+	// Every peer that ever joined is somewhere: done (lingering seeds were
+	// recorded at completion), aborted, present, or crashed (awaiting
+	// rejoin or gone for good).
+	crashed := s.res.crashes - s.res.rejoins
+	if cfg.Faults != nil && cfg.Faults.RejoinAfter > 0 && crashed != len(s.crashList) {
+		t.Fatalf("round %d: crashes %d - rejoins %d != %d awaiting rejoin",
+			round, s.res.crashes, s.res.rejoins, len(s.crashList))
+	}
+	joined := cfg.InitialPeers + s.res.arrivals
+	if accounted := len(s.res.Completions) + s.res.aborts + leechers + crashed; joined != accounted {
+		t.Fatalf("round %d: joined %d != completed %d + aborted %d + present %d + crashed %d",
+			round, joined, len(s.res.Completions), s.res.aborts, leechers, crashed)
+	}
+
+	// The census row of the round partitions that round's population.
+	if cfg.PieceCensus {
+		pop := s.res.PopulationSeries
+		if len(s.res.Census) != pop.Len() || len(s.res.CensusT) != pop.Len() {
+			t.Fatalf("round %d: %d census rows, %d census times, %d population samples",
+				round, len(s.res.Census), len(s.res.CensusT), pop.Len())
+		}
+		if n := pop.Len(); n > 0 {
+			sum := 0
+			for _, c := range s.res.Census[n-1] {
+				sum += int(c)
+			}
+			if float64(sum) != pop.V[n-1] {
+				t.Fatalf("round %d: census sums to %d, population sample is %g", round, sum, pop.V[n-1])
+			}
+		}
+	}
+}
+
+// runChecked runs cfg to its horizon one exchange round at a time, with
+// checkInvariants after every round, and returns the swarm and its
+// Result. Advance-then-Run replays a plain Run (TestAdvanceMatchesRun),
+// so the Result is the one Run alone would have produced.
+func runChecked(t testing.TB, cfg Config) (*Swarm, *Result) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, s)
+	for at := cfg.PieceTime; at <= cfg.Horizon; at += cfg.PieceTime {
+		before := s.res.rounds
+		if err := s.Advance(at); err != nil {
+			t.Fatal(err)
+		}
+		if s.res.rounds != before+1 {
+			t.Fatalf("Advance(%g) ran %d rounds, want 1", at, s.res.rounds-before)
+		}
+		checkInvariants(t, s)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, res
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,15 +14,24 @@ import (
 	"repro/internal/faults"
 )
 
-// The oracle suite pins the simulator's exact trajectories: every golden
-// file under testdata/oracle holds the canonical Result JSON of one
-// (config, seed) run, generated before the struct-of-arrays refactor of
-// the swarm core. Any change to the per-round RNG draw order, iteration
-// order, or float accumulation order shows up here as a byte diff.
+// The oracle suite pins the simulator's exact trajectories: the canonical
+// Result JSON of every (config, seed) run below was generated before the
+// struct-of-arrays refactor of the swarm core. Any change to the per-round
+// RNG draw order, iteration order, or float accumulation order shows up
+// here as a byte diff.
+//
+// A scenario with a file under testdata/oracle is compared byte for byte
+// (one per family is kept in full so a divergence can be read as a diff);
+// every other scenario is pinned by the sha256 of the same bytes in
+// testdata/oracle/digests.json.
 //
 // Regenerate (only for deliberate, documented behavior changes):
 //
 //	go test ./internal/sim -run TestOracleGoldens -update
+//
+// which rewrites the full files that exist and the digests of the rest.
+// To read the JSON behind a digest, create an empty file with the
+// scenario's name first: -update then writes it in full.
 var updateOracle = flag.Bool("update", false, "rewrite the oracle golden files")
 
 // oracleConfigs is the scenario matrix: every feature that branches the
@@ -172,13 +182,18 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 }
 
 // TestOracleGoldens runs every scenario × seed and compares the canonical
-// Result JSON byte-for-byte against the pinned pre-refactor goldens.
+// Result JSON against the pinned pre-refactor bytes (in full or by
+// digest, see above).
 func TestOracleGoldens(t *testing.T) {
 	dir := filepath.Join("testdata", "oracle")
-	if *updateOracle {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
+	digestPath := filepath.Join(dir, "digests.json")
+	digests := map[string]string{}
+	if raw, err := os.ReadFile(digestPath); err == nil {
+		if err := json.Unmarshal(raw, &digests); err != nil {
+			t.Fatalf("oracle: %s: %v", digestPath, err)
 		}
+	} else if !*updateOracle {
+		t.Fatalf("oracle: %v (run with -update to generate)", err)
 	}
 	for name, cfg := range oracleConfigs() {
 		for _, seeds := range oracleSeeds {
@@ -195,24 +210,50 @@ func TestOracleGoldens(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := oracleJSON(t, res)
+				gotSum := fmt.Sprintf("%x", sha256.Sum256(got))
 				path := filepath.Join(dir, fname)
+				want, err := os.ReadFile(path)
+				full := err == nil
 				if *updateOracle {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
+					if full {
+						delete(digests, fname)
+						if err := os.WriteFile(path, got, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						digests[fname] = gotSum
 					}
 					return
 				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("oracle: %v (run with -update to generate)", err)
+				const diverged = "The swarm trajectory is no longer byte-identical — the RNG draw " +
+					"order or an iteration order changed."
+				if full {
+					if !bytes.Equal(got, want) {
+						t.Fatalf("oracle: Result JSON diverged from pinned golden %s.\n%s got %d bytes, want %d bytes",
+							fname, diverged, len(got), len(want))
+					}
+					return
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("oracle: Result JSON diverged from pinned golden %s.\n"+
-						"The swarm trajectory is no longer byte-identical — the RNG draw "+
-						"order or an iteration order changed. got %d bytes, want %d bytes",
-						fname, len(got), len(want))
+				pinned, ok := digests[fname]
+				if !ok {
+					t.Fatalf("oracle: %s has neither a golden file nor a digest (run with -update to generate)", fname)
+				}
+				if gotSum != pinned {
+					t.Fatalf("oracle: scenario %s: Result JSON hashes to %s, %s pins %s.\n%s\n"+
+						"To read the JSON, `touch %s` and rerun with -run 'TestOracleGoldens/%s' -update: "+
+						"that writes it in full (do the same at the last passing commit and diff the two).",
+						fname, gotSum, digestPath, pinned, diverged, path, fname)
 				}
 			})
+		}
+	}
+	if *updateOracle {
+		raw, err := json.MarshalIndent(digests, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -18,12 +18,11 @@ import (
 //
 // Peer state lives in a struct-of-arrays store (see peerStore) indexed by
 // compact slot ids; the swarm-level bookkeeping below works in slots, not
-// pointers. Determinism contract: on the default path every RNG draw
-// site, every iteration order feeding the RNG, and every float
-// accumulation order matches the original map-based core exactly, so
-// fixed-seed runs are byte-identical across the refactor (pinned by the
-// oracle golden suite). The opt-in BatchedTrading mode trades that
-// equivalence for bulk randomness; see DESIGN.md §14.
+// pointers. Determinism contract: every RNG draw site, every iteration
+// order feeding the RNG, and every float accumulation order matches the
+// original map-based core exactly, so fixed-seed runs are byte-identical
+// across the refactor (pinned by the oracle golden suite). There is one
+// trading schedule; DESIGN.md §14 records why.
 type Swarm struct {
 	cfg Config
 	rng *stats.RNG
@@ -89,11 +88,6 @@ type Swarm struct {
 	nbrScratch  []int32 // neighbor-row snapshots under mutation
 	connScratch []int32 // connection-row snapshots under mutation
 	degreeBuf   []int   // replication-degree tables
-
-	// Batched-trading state: a pool of raw 64-bit draws bulk-refilled
-	// from the swarm RNG (only used with Config.BatchedTrading).
-	pool    []uint64
-	poolIdx int
 
 	// Last-round gauge values, kept for the Observer hook. NaN means
 	// "not measured this round".
@@ -475,7 +469,7 @@ func (s *Swarm) round() {
 	s.seedUploads(now)
 
 	// 7. Optimistic unchoking bootstraps peers with nothing to trade.
-	s.optimisticUnchokes(now, leechers)
+	s.optimisticUnchokes(now)
 
 	// 8. Per-peer instrumentation and aggregate series.
 	s.recordMetrics(now, leechers)
@@ -692,23 +686,6 @@ func (s *Swarm) establishConns(p int32) {
 		ps.estEpoch[p] = s.epoch
 		ps.estVer[p] = ps.nbrVer[p]
 	}
-	if s.cfg.BatchedTrading {
-		off := 0
-		if len(cands) > 1 {
-			off = s.intN(len(cands))
-		}
-		for i := 0; i < len(cands) && free > 0; i++ {
-			q := cands[off]
-			if off++; off == len(cands) {
-				off = 0
-			}
-			ps.insertConn(p, q)
-			ps.insertConn(q, p)
-			s.res.connsFormed++
-			free--
-		}
-		return
-	}
 	s.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	for _, q := range cands {
 		if free == 0 {
@@ -841,12 +818,12 @@ func (s *Swarm) pickPiece(src, dst int32) int {
 		return -1
 	}
 	if s.cfg.PieceSelection == RandomFirst || n == 1 {
-		return bitset.RowSelectAndNot(srow, drow, s.intN(n))
+		return bitset.RowSelectAndNot(srow, drow, s.rng.IntN(n))
 	}
 	// Rarest-first within dst's neighbor view, with a random rotation
 	// origin as the tie-break — equivalent to scanning the candidate list
 	// rotated by offset and keeping the first strict minimum.
-	offset := s.intN(n)
+	offset := s.rng.IntN(n)
 	base := int(dst) * ps.pieces
 	best, bestCount, bestPrio := -1, math.MaxInt, math.MaxInt
 	k := 0
@@ -892,16 +869,6 @@ func (s *Swarm) seedUploads(now float64) {
 		if len(interested) == 0 {
 			continue
 		}
-		if s.cfg.BatchedTrading {
-			off := 0
-			if len(interested) > 1 {
-				off = s.intN(len(interested))
-			}
-			for u := 0; u < s.cfg.SeedUpload; u++ {
-				s.seedUploadOne(sd, interested[(u+off)%len(interested)], now, leecherDegrees)
-			}
-			continue
-		}
 		s.rng.Shuffle(len(interested), func(i, j int) {
 			interested[i], interested[j] = interested[j], interested[i]
 		})
@@ -936,7 +903,7 @@ func (s *Swarm) pickSuperSeedPiece(q int32, degrees []int) int {
 	qrow := s.ps.pieceRow(q)
 	best := -1
 	bestDeg := math.MaxInt
-	offset := s.intN(s.cfg.Pieces)
+	offset := s.rng.IntN(s.cfg.Pieces)
 	for i := 0; i < s.cfg.Pieces; i++ {
 		j := (i + offset) % s.cfg.Pieces
 		if bitset.RowHas(qrow, j) || s.superPending[j] {
@@ -979,68 +946,30 @@ func (s *Swarm) releaseConfirmedPieces(degrees []int) {
 // optimisticUnchokes models BitTorrent's optimistic unchoke: each leecher
 // with a spare slot occasionally donates one piece to a random neighbor
 // that wants something but has nothing to offer in return — the mechanism
-// that hands empty peers their first piece.
-//
-// The default path reshuffles the live leechers (a second, independent
-// order per round); batched trading reuses the round's encounter pool
-// with a single rotation draw instead.
-func (s *Swarm) optimisticUnchokes(now float64, leechers []int32) {
+// that hands empty peers their first piece. The donors are visited in a
+// fresh shuffle of the live leechers (a second, independent order per
+// round).
+func (s *Swarm) optimisticUnchokes(now float64) {
 	if s.cfg.OptimisticProb == 0 {
 		return
 	}
 	ps := &s.ps
-	batched := s.cfg.BatchedTrading
-	var order []int32
-	idx := 0
-	if batched {
-		order = leechers
-		if len(order) > 1 {
-			idx = s.intN(len(order))
-		}
-	} else {
-		s.unchokeBuf = s.shuffledLeechersInto(s.unchokeBuf)
-		order = s.unchokeBuf
-	}
-	n := len(order)
+	s.unchokeBuf = s.shuffledLeechersInto(s.unchokeBuf)
 	memoOK := s.cfg.SlowPeerFraction == 0
-	// Hoisted pool threshold for the batched path: Ldexp (and the modulo a
-	// rotating index would need) are measurable per-peer costs at 10^5
-	// leechers.
-	always := s.cfg.OptimisticProb >= 1
-	var thresh uint64
-	if batched && !always {
-		thresh = uint64(math.Ldexp(s.cfg.OptimisticProb, 64))
-	}
-	for i := 0; i < n; i++ {
-		p := order[idx]
-		idx++
-		if idx == n {
-			idx = 0
-		}
+	for _, p := range s.unchokeBuf {
 		if ps.pieceCnt[p] == 0 || int(ps.connLen[p]) >= s.cfg.MaxConns {
+			continue
+		}
+		if !s.rng.Bernoulli(s.cfg.OptimisticProb) {
 			continue
 		}
 		// Quiescence memo, same argument as establishConns: a proven-empty
 		// recipient scan consumes no randomness, so skipping it is
 		// trajectory-neutral. Disabled with slow peers, whose per-round
-		// participation flips outside the memo key. The batched schedule
-		// tests the memo before spending a pool word — a quiescent peer can
-		// never unchoke, so its draw's outcome is irrelevant; the default
-		// path draws first to preserve the legacy per-peer stream order.
-		if batched {
-			if memoOK && ps.optEpoch[p] == s.epoch && ps.optVer[p] == ps.nbrVer[p] {
-				continue
-			}
-			if !always && s.poolNext() >= thresh {
-				continue
-			}
-		} else {
-			if !s.rng.Bernoulli(s.cfg.OptimisticProb) {
-				continue
-			}
-			if memoOK && ps.optEpoch[p] == s.epoch && ps.optVer[p] == ps.nbrVer[p] {
-				continue
-			}
+		// participation flips outside the memo key. The Bernoulli above comes
+		// first because its draw is part of the pinned per-peer stream order.
+		if memoOK && ps.optEpoch[p] == s.epoch && ps.optVer[p] == ps.nbrVer[p] {
+			continue
 		}
 		cands := s.candBuf[:0]
 		for _, q := range ps.nbrRow(p) {
@@ -1059,7 +988,7 @@ func (s *Swarm) optimisticUnchokes(now float64, leechers []int32) {
 			}
 			continue
 		}
-		q := cands[s.intN(len(cands))]
+		q := cands[s.rng.IntN(len(cands))]
 		if j := s.pickPiece(p, q); j >= 0 {
 			s.give(q, j, now)
 			s.res.optimistic++
@@ -1221,60 +1150,4 @@ func entropyOf(degrees []int) float64 {
 		return 0
 	}
 	return float64(minD) / float64(maxD)
-}
-
-// --- batched-trading randomness ---
-//
-// With Config.BatchedTrading, the trading steps (connection churn, piece
-// picks, optimistic unchokes) draw from a pool of raw 64-bit values that
-// is bulk-refilled from the swarm RNG, and per-list Shuffles collapse to
-// a single rotation offset. The schedule is still a pure function of the
-// seed pair — fixed-seed batched runs are bit-reproducible — but the
-// trajectory differs from the default path, which is why the mode is an
-// explicit opt-in (DESIGN.md §14). Structural randomness (arrivals, slow
-// draws, skew, aborts, fault streams) stays on the per-event stream.
-
-// poolNext returns the next raw 64-bit draw, refilling the pool in bulk.
-func (s *Swarm) poolNext() uint64 {
-	if s.poolIdx == len(s.pool) {
-		if len(s.pool) == 0 {
-			s.pool = make([]uint64, 1024)
-		}
-		for i := range s.pool {
-			s.pool[i] = s.rng.Uint64()
-		}
-		s.poolIdx = 0
-	}
-	w := s.pool[s.poolIdx]
-	s.poolIdx++
-	return w
-}
-
-// intN draws a uniform value in [0, n) for a trading step: from the RNG
-// stream on the default path, from the batched pool (via the mul-shift
-// reduction) with BatchedTrading.
-func (s *Swarm) intN(n int) int {
-	if !s.cfg.BatchedTrading {
-		return s.rng.IntN(n)
-	}
-	if n <= 1 {
-		return 0
-	}
-	hi, _ := bits.Mul64(s.poolNext(), uint64(n))
-	return int(hi)
-}
-
-// tradeBernoulli draws a trading-step Bernoulli: RNG stream by default,
-// one pool word under BatchedTrading.
-func (s *Swarm) tradeBernoulli(p float64) bool {
-	if !s.cfg.BatchedTrading {
-		return s.rng.Bernoulli(p)
-	}
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return s.poolNext() < uint64(math.Ldexp(p, 64))
 }

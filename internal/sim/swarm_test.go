@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -207,40 +208,12 @@ func TestMeanPotentialByPieces(t *testing.T) {
 	}
 }
 
+// TestNeighborSetInvariants steps a plain swarm round by round through
+// the structural oracle (symmetry, capacity, conns within neighbors, …).
 func TestNeighborSetInvariants(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Horizon = 40
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Run round by round and check symmetry + capacity invariants.
-	for r := 0; r < 40; r++ {
-		s.round()
-		ps := &s.ps
-		for _, sl := range s.alive {
-			id := ps.id[sl]
-			if int(ps.nbrLen[sl]) > cfg.NeighborSet {
-				t.Fatalf("peer %d has %d neighbors > s=%d", id, ps.nbrLen[sl], cfg.NeighborSet)
-			}
-			if !ps.seed[sl] && int(ps.connLen[sl]) > cfg.MaxConns {
-				t.Fatalf("peer %d has %d conns > k=%d", id, ps.connLen[sl], cfg.MaxConns)
-			}
-			for _, q := range ps.nbrRow(sl) {
-				if !ps.hasNbr(q, sl) {
-					t.Fatalf("neighbor relation asymmetric: %d -> %d", id, ps.id[q])
-				}
-			}
-			for _, q := range ps.connRow(sl) {
-				if !ps.hasNbr(sl, q) {
-					t.Fatalf("connection outside neighbor set: %d -> %d", id, ps.id[q])
-				}
-				if !ps.connected(q, sl) {
-					t.Fatalf("connection asymmetric: %d -> %d", id, ps.id[q])
-				}
-			}
-		}
-	}
+	runChecked(t, cfg)
 }
 
 func TestMaxPeersBound(t *testing.T) {
@@ -323,35 +296,55 @@ func TestRandomFirstStrategyRuns(t *testing.T) {
 }
 
 func TestPopulationConservation(t *testing.T) {
-	// Every peer that ever joined is accounted for: initial + arrivals =
-	// completions + aborts + leechers still present + peers currently
-	// lingering as seeds (whose completions were already recorded).
+	// Every peer that ever joined stays accounted for (checkInvariants'
+	// conservation sum) when leechers abort and completed peers linger as
+	// seeds whose completions were already recorded.
 	cfg := smallConfig()
 	cfg.AbortRate = 0.02
 	cfg.SeedLingerRounds = 5
 	cfg.Horizon = 90
-	s, err := New(cfg)
+	_, res := runChecked(t, cfg)
+	if res.Aborts() == 0 || res.Lingered() == 0 {
+		t.Fatalf("aborts %d, lingered %d: the scenario exercised neither", res.Aborts(), res.Lingered())
+	}
+}
+
+// TestAdvanceMatchesRun: stepping the simulation with Advance and then
+// finishing with Run replays the exact trajectory of a single
+// uninterrupted Run.
+func TestAdvanceMatchesRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pieces = 30
+	cfg.InitialPeers = 40
+	cfg.ArrivalRate = 2
+	cfg.Horizon = 60
+	cfg.TrackPeers = 4
+
+	straight, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	resA, err := straight.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	leechersNow, lingeringNow := 0, 0
-	for _, sl := range s.alive {
-		switch {
-		case !s.ps.seed[sl]:
-			leechersNow++
-		case s.ps.lingerLeft[sl] > 0:
-			lingeringNow++
-		}
+
+	stepped, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	joined := cfg.InitialPeers + res.Arrivals()
-	// Completions include peers still lingering; subtract them once.
-	accounted := len(res.Completions) + res.Aborts() + leechersNow
-	if joined != accounted {
-		t.Errorf("population leak: joined %d, accounted %d (completions %d incl. %d lingering, aborts %d, leechers %d)",
-			joined, accounted, len(res.Completions), lingeringNow, res.Aborts(), leechersNow)
+	if err := stepped.Advance(cfg.Horizon / 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := stepped.Advance(2 * cfg.Horizon / 3); err != nil {
+		t.Fatal(err)
+	}
+	resB, err := stepped.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if a, b := oracleJSON(t, resA), oracleJSON(t, resB); !bytes.Equal(a, b) {
+		t.Fatal("Advance-then-Run diverged from a straight Run")
 	}
 }

@@ -9,13 +9,8 @@ package bitphase_test
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +20,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -441,92 +435,4 @@ func BenchmarkFluidSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkQueryFluid measures the served kind=fluid pipeline end to
-// end over loopback HTTP: the _miss arm recomputes every iteration
-// (unique horizon per request), the _hit arm replays one cached entry.
-func BenchmarkQueryFluid(b *testing.B) {
-	srv := httptest.NewServer(serve.New(serve.Config{}).Handler())
-	defer srv.Close()
-	post := func(body string) error {
-		resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := post(fmt.Sprintf(`{"kind":"fluid","fluid":{"horizon":%d}}`, 100+i%10000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := post(`{"kind":"fluid","fluid":{}}`); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkBatchQuery measures the amortized /v1/batch path against the
-// equivalent burst of single /v1/query calls, all cache-hot: the batch
-// arm pays one HTTP exchange and one canonicalization sweep for 64
-// items, the singles arm pays 64 of each. Reported items/s is the
-// serving tier's cached-throughput headline.
-func BenchmarkBatchQuery(b *testing.B) {
-	srv := httptest.NewServer(serve.New(serve.Config{}).Handler())
-	defer srv.Close()
-	const items = 64
-	bodies := make([]string, items)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"kind":"efficiency","efficiency":{"k":%d}}`, 2+i)
-	}
-	batch := "[" + strings.Join(bodies, ",") + "]"
-	post := func(path, body string) error {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	// Prime the cache so both arms measure the replay path.
-	if err := post("/v1/batch", batch); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("batch64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := post("/v1/batch", batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "items/s")
-	})
-	b.Run("singles64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, body := range bodies {
-				if err := post("/v1/query", body); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "items/s")
-	})
 }

@@ -52,8 +52,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6060)")
 		poolAddr     = flag.String("pool", "", "host a dist coordinator on this address and delegate computation to connected btworker processes")
 		shardRuns    = flag.Int("shard-runs", serve.DefaultShardRuns, "model-ensemble runs per worker shard under -pool")
-		brThreshold  = flag.Int("breaker-threshold", 0, "consecutive pool failures before failing over to local evaluation (0 = default 3, negative disables the breaker)")
-		brCooldown   = flag.Duration("breaker-cooldown", 0, "how long the breaker stays open before re-probing the pool (0 = default 5s)")
 		traceSpans   = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
 		selftest     = flag.Bool("selftest", false, "run the self-contained serving smoke test and exit")
 		logCfg       = obs.RegisterLogFlags(nil)
@@ -75,7 +73,6 @@ func main() {
 		workers: *workers, queue: *queue, timeout: *timeout,
 		drainTimeout: *drainTimeout, debugAddr: *debugAddr,
 		poolAddr: *poolAddr, shardRuns: *shardRuns, traceSpans: *traceSpans,
-		breakerThreshold: *brThreshold, breakerCooldown: *brCooldown,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btserve failed", "err", err)
 		os.Exit(1)
@@ -83,19 +80,17 @@ func main() {
 }
 
 type options struct {
-	addr             string
-	cacheSize        int
-	cacheTTL         time.Duration
-	workers          int
-	queue            int
-	timeout          time.Duration
-	drainTimeout     time.Duration
-	debugAddr        string
-	poolAddr         string
-	shardRuns        int
-	traceSpans       int
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	addr         string
+	cacheSize    int
+	cacheTTL     time.Duration
+	workers      int
+	queue        int
+	timeout      time.Duration
+	drainTimeout time.Duration
+	debugAddr    string
+	poolAddr     string
+	shardRuns    int
+	traceSpans   int
 }
 
 // run serves until the listener fails or stop is closed, then drains
@@ -139,17 +134,14 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		// substitution unobservable in response bytes. A circuit breaker
 		// guards the delegation: a dead or failing pool fails over to
 		// local evaluation (degraded capacity, identical bytes) and is
-		// re-probed once per cooldown.
+		// re-probed when its quarantine expires.
 		coord = dist.New(dist.Config{Registry: reg, Logger: logger})
 		bound, err := coord.Listen(o.poolAddr)
 		if err != nil {
 			return fmt.Errorf("btserve: pool listen: %w", err)
 		}
 		defer coord.Close()
-		breaker := serve.NewBreaker(serve.BreakerConfig{
-			Threshold: o.breakerThreshold, Cooldown: o.breakerCooldown,
-			Registry: reg, Logger: logger,
-		})
+		breaker := serve.NewBreaker(serve.BreakerConfig{Registry: reg, Logger: logger})
 		cfg.Evaluator = breaker.Evaluator(coord, o.shardRuns)
 		fmt.Fprintf(w, "worker pool coordinator on %s (connect with: btworker -connect %s)\n", bound, bound)
 	}

@@ -68,7 +68,8 @@ type Config struct {
 	// DefaultForwardTimeout). Streams are bounded by the client, not the
 	// gateway.
 	ForwardTimeout time.Duration
-	// Registry receives gateway.* metrics (nil disables export).
+	// Registry receives gateway.* metrics (nil = a private one, read only
+	// through the gateway's own /metrics).
 	Registry *obs.Registry
 	// Logger receives routing events (nil = no logging).
 	Logger *slog.Logger
@@ -123,6 +124,10 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	reg := cfg.Registry
 	g := &Gateway{
 		cfg:      cfg,
 		ring:     ring,
@@ -132,12 +137,20 @@ func New(cfg Config) (*Gateway, error) {
 		inflight: make([]int, len(cfg.Replicas)),
 		book:     health.NewBook[int](strikeThreshold, strikeWindow),
 
-		requests: &obs.Counter{}, batchRequests: &obs.Counter{}, batchItemsC: &obs.Counter{},
-		spills: &obs.Counter{}, fills: &obs.Counter{}, fillMisses: &obs.Counter{},
-		retries: &obs.Counter{}, replicaErrors: &obs.Counter{}, strikes: &obs.Counter{},
-		shed:      &obs.Counter{},
-		quarGauge: &obs.Gauge{}, inflightGauge: &obs.Gauge{},
-		latency: &obs.Histogram{}, upstream: &obs.Histogram{},
+		requests:      reg.Counter("gateway.requests"),
+		batchRequests: reg.Counter("gateway.batch.requests"),
+		batchItemsC:   reg.Counter("gateway.batch.items"),
+		spills:        reg.Counter("gateway.spills"),
+		fills:         reg.Counter("gateway.fill.hits"),
+		fillMisses:    reg.Counter("gateway.fill.misses"),
+		retries:       reg.Counter("gateway.retries"),
+		replicaErrors: reg.Counter("gateway.replica_errors"),
+		strikes:       reg.Counter("gateway.strikes"),
+		shed:          reg.Counter("gateway.shed"),
+		quarGauge:     reg.Gauge("gateway.quarantined"),
+		inflightGauge: reg.Gauge("gateway.inflight"),
+		latency:       reg.Histogram("gateway.latency_ms"),
+		upstream:      reg.Histogram("gateway.upstream_ms"),
 	}
 	g.client = cfg.Client
 	if g.client == nil {
@@ -148,29 +161,11 @@ func New(cfg Config) (*Gateway, error) {
 		tr.MaxIdleConnsPerHost = 128
 		g.client = &http.Client{Transport: tr}
 	}
-	if reg := cfg.Registry; reg != nil {
-		g.requests = reg.Counter("gateway.requests")
-		g.batchRequests = reg.Counter("gateway.batch.requests")
-		g.batchItemsC = reg.Counter("gateway.batch.items")
-		g.spills = reg.Counter("gateway.spills")
-		g.fills = reg.Counter("gateway.fill.hits")
-		g.fillMisses = reg.Counter("gateway.fill.misses")
-		g.retries = reg.Counter("gateway.retries")
-		g.replicaErrors = reg.Counter("gateway.replica_errors")
-		g.strikes = reg.Counter("gateway.strikes")
-		g.shed = reg.Counter("gateway.shed")
-		g.quarGauge = reg.Gauge("gateway.quarantined")
-		g.inflightGauge = reg.Gauge("gateway.inflight")
-		g.latency = reg.Histogram("gateway.latency_ms")
-		g.upstream = reg.Histogram("gateway.upstream_ms")
-	}
 	g.mux.HandleFunc("POST /v1/query", g.handleQuery)
 	g.mux.HandleFunc("POST /v1/batch", g.handleBatch)
 	g.mux.HandleFunc("POST /v1/stream", g.handleStream)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	if cfg.Registry != nil {
-		g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	}
+	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	return g, nil
 }
 
@@ -213,46 +208,9 @@ func (g *Gateway) release(i int) {
 	g.mu.Unlock()
 }
 
-// route picks the serving replica for a content-addressed key — the
-// key's home unless the home is quarantined (walk to the next healthy
-// replica) or over its bounded-load share (spill likewise) — and
-// acquires it. The caller must release(target) when the proxied
-// exchange ends.
-func (g *Gateway) route(key string) (target, home int, spilled bool) {
-	order := g.ring.Walk(key)
-	now := g.cfg.now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	healthy := g.healthyLocked(order, now)
-	home = healthy[0]
-	// Bounded load: ceil(c·(total+1)/healthy) concurrent exchanges per
-	// replica; the +1 counts this request.
-	cap := int(float64(g.total+1)*g.cfg.LoadFactor/float64(len(healthy))) + 1
-	target = home
-	for _, i := range healthy {
-		if g.inflight[i] < cap {
-			target = i
-			break
-		}
-	}
-	g.acquireLocked(target)
-	return target, home, target != home
-}
-
-// homeFor returns the key's first healthy ring replica. Batch items go
-// to their home without the bounded-load spill, and nothing is acquired
-// here: a sub-batch is one exchange however many items it carries, and
-// forwardSubBatch accounts for it.
-func (g *Gateway) homeFor(key string, now time.Time) int {
-	order := g.ring.Walk(key)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.healthyLocked(order, now)[0]
-}
-
 // strikeReplica records a transport-level failure against replica i: a
-// dial/read error or a truncated sub-batch. Real per-request statuses
-// (400/429/504) are the client's business and never strike.
+// dial/read error or a truncated or malformed reply. Real per-request
+// statuses (400/429/504) are the client's business and never strike.
 func (g *Gateway) strikeReplica(i int, err error) {
 	g.replicaErrors.Inc()
 	g.strikes.Inc()
@@ -281,36 +239,161 @@ func (g *Gateway) quarantinedLocked(now time.Time) int {
 	return n
 }
 
-// decode parses and canonicalizes a single-query body (the serve
-// schema, verbatim — the gateway speaks exactly the replica dialect).
-func (g *Gateway) decode(w http.ResponseWriter, r *http.Request) (*serve.Request, bool) {
-	req, err := serve.DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		g.writeErr(w, serve.ErrorStatus(err), err)
-		return nil, false
-	}
-	return req, true
+// exchange is one proxied request: what to send where, and what to do
+// with the reply.
+type exchange struct {
+	key  string // the content address whose ring walk orders the replicas
+	path string
+	// body is forwarded as it arrived: the gateway validated it with the
+	// replica's own decoder, and the replica canonicalizes whatever
+	// arrives, as it must.
+	body []byte
+	// items is the size of a sub-batch, 0 for a single or a stream. A
+	// sub-batch skips the bounded-load spill: it is one exchange however
+	// many items it carries, and a spill would miss the successor's cache
+	// on every one of them.
+	items int
+	// stream lifts ForwardTimeout: a stream is bounded by its client.
+	stream bool
+	// fill, if set, is offered a spilled request's home before anything is
+	// forwarded; true means it answered the client.
+	fill func(home int) bool
+	// consume takes the response, whatever its status — what a replica
+	// chose to answer is the client's business — and returns an error only
+	// while nothing has reached the client and the reply is unusable: a
+	// body cut short, a line that is not the protocol's.
+	consume func(target, home int, resp *http.Response) error
 }
 
-// forward proxies one canonical request to replica i's path and returns
-// the response. The caller owns resp.Body.
-func (g *Gateway) forward(ctx context.Context, i int, path string, body []byte, sp *trace.Span) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.cfg.Replicas[i]+path, bytes.NewReader(body))
+// do runs x, and is the gateway's only forwarding code: /v1/query,
+// /v1/stream (until its first byte is relayed) and every /v1/batch
+// sub-batch go through it, so the tier's failure policy is this
+// function. It walks the key's ring order over the replicas that are
+// not quarantined, holding one in-flight count on the replica being
+// tried. A transport error or an unusable reply strikes that replica
+// and moves on to the next successor — requests are pure functions of
+// their canonical form, so a replay elsewhere is safe by construction.
+// A caller that went away is neither: the attempt failed because ctx,
+// the inbound request's context, ended, which says nothing about the
+// replica, so do stops there with no strike and no retry. (The
+// per-attempt ForwardTimeout running out is still the replica's strike.)
+func (g *Gateway) do(ctx context.Context, x exchange) error {
+	g.mu.Lock()
+	healthy := g.healthyLocked(g.ring.Walk(x.key), g.cfg.now())
+	home := healthy[0]
+	if x.items == 0 {
+		// Bounded load: ceil(c·(total+1)/healthy) concurrent exchanges per
+		// replica; the +1 counts this request. The first replica under its
+		// share goes first, the rest of the walk keeps its order behind it.
+		cap := int(float64(g.total+1)*g.cfg.LoadFactor/float64(len(healthy))) + 1
+		for j, i := range healthy {
+			if g.inflight[i] < cap {
+				copy(healthy[1:j+1], healthy[:j])
+				healthy[0] = i
+				break
+			}
+		}
+	}
+	g.acquireLocked(healthy[0])
+	g.mu.Unlock()
+	if healthy[0] != home {
+		g.spills.Inc()
+		if x.fill != nil && x.fill(home) {
+			g.release(healthy[0])
+			return nil
+		}
+	}
+	var err error
+	for n, target := range healthy {
+		if n > 0 {
+			g.mu.Lock()
+			g.acquireLocked(target)
+			g.mu.Unlock()
+		}
+		err = g.attempt(ctx, x, target, home)
+		g.release(target)
+		if err == nil || ctx.Err() != nil {
+			return err
+		}
+		g.strikeReplica(target, err)
+		g.retries.Inc()
+	}
+	return fmt.Errorf("all replicas unreachable: %v", err)
+}
+
+// attempt forwards x to replica target once and hands the response to
+// x.consume.
+func (g *Gateway) attempt(ctx context.Context, x exchange, target, home int) error {
+	ctx, fsp := trace.Start(ctx, "forward")
+	defer fsp.End()
+	fsp.Annotate("replica", g.cfg.Replicas[target])
+	if x.items > 0 {
+		fsp.AnnotateInt("items", x.items)
+	}
+	if !x.stream {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, g.cfg.ForwardTimeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.cfg.Replicas[target]+x.path, bytes.NewReader(x.body))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if sp != nil {
+	if fsp != nil {
 		// Hand the trace identity down: the replica adopts this ID and
 		// parents its ingress span under the gateway's forward span, so
 		// one trace covers both tiers.
-		req.Header.Set("X-Trace-Id", sp.TraceID())
-		req.Header.Set("X-Parent-Span", sp.ID())
+		req.Header.Set("X-Trace-Id", fsp.TraceID())
+		req.Header.Set("X-Parent-Span", fsp.ID())
 	}
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	g.upstream.Observe(float64(time.Since(start).Milliseconds()))
-	return resp, err
+	if err == nil {
+		err = x.consume(target, home, resp)
+		resp.Body.Close() //nolint:errcheck
+	}
+	if err != nil {
+		fsp.Annotate("outcome", "error")
+		return err
+	}
+	fsp.Annotate("outcome", strconv.Itoa(resp.StatusCode))
+	return nil
+}
+
+// ingress opens a request's root span and announces its trace.
+func (g *Gateway) ingress(w http.ResponseWriter, r *http.Request, key, path string) (context.Context, *trace.Span) {
+	ctx, root := g.tracer.Root(r.Context(), key, "ingress")
+	if root != nil {
+		root.Annotate("path", path)
+		w.Header().Set("X-Trace-Id", root.TraceID())
+	}
+	return ctx, root
+}
+
+// single is the preamble /v1/query and /v1/stream share: read the body,
+// validate it with the replica's own decoder (the gateway speaks exactly
+// the replica dialect, 400s included), and open the root span. The
+// returned exchange carries the key, the path and the bytes as read.
+func (g *Gateway) single(w http.ResponseWriter, r *http.Request, path string) (context.Context, *trace.Span, exchange, bool) {
+	g.requests.Inc()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		err = fmt.Errorf("%w: %v", serve.ErrBadRequest, err)
+	}
+	var req *serve.Request
+	if err == nil {
+		req, err = serve.DecodeBatchItem(body)
+	}
+	if err != nil {
+		g.writeErr(w, serve.ErrorStatus(err), err)
+		return nil, nil, exchange{}, false
+	}
+	key := req.Key()
+	ctx, root := g.ingress(w, r, key, path)
+	root.Annotate("kind", req.Kind)
+	return ctx, root, exchange{key: key, path: path, body: body}, true
 }
 
 // passHeaders copies the replica headers the client contract promises
@@ -327,117 +410,69 @@ func copyHeaders(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// handleQuery routes one canonical query to its replica and relays the
-// response bytes untouched.
+// handleQuery routes one query to its replica and relays the response
+// bytes untouched.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	g.requests.Inc()
 	start := time.Now()
 	defer func() { g.latency.Observe(float64(time.Since(start).Milliseconds())) }()
-	req, ok := g.decode(w, r)
+	ctx, root, x, ok := g.single(w, r, "/v1/query")
 	if !ok {
 		return
 	}
-	key := req.Key()
-	tctx, root := g.tracer.Root(r.Context(), key, "ingress")
 	defer root.End()
-	if root != nil {
-		root.Annotate("kind", req.Kind)
-		root.Annotate("path", "/v1/query")
-		w.Header().Set("X-Trace-Id", root.TraceID())
-	}
-	w.Header().Set("X-Cache-Key", key)
-	body, err := json.Marshal(req)
-	if err != nil {
-		g.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	target, home, spilled := g.route(key)
-	defer g.release(target)
-	if spilled {
-		g.spills.Inc()
-		if root != nil {
-			root.Annotate("route", "spill")
-		}
+	w.Header().Set("X-Cache-Key", x.key)
+	x.fill = func(home int) bool {
+		root.Annotate("route", "spill")
 		// The home replica probably holds this key's bytes — its cache is
 		// why the key was homed there. Serving the home's cached bytes
 		// beats recomputing on the spill target.
-		if cached, ok := g.probeCache(tctx, home, key); ok {
-			g.fills.Inc()
-			w.Header().Set("X-Cache", "fill")
-			w.Header().Set("X-Replica", g.cfg.Replicas[home])
-			w.Header().Set("X-Route", "fill")
-			g.writeBody(w, http.StatusOK, cached)
-			return
+		cached, ok := g.probeCache(ctx, home, x.key)
+		if !ok {
+			g.fillMisses.Inc()
+			return false
 		}
-		g.fillMisses.Inc()
+		g.fills.Inc()
+		w.Header().Set("X-Cache", "fill")
+		w.Header().Set("X-Replica", g.cfg.Replicas[home])
+		w.Header().Set("X-Route", "fill")
+		g.writeBody(w, http.StatusOK, cached)
+		return true
 	}
-
-	// Forward, retrying transport failures on the ring-walk successors:
-	// requests are pure functions of their canonical form, so a replay
-	// on another replica is safe by construction.
-	order := append([]int{target}, g.ring.Walk(key)...)
-	tried := make(map[int]bool, len(order))
-	var lastErr error
-	for _, i := range order {
-		if tried[i] {
-			continue
-		}
-		tried[i] = true
-		fctx, fsp := trace.Start(tctx, "forward")
-		if fsp != nil {
-			fsp.Annotate("replica", g.cfg.Replicas[i])
-		}
-		ctx, cancel := context.WithTimeout(fctx, g.cfg.ForwardTimeout)
-		resp, err := g.forward(ctx, i, "/v1/query", body, fsp)
+	x.consume = func(target, home int, resp *http.Response) error {
+		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			cancel()
-			fsp.Annotate("outcome", "error")
-			fsp.End()
-			g.strikeReplica(i, err)
-			g.retries.Inc()
-			lastErr = err
-			continue
+			return err
 		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close() //nolint:errcheck
-		cancel()
-		if err != nil {
-			fsp.Annotate("outcome", "error")
-			fsp.End()
-			g.strikeReplica(i, err)
-			g.retries.Inc()
-			lastErr = err
-			continue
-		}
-		fsp.Annotate("outcome", strconv.Itoa(resp.StatusCode))
-		fsp.End()
 		if resp.StatusCode == http.StatusTooManyRequests {
 			g.shed.Inc()
 		}
 		copyHeaders(w, resp)
-		w.Header().Set("X-Replica", g.cfg.Replicas[i])
+		w.Header().Set("X-Replica", g.cfg.Replicas[target])
 		route := "home"
-		if i != home {
+		if target != home {
 			route = "spill"
 		}
 		w.Header().Set("X-Route", route)
 		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(respBody)
-		return
+		_, _ = w.Write(body)
+		return nil
 	}
-	g.writeErr(w, http.StatusBadGateway, fmt.Errorf("all replicas unreachable: %v", lastErr))
+	if err := g.do(ctx, x); err != nil && ctx.Err() == nil {
+		g.writeErr(w, http.StatusBadGateway, err)
+	}
 }
 
 // probeCache asks replica i's cache endpoint for key, bounded by
 // fillTimeout.
 func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, bool) {
-	fctx, sp := trace.Start(tctx, "fill")
-	defer sp.End()
-	if sp != nil {
-		sp.Annotate("replica", g.cfg.Replicas[i])
-	}
-	ctx, cancel := context.WithTimeout(fctx, fillTimeout)
+	ctx, sp := trace.Start(tctx, "fill")
+	outcome := "error"
+	defer func() {
+		sp.Annotate("outcome", outcome)
+		sp.End()
+	}()
+	sp.Annotate("replica", g.cfg.Replicas[i])
+	ctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Replicas[i]+"/v1/cache/"+key, nil)
 	if err != nil {
@@ -445,21 +480,19 @@ func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, b
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		sp.Annotate("outcome", "error")
 		return nil, false
 	}
 	defer resp.Body.Close() //nolint:errcheck
 	if resp.StatusCode != http.StatusOK {
-		sp.Annotate("outcome", "miss")
+		outcome = "miss"
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, false
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		sp.Annotate("outcome", "error")
 		return nil, false
 	}
-	sp.Annotate("outcome", "hit")
+	outcome = "hit"
 	return body, true
 }
 
@@ -468,67 +501,47 @@ func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, b
 // there is no fill path; bounded load still applies (a stream occupies
 // a replica slot for its whole life).
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	g.requests.Inc()
-	req, ok := g.decode(w, r)
+	ctx, root, x, ok := g.single(w, r, "/v1/stream")
 	if !ok {
 		return
 	}
-	key := req.Key()
-	tctx, root := g.tracer.Root(r.Context(), key, "ingress")
 	defer root.End()
-	if root != nil {
-		root.Annotate("kind", req.Kind)
-		root.Annotate("path", "/v1/stream")
-		w.Header().Set("X-Trace-Id", root.TraceID())
+	x.stream = true
+	x.consume = func(target, _ int, resp *http.Response) error {
+		buf := make([]byte, 32<<10)
+		n, err := resp.Body.Read(buf)
+		if n == 0 && err != nil && err != io.EOF {
+			// Not a byte relayed yet: a successor can still serve the whole
+			// stream. Past this point the client owns whatever happens.
+			return err
+		}
+		copyHeaders(w, resp)
+		w.Header().Set("X-Replica", g.cfg.Replicas[target])
+		w.WriteHeader(resp.StatusCode)
+		rc := http.NewResponseController(w)
+		for ; ; n, err = resp.Body.Read(buf) {
+			if n > 0 {
+				if _, werr := w.Write(buf[:n]); werr != nil {
+					return nil
+				}
+				_ = rc.Flush() // best effort: a writer that cannot flush still relays
+			}
+			if err != nil {
+				return nil
+			}
+		}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		g.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	target, _, spilled := g.route(key)
-	defer g.release(target)
-	if spilled {
-		g.spills.Inc()
-	}
-	fctx, fsp := trace.Start(tctx, "forward")
-	defer fsp.End()
-	if fsp != nil {
-		fsp.Annotate("replica", g.cfg.Replicas[target])
-	}
-	resp, err := g.forward(fctx, target, "/v1/stream", body, fsp)
-	if err != nil {
-		g.strikeReplica(target, err)
+	if err := g.do(ctx, x); err != nil && ctx.Err() == nil {
 		g.writeErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	copyHeaders(w, resp)
-	w.Header().Set("X-Replica", g.cfg.Replicas[target])
-	w.WriteHeader(resp.StatusCode)
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if rerr != nil {
-			return
-		}
 	}
 }
 
-// handleBatch fans a canonical batch out to each item's home replica as
-// per-replica sub-batches, then reassembles the items in input order.
-// Canonicalization happens once, here — the replicas receive
-// already-canonical requests. Per-item statuses (including 429 retry
-// hints) pass through verbatim.
+// handleBatch fans a batch out as one sub-batch per ring owner, then
+// reassembles the items in input order. Each item is validated here
+// with the replica's own decoder — an item it rejects is answered here
+// and never forwarded — and the rest travel as the bytes they arrived
+// in. Per-item statuses (including 429 retry hints) pass through
+// verbatim.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Inc()
 	g.batchRequests.Inc()
@@ -540,65 +553,50 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.batchItemsC.Add(int64(len(raw)))
-	tctx, root := g.tracer.Root(r.Context(), serve.BatchKey(raw), "ingress")
+	ctx, root := g.ingress(w, r, serve.BatchKey(raw), "/v1/batch")
 	defer root.End()
-	if root != nil {
-		root.Annotate("path", "/v1/batch")
-		root.AnnotateInt("items", len(raw))
-		w.Header().Set("X-Trace-Id", root.TraceID())
-	}
+	root.AnnotateInt("items", len(raw))
 
-	items := make([]batchLine, len(raw))
-	// Group valid items by their healthy home replica.
-	type group struct {
-		indices []int             // original positions
-		bodies  []json.RawMessage // canonical request bodies
-	}
-	groups := map[int]*group{}
-	now := g.cfg.now()
-	for i, rawItem := range raw {
-		req, err := serve.DecodeBatchItem(rawItem)
+	// A sub-batch is the items that share a ring owner, walked from its
+	// first item's key: with the owner quarantined the group moves to that
+	// key's first healthy successor as one unit.
+	lines := make([]batchLine, len(raw))
+	subs := make([]subBatch, len(g.cfg.Replicas))
+	for i, item := range raw {
+		req, err := serve.DecodeBatchItem(item)
 		if err != nil {
-			items[i] = errorLine(i, serve.ErrorStatus(err), err.Error(), 0)
+			lines[i] = errorLine(i, serve.ErrorStatus(err), err.Error(), 0)
 			continue
 		}
-		body, merr := json.Marshal(req)
-		if merr != nil {
-			items[i] = errorLine(i, http.StatusInternalServerError, merr.Error(), 0)
-			continue
+		key := req.Key()
+		sub := &subs[g.ring.Owner(key)]
+		if len(sub.indices) == 0 {
+			sub.key = key
+			sub.body = append(make([]byte, 0, len(item)+1), '[')
+		} else {
+			sub.body = append(sub.body, ',')
 		}
-		target := g.homeFor(req.Key(), now)
-		grp := groups[target]
-		if grp == nil {
-			grp = &group{}
-			groups[target] = grp
-		}
-		grp.indices = append(grp.indices, i)
-		grp.bodies = append(grp.bodies, body)
+		sub.indices = append(sub.indices, i)
+		sub.body = append(sub.body, item...)
 	}
-
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards items writes from sub-batch goroutines
-	for target, grp := range groups {
-		wg.Add(1)
-		go func(target int, grp *group) {
-			defer wg.Done()
-			sub := g.forwardSubBatch(tctx, target, grp.bodies, grp.indices)
-			mu.Lock()
-			defer mu.Unlock()
-			for j, idx := range grp.indices {
-				items[idx] = sub[j]
-			}
-		}(target, grp)
+	for i := range subs {
+		if sub := &subs[i]; len(sub.indices) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.forwardSub(ctx, sub, lines) // writes only lines[sub.indices...]
+			}()
+		}
 	}
 	wg.Wait()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	sum := serve.BatchSummary{Type: "summary", Items: len(items)}
-	for i := range items {
-		switch items[i].status {
+	sum := serve.BatchSummary{Type: "summary", Items: len(lines)}
+	for i := range lines {
+		switch lines[i].status {
 		case http.StatusOK:
 			sum.OK++
 		case http.StatusTooManyRequests:
@@ -608,7 +606,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			sum.Errors++
 		}
-		_, _ = bw.Write(items[i].raw)
+		_, _ = bw.Write(lines[i].raw)
 		_ = bw.WriteByte('\n')
 	}
 	sb, _ := json.Marshal(sum)
@@ -617,8 +615,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_ = bw.Flush()
 }
 
+// subBatch is one replica's share of a batch.
+type subBatch struct {
+	key     string // the first item's: where the ring walk starts
+	indices []int  // the items' positions in the caller's batch
+	body    []byte // "[item,item,..." — forwardSub closes the array
+}
+
 // batchLine is one ready-to-emit JSONL item: the replica's bytes pass
-// through with only the index spliced, never decoded and re-encoded —
+// through with only the index rewritten, never decoded and re-encoded —
 // the batch hot path is dominated by JSON work, so the gateway does the
 // minimum of it.
 type batchLine struct {
@@ -632,114 +637,106 @@ func errorLine(index, status int, msg string, retrySec int) batchLine {
 	return batchLine{raw: b, status: status}
 }
 
-// spliceIndex returns a copy of a replica item line with the value of
-// its "index" field replaced by index, or false when the line has no
-// such field. BatchItem marshals "type" then "index" first, so the
-// first occurrence is the field and never a match inside the payload.
-func spliceIndex(line []byte, index int) ([]byte, bool) {
-	const tag = `"index":`
-	i := bytes.Index(line, []byte(tag))
-	if i < 0 {
-		return nil, false
+// The fixed head of every line json.Marshal(serve.BatchItem) produces:
+// BatchItem's field order puts type, index and status first, so the
+// routing fields are read off the prefix and the payload behind them —
+// the big Response blob — is never parsed.
+const (
+	itemHead    = `{"type":"item","index":`
+	statusHead  = `,"status":`
+	summaryHead = `{"type":"summary"`
+)
+
+// digits reads the decimal number b starts with — at most nine digits,
+// which no index or status needs more of — and returns it with its
+// width; width 0 means b does not start with one.
+func digits(b []byte) (n, width int) {
+	for width < len(b) && width < 9 && b[width] >= '0' && b[width] <= '9' {
+		n = n*10 + int(b[width]-'0')
+		width++
 	}
-	start := i + len(tag)
-	end := start
-	for end < len(line) && line[end] >= '0' && line[end] <= '9' {
-		end++
-	}
-	if end == start {
-		return nil, false
-	}
-	out := make([]byte, 0, len(line)+8)
-	out = append(out, line[:start]...)
-	out = strconv.AppendInt(out, int64(index), 10)
-	out = append(out, line[end:]...)
-	return out, true
+	return n, width
 }
 
-// forwardSubBatch sends one replica its share of a batch and returns
-// ready-to-emit item lines in sub-batch order, each with its index
-// spliced back to the caller's position. Transport failures mark every
-// item 502; non-200 replica responses stamp the replica's status (and
-// Retry-After, for a saturated replica) onto every item.
-func (g *Gateway) forwardSubBatch(tctx context.Context, target int, bodies []json.RawMessage, indices []int) []batchLine {
-	out := make([]batchLine, len(bodies))
-	fail := func(status int, msg string, retrySec int) []batchLine {
-		for i := range out {
-			out[i] = errorLine(indices[i], status, msg, retrySec)
-		}
-		return out
+// splitItemLine reads index and status off an item line's fixed prefix,
+// {"type":"item","index":N,"status":S, and returns what follows the
+// index, so that itemHead + a new index + rest is the same line
+// re-indexed. ok is false for every other line.
+func splitItemLine(line []byte) (index, status int, rest []byte, ok bool) {
+	if !bytes.HasPrefix(line, []byte(itemHead)) {
+		return 0, 0, nil, false
 	}
-	payload, err := json.Marshal(bodies)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err.Error(), 0)
+	index, w := digits(line[len(itemHead):])
+	rest = line[len(itemHead)+w:]
+	if w == 0 || !bytes.HasPrefix(rest, []byte(statusHead)) {
+		return 0, 0, nil, false
 	}
-	fctx, fsp := trace.Start(tctx, "forward")
-	defer fsp.End()
-	if fsp != nil {
-		fsp.Annotate("replica", g.cfg.Replicas[target])
-		fsp.AnnotateInt("items", len(bodies))
+	status, w = digits(rest[len(statusHead):])
+	end := len(statusHead) + w
+	if w == 0 || end == len(rest) || (rest[end] != ',' && rest[end] != '}') {
+		return 0, 0, nil, false
 	}
-	ctx, cancel := context.WithTimeout(fctx, g.cfg.ForwardTimeout)
-	defer cancel()
+	return index, status, rest, true
+}
 
-	g.mu.Lock()
-	g.acquireLocked(target)
-	g.mu.Unlock()
-	defer g.release(target)
-	resp, err := g.forward(ctx, target, "/v1/batch", payload, fsp)
-	if err != nil {
-		fsp.Annotate("outcome", "error")
-		g.strikeReplica(target, err)
-		return fail(http.StatusBadGateway, "replica unreachable: "+err.Error(), 0)
+// reindexed is the line rest was split from, under a new index: the one
+// copy a relayed item costs.
+func reindexed(index int, rest []byte) []byte {
+	out := make([]byte, 0, len(itemHead)+len(rest)+8)
+	out = strconv.AppendInt(append(out, itemHead...), int64(index), 10)
+	return append(out, rest...)
+}
+
+// forwardSub sends one sub-batch and writes its items' ready-to-emit
+// lines, each re-indexed to the caller's position, into lines. A
+// non-200 reply stamps the replica's status (and Retry-After, for a
+// saturated replica) onto every item; a reply that is cut short, answers
+// an item twice or not at all, or holds a line that is neither an item
+// nor the terminal summary is no reply, and the sub-batch goes to the
+// next successor. With no replica left every item is a 502.
+func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLine) {
+	fail := func(status int, msg string, retrySec int) {
+		for _, idx := range sub.indices {
+			lines[idx] = errorLine(idx, status, msg, retrySec)
+		}
 	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		fsp.Annotate("outcome", strconv.Itoa(resp.StatusCode))
-		retrySec := 0
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			retrySec, _ = strconv.Atoi(s)
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fail(resp.StatusCode, string(bytes.TrimSpace(msg)), retrySec)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), serve.MaxBatchBytes)
-	got := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		// One cheap decode pulls the routing fields; the payload itself
-		// (the big Response blob) is never parsed or re-encoded.
-		var probe struct {
-			Type   string `json:"type"`
-			Index  int    `json:"index"`
-			Status int    `json:"status"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil || probe.Type != "item" {
-			continue // summary line or noise
-		}
-		if probe.Index < 0 || probe.Index >= len(out) {
-			continue
-		}
-		spliced, ok := spliceIndex(line, indices[probe.Index])
-		if !ok {
-			spliced = append([]byte(nil), line...)
-		}
-		out[probe.Index] = batchLine{raw: spliced, status: probe.Status}
-		got++
-	}
-	if err := sc.Err(); err != nil || got != len(out) {
-		fsp.Annotate("outcome", "truncated")
-		g.strikeReplica(target, fmt.Errorf("sub-batch answered %d/%d items: %v", got, len(out), err))
-		for i := range out {
-			if out[i].raw == nil {
-				out[i] = errorLine(indices[i], http.StatusBadGateway, "replica sub-batch truncated", 0)
+	err := g.do(ctx, exchange{
+		key: sub.key, path: "/v1/batch", body: append(sub.body, ']'), items: len(sub.indices),
+		consume: func(_, _ int, resp *http.Response) error {
+			if resp.StatusCode != http.StatusOK {
+				retrySec, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+				fail(resp.StatusCode, string(bytes.TrimSpace(msg)), retrySec)
+				return nil
 			}
-		}
-		return out
+			got := make([]batchLine, len(sub.indices))
+			n := 0
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 0, 64<<10), serve.MaxBatchBytes)
+			for sc.Scan() {
+				line := sc.Bytes()
+				index, status, rest, ok := splitItemLine(line)
+				switch {
+				case ok && index < len(got) && got[index].raw == nil:
+					got[index] = batchLine{raw: reindexed(sub.indices[index], rest), status: status}
+					n++
+				case !ok && bytes.HasPrefix(line, []byte(summaryHead)):
+				default:
+					return fmt.Errorf("sub-batch reply line %.60q is not the protocol's", line)
+				}
+			}
+			if err := sc.Err(); err != nil || n != len(got) {
+				return fmt.Errorf("sub-batch answered %d/%d items: %v", n, len(got), err)
+			}
+			for j, idx := range sub.indices {
+				lines[idx] = got[j]
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		fail(http.StatusBadGateway, "replica unreachable: "+err.Error(), 0)
 	}
-	fsp.Annotate("outcome", "200")
-	return out
 }
 
 // replicaState is one /healthz row.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/par"
@@ -120,116 +119,81 @@ func ErrorStatus(err error) int {
 }
 
 // handleBatch is the amortized-throughput path: a JSON array of
-// canonical requests answered as order-preserving JSONL, one BatchItem
-// line per input item plus a terminal BatchSummary. Canonicalization is
-// amortized — identical items share one key, one cache probe, and one
-// computation (the in-batch dedup rides the same singleflight the
-// cross-request dedup uses). Per-item failures are per-item statuses;
-// the batch itself only fails (400) when the array is malformed.
+// requests answered as order-preserving JSONL, one BatchItem line per
+// input item plus a terminal BatchSummary. It is the /v1/query pipeline
+// over many requests: every item goes through the same decoder, identical
+// items share one key and so one cache probe and one computation, and
+// the unique keys resolve through the same resolve a single does.
+// Per-item failures are per-item statuses; the batch itself only fails
+// (400) when the array is malformed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.batchRequests.Inc()
-	start := time.Now()
-	defer func() { s.latency.Observe(float64(time.Since(start).Milliseconds())) }()
+	defer s.observeLatency(time.Now())
 	items, err := SplitBatch(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
 	s.batchItems.Add(int64(len(items)))
-	tctx, root := s.rootSpan(r, BatchKey(items))
+	tctx, root := s.rootSpan(w, r, BatchKey(items), "/v1/batch")
 	defer root.End()
-	if root != nil {
-		root.Annotate("path", "/v1/batch")
-		root.AnnotateInt("items", len(items))
-		w.Header().Set("X-Trace-Id", root.TraceID())
-	}
+	root.AnnotateInt("items", len(items))
 
 	// Decode + canonicalize every item first, grouping identical keys so
 	// N copies of one request cost one resolution.
-	type slot struct {
-		req *Request
-		key string
-		err error
-	}
-	slots := make([]slot, len(items))
-	order := make([]string, 0, len(items)) // unique keys, first-seen order
-	byKey := make(map[string]*Request, len(items))
+	bad := make([]error, len(items))     // per item: why it never became a request
+	slot := make([]int, len(items))      // per valid item: its index in uniq
+	uniq := make([]keyed, 0, len(items)) // first-seen order
+	byKey := make(map[string]int, len(items))
 	for i, raw := range items {
 		req, err := DecodeBatchItem(raw)
 		if err != nil {
-			slots[i] = slot{err: err}
+			bad[i] = err
 			continue
 		}
 		key := req.Key()
-		slots[i] = slot{req: req, key: key}
-		if _, ok := byKey[key]; !ok {
-			byKey[key] = req
-			order = append(order, key)
+		j, ok := byKey[key]
+		if !ok {
+			j = len(uniq)
+			byKey[key] = j
+			uniq = append(uniq, keyed{req: req, key: key})
 		}
+		slot[i] = j
 	}
-
-	// Resolve unique keys concurrently. The admission gate still bounds
-	// actual compute; cache hits cost no slot.
-	type outcome struct {
-		body []byte
-		src  string
-		err  error
+	answers := s.resolve(tctx, uniq)
+	if answers == nil {
+		return
 	}
-	results := make(map[string]*outcome, len(order))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, key := range order {
-		wg.Add(1)
-		go func(key string, req *Request) {
-			defer wg.Done()
-			body, src, err := s.resolve(tctx, req, key)
-			mu.Lock()
-			results[key] = &outcome{body: body, src: src, err: err}
-			mu.Unlock()
-		}(key, byKey[key])
-	}
-	wg.Wait()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	sum := BatchSummary{Type: "summary", Items: len(items)}
-	for i := range slots {
-		item := BatchItem{Type: "item", Index: i}
-		switch sl := &slots[i]; {
-		case sl.err != nil:
-			item.Status = ErrorStatus(sl.err)
-			item.Error = sl.err.Error()
-		default:
-			res := results[sl.key]
-			item.Key = sl.key
-			if res.err != nil {
-				item.Status = ErrorStatus(res.err)
-				item.Error = res.err.Error()
-			} else {
-				item.Status = http.StatusOK
-				item.Cache = res.src
-				item.Response = json.RawMessage(bytes.TrimSuffix(res.body, []byte("\n")))
-			}
+	for i := range items {
+		item := BatchItem{Type: "item", Index: i, Status: http.StatusOK}
+		err := bad[i]
+		if err == nil {
+			a := answers[slot[i]]
+			item.Key, item.Cache, err = uniq[slot[i]].key, a.src, a.err
+			item.Response = json.RawMessage(bytes.TrimSuffix(a.body, []byte("\n")))
 		}
-		switch item.Status {
-		case http.StatusOK:
+		if err != nil {
+			item.Status, item.Error = ErrorStatus(err), err.Error()
+			sum.Errors++
+			s.batchBad.Inc()
+		}
+		switch {
+		case item.Status == http.StatusOK:
 			sum.OK++
-		case http.StatusTooManyRequests:
+		case item.Status == http.StatusTooManyRequests:
 			// The per-item spelling of the 429 Retry-After header, derived
 			// from the same live-load formula.
 			item.RetryAfterSec = s.retryAfterSeconds()
 			sum.Shed++
-			sum.Errors++
 			s.shed.Inc()
-			s.batchBad.Inc()
-		default:
-			sum.Errors++
-			s.batchBad.Inc()
-			if item.Status >= 500 {
-				s.failures.Inc()
-			}
+		case item.Status >= 500:
+			s.failures.Inc()
 		}
 		_ = enc.Encode(item)
 	}

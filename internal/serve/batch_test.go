@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -220,6 +221,41 @@ func TestBatchItemsCarryRetryHints(t *testing.T) {
 	}
 	if sum.Shed != 2 || sum.Errors != 2 {
 		t.Fatalf("summary = %+v, want 2 shed", sum)
+	}
+}
+
+// TestColdBatchDoesNotShedItself: one client, alone, sending one batch
+// of distinct cold queries to an idle default server (4 workers, 16
+// queue slots) is told 200 for every item. The misses resolve at most
+// Workers at a time, so the batch waits for its own items; when every
+// unique key raced for the gate at once, the 21st onward shed each other.
+func TestColdBatchDoesNotShedItself(t *testing.T) {
+	_, ts, reg := newTestServer(t, Config{
+		// Long enough that no slot frees up while the rest arrive.
+		Evaluator: func(ctx context.Context, req *Request) (any, error) {
+			time.Sleep(2 * time.Millisecond)
+			return evaluate(ctx, req)
+		},
+	})
+	const n = 64
+	reqs := make([]string, n)
+	for i := range reqs {
+		reqs[i] = fmt.Sprintf(`{"kind":"model","seed":%d,"model":{"b":20,"k":3,"s":8,"runs":20}}`, i+1)
+	}
+	resp, items, sum := postBatch(t, ts.URL, "["+strings.Join(reqs, ",")+"]")
+	if resp.StatusCode != http.StatusOK || len(items) != n {
+		t.Fatalf("batch status %d with %d items", resp.StatusCode, len(items))
+	}
+	if sum == nil || sum.OK != n || sum.Shed != 0 || sum.Errors != 0 {
+		t.Fatalf("summary = %+v, want %d ok: a batch alone on an idle server shed its own items", sum, n)
+	}
+	for i, it := range items {
+		if it.Status != http.StatusOK || it.Cache != "miss" {
+			t.Fatalf("item %d: status %d cache %q (%s)", i, it.Status, it.Cache, it.Error)
+		}
+	}
+	if shed, comps := reg.Counter("serve.shed").Value(), reg.Counter("serve.computations").Value(); shed != 0 || comps != n {
+		t.Fatalf("serve.shed = %d, serve.computations = %d, want 0 and %d", shed, comps, n)
 	}
 }
 

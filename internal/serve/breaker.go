@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 )
 
@@ -18,10 +19,12 @@ const (
 	BreakerHalfOpen = "half-open"
 )
 
-// Defaults for BreakerConfig zero values.
+// The pool's strike policy (internal/health): breakerThreshold
+// infrastructure failures inside breakerWindow quarantine the pool for
+// that long, doubling per further strike.
 const (
-	defaultBreakerThreshold = 3
-	defaultBreakerCooldown  = 5 * time.Second
+	breakerThreshold = 3
+	breakerWindow    = 5 * time.Second
 )
 
 // HealthyPool is the optional pool introspection surface the breaker
@@ -34,14 +37,7 @@ type HealthyPool interface {
 
 // BreakerConfig configures a Breaker.
 type BreakerConfig struct {
-	// Threshold is how many consecutive pool infrastructure failures
-	// open the breaker (default 3; negative disables the breaker — the
-	// evaluator then behaves exactly like PoolEvaluator).
-	Threshold int
-	// Cooldown is how long the breaker stays open before a half-open
-	// probe is allowed (default 5s).
-	Cooldown time.Duration
-	// Registry receives serve.breaker_* metrics (nil disables).
+	// Registry receives serve.breaker_* metrics (nil = discard).
 	Registry *obs.Registry
 	// Logger receives state transitions (nil = discard).
 	Logger *slog.Logger
@@ -50,23 +46,25 @@ type BreakerConfig struct {
 	now func() time.Time
 }
 
-// Breaker is a closed/open/half-open circuit breaker guarding the pool
-// evaluator. While closed, requests flow to the worker pool; Threshold
-// consecutive pool failures (or a pool reporting zero healthy workers)
-// open it, and every request is served by the local evaluator instead —
-// degraded capacity, identical bytes, since pooled and local evaluation
-// are bit-equal by construction. After Cooldown one request probes the
-// pool (half-open): success closes the breaker, failure re-opens it.
+// Breaker guards the pool evaluator with the strike book the gateway
+// keeps per replica and dist per worker, over the one key it has: a
+// pool infrastructure failure is a strike, and while the pool is
+// quarantined (open) — or reports zero healthy workers — every request
+// is served by the local evaluator instead: degraded capacity, identical
+// bytes, since pooled and local evaluation are bit-equal by
+// construction. Quarantine expiry admits the next request as the probe
+// (half-open): success closes the breaker, failure is one more strike
+// under the book's policy — doubling the quarantine on a record the book
+// still holds, counting from one on a record it has forgiven.
 type Breaker struct {
-	cfg    BreakerConfig
 	logger *slog.Logger
 	now    func() time.Time
 
-	mu       sync.Mutex
-	state    string
-	fails    int       // consecutive pool failures while closed
-	openedAt time.Time // when the breaker last opened
-	probing  bool      // a half-open probe is in flight
+	mu   sync.Mutex
+	book *health.Book[struct{}]
+	// tripped is set by a quarantine and cleared by the pool's next
+	// answer: between the two, an unquarantined pool is half-open.
+	tripped bool
 
 	gState                      *obs.Gauge
 	cOpens, cFallbacks, cProbes *obs.Counter
@@ -74,146 +72,77 @@ type Breaker struct {
 
 // NewBreaker builds a Breaker from cfg.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = defaultBreakerThreshold
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = defaultBreakerCooldown
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	b := &Breaker{
-		cfg:    cfg,
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Breaker{
 		logger: obs.Component(obs.OrNop(cfg.Logger), "serve.breaker"),
 		now:    cfg.now,
-		state:  BreakerClosed,
+		book:   health.NewBook[struct{}](breakerThreshold, breakerWindow),
 
-		gState: &obs.Gauge{},
-		cOpens: &obs.Counter{}, cFallbacks: &obs.Counter{}, cProbes: &obs.Counter{},
+		gState:     reg.Gauge("serve.breaker_state"),
+		cOpens:     reg.Counter("serve.breaker_opens"),
+		cFallbacks: reg.Counter("serve.breaker_fallbacks"),
+		cProbes:    reg.Counter("serve.breaker_probes"),
 	}
-	if reg := cfg.Registry; reg != nil {
-		b.gState = reg.Gauge("serve.breaker_state")
-		b.cOpens = reg.Counter("serve.breaker_opens")
-		b.cFallbacks = reg.Counter("serve.breaker_fallbacks")
-		b.cProbes = reg.Counter("serve.breaker_probes")
-	}
-	return b
 }
 
 // State returns the current breaker state (one of the Breaker*
-// constants), resolving an elapsed cooldown to half-open.
+// constants).
 func (b *Breaker) State() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && !b.now().Before(b.openedAt.Add(b.cfg.Cooldown)) {
+	switch {
+	case b.book.Quarantined(struct{}{}, b.now()):
+		return BreakerOpen
+	case b.tripped:
 		return BreakerHalfOpen
 	}
-	return b.state
+	return BreakerClosed
 }
 
-// setStateLocked applies a transition and republishes the gauge.
-func (b *Breaker) setStateLocked(state string) {
-	if b.state == state {
-		return
+// usePool decides one request's route: false while the pool is
+// quarantined, true otherwise — as the probe, if the quarantine has
+// just expired.
+func (b *Breaker) usePool() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.book.Quarantined(struct{}{}, b.now()) {
+		return false
 	}
-	b.logger.Info("breaker transition", "from", b.state, "to", state)
-	b.state = state
-	switch state {
-	case BreakerClosed:
-		b.gState.Set(0)
-	case BreakerOpen:
-		b.gState.Set(1)
-	case BreakerHalfOpen:
+	if b.tripped {
+		b.cProbes.Inc()
 		b.gState.Set(2)
 	}
+	return true
 }
 
-// admit decides one request's route. usePool reports whether to attempt
-// the pool; probe marks the attempt as the half-open probe whose
-// outcome drives the next transition.
-func (b *Breaker) admit(healthy int, hasHealth bool) (usePool, probe bool) {
-	if b.cfg.Threshold < 0 {
-		return true, false
-	}
+// record folds a pool attempt's outcome into the book. infra reports
+// whether a failure is the pool's fault (as opposed to a bad request or
+// the caller's context, which say nothing about pool health).
+func (b *Breaker) record(err error, infra bool) {
 	now := b.now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// A pool with zero healthy workers cannot answer; trying would block
-	// Run until the request deadline. Trip straight to open.
-	if hasHealth && healthy == 0 {
-		if b.state == BreakerClosed {
-			b.cOpens.Inc()
-			b.openedAt = now
-			b.setStateLocked(BreakerOpen)
-			b.logger.Warn("breaker opened: zero healthy workers")
-		}
-		if b.state == BreakerOpen {
-			b.openedAt = now // restart cooldown while capacity is provably absent
-		}
-		b.cFallbacks.Inc()
-		return false, false
-	}
-	switch b.state {
-	case BreakerClosed:
-		return true, false
-	case BreakerOpen:
-		if now.Before(b.openedAt.Add(b.cfg.Cooldown)) {
-			b.cFallbacks.Inc()
-			return false, false
-		}
-		b.setStateLocked(BreakerHalfOpen)
-		fallthrough
-	default: // half-open: exactly one concurrent probe; the rest go local
-		if b.probing {
-			b.cFallbacks.Inc()
-			return false, false
-		}
-		b.probing = true
-		b.cProbes.Inc()
-		return true, true
-	}
-}
-
-// onResult folds a pool attempt's outcome back into the state machine.
-// infra reports whether the failure is the pool's fault (as opposed to
-// a bad request or the caller's context, which say nothing about pool
-// health).
-func (b *Breaker) onResult(probe bool, err error, infra bool) {
-	if b.cfg.Threshold < 0 {
-		return
-	}
-	now := b.now()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-		if err == nil {
-			b.fails = 0
-			b.setStateLocked(BreakerClosed)
-			b.logger.Info("breaker closed: probe succeeded")
-		} else if infra {
-			b.cOpens.Inc()
-			b.openedAt = now
-			b.setStateLocked(BreakerOpen)
-			b.logger.Warn("breaker re-opened: probe failed", "err", err)
-		}
-		// A probe failing on a non-infra error (bad request raced the
-		// half-open window) says nothing about the pool: stay half-open
-		// and let the next request probe.
-		return
-	}
+	// An attempt that was already in flight when the pool was quarantined
+	// still strikes (the ban escalates), but neither opens nor closes it.
+	open := b.book.Quarantined(struct{}{}, now)
 	switch {
-	case err == nil:
-		b.fails = 0
-	case infra && b.state == BreakerClosed:
-		b.fails++
-		if b.fails >= b.cfg.Threshold {
+	case err == nil && b.tripped && !open:
+		b.tripped = false
+		b.gState.Set(0)
+		b.logger.Info("breaker closed: probe succeeded")
+	case infra:
+		if b.book.Strike(struct{}{}, now) && !open {
+			b.tripped = true
 			b.cOpens.Inc()
-			b.openedAt = now
-			b.setStateLocked(BreakerOpen)
-			b.logger.Warn("breaker opened: consecutive pool failures",
-				"fails", b.fails, "err", err)
+			b.gState.Set(1)
+			b.logger.Warn("breaker opened: pool infrastructure failures",
+				"strikes", b.book.Strikes(struct{}{}), "err", err)
 		}
 	}
 }
@@ -236,7 +165,7 @@ func poolInfraFailure(ctx context.Context, err error) bool {
 }
 
 // Evaluator wraps PoolEvaluator(pool, shardRuns) with this breaker:
-// pool attempts feed the state machine, and any request the breaker
+// pool attempts feed the strike book, and any request the breaker
 // routes away from the pool — or that fails there for infrastructure
 // reasons — is answered by the local evaluator instead. Local fallback
 // is degraded (single-process) but returns byte-identical results, so
@@ -245,21 +174,20 @@ func (b *Breaker) Evaluator(pool Pool, shardRuns int) func(ctx context.Context, 
 	pooled := PoolEvaluator(pool, shardRuns)
 	hp, hasHealth := pool.(HealthyPool)
 	return func(ctx context.Context, req *Request) (any, error) {
-		healthy := 0
-		if hasHealth {
-			healthy = hp.HealthyWorkers()
-		}
-		usePool, probe := b.admit(healthy, hasHealth)
-		if usePool {
+		// A pool with zero healthy workers cannot answer; trying would block
+		// Run until the request deadline. Nothing was attempted, so it is
+		// not a strike either: the pool is used again as soon as it reports
+		// capacity.
+		if (!hasHealth || hp.HealthyWorkers() > 0) && b.usePool() {
 			result, err := pooled(ctx, req)
 			infra := poolInfraFailure(ctx, err)
-			b.onResult(probe, err, infra)
-			if err == nil || !infra {
+			b.record(err, infra)
+			if !infra {
 				return result, err
 			}
-			b.cFallbacks.Inc()
 			b.logger.Warn("pool evaluation failed, falling back to local", "err", err)
 		}
+		b.cFallbacks.Inc()
 		return Evaluate(ctx, req)
 	}
 }

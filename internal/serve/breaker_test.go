@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 // breakerClock is a manually advanced stub clock.
@@ -64,122 +65,151 @@ func breakerReq(t *testing.T) *Request {
 	return req
 }
 
-// TestBreakerOpenHalfOpenClosedCycle drives the full state machine:
-// consecutive pool failures open the breaker (requests keep succeeding
-// via local fallback, byte-identical), the cooldown admits a half-open
-// probe, and a healthy probe closes it again.
+// evalN sends n requests through eval, each of which must be
+// answered — by the pool or by local fallback — with exactly the local bytes.
+func evalN(t *testing.T, eval func(context.Context, *Request) (any, error), req *Request, n int, want []byte) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		got, err := eval(context.Background(), req)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
+			t.Fatalf("call %d: fallback diverges from local: %s vs %s", i, gj, want)
+		}
+	}
+}
+
+func localJSON(t *testing.T, req *Request) []byte {
+	t.Helper()
+	want, err := Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := json.Marshal(want)
+	return b
+}
+
+// TestBreakerOpenHalfOpenClosedCycle drives the full cycle: repeated
+// pool infrastructure failures quarantine the pool (requests keep
+// succeeding via local fallback, byte-identical), a quarantined pool is
+// not touched, expiry admits the next request as the probe, and a
+// healthy probe closes the breaker again.
 func TestBreakerOpenHalfOpenClosedCycle(t *testing.T) {
-	ctx := context.Background()
 	clk := &breakerClock{t: time.Unix(1000, 0)}
 	pool := &stubPool{}
 	pool.healthy.Store(1)
 	pool.failing.Store(true)
-	br := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute, now: clk.Now})
+	reg := obs.NewRegistry()
+	br := NewBreaker(BreakerConfig{Registry: reg, now: clk.Now})
 	eval := br.Evaluator(pool, 8)
 	req := breakerReq(t)
+	want := localJSON(t, req)
 
-	want, err := Evaluate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	// Below the threshold the pool keeps being tried.
+	evalN(t, eval, req, breakerThreshold-1, want)
+	if got := br.State(); got != BreakerClosed {
+		t.Fatalf("state after %d failures = %q, want closed", breakerThreshold-1, got)
 	}
-	wantJSON, _ := json.Marshal(want)
-
-	// Two failing pool attempts: both served by local fallback, breaker
-	// opens on the second.
-	for i := 0; i < 2; i++ {
-		got, err := eval(ctx, req)
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if gj, _ := json.Marshal(got); !bytes.Equal(gj, wantJSON) {
-			t.Fatalf("call %d: fallback diverges from local: %s vs %s", i, gj, wantJSON)
-		}
-	}
+	evalN(t, eval, req, 1, want)
 	if got := br.State(); got != BreakerOpen {
-		t.Fatalf("state after %d failures = %q, want open", 2, got)
+		t.Fatalf("state after %d failures = %q, want open", breakerThreshold, got)
 	}
-	// While open, the pool is not touched.
-	before := pool.calls.Load()
-	if _, err := eval(ctx, req); err != nil {
-		t.Fatal(err)
+	if got := pool.calls.Load(); got != breakerThreshold {
+		t.Fatalf("pool attempts = %d, want %d", got, breakerThreshold)
 	}
-	if pool.calls.Load() != before {
+	// While quarantined, the pool is not touched.
+	evalN(t, eval, req, 2, want)
+	if got := pool.calls.Load(); got != breakerThreshold {
 		t.Fatal("open breaker still sent a request to the pool")
 	}
 
-	// Cooldown elapses: half-open, one probe allowed; pool recovered.
-	clk.Advance(2 * time.Minute)
+	// Quarantine expires: half-open, the next request is the probe; the
+	// pool has recovered.
+	clk.Advance(breakerWindow + time.Second)
 	if got := br.State(); got != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %q, want half-open", got)
+		t.Fatalf("state after expiry = %q, want half-open", got)
 	}
 	pool.failing.Store(false)
-	got, err := eval(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gj, _ := json.Marshal(got); !bytes.Equal(gj, wantJSON) {
-		t.Fatalf("probe result diverges from local: %s vs %s", gj, wantJSON)
-	}
-	if pool.calls.Load() != before+1 {
+	evalN(t, eval, req, 1, want)
+	if got := pool.calls.Load(); got != breakerThreshold+1 {
 		t.Fatal("half-open did not probe the pool")
 	}
 	if got := br.State(); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %q, want closed", got)
 	}
+	snap := reg.Snapshot()
+	if o, p, f := snap.Counters["serve.breaker_opens"], snap.Counters["serve.breaker_probes"], snap.Counters["serve.breaker_fallbacks"]; o != 1 || p != 1 || f != breakerThreshold+2 {
+		t.Fatalf("opens/probes/fallbacks = %d/%d/%d, want 1/1/%d", o, p, f, breakerThreshold+2)
+	}
+	if g := snap.Gauges["serve.breaker_state"]; g != 0 {
+		t.Fatalf("serve.breaker_state = %v after closing, want 0", g)
+	}
 }
 
-// TestBreakerReopensOnFailedProbe: a failing half-open probe returns
-// the breaker to open and restarts the cooldown.
+// TestBreakerReopensOnFailedProbe: a failing probe is one more strike
+// on the record the book holds, and the quarantine it earns is longer
+// than the first. The probe lands at the instant of expiry, as in
+// internal/health's own table: the book forgives a record once it is out
+// of quarantine and a window past its last strike, so a probe any later
+// than that counts from one.
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	ctx := context.Background()
 	clk := &breakerClock{t: time.Unix(1000, 0)}
 	pool := &stubPool{}
 	pool.healthy.Store(1)
 	pool.failing.Store(true)
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Minute, now: clk.Now})
+	br := NewBreaker(BreakerConfig{now: clk.Now})
 	eval := br.Evaluator(pool, 8)
 	req := breakerReq(t)
+	want := localJSON(t, req)
 
-	if _, err := eval(ctx, req); err != nil { // opens (threshold 1)
-		t.Fatal(err)
-	}
-	clk.Advance(2 * time.Minute)
-	if _, err := eval(ctx, req); err != nil { // probe fails, still local-served
-		t.Fatal(err)
+	evalN(t, eval, req, breakerThreshold, want) // opens
+	clk.Advance(breakerWindow)
+	evalN(t, eval, req, 1, want) // the probe fails, still served locally
+	if got := pool.calls.Load(); got != breakerThreshold+1 {
+		t.Fatalf("pool attempts = %d, want the %d failures plus one probe", got, breakerThreshold)
 	}
 	if got := br.State(); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %q, want open", got)
 	}
+	// One window was enough to re-probe the first time; not the second.
+	clk.Advance(breakerWindow + time.Second)
+	if got := br.State(); got != BreakerOpen {
+		t.Fatalf("state one window after a failed probe = %q, want still open (doubled quarantine)", got)
+	}
+	clk.Advance(breakerWindow)
+	if got := br.State(); got != BreakerHalfOpen {
+		t.Fatalf("state two windows after a failed probe = %q, want half-open", got)
+	}
 }
 
 // TestBreakerZeroHealthyFastPath: a pool reporting zero healthy workers
-// is never attempted — the breaker trips open immediately instead of
-// letting Run block against empty capacity.
+// is never attempted — the request goes local at once instead of
+// letting Run block against empty capacity — and, nothing having
+// failed, is used again the moment it reports capacity.
 func TestBreakerZeroHealthyFastPath(t *testing.T) {
-	ctx := context.Background()
 	clk := &breakerClock{t: time.Unix(1000, 0)}
 	pool := &stubPool{} // healthy = 0
-	br := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Minute, now: clk.Now})
+	reg := obs.NewRegistry()
+	br := NewBreaker(BreakerConfig{Registry: reg, now: clk.Now})
 	eval := br.Evaluator(pool, 8)
 	req := breakerReq(t)
+	want := localJSON(t, req)
 
-	if _, err := eval(ctx, req); err != nil {
-		t.Fatal(err)
-	}
+	evalN(t, eval, req, breakerThreshold+1, want)
 	if pool.calls.Load() != 0 {
 		t.Fatal("pool attempted despite zero healthy workers")
 	}
-	if got := br.State(); got != BreakerOpen {
-		t.Fatalf("state = %q, want open", got)
-	}
-	// Capacity returns: after the cooldown the probe closes the breaker.
-	pool.healthy.Store(2)
-	clk.Advance(2 * time.Minute)
-	if _, err := eval(ctx, req); err != nil {
-		t.Fatal(err)
+	if got := reg.Snapshot().Counters["serve.breaker_fallbacks"]; got != breakerThreshold+1 {
+		t.Fatalf("serve.breaker_fallbacks = %d, want %d", got, breakerThreshold+1)
 	}
 	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("state after recovery probe = %q, want closed", got)
+		t.Fatalf("state = %q: an unattempted pool earned strikes", got)
+	}
+	pool.healthy.Store(2)
+	evalN(t, eval, req, 1, want)
+	if pool.calls.Load() != 1 {
+		t.Fatal("pool not used once capacity returned")
 	}
 }
 
@@ -198,24 +228,30 @@ func TestBreakerIgnoresNonInfraFailures(t *testing.T) {
 	// A pool surfacing ErrBadRequest (e.g. a worker rejecting the shard
 	// spec) is a request problem, not pool health.
 	bad := fmt.Errorf("%w: synthetic rejection", ErrBadRequest)
-	br := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Minute})
-	if _, err := br.Evaluator(&errPool{err: bad}, 8)(context.Background(), req); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("err = %v, want ErrBadRequest", err)
+	br := NewBreaker(BreakerConfig{})
+	eval := br.Evaluator(&errPool{err: bad}, 8)
+	for i := 0; i < 2*breakerThreshold; i++ {
+		if _, err := eval(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("err = %v, want ErrBadRequest", err)
+		}
 	}
 	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("bad request tripped the breaker: state = %q", got)
+		t.Fatalf("bad requests tripped the breaker: state = %q", got)
 	}
 
 	// A caller abandoning the request mid-flight says nothing about the
 	// pool either.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br2 := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Minute})
-	if _, err := br2.Evaluator(&errPool{err: ctx.Err()}, 8)(ctx, req); err == nil {
-		t.Fatal("cancelled request unexpectedly succeeded")
+	br2 := NewBreaker(BreakerConfig{})
+	eval2 := br2.Evaluator(&errPool{err: ctx.Err()}, 8)
+	for i := 0; i < 2*breakerThreshold; i++ {
+		if _, err := eval2(ctx, req); err == nil {
+			t.Fatal("cancelled request unexpectedly succeeded")
+		}
 	}
 	if got := br2.State(); got != BreakerClosed {
-		t.Fatalf("caller cancellation tripped the breaker: state = %q", got)
+		t.Fatalf("caller cancellations tripped the breaker: state = %q", got)
 	}
 }
 

@@ -198,14 +198,17 @@ func TestPoolChaosMidLeaseIdentity(t *testing.T) {
 	if gb := mustJSON(t, got); !bytes.Equal(gb, want) {
 		t.Fatalf("chaos pool result diverges from local:\n pool: %.120s\nlocal: %.120s", gb, want)
 	}
-	// The merge can finish on the healthy worker before the flaky one
-	// redials; give the reconnect loop a moment to prove the conn died.
+	// The merge can finish on the healthy worker before the flaky one's
+	// connection has carried its 1.5 KB — and an idle connection never
+	// will — so keep leasing until the reconnect loop proves the conn died.
 	deadline := time.Now().Add(5 * time.Second)
 	for dials.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("fault never tripped a redial (dials=%d)", dials.Load())
 		}
-		time.Sleep(10 * time.Millisecond)
+		if _, err := serve.PoolEvaluator(coord, 4)(context.Background(), req); err != nil {
+			t.Fatalf("pool: %v", err)
+		}
 	}
 }
 

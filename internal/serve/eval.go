@@ -138,25 +138,39 @@ type FluidOut struct {
 	FinalClasses []F64 `json:"finalClasses,omitempty"`
 }
 
+// progress is the optional incremental sink of one evaluation: the
+// stream endpoint's per-round and per-step records. The zero value (the
+// cached path, the workers) observes nothing.
+type progress struct {
+	round sim.Observer                 // every simulated exchange round
+	step  func(t float64, y []float64) // every accepted fluid solver step
+}
+
 // evaluate computes a canonicalized request's response body. It is a
 // pure function of (req, seed) — the server's cache correctness and the
 // singleflight layer both depend on that.
 func evaluate(ctx context.Context, req *Request) (any, error) {
+	return evalKind(ctx, req, progress{})
+}
+
+// evalKind is the one kind → evaluator switch; p is handed whatever the
+// run can report while it is still running.
+func evalKind(ctx context.Context, req *Request, p progress) (any, error) {
 	switch req.Kind {
 	case KindModel:
 		return evalModel(ctx, req)
 	case KindEfficiency:
 		return evalEfficiency(req)
 	case KindSim:
-		res, err := runSim(ctx, req, nil)
+		res, err := runSim(ctx, req, p.round)
 		if err != nil {
 			return nil, err
 		}
 		return simOut(req, res), nil
 	case KindStability:
-		return evalStability(ctx, req, nil)
+		return evalStability(ctx, req, p.round)
 	case KindFluid:
-		return evalFluid(ctx, req, nil)
+		return evalFluid(ctx, req, p.step)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, req.Kind)
 	}

@@ -25,8 +25,8 @@ const maxBodyBytes = 1 << 20
 // Config configures a Server. Zero values take the defaults noted on
 // each field.
 type Config struct {
-	// Registry receives the serving metrics (nil disables metric export
-	// but the server still runs).
+	// Registry receives the serving metrics (nil = a private one, read
+	// only through the server's own /metrics).
 	Registry *obs.Registry
 	// Logger receives request-level events (nil = slog.Default()).
 	Logger *slog.Logger
@@ -113,9 +113,13 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
 	if cfg.Evaluator == nil {
 		cfg.Evaluator = evaluate
 	}
+	reg := cfg.Registry
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -129,40 +133,28 @@ func New(cfg Config) *Server {
 		eval:       cfg.Evaluator,
 		tracer:     cfg.Tracer,
 
-		requests: &obs.Counter{}, shed: &obs.Counter{},
-		computations: &obs.Counter{}, failures: &obs.Counter{},
-		streamRounds:  &obs.Counter{},
-		fluidRequests: &obs.Counter{}, fluidSteps: &obs.Counter{},
-		cacheServes:   &obs.Counter{},
-		batchRequests: &obs.Counter{}, batchItems: &obs.Counter{}, batchBad: &obs.Counter{},
-		latency: &obs.Histogram{},
-		evalMs:  &obs.Histogram{},
+		requests:      reg.Counter("serve.requests"),
+		shed:          reg.Counter("serve.shed"),
+		computations:  reg.Counter("serve.computations"),
+		failures:      reg.Counter("serve.failures"),
+		streamRounds:  reg.Counter("serve.stream_rounds"),
+		fluidRequests: reg.Counter("serve.fluid.requests"),
+		fluidSteps:    reg.Counter("serve.fluid.stream_steps"),
+		cacheServes:   reg.Counter("serve.cachefill.serves"),
+		batchRequests: reg.Counter("serve.batch.requests"),
+		batchItems:    reg.Counter("serve.batch.items"),
+		batchBad:      reg.Counter("serve.batch.item_errors"),
+		latency:       reg.Histogram("serve.latency_ms"),
+		evalMs:        reg.Histogram("serve.eval_ms"),
 	}
-	if reg := cfg.Registry; reg != nil {
-		s.cache.Instrument(reg, "serve.cache")
-		s.gate.Instrument(reg, "serve")
-		s.requests = reg.Counter("serve.requests")
-		s.shed = reg.Counter("serve.shed")
-		s.computations = reg.Counter("serve.computations")
-		s.failures = reg.Counter("serve.failures")
-		s.streamRounds = reg.Counter("serve.stream_rounds")
-		s.fluidRequests = reg.Counter("serve.fluid.requests")
-		s.fluidSteps = reg.Counter("serve.fluid.stream_steps")
-		s.cacheServes = reg.Counter("serve.cachefill.serves")
-		s.batchRequests = reg.Counter("serve.batch.requests")
-		s.batchItems = reg.Counter("serve.batch.items")
-		s.batchBad = reg.Counter("serve.batch.item_errors")
-		s.latency = reg.Histogram("serve.latency_ms")
-		s.evalMs = reg.Histogram("serve.eval_ms")
-	}
+	s.cache.Instrument(reg, "serve.cache")
+	s.gate.Instrument(reg, "serve")
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if cfg.Registry != nil {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
 
@@ -198,129 +190,185 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// handleQuery is the cached request path: canonicalize, probe the
-// cache, and on a miss collapse concurrent duplicates into a single
-// admitted computation.
+// keyed is a canonicalized request with its content address, hashed
+// once per request and carried from there.
+type keyed struct {
+	req *Request
+	key string
+}
+
+// answer is one resolved request: the response bytes and where they
+// came from — "hit", "miss" (computed here) or "shared" (another
+// flight's result) — or the error that becomes its status.
+type answer struct {
+	body []byte
+	src  string
+	err  error
+}
+
+// handleQuery answers one request: the cached path, run as a batch of
+// one.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	start := time.Now()
 	// Latency is observed on every exit — 400s, sheds, timeouts included.
 	// Success-only observation would bias the histogram toward fast
 	// requests, hiding exactly the slow tail (timeouts) it exists to show.
-	defer func() { s.latency.Observe(float64(time.Since(start).Milliseconds())) }()
-	req, ok := s.decode(w, r)
+	defer s.observeLatency(time.Now())
+	k, ok := s.decode(w, r)
 	if !ok {
 		return
+	}
+	w.Header().Set("X-Cache-Key", k.key)
+	tctx, root := s.rootSpan(w, r, k.key, "/v1/query")
+	defer root.End()
+	root.Annotate("kind", k.req.Kind)
+	answers := s.resolve(tctx, []keyed{k})
+	if answers == nil {
+		return
+	}
+	if a := answers[0]; a.err != nil {
+		s.writeError(w, r, a.err)
+	} else {
+		w.Header().Set("X-Cache", a.src)
+		s.writeBody(w, http.StatusOK, a.body)
+	}
+}
+
+// decode is the preamble /v1/query and /v1/stream share: read, parse and
+// canonicalize the body — writing the 400 itself on failure — and hash
+// the key.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request) (keyed, bool) {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		s.writeError(w, r, err)
+		return keyed{}, false
 	}
 	if req.Kind == KindFluid {
 		s.fluidRequests.Inc()
 	}
-	key := req.Key()
-	w.Header().Set("X-Cache-Key", key)
-	tctx, root := s.rootSpan(r, key)
-	defer root.End()
-	if root != nil {
-		root.Annotate("kind", req.Kind)
-		root.Annotate("path", "/v1/query")
-		w.Header().Set("X-Trace-Id", root.TraceID())
-	}
-	body, src, err := s.resolve(tctx, req, key)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	w.Header().Set("X-Cache", src)
-	s.writeBody(w, http.StatusOK, body)
+	return keyed{req: req, key: req.Key()}, true
 }
 
-// rootSpan opens the request's root span. A request arriving from the
-// gateway tier carries X-Trace-Id (and optionally X-Parent-Span): the
-// replica adopts that identity, so its ingress/eval spans stitch into
-// the gateway's trace instead of minting a parallel one. Direct requests
-// get the deterministic (content address, ingress sequence) ID.
-func (s *Server) rootSpan(r *http.Request, key string) (context.Context, *trace.Span) {
+// rootSpan opens the request's root span and announces its trace. A
+// request arriving from the gateway tier carries X-Trace-Id (and
+// optionally X-Parent-Span): the replica adopts that identity, so its
+// ingress/eval spans stitch into the gateway's trace instead of minting
+// a parallel one. Direct requests get the deterministic (content
+// address, ingress sequence) ID.
+func (s *Server) rootSpan(w http.ResponseWriter, r *http.Request, key, path string) (context.Context, *trace.Span) {
 	if s.tracer == nil {
 		return r.Context(), nil
 	}
+	var ctx context.Context
+	var root *trace.Span
 	if id := r.Header.Get("X-Trace-Id"); id != "" {
-		ctx := trace.Bind(r.Context(), s.tracer, s.tracer.Proc(), id, r.Header.Get("X-Parent-Span"))
-		return trace.Start(ctx, "ingress")
+		ctx, root = trace.Start(trace.Bind(r.Context(), s.tracer, s.tracer.Proc(), id, r.Header.Get("X-Parent-Span")), "ingress")
+	} else {
+		ctx, root = s.tracer.Root(r.Context(), key, "ingress")
 	}
-	return s.tracer.Root(r.Context(), key, "ingress")
+	root.Annotate("path", path)
+	w.Header().Set("X-Trace-Id", root.TraceID())
+	return ctx, root
 }
 
-// resolve is the cached request path shared by /v1/query and each
-// /v1/batch item: probe the cache, then collapse concurrent duplicates
-// into a single admitted computation. src reports where the bytes came
-// from: "hit", "miss" (computed here), or "shared" (another flight's
-// result).
-func (s *Server) resolve(tctx context.Context, req *Request, key string) (body []byte, src string, err error) {
-	_, csp := trace.Start(tctx, "cache")
-	if body, ok := s.cache.Get(key); ok {
-		csp.Annotate("outcome", "hit")
-		csp.End()
-		return body, "hit", nil
-	}
-	csp.Annotate("outcome", "miss")
-	csp.End()
-	sfctx, fsp := trace.Start(tctx, "singleflight")
-	body, shared, err := s.flights.Do(key, func() ([]byte, error) {
-		// The flight leader acquires admission for the whole flight:
-		// N concurrent identical requests consume one worker slot, and
-		// a saturation rejection propagates to every waiter.
-		_, gsp := trace.Start(sfctx, "gate")
-		release, err := s.gate.Acquire(s.baseCtx)
-		gsp.End()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		// The compute context is the server's lifetime plus the request
-		// deadline — deliberately not the leader's connection context, so
-		// one client disconnecting cannot starve the followers sharing
-		// its flight. The trace binding is transplanted across so
-		// downstream spans (pool shards, worker evals) still stitch into
-		// this request's trace.
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
-		defer cancel()
-		ctx = trace.Transplant(ctx, sfctx)
-		s.computations.Inc()
-		evalStart := time.Now()
-		defer func() { s.evalMs.Observe(float64(time.Since(evalStart).Milliseconds())) }()
-		ectx, esp := trace.Start(ctx, "eval")
-		var result any
-		if esp != nil {
-			// Goroutine labels attribute CPU samples to (kind, trace).
-			pprof.Do(ectx, pprof.Labels("serve.kind", req.Kind, "serve.trace", esp.TraceID()), func(pctx context.Context) {
-				result, err = s.eval(pctx, req)
-			})
+// resolve is the one cached request path: /v1/query runs it over a
+// single request, /v1/batch over its unique keys. The cache is probed
+// inline, and only the misses fan out — at most Workers at a time, so a
+// cold batch waits for its own items instead of shedding them against
+// each other, and a 429 means other traffic holds the gate. A request's
+// failure is in its answer; nil answers mean the caller went away before
+// every miss was started, and nobody is left to read them.
+func (s *Server) resolve(tctx context.Context, reqs []keyed) []answer {
+	out := make([]answer, len(reqs))
+	var misses []int
+	for i, k := range reqs {
+		_, csp := trace.Start(tctx, "cache")
+		if body, ok := s.cache.Get(k.key); ok {
+			csp.Annotate("outcome", "hit")
+			out[i] = answer{body: body, src: "hit"}
 		} else {
-			result, err = s.eval(ectx, req)
+			csp.Annotate("outcome", "miss")
+			misses = append(misses, i)
 		}
-		esp.End()
+		csp.End()
+	}
+	// compute never fails the fan-out, so Map's only error is tctx ending.
+	if _, err := par.Map(tctx, len(misses), s.cfg.Workers, func(j int) (struct{}, error) {
+		i := misses[j]
+		out[i] = s.compute(tctx, reqs[i])
+		return struct{}{}, nil
+	}); err != nil {
+		return nil
+	}
+	return out
+}
+
+// compute resolves one cache miss: concurrent duplicates collapse into
+// a single flight whose leader is admitted, evaluates, encodes the
+// envelope and fills the cache.
+func (s *Server) compute(tctx context.Context, k keyed) answer {
+	sfctx, fsp := trace.Start(tctx, "singleflight")
+	body, shared, err := s.flights.Do(k.key, func() ([]byte, error) {
+		// The flight leader acquires admission for the whole flight: N
+		// concurrent identical requests consume one worker slot, and a
+		// saturation rejection propagates to every waiter. It computes
+		// under the server's lifetime — deliberately not its own
+		// connection's context, so one client disconnecting cannot starve
+		// the followers sharing its flight — with the trace binding
+		// transplanted across so downstream spans (pool shards, worker
+		// evals) still stitch into this request's trace.
+		result, err := s.admit(trace.Transplant(s.baseCtx, sfctx), k.req, s.eval)
 		if err != nil {
 			return nil, err
 		}
 		return marshalBody(&Response{
-			V: req.V, Kind: req.Kind, Seed: req.Seed, Key: key, Result: result,
+			V: k.req.V, Kind: k.req.Kind, Seed: k.req.Seed, Key: k.key, Result: result,
 		})
 	})
-	if fsp != nil {
-		if shared {
-			fsp.Annotate("role", "follower")
-		} else {
-			fsp.Annotate("role", "leader")
-		}
+	if shared {
+		fsp.Annotate("role", "follower")
+	} else {
+		fsp.Annotate("role", "leader")
 	}
 	fsp.End()
+	switch {
+	case err != nil:
+		return answer{err: err}
+	case shared:
+		return answer{body: body, src: "shared"}
+	}
+	s.cache.Put(k.key, body)
+	return answer{body: body, src: "miss"}
+}
+
+// admit is the one admit-and-compute step, shared by the cached path
+// and the streams: take a gate slot, bound the run by the request
+// deadline on top of ctx, count and time it, and run eval under an eval
+// span with the CPU samples labelled.
+func (s *Server) admit(ctx context.Context, req *Request, eval func(context.Context, *Request) (any, error)) (any, error) {
+	_, gsp := trace.Start(ctx, "gate")
+	release, err := s.gate.Acquire(s.baseCtx)
+	gsp.End()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if shared {
-		return body, "shared", nil
+	defer release()
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
+	s.computations.Inc()
+	start := time.Now()
+	defer func() { s.evalMs.Observe(float64(time.Since(start).Milliseconds())) }()
+	ectx, esp := trace.Start(ctx, "eval")
+	defer esp.End()
+	if esp == nil {
+		return eval(ectx, req)
 	}
-	s.cache.Put(key, body)
-	return body, "miss", nil
+	var result any
+	// Goroutine labels attribute CPU samples to (kind, trace).
+	pprof.Do(ectx, pprof.Labels("serve.kind", req.Kind, "serve.trace", esp.TraceID()), func(pctx context.Context) {
+		result, err = eval(pctx, req)
+	})
+	return result, err
 }
 
 // handleCachePeek is the cache-fill endpoint the gateway probes when a
@@ -382,145 +430,107 @@ type fluidStepRecord struct {
 	Seeds    F64     `json:"seeds"`
 }
 
-// fluidStepView maps a raw solver state vector onto the (leechers,
-// seeds) pair a stream record reports, resolving the chunk model's
-// class-vector layout.
-func fluidStepView(q *FluidQuery) func(y []float64) (float64, float64) {
-	if q.Model != FluidChunk {
-		return func(y []float64) (float64, float64) { return y[0], y[1] }
-	}
-	k := q.K
-	return func(y []float64) (float64, float64) {
-		x := 0.0
-		for j := 0; j < k; j++ {
-			if y[j] > 0 {
-				x += y[j]
-			}
-		}
-		return x, y[k]
-	}
+// streamSink forwards a run's rounds and steps to the chunked response
+// as they happen.
+type streamSink struct {
+	rc            *http.ResponseController
+	enc           *json.Encoder
+	rounds, steps *obs.Counter
+	chunkK        int // the chunk fluid model's piece count; 0 for every other run
+	err           error
 }
 
-// streamObserver forwards simulator rounds to the chunked response as
-// they happen.
-type streamObserver struct {
-	fl     http.Flusher
-	enc    *json.Encoder
-	rounds *obs.Counter
-	err    error
-}
-
-func (o *streamObserver) ObserveRound(rs sim.RoundStats) {
+// emit writes one counted record and flushes it.
+func (o *streamSink) emit(n *obs.Counter, rec any) {
 	if o.err != nil {
 		return // client is gone; the context abort stops the run shortly
 	}
-	o.rounds.Inc()
-	o.err = o.enc.Encode(roundRecord{
+	n.Inc()
+	o.err = o.enc.Encode(rec)
+	_ = o.rc.Flush() // best effort: a writer that cannot flush still streams
+}
+
+func (o *streamSink) ObserveRound(rs sim.RoundStats) {
+	o.emit(o.rounds, roundRecord{
 		Type: "round", Time: rs.Time, Round: rs.Round,
 		Leechers: rs.Leechers, Seeds: rs.Seeds,
 		Arrivals: rs.Arrivals, Exchanges: rs.Exchanges, Completions: rs.Completions,
 		Entropy: F64(rs.Entropy), Efficiency: F64(rs.Efficiency), PR: F64(rs.PR),
 	})
-	if o.fl != nil {
-		o.fl.Flush()
-	}
 }
 
-// handleStream is the incremental path for long simulator runs: instead
-// of one response at the end, the client receives a JSONL record per
-// exchange round as it is simulated, then a final type="result" record.
-// Streams bypass the cache (their value is watching the run evolve) and
-// are admitted through the same gate as queries.
+// step maps a raw solver state vector onto the (leechers, seeds) pair a
+// record reports, resolving the chunk model's class-vector layout.
+func (o *streamSink) step(t float64, y []float64) {
+	leechers, seeds := y[0], y[1]
+	if k := o.chunkK; k > 0 {
+		leechers, seeds = 0, y[k]
+		for _, v := range y[:k] {
+			if v > 0 {
+				leechers += v
+			}
+		}
+	}
+	o.emit(o.steps, fluidStepRecord{Type: "step", Time: t, Leechers: F64(leechers), Seeds: F64(seeds)})
+}
+
+// handleStream is the incremental path for long runs: instead of one
+// response at the end, the client receives a JSONL record per simulated
+// exchange round — or, for a fluid integration, per accepted solver
+// step: the adaptive solver's own time discretization, not the fixed
+// sample grid of the query path — then a final type="result" record.
+// Streams bypass the cache (their value is watching the run evolve),
+// evaluate locally, and are admitted through the same step as queries.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	req, ok := s.decode(w, r)
+	k, ok := s.decode(w, r)
 	if !ok {
 		return
 	}
+	req := k.req
 	if req.Kind != KindSim && req.Kind != KindStability && req.Kind != KindFluid {
 		s.writeError(w, r, fmt.Errorf("%w: kind %q is not streamable (only %q, %q, and %q emit incremental records)",
 			ErrBadRequest, req.Kind, KindSim, KindStability, KindFluid))
 		return
 	}
-	if req.Kind == KindFluid {
-		s.fluidRequests.Inc()
-	}
-	tctx, root := s.rootSpan(r, req.Key())
+	tctx, root := s.rootSpan(w, r, k.key, "/v1/stream")
 	defer root.End()
-	if root != nil {
-		root.Annotate("kind", req.Kind)
-		root.Annotate("path", "/v1/stream")
-		w.Header().Set("X-Trace-Id", root.TraceID())
-	}
-	_, gsp := trace.Start(tctx, "gate")
-	release, err := s.gate.Acquire(s.baseCtx)
-	gsp.End()
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	defer release()
+	root.Annotate("kind", req.Kind)
 
 	// A stream is interactive: the client disconnecting should stop the
-	// run, so the compute context joins the connection's context, the
-	// request deadline, and the server's lifetime.
-	ctx, cancel := context.WithTimeout(tctx, s.cfg.RequestTimeout)
+	// run, so the compute context joins the connection's context and the
+	// server's lifetime (admit adds the request deadline).
+	ctx, cancel := context.WithCancel(tctx)
 	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", "bypass")
-	w.Header().Set("X-Cache-Key", req.Key())
-	fl, _ := w.(http.Flusher)
-	obsv := &streamObserver{fl: fl, enc: json.NewEncoder(w), rounds: s.streamRounds}
-
-	s.computations.Inc()
-	ectx, esp := trace.Start(ctx, "eval")
-	var result any
-	switch req.Kind {
-	case KindStability:
-		result, err = evalStability(ectx, req, obsv)
-	case KindFluid:
-		// Fluid streams emit one record per accepted solver step: the
-		// adaptive integration's own time discretization, not the fixed
-		// sample grid of the query path.
-		view := fluidStepView(req.Fluid)
-		result, err = evalFluid(ectx, req, func(t float64, y []float64) {
-			if obsv.err != nil {
-				return
-			}
-			s.fluidSteps.Inc()
-			leechers, seeds := view(y)
-			obsv.err = obsv.enc.Encode(fluidStepRecord{
-				Type: "step", Time: t, Leechers: F64(leechers), Seeds: F64(seeds),
-			})
-			if obsv.fl != nil {
-				obsv.fl.Flush()
-			}
-		})
-	default:
-		var res *sim.Result
-		if res, err = runSim(ectx, req, obsv); err == nil {
-			result = simOut(req, res)
-		}
+	out := &streamSink{rc: http.NewResponseController(w), enc: json.NewEncoder(w), rounds: s.streamRounds, steps: s.fluidSteps}
+	if req.Kind == KindFluid && req.Fluid.Model == FluidChunk {
+		out.chunkK = req.Fluid.K
 	}
-	esp.End()
-	// Headers are already on the wire, so failures become a terminal
-	// type="error" record rather than an HTTP status.
-	if err != nil {
+	admitted := false
+	result, err := s.admit(ctx, req, func(ctx context.Context, req *Request) (any, error) {
+		admitted = true
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("X-Cache", "bypass")
+		w.Header().Set("X-Cache-Key", k.key)
+		return evalKind(ctx, req, progress{round: out, step: out.step})
+	})
+	switch {
+	case !admitted:
+		s.writeError(w, r, err)
+	case err != nil:
+		// Headers are already on the wire, so failures become a terminal
+		// type="error" record rather than an HTTP status.
 		s.failures.Inc()
 		s.logger.Warn("stream failed", "kind", req.Kind, "err", err)
-		_ = obsv.enc.Encode(map[string]string{"type": "error", "error": err.Error()})
-		return
-	}
-	_ = obsv.enc.Encode(struct {
-		Type   string `json:"type"`
-		Key    string `json:"key"`
-		Result any    `json:"result"`
-	}{Type: "result", Key: req.Key(), Result: result})
-	if fl != nil {
-		fl.Flush()
+		_ = out.enc.Encode(map[string]string{"type": "error", "error": err.Error()})
+	default:
+		_ = out.enc.Encode(struct {
+			Type   string `json:"type"`
+			Key    string `json:"key"`
+			Result any    `json:"result"`
+		}{Type: "result", Key: k.key, Result: result})
 	}
 }
 
@@ -535,15 +545,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(s.cfg.Registry.Snapshot())
 }
 
-// decode reads, parses, and canonicalizes the request body, writing the
-// 400 itself on failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*Request, bool) {
-	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.writeError(w, r, err)
-		return nil, false
-	}
-	return req, true
+func (s *Server) observeLatency(start time.Time) {
+	s.latency.Observe(float64(time.Since(start).Milliseconds()))
 }
 
 // retryAfterSeconds derives the 429 Retry-After hint from live load

@@ -314,19 +314,15 @@ func hedgePhase(master uint64, logger *slog.Logger) error {
 }
 
 // flipPool is a serve.Pool whose health is toggled externally: while
-// failing, Run errors (and HealthyWorkers reports zero); when healthy it
-// evaluates the shard locally — the same bytes a real pool returns.
+// failing, Run errors — with a worker still connected, so the breaker
+// learns of it from the attempts, not from an empty pool; when healthy
+// it evaluates the shard locally — the same bytes a real pool returns.
 type flipPool struct {
 	failing atomic.Bool
 	calls   atomic.Int64
 }
 
-func (p *flipPool) HealthyWorkers() int {
-	if p.failing.Load() {
-		return 0
-	}
-	return 1
-}
+func (p *flipPool) HealthyWorkers() int { return 1 }
 
 func (p *flipPool) Run(ctx context.Context, t dist.Task) ([][]byte, error) {
 	p.calls.Add(1)
@@ -349,11 +345,7 @@ func breakerPhase(logger *slog.Logger) error {
 
 	pool := &flipPool{}
 	pool.failing.Store(true)
-	br := serve.NewBreaker(serve.BreakerConfig{
-		Threshold: 2,
-		Cooldown:  150 * time.Millisecond,
-		Logger:    logger,
-	})
+	br := serve.NewBreaker(serve.BreakerConfig{Logger: logger})
 	eval := br.Evaluator(pool, 8)
 
 	req := &serve.Request{Kind: serve.KindEfficiency, Efficiency: &serve.EfficiencyQuery{K: 3}}
@@ -377,8 +369,9 @@ func breakerPhase(logger *slog.Logger) error {
 		return nil
 	}
 
-	// Two pool failures: both fall back locally, the breaker opens.
-	for i := 0; i < 2; i++ {
+	// Three pool failures inside the window: each falls back locally, the
+	// third quarantines the pool.
+	for i := 0; i < 3; i++ {
 		if err := check(fmt.Sprintf("failing call %d", i)); err != nil {
 			return err
 		}
@@ -395,10 +388,12 @@ func breakerPhase(logger *slog.Logger) error {
 		return errors.New("open breaker still dialed the pool")
 	}
 
-	// Cooldown elapses; the recovered pool's probe closes the breaker.
-	time.Sleep(250 * time.Millisecond)
-	if st := br.State(); st != serve.BreakerHalfOpen {
-		return fmt.Errorf("state after cooldown = %q, want %q", st, serve.BreakerHalfOpen)
+	// The quarantine (one 5 s window) runs out; the recovered pool's
+	// probe closes the breaker.
+	for deadline := time.Now().Add(10 * time.Second); br.State() != serve.BreakerHalfOpen; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("state 10s after opening = %q, want %q", br.State(), serve.BreakerHalfOpen)
+		}
 	}
 	pool.failing.Store(false)
 	if err := check("probe call"); err != nil {

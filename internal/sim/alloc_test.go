@@ -31,3 +31,37 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 		t.Errorf("round loop allocates %.2f times per round at steady state, want 0", avg)
 	}
 }
+
+// TestTradingRoundAllocsBounded is the same gate for a swarm that is
+// really trading: with arrivals on, a round may allocate one des.Event
+// per arrival and one TTD slice per completion, plus a small constant for
+// the amortized growth of the peer store, the completion log and the
+// free list — and nothing per exchange, per link or per neighbor scan.
+func TestTradingRoundAllocsBounded(t *testing.T) {
+	cfg := churnConfig()
+	cfg.InitialPeers, cfg.Seeds, cfg.ArrivalRate = 200, 20, 80
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(30); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 8
+	arrivals, completions := s.res.arrivals, len(s.res.Completions)
+	at := s.sim.Now()
+	// AllocsPerRun calls once to warm up, then rounds times.
+	avg := testing.AllocsPerRun(rounds, func() {
+		at += cfg.PieceTime
+		if err := s.Advance(at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	events := float64(s.res.arrivals-arrivals+len(s.res.Completions)-completions) / (rounds + 1)
+	if events < 100 {
+		t.Fatalf("only %.0f arrivals + completions per round: the swarm is not churning", events)
+	}
+	if avg > events+8 {
+		t.Errorf("a trading round allocates %.1f times for %.1f arrivals + completions, want at most 8 more", avg, events)
+	}
+}

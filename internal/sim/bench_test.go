@@ -1,0 +1,47 @@
+package sim
+
+import "testing"
+
+// churnConfig is the steady-churn shape of the repository benchmark's
+// sim_steady workload (bench/workload_sim.go: B=20, k=7, s=40, 2000
+// initial leechers, 200 seeds, 800 arrivals per round matched by as many
+// departures once the swarm fills) at a short horizon.
+func churnConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Pieces = 20
+	cfg.InitialPeers = 2000
+	cfg.Seeds = 200
+	cfg.ArrivalRate = 800
+	cfg.Horizon = 40
+	cfg.TrackPeers = 0
+	cfg.Seed1, cfg.Seed2 = 20000, 0xF10C
+	return cfg
+}
+
+// BenchmarkSwarmChurn runs churnConfig end to end, so
+//
+//	go test ./internal/sim -run '^$' -bench SwarmChurn -cpuprofile cpu.out
+//
+// profiles the regime DESIGN §14's "Where a round goes" table describes
+// without the bench/ harness.
+func BenchmarkSwarmChurn(b *testing.B) {
+	var peerRounds, tries, links float64
+	for i := 0; i < b.N; i++ {
+		s, err := New(churnConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		peerRounds += float64(s.cfg.Seeds * res.Rounds())
+		for _, v := range res.PopulationSeries.V {
+			peerRounds += v
+		}
+		tries += float64(s.res.trackerTries)
+		links += float64(s.res.trackerLinks)
+	}
+	b.ReportMetric(peerRounds/b.Elapsed().Seconds(), "peer-rounds/s")
+	b.ReportMetric(tries/links, "tries/link")
+}

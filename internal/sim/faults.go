@@ -78,6 +78,7 @@ func (s *Swarm) applyFaults(now float64, leechers []int32) []int32 {
 			s.ps.freeSlot(p) // never coming back
 		}
 	}
+	s.compactAlive()
 	return out
 }
 

@@ -2,14 +2,17 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // checkInvariants is the one structural oracle of the package: it
 // re-derives from scratch everything the round loop maintains
 // incrementally and fails t on the first disagreement. It is meant to be
 // called after every round (see runChecked); each family below is one
-// thing a bug in link/unlink/give/removePeer/rejoin would break first.
+// thing a bug in link/detachAll/give/removePeer/rejoin would break first.
 func checkInvariants(t testing.TB, s *Swarm) {
 	t.Helper()
 	ps, cfg := &s.ps, s.cfg
@@ -22,6 +25,9 @@ func checkInvariants(t testing.TB, s *Swarm) {
 		if i > 0 && ps.id[s.alive[i-1]] >= ps.id[sl] {
 			t.Fatalf("round %d: alive not sorted by id at %d: %d then %d",
 				round, i, ps.id[s.alive[i-1]], ps.id[sl])
+		}
+		if ps.gone[sl] {
+			t.Fatalf("round %d: peer %d is alive and marked gone", round, ps.id[sl])
 		}
 		inAlive[sl] = true
 	}
@@ -42,6 +48,23 @@ func checkInvariants(t testing.TB, s *Swarm) {
 		if inAlive[sl] {
 			t.Fatalf("round %d: slot %d (peer %d) is alive and on the free/crash list",
 				round, sl, ps.id[sl])
+		}
+	}
+	// A crashed peer waits for its rejoin detached from everything: marked
+	// gone, no neighbor, no connection, and an all-zero rare row — which
+	// detachAll clears in bulk instead of decrementing it empty.
+	for _, rec := range s.crashList {
+		sl := rec.sl
+		if !ps.gone[sl] || ps.nbrLen[sl] != 0 || ps.connLen[sl] != 0 {
+			t.Fatalf("round %d: crashed peer %d: gone %v, %d neighbors, %d conns",
+				round, ps.id[sl], ps.gone[sl], ps.nbrLen[sl], ps.connLen[sl])
+		}
+		if s.ps.useRare {
+			for j, c := range ps.rare[int(sl)*ps.pieces:][:ps.pieces] {
+				if c != 0 {
+					t.Fatalf("round %d: crashed peer %d keeps rare[%d] = %d", round, ps.id[sl], j, c)
+				}
+			}
 		}
 	}
 	if len(s.alive)+len(offline) != ps.len() {
@@ -80,11 +103,18 @@ func checkInvariants(t testing.TB, s *Swarm) {
 			}
 		}
 	}
-	leechers := 0
+	leechers, roomy := 0, 0
 	for _, sl := range s.alive {
 		id := ps.id[sl]
 		if !ps.seed[sl] {
 			leechers++
+		} else if int(ps.pieceCnt[sl]) != cfg.Pieces {
+			// The neighbor scans rely on it: a seed lacks nothing, so it is
+			// never anyone's mutual-interest partner.
+			t.Fatalf("round %d: seed %d holds %d of %d pieces", round, id, ps.pieceCnt[sl], cfg.Pieces)
+		}
+		if int(ps.nbrLen[sl]) < cfg.NeighborSet {
+			roomy++
 		}
 
 		nbrs, conns := ps.nbrRow(sl), ps.connRow(sl)
@@ -122,7 +152,7 @@ func checkInvariants(t testing.TB, s *Swarm) {
 
 		// Rarest-first view: the incremental table against a recount over
 		// the neighbor row.
-		if s.useRare {
+		if s.ps.useRare {
 			recount := make([]int, cfg.Pieces)
 			for _, q := range nbrs {
 				countRowInto(recount, ps.pieceRow(q))
@@ -134,6 +164,10 @@ func checkInvariants(t testing.TB, s *Swarm) {
 				}
 			}
 		}
+	}
+
+	if ps.roomy != roomy {
+		t.Fatalf("round %d: roomy = %d, %d alive peers have a free neighbor slot", round, ps.roomy, roomy)
 	}
 
 	// Every peer that ever joined is somewhere: done (lingering seeds were
@@ -169,11 +203,95 @@ func checkInvariants(t testing.TB, s *Swarm) {
 	}
 }
 
+// adjacency is a deep copy of everything detachAll may write.
+type adjacency struct {
+	nbr, nbrLen, conn, connLen []int32
+	nbrVer                     []uint32
+	rare                       []uint16
+	roomy                      int
+}
+
+func snapshotAdjacency(ps *peerStore) adjacency {
+	return adjacency{
+		slices.Clone(ps.nbr), slices.Clone(ps.nbrLen), slices.Clone(ps.conn), slices.Clone(ps.connLen),
+		slices.Clone(ps.nbrVer), slices.Clone(ps.rare), ps.roomy,
+	}
+}
+
+func (a adjacency) restore(ps *peerStore) {
+	copy(ps.nbr, a.nbr)
+	copy(ps.nbrLen, a.nbrLen)
+	copy(ps.conn, a.conn)
+	copy(ps.connLen, a.connLen)
+	copy(ps.nbrVer, a.nbrVer)
+	copy(ps.rare, a.rare)
+	ps.roomy = a.roomy
+}
+
+// unlinkOracle is the per-edge removal detachAll replaced, kept as its
+// reference: it takes q out of p's rows and p out of q's, and each one's
+// inventory out of the other's rare row a piece at a time.
+func unlinkOracle(s *Swarm, p, q int32) {
+	ps := &s.ps
+	ps.removeNbr(p, q)
+	ps.removeNbr(q, p)
+	ps.removeConn(p, q)
+	ps.removeConn(q, p)
+	ps.nbrVer[p]++
+	ps.nbrVer[q]++
+	if s.ps.useRare {
+		for j := 0; j < ps.pieces; j++ {
+			if bitset.RowHas(ps.pieceRow(q), j) {
+				ps.rare[int(p)*ps.pieces+j]--
+			}
+			if bitset.RowHas(ps.pieceRow(p), j) {
+				ps.rare[int(q)*ps.pieces+j]--
+			}
+		}
+	}
+}
+
+// checkDetachAll detaches every alive peer in turn, once with detachAll
+// and once by unlinking its neighbors one by one from a snapshot of the
+// row, and requires the two to leave every allocated slot's rows, lengths,
+// versions and rare counts identical. The swarm is restored after each.
+// The peers a round really detaches (departures, crashes, shakes) are a
+// subset of the states this visits: seeds take rareShift's whole-row
+// path, fresh arrivals its empty one, everyone else the bit loop.
+func checkDetachAll(t testing.TB, s *Swarm) {
+	t.Helper()
+	ps := &s.ps
+	before := snapshotAdjacency(ps)
+	for _, sl := range s.alive {
+		s.detachAll(sl)
+		got := snapshotAdjacency(ps)
+		before.restore(ps)
+		for _, q := range slices.Clone(ps.nbrRow(sl)) {
+			unlinkOracle(s, sl, q)
+		}
+		for x := int32(0); int(x) < ps.len(); x++ {
+			// Compare the live part of each row; what lies beyond the
+			// length is dead storage the two are free to leave differently.
+			if !slices.Equal(got.nbr[int(x)*ps.nbrCap:][:got.nbrLen[x]], ps.nbrRow(x)) ||
+				!slices.Equal(got.conn[int(x)*ps.connCap:][:got.connLen[x]], ps.connRow(x)) {
+				t.Fatalf("round %d: detaching peer %d: slot %d rows differ from the unlink loop's",
+					s.res.rounds, ps.id[sl], x)
+			}
+		}
+		if !slices.Equal(got.nbrLen, ps.nbrLen) || !slices.Equal(got.connLen, ps.connLen) ||
+			!slices.Equal(got.nbrVer, ps.nbrVer) || !slices.Equal(got.rare, ps.rare) || got.roomy != ps.roomy {
+			t.Fatalf("round %d: detaching peer %d: lengths, versions, rare counts or roomy differ from the unlink loop's",
+				s.res.rounds, ps.id[sl])
+		}
+		before.restore(ps)
+	}
+}
+
 // runChecked runs cfg to its horizon one exchange round at a time, with
-// checkInvariants after every round, and returns the swarm and its
+// checkInvariants and any extra per-round checks after every round, and returns the swarm and its
 // Result. Advance-then-Run replays a plain Run (TestAdvanceMatchesRun),
 // so the Result is the one Run alone would have produced.
-func runChecked(t testing.TB, cfg Config) (*Swarm, *Result) {
+func runChecked(t testing.TB, cfg Config, extra ...func(testing.TB, *Swarm)) (*Swarm, *Result) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -189,6 +307,9 @@ func runChecked(t testing.TB, cfg Config) (*Swarm, *Result) {
 			t.Fatalf("Advance(%g) ran %d rounds, want 1", at, s.res.rounds-before)
 		}
 		checkInvariants(t, s)
+		for _, check := range extra {
+			check(t, s)
+		}
 	}
 	res, err := s.Run()
 	if err != nil {

@@ -70,19 +70,9 @@ type Result struct {
 	Kernel des.Stats
 
 	// Aggregate counters.
-	arrivals       int
-	exchanges      int
-	seedUploads    int
-	optimistic     int
-	shakes         int
-	aborts         int
+	counters
 	lingered       int
 	rounds         int
-	connsFormed    int
-	connsDropped   int
-	faultDrops     int
-	crashes        int
-	rejoins        int
 	blackoutRounds int
 
 	potSum []float64
@@ -91,18 +81,22 @@ type Result struct {
 	effAcc stats.Accumulator
 }
 
+// counters are the cumulative event counts an Observer receives as
+// per-round deltas; copying the struct is the snapshot.
+type counters struct {
+	arrivals, exchanges, seedUploads, optimistic int
+	shakes, aborts                               int
+	connsFormed, connsDropped                    int
+	faultDrops, crashes, rejoins                 int
+	// trackerTries counts the candidates topUpNeighbors drew and
+	// trackerLinks the ones that became neighbors.
+	trackerTries, trackerLinks int
+}
+
 func newResult(cfg Config) *Result {
 	// Size the per-round series for the whole run up front (one sample per
 	// exchange round), so appends in the round loop never reallocate.
-	rounds := 256
-	if cfg.PieceTime > 0 {
-		if n := int(cfg.Horizon/cfg.PieceTime) + 2; n > rounds {
-			rounds = n
-		}
-	}
-	if rounds > 65536 {
-		rounds = 65536
-	}
+	rounds := int(math.Min(cfg.Horizon/cfg.PieceTime+2, 65536))
 	return &Result{
 		PopulationSeries: stats.NewSeries(rounds),
 		EntropySeries:    stats.NewSeries(rounds),

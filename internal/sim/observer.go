@@ -52,6 +52,45 @@ type RoundStats struct {
 	// PR is the connection persistence probability p_r, NaN on the
 	// first round (nothing to persist from).
 	PR float64
+
+	// TrackerTries is how many random candidates the tracker top-ups drew
+	// since the previous round's delivery and TrackerLinks how many of
+	// them became neighbors; the rest were rejected (self, already a
+	// neighbor, or partner full).
+	TrackerTries int
+	TrackerLinks int
+	// StepNanos is the host time, in nanoseconds, each step of the round
+	// took, indexed as StepNames. Entry 0 is everything since the previous
+	// round's steps ended: the Poisson arrival events with their tracker
+	// top-ups, and the previous delivery. The entries sum to the host time
+	// between two deliveries.
+	StepNanos [NumSteps]int64
+}
+
+// The steps of one exchange round, in execution order: indices into
+// RoundStats.StepNanos.
+const (
+	stepArrivals = iota
+	stepShuffle
+	stepFaults
+	stepParticipation
+	stepTracker
+	stepMaintain
+	stepEstablish
+	stepConnFailures
+	stepMeasure
+	stepExchange
+	stepSeedUploads
+	stepOptimistic
+	stepMetrics
+	stepDepartures
+	NumSteps
+)
+
+// StepNames names the entries of RoundStats.StepNanos.
+var StepNames = [NumSteps]string{
+	"arrivals", "shuffle", "faults", "participation", "tracker", "maintain", "establish",
+	"conn_failures", "measure", "exchange", "seed_uploads", "optimistic", "metrics", "departures",
 }
 
 // Observer receives simulator telemetry once per exchange round. A nil
@@ -72,6 +111,8 @@ type registryObserver struct {
 	leechers, seeds, entropy, efficiency, pr, vtime      *obs.Gauge
 	peers, memBytes, bytesPerPeer                        *obs.Gauge
 	roundExchanges                                       *obs.Histogram
+	trackerTries, trackerLinks                           *obs.Counter
+	stepNs                                               [NumSteps]*obs.Counter
 }
 
 // NewRegistryObserver returns an Observer that accumulates round
@@ -81,9 +122,11 @@ type registryObserver struct {
 // sim.crashes, sim.rejoins, sim.blackout_rounds; gauges
 // sim.leechers, sim.seeds, sim.peers, sim.mem_bytes, sim.bytes_per_peer,
 // sim.entropy, sim.efficiency, sim.pr, sim.time; histogram
-// sim.round_exchanges.
+// sim.round_exchanges; and where the rounds went: counters
+// sim.tracker_tries, sim.tracker_links and one cumulative
+// sim.round_step_ns.<step> per entry of StepNames.
 func NewRegistryObserver(reg *obs.Registry) Observer {
-	return &registryObserver{
+	o := &registryObserver{
 		rounds:         reg.Counter("sim.rounds"),
 		arrivals:       reg.Counter("sim.arrivals"),
 		exchanges:      reg.Counter("sim.exchanges"),
@@ -108,7 +151,13 @@ func NewRegistryObserver(reg *obs.Registry) Observer {
 		bytesPerPeer:   reg.Gauge("sim.bytes_per_peer"),
 		vtime:          reg.Gauge("sim.time"),
 		roundExchanges: reg.Histogram("sim.round_exchanges"),
+		trackerTries:   reg.Counter("sim.tracker_tries"),
+		trackerLinks:   reg.Counter("sim.tracker_links"),
 	}
+	for i, name := range StepNames {
+		o.stepNs[i] = reg.Counter("sim.round_step_ns." + name)
+	}
+	return o
 }
 
 func (o *registryObserver) ObserveRound(rs RoundStats) {
@@ -144,4 +193,9 @@ func (o *registryObserver) ObserveRound(rs RoundStats) {
 	}
 	o.vtime.Set(rs.Time)
 	o.roundExchanges.Observe(float64(rs.Exchanges))
+	o.trackerTries.Add(int64(rs.TrackerTries))
+	o.trackerLinks.Add(int64(rs.TrackerLinks))
+	for i, ns := range rs.StepNanos {
+		o.stepNs[i].Add(ns)
+	}
 }

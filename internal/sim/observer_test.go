@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -144,6 +145,82 @@ func TestRegistryObserverPopulates(t *testing.T) {
 	if int64(h.Sum) != int64(res.Exchanges()) {
 		t.Errorf("round_exchanges sum %g, want %d", h.Sum, res.Exchanges())
 	}
+}
+
+// stepObserver sums the round decomposition.
+type stepObserver struct {
+	steps        [NumSteps]int64
+	tries, links int
+}
+
+func (o *stepObserver) ObserveRound(rs RoundStats) {
+	for i, ns := range rs.StepNanos {
+		o.steps[i] += ns
+	}
+	o.tries += rs.TrackerTries
+	o.links += rs.TrackerLinks
+}
+
+// TestStepNanosDecomposeTheRun checks the inside view of a round: the
+// per-step host times are nonnegative, cover the steps that certainly
+// ran, and add up to no more than the run took from outside; the tracker
+// deltas add up to the run's totals (less the arrivals after the last
+// round); and the registry observer exports both under the StepNames.
+func TestStepNanosDecomposeTheRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	so := &stepObserver{}
+	cfg := smallConfig()
+	cfg.Observer = both{so, NewRegistryObserver(reg)}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(t0).Nanoseconds()
+
+	var sum int64
+	for i, ns := range so.steps {
+		if ns < 0 {
+			t.Errorf("step %s took %d ns", StepNames[i], ns)
+		}
+		sum += ns
+	}
+	for _, step := range []int{stepArrivals, stepShuffle, stepEstablish, stepExchange, stepMetrics} {
+		if so.steps[step] == 0 {
+			t.Errorf("step %s never took any time", StepNames[step])
+		}
+	}
+	if sum > wall {
+		t.Errorf("steps sum to %d ns, the whole run took %d ns", sum, wall)
+	}
+	if so.links == 0 || so.links > so.tries || so.tries > s.res.trackerTries ||
+		s.res.trackerLinks-so.links > 5*cfg.NeighborSet {
+		t.Errorf("observer saw %d tries / %d links, the run made %d / %d",
+			so.tries, so.links, s.res.trackerTries, s.res.trackerLinks)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["sim.tracker_tries"]; got != int64(so.tries) {
+		t.Errorf("sim.tracker_tries = %d, want %d", got, so.tries)
+	}
+	if got := snap.Counters["sim.tracker_links"]; got != int64(so.links) {
+		t.Errorf("sim.tracker_links = %d, want %d", got, so.links)
+	}
+	for i, name := range StepNames {
+		if got := snap.Counters["sim.round_step_ns."+name]; got != so.steps[i] {
+			t.Errorf("sim.round_step_ns.%s = %d, want %d", name, got, so.steps[i])
+		}
+	}
+}
+
+// both fans one round out to two observers.
+type both [2]Observer
+
+func (b both) ObserveRound(rs RoundStats) {
+	b[0].ObserveRound(rs)
+	b[1].ObserveRound(rs)
 }
 
 // nopObserver is a minimal do-nothing Observer used to measure the cost of

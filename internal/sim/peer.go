@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 )
 
@@ -24,7 +26,7 @@ type TraceSample struct {
 // neighbor/connection sets) is stored as fixed-stride rows inside flat
 // slices: row i of a slice with stride k is [i*k, (i+1)*k). A slot's
 // identity is stable for the peer's whole lifetime — no adjacency row
-// ever holds a freed slot, because removal unlinks before freeing.
+// ever holds a freed slot, because removal detaches before freeing.
 //
 // See DESIGN.md §14 for the memory layout and the per-round complexity
 // table.
@@ -34,13 +36,17 @@ type peerStore struct {
 	nbrCap  int // neighbor-set row stride (Config.NeighborSet)
 	connCap int // connection row stride (min(MaxConns, NeighborSet))
 
+	// Ids are handed out by alloc in increasing order and never reused, so
+	// id[sl] == nextID-1 marks the newest peer: greater than any id in any row.
 	id      []PeerID
+	nextID  PeerID
 	arrived []float64
 	seed    []bool
 	slow    []bool
 	active  []bool // this round's participation draw (slow peers)
 	shaken  []bool
 	tracked []bool
+	gone    []bool // removed from the swarm (departed, or crashed and not yet back)
 
 	sinceTracker []int32 // rounds since last tracker contact
 	lingerLeft   []int32 // remaining seeding rounds of a lingering peer
@@ -63,12 +69,16 @@ type peerStore struct {
 	nbrLen  []int32
 	conn    []int32
 	connLen []int32
+	// roomy counts the peers in the swarm whose neighbor row has a free
+	// slot: the only ones a tracker top-up can link to.
+	roomy int
 
 	// rare[sl*pieces+j] counts how many of slot sl's neighbors hold piece
 	// j — the rarest-first replication view, maintained incrementally on
-	// link/unlink/give instead of recomputed per candidate piece.
-	// Allocated only under the RarestFirst strategy.
-	rare []uint16
+	// link/detach/give instead of recomputed per candidate piece.
+	// Allocated only under the RarestFirst strategy (useRare).
+	rare    []uint16
+	useRare bool
 
 	// Connection-persistence measurement state: the previous round's
 	// partner ids per slot, validated by an owner stamp plus the round
@@ -92,15 +102,15 @@ type peerStore struct {
 	// unchanged, the scan would come out empty again — and an empty scan
 	// consumes no randomness, so skipping it is trajectory-neutral.
 	nbrVer   []uint32
-	estEpoch []uint64 // establishConns: no tradable neighbor at this epoch
-	estVer   []uint32
 	optEpoch []uint64 // optimistic unchoke: no eligible recipient
 	optVer   []uint32
-	potEpoch []uint64 // potentialSize cache key
+	potEpoch []uint64 // potential-set cache key; a cached 0 is establishConns' memo
 	potVer   []uint32
 	potVal   []int32 // cached potential-set size
 
 	free []int32 // free-slot stack (LIFO reuse)
+
+	warmed int32 // warm's sink: keeps its loads from being optimized away
 }
 
 func newPeerStore(cfg Config) peerStore {
@@ -113,79 +123,78 @@ func newPeerStore(cfg Config) peerStore {
 		words:   bitset.RowWords(cfg.Pieces),
 		nbrCap:  cfg.NeighborSet,
 		connCap: connCap,
+		useRare: cfg.PieceSelection == RarestFirst,
 	}
 }
 
 // len returns the number of allocated slots (live + free).
 func (ps *peerStore) len() int { return len(ps.id) }
 
-// grow appends one zero slot to every parallel array.
-func (ps *peerStore) grow() int32 {
-	sl := int32(len(ps.id))
-	ps.id = append(ps.id, -1)
-	ps.arrived = append(ps.arrived, 0)
-	ps.seed = append(ps.seed, false)
-	ps.slow = append(ps.slow, false)
-	ps.active = append(ps.active, false)
-	ps.shaken = append(ps.shaken, false)
-	ps.tracked = append(ps.tracked, false)
-	ps.sinceTracker = append(ps.sinceTracker, 0)
-	ps.lingerLeft = append(ps.lingerLeft, 0)
-	for i := 0; i < ps.words; i++ {
-		ps.pieceWords = append(ps.pieceWords, 0)
+// extend appends n copies of v to s.
+func extend[T any](s []T, n int, v T) []T {
+	s = slices.Grow(s, n)
+	for ; n > 0; n-- {
+		s = append(s, v)
 	}
-	ps.pieceCnt = append(ps.pieceCnt, 0)
-	for i := 0; i < ps.pieces; i++ {
-		ps.pieceTimes = append(ps.pieceTimes, -1)
-		ps.acqOrder = append(ps.acqOrder, 0)
-	}
-	ps.acqLen = append(ps.acqLen, 0)
-	for i := 0; i < ps.nbrCap; i++ {
-		ps.nbr = append(ps.nbr, 0)
-	}
-	ps.nbrLen = append(ps.nbrLen, 0)
-	for i := 0; i < ps.connCap; i++ {
-		ps.conn = append(ps.conn, 0)
-		ps.prevConn = append(ps.prevConn, -1)
-	}
-	ps.connLen = append(ps.connLen, 0)
-	// rare rows are grown in alloc, only under rarest-first.
-	ps.prevLen = append(ps.prevLen, 0)
-	ps.prevOwner = append(ps.prevOwner, -1)
-	ps.prevRound = append(ps.prevRound, -1)
-	ps.inRound = append(ps.inRound, -1)
-	ps.traceIdx = append(ps.traceIdx, -1)
-	ps.nbrVer = append(ps.nbrVer, 0)
-	ps.estEpoch = append(ps.estEpoch, 0)
-	ps.estVer = append(ps.estVer, 0)
-	ps.optEpoch = append(ps.optEpoch, 0)
-	ps.optVer = append(ps.optVer, 0)
-	ps.potEpoch = append(ps.potEpoch, 0)
-	ps.potVer = append(ps.potVer, 0)
-	ps.potVal = append(ps.potVal, 0)
-	return sl
+	return s
 }
 
-// alloc returns a reset slot, reusing the free list when possible.
-func (ps *peerStore) alloc(useRare bool) int32 {
-	var sl int32
-	if n := len(ps.free); n > 0 {
-		sl = ps.free[n-1]
-		ps.free = ps.free[:n-1]
-		ps.reset(sl)
-	} else {
-		sl = ps.grow()
+// grow appends n slots to every parallel array — one allocation per array
+// however many, so a swarm built with its initial population in one call
+// leaves no doubling garbage behind — and stacks them on the free list,
+// lowest slot on top.
+func (ps *peerStore) grow(n int) {
+	first := len(ps.id)
+	ps.id = extend(ps.id, n, -1)
+	ps.arrived = extend(ps.arrived, n, 0)
+	ps.seed = extend(ps.seed, n, false)
+	ps.slow = extend(ps.slow, n, false)
+	ps.active = extend(ps.active, n, false)
+	ps.shaken = extend(ps.shaken, n, false)
+	ps.tracked = extend(ps.tracked, n, false)
+	ps.gone = extend(ps.gone, n, false)
+	ps.sinceTracker = extend(ps.sinceTracker, n, 0)
+	ps.lingerLeft = extend(ps.lingerLeft, n, 0)
+	ps.pieceWords = extend(ps.pieceWords, n*ps.words, 0)
+	ps.pieceCnt = extend(ps.pieceCnt, n, 0)
+	ps.pieceTimes = extend(ps.pieceTimes, n*ps.pieces, -1)
+	ps.acqOrder = extend(ps.acqOrder, n*ps.pieces, 0)
+	ps.acqLen = extend(ps.acqLen, n, 0)
+	ps.nbr = extend(ps.nbr, n*ps.nbrCap, 0)
+	ps.nbrLen = extend(ps.nbrLen, n, 0)
+	ps.conn = extend(ps.conn, n*ps.connCap, 0)
+	ps.connLen = extend(ps.connLen, n, 0)
+	if ps.useRare {
+		ps.rare = extend(ps.rare, n*ps.pieces, 0)
 	}
-	if useRare {
-		need := (int(sl) + 1) * ps.pieces
-		for len(ps.rare) < need {
-			ps.rare = append(ps.rare, 0)
-		}
-		row := ps.rare[int(sl)*ps.pieces : need]
-		for i := range row {
-			row[i] = 0
-		}
+	ps.prevConn = extend(ps.prevConn, n*ps.connCap, -1)
+	ps.prevLen = extend(ps.prevLen, n, 0)
+	ps.prevOwner = extend(ps.prevOwner, n, -1)
+	ps.prevRound = extend(ps.prevRound, n, -1)
+	ps.inRound = extend(ps.inRound, n, -1)
+	ps.traceIdx = extend(ps.traceIdx, n, -1)
+	ps.nbrVer = extend(ps.nbrVer, n, 0)
+	ps.optEpoch = extend(ps.optEpoch, n, 0)
+	ps.optVer = extend(ps.optVer, n, 0)
+	ps.potEpoch = extend(ps.potEpoch, n, 0)
+	ps.potVer = extend(ps.potVer, n, 0)
+	ps.potVal = extend(ps.potVal, n, 0)
+	for sl := first + n - 1; sl >= first; sl-- {
+		ps.free = append(ps.free, int32(sl))
 	}
+}
+
+// alloc returns a reset slot carrying the next peer id, off the free list
+// (grown by one when empty).
+func (ps *peerStore) alloc() int32 {
+	if len(ps.free) == 0 {
+		ps.grow(1)
+	}
+	sl := ps.free[len(ps.free)-1]
+	ps.free = ps.free[:len(ps.free)-1]
+	ps.reset(sl)
+	ps.id[sl] = ps.nextID
+	ps.nextID++
 	return sl
 }
 
@@ -198,6 +207,7 @@ func (ps *peerStore) reset(sl int32) {
 	ps.active[sl] = false
 	ps.shaken[sl] = false
 	ps.tracked[sl] = false
+	ps.gone[sl] = false
 	ps.sinceTracker[sl] = 0
 	ps.lingerLeft[sl] = 0
 	bitset.RowClear(ps.pieceRow(sl))
@@ -215,9 +225,11 @@ func (ps *peerStore) reset(sl int32) {
 	ps.inRound[sl] = -1
 	ps.traceIdx[sl] = -1
 	ps.nbrVer[sl] = 0
-	ps.estEpoch[sl] = 0
 	ps.optEpoch[sl] = 0
 	ps.potEpoch[sl] = 0
+	if ps.useRare {
+		clear(ps.rare[int(sl)*ps.pieces:][:ps.pieces])
+	}
 }
 
 // freeSlot returns a slot to the free list. The slot's data stays intact
@@ -243,77 +255,91 @@ func (ps *peerStore) connRow(sl int32) []int32 {
 	return ps.conn[base : base+int(ps.connLen[sl])]
 }
 
-// insertNbr inserts q into p's neighbor row, keeping ascending-id order.
-func (ps *peerStore) insertNbr(p, q int32) {
-	base := int(p) * ps.nbrCap
-	i := int(ps.nbrLen[p])
+// insertByID inserts q into row[:n] — row has room for one more — keeping
+// ascending partner-id order, by shifting down from the top. The newest
+// peer goes last without a look at the row: linking a fresh arrival then
+// costs its partner one store, not a load the core must wait for.
+func (ps *peerStore) insertByID(row []int32, n int, q int32) {
 	qid := ps.id[q]
-	for i > 0 && ps.id[ps.nbr[base+i-1]] > qid {
-		ps.nbr[base+i] = ps.nbr[base+i-1]
-		i--
-	}
-	ps.nbr[base+i] = q
-	ps.nbrLen[p]++
-}
-
-// removeNbr deletes q from p's neighbor row (no-op when absent).
-func (ps *peerStore) removeNbr(p, q int32) {
-	base := int(p) * ps.nbrCap
-	n := int(ps.nbrLen[p])
-	for i := 0; i < n; i++ {
-		if ps.nbr[base+i] == q {
-			copy(ps.nbr[base+i:base+n-1], ps.nbr[base+i+1:base+n])
-			ps.nbrLen[p]--
-			return
+	i := n
+	if qid != ps.nextID-1 {
+		for ; i > 0 && ps.id[row[i-1]] > qid; i-- {
+			row[i] = row[i-1]
 		}
 	}
+	row[i] = q
 }
 
-// hasNbr reports whether q is in p's neighbor row.
-func (ps *peerStore) hasNbr(p, q int32) bool {
-	for _, x := range ps.nbrRow(p) {
+// removeSlot deletes q from row, closing the gap, and reports whether it
+// was there.
+func removeSlot(row []int32, q int32) bool {
+	for i, x := range row {
 		if x == q {
+			copy(row[i:], row[i+1:])
 			return true
 		}
 	}
 	return false
 }
 
-// insertConn inserts q into p's connection row, keeping ascending-id
-// order.
+// insertNbr inserts q into p's neighbor row.
+func (ps *peerStore) insertNbr(p, q int32) {
+	base := int(p) * ps.nbrCap
+	ps.insertByID(ps.nbr[base:base+ps.nbrCap], int(ps.nbrLen[p]), q)
+	ps.nbrLen[p]++
+	if int(ps.nbrLen[p]) == ps.nbrCap {
+		ps.roomy--
+	}
+}
+
+// removeNbr deletes q from p's neighbor row (no-op when absent).
+func (ps *peerStore) removeNbr(p, q int32) {
+	if removeSlot(ps.nbrRow(p), q) {
+		if int(ps.nbrLen[p]) == ps.nbrCap {
+			ps.roomy++
+		}
+		ps.nbrLen[p]--
+	}
+}
+
+// hasNbr reports whether q is in p's neighbor row.
+func (ps *peerStore) hasNbr(p, q int32) bool { return slices.Contains(ps.nbrRow(p), q) }
+
+// insertConn inserts q into p's connection row.
 func (ps *peerStore) insertConn(p, q int32) {
 	base := int(p) * ps.connCap
-	i := int(ps.connLen[p])
-	qid := ps.id[q]
-	for i > 0 && ps.id[ps.conn[base+i-1]] > qid {
-		ps.conn[base+i] = ps.conn[base+i-1]
-		i--
-	}
-	ps.conn[base+i] = q
+	ps.insertByID(ps.conn[base:base+ps.connCap], int(ps.connLen[p]), q)
 	ps.connLen[p]++
 }
 
 // removeConn deletes q from p's connection row (no-op when absent).
 func (ps *peerStore) removeConn(p, q int32) {
-	base := int(p) * ps.connCap
-	n := int(ps.connLen[p])
-	for i := 0; i < n; i++ {
-		if ps.conn[base+i] == q {
-			copy(ps.conn[base+i:base+n-1], ps.conn[base+i+1:base+n])
-			ps.connLen[p]--
-			return
-		}
+	if removeSlot(ps.connRow(p), q) {
+		ps.connLen[p]--
 	}
 }
 
 // connected reports whether p and q share a connection.
-func (ps *peerStore) connected(p, q int32) bool {
-	for _, x := range ps.connRow(p) {
-		if x == q {
-			return true
+func (ps *peerStore) connected(p, q int32) bool { return slices.Contains(ps.connRow(p), q) }
+
+// warm loads one word per cache line of the rows a membership change is
+// about to touch at each partner in qs. These loads do not depend on one
+// another, so their cache misses overlap; the change itself visits one
+// partner at a time through scans and branches the core cannot run ahead
+// of, and would otherwise take the same misses one after another.
+func (ps *peerStore) warm(qs []int32) {
+	var sum int32
+	for _, q := range qs {
+		row := ps.nbr[int(q)*ps.nbrCap:][:ps.nbrCap]
+		for i := 0; i < len(row); i += 16 {
+			sum += row[i]
+		}
+		sum += row[len(row)-1] + ps.conn[int(q)*ps.connCap]
+		if ps.useRare {
+			sum += int32(ps.rare[int(q)*ps.pieces])
 		}
 	}
-	return false
+	ps.warmed = sum
 }
 
 // complete reports whether the slot holds the full file.
@@ -321,16 +347,33 @@ func (ps *peerStore) complete(sl int32) bool {
 	return ps.seed[sl] || int(ps.pieceCnt[sl]) == ps.pieces
 }
 
-// wants reports whether p lacks at least one piece q holds.
-func (ps *peerStore) wants(p, q int32) bool {
-	return bitset.RowAnyAndNot(ps.pieceRow(q), ps.pieceRow(p))
-}
-
-// mutualInterest reports whether p and q each hold at least one piece the
-// other lacks (the strict tit-for-tat trade condition).
-func (ps *peerStore) mutualInterest(p, q int32) bool {
-	pw, qw := ps.pieceRow(p), ps.pieceRow(q)
-	return bitset.RowAnyAndNot(qw, pw) && bitset.RowAnyAndNot(pw, qw)
+// tradable returns the neighbors of p with whom strict trade is possible
+// right now — each side holds a piece the other lacks — in buf, which it
+// replaces when too small. Seeds are never among them (the measurement
+// methodology of §4.2 excludes them from the potential set): a seed lacks
+// nothing, so nobody has mutual interest with one.
+func (ps *peerStore) tradable(buf []int32, p int32) []int32 {
+	row := ps.nbrRow(p)
+	if cap(buf) < len(row) {
+		buf = make([]int32, ps.nbrCap)
+	}
+	dst := buf[:len(row)]
+	words, pcs := ps.words, ps.pieceWords
+	pb, n := int(p)*words, 0
+	for _, q := range row {
+		qb := int(q) * words
+		var pLacks, qLacks uint64
+		for i := 0; i < words; i++ {
+			pw, qw := pcs[pb+i], pcs[qb+i]
+			pLacks |= qw &^ pw
+			qLacks |= pw &^ qw
+		}
+		// Keep q when both are nonzero, without a branch the core would
+		// mispredict every other neighbor: x|-x has its top bit set iff x != 0.
+		dst[n] = q
+		n += int(((pLacks | -pLacks) & (qLacks | -qLacks)) >> 63)
+	}
+	return dst[:n]
 }
 
 // memBytes estimates the store's resident footprint from the capacities
@@ -338,7 +381,7 @@ func (ps *peerStore) mutualInterest(p, q int32) bool {
 func (ps *peerStore) memBytes() int64 {
 	b := int64(cap(ps.id))*8 + int64(cap(ps.arrived))*8
 	b += int64(cap(ps.seed)) + int64(cap(ps.slow)) + int64(cap(ps.active)) +
-		int64(cap(ps.shaken)) + int64(cap(ps.tracked))
+		int64(cap(ps.shaken)) + int64(cap(ps.tracked)) + int64(cap(ps.gone))
 	b += int64(cap(ps.sinceTracker))*4 + int64(cap(ps.lingerLeft))*4
 	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4
 	b += int64(cap(ps.pieceTimes))*8 + int64(cap(ps.acqOrder))*4 + int64(cap(ps.acqLen))*4
@@ -349,7 +392,7 @@ func (ps *peerStore) memBytes() int64 {
 		int64(cap(ps.prevOwner))*8 + int64(cap(ps.prevRound))*4 +
 		int64(cap(ps.inRound))*4
 	b += int64(cap(ps.traceIdx)) * 4
-	b += int64(cap(ps.nbrVer))*4 + int64(cap(ps.estEpoch))*8 + int64(cap(ps.estVer))*4 +
+	b += int64(cap(ps.nbrVer))*4 +
 		int64(cap(ps.optEpoch))*8 + int64(cap(ps.optVer))*4 +
 		int64(cap(ps.potEpoch))*8 + int64(cap(ps.potVer))*4 + int64(cap(ps.potVal))*4
 	b += int64(cap(ps.free)) * 4

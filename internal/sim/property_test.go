@@ -54,12 +54,12 @@ func randomConfig(seed uint64) Config {
 }
 
 // checkRandomConfig runs randomConfig(seed) round by round through
-// checkInvariants and then checks the run-level properties of its Result:
+// checkInvariants and checkDetachAll and then checks the run-level properties of its Result:
 // bounded series, sane completions, monotone traces.
 func checkRandomConfig(t testing.TB, seed uint64) {
 	t.Helper()
 	cfg := randomConfig(seed)
-	_, res := runChecked(t, cfg)
+	_, res := runChecked(t, cfg, checkDetachAll)
 	for _, ser := range [][]float64{res.EntropySeries.V, res.EfficiencySeries.V, res.PRSeries.V} {
 		for _, v := range ser {
 			if v < 0 || v > 1 || math.IsNaN(v) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/des"
@@ -33,10 +34,11 @@ type Swarm struct {
 	// order; ids are allocated monotonically so appends preserve the
 	// order (rejoins re-insert in place).
 	alive []int32
+	// removed counts the peers marked gone and not yet compacted away.
+	removed int
 	// seeds holds the slots of origin and lingering seeds, in the order
 	// they became seeds.
-	seeds  []int32
-	nextID PeerID
+	seeds []int32
 
 	tracked int
 	traces  [][]TraceSample // per tracked peer, indexed by traceIdx
@@ -45,13 +47,12 @@ type Swarm struct {
 	// keys the peerStore quiescence memos. Starts at 1 so a zero memo
 	// field can never validate.
 	epoch uint64
-	// useRare gates the incremental rarest-first replication tables.
-	useRare bool
 
 	// Lifecycle state for Advance/Run: the exchange ticker and arrival
 	// process are installed once on first use.
 	started bool
 	ticker  *des.Ticker
+	arrive  func() // onArrival, bound once
 
 	// Fault-injection state (nil/empty without a Config.Faults plan).
 	faultRNG    *stats.RNG
@@ -74,8 +75,6 @@ type Swarm struct {
 
 	res *Result
 
-	scratch []int // reusable piece-index buffer
-
 	// Round-loop scratch buffers. A Swarm is single-threaded, each buffer
 	// is rebuilt before use, and no two of them are live across the same
 	// call — reusing them removes every steady-state allocation from the
@@ -85,7 +84,6 @@ type Swarm struct {
 	leecherBuf  []int32
 	unchokeBuf  []int32
 	candBuf     []int32
-	nbrScratch  []int32 // neighbor-row snapshots under mutation
 	connScratch []int32 // connection-row snapshots under mutation
 	degreeBuf   []int   // replication-degree tables
 
@@ -94,36 +92,14 @@ type Swarm struct {
 	lastEntropy float64
 	lastEff     float64
 	lastPR      float64
-	// prevSnap holds the cumulative counters as of the previous round's
-	// observer delivery, so each round reports deltas that include the
-	// inter-round arrival events.
-	prevSnap counterSnapshot
-}
-
-// counterSnapshot is a copy of the cumulative Result counters, used to
-// compute per-round deltas for the Observer without any allocation.
-type counterSnapshot struct {
-	arrivals, exchanges, seedUploads, optimistic int
-	shakes, aborts, completions                  int
-	connsFormed, connsDropped                    int
-	faultDrops, crashes, rejoins                 int
-}
-
-func (s *Swarm) snapshotCounters() counterSnapshot {
-	return counterSnapshot{
-		arrivals:     s.res.arrivals,
-		exchanges:    s.res.exchanges,
-		seedUploads:  s.res.seedUploads,
-		optimistic:   s.res.optimistic,
-		shakes:       s.res.shakes,
-		aborts:       s.res.aborts,
-		completions:  len(s.res.Completions),
-		connsFormed:  s.res.connsFormed,
-		connsDropped: s.res.connsDropped,
-		faultDrops:   s.res.faultDrops,
-		crashes:      s.res.crashes,
-		rejoins:      s.res.rejoins,
-	}
+	// prevSnap and prevDone hold the cumulative counters and completions
+	// as of the previous round's observer delivery, so each round reports
+	// deltas that include the inter-round arrival events.
+	prevSnap counters
+	prevDone int
+	// stepNanos and lapAt are lap's state; untouched without an observer.
+	stepNanos [NumSteps]int64
+	lapAt     time.Time
 }
 
 // New validates cfg and builds the initial swarm.
@@ -137,18 +113,18 @@ func New(cfg Config) (*Swarm, error) {
 		sim:          des.New(),
 		ps:           newPeerStore(cfg),
 		epoch:        1,
-		useRare:      cfg.PieceSelection == RarestFirst,
 		superPending: make(map[int]bool),
 		res:          newResult(cfg),
 	}
+	s.ps.grow(cfg.Seeds + cfg.InitialPeers)
 	for i := 0; i < cfg.Seeds; i++ {
-		sl := s.ps.alloc(s.useRare)
-		s.ps.id[sl] = s.allocID()
+		sl := s.ps.alloc()
 		s.ps.seed[sl] = true
 		bitset.RowFill(s.ps.pieceRow(sl), cfg.Pieces)
 		s.ps.pieceCnt[sl] = int32(cfg.Pieces)
 		s.alive = append(s.alive, sl)
 		s.seeds = append(s.seeds, sl)
+		s.ps.roomy++
 	}
 	for i := 0; i < cfg.InitialPeers; i++ {
 		sl := s.spawnLeecher(0)
@@ -164,15 +140,8 @@ func New(cfg Config) (*Swarm, error) {
 	return s, nil
 }
 
-func (s *Swarm) allocID() PeerID {
-	id := s.nextID
-	s.nextID++
-	return id
-}
-
 func (s *Swarm) spawnLeecher(now float64) int32 {
-	sl := s.ps.alloc(s.useRare)
-	s.ps.id[sl] = s.allocID()
+	sl := s.ps.alloc()
 	s.ps.arrived[sl] = now
 	if s.cfg.SlowPeerFraction > 0 {
 		s.ps.slow[sl] = s.rng.Bernoulli(s.cfg.SlowPeerFraction)
@@ -185,6 +154,7 @@ func (s *Swarm) spawnLeecher(now float64) int32 {
 	}
 	// Ids are monotone, so appending preserves the alive order.
 	s.alive = append(s.alive, sl)
+	s.ps.roomy++
 	return sl
 }
 
@@ -220,30 +190,38 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 	ps.acqOrder[base+int(ps.acqLen[sl])] = int32(j)
 	ps.acqLen[sl]++
 	s.epoch++
-	if s.useRare {
+	if s.ps.useRare {
 		for _, nb := range ps.nbrRow(sl) {
 			ps.rare[int(nb)*ps.pieces+j]++
 		}
 	}
 }
 
-// rareShift adds (inc) or removes (dec) src's whole piece inventory from
-// dst's rarest-first replication table.
-func (s *Swarm) rareShift(dst, src int32, inc bool) {
+// rareShift adds src's whole piece inventory to dst's rarest-first
+// replication table delta times: +1 on link, -1 (as its uint16 two's
+// complement, rareDec) on detach. An empty inventory — every fresh
+// arrival — changes nothing, and a full one — every departing leecher and
+// every seed — shifts the whole row without reading a single bit.
+func (s *Swarm) rareShift(dst, src int32, delta uint16) {
 	ps := &s.ps
-	base := int(dst) * ps.pieces
-	for wi, w := range ps.pieceRow(src) {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			if inc {
-				ps.rare[base+wi<<6+b]++
-			} else {
-				ps.rare[base+wi<<6+b]--
+	row := ps.rare[int(dst)*ps.pieces:][:ps.pieces]
+	switch int(ps.pieceCnt[src]) {
+	case 0:
+	case ps.pieces:
+		for j := range row {
+			row[j] += delta
+		}
+	default:
+		for wi, w := range ps.pieceRow(src) {
+			for w != 0 {
+				row[wi<<6+bits.TrailingZeros64(w)] += delta
+				w &= w - 1
 			}
 		}
 	}
 }
+
+const rareDec = ^uint16(0)
 
 // link establishes the symmetric neighbor relation.
 func (s *Swarm) link(p, q int32) {
@@ -252,25 +230,38 @@ func (s *Swarm) link(p, q int32) {
 	ps.insertNbr(q, p)
 	ps.nbrVer[p]++
 	ps.nbrVer[q]++
-	if s.useRare {
-		s.rareShift(p, q, true)
-		s.rareShift(q, p, true)
+	if s.ps.useRare {
+		s.rareShift(p, q, 1)
+		s.rareShift(q, p, 1)
 	}
 }
 
-// unlink removes the symmetric neighbor relation and any connection
-// between p and q.
-func (s *Swarm) unlink(p, q int32) {
+// detachAll removes every neighbor relation and connection of sl — a
+// departure, a crash or a shake — in one pass over the partners' rows.
+// The result is what unlinking the neighbors one by one would leave
+// (invariants_test.go keeps that loop as the oracle): each partner loses
+// sl from both of its rows and sl's inventory from its rare row, and sl's
+// own rows and rare row, which that loop would shrink a neighbor at a
+// time, are simply emptied.
+func (s *Swarm) detachAll(sl int32) {
 	ps := &s.ps
-	ps.removeNbr(p, q)
-	ps.removeNbr(q, p)
-	ps.removeConn(p, q)
-	ps.removeConn(q, p)
-	ps.nbrVer[p]++
-	ps.nbrVer[q]++
-	if s.useRare {
-		s.rareShift(p, q, false)
-		s.rareShift(q, p, false)
+	row := ps.nbrRow(sl)
+	ps.warm(row)
+	for _, q := range row {
+		ps.removeNbr(q, sl)
+		ps.removeConn(q, sl)
+		ps.nbrVer[q]++
+		if s.ps.useRare {
+			s.rareShift(q, sl, rareDec)
+		}
+	}
+	ps.nbrVer[sl] += uint32(len(row))
+	if len(row) == ps.nbrCap {
+		ps.roomy++
+	}
+	ps.nbrLen[sl], ps.connLen[sl] = 0, 0
+	if s.ps.useRare {
+		clear(ps.rare[int(sl)*ps.pieces:][:ps.pieces])
 	}
 }
 
@@ -332,7 +323,11 @@ func (s *Swarm) start() error {
 		return err
 	}
 	s.ticker = ticker
+	if s.cfg.Observer != nil {
+		s.lapAt = time.Now()
+	}
 	if s.cfg.ArrivalRate > 0 {
+		s.arrive = s.onArrival
 		if err := s.scheduleNextArrival(); err != nil {
 			s.ticker.Stop()
 			s.ticker = nil
@@ -343,25 +338,29 @@ func (s *Swarm) start() error {
 	return nil
 }
 
+// scheduleNextArrival queues the next Poisson arrival. The callback is the
+// one method value start built, so an arrival allocates only its des.Event.
 func (s *Swarm) scheduleNextArrival() error {
 	exp := stats.Exponential{Rate: s.cfg.ArrivalRate}
-	delay := exp.Sample(s.rng)
-	_, err := s.sim.After(delay, func() {
-		if s.cfg.MaxPeers == 0 || len(s.alive) < s.cfg.MaxPeers {
-			sl := s.spawnLeecher(s.sim.Now())
-			s.topUpNeighbors(sl)
-			s.res.arrivals++
-		}
-		if err := s.scheduleNextArrival(); err != nil {
-			// Past-event scheduling cannot happen with positive delays;
-			// stopping quietly keeps the simulation deterministic.
-			s.sim.Stop()
-		}
-	})
-	if err != nil {
+	if _, err := s.sim.After(exp.Sample(s.rng), s.arrive); err != nil {
 		return fmt.Errorf("sim: schedule arrival: %w", err)
 	}
 	return nil
+}
+
+// onArrival admits one leecher (unless the swarm is at MaxPeers) and
+// queues the arrival after it.
+func (s *Swarm) onArrival() {
+	if s.cfg.MaxPeers == 0 || len(s.alive) < s.cfg.MaxPeers {
+		sl := s.spawnLeecher(s.sim.Now())
+		s.topUpNeighbors(sl)
+		s.res.arrivals++
+	}
+	if err := s.scheduleNextArrival(); err != nil {
+		// Past-event scheduling cannot happen with positive delays;
+		// stopping quietly keeps the simulation deterministic.
+		s.sim.Stop()
+	}
 }
 
 // shuffledLeechersInto fills buf (resliced to zero length) with the live
@@ -379,9 +378,10 @@ func (s *Swarm) shuffledLeechersInto(buf []int32) []int32 {
 	return out
 }
 
-// round executes one exchange round: neighbor management, connection
-// maintenance and establishment, tit-for-tat exchange, seed uploads,
-// optimistic unchokes, measurement, and departures.
+// round executes one exchange round as the numbered steps below. The
+// order is the trajectory: every step that draws randomness does so in
+// the leecher order fixed by the shuffle at the top. Each lap charges the
+// time since the previous one to a RoundStats.StepNanos entry.
 func (s *Swarm) round() {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
@@ -390,96 +390,123 @@ func (s *Swarm) round() {
 			return
 		}
 	}
-	ps := &s.ps
+	s.lap(stepArrivals) // the inter-round events end here
 	now := s.sim.Now()
+	seedCount := len(s.seeds)
 	s.leecherBuf = s.shuffledLeechersInto(s.leecherBuf)
 	leechers := s.leecherBuf
-	seedCount := len(s.seeds)
 	s.lastEntropy, s.lastEff, s.lastPR = math.NaN(), math.NaN(), math.NaN()
 	s.res.rounds++
+	s.lap(stepShuffle)
+	leechers = s.applyFaults(now, leechers) // 0: blackout state, crash/rejoin churn
+	s.lap(stepFaults)
+	s.drawParticipation(leechers)
+	s.lap(stepParticipation)
+	s.trackerContact(leechers) // 1
+	s.lap(stepTracker)
+	s.maintainConns(leechers) // 2
+	s.lap(stepMaintain)
+	for _, p := range leechers { // 3: fill free slots from the potential set
+		s.establishConns(p)
+	}
+	s.lap(stepEstablish)
+	// 3b: injected failures land after re-pairing, so a failed connection
+	// stays down until the next round's step 3 — the one-round repair lag
+	// of the Section 5 migration chain.
+	s.injectConnFailures(leechers)
+	s.lap(stepConnFailures)
+	// 4: persistence and utilization, before the exchange mutates interest.
+	s.measureConnections(now, leechers)
+	s.lap(stepMeasure)
+	s.exchangeAll(now, leechers) // 5
+	s.lap(stepExchange)
+	s.seedUploads(now) // 6
+	s.lap(stepSeedUploads)
+	s.optimisticUnchokes(now) // 7
+	s.lap(stepOptimistic)
+	s.recordMetrics(now, leechers) // 8
+	s.lap(stepMetrics)
+	s.departures(now, leechers) // 9
+	s.lap(stepDepartures)
+	s.deliverRound(now, len(leechers), seedCount) // 10
+}
 
-	// 0. Scheduled faults: blackout state, crash/rejoin churn. Crashed
-	//    peers are filtered out of this round entirely.
-	leechers = s.applyFaults(now, leechers)
+// lap charges the host time since the previous lap to step. Without an
+// observer it does nothing, so a plain Run never reads a clock.
+func (s *Swarm) lap(step int) {
+	if s.cfg.Observer == nil {
+		return
+	}
+	t := time.Now()
+	s.stepNanos[step] += t.Sub(s.lapAt).Nanoseconds()
+	s.lapAt = t
+}
 
-	// Heterogeneous bandwidth: slow peers sit out some exchange rounds.
-	// The participation stamp marks this round's leechers so the edge
-	// accounting below can tell them apart from mid-round rejoiners. The
-	// tracker-overdue counter rides in the same pass; it draws no
-	// randomness, so fusing the loops leaves the RNG stream untouched.
+// drawParticipation models heterogeneous bandwidth: slow peers sit out
+// some exchange rounds. The participation stamp marks this round's
+// leechers so the edge accounting in measureConnections can tell them
+// apart from mid-round rejoiners. The tracker-overdue counter rides in
+// the same pass; it draws no randomness, so fusing the loops leaves the
+// RNG stream untouched.
+func (s *Swarm) drawParticipation(leechers []int32) {
+	ps := &s.ps
 	for _, p := range leechers {
 		ps.active[p] = !ps.slow[p] || s.rng.Bernoulli(s.cfg.SlowPeerRate)
 		ps.inRound[p] = int32(s.res.rounds)
 		ps.sinceTracker[p]++
 	}
+}
 
-	// 1. Tracker contact: top up sparse neighbor sets periodically, and
-	//    apply the Section 7.1 shake when configured. During an injected
-	//    tracker blackout this step is skipped wholesale — peers keep
-	//    trading over their existing connections (graceful degradation)
-	//    and their overdue counters keep growing, so the first round
-	//    after the blackout performs the catch-up re-announce.
-	if !s.trackerDark {
-		for _, p := range leechers {
-			if s.cfg.ShakeThreshold > 0 && !ps.shaken[p] && s.completionFrac(p) >= s.cfg.ShakeThreshold {
-				s.shake(p)
-			}
-			if int(ps.sinceTracker[p]) >= s.cfg.TrackerRefreshRounds ||
-				int(ps.nbrLen[p]) < s.cfg.NeighborSet/2 {
-				s.topUpNeighbors(p)
-				ps.sinceTracker[p] = 0
-			}
+// trackerContact tops up sparse neighbor sets periodically, and applies
+// the Section 7.1 shake when configured. During an injected tracker
+// blackout the step is skipped wholesale — peers keep trading over their
+// existing connections (graceful degradation) and their overdue counters
+// keep growing, so the first round after the blackout performs the
+// catch-up re-announce.
+func (s *Swarm) trackerContact(leechers []int32) {
+	if s.trackerDark {
+		return
+	}
+	ps := &s.ps
+	for _, p := range leechers {
+		if s.cfg.ShakeThreshold > 0 && !ps.shaken[p] && s.completionFrac(p) >= s.cfg.ShakeThreshold {
+			s.shake(p)
+		}
+		if int(ps.sinceTracker[p]) >= s.cfg.TrackerRefreshRounds ||
+			int(ps.nbrLen[p]) < s.cfg.NeighborSet/2 {
+			s.topUpNeighbors(p)
+			ps.sinceTracker[p] = 0
 		}
 	}
+}
 
-	// 2. Connection maintenance: drop pairs with no remaining mutual
-	//    interest (the strict tit-for-tat condition).
+// maintainConns drops pairs with no remaining mutual interest (the
+// strict tit-for-tat condition).
+func (s *Swarm) maintainConns(leechers []int32) {
+	ps := &s.ps
 	for _, p := range leechers {
 		if ps.connLen[p] == 0 {
 			continue
 		}
 		s.connScratch = append(s.connScratch[:0], ps.connRow(p)...)
+		pw := ps.pieceRow(p)
 		for _, q := range s.connScratch {
-			if ps.id[p] < ps.id[q] && !ps.mutualInterest(p, q) {
+			if qw := ps.pieceRow(q); ps.id[p] < ps.id[q] && !(bitset.RowAnyAndNot(qw, pw) && bitset.RowAnyAndNot(pw, qw)) {
 				s.dropConn(p, q)
 				s.res.connsDropped++
 			}
 		}
 	}
+}
 
-	// 3. New connections: fill free slots from the potential set.
-	for _, p := range leechers {
-		s.establishConns(p)
-	}
-
-	// 3b. Injected connection failure: the plan's per-round 1-p_r tears
-	//     down established pairs after re-pairing, so a failed connection
-	//     stays down until the next round's step 3 — the one-round repair
-	//     lag of the Section 5 migration chain.
-	s.injectConnFailures(leechers)
-
-	// 4. Measure persistence and utilization before the exchange mutates
-	//    interest relations.
-	s.measureConnections(now, leechers)
-
-	// 5. Exchange one piece each way over every connection.
-	s.exchangeAll(now, leechers)
-
-	// 6. Seeds upload without tit-for-tat.
-	s.seedUploads(now)
-
-	// 7. Optimistic unchoking bootstraps peers with nothing to trade.
-	s.optimisticUnchokes(now)
-
-	// 8. Per-peer instrumentation and aggregate series.
-	s.recordMetrics(now, leechers)
-
-	// 9. Departures: completed leechers leave (immediately, or after a
-	//    configured lingering period during which they serve as seeds);
-	//    discouraged leechers may abort early.
+// departures lets completed leechers leave (immediately, or after a
+// configured lingering period during which they serve as seeds) and
+// discouraged leechers abort early; lingering seeds count down and
+// eventually leave too.
+func (s *Swarm) departures(now float64, leechers []int32) {
 	for _, p := range leechers {
 		switch {
-		case ps.complete(p):
+		case s.ps.complete(p):
 			if s.cfg.SeedLingerRounds > 0 {
 				s.startLinger(p, now)
 			} else {
@@ -489,42 +516,51 @@ func (s *Swarm) round() {
 			s.abort(p)
 		}
 	}
-	// Lingering seeds count down and eventually leave.
 	s.expireLingerers()
+	s.compactAlive()
+}
 
-	// 10. Deliver the round's telemetry to the configured observer. The
-	// deltas are taken against the previous round's snapshot so events
-	// fired between rounds (Poisson arrivals) are attributed to the
-	// round that follows them.
-	if o := s.cfg.Observer; o != nil {
-		post := s.snapshotCounters()
-		prev := s.prevSnap
-		s.prevSnap = post
-		o.ObserveRound(RoundStats{
-			Time:         now,
-			Round:        s.res.rounds,
-			Leechers:     len(leechers),
-			Seeds:        seedCount,
-			Peers:        len(s.alive),
-			MemBytes:     s.ps.memBytes(),
-			Arrivals:     post.arrivals - prev.arrivals,
-			Exchanges:    post.exchanges - prev.exchanges,
-			SeedUploads:  post.seedUploads - prev.seedUploads,
-			Optimistic:   post.optimistic - prev.optimistic,
-			Shakes:       post.shakes - prev.shakes,
-			Aborts:       post.aborts - prev.aborts,
-			Completions:  post.completions - prev.completions,
-			ConnsFormed:  post.connsFormed - prev.connsFormed,
-			ConnsDropped: post.connsDropped - prev.connsDropped,
-			FaultDrops:   post.faultDrops - prev.faultDrops,
-			Crashes:      post.crashes - prev.crashes,
-			Rejoins:      post.rejoins - prev.rejoins,
-			TrackerDark:  s.trackerDark,
-			Entropy:      s.lastEntropy,
-			Efficiency:   s.lastEff,
-			PR:           s.lastPR,
-		})
+// deliverRound hands the round's telemetry to the configured observer.
+// The deltas are taken against the previous round's snapshot so events
+// fired between rounds (Poisson arrivals, with their tracker tries) are
+// attributed to the round that follows them.
+func (s *Swarm) deliverRound(now float64, leechers, seedCount int) {
+	o := s.cfg.Observer
+	if o == nil {
+		return
 	}
+	post, done := s.res.counters, len(s.res.Completions)
+	prev, prevDone := s.prevSnap, s.prevDone
+	s.prevSnap, s.prevDone = post, done
+	steps := s.stepNanos
+	s.stepNanos = [NumSteps]int64{}
+	o.ObserveRound(RoundStats{
+		Time:         now,
+		Round:        s.res.rounds,
+		Leechers:     leechers,
+		Seeds:        seedCount,
+		Peers:        len(s.alive),
+		MemBytes:     s.ps.memBytes(),
+		Arrivals:     post.arrivals - prev.arrivals,
+		Exchanges:    post.exchanges - prev.exchanges,
+		SeedUploads:  post.seedUploads - prev.seedUploads,
+		Optimistic:   post.optimistic - prev.optimistic,
+		Shakes:       post.shakes - prev.shakes,
+		Aborts:       post.aborts - prev.aborts,
+		Completions:  done - prevDone,
+		ConnsFormed:  post.connsFormed - prev.connsFormed,
+		ConnsDropped: post.connsDropped - prev.connsDropped,
+		FaultDrops:   post.faultDrops - prev.faultDrops,
+		Crashes:      post.crashes - prev.crashes,
+		Rejoins:      post.rejoins - prev.rejoins,
+		TrackerTries: post.trackerTries - prev.trackerTries,
+		TrackerLinks: post.trackerLinks - prev.trackerLinks,
+		TrackerDark:  s.trackerDark,
+		Entropy:      s.lastEntropy,
+		Efficiency:   s.lastEff,
+		PR:           s.lastPR,
+		StepNanos:    steps,
+	})
 }
 
 // startLinger records the completion and converts the leecher into a
@@ -557,28 +593,34 @@ func (s *Swarm) expireLingerers() {
 	s.seeds = kept
 }
 
-// removePeer unlinks a peer and erases it from the swarm bookkeeping.
-// With freeSlot the slot returns to the free list (its data stays
-// readable until the next alloc); crashes keep their slot reserved for
-// the rejoin.
+// removePeer detaches a peer and marks it gone; the caller's loop ends
+// with compactAlive, and nothing reads the alive list in between. With
+// freeSlot the slot returns to the free list (its data stays readable
+// until the next alloc); crashes keep their slot reserved for the rejoin.
 func (s *Swarm) removePeer(sl int32, freeSlot bool) {
-	s.nbrScratch = append(s.nbrScratch[:0], s.ps.nbrRow(sl)...)
-	for _, q := range s.nbrScratch {
-		s.unlink(sl, q)
-	}
-	s.aliveRemove(sl)
+	s.detachAll(sl)
+	s.ps.gone[sl] = true
+	s.ps.roomy--
+	s.removed++
 	if freeSlot {
 		s.ps.freeSlot(sl)
 	}
 }
 
-// aliveRemove deletes a slot from the sorted alive list.
-func (s *Swarm) aliveRemove(sl int32) {
-	id := s.ps.id[sl]
-	i := sort.Search(len(s.alive), func(i int) bool { return s.ps.id[s.alive[i]] >= id })
-	if i < len(s.alive) && s.alive[i] == sl {
-		s.alive = append(s.alive[:i], s.alive[i+1:]...)
+// compactAlive drops the peers removed since the last call from the
+// alive list in one pass — a departure apiece would move the tail of the
+// list once per departure, O(population) each.
+func (s *Swarm) compactAlive() {
+	if s.removed == 0 {
+		return
 	}
+	kept := s.alive[:0]
+	for _, sl := range s.alive {
+		if !s.ps.gone[sl] {
+			kept = append(kept, sl)
+		}
+	}
+	s.alive, s.removed = kept, 0
 }
 
 // aliveInsert puts a slot back into the sorted alive list (rejoins break
@@ -589,6 +631,8 @@ func (s *Swarm) aliveInsert(sl int32) {
 	s.alive = append(s.alive, 0)
 	copy(s.alive[i+1:], s.alive[i:])
 	s.alive[i] = sl
+	s.ps.gone[sl] = false
+	s.ps.roomy++
 }
 
 // abort removes a leecher that gave up before completing. Its pieces
@@ -606,10 +650,7 @@ func (s *Swarm) completionFrac(p int32) float64 {
 // shake drops the entire neighbor set and requests a fresh random one from
 // the tracker (Section 7.1).
 func (s *Swarm) shake(p int32) {
-	s.nbrScratch = append(s.nbrScratch[:0], s.ps.nbrRow(p)...)
-	for _, q := range s.nbrScratch {
-		s.unlink(p, q)
-	}
+	s.detachAll(p)
 	s.topUpNeighbors(p)
 	s.ps.shaken[p] = true
 	s.res.shakes++
@@ -622,29 +663,36 @@ func (s *Swarm) shake(p int32) {
 // O(s) per peer instead of O(population).
 func (s *Swarm) topUpNeighbors(p int32) {
 	ps := &s.ps
-	need := s.cfg.NeighborSet - int(ps.nbrLen[p])
-	if need <= 0 {
-		return
-	}
-	if len(s.alive) < 2 {
+	want := s.cfg.NeighborSet - int(ps.nbrLen[p])
+	if want <= 0 || len(s.alive) < 2 {
 		return
 	}
 	// Cap the sampling effort: with rejection for duplicates/full peers,
 	// a handful of tries per wanted slot suffices in practice.
-	for tries := 8 * need; tries > 0 && need > 0; tries-- {
-		q := s.alive[s.rng.IntN(len(s.alive))]
-		if q == p {
-			continue
+	need, tries := want, 8*want
+	// A try can only link a roomy peer that is neither p (roomy, since it
+	// wants neighbors) nor one of its neighbors already. Once none is left
+	// the outcome of every further try is known, and only its draw remains.
+	viable := ps.roomy - 1
+	for _, q := range ps.nbrRow(p) {
+		if int(ps.nbrLen[q]) < ps.nbrCap {
+			viable--
 		}
-		if ps.hasNbr(p, q) {
-			continue
-		}
-		if int(ps.nbrLen[q]) >= s.cfg.NeighborSet {
-			continue
-		}
-		s.link(p, q)
-		need--
 	}
+	for ; tries > 0 && need > 0; tries-- {
+		r := s.rng.IntN(len(s.alive))
+		if viable == 0 {
+			continue
+		}
+		// Rejections draw nothing, so the O(1) tests go first.
+		if q := s.alive[r]; q != p && int(ps.nbrLen[q]) < ps.nbrCap && !ps.hasNbr(p, q) {
+			s.link(p, q)
+			need--
+			viable--
+		}
+	}
+	s.res.trackerTries += 8*want - tries
+	s.res.trackerLinks += want - need
 }
 
 // establishConns fills p's free connection slots from neighbors with
@@ -655,36 +703,20 @@ func (s *Swarm) establishConns(p int32) {
 	if free <= 0 {
 		return
 	}
-	// Quiescence memo: a previous scan proved no neighbor is tradable
-	// (ignoring connection-state filters, which only shrink the set) and
-	// nothing that could change that has happened since. An empty
-	// candidate set consumes no randomness, so skipping the scan leaves
-	// the RNG stream untouched.
-	if ps.estEpoch[p] == s.epoch && ps.estVer[p] == ps.nbrVer[p] {
+	// Quiescence memo: the last scan found the potential set empty
+	// (the connection-state filters below only shrink it) and nothing that
+	// could change that has happened since. An empty candidate set
+	// consumes no randomness, so skipping the scan leaves the RNG stream
+	// untouched.
+	if ps.potVal[p] == 0 && ps.potEpoch[p] == s.epoch && ps.potVer[p] == ps.nbrVer[p] {
 		return
 	}
-	cands := s.candBuf[:0]
-	tradable := false
-	for _, q := range ps.nbrRow(p) {
-		if ps.seed[q] {
-			continue
+	potential := s.potentialSet(p)
+	cands := potential[:0]
+	for _, q := range potential {
+		if !ps.connected(p, q) && int(ps.connLen[q]) < s.cfg.MaxConns {
+			cands = append(cands, q)
 		}
-		if !ps.mutualInterest(p, q) {
-			continue
-		}
-		tradable = true
-		if ps.connected(p, q) {
-			continue
-		}
-		if int(ps.connLen[q]) >= s.cfg.MaxConns {
-			continue
-		}
-		cands = append(cands, q)
-	}
-	s.candBuf = cands
-	if !tradable {
-		ps.estEpoch[p] = s.epoch
-		ps.estVer[p] = ps.nbrVer[p]
 	}
 	s.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	for _, q := range cands {
@@ -972,11 +1004,13 @@ func (s *Swarm) optimisticUnchokes(now float64) {
 			continue
 		}
 		cands := s.candBuf[:0]
+		pw := ps.pieceRow(p)
 		for _, q := range ps.nbrRow(p) {
 			if ps.seed[q] || ps.complete(q) || !ps.active[q] {
 				continue
 			}
-			if ps.wants(q, p) && !ps.wants(p, q) {
+			// q wants something of p's and has nothing p lacks.
+			if qw := ps.pieceRow(q); bitset.RowAnyAndNot(pw, qw) && !bitset.RowAnyAndNot(qw, pw) {
 				cands = append(cands, q)
 			}
 		}
@@ -996,28 +1030,25 @@ func (s *Swarm) optimisticUnchokes(now float64) {
 	}
 }
 
-// potentialSize counts the neighbors with whom strict trade is possible
-// right now (the paper's potential set). The value is cached per slot
-// against the (epoch, neighbor-version) pair, so quiescent stretches cost
-// two comparisons instead of a neighbor scan.
-func (s *Swarm) potentialSize(p int32) int {
+// potentialSet scans for the neighbors with whom strict trade is possible
+// right now (the paper's potential set), into the shared candidate buffer.
+// Its size is cached per slot against the (epoch, neighbor-version) pair,
+// so quiescent stretches cost potentialSize and establishConns two
+// comparisons instead of a neighbor scan.
+func (s *Swarm) potentialSet(p int32) []int32 {
 	ps := &s.ps
-	if ps.potEpoch[p] == s.epoch && ps.potVer[p] == ps.nbrVer[p] {
+	s.candBuf = ps.tradable(s.candBuf, p)
+	ps.potEpoch[p], ps.potVer[p], ps.potVal[p] = s.epoch, ps.nbrVer[p], int32(len(s.candBuf))
+	return s.candBuf
+}
+
+// potentialSize is the size of p's potential set, from the cache when it
+// is current.
+func (s *Swarm) potentialSize(p int32) int {
+	if ps := &s.ps; ps.potEpoch[p] == s.epoch && ps.potVer[p] == ps.nbrVer[p] {
 		return int(ps.potVal[p])
 	}
-	n := 0
-	for _, q := range ps.nbrRow(p) {
-		if ps.seed[q] {
-			continue // measurement methodology excludes seeds (§4.2)
-		}
-		if ps.mutualInterest(p, q) {
-			n++
-		}
-	}
-	ps.potEpoch[p] = s.epoch
-	ps.potVer[p] = ps.nbrVer[p]
-	ps.potVal[p] = int32(n)
-	return n
+	return len(s.potentialSet(p))
 }
 
 // recordMetrics appends the per-round aggregate series and tracked-peer

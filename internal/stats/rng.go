@@ -31,14 +31,21 @@
 package stats
 
 import (
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is a deterministic random-number stream. Streams are cheap to create
 // and may be split into independent child streams, which lets concurrent
 // simulation entities draw random numbers without sharing state.
+//
+// The generator is math/rand/v2's PCG, held concretely; the bounded
+// integer, shuffle and float reductions on top of it are this package's
+// own code (the algorithms of go1.24's rand.Rand on 64-bit platforms), so
+// the draw stream behind every golden is pinned here — by
+// TestRNGDrawsMatchMathRandV2 — and not by a standard-library version.
 type RNG struct {
-	src *rand.Rand
+	pcg rand.PCG
 	// seeds retained so the stream can be split deterministically.
 	s1, s2  uint64
 	nsplits uint64
@@ -47,11 +54,9 @@ type RNG struct {
 // NewRNG returns a stream seeded with the pair (s1, s2). Equal seed pairs
 // yield identical streams.
 func NewRNG(s1, s2 uint64) *RNG {
-	return &RNG{
-		src: rand.New(rand.NewPCG(s1, s2)),
-		s1:  s1,
-		s2:  s2,
-	}
+	r := &RNG{s1: s1, s2: s2}
+	r.pcg.Seed(s1, s2)
+	return r
 }
 
 // Split derives a child stream that is statistically independent of the
@@ -92,23 +97,61 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+// Float64 returns a uniform value in [0, 1): one of the 1<<53 evenly
+// spaced float64s there.
+func (r *RNG) Float64() float64 { return float64(r.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("stats: invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n reduces one 64-bit draw to [0, n) exactly uniformly: a mask
+// when n is a power of two, else the high word of draw*n (Lemire), with
+// a redraw for the fewer than n of 2^64 products that would bias it.
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
 
 // NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
+func (r *RNG) NormFloat64() float64 { return rand.New(&r.pcg).NormFloat64() }
 
 // Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
 
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+// Shuffle randomizes the order of n elements using the provided swap
+// (Fisher–Yates from the top). It panics if n < 0.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	if n < 0 {
+		panic("stats: invalid argument to Shuffle")
+	}
+	for i := n - 1; i > 0; i-- {
+		swap(i, int(r.uint64n(uint64(i+1))))
+	}
+}
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
@@ -118,7 +161,7 @@ func (r *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // SampleWithoutReplacement returns k distinct values drawn uniformly from
@@ -136,7 +179,7 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	displaced := make(map[int]int, k)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		j := i + r.src.IntN(n-i)
+		j := i + r.IntN(n-i)
 		vi, ok := displaced[i]
 		if !ok {
 			vi = i

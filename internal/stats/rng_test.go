@@ -1,9 +1,81 @@
 package stats
 
 import (
+	"math"
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
+
+// TestRNGDrawsMatchMathRandV2 pins the draw path RNG implements itself
+// against rand.New(rand.NewPCG(s1, s2)): the same seed pair must yield
+// the same values through any interleaving of IntN, Shuffle, Float64,
+// Bernoulli and Uint64, for bounds on both sides of every branch of the
+// bounded-integer reduction.
+func TestRNGDrawsMatchMathRandV2(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("RNG pins the 64-bit reduction; 32-bit math/rand/v2 takes a different one for small n")
+	}
+	bounds := []int{1, 2, 3, math.MaxInt}
+	for k := 2; k <= 62; k++ {
+		bounds = append(bounds, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for n := 2; n <= 100000; n += 1 + n/7 { // the simulator's real range
+		bounds = append(bounds, n, 100002-n)
+	}
+	const seedPairs, drawsPerPair = 64, 16000
+	for sp := uint64(0); sp < seedPairs; sp++ {
+		s1, s2 := mix64(sp), sp*sp
+		got, want := NewRNG(s1, s2), rand.New(rand.NewPCG(s1, s2))
+		pick := rand.New(rand.NewPCG(sp, 99)) // which draw comes next
+		a, b := make([]int, 37), make([]int, 37)
+		for i := 0; i < drawsPerPair; i++ {
+			n := bounds[pick.IntN(len(bounds))]
+			switch op := pick.IntN(5); op {
+			case 0:
+				if g, w := got.IntN(n), want.IntN(n); g != w {
+					t.Fatalf("seeds (%#x,%#x) draw %d: IntN(%d) = %d, math/rand/v2 %d", s1, s2, i, n, g, w)
+				}
+			case 1:
+				m := pick.IntN(len(a) + 1)
+				for j := range a {
+					a[j], b[j] = j, j
+				}
+				got.Shuffle(m, func(i, j int) { a[i], a[j] = a[j], a[i] })
+				want.Shuffle(m, func(i, j int) { b[i], b[j] = b[j], b[i] })
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("seeds (%#x,%#x) draw %d: Shuffle(%d) = %v, math/rand/v2 %v", s1, s2, i, m, a, b)
+					}
+				}
+			case 2:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seeds (%#x,%#x) draw %d: Float64 = %v, math/rand/v2 %v", s1, s2, i, g, w)
+				}
+			case 3:
+				p := pick.Float64()*1.2 - 0.1 // both clamps draw nothing
+				if g, w := got.Bernoulli(p), p > 0 && (p >= 1 || want.Float64() < p); g != w {
+					t.Fatalf("seeds (%#x,%#x) draw %d: Bernoulli(%v) = %v, want %v", s1, s2, i, p, g, w)
+				}
+			case 4:
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seeds (%#x,%#x) draw %d: Uint64 = %#x, math/rand/v2 %#x", s1, s2, i, g, w)
+				}
+			}
+		}
+	}
+	for _, n := range []int{0, -1, math.MinInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("IntN(%d) did not panic", n)
+				}
+			}()
+			NewRNG(1, 2).IntN(n)
+		}()
+	}
+}
 
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42, 43)

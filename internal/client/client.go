@@ -23,6 +23,47 @@ import (
 	"repro/internal/wire"
 )
 
+// Fixed policy: bounds on what a peer or tracker controls, which no
+// binary, example or test needs to vary (DESIGN §4 says why each value).
+const (
+	// dialTimeout bounds each outbound TCP dial.
+	dialTimeout = 3 * time.Second
+	// writeTimeout bounds each wire message write and the handshake
+	// exchange, so a stalled peer cannot wedge the event loop.
+	writeTimeout = 10 * time.Second
+	// announceTimeout bounds one tracker announce, including its retries.
+	announceTimeout = 5 * time.Second
+	// stopAnnounceTimeout bounds the best-effort "stopped" announce
+	// during Stop.
+	stopAnnounceTimeout = 2 * time.Second
+	// banThreshold is how many offenses (corrupt pieces, stalled request
+	// pipelines) an address may accumulate before it is banned.
+	banThreshold = 2
+	// banDuration is the base ban window; bans escalate by doubling and
+	// offenses decay after a clean window.
+	banDuration = time.Minute
+	// maxAnnounceBackoff caps the degraded-mode stretch of the
+	// re-announce interval at 2^3 = 8x.
+	maxAnnounceBackoff = 3
+)
+
+var (
+	// announceRetry is the per-URL tracker retry policy.
+	announceRetry = retry.Policy{
+		MaxAttempts: 3,
+		BaseDelay:   200 * time.Millisecond,
+		MaxDelay:    2 * time.Second,
+		Jitter:      0.25,
+	}
+	// dialRetry bounds dial+handshake tries per peer address.
+	dialRetry = retry.Policy{
+		MaxAttempts: 2,
+		BaseDelay:   250 * time.Millisecond,
+		MaxDelay:    2 * time.Second,
+		Jitter:      0.25,
+	}
+)
+
 // Config parameterizes a Client.
 type Config struct {
 	// Torrent identifies the swarm (announce URL + geometry + infohash).
@@ -53,42 +94,16 @@ type Config struct {
 	ChokeInterval time.Duration
 	// SampleInterval is the instrumentation period (default 250 ms).
 	SampleInterval time.Duration
-	// AnnounceInterval re-contacts the tracker (default 10 s; the tracker
-	// may extend it).
+	// AnnounceInterval re-contacts the tracker (default 10 s). The
+	// interval the tracker advertises is deliberately not read: loopback
+	// swarms announce every 150-500 ms against a tracker default of 120 s,
+	// so the configured cadence wins. Consecutive announce failures
+	// stretch it (see reannounceDelay).
 	AnnounceInterval time.Duration
 	// RequestTimeout drops a connection whose outstanding block requests
 	// have made no progress for this long, releasing its piece for
 	// re-assignment (default 30 s).
 	RequestTimeout time.Duration
-	// DialTimeout bounds each outbound TCP dial (default 3 s).
-	DialTimeout time.Duration
-	// DialAttempts bounds dial+handshake tries per peer address, with
-	// jittered backoff between tries (default 2).
-	DialAttempts int
-	// WriteTimeout bounds each wire message write and the handshake
-	// exchange (default 10 s).
-	WriteTimeout time.Duration
-	// AnnounceTimeout bounds one tracker announce, including its retries
-	// (default 5 s).
-	AnnounceTimeout time.Duration
-	// StopAnnounceTimeout bounds the best-effort "stopped" announce during
-	// Stop (default 2 s).
-	StopAnnounceTimeout time.Duration
-	// AnnounceRetry is the per-URL tracker retry policy. The zero value
-	// applies a default of 3 attempts with jittered exponential backoff;
-	// set MaxAttempts to 1 (or negative) for single-shot announces.
-	AnnounceRetry retry.Policy
-	// AnnounceTiers, when non-empty, is a BEP 12 failover list tried tier
-	// by tier; the torrent's announce URL is appended as the last resort
-	// unless it already appears.
-	AnnounceTiers [][]string
-	// BanThreshold is how many offenses (corrupt pieces, stalled request
-	// pipelines) an address may accumulate before it is banned (default
-	// 2). Negative disables quarantine.
-	BanThreshold int
-	// BanDuration is the base ban window; bans escalate by doubling and
-	// offenses decay after a clean window (default 1 min).
-	BanDuration time.Duration
 	// ConnWrapper, when non-nil, wraps every peer connection (inbound and
 	// outbound) before the handshake — the fault-injection hook (see
 	// internal/faults.Injector.WrapConn).
@@ -146,37 +161,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.DialAttempts == 0 {
-		c.DialAttempts = 2
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.AnnounceTimeout == 0 {
-		c.AnnounceTimeout = 5 * time.Second
-	}
-	if c.StopAnnounceTimeout == 0 {
-		c.StopAnnounceTimeout = 2 * time.Second
-	}
-	if c.AnnounceRetry.MaxAttempts == 0 {
-		c.AnnounceRetry.MaxAttempts = 3
-		c.AnnounceRetry.BaseDelay = 200 * time.Millisecond
-		c.AnnounceRetry.MaxDelay = 2 * time.Second
-		c.AnnounceRetry.Jitter = 0.25
-	}
-	if c.BanThreshold == 0 {
-		c.BanThreshold = 2
-	}
-	if c.BanDuration == 0 {
-		c.BanDuration = time.Minute
-	}
-	if c.DialTimeout < 0 || c.WriteTimeout < 0 ||
-		c.AnnounceTimeout < 0 || c.StopAnnounceTimeout < 0 || c.BanDuration < 0 {
-		return errors.New("client: negative timeout")
 	}
 	if c.Name == "" {
 		c.Name = "bitphase"
@@ -266,7 +250,7 @@ func New(cfg Config) (*Client, error) {
 		storage: cfg.Storage,
 		rng:     stats.NewRNG(cfg.Seed1, cfg.Seed2),
 		trClient: &tracker.Client{
-			Retry:   cfg.AnnounceRetry,
+			Retry:   announceRetry,
 			Jitter:  retry.LockedRand(stats.NewRNG(cfg.Seed1^0xbacc0ff, cfg.Seed2+0x717)),
 			Metrics: cfg.Metrics,
 		},
@@ -278,7 +262,7 @@ func New(cfg Config) (*Client, error) {
 		dialCtx:    dialCtx,
 		dialCancel: dialCancel,
 		conns:      make(map[*peerConn]struct{}),
-		bans:       health.NewBook[string](cfg.BanThreshold, cfg.BanDuration),
+		bans:       health.NewBook[string](banThreshold, banDuration),
 		limiter:    newUploadLimiter(cfg.UploadRate),
 		completeCh: make(chan struct{}),
 	}, nil
@@ -327,7 +311,7 @@ func (c *Client) Stop() {
 			return
 		}
 		// Best-effort goodbye to the tracker (synchronous, short).
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StopAnnounceTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), stopAnnounceTimeout)
 		defer cancel()
 		_, _ = c.trClient.Announce(ctx, c.announceRequest(tracker.EventStopped))
 		close(c.stopCh)
@@ -338,37 +322,27 @@ func (c *Client) Stop() {
 
 // Trace returns the instrumentation collected so far as a download trace.
 func (c *Client) Trace() *trace.Download {
-	out := make(chan *trace.Download, 1)
+	d := &trace.Download{Meta: trace.Meta{
+		Client:      c.cfg.Name,
+		Swarm:       c.cfg.Torrent.Hash.String(),
+		Pieces:      c.cfg.Torrent.Info.NumPieces(),
+		PieceSize:   c.cfg.Torrent.Info.PieceLength,
+		NeighborCap: c.cfg.MaxPeers,
+	}}
+	done := make(chan struct{})
 	select {
 	case c.cmds <- func() {
 		c.recordSample() // capture the current state as the final point
-		d := &trace.Download{
-			Meta: trace.Meta{
-				Client:      c.cfg.Name,
-				Swarm:       c.cfg.Torrent.Hash.String(),
-				Pieces:      c.cfg.Torrent.Info.NumPieces(),
-				PieceSize:   c.cfg.Torrent.Info.PieceLength,
-				NeighborCap: c.cfg.MaxPeers,
-			},
-			Samples: append([]trace.Sample(nil), c.samples...),
-		}
-		out <- d
+		d.Samples = append([]trace.Sample(nil), c.samples...)
+		close(done)
 	}:
-		return <-out
+		<-done
 	case <-c.stopCh:
 		// Wait for the event loop to finish so samples are stable.
 		c.doneWG.Wait()
-		return &trace.Download{
-			Meta: trace.Meta{
-				Client:      c.cfg.Name,
-				Swarm:       c.cfg.Torrent.Hash.String(),
-				Pieces:      c.cfg.Torrent.Info.NumPieces(),
-				PieceSize:   c.cfg.Torrent.Info.PieceLength,
-				NeighborCap: c.cfg.MaxPeers,
-			},
-			Samples: append([]trace.Sample(nil), c.samples...),
-		}
+		d.Samples = append([]trace.Sample(nil), c.samples...)
 	}
+	return d
 }
 
 // acceptLoop admits inbound connections.
@@ -389,21 +363,20 @@ func (c *Client) acceptLoop() {
 // admit performs the handshake off the event loop, then hands the
 // connection over. The returned error lets outbound dial loops retry.
 func (c *Client) admit(conn net.Conn, inbound bool) error {
-	remoteID, err := performHandshake(conn, c.cfg.Torrent.Hash, c.cfg.PeerID, inbound, c.cfg.WriteTimeout)
+	remoteID, err := performHandshake(conn, c.cfg.Torrent.Hash, c.cfg.PeerID, inbound, writeTimeout)
 	if err != nil {
 		_ = conn.Close()
 		return err
 	}
 	pc := &peerConn{
-		netc:         conn,
-		id:           remoteID,
-		inbound:      inbound,
-		met:          c.met,
-		writeTimeout: c.cfg.WriteTimeout,
-		remote:       bitset.New(c.cfg.Torrent.Info.NumPieces()),
-		amChoking:    true,
-		peerChoking:  true,
-		cur:          -1,
+		netc:        conn,
+		id:          remoteID,
+		inbound:     inbound,
+		met:         c.met,
+		remote:      bitset.New(c.cfg.Torrent.Info.NumPieces()),
+		amChoking:   true,
+		peerChoking: true,
+		cur:         -1,
 	}
 	select {
 	case c.cmds <- func() { c.onConnected(pc) }:
@@ -468,11 +441,7 @@ func (c *Client) teardown() {
 // 8x) so an unreachable tracker is not hammered; peer connections stay
 // up the whole time, so the swarm keeps trading.
 func (c *Client) reannounceDelay() time.Duration {
-	shift := c.announce.failures
-	if shift > 3 {
-		shift = 3
-	}
-	return c.cfg.AnnounceInterval << uint(shift)
+	return c.cfg.AnnounceInterval << min(c.announce.failures, maxAnnounceBackoff)
 }
 
 // requestAnnounce fires an asynchronous tracker announce; results come
@@ -484,7 +453,7 @@ func (c *Client) requestAnnounce(event tracker.Event) {
 	c.announce.inflight = true
 	req := c.announceRequest(event)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.AnnounceTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), announceTimeout)
 		defer cancel()
 		resp, err := c.trClient.Announce(ctx, req)
 		select {
@@ -492,7 +461,7 @@ func (c *Client) requestAnnounce(event tracker.Event) {
 			c.announce.inflight = false
 			if err != nil {
 				c.announce.failures++
-				c.met.announceFailure()
+				c.met.announceFailures.Inc()
 				c.log.Warn("announce failed; entering degraded mode",
 					"failures", c.announce.failures,
 					"next_delay", c.reannounceDelay().String(),
@@ -510,22 +479,20 @@ func (c *Client) requestAnnounce(event tracker.Event) {
 	}()
 }
 
+// listenPort is the TCP port the client accepts on (0 before Start).
+func (c *Client) listenPort() int {
+	if c.listener == nil {
+		return 0
+	}
+	return c.listener.Addr().(*net.TCPAddr).Port
+}
+
 func (c *Client) announceRequest(event tracker.Event) tracker.AnnounceRequest {
-	port := 0
-	if c.listener != nil {
-		if _, p, err := net.SplitHostPort(c.listener.Addr().String()); err == nil {
-			port, _ = strconv.Atoi(p)
-		}
-	}
-	if port == 0 {
-		port = 1 // the tracker requires a positive port
-	}
 	return tracker.AnnounceRequest{
 		AnnounceURL: c.cfg.Torrent.Announce,
-		Tiers:       c.announceTiers(),
 		InfoHash:    c.cfg.Torrent.Hash,
 		PeerID:      c.cfg.PeerID,
-		Port:        port,
+		Port:        max(c.listenPort(), 1), // the tracker requires a positive port
 		Downloaded:  c.storage.BytesVerified(),
 		Left:        c.storage.Left(),
 		Event:       event,
@@ -533,34 +500,9 @@ func (c *Client) announceRequest(event tracker.Event) tracker.AnnounceRequest {
 	}
 }
 
-// announceTiers builds the BEP 12 failover list: the configured tiers,
-// with the torrent's own announce URL appended as a last-resort tier
-// unless it is already listed.
-func (c *Client) announceTiers() [][]string {
-	if len(c.cfg.AnnounceTiers) == 0 {
-		return nil
-	}
-	primary := c.cfg.Torrent.Announce
-	for _, tier := range c.cfg.AnnounceTiers {
-		for _, u := range tier {
-			if u == primary {
-				primary = ""
-			}
-		}
-	}
-	tiers := append([][]string(nil), c.cfg.AnnounceTiers...)
-	if primary != "" {
-		tiers = append(tiers, []string{primary})
-	}
-	return tiers
-}
-
 // onPeerList dials new peers from a tracker response.
 func (c *Client) onPeerList(peers []tracker.PeerInfo) {
-	selfPort := 0
-	if _, p, err := net.SplitHostPort(c.listener.Addr().String()); err == nil {
-		selfPort, _ = strconv.Atoi(p)
-	}
+	selfPort := c.listenPort()
 	budget := c.cfg.MaxPeers - len(c.conns)
 	now := time.Now()
 	c.bans.Prune(now) // every announce: the book never outgrows one window of offenders
@@ -584,22 +526,16 @@ func (c *Client) onPeerList(peers []tracker.PeerInfo) {
 }
 
 // dialPeer dials addr and performs the handshake, retrying transient
-// failures with jittered backoff. The loop is bounded by DialAttempts
-// and cancelled when the client stops.
+// failures with jittered backoff. The loop is bounded by dialRetry and
+// cancelled when the client stops.
 func (c *Client) dialPeer(addr string) {
-	p := retry.Policy{
-		MaxAttempts: c.cfg.DialAttempts,
-		BaseDelay:   250 * time.Millisecond,
-		MaxDelay:    2 * time.Second,
-		Jitter:      0.25,
-	}
 	attempt := 0
-	_ = retry.Do(c.dialCtx, p, c.trClient.Jitter, nil, func(ctx context.Context) error {
+	_ = retry.Do(c.dialCtx, dialRetry, c.trClient.Jitter, nil, func(ctx context.Context) error {
 		attempt++
 		if attempt > 1 {
-			c.met.dialRetry()
+			c.met.dialRetries.Inc()
 		}
-		d := net.Dialer{Timeout: c.cfg.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			return err
@@ -624,13 +560,10 @@ func (c *Client) connectedToPort(port int) bool {
 // once the ban threshold is reached. Banned addresses are neither
 // re-dialed nor re-admitted until the ban decays.
 func (c *Client) recordOffense(pc *peerConn, reason string) {
-	if c.cfg.BanThreshold < 0 {
-		return
-	}
 	addr := pc.netc.RemoteAddr().String()
-	c.met.offense()
+	c.met.offenses.Inc()
 	if c.bans.Strike(addr, time.Now()) {
-		c.met.ban()
+		c.met.bans.Inc()
 		c.log.Warn("peer banned", "peer", addr, "reason", reason)
 		c.onDisconnected(pc)
 	}
@@ -642,12 +575,12 @@ func (c *Client) onConnected(pc *peerConn) {
 		_ = pc.netc.Close()
 		return
 	}
-	if c.cfg.BanThreshold >= 0 && c.bans.Quarantined(pc.netc.RemoteAddr().String(), time.Now()) {
+	if c.bans.Quarantined(pc.netc.RemoteAddr().String(), time.Now()) {
 		_ = pc.netc.Close()
 		return
 	}
 	c.conns[pc] = struct{}{}
-	c.met.connect()
+	c.met.connects.Inc()
 	c.log.Debug("peer connected",
 		"peer", pc.netc.RemoteAddr().String(), "inbound", pc.inbound)
 	c.picker.addBitfield(pc.remote) // empty set; harmless bookkeeping
@@ -672,7 +605,7 @@ func (c *Client) onDisconnected(pc *peerConn) {
 	delete(c.conns, pc)
 	pc.closed = true
 	_ = pc.netc.Close()
-	c.met.disconnect()
+	c.met.disconnects.Inc()
 	c.log.Debug("peer disconnected",
 		"peer", pc.netc.RemoteAddr().String(),
 		"down_bytes", pc.totalDown, "up_bytes", pc.totalUp)
@@ -813,7 +746,7 @@ func (c *Client) onPiece(pc *peerConn, m *wire.Message) error {
 		return err
 	}
 	if completed {
-		c.met.pieceVerified()
+		c.met.piecesVerified.Inc()
 		c.picker.release(idx)
 		if pc.cur == idx {
 			pc.cur = -1
@@ -911,22 +844,27 @@ func (c *Client) maybeRequest(pc *peerConn) error {
 		if idx < 0 {
 			return nil
 		}
-		c.met.endgameEntry()
+		c.met.endgameEntries.Inc()
 	}
 	pc.cur = idx
 	pc.lastProgress = time.Now()
+	sent, err := c.sendPerBlock(pc, idx, wire.Request)
+	pc.outstanding += sent
+	return err
+}
+
+// sendPerBlock sends pc one message per block of piece idx (wire.Request
+// to fetch it, wire.Cancel to abort it) and reports how many went out
+// before the first write error.
+func (c *Client) sendPerBlock(pc *peerConn, idx int, msg func(idx, begin, length int) *wire.Message) (sent int, err error) {
 	pieceSize := int(c.cfg.Torrent.Info.PieceSize(idx))
 	for begin := 0; begin < pieceSize; begin += c.cfg.BlockSize {
-		length := c.cfg.BlockSize
-		if begin+length > pieceSize {
-			length = pieceSize - begin
+		if err := pc.send(msg(idx, begin, min(c.cfg.BlockSize, pieceSize-begin))); err != nil {
+			return sent, err
 		}
-		if err := pc.send(wire.Request(idx, begin, length)); err != nil {
-			return err
-		}
-		pc.outstanding++
+		sent++
 	}
-	return nil
+	return sent, nil
 }
 
 // runChoker applies the tit-for-tat unchoke policy: the MaxUploads-1
@@ -939,7 +877,7 @@ func (c *Client) runChoker() {
 	for pc := range c.conns {
 		if pc.cur >= 0 && pc.outstanding > 0 &&
 			now.Sub(pc.lastProgress) > c.cfg.RequestTimeout {
-			c.met.requestTimeout()
+			c.met.requestTimeouts.Inc()
 			c.log.Debug("request timeout",
 				"peer", pc.netc.RemoteAddr().String(), "piece", pc.cur)
 			c.recordOffense(pc, "request timeout")
@@ -968,7 +906,7 @@ func (c *Client) runChoker() {
 	}
 	// Optimistic unchoke: a random interested peer not already chosen.
 	rest := make([]*peerConn, 0, len(interested))
-	for _, pc := range interested[minInt(regular, len(interested)):] {
+	for _, pc := range interested[min(regular, len(interested)):] {
 		rest = append(rest, pc)
 	}
 	if len(rest) > 0 && len(unchoke) < c.cfg.MaxUploads {
@@ -984,9 +922,9 @@ func (c *Client) runChoker() {
 		id := wire.MsgChoke
 		if want {
 			id = wire.MsgUnchoke
-			c.met.unchoke()
+			c.met.unchokes.Inc()
 		} else {
-			c.met.choke()
+			c.met.chokes.Inc()
 		}
 		if err := pc.send(&wire.Message{ID: id}); err != nil {
 			c.onDisconnected(pc)
@@ -999,22 +937,12 @@ func (c *Client) runChoker() {
 // cancelDuplicates aborts endgame duplicates of a completed piece on
 // every other connection and restarts their pipelines.
 func (c *Client) cancelDuplicates(idx int, winner *peerConn) {
-	pieceSize := int(c.cfg.Torrent.Info.PieceSize(idx))
 	for pc := range c.conns {
 		if pc == winner || pc.cur != idx {
 			continue
 		}
-		for begin := 0; begin < pieceSize; begin += c.cfg.BlockSize {
-			length := c.cfg.BlockSize
-			if begin+length > pieceSize {
-				length = pieceSize - begin
-			}
-			if err := pc.send(wire.Cancel(idx, begin, length)); err != nil {
-				c.onDisconnected(pc)
-				break
-			}
-		}
-		if _, alive := c.conns[pc]; !alive {
+		if _, err := c.sendPerBlock(pc, idx, wire.Cancel); err != nil {
+			c.onDisconnected(pc)
 			continue
 		}
 		pc.cur = -1
@@ -1037,7 +965,7 @@ func (c *Client) maybeShake() {
 		return
 	}
 	c.shaken = true
-	c.met.shake()
+	c.met.shakes.Inc()
 	c.log.Info("peer-set shake",
 		"pieces", c.storage.NumHave(), "dropped", len(c.conns))
 	for pc := range c.conns {
@@ -1076,10 +1004,3 @@ func (c *Client) recordSample() {
 }
 
 func lessID(a, b [20]byte) bool { return string(a[:]) < string(b[:]) }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

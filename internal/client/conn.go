@@ -9,11 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// defaultWriteTimeout bounds a single message write (and the handshake
-// exchange) when no timeout is configured, so a stalled peer cannot
-// wedge the event loop.
-const defaultWriteTimeout = 10 * time.Second
-
 // peerConn is the client's view of one remote peer. All fields are
 // confined to the client event loop except netc, which the read goroutine
 // also uses.
@@ -21,11 +16,8 @@ type peerConn struct {
 	netc    net.Conn
 	id      [20]byte
 	inbound bool
-	// met is the owning client's metrics sink (nil disables counting).
+	// met is the owning client's metrics sink.
 	met *clientMetrics
-	// writeTimeout bounds each message write (defaultWriteTimeout when
-	// zero, so a zero-valued peerConn still has a safety net).
-	writeTimeout time.Duration
 
 	// remote is the peer's advertised piece set (empty until BITFIELD).
 	remote *bitset.Set
@@ -64,11 +56,7 @@ func (pc *peerConn) seedLike() bool {
 
 // send writes a wire message with a deadline.
 func (pc *peerConn) send(m *wire.Message) error {
-	wt := pc.writeTimeout
-	if wt <= 0 {
-		wt = defaultWriteTimeout
-	}
-	if err := pc.netc.SetWriteDeadline(time.Now().Add(wt)); err != nil {
+	if err := pc.netc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	if err := wire.Write(pc.netc, m); err != nil {
@@ -111,31 +99,20 @@ func readLoop(pc *peerConn, events chan<- connEvent, done <-chan struct{}) {
 
 // performHandshake exchanges handshakes on a fresh connection. For
 // outbound connections we send first; for inbound we answer. timeout
-// bounds the whole exchange (defaultWriteTimeout when zero).
+// bounds the whole exchange (writeTimeout when zero).
 func performHandshake(c net.Conn, infoHash, selfID [20]byte, inbound bool, timeout time.Duration) ([20]byte, error) {
 	if timeout <= 0 {
-		timeout = defaultWriteTimeout
+		timeout = writeTimeout
 	}
 	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return [20]byte{}, err
 	}
 	defer c.SetDeadline(time.Time{}) //nolint:errcheck // reset best-effort
 	ours := wire.Handshake{InfoHash: infoHash, PeerID: selfID}
-	if inbound {
-		theirs, err := wire.ReadHandshake(c)
-		if err != nil {
-			return [20]byte{}, err
-		}
-		if theirs.InfoHash != infoHash {
-			return [20]byte{}, fmt.Errorf("client: infohash mismatch from %s", c.RemoteAddr())
-		}
+	if !inbound {
 		if err := wire.WriteHandshake(c, ours); err != nil {
 			return [20]byte{}, err
 		}
-		return theirs.PeerID, nil
-	}
-	if err := wire.WriteHandshake(c, ours); err != nil {
-		return [20]byte{}, err
 	}
 	theirs, err := wire.ReadHandshake(c)
 	if err != nil {
@@ -143,6 +120,11 @@ func performHandshake(c net.Conn, infoHash, selfID [20]byte, inbound bool, timeo
 	}
 	if theirs.InfoHash != infoHash {
 		return [20]byte{}, fmt.Errorf("client: infohash mismatch from %s", c.RemoteAddr())
+	}
+	if inbound {
+		if err := wire.WriteHandshake(c, ours); err != nil {
+			return [20]byte{}, err
+		}
 	}
 	return theirs.PeerID, nil
 }

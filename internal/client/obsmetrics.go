@@ -3,8 +3,8 @@ package client
 import "repro/internal/obs"
 
 // clientMetrics caches the registry handles for one client's counters so
-// the hot paths (every wire message) never touch the registry map. A nil
-// *clientMetrics disables all counting; every method is nil-receiver-safe.
+// the hot paths (every wire message) never touch the registry map. The
+// handles always work; a nil registry just leaves them unregistered.
 type clientMetrics struct {
 	msgsIn, msgsOut       *obs.Counter
 	bytesIn, bytesOut     *obs.Counter
@@ -19,12 +19,8 @@ type clientMetrics struct {
 	announceFailures      *obs.Counter
 }
 
-// newClientMetrics precreates the client.<name>.* counters in reg, or
-// returns nil when reg is nil.
+// newClientMetrics creates the client.<name>.* counters in reg.
 func newClientMetrics(reg *obs.Registry, name string) *clientMetrics {
-	if reg == nil {
-		return nil
-	}
 	p := "client." + name + "."
 	return &clientMetrics{
 		msgsIn:           reg.Counter(p + "msgs_in"),
@@ -51,89 +47,11 @@ func newClientMetrics(reg *obs.Registry, name string) *clientMetrics {
 const wireOverhead = 5
 
 func (m *clientMetrics) countIn(payload int) {
-	if m == nil {
-		return
-	}
 	m.msgsIn.Inc()
 	m.bytesIn.Add(int64(payload + wireOverhead))
 }
 
 func (m *clientMetrics) countOut(payload int) {
-	if m == nil {
-		return
-	}
 	m.msgsOut.Inc()
 	m.bytesOut.Add(int64(payload + wireOverhead))
-}
-
-func (m *clientMetrics) choke() {
-	if m != nil {
-		m.chokes.Inc()
-	}
-}
-
-func (m *clientMetrics) unchoke() {
-	if m != nil {
-		m.unchokes.Inc()
-	}
-}
-
-func (m *clientMetrics) requestTimeout() {
-	if m != nil {
-		m.requestTimeouts.Inc()
-	}
-}
-
-func (m *clientMetrics) endgameEntry() {
-	if m != nil {
-		m.endgameEntries.Inc()
-	}
-}
-
-func (m *clientMetrics) shake() {
-	if m != nil {
-		m.shakes.Inc()
-	}
-}
-
-func (m *clientMetrics) connect() {
-	if m != nil {
-		m.connects.Inc()
-	}
-}
-
-func (m *clientMetrics) disconnect() {
-	if m != nil {
-		m.disconnects.Inc()
-	}
-}
-
-func (m *clientMetrics) pieceVerified() {
-	if m != nil {
-		m.piecesVerified.Inc()
-	}
-}
-
-func (m *clientMetrics) offense() {
-	if m != nil {
-		m.offenses.Inc()
-	}
-}
-
-func (m *clientMetrics) ban() {
-	if m != nil {
-		m.bans.Inc()
-	}
-}
-
-func (m *clientMetrics) dialRetry() {
-	if m != nil {
-		m.dialRetries.Inc()
-	}
-}
-
-func (m *clientMetrics) announceFailure() {
-	if m != nil {
-		m.announceFailures.Inc()
-	}
 }

@@ -54,25 +54,36 @@ func TestClientMetricsPopulated(t *testing.T) {
 	}
 }
 
-// TestClientNilMetricsSafe makes sure a metrics-less, logger-less client
-// (the default) still works end to end — every counting path is nil-safe.
+// TestClientNilMetricsSafe pins the metrics-off contract: a client given
+// no registry (the default) works end to end and still counts, into
+// handles registered nowhere; a registry attached later sees only its own
+// counts.
 func TestClientNilMetricsSafe(t *testing.T) {
 	sw := newTestSwarm(t, 1, nil)
 	waitAll(t, sw.clients, 20*time.Second)
-	if m := newClientMetrics(nil, "x"); m != nil {
-		t.Error("newClientMetrics(nil) must be nil")
+	if got, want := sw.clients[0].met.piecesVerified.Value(),
+		int64(sw.torrent.Info.NumPieces()); got != want {
+		t.Errorf("uninstrumented client counted %d verified pieces, want %d", got, want)
 	}
-	var m *clientMetrics
-	m.countIn(1)
-	m.countOut(1)
-	m.choke()
-	m.unchoke()
-	m.requestTimeout()
-	m.endgameEntry()
-	m.shake()
-	m.connect()
-	m.disconnect()
-	m.pieceVerified()
+
+	off := newClientMetrics(nil, "x")
+	off.countIn(1)
+	off.countOut(1)
+	off.chokes.Inc()
+	off.announceFailures.Inc()
+	if off.msgsIn.Value() != 1 || off.bytesOut.Value() != 1+wireOverhead {
+		t.Error("nil-registry handles must still count")
+	}
+
+	reg := obs.NewRegistry()
+	on := newClientMetrics(reg, "x")
+	on.countIn(10)
+	for name, v := range reg.Snapshot().Counters {
+		want := map[string]int64{"client.x.msgs_in": 1, "client.x.bytes_in": 10 + wireOverhead}[name]
+		if v != want {
+			t.Errorf("%s = %d, want %d (nil-registry counts leaked in?)", name, v, want)
+		}
+	}
 }
 
 // syncWriter serializes concurrent log writes from client goroutines.

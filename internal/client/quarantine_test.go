@@ -112,7 +112,6 @@ func TestQuarantineBansCorruptingPeer(t *testing.T) {
 		SampleInterval:   50 * time.Millisecond,
 		AnnounceInterval: 150 * time.Millisecond,
 		RequestTimeout:   500 * time.Millisecond,
-		BanThreshold:     2,
 		Seed1:            72,
 		Metrics:          reg,
 	})

@@ -9,6 +9,8 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 
 	"repro/internal/bitset"
@@ -17,8 +19,8 @@ import (
 
 // PieceStore is the storage contract the client engine drives: verified
 // piece bookkeeping plus block-level reads and writes. The package ships
-// two implementations — the in-memory Storage and the disk-backed
-// FileStorage — and external callers may provide their own.
+// one implementation, Storage, over memory or a file; external callers
+// may provide their own.
 type PieceStore interface {
 	// Info returns the torrent geometry.
 	Info() metainfo.Info
@@ -42,23 +44,38 @@ type PieceStore interface {
 	AddBlock(idx, begin, blockSize int, data []byte) (completed bool, err error)
 }
 
-// Interface conformance of both shipped implementations.
-var (
-	_ PieceStore = (*Storage)(nil)
-	_ PieceStore = (*FileStorage)(nil)
-)
+var _ PieceStore = (*Storage)(nil)
 
-// Storage is an in-memory verified piece store. Blocks are buffered per
-// piece and the piece is committed only when its SHA-1 matches the
+// backing is where verified pieces live, each at its final offset: a
+// byte slice in memory or an *os.File on disk. Storage checks every
+// range against the torrent geometry before it gets here.
+type backing interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Closer
+}
+
+// memBacking is the in-memory backing, sized to the torrent up front.
+type memBacking []byte
+
+func (m memBacking) ReadAt(p []byte, off int64) (int, error)  { return copy(p, m[off:]), nil }
+func (m memBacking) WriteAt(p []byte, off int64) (int, error) { return copy(m[off:], p), nil }
+func (m memBacking) Close() error                             { return nil }
+
+// Storage is a verified piece store. Blocks are buffered per piece and
+// the piece is committed to the backing only when its SHA-1 matches the
 // metainfo hash. Storage is safe for concurrent use.
 type Storage struct {
 	mu      sync.RWMutex
 	info    metainfo.Info
+	back    backing
 	have    *bitset.Set
-	pieces  [][]byte
 	partial map[int]*partialPiece
 	bytes   int64
 }
+
+// FileStorage names a disk-backed store: a Storage over an *os.File.
+type FileStorage = Storage
 
 type partialPiece struct {
 	data    []byte
@@ -72,42 +89,100 @@ var ErrBadBlock = errors.New("client: block outside piece bounds")
 // ErrVerify reports a completed piece whose hash did not match.
 var ErrVerify = errors.New("client: piece failed hash verification")
 
-// NewStorage returns an empty store for the given metainfo.
+func newStorage(info metainfo.Info, back backing) *Storage {
+	return &Storage{
+		info:    info,
+		back:    back,
+		have:    bitset.New(info.NumPieces()),
+		partial: make(map[int]*partialPiece),
+	}
+}
+
+// NewStorage returns an empty in-memory store for the given metainfo.
 func NewStorage(info metainfo.Info) (*Storage, error) {
 	if err := info.Validate(); err != nil {
 		return nil, err
 	}
-	return &Storage{
-		info:    info,
-		have:    bitset.New(info.NumPieces()),
-		pieces:  make([][]byte, info.NumPieces()),
-		partial: make(map[int]*partialPiece),
-	}, nil
+	return newStorage(info, make(memBacking, info.Length)), nil
 }
 
-// NewSeededStorage returns a store pre-loaded with the full content.
+// NewSeededStorage returns an in-memory store pre-loaded with a copy of
+// the full content, every piece of which must verify.
 func NewSeededStorage(info metainfo.Info, content []byte) (*Storage, error) {
 	if int64(len(content)) != info.Length {
 		return nil, fmt.Errorf("client: content length %d != %d", len(content), info.Length)
 	}
-	s, err := NewStorage(info)
-	if err != nil {
+	if err := info.Validate(); err != nil {
+		return nil, err
+	}
+	s := newStorage(info, append(memBacking(nil), content...))
+	if err := s.verifyExisting(); err != nil {
 		return nil, err
 	}
 	for i := 0; i < info.NumPieces(); i++ {
-		lo := int64(i) * info.PieceLength
-		hi := lo + info.PieceSize(i)
-		piece := content[lo:hi]
-		if !info.VerifyPiece(i, piece) {
+		if !s.have.Has(i) {
 			return nil, fmt.Errorf("%w: piece %d", ErrVerify, i)
 		}
-		s.pieces[i] = append([]byte(nil), piece...)
-		if err := s.have.Add(i); err != nil {
+	}
+	return s, nil
+}
+
+// NewFileStorage opens (or creates) the backing file at path, sizes it to
+// the torrent length, and re-verifies any pieces already present so an
+// interrupted download resumes where it left off.
+func NewFileStorage(info metainfo.Info, path string) (*FileStorage, error) {
+	if err := info.Validate(); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("client: open storage file: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("client: stat storage file: %w", err)
+	}
+	resume := st.Size() == info.Length
+	if err := f.Truncate(info.Length); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("client: size storage file: %w", err)
+	}
+	s := newStorage(info, f)
+	if resume {
+		if err := s.verifyExisting(); err != nil {
+			_ = f.Close()
 			return nil, err
 		}
 	}
-	s.bytes = info.Length
 	return s, nil
+}
+
+// verifyExisting hashes every piece the backing already holds and marks
+// the valid ones as held: seeding and file resume are the same pass.
+func (s *Storage) verifyExisting() error {
+	buf := make([]byte, s.info.PieceLength)
+	for i := 0; i < s.info.NumPieces(); i++ {
+		size := s.info.PieceSize(i)
+		piece := buf[:size]
+		if _, err := s.back.ReadAt(piece, int64(i)*s.info.PieceLength); err != nil {
+			return fmt.Errorf("client: resume read piece %d: %w", i, err)
+		}
+		if s.info.VerifyPiece(i, piece) {
+			if err := s.have.Add(i); err != nil {
+				return err
+			}
+			s.bytes += size
+		}
+	}
+	return nil
+}
+
+// Close releases the backing (the file of a disk-backed store).
+func (s *Storage) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.back.Close()
 }
 
 // Info returns the torrent geometry.
@@ -162,17 +237,22 @@ func (s *Storage) ReadBlock(idx, begin, length int) ([]byte, error) {
 	if !s.have.Has(idx) {
 		return nil, fmt.Errorf("client: piece %d not held", idx)
 	}
-	piece := s.pieces[idx]
-	if begin < 0 || length <= 0 || begin+length > len(piece) {
+	pieceSize := int(s.info.PieceSize(idx))
+	if begin < 0 || length <= 0 || begin+length > pieceSize {
 		return nil, fmt.Errorf("%w: piece %d [%d:%d)", ErrBadBlock, idx, begin, begin+length)
 	}
-	return append([]byte(nil), piece[begin:begin+length]...), nil
+	out := make([]byte, length)
+	if _, err := s.back.ReadAt(out, int64(idx)*s.info.PieceLength+int64(begin)); err != nil {
+		return nil, fmt.Errorf("client: read block: %w", err)
+	}
+	return out, nil
 }
 
 // AddBlock buffers a downloaded block. It returns completed = true when
-// the block finished its piece and the piece verified; ErrVerify when the
-// assembled piece failed its hash (the partial buffer is discarded so the
-// piece can be re-fetched).
+// the block finished its piece, the piece verified and it was written to
+// its offset in the backing; ErrVerify when the assembled piece failed
+// its hash (the partial buffer is discarded so the piece can be
+// re-fetched).
 func (s *Storage) AddBlock(idx, begin, blockSize int, data []byte) (completed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,7 +290,9 @@ func (s *Storage) AddBlock(idx, begin, blockSize int, data []byte) (completed bo
 	if !s.info.VerifyPiece(idx, pp.data) {
 		return false, fmt.Errorf("%w: piece %d", ErrVerify, idx)
 	}
-	s.pieces[idx] = pp.data
+	if _, err := s.back.WriteAt(pp.data, int64(idx)*s.info.PieceLength); err != nil {
+		return false, fmt.Errorf("client: write piece %d: %w", idx, err)
+	}
 	if err := s.have.Add(idx); err != nil {
 		return false, err
 	}
@@ -225,9 +307,9 @@ func (s *Storage) Content() ([]byte, error) {
 	if !s.have.Full() {
 		return nil, errors.New("client: download incomplete")
 	}
-	out := make([]byte, 0, s.info.Length)
-	for _, p := range s.pieces {
-		out = append(out, p...)
+	out := make([]byte, s.info.Length)
+	if _, err := s.back.ReadAt(out, 0); err != nil {
+		return nil, fmt.Errorf("client: read content: %w", err)
 	}
 	return out, nil
 }

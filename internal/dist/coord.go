@@ -195,7 +195,8 @@ func New(cfg Config) *Coordinator {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	c := &Coordinator{
+	reg := cfg.Registry // nil hands out unregistered handles: metrics off
+	return &Coordinator{
 		cfg:     cfg,
 		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist"),
 		now:     cfg.now,
@@ -205,32 +206,22 @@ func New(cfg Config) *Coordinator {
 		open:    make(map[string][]*shard),
 		stop:    make(chan struct{}),
 
-		gWorkers: &obs.Gauge{}, gLeases: &obs.Gauge{}, gPending: &obs.Gauge{},
-		gQuarantined: &obs.Gauge{},
-		cResults:     &obs.Counter{}, cReassigned: &obs.Counter{}, cDuplicates: &obs.Counter{},
-		cNacks: &obs.Counter{}, cLate: &obs.Counter{},
-		cHedges: &obs.Counter{}, cHedgeWins: &obs.Counter{},
-		cStrikes: &obs.Counter{}, cGoodbyes: &obs.Counter{},
-		hShardLatency: &obs.Histogram{}, hRemoteEval: &obs.Histogram{},
+		gWorkers:      reg.Gauge("dist.workers"),
+		gLeases:       reg.Gauge("dist.leases"),
+		gPending:      reg.Gauge("dist.pending_shards"),
+		gQuarantined:  reg.Gauge("dist.quarantined_workers"),
+		cResults:      reg.Counter("dist.results"),
+		cReassigned:   reg.Counter("dist.reassignments"),
+		cDuplicates:   reg.Counter("dist.duplicate_results"),
+		cNacks:        reg.Counter("dist.nacks"),
+		cLate:         reg.Counter("dist.late_results"),
+		cHedges:       reg.Counter("dist.hedges"),
+		cHedgeWins:    reg.Counter("dist.hedge_wins"),
+		cStrikes:      reg.Counter("dist.strikes"),
+		cGoodbyes:     reg.Counter("dist.goodbyes"),
+		hShardLatency: reg.Histogram("dist.shard_latency_ms"),
+		hRemoteEval:   reg.Histogram("dist.remote_eval_ms"),
 	}
-	if reg := cfg.Registry; reg != nil {
-		c.gWorkers = reg.Gauge("dist.workers")
-		c.gLeases = reg.Gauge("dist.leases")
-		c.gPending = reg.Gauge("dist.pending_shards")
-		c.gQuarantined = reg.Gauge("dist.quarantined_workers")
-		c.cResults = reg.Counter("dist.results")
-		c.cReassigned = reg.Counter("dist.reassignments")
-		c.cDuplicates = reg.Counter("dist.duplicate_results")
-		c.cNacks = reg.Counter("dist.nacks")
-		c.cLate = reg.Counter("dist.late_results")
-		c.cHedges = reg.Counter("dist.hedges")
-		c.cHedgeWins = reg.Counter("dist.hedge_wins")
-		c.cStrikes = reg.Counter("dist.strikes")
-		c.cGoodbyes = reg.Counter("dist.goodbyes")
-		c.hShardLatency = reg.Histogram("dist.shard_latency_ms")
-		c.hRemoteEval = reg.Histogram("dist.remote_eval_ms")
-	}
-	return c
 }
 
 // Start begins accepting worker connections on ln and launches the

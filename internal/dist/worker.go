@@ -90,12 +90,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		nonce:   helloNonce(cfg.Name, cfg.Addr),
 		drainCh: make(chan struct{}),
 
-		cShards: &obs.Counter{}, cErrors: &obs.Counter{}, hEvalMs: &obs.Histogram{},
-	}
-	if reg := cfg.Registry; reg != nil {
-		w.cShards = reg.Counter("dist.worker.shards")
-		w.cErrors = reg.Counter("dist.worker.errors")
-		w.hEvalMs = reg.Histogram("dist.worker.eval_ms")
+		cShards: cfg.Registry.Counter("dist.worker.shards"),
+		cErrors: cfg.Registry.Counter("dist.worker.errors"),
+		hEvalMs: cfg.Registry.Histogram("dist.worker.eval_ms"),
 	}
 	return w
 }

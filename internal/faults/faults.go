@@ -271,18 +271,17 @@ type Injector struct {
 // NewInjector builds an injector for the spec. The same spec always
 // produces the same decision sequence.
 func NewInjector(spec Spec) *Injector {
-	return &Injector{
+	in := &Injector{
 		spec: spec,
 		rng:  stats.NewRNG(spec.Seed, spec.Seed^0xFA17),
 	}
+	in.Instrument(nil)
+	return in
 }
 
 // Instrument registers faults.conns_wrapped and faults.conns_injected in
-// reg. Call before use; nil reg is a no-op.
+// reg. Call before use; a nil reg counts into unregistered handles.
 func (in *Injector) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	in.wrapped = reg.Counter("faults.conns_wrapped")
 	in.injected = reg.Counter("faults.conns_injected")
 }
@@ -313,9 +312,7 @@ func (in *Injector) decide() Decision {
 // because callers check for nil before installing the hook.
 func (in *Injector) WrapConn(c net.Conn) net.Conn {
 	d := in.decide()
-	if in.wrapped != nil {
-		in.wrapped.Inc()
-	}
+	in.wrapped.Inc()
 	faulted := false
 	if d.Latency > 0 {
 		c = LatencyConn(c, d.Latency)
@@ -333,7 +330,7 @@ func (in *Injector) WrapConn(c net.Conn) net.Conn {
 		c = DropConn(c, d.Drop)
 		faulted = true
 	}
-	if faulted && in.injected != nil {
+	if faulted {
 		in.injected.Inc()
 	}
 	return c

@@ -130,3 +130,36 @@ func TestCounterNamesSorted(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 }
+
+// TestNilRegistryHandsOutDetachedHandles pins "metrics off": a nil
+// registry's getters return working handles, a fresh one per call even for
+// one name, and nothing they count shows up in any snapshot.
+func TestNilRegistryHandsOutDetachedHandles(t *testing.T) {
+	var off *Registry
+	c1, c2 := off.Counter("n"), off.Counter("n")
+	g1, g2 := off.Gauge("n"), off.Gauge("n")
+	h1, h2 := off.Histogram("n"), off.Histogram("n")
+	if c1 == c2 || g1 == g2 || h1 == h2 {
+		t.Fatal("nil-registry handles must be distinct per call")
+	}
+	c1.Add(3)
+	g1.Set(2.5)
+	h1.Observe(1)
+	if c1.Value() != 3 || g1.Value() != 2.5 || h1.Snapshot().Count != 1 {
+		t.Error("nil-registry handles must work")
+	}
+	if c2.Value() != 0 || g2.Value() != 0 || h2.Snapshot().Count != 0 {
+		t.Error("nil-registry handles must not share state")
+	}
+	if s := off.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Errorf("nil registry snapshot = %+v, want empty", s)
+	}
+	if names := off.CounterNames(); len(names) != 0 {
+		t.Errorf("nil registry counter names = %v, want none", names)
+	}
+	on := NewRegistry()
+	on.Counter("n").Inc()
+	if got := on.Snapshot().Counters["n"]; got != 1 {
+		t.Errorf("a real registry saw %d for a name also used detached, want 1", got)
+	}
+}

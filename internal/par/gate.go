@@ -49,9 +49,6 @@ func NewGate(workers, queue int) *Gate {
 // prefix+".queue_depth" (admitted but not yet running) and
 // prefix+".inflight" (currently running holders).
 func (g *Gate) Instrument(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
 	g.depth.Store(reg.Gauge(prefix + ".queue_depth"))
 	g.inflight.Store(reg.Gauge(prefix + ".inflight"))
 }

@@ -40,8 +40,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (DefaultMaxDelay when zero).
 	MaxDelay time.Duration
-	// Multiplier scales the delay after every failed attempt (2 when 0).
-	Multiplier float64
 	// Jitter is the fraction of each delay replaced by a uniform random
 	// draw in [1-Jitter, 1], e.g. 0.25 shortens delays by up to 25%.
 	// Zero disables jitter; values are clamped to [0, 1].
@@ -74,13 +72,9 @@ func (p Policy) Delay(n int) time.Duration {
 	if maxD <= 0 {
 		maxD = DefaultMaxDelay
 	}
-	mult := p.Multiplier
-	if mult <= 0 {
-		mult = 2
-	}
 	d := float64(base)
 	for i := 1; i < n; i++ {
-		d *= mult
+		d *= 2
 		if d >= float64(maxD) {
 			return maxD
 		}
@@ -111,8 +105,7 @@ func (l *lockedRand) Float64() float64 {
 	return l.r.Float64()
 }
 
-// Metrics carries the obs counters a retry loop increments. A nil
-// *Metrics disables counting; every method is nil-receiver-safe.
+// Metrics carries the obs counters a retry loop increments.
 type Metrics struct {
 	// Attempts counts every try (first and retried alike).
 	Attempts *obs.Counter
@@ -124,11 +117,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers <prefix>attempts, <prefix>retries and
-// <prefix>giveups in reg (nil reg returns nil).
+// <prefix>giveups in reg (a nil reg leaves them unregistered).
 func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
-	if reg == nil {
-		return nil
-	}
 	return &Metrics{
 		Attempts: reg.Counter(prefix + "attempts"),
 		Retries:  reg.Counter(prefix + "retries"),
@@ -136,27 +126,14 @@ func NewMetrics(reg *obs.Registry, prefix string) *Metrics {
 	}
 }
 
-func (m *Metrics) attempt(retried bool) {
-	if m == nil {
-		return
-	}
-	m.Attempts.Inc()
-	if retried {
-		m.Retries.Inc()
-	}
-}
-
-func (m *Metrics) giveUp() {
-	if m != nil {
-		m.GiveUps.Inc()
-	}
-}
+// uncounted is where loops run with a nil *Metrics count; nobody reads it.
+var uncounted = NewMetrics(nil, "")
 
 // Do runs fn under the policy until it succeeds, a non-retryable error
 // occurs, the attempts are exhausted, or ctx is done. Backoff sleeps are
 // context-cancellable, so a Do loop can never outlive its caller. rng
 // supplies jitter (nil disables jitter, keeping delays fully
-// deterministic); m receives attempt/giveup counts (nil disables).
+// deterministic); m receives attempt/giveup counts (nil: uncounted).
 func Do(ctx context.Context, p Policy, rng Rand, m *Metrics, fn func(ctx context.Context) error) error {
 	_, err := DoValue(ctx, p, rng, m, func(ctx context.Context) (struct{}, error) {
 		return struct{}{}, fn(ctx)
@@ -167,6 +144,9 @@ func Do(ctx context.Context, p Policy, rng Rand, m *Metrics, fn func(ctx context
 // DoValue is Do for functions that produce a value alongside the error.
 func DoValue[T any](ctx context.Context, p Policy, rng Rand, m *Metrics, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
+	if m == nil {
+		m = uncounted
+	}
 	attempts := p.attempts()
 	var lastErr error
 	for n := 1; ; n++ {
@@ -176,7 +156,10 @@ func DoValue[T any](ctx context.Context, p Policy, rng Rand, m *Metrics, fn func
 			}
 			return zero, err
 		}
-		m.attempt(n > 1)
+		m.Attempts.Inc()
+		if n > 1 {
+			m.Retries.Inc()
+		}
 		v, err := runAttempt(ctx, p.AttemptTimeout, fn)
 		if err == nil {
 			return v, nil
@@ -184,18 +167,18 @@ func DoValue[T any](ctx context.Context, p Policy, rng Rand, m *Metrics, fn func
 		lastErr = err
 		if errors.Is(err, context.Canceled) ||
 			(p.Retryable != nil && !p.Retryable(err)) {
-			m.giveUp()
+			m.GiveUps.Inc()
 			return zero, fmt.Errorf("retry: attempt %d: %w", n, err)
 		}
 		if n >= attempts {
-			m.giveUp()
+			m.GiveUps.Inc()
 			if attempts == 1 {
 				return zero, err // single-shot policies stay transparent
 			}
 			return zero, fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
 		}
 		if err := sleep(ctx, jittered(p.Delay(n), p.Jitter, rng)); err != nil {
-			m.giveUp()
+			m.GiveUps.Inc()
 			return zero, fmt.Errorf("retry: %d attempts: %v: %w", n, lastErr, err)
 		}
 	}

@@ -37,7 +37,7 @@ type HealthyPool interface {
 
 // BreakerConfig configures a Breaker.
 type BreakerConfig struct {
-	// Registry receives serve.breaker_* metrics (nil = discard).
+	// Registry receives serve.breaker_* metrics (nil = unregistered).
 	Registry *obs.Registry
 	// Logger receives state transitions (nil = discard).
 	Logger *slog.Logger
@@ -76,9 +76,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 		cfg.now = time.Now
 	}
 	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	return &Breaker{
 		logger: obs.Component(obs.OrNop(cfg.Logger), "serve.breaker"),
 		now:    cfg.now,

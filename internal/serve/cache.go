@@ -40,28 +40,23 @@ func NewCache(max int, ttl time.Duration) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{
+	c := &Cache{
 		max:   max,
 		ttl:   ttl,
 		now:   time.Now,
 		order: list.New(),
 		items: make(map[string]*list.Element),
-
-		// Unregistered zero-value metrics so the hot path never
-		// nil-checks; Instrument swaps in registry-backed ones.
-		hits: &obs.Counter{}, misses: &obs.Counter{},
-		evictions: &obs.Counter{}, expirations: &obs.Counter{},
-		entries: &obs.Gauge{},
 	}
+	// Unregistered handles so the hot path never nil-checks; a later
+	// Instrument swaps in registry-backed ones.
+	c.Instrument(nil, "")
+	return c
 }
 
 // Instrument routes the cache's telemetry into reg under prefix:
 // counters prefix.hits, prefix.misses, prefix.evictions,
 // prefix.expirations and gauge prefix.entries.
 func (c *Cache) Instrument(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hits = reg.Counter(prefix + ".hits")

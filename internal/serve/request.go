@@ -65,6 +65,16 @@ const (
 	KindFluid = "fluid"
 )
 
+// kindSection names the one request section each kind reads; a request
+// that fills any other is rejected.
+var kindSection = map[string]string{
+	KindModel:      "model",
+	KindEfficiency: "efficiency",
+	KindSim:        "sim",
+	KindStability:  "sim",
+	KindFluid:      "fluid",
+}
+
 // Serving-side resource caps: requests beyond these bounds are rejected
 // at validation time rather than admitted and killed by the deadline.
 const (
@@ -113,7 +123,8 @@ func DecodeRequest(r io.Reader) (*Request, error) {
 type Request struct {
 	// V is the schema version (0 = latest).
 	V int `json:"v,omitempty"`
-	// Kind selects the computation: model, efficiency, sim, stability.
+	// Kind selects the computation: model, efficiency, sim, stability,
+	// fluid.
 	Kind string `json:"kind"`
 	// Seed is the root RNG seed. Responses are a pure function of the
 	// canonicalized (request, seed) pair.
@@ -264,43 +275,40 @@ func (r *Request) Canonicalize() error {
 	if r.V != Version {
 		return fmt.Errorf("%w: unsupported schema version %d (this server speaks v%d)", ErrBadRequest, r.V, Version)
 	}
-	switch r.Kind {
-	case KindModel:
-		if r.Efficiency != nil || r.Sim != nil || r.Fluid != nil {
-			return fmt.Errorf("%w: kind %q accepts only the \"model\" section", ErrBadRequest, r.Kind)
+	section, ok := kindSection[r.Kind]
+	switch {
+	case r.Kind == "":
+		return fmt.Errorf("%w: missing kind", ErrBadRequest)
+	case !ok:
+		return fmt.Errorf("%w: unknown kind %q", ErrBadRequest, r.Kind)
+	}
+	filled := [...]bool{r.Model != nil, r.Efficiency != nil, r.Sim != nil, r.Fluid != nil}
+	for i, name := range [...]string{"model", "efficiency", "sim", "fluid"} {
+		if filled[i] && name != section {
+			return fmt.Errorf("%w: kind %q accepts only the %q section", ErrBadRequest, r.Kind, section)
 		}
+	}
+	switch section {
+	case "model":
 		if r.Model == nil {
 			r.Model = &ModelQuery{}
 		}
 		return r.Model.normalize()
-	case KindEfficiency:
-		if r.Model != nil || r.Sim != nil || r.Fluid != nil {
-			return fmt.Errorf("%w: kind %q accepts only the \"efficiency\" section", ErrBadRequest, r.Kind)
-		}
+	case "efficiency":
 		if r.Efficiency == nil {
 			r.Efficiency = &EfficiencyQuery{}
 		}
 		return r.Efficiency.normalize()
-	case KindSim, KindStability:
-		if r.Model != nil || r.Efficiency != nil || r.Fluid != nil {
-			return fmt.Errorf("%w: kind %q accepts only the \"sim\" section", ErrBadRequest, r.Kind)
-		}
+	case "sim":
 		if r.Sim == nil {
 			r.Sim = &SimQuery{}
 		}
 		return r.Sim.normalize(r.Seed)
-	case KindFluid:
-		if r.Model != nil || r.Efficiency != nil || r.Sim != nil {
-			return fmt.Errorf("%w: kind %q accepts only the \"fluid\" section", ErrBadRequest, r.Kind)
-		}
+	default: // "fluid"
 		if r.Fluid == nil {
 			r.Fluid = &FluidQuery{}
 		}
 		return r.Fluid.normalize()
-	case "":
-		return fmt.Errorf("%w: missing kind", ErrBadRequest)
-	default:
-		return fmt.Errorf("%w: unknown kind %q", ErrBadRequest, r.Kind)
 	}
 }
 

@@ -3,32 +3,58 @@ package sim
 import "testing"
 
 // TestRoundSteadyStateAllocs drives the round loop directly (white-box)
-// and asserts the hot path stays essentially allocation-free once the
-// swarm's scratch buffers have warmed up. Before the buffer-reuse pass a
-// round allocated its shuffled leecher list, per-peer connection and
-// neighbor orderings, candidate sets, replication-degree tables, and a
-// fresh connection-measurement map — over a dozen allocations per round
-// on this configuration.
+// and asserts the hot path stays allocation-free once the swarm's scratch
+// buffers have warmed up. Before the buffer-reuse pass a round allocated
+// its shuffled leecher list, per-peer connection and neighbor orderings,
+// candidate sets, replication-degree tables, and a fresh
+// connection-measurement map — over a dozen allocations per round on the
+// first configuration.
 func TestRoundSteadyStateAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Pieces = 400 // large file: nobody completes inside the window
-	cfg.InitialPeers = 60
-	cfg.ArrivalRate = 0
-	cfg.TrackPeers = 0
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-up: let neighbor sets, connections, piece inventories, and the
-	// reusable buffers reach steady-state capacity.
-	for i := 0; i < 50; i++ {
-		s.round()
-	}
-	// Zero: the struct-of-arrays core reuses every buffer, and the Result
-	// series are preallocated for the whole horizon, so a steady-state
-	// round performs no allocation at all.
-	if avg := testing.AllocsPerRun(100, s.round); avg > 0 {
-		t.Errorf("round loop allocates %.2f times per round at steady state, want 0", avg)
+	trading := DefaultConfig()
+	trading.Pieces = 400 // large file: nobody completes inside the window
+	trading.InitialPeers = 60
+
+	// The large-swarm gate: 10^5 peers pinned in place (no completions:
+	// everyone holds only the over-replicated piece 0, the collapsed
+	// endpoint of Figure 4b/4c), so every round walks the struct-of-arrays
+	// loop at full breadth and the quiescence memos at full depth.
+	quiescent := DefaultConfig()
+	quiescent.Pieces = 3
+	quiescent.InitialSkew = 1.0 // everyone starts with exactly piece 0
+	quiescent.Seeds = 0
+	quiescent.SeedUpload = 0
+	quiescent.InitialPeers = 100_000
+	quiescent.NeighborSet = 20
+	quiescent.MaxConns = 4
+
+	for _, tc := range []struct {
+		name           string
+		cfg            Config
+		warmup, rounds int
+	}{
+		{"trading-60", trading, 50, 100},
+		{"quiescent-100k", quiescent, 8, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.ArrivalRate = 0
+			tc.cfg.TrackPeers = 0
+			s, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm-up: let neighbor sets, connections, piece inventories,
+			// memo tables and the reusable buffers reach steady-state
+			// capacity.
+			for i := 0; i < tc.warmup; i++ {
+				s.round()
+			}
+			// Zero: the struct-of-arrays core reuses every buffer, and the
+			// Result series are preallocated for the whole horizon, so a
+			// steady-state round performs no allocation at all.
+			if avg := testing.AllocsPerRun(tc.rounds, s.round); avg > 0 {
+				t.Errorf("round loop allocates %.2f times per round at steady state, want 0", avg)
+			}
+		})
 	}
 }
 

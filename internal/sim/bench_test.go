@@ -1,6 +1,41 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// BenchmarkSwarmRound measures simulator throughput on a mid-size swarm;
+// BenchmarkSwarmRoundObserved is the same run with a registry observer
+// attached. Comparing the two shows the per-round cost of the
+// observability hook (expected: a few metric stores, no extra allocs).
+func BenchmarkSwarmRound(b *testing.B)         { benchSwarmRound(b, nil) }
+func BenchmarkSwarmRoundObserved(b *testing.B) { benchSwarmRound(b, obs.NewRegistry()) }
+
+func benchSwarmRound(b *testing.B, reg *obs.Registry) {
+	cfg := DefaultConfig()
+	cfg.Pieces = 100
+	cfg.InitialPeers = 200
+	cfg.ArrivalRate = 0
+	cfg.Horizon = float64(b.N)
+	cfg.TrackPeers = 0
+	if reg != nil {
+		cfg.Observer = NewRegistryObserver(reg)
+	}
+	sw, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := sw.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if reg != nil {
+		b.ReportMetric(float64(reg.Snapshot().Counters["sim.exchanges"])/float64(b.N), "exchanges/round")
+	}
+}
 
 // churnConfig is the steady-churn shape of the repository benchmark's
 // sim_steady workload (bench/workload_sim.go: B=20, k=7, s=40, 2000

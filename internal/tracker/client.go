@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -57,8 +58,7 @@ type Client struct {
 	// HTTP is the underlying client; http.DefaultClient when nil.
 	HTTP *http.Client
 	// Retry is applied per announce URL. The zero value performs a
-	// single attempt (no backoff), preserving the pre-resilience
-	// behavior.
+	// single attempt.
 	Retry retry.Policy
 	// Jitter randomizes backoff delays; nil disables jitter. Use
 	// retry.LockedRand around a seeded stats.RNG for deterministic,
@@ -79,9 +79,6 @@ type Client struct {
 
 func (c *Client) metrics() *retry.Metrics {
 	c.metOnce.Do(func() {
-		if c.Metrics == nil {
-			return
-		}
 		c.retryMet = retry.NewMetrics(c.Metrics, "tracker_client.")
 		c.failovers = c.Metrics.Counter("tracker_client.failovers")
 	})
@@ -100,8 +97,7 @@ func (c *Client) Announce(ctx context.Context, req AnnounceRequest) (*AnnounceRe
 	if len(req.Tiers) == 0 {
 		return c.announceURL(ctx, req.AnnounceURL, req)
 	}
-	met := c.metrics()
-	_ = met // handles are cached for the per-URL loops below
+	c.metrics() // creates c.failovers for the loop below
 	var lastErr error
 	tried := 0
 	for _, tier := range req.Tiers {
@@ -109,7 +105,7 @@ func (c *Client) Announce(ctx context.Context, req AnnounceRequest) (*AnnounceRe
 			if u == "" {
 				continue
 			}
-			if tried > 0 && c.failovers != nil {
+			if tried > 0 {
 				c.failovers.Inc()
 			}
 			tried++
@@ -208,11 +204,7 @@ func parseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	peersBlob, err := d.String("peers")
-	if err != nil {
-		return nil, err
-	}
-	peers, err := ParseCompactPeers([]byte(peersBlob))
+	peers, err := parsePeers(d["peers"])
 	if err != nil {
 		return nil, err
 	}
@@ -227,4 +219,47 @@ func parseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 		out.Leechers = int(n)
 	}
 	return out, nil
+}
+
+// parsePeers reads an announce reply's "peers" value in either form BEP 3
+// trackers send: the compact string (6 bytes a peer), or a list of
+// {ip, port, peer id} dictionaries (peer id absent under no_peer_id).
+// Anything else — a missing key included — is an error.
+func parsePeers(v any) ([]PeerInfo, error) {
+	switch v := v.(type) {
+	case string:
+		return ParseCompactPeers([]byte(v))
+	case []any:
+		out := make([]PeerInfo, 0, len(v))
+		for i, e := range v {
+			pd, err := bencode.AsDict(e)
+			if err != nil {
+				return nil, fmt.Errorf("tracker: peer %d: %w", i, err)
+			}
+			host, err := pd.String("ip")
+			if err != nil {
+				return nil, fmt.Errorf("tracker: peer %d: %w", i, err)
+			}
+			p := PeerInfo{IP: net.ParseIP(host)}
+			if p.IP == nil {
+				return nil, fmt.Errorf("tracker: peer %d: ip %q is not an address", i, host)
+			}
+			if ip4 := p.IP.To4(); ip4 != nil {
+				p.IP = ip4 // the form ParseCompactPeers yields
+			}
+			port, err := pd.Int("port")
+			if err != nil || port < 1 || port > 65535 {
+				return nil, fmt.Errorf("tracker: peer %d: bad port", i)
+			}
+			p.Port = int(port)
+			if id, err := pd.String("peer id"); err == nil {
+				if p.ID, err = exact20(id); err != nil {
+					return nil, fmt.Errorf("tracker: peer %d: peer id: %w", i, err)
+				}
+			}
+			out = append(out, p)
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("tracker: peers is %T, want compact string or list", v)
 }

@@ -71,19 +71,43 @@ func TestServerInstrumented(t *testing.T) {
 	}
 }
 
+// TestServerUninstrumentedStillWorks pins the metrics-off contract: a
+// server never given a registry serves and counts into handles registered
+// nowhere (one good and one malformed announce here); a registry attached
+// afterwards starts from zero and sees only what follows.
 func TestServerUninstrumentedStillWorks(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := &Client{HTTP: ts.Client()}
-	if _, err := cl.Announce(context.Background(), AnnounceRequest{
-		AnnounceURL: ts.URL + "/announce",
-		InfoHash:    id(0xC3), PeerID: id(9), Port: 6999, Left: 10,
-		Event: EventStarted,
-	}); err != nil {
+	announce := func() {
+		t.Helper()
+		if _, err := cl.Announce(context.Background(), AnnounceRequest{
+			AnnounceURL: ts.URL + "/announce",
+			InfoHash:    id(0xC3), PeerID: id(9), Port: 6999, Left: 10,
+			Event: EventStarted,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	announce()
+	resp, err := ts.Client().Get(ts.URL + "/announce?info_hash=short")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.met != nil {
-		t.Error("metrics attached without Instrument")
+	resp.Body.Close()
+	if srv.met.announces.Value() != 1 || srv.met.failures.Value() != 1 {
+		t.Errorf("uninstrumented server counted %d announces, %d failures; want 1, 1",
+			srv.met.announces.Value(), srv.met.failures.Value())
+	}
+
+	reg := obs.NewRegistry()
+	srv.Instrument(reg, nil)
+	if snap := reg.Snapshot(); snap.Counters["tracker.announces"] != 0 || snap.Counters["tracker.failures"] != 0 {
+		t.Errorf("fresh registry already holds counts: %+v", snap.Counters)
+	}
+	announce()
+	if got := reg.Snapshot().Counters["tracker.announces"]; got != 1 {
+		t.Errorf("tracker.announces = %d after one instrumented announce, want 1", got)
 	}
 }

@@ -62,8 +62,8 @@ type Server struct {
 	// now is injectable for tests.
 	now func() time.Time
 
-	// met and log are set by Instrument (nil = disabled).
-	met *serverMetrics
+	// met and log are replaced by Instrument.
+	met serverMetrics
 	log *slog.Logger
 }
 
@@ -74,6 +74,7 @@ func NewServer() *Server {
 		Interval: 120,
 		Expiry:   30 * time.Minute,
 		now:      time.Now,
+		met:      newServerMetrics(nil),
 		log:      obs.Nop(),
 	}
 }
@@ -98,7 +99,7 @@ func failure(w http.ResponseWriter, msg string) {
 
 // fail counts and reports one rejected announce.
 func (s *Server) fail(w http.ResponseWriter, msg string) {
-	s.observeFailure()
+	s.met.failures.Inc()
 	s.log.Debug("announce rejected", "reason", msg)
 	failure(w, msg)
 }
@@ -149,7 +150,7 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		"peers":      string(compactPeers(peers)),
 	})
 	if err != nil {
-		s.observeFailure()
+		s.met.failures.Inc()
 		http.Error(w, "encode failure", http.StatusInternalServerError)
 		return
 	}

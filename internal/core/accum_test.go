@@ -230,3 +230,58 @@ func TestAccumMergeValidation(t *testing.T) {
 		t.Fatalf("valid merge: runs %d, err %v", acc.Runs(), err)
 	}
 }
+
+// TestAccumResetForDecode: a Reset accumulator decodes a payload to
+// exactly what a fresh one would — no allocation of new curves, and
+// nothing of the previous payload showing through where the next one
+// says null or says nothing.
+func TestAccumResetForDecode(t *testing.T) {
+	m, err := NewModel(DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := m.SampleRuns(context.Background(), stats.NewRNG(1, 2), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := NewEnsembleAccum(m.p.B)
+	curve := &scratch.PotSum[:1][0]
+	for _, next := range []string{
+		string(payload),
+		`{"potSum":[null,null,null],"potCnt":null,"completion":[]}`,
+		`{}`,
+	} {
+		if err := json.Unmarshal(payload, scratch); err != nil {
+			t.Fatal(err)
+		}
+		scratch.Reset()
+		if scratch.Runs() != 0 || len(scratch.PotSum) != 0 || cap(scratch.PotSum) != m.p.B+1 || scratch.Phases != (phaseAccumulator{}) {
+			t.Fatalf("Reset left %+v", scratch)
+		}
+		fresh := &EnsembleAccum{}
+		if err := json.Unmarshal([]byte(next), fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(next), scratch); err != nil {
+			t.Fatal(err)
+		}
+		for name, pair := range map[string][2][]int64{
+			"potSum": {scratch.PotSum, fresh.PotSum}, "potCnt": {scratch.PotCnt, fresh.PotCnt},
+			"fpSum": {scratch.FPSum, fresh.FPSum}, "fpCnt": {scratch.FPCnt, fresh.FPCnt},
+		} {
+			if len(pair[0]) != len(pair[1]) || (len(pair[0]) > 0 && !reflect.DeepEqual(pair[0], pair[1])) {
+				t.Errorf("%s after %.40s: scratch %v, fresh %v", name, next, pair[0], pair[1])
+			}
+		}
+		if scratch.Runs() != fresh.Runs() || scratch.Phases != fresh.Phases {
+			t.Errorf("after %.40s: scratch holds %d runs / %+v, fresh %d / %+v", next, scratch.Runs(), scratch.Phases, fresh.Runs(), fresh.Phases)
+		}
+	}
+	if err := json.Unmarshal(payload, scratch); err != nil || &scratch.PotSum[0] != curve {
+		t.Fatalf("decode after Reset reallocated the curves (err %v)", err)
+	}
+}

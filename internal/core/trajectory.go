@@ -140,6 +140,24 @@ func NewEnsembleAccum(b int) *EnsembleAccum {
 	}
 }
 
+// Reset empties a, keeping every slice's capacity, so one accumulator
+// can take a sequence of decoded shards. The backing arrays are zeroed
+// too: encoding/json leaves a slice element it decodes null into as it
+// was, and a curve the next payload omits must be empty — failing
+// Merge's length check — never a stale copy of the previous shard's.
+func (a *EnsembleAccum) Reset() {
+	*a = EnsembleAccum{
+		PotSum: emptied(a.PotSum), PotCnt: emptied(a.PotCnt),
+		FPSum: emptied(a.FPSum), FPCnt: emptied(a.FPCnt),
+		Completion: emptied(a.Completion),
+	}
+}
+
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // addRun folds one trajectory in. The piece count is monotone along a
 // trajectory (F never decreases b), so first-passage steps are found
 // with a single rising cursor instead of a per-run seen bitmap.

@@ -702,7 +702,7 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 		// The winner's grant latency feeds its health EWMA; a hedge grant
 		// winning is the hedge surface's success signal.
 		if g := s.leases[w]; g != nil {
-			c.latency.note(w.name, float64(now.Sub(g.granted).Milliseconds()))
+			c.latency.note(w.name, obs.Ms(now.Sub(g.granted)))
 			if g.hedge {
 				c.cHedgeWins.Inc()
 			}
@@ -726,7 +726,7 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 		}
 		s.done = true
 		if !s.firstIssue.IsZero() {
-			c.hShardLatency.Observe(float64(now.Sub(s.firstIssue).Milliseconds()))
+			c.hShardLatency.Observe(obs.Ms(now.Sub(s.firstIssue)))
 		}
 		t := s.task
 		t.payloads[s.idx] = payload
@@ -945,7 +945,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			case TypeHeartbeat:
 				c.handleHeartbeat(w, f.Addr)
 			case TypeResult:
-				c.hRemoteEval.Observe(float64(f.EvalMs))
+				c.hRemoteEval.Observe(f.EvalMs)
 				c.handleResult(w, f.Addr, f.Payload, f.Spans)
 			case TypeNack:
 				c.handleNack(w, f.Addr, f.Err)

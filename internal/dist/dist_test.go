@@ -490,6 +490,32 @@ func TestClosedCoordinator(t *testing.T) {
 	}
 }
 
+// TestSubMillisecondShardsAreTimed: shards that take microseconds must
+// not read as 0 ms — on the worker's histogram, in the EvalMs its result
+// frames carry, or in the coordinator's shard latency.
+func TestSubMillisecondShardsAreTimed(t *testing.T) {
+	wreg, creg := obs.NewRegistry(), obs.NewRegistry()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := dist.New(dist.Config{Registry: creg})
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer coord.Close()
+	defer startWorker(t, ctx, dist.WorkerConfig{Name: "w", Addr: addr, Registry: wreg}, "sum", sumEval)()
+	if _, err := coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`"fast"`), N: 16, ShardSize: 1}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for name, reg := range map[string]*obs.Registry{
+		"dist.worker.eval_ms": wreg, "dist.remote_eval_ms": creg, "dist.shard_latency_ms": creg,
+	} {
+		if s := reg.Histogram(name).Snapshot(); s.Count != 16 || s.P50 <= 0 {
+			t.Errorf("%s: count %d p50 %g, want 16 observations with p50 > 0", name, s.Count, s.P50)
+		}
+	}
+}
+
 // waitFor polls cond for up to 5 seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

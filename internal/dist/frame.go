@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
@@ -117,9 +116,8 @@ type Frame struct {
 	// Result payload (opaque to the protocol).
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// EvalMs is the worker-reported evaluation time for a result frame,
-	// in milliseconds. obs.F64 keeps the frame valid JSON even if a
-	// worker clock produces a non-finite value.
-	EvalMs obs.F64 `json:"evalMs,omitempty"`
+	// in fractional milliseconds (obs.Ms of a Duration: always finite).
+	EvalMs float64 `json:"evalMs,omitempty"`
 	// Nack reason.
 	Err string `json:"err,omitempty"`
 	// Spans carries worker-side trace spans back with a result frame so

@@ -5,14 +5,52 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 )
 
 // Evaluator computes one shard: the units [lo, hi) of the computation
 // described by spec, serialized to an opaque payload. Evaluators MUST be
 // pure functions of (spec, lo, hi) — the coordinator relies on that to
 // lease a shard twice (fault recovery, straggler re-issue) and accept
-// whichever result lands first.
+// whichever result lands first. What one keeps between a task's leases
+// goes through Prepared under the same rule: a pure function of the spec
+// bytes, never of lo or hi, and immutable — concurrent leases share it.
 type Evaluator func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error)
+
+// taskSlot holds what an evaluator prepared from one task's spec, for as
+// long as the worker session keeps leasing shards of that task.
+type taskSlot struct {
+	kind string
+	spec []byte
+
+	mu    sync.Mutex // held across build, as sync.Once does: concurrent leases wait for one build
+	built bool
+	val   any
+}
+
+type slotKey struct{}
+
+// Prepared returns build's value for the task that ctx's lease belongs
+// to, built once per slot however many of the task's leases — one after
+// another or at once — ask for it; a failed build is not kept, so the
+// next lease retries. build must not itself call Prepared. A ctx with no
+// slot (a direct call, btworker -selftest's reference) just builds.
+func Prepared[T any](ctx context.Context, build func() (T, error)) (T, error) {
+	slot, _ := ctx.Value(slotKey{}).(*taskSlot)
+	if slot == nil {
+		return build()
+	}
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if !slot.built {
+		v, err := build()
+		if err != nil {
+			return v, err
+		}
+		slot.val, slot.built = v, true
+	}
+	return slot.val.(T), nil
+}
 
 // Task describes one distributed computation: N indexed units of the
 // evaluator registered under Kind, parameterized by Spec.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -231,6 +233,7 @@ func (w *Worker) session(ctx context.Context) error {
 	defer leases.Wait()
 	var lmu sync.Mutex
 	draining := false
+	slots := make(taskSlots, 0, w.cfg.Slots)
 
 	// Drain watcher: announce the goodbye, refuse new leases, finish
 	// in-flight shards, then close the conn to unwind the read loop.
@@ -272,11 +275,37 @@ func (w *Worker) session(ctx context.Context) error {
 		}
 		leases.Add(1)
 		lmu.Unlock()
+		lctx := context.WithValue(ctx, slotKey{}, slots.lease(f.Lease))
 		go func(l *Lease) {
 			defer leases.Done()
-			w.serveLease(ctx, l, send)
+			w.serveLease(lctx, l, send)
 		}(f.Lease)
 	}
+}
+
+// taskSlots is one session's prepared tasks, most recently leased first,
+// at most its capacity (WorkerConfig.Slots) of them. A local of the
+// session's read loop: unlocked, and gone with the connection.
+type taskSlots []*taskSlot
+
+// lease moves the slot of l's task (same kind, same spec bytes) to the
+// front; a task not held gets a fresh slot, evicting the least recently
+// leased when full — leases still running on that one keep their pointer.
+func (ts *taskSlots) lease(l *Lease) *taskSlot {
+	s := *ts
+	i := slices.IndexFunc(s, func(p *taskSlot) bool { return p.kind == l.Kind && bytes.Equal(p.spec, l.Spec) })
+	if i < 0 {
+		if len(s) < cap(s) {
+			s = s[:len(s)+1]
+		}
+		i = len(s) - 1
+		s[i] = &taskSlot{kind: l.Kind, spec: l.Spec}
+	}
+	slot := s[i]
+	copy(s[1:i+1], s[:i])
+	s[0] = slot
+	*ts = s
+	return slot
 }
 
 // serveLease evaluates one granted shard, heartbeating until done, then
@@ -347,7 +376,7 @@ func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) err
 	})
 	sp.End()
 	stopHB()
-	evalMs := float64(time.Since(start).Milliseconds())
+	evalMs := obs.Ms(time.Since(start))
 	w.hEvalMs.Observe(evalMs)
 	if err != nil {
 		w.cErrors.Inc()
@@ -356,7 +385,7 @@ func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) err
 		return
 	}
 	w.cShards.Inc()
-	f := &Frame{T: TypeResult, Addr: l.Addr, Payload: payload, EvalMs: obs.F64(evalMs)}
+	f := &Frame{T: TypeResult, Addr: l.Addr, Payload: payload, EvalMs: evalMs}
 	if col != nil {
 		f.Spans = col.Spans()
 	}

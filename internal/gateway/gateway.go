@@ -349,7 +349,7 @@ func (g *Gateway) attempt(ctx context.Context, x exchange, target, home int) err
 	}
 	start := time.Now()
 	resp, err := g.client.Do(req)
-	g.upstream.Observe(float64(time.Since(start).Milliseconds()))
+	g.upstream.Observe(obs.Ms(time.Since(start)))
 	if err == nil {
 		err = x.consume(target, home, resp)
 		resp.Body.Close() //nolint:errcheck
@@ -414,7 +414,7 @@ func copyHeaders(w http.ResponseWriter, resp *http.Response) {
 // bytes untouched.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	defer func() { g.latency.Observe(float64(time.Since(start).Milliseconds())) }()
+	defer func() { g.latency.Observe(obs.Ms(time.Since(start))) }()
 	ctx, root, x, ok := g.single(w, r, "/v1/query")
 	if !ok {
 		return
@@ -546,7 +546,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Inc()
 	g.batchRequests.Inc()
 	start := time.Now()
-	defer func() { g.latency.Observe(float64(time.Since(start).Milliseconds())) }()
+	defer func() { g.latency.Observe(obs.Ms(time.Since(start))) }()
 	raw, err := serve.SplitBatch(http.MaxBytesReader(w, r.Body, serve.MaxBatchBytes))
 	if err != nil {
 		g.writeErr(w, serve.ErrorStatus(err), err)

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sync/atomic"
+	"time"
 )
 
 // histBuckets is the number of power-of-two histogram buckets. Bucket i
@@ -79,6 +80,11 @@ func (h *Histogram) Observe(v float64) {
 	// count exceeding the bucket totals.
 	h.count.Add(1)
 }
+
+// Ms is d in fractional milliseconds: what every *_ms histogram
+// observes. time.Duration.Milliseconds truncates, which reads every
+// sub-millisecond shard, cache hit and forward as 0.
+func Ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // addBits adds v to a float64-bits accumulator cell with a CAS loop.
 func addBits(cell *atomic.Uint64, v float64) {

@@ -9,8 +9,8 @@ import (
 // Telemetry legitimately produces non-finite values — quantiles of an
 // empty histogram, ensemble curves at never-observed piece counts —
 // which encoding/json refuses to emit; null is the JSON-representable
-// spelling of the same fact. Shared by the serving layer's response
-// bodies and the dist protocol's frames.
+// spelling of the same fact. The serving layer's response bodies and
+// stream records are made of it.
 type F64 float64
 
 // MarshalJSON implements json.Marshaler.

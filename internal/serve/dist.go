@@ -11,10 +11,11 @@ import (
 
 // DefaultShardRuns is the model-ensemble shard granularity used by
 // PoolEvaluator when none is given: small enough to spread a default
-// 200-run ensemble across a handful of workers. A shard's fixed cost — a
-// lease round trip, a NewModel on the worker, and one accumulator back
-// (about 1.5 KB at B = 100, whatever the shard size) — is of the order
-// of sampling 32 runs, so smaller shards are mostly overhead.
+// 200-run ensemble across a handful of workers. A worker builds a task's
+// model once, not per shard, so a shard's fixed cost is a lease round
+// trip (~40 µs on loopback) and one accumulator back (1.5 KB at B = 100
+// whatever the shard size, ~45 µs to frame, decode and fold) — still of
+// the order of sampling 32 runs at ~2 µs each: smaller is mostly overhead.
 const DefaultShardRuns = 32
 
 // Evaluate computes a canonicalized request's response body locally. It
@@ -23,6 +24,13 @@ const DefaultShardRuns = 32
 // must reproduce byte for byte.
 func Evaluate(ctx context.Context, req *Request) (any, error) {
 	return evaluate(ctx, req)
+}
+
+// shardTask is what EvalShard prepares once per task and every shard of
+// it reads: the canonicalized request and, for KindModel, its model.
+type shardTask struct {
+	req   *Request
+	model *core.Model
 }
 
 // EvalShard is the worker-side dist.Evaluator over serve requests: spec
@@ -38,14 +46,32 @@ func Evaluate(ctx context.Context, req *Request) (any, error) {
 // other kind is a single indivisible unit ([0, 1)); the payload is the
 // JSON response body, embedded verbatim in the envelope so it carries
 // the exact bytes a local evaluation would have produced.
+//
+// Concurrent shards of a task share one prepared request and model:
+// core.Model is immutable, and evaluate and everything under it only
+// reads its *Request — a kind that wrote to it would race here.
 func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
-	req := &Request{}
-	if err := json.Unmarshal(spec, req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if err := req.Canonicalize(); err != nil {
+	t, err := dist.Prepared(ctx, func() (*shardTask, error) {
+		req := &Request{}
+		if err := json.Unmarshal(spec, req); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		if err := req.Canonicalize(); err != nil {
+			return nil, err
+		}
+		if req.Kind != KindModel {
+			return &shardTask{req: req}, nil
+		}
+		m, err := core.NewModel(req.Model.params())
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		return &shardTask{req, m}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	req := t.req
 	if req.Kind != KindModel {
 		if lo != 0 || hi != 1 {
 			return nil, fmt.Errorf("%w: kind %q is a single unit, got shard [%d,%d)", ErrBadRequest, req.Kind, lo, hi)
@@ -56,15 +82,10 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 		}
 		return json.Marshal(result)
 	}
-	q := req.Model
-	if lo < 0 || hi > q.Runs || lo >= hi {
-		return nil, fmt.Errorf("%w: shard [%d,%d) outside runs [0,%d)", ErrBadRequest, lo, hi, q.Runs)
+	if lo < 0 || hi > req.Model.Runs || lo >= hi {
+		return nil, fmt.Errorf("%w: shard [%d,%d) outside runs [0,%d)", ErrBadRequest, lo, hi, req.Model.Runs)
 	}
-	m, err := core.NewModel(q.params())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	acc, err := m.SampleRuns(ctx, modelRNG(req.Seed), lo, hi)
+	acc, err := t.model.SampleRuns(ctx, modelRNG(req.Seed), lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +136,16 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 			return json.RawMessage(payloads[0]), nil
 		}
 		acc := core.NewEnsembleAccum(req.Model.B)
+		// One scratch takes every payload, emptied before each decode: a
+		// curve a payload omits must fail the merge, not replay the last.
+		part := core.NewEnsembleAccum(req.Model.B)
+		part.Completion = make([]int, 0, shardRuns)
 		for i, p := range payloads {
-			var part core.EnsembleAccum
-			if err := json.Unmarshal(p, &part); err != nil {
+			part.Reset()
+			if err := json.Unmarshal(p, part); err != nil {
 				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
 			}
-			if err := acc.Merge(&part); err != nil {
+			if err := acc.Merge(part); err != nil {
 				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
 			}
 		}

@@ -357,7 +357,7 @@ func (s *Server) admit(ctx context.Context, req *Request, eval func(context.Cont
 	defer cancel()
 	s.computations.Inc()
 	start := time.Now()
-	defer func() { s.evalMs.Observe(float64(time.Since(start).Milliseconds())) }()
+	defer func() { s.evalMs.Observe(obs.Ms(time.Since(start))) }()
 	ectx, esp := trace.Start(ctx, "eval")
 	defer esp.End()
 	if esp == nil {
@@ -546,7 +546,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) observeLatency(start time.Time) {
-	s.latency.Observe(float64(time.Since(start).Milliseconds()))
+	s.latency.Observe(obs.Ms(time.Since(start)))
 }
 
 // retryAfterSeconds derives the 429 Retry-After hint from live load

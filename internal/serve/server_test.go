@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,6 +212,59 @@ func TestQueueSaturationSheds429(t *testing.T) {
 	close(block)
 	if st := <-first; st != http.StatusOK {
 		t.Fatalf("occupying request status = %d, want 200", st)
+	}
+}
+
+// TestRetryAfterFromSubMillisecondEvals: evaluations of a fraction of a
+// millisecond are history too. Truncated to whole milliseconds they read
+// as a p95 of zero, which the hint took for a cold start and priced at a
+// second each: four admitted requests on a replica that clears one in
+// 0.2 ms told the shed client to come back in 4 s instead of 1.
+func TestRetryAfterFromSubMillisecondEvals(t *testing.T) {
+	s, ts, reg := newTestServer(t, Config{Workers: 1, Queue: 3})
+	block := make(chan struct{})
+	s.eval = func(ctx context.Context, req *Request) (any, error) {
+		if req.Efficiency.K >= 50 {
+			<-block
+		}
+		for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+		}
+		return &EfficiencyOut{K: req.Efficiency.K}, nil
+	}
+	query := func(k int) string { return `{"kind":"efficiency","efficiency":{"k":` + strconv.Itoa(k) + `}}` }
+	for k := 1; k <= 20; k++ {
+		if resp, body := postQuery(t, ts.URL, query(k)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: status %d: %s", k, resp.StatusCode, body)
+		}
+	}
+	if snap := reg.Histogram("serve.eval_ms").Snapshot(); snap.Count != 20 || snap.P50 <= 0 {
+		t.Fatalf("serve.eval_ms after 20 evals of 0.2 ms: count %d p50 %g, want p50 > 0", snap.Count, snap.P50)
+	}
+
+	// Fill the gate: one request in the worker slot, three queued.
+	var wg sync.WaitGroup
+	for k := 50; k < 54; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(query(k))); err == nil {
+				resp.Body.Close() //nolint:errcheck
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.gate.Admitted() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admitted = %d, want 4", s.gate.Admitted())
+		}
+	}
+	resp, body := postQuery(t, ts.URL, query(54))
+	close(block)
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429; body: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want 1 (4 admitted × ~0.2 ms)", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -59,6 +60,15 @@ type EfficiencyResult struct {
 // round rather than one peer per round). With that correction the sweep
 // conserves Σx = 1 exactly and reproduces Figure 4(a).
 func SolveEfficiency(e EfficiencyParams, tol float64, maxIter int) (EfficiencyResult, error) {
+	return SolveEfficiencyCtx(context.Background(), e, tol, maxIter)
+}
+
+// SolveEfficiencyCtx is SolveEfficiency with cooperative cancellation:
+// the context is polled before the first round and every ctxCheckSteps
+// after it (p_r near 1 needs hundreds of thousands), and a cancelled or
+// expired context aborts the solve with the context's error. The result
+// is bit-identical to SolveEfficiency when the context never fires.
+func SolveEfficiencyCtx(ctx context.Context, e EfficiencyParams, tol float64, maxIter int) (EfficiencyResult, error) {
 	if err := e.Validate(); err != nil {
 		return EfficiencyResult{}, err
 	}
@@ -66,33 +76,60 @@ func SolveEfficiency(e EfficiencyParams, tol float64, maxIter int) (EfficiencyRe
 		return EfficiencyResult{}, errors.New("core: tolerance must be positive")
 	}
 	k := e.K
-	x := make([]float64, k+1)
+	n := k + 1
+
+	// One block holds the state vectors, the rows the table is built
+	// from and the table itself. The floating-point operations of a
+	// solve, and their order per output, are pinned bit for bit by
+	// TestSolveEfficiencyMatchesReference; only the layout is free.
+	buf := make([]float64, 7*n+k*n/2)
+	x, down, y, lossP := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
+	lg, qPow, pPow := buf[4*n:5*n], buf[5*n:6*n], buf[6*n:7*n]
+	tab := buf[7*n:]
 	x[0] = 1
 
-	// failPMF[i][l] = w^i_l = C(i,l)(1-PR)^l PR^(i-l): probability that l
-	// of i connections fail in one step.
-	failPMF := failureTables(k, e.PR)
+	// w^l_f = C(l,f)(1-PR)^f PR^(l-f) is the probability that f of l
+	// connections fail in one step. Row l of tab holds it by destination
+	// class, row[i] = w^l_{l-i} for i < l, so Equation (4)'s inflow into
+	// the classes below l is one pass over contiguous memory; lossP[l]
+	// is the row's sum, the probability that class l loses a connection.
+	for j := range lg {
+		lg[j], _ = math.Lgamma(float64(j + 1)) // ln j!
+		qPow[j] = math.Pow(1-e.PR, float64(j))
+		pPow[j] = math.Pow(e.PR, float64(j))
+	}
+	for l, off := 1, 0; l <= k; l, off = l+1, off+l {
+		row := tab[off : off+l]
+		loss := 0.0
+		for f := 1; f <= l; f++ {
+			w := math.Exp(lg[l]-lg[f]-lg[l-f]) * qPow[f] * pPow[l-f]
+			row[l-f] = w
+			loss += w
+		}
+		lossP[l] = loss
+	}
 
 	// Damping keeps the flow-balance iteration from oscillating; the fixed
 	// point itself is independent of the damping factor.
 	const damping = 0.5
 
-	down := make([]float64, k+1)
-	up := make([]float64, k+1)
-	y := make([]float64, k+1)
 	for it := 1; it <= maxIter; it++ {
+		if it%ctxCheckSteps == 1 {
+			if err := ctx.Err(); err != nil {
+				return EfficiencyResult{}, err
+			}
+		}
 		// Downward flows, Equation (4), evaluated at the current x:
 		// down[i] is the net change of x_i from connection failures.
-		for i := 0; i <= k; i++ {
-			lossP := 0.0
-			for l := 1; l <= i; l++ {
-				lossP += failPMF[i][l]
+		// Class i collects its inflow in the order l = i+1..k.
+		for i, v := range x {
+			down[i] = -v * lossP[i]
+		}
+		for l, off := 1, 0; l <= k; l, off = l+1, off+l {
+			xl, d := x[l], down[:l]
+			for i, w := range tab[off : off+l] {
+				d[i] += w * xl
 			}
-			v := -x[i] * lossP
-			for l := i + 1; l <= k; l++ {
-				v += failPMF[l][l-i] * x[l]
-			}
-			down[i] = v
 		}
 
 		// Upward flows, Equations (5)–(6): every peer with an open slot
@@ -116,16 +153,14 @@ func SolveEfficiency(e EfficiencyParams, tol float64, maxIter int) (EfficiencyRe
 			y[i] -= moved
 			y[i+1] += moved
 		}
-		for i := range up {
-			up[i] = y[i] - x[i]
-		}
 
 		// Relaxed balance update: at the fixed point the per-round
 		// failure and establishment flows cancel exactly, which is the
 		// steady-state condition of the balance equations.
 		delta := 0.0
 		for i := range x {
-			d := damping * (down[i] + up[i])
+			up := y[i] - x[i]
+			d := damping * (down[i] + up)
 			x[i] += d
 			if x[i] < 0 {
 				x[i] = 0
@@ -152,83 +187,6 @@ func normalize(x []float64) {
 	for i := range x {
 		x[i] /= sum
 	}
-}
-
-// SolveEfficiencyMeanField computes the steady state of the same migration
-// process via a self-consistent per-peer Markov chain: each step a peer
-// with an open slot gains a connection with probability equal to the
-// fraction of peers that also have an open slot, then each connection
-// independently survives with probability PR. The population distribution
-// is the stationary law of that chain, solved by fixed-point iteration.
-// This is an independent cross-check of SolveEfficiency.
-func SolveEfficiencyMeanField(e EfficiencyParams, tol float64, maxIter int) (EfficiencyResult, error) {
-	if err := e.Validate(); err != nil {
-		return EfficiencyResult{}, err
-	}
-	k := e.K
-	failPMF := failureTables(k, e.PR)
-	x := make([]float64, k+1)
-	x[0] = 1
-	for it := 1; it <= maxIter; it++ {
-		open := 1 - x[k]
-		next := make([]float64, k+1)
-		for i := 0; i <= k; i++ {
-			if x[i] == 0 {
-				continue
-			}
-			// Gain phase: i -> i+1 with probability `open` when i < k.
-			gainTo := i
-			pGain := 0.0
-			if i < k {
-				pGain = open
-				gainTo = i + 1
-			}
-			// Failure phase applied to the post-gain count.
-			scatter(next, gainTo, x[i]*pGain, failPMF)
-			scatter(next, i, x[i]*(1-pGain), failPMF)
-		}
-		delta := 0.0
-		for i := range x {
-			delta += math.Abs(next[i] - x[i])
-		}
-		copy(x, next)
-		if delta < tol {
-			return EfficiencyResult{X: snapshot(x), Eta: eta(x, k), Iterations: it}, nil
-		}
-	}
-	return EfficiencyResult{}, fmt.Errorf("core: mean-field iteration did not converge in %d rounds", maxIter)
-}
-
-// scatter distributes mass from a class with c connections over the
-// failure outcomes: l failures land the peer in class c-l.
-func scatter(dst []float64, c int, mass float64, failPMF [][]float64) {
-	if mass == 0 {
-		return
-	}
-	for l := 0; l <= c; l++ {
-		dst[c-l] += mass * failPMF[c][l]
-	}
-}
-
-// failureTables precomputes w^i_l for i, l = 0..k.
-func failureTables(k int, pr float64) [][]float64 {
-	out := make([][]float64, k+1)
-	for i := 0; i <= k; i++ {
-		row := make([]float64, i+1)
-		for l := 0; l <= i; l++ {
-			row[l] = math.Exp(logChoose(i, l)) *
-				math.Pow(1-pr, float64(l)) * math.Pow(pr, float64(i-l))
-		}
-		out[i] = row
-	}
-	return out
-}
-
-func logChoose(n, k int) float64 {
-	ln1, _ := math.Lgamma(float64(n + 1))
-	lk1, _ := math.Lgamma(float64(k + 1))
-	lnk1, _ := math.Lgamma(float64(n - k + 1))
-	return ln1 - lk1 - lnk1
 }
 
 func eta(x []float64, k int) float64 {

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
+
+	"repro/internal/stats"
 )
 
 func solveOrFatal(t *testing.T, e EfficiencyParams) EfficiencyResult {
@@ -124,7 +130,7 @@ func TestMeanFieldAgreesQualitatively(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mf, err := SolveEfficiencyMeanField(EfficiencyParams{K: k, PR: pr}, 1e-12, 200000)
+		mf, err := solveEfficiencyMeanField(EfficiencyParams{K: k, PR: pr}, 1e-12, 200000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,5 +169,250 @@ func TestCalibratedPRShape(t *testing.T) {
 			t.Errorf("CalibratedPR(%d) = %g > 1", k, cur)
 		}
 		prev = cur
+	}
+}
+
+// referenceFailureTables precomputes w^i_l = C(i,l)(1-pr)^l pr^(i-l), the
+// probability that l of i connections fail in one step, for i, l = 0..k,
+// one Lgamma triple and two Pow calls per entry.
+func referenceFailureTables(k int, pr float64) [][]float64 {
+	out := make([][]float64, k+1)
+	for i := 0; i <= k; i++ {
+		row := make([]float64, i+1)
+		for l := 0; l <= i; l++ {
+			row[l] = math.Exp(stats.LogChoose(i, l)) *
+				math.Pow(1-pr, float64(l)) * math.Pow(pr, float64(i-l))
+		}
+		out[i] = row
+	}
+	return out
+}
+
+// referenceSolveEfficiency is the solver as it stood before the failure
+// table was flattened: one slice per table row, lossP re-summed every
+// round and each down[i] gathered behind a single accumulator. It is the
+// oracle SolveEfficiency must match bit for bit.
+func referenceSolveEfficiency(e EfficiencyParams, tol float64, maxIter int) (EfficiencyResult, error) {
+	if err := e.Validate(); err != nil {
+		return EfficiencyResult{}, err
+	}
+	if tol <= 0 {
+		return EfficiencyResult{}, errors.New("core: tolerance must be positive")
+	}
+	k := e.K
+	x := make([]float64, k+1)
+	x[0] = 1
+	failPMF := referenceFailureTables(k, e.PR)
+	const damping = 0.5
+
+	down := make([]float64, k+1)
+	up := make([]float64, k+1)
+	y := make([]float64, k+1)
+	for it := 1; it <= maxIter; it++ {
+		for i := 0; i <= k; i++ {
+			lossP := 0.0
+			for l := 1; l <= i; l++ {
+				lossP += failPMF[i][l]
+			}
+			v := -x[i] * lossP
+			for l := i + 1; l <= k; l++ {
+				v += failPMF[l][l-i] * x[l]
+			}
+			down[i] = v
+		}
+		copy(y, x)
+		for i := 0; i < k; i++ {
+			if y[i] <= 0 {
+				continue
+			}
+			succ := 1 - y[k]
+			if succ <= 0 {
+				continue
+			}
+			moved := y[i] * succ
+			y[i] -= moved
+			y[i+1] += moved
+		}
+		for i := range up {
+			up[i] = y[i] - x[i]
+		}
+		delta := 0.0
+		for i := range x {
+			d := damping * (down[i] + up[i])
+			x[i] += d
+			if x[i] < 0 {
+				x[i] = 0
+			}
+			delta += math.Abs(d)
+		}
+		normalize(x)
+		if delta < tol {
+			return EfficiencyResult{X: snapshot(x), Eta: eta(x, k), Iterations: it}, nil
+		}
+	}
+	return EfficiencyResult{}, fmt.Errorf("core: efficiency iteration did not converge in %d rounds", maxIter)
+}
+
+// TestSolveEfficiencyMatchesReference pins the contract the flat table
+// was built under: the response bytes of an efficiency query (x, eta and
+// the iteration count) are those of the reference sweep, bit for bit, and
+// the two fail on the same inputs.
+func TestSolveEfficiencyMatchesReference(t *testing.T) {
+	check := func(label string, e EfficiencyParams, maxIter int) {
+		t.Helper()
+		got, gotErr := SolveEfficiency(e, 1e-9, maxIter)
+		want, wantErr := referenceSolveEfficiency(e, 1e-9, maxIter)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%s: err = %v, reference err = %v", label, gotErr, wantErr)
+		}
+		if got.Iterations != want.Iterations ||
+			math.Float64bits(got.Eta) != math.Float64bits(want.Eta) || len(got.X) != len(want.X) {
+			t.Fatalf("%s: (eta %v, %d iterations, %d classes), reference (%v, %d, %d)", label,
+				got.Eta, got.Iterations, len(got.X), want.Eta, want.Iterations, len(want.X))
+		}
+		for i := range got.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+				t.Fatalf("%s: X[%d] = %v, reference %v", label, i, got.X[i], want.X[i])
+			}
+		}
+	}
+	for k := 1; k <= 100; k++ {
+		check(fmt.Sprintf("calibrated k=%d", k), EfficiencyParams{K: k, PR: CalibratedPR(k)}, 500000)
+	}
+	// p_r = 1 converges only quadratically; the budget below exhausts at
+	// large k, and then both solvers must fail alike.
+	r := stats.NewRNG(20, 5)
+	for n := 0; n < 320; n++ {
+		k, pr := 1+r.IntN(40), r.Float64()
+		switch n % 16 {
+		case 0:
+			pr = 0
+		case 1:
+			pr = 1
+		}
+		check(fmt.Sprintf("draw %d (k=%d pr=%v)", n, k, pr), EfficiencyParams{K: k, PR: pr}, 20000)
+	}
+	// An exhausted budget is an error from both, never a half-converged X.
+	for _, k := range []int{1, 8, 65} {
+		e := EfficiencyParams{K: k, PR: CalibratedPR(k)}
+		got, err := SolveEfficiency(e, 1e-9, 10)
+		if err == nil || got.X != nil || got.Iterations != 0 {
+			t.Fatalf("k=%d: 10 rounds returned (%+v, %v), want a bare error", k, got, err)
+		}
+		check(fmt.Sprintf("exhausted k=%d", k), e, 10)
+	}
+}
+
+// TestSolveEfficiencyAllocs: a solve allocates its scratch block and the
+// returned X, nothing per row and nothing per round.
+func TestSolveEfficiencyAllocs(t *testing.T) {
+	for _, k := range []int{8, 65} {
+		e := EfficiencyParams{K: k, PR: CalibratedPR(k)}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := SolveEfficiency(e, 1e-9, 500000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("k=%d: %v allocations per solve, want <= 2", k, allocs)
+		}
+	}
+}
+
+// TestSolveEfficiencyCtxCancelled: p_r = 1 at k = 100 runs 136 352
+// rounds; a cancelled context must cut that short at the next poll.
+func TestSolveEfficiencyCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	res, err := SolveEfficiencyCtx(ctx, EfficiencyParams{K: 100, PR: 1}, 1e-9, 500000)
+	if !errors.Is(err, context.Canceled) || res.X != nil {
+		t.Fatalf("cancelled solve returned (%+v, %v), want context.Canceled", res, err)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("cancelled solve took %v, want < 50ms", d)
+	}
+}
+
+var sinkEfficiency EfficiencyResult
+
+// BenchmarkSolveEfficiency times one solve at the calibrated p_r, serving
+// tolerance and budget. The table build dominates at k = 8 and the
+// O(k²) sweep from k = 32 up; serve_cold draws k from 2..65.
+func BenchmarkSolveEfficiency(b *testing.B) {
+	for _, k := range []int{8, 32, 65, 100} {
+		e := EfficiencyParams{K: k, PR: CalibratedPR(k)}
+		for _, s := range []struct {
+			name  string
+			solve func(EfficiencyParams, float64, int) (EfficiencyResult, error)
+		}{{"", SolveEfficiency}, {"/reference", referenceSolveEfficiency}} {
+			b.Run(fmt.Sprintf("k=%d%s", k, s.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := s.solve(e, 1e-9, 500000)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkEfficiency = res
+				}
+				b.ReportMetric(float64(sinkEfficiency.Iterations), "iterations")
+			})
+		}
+	}
+}
+
+// solveEfficiencyMeanField computes the steady state of the same migration
+// process via a self-consistent per-peer Markov chain: each step a peer
+// with an open slot gains a connection with probability equal to the
+// fraction of peers that also have an open slot, then each connection
+// independently survives with probability PR. The population distribution
+// is the stationary law of that chain, solved by fixed-point iteration.
+// This is an independent cross-check of SolveEfficiency.
+func solveEfficiencyMeanField(e EfficiencyParams, tol float64, maxIter int) (EfficiencyResult, error) {
+	if err := e.Validate(); err != nil {
+		return EfficiencyResult{}, err
+	}
+	k := e.K
+	failPMF := referenceFailureTables(k, e.PR)
+	x := make([]float64, k+1)
+	x[0] = 1
+	for it := 1; it <= maxIter; it++ {
+		open := 1 - x[k]
+		next := make([]float64, k+1)
+		for i := 0; i <= k; i++ {
+			if x[i] == 0 {
+				continue
+			}
+			// Gain phase: i -> i+1 with probability `open` when i < k.
+			gainTo := i
+			pGain := 0.0
+			if i < k {
+				pGain = open
+				gainTo = i + 1
+			}
+			// Failure phase applied to the post-gain count.
+			scatter(next, gainTo, x[i]*pGain, failPMF)
+			scatter(next, i, x[i]*(1-pGain), failPMF)
+		}
+		delta := 0.0
+		for i := range x {
+			delta += math.Abs(next[i] - x[i])
+		}
+		copy(x, next)
+		if delta < tol {
+			return EfficiencyResult{X: snapshot(x), Eta: eta(x, k), Iterations: it}, nil
+		}
+	}
+	return EfficiencyResult{}, fmt.Errorf("core: mean-field iteration did not converge in %d rounds", maxIter)
+}
+
+// scatter distributes mass from a class with c connections over the
+// failure outcomes: l failures land the peer in class c-l.
+func scatter(dst []float64, c int, mass float64, failPMF [][]float64) {
+	if mass == 0 {
+		return
+	}
+	for l := 0; l <= c; l++ {
+		dst[c-l] += mass * failPMF[c][l]
 	}
 }

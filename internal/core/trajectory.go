@@ -21,9 +21,10 @@ type Trajectory []State
 const MaxTrajectorySteps = 1_000_000
 
 // ctxCheckSteps is how many transition steps pass between context polls
-// inside a single trajectory. Typical downloads complete in a few hundred
-// steps, so cancellation latency stays well under a millisecond while the
-// poll cost is amortized away on the hot path.
+// inside a single trajectory (and how many rounds inside one efficiency
+// solve, a few milliseconds at k = 100). Typical downloads complete in a
+// few hundred steps, so cancellation latency stays well under a
+// millisecond while the poll cost is amortized away on the hot path.
 const ctxCheckSteps = 1024
 
 // SampleTrajectory draws one download realization from joining until the

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
+	"strconv"
 )
 
 // F64 is a float64 whose JSON encoding maps NaN and ±Inf to null.
@@ -13,13 +13,26 @@ import (
 // stream records are made of it.
 type F64 float64
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. A finite value is spelled
+// exactly as encoding/json spells a float64 — shortest round-trip
+// digits, exponent form below 1e-6 and from 1e21 up with a one-digit
+// negative exponent unpadded — without a nested json.Marshal per value.
 func (f F64) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(v)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	var buf [32]byte // on the stack; the result is allocated at its exact length
+	b := strconv.AppendFloat(buf[:0], v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return append([]byte(nil), b...), nil
 }
 
 // F64s converts a float64 slice to its NaN-safe JSON form.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,47 @@ func TestF64MarshalsNonFiniteAsNull(t *testing.T) {
 		if string(got) != tc.want {
 			t.Fatalf("F64(%v) = %s, want %s", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestF64MatchesEncodingJSON: the flat encoder moves no byte. Every finite
+// value must be spelled as json.Marshal(float64) spells it — across the
+// 'f'/'e' switch at 1e-6 and 1e21, the exponent clean-up, signed zero and
+// the subnormals — and every non-finite one as null.
+func TestF64MatchesEncodingJSON(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		got, err := F64(v).MarshalJSON()
+		if err != nil {
+			t.Fatalf("F64(%v): %v", v, err)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			want = []byte("null") // NaN, ±Inf
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("F64(%v) [%#x] = %s, json.Marshal = %s", v, math.Float64bits(v), got, want)
+		}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 100, 1e-5, 1e-6, 1e-7, 1e-9, 1e-10, 1e20, 1e21, 1e22,
+		1.5e-9, 1.234e-10, 1e100, 1e-100, 123456789012345680000, 0.0000012345678901234567,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.fffffffffffffp-1022,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, v := range edges {
+		for _, w := range []float64{v, -v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+			check(w)
+		}
+	}
+	const n = 1 << 20
+	r := rand.New(rand.NewSource(20))
+	for i := 0; i < n; i++ {
+		check(math.Float64frombits(r.Uint64()))
+	}
+	// Bit patterns are uniform in the exponent; responses are not.
+	for i := 0; i < n/4; i++ {
+		check(r.NormFloat64() * math.Pow(10, float64(r.Intn(60)-30)))
 	}
 }
 

@@ -160,7 +160,7 @@ func evalKind(ctx context.Context, req *Request, p progress) (any, error) {
 	case KindModel:
 		return evalModel(ctx, req)
 	case KindEfficiency:
-		return evalEfficiency(req)
+		return evalEfficiency(ctx, req)
 	case KindSim:
 		res, err := runSim(ctx, req, p.round)
 		if err != nil {
@@ -293,9 +293,9 @@ func modelOut(q *ModelQuery, es core.EnsembleStats) *ModelOut {
 
 // evalEfficiency mirrors btmodel's efficiency table: the same solver
 // tolerance and iteration budget.
-func evalEfficiency(req *Request) (*EfficiencyOut, error) {
+func evalEfficiency(ctx context.Context, req *Request) (*EfficiencyOut, error) {
 	q := req.Efficiency
-	res, err := core.SolveEfficiency(core.EfficiencyParams{K: q.K, PR: *q.PR}, 1e-9, 500000)
+	res, err := core.SolveEfficiencyCtx(ctx, core.EfficiencyParams{K: q.K, PR: *q.PR}, 1e-9, 500000)
 	if err != nil {
 		return nil, err
 	}

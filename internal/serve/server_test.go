@@ -282,6 +282,27 @@ func TestRequestDeadline504(t *testing.T) {
 	}
 }
 
+// TestEfficiencyQueryHonoursCancellation: k = 100 at p_r = 1 is a valid
+// request that runs 136 352 rounds. It used to ignore its context, answer
+// 200 a second after its deadline and hold its admission slot meanwhile.
+func TestEfficiencyQueryHonoursCancellation(t *testing.T) {
+	const timeout = 10 * time.Millisecond
+	s, ts, _ := newTestServer(t, Config{RequestTimeout: timeout})
+	start := time.Now()
+	resp, body := postQuery(t, ts.URL, `{"kind":"efficiency","efficiency":{"k":100,"pr":1}}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504; body: %s", resp.StatusCode, body)
+	}
+	// The solver polls every 1 024 rounds: ~4 ms at k = 100, ~100 ms under
+	// the race detector; the whole solve is 0.5 s and 10 s.
+	if d := time.Since(start); d > timeout+400*time.Millisecond {
+		t.Fatalf("504 after %v, want within 400ms of the %v deadline", d, timeout)
+	}
+	if n := s.gate.Admitted(); n != 0 {
+		t.Fatalf("admitted = %d after the deadline, want 0", n)
+	}
+}
+
 func TestBadRequests400(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	for name, body := range map[string]string{

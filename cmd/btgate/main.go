@@ -9,7 +9,7 @@
 // Usage:
 //
 //	btgate -addr :8080 -replicas http://127.0.0.1:8091,http://127.0.0.1:8092
-//	btgate -addr :8080 -replicas ... -load-factor 1.25 -debug-addr :6070
+//	btgate -addr :8080 -replicas ... -debug-addr :6070
 //
 // The gateway speaks exactly the replica dialect: POST /v1/query,
 // /v1/batch, and /v1/stream bodies are the serve schema, and responses
@@ -37,23 +37,19 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address for /v1/query, /v1/batch, /v1/stream, /healthz, /metrics")
-		replicas       = flag.String("replicas", "", "comma-separated btserve base URLs to front (required)")
-		vnodes         = flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the hash ring")
-		loadFactor     = flag.Float64("load-factor", gateway.DefaultLoadFactor, "bounded-load spill factor (>= 1)")
-		forwardTimeout = flag.Duration("forward-timeout", gateway.DefaultForwardTimeout, "per-exchange proxy budget for query/batch")
-		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
-		debugAddr      = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6070)")
-		traceSpans     = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
-		logCfg         = obs.RegisterLogFlags(nil)
+		addr         = flag.String("addr", ":8080", "listen address for /v1/query, /v1/batch, /v1/stream, /healthz, /metrics")
+		replicas     = flag.String("replicas", "", "comma-separated btserve base URLs to front (required)")
+		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
+		debugAddr    = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6070)")
+		traceSpans   = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
+		logCfg       = obs.RegisterLogFlags(nil)
 	)
 	flag.Parse()
 	logger := logCfg.Logger()
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if err := run(os.Stdout, logger, options{
-		addr: *addr, replicas: splitList(*replicas), vnodes: *vnodes,
-		loadFactor: *loadFactor, forwardTimeout: *forwardTimeout,
+		addr: *addr, replicas: splitList(*replicas),
 		drainTimeout: *drainTimeout, debugAddr: *debugAddr, traceSpans: *traceSpans,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btgate failed", "err", err)
@@ -62,14 +58,11 @@ func main() {
 }
 
 type options struct {
-	addr           string
-	replicas       []string
-	vnodes         int
-	loadFactor     float64
-	forwardTimeout time.Duration
-	drainTimeout   time.Duration
-	debugAddr      string
-	traceSpans     int
+	addr         string
+	replicas     []string
+	drainTimeout time.Duration
+	debugAddr    string
+	traceSpans   int
 }
 
 // splitList parses a comma-separated flag value, dropping empty parts.
@@ -105,13 +98,10 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 	}
 
 	g, err := gateway.New(gateway.Config{
-		Replicas:       o.replicas,
-		VNodes:         o.vnodes,
-		LoadFactor:     o.loadFactor,
-		ForwardTimeout: o.forwardTimeout,
-		Registry:       reg,
-		Logger:         logger,
-		Tracer:         tracer,
+		Replicas: o.replicas,
+		Registry: reg,
+		Logger:   logger,
+		Tracer:   tracer,
 	})
 	if err != nil {
 		return err

@@ -129,4 +129,27 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&sb, obs.Nop(), options{torrentPath: "/no/such.torrent"}); err == nil {
 		t.Error("missing torrent file must error")
 	}
+
+	// The default output path is the torrent's name: a name that climbs
+	// out of the working directory is refused before anything is created.
+	root := t.TempDir()
+	cwd := filepath.Join(root, "a", "b")
+	if err := os.MkdirAll(cwd, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(cwd, "evil.torrent")
+	if err := os.WriteFile(hostile, []byte("d8:announce27:http://127.0.0.1:1/announce4:infod6:lengthi1e4:name10:../../evil12:piece lengthi1e6:pieces20:aaaaaaaaaaaaaaaaaaaaee"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := os.Getwd()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(old) //nolint:errcheck
+	if err := run(&sb, obs.Nop(), options{torrentPath: hostile, timeout: 200 * time.Millisecond}); err == nil {
+		t.Error("a torrent named ../../evil must error")
+	}
+	if _, err := os.Stat(filepath.Join(root, "evil")); err == nil {
+		t.Error("btget created ../../evil outside its working directory")
+	}
 }

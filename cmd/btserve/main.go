@@ -8,7 +8,6 @@
 //
 //	btserve -addr :8090
 //	btserve -addr :8090 -workers 8 -queue 32 -cache-size 512 -debug-addr :6060
-//	btserve -selftest        # self-contained smoke run (used by CI)
 //
 // Query examples:
 //
@@ -53,19 +52,10 @@ func main() {
 		poolAddr     = flag.String("pool", "", "host a dist coordinator on this address and delegate computation to connected btworker processes")
 		shardRuns    = flag.Int("shard-runs", serve.DefaultShardRuns, "model-ensemble runs per worker shard under -pool")
 		traceSpans   = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
-		selftest     = flag.Bool("selftest", false, "run the self-contained serving smoke test and exit")
 		logCfg       = obs.RegisterLogFlags(nil)
 	)
 	flag.Parse()
 	logger := logCfg.Logger()
-	if *selftest {
-		if err := runSelftest(os.Stdout, logger); err != nil {
-			logger.Error("btserve selftest failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("selftest ok")
-		return
-	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if err := run(os.Stdout, logger, options{

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func startTestServer(t *testing.T, o options) (base string, stop chan struct{}, errCh chan error) {
@@ -65,6 +67,30 @@ func TestRunServesQueries(t *testing.T) {
 	if env.Kind != "efficiency" || env.Result.Eta <= 0 || env.Result.Eta > 1 {
 		t.Fatalf("unexpected result: %+v", env)
 	}
+
+	// run wires the fluid solver's telemetry into the serving registry:
+	// one fluid query must move fluid.steps on this server's /metrics.
+	fresp, err := http.Post(base+"/v1/query", "application/json",
+		strings.NewReader(`{"kind":"fluid","fluid":{"lambda":2,"mu":0.5,"horizon":200,"grid":100}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresp.Body.Close() //nolint:errcheck
+	if fresp.StatusCode != http.StatusOK {
+		t.Fatalf("fluid query status %d", fresp.StatusCode)
+	}
+	mresp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close() //nolint:errcheck
+	var snap obs.Snapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["fluid.steps"] < 1 {
+		t.Fatalf("fluid.steps = %d after a fluid query: solver metrics not wired", snap.Counters["fluid.steps"])
+	}
 }
 
 // TestRunDrainsInflightOnStop is the SIGTERM acceptance test: a stop
@@ -116,21 +142,4 @@ func TestRunDrainsInflightOnStop(t *testing.T) {
 		t.Fatalf("port not released after drain: %v", err)
 	}
 	ln.Close() //nolint:errcheck
-}
-
-// TestSelftest runs the full self-contained smoke suite — the same path
-// CI's serve-smoke job exercises via `btserve -selftest`.
-func TestSelftest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selftest saturates a worker for seconds")
-	}
-	var out bytes.Buffer
-	if err := runSelftest(&out, slog.New(slog.NewTextHandler(io.Discard, nil))); err != nil {
-		t.Fatalf("selftest: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"cache/dedup", "saturation", "stream"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("selftest output missing %q:\n%s", want, out.String())
-		}
-	}
 }

@@ -9,7 +9,6 @@
 // Usage:
 //
 //	btworker -connect host:9400 -slots 4 -jobs 8
-//	btworker -selftest    # in-process coordinator + 2 workers (used by CI)
 //
 // The worker reconnects with backoff if the coordinator restarts; a
 // protocol version mismatch is fatal. On the first SIGINT/SIGTERM the
@@ -46,7 +45,6 @@ func main() {
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent goroutines for a shard's inner sweeps (must be >= 1)")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6061)")
 		traceSpans = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables the local ring; spans still ship to the coordinator)")
-		selftest   = flag.Bool("selftest", false, "run the self-contained distributed smoke test and exit")
 		logCfg     = obs.RegisterLogFlags(nil)
 	)
 	flag.Parse()
@@ -63,16 +61,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btworker: -slots must be >= 1, got %d\n", *slots)
 		os.Exit(2)
 	}
-	if *selftest {
-		if err := runSelftest(os.Stdout, logger); err != nil {
-			logger.Error("btworker selftest failed", "err", err)
-			os.Exit(1)
-		}
-		fmt.Println("selftest ok")
-		return
-	}
 	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "btworker: -connect is required (or use -selftest)")
+		fmt.Fprintln(os.Stderr, "btworker: -connect is required")
 		os.Exit(2)
 	}
 

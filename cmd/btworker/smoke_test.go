@@ -2,12 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/dist"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // btworkerBin is the compiled CLI under test, built once in TestMain.
@@ -30,27 +38,64 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestBinarySelftest drives the shipped binary end to end: an
-// in-process coordinator, two loopback workers, and the assertion that
-// the pooled model merge is byte-identical to a local run — the same
-// command CI's dist-smoke job executes.
-func TestBinarySelftest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selftest runs a full 96-run ensemble twice")
+// TestBinaryConnect drives the shipped binary down its real path: it
+// dials an in-test coordinator, says hello, leases model shards through
+// registerEvaluators, and the pooled merge must be byte-identical to a
+// local run; SIGTERM then sends the goodbye and exits 0, with no strike.
+func TestBinaryConnect(t *testing.T) {
+	reg := obs.NewRegistry()
+	coord := dist.New(dist.Config{Registry: reg})
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(btworkerBin, "-selftest")
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("btworker -selftest: %v\nstdout: %s\nstderr: %s", err, stdout.String(), stderr.String())
+	defer coord.Close()
+	var stderr bytes.Buffer
+	cmd := exec.Command(btworkerBin, "-connect", addr, "-slots", "2", "-name", "bin")
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"2-worker pool merge matches local run byte-for-byte",
-		"selftest ok",
-	} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("selftest output missing %q\n--- got:\n%s", want, stdout.String())
+	defer cmd.Process.Kill() //nolint:errcheck
+	for deadline := time.Now().Add(20 * time.Second); coord.HealthyWorkers() < 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("btworker never said hello\nstderr: %s", stderr.String())
 		}
+	}
+
+	req := &serve.Request{Kind: serve.KindModel, Seed: 7, Model: &serve.ModelQuery{B: 40, Runs: 96}}
+	if err := req.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := serve.PoolEvaluator(coord, 16)(context.Background(), req)
+	if err != nil {
+		t.Fatalf("pool evaluation: %v\nstderr: %s", err, stderr.String())
+	}
+	local, err := serve.Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := json.Marshal(local)
+	if pb, _ := json.Marshal(pooled); !bytes.Equal(pb, lb) {
+		t.Fatalf("pool result diverges from local run:\n pool: %s\nlocal: %s", pb, lb)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("btworker after SIGTERM: %v\nstderr: %s", err, stderr.String())
+	}
+	// The process is gone; the coordinator books the goodbye and the
+	// disconnect on its own goroutine.
+	for deadline := time.Now().Add(10 * time.Second); coord.Workers() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never saw the worker leave")
+		}
+	}
+	if c := reg.Snapshot().Counters; c["dist.goodbyes"] != 1 || c["dist.strikes"] != 0 || c["dist.results"] < 6 {
+		t.Fatalf("goodbyes=%d strikes=%d results=%d, want 1, 0, >= 6 (96 runs in shards of 16)",
+			c["dist.goodbyes"], c["dist.strikes"], c["dist.results"])
 	}
 }
 
@@ -62,10 +107,10 @@ func TestBinaryFlagRejections(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"jobs zero", []string{"-jobs", "0", "-selftest"}, "-jobs must be >= 1"},
-		{"jobs negative", []string{"-jobs", "-4", "-selftest"}, "-jobs must be >= 1"},
-		{"slots zero", []string{"-slots", "0", "-selftest"}, "-slots must be >= 1"},
-		{"slots negative", []string{"-slots", "-1", "-selftest"}, "-slots must be >= 1"},
+		{"jobs zero", []string{"-jobs", "0", "-connect", "127.0.0.1:1"}, "-jobs must be >= 1"},
+		{"jobs negative", []string{"-jobs", "-4", "-connect", "127.0.0.1:1"}, "-jobs must be >= 1"},
+		{"slots zero", []string{"-slots", "0", "-connect", "127.0.0.1:1"}, "-slots must be >= 1"},
+		{"slots negative", []string{"-slots", "-1", "-connect", "127.0.0.1:1"}, "-slots must be >= 1"},
 		{"no connect", nil, "-connect is required"},
 	}
 	for _, tc := range cases {

@@ -226,6 +226,8 @@ type Client struct {
 		// interval stretches with it (degraded mode) and it resets on the
 		// first success.
 		failures int
+		// timer fires the next periodic re-announce; eventLoop owns it.
+		timer *time.Timer
 	}
 
 	completeOnce sync.Once
@@ -393,8 +395,8 @@ func (c *Client) eventLoop(ctx context.Context) {
 	defer choke.Stop()
 	sample := time.NewTicker(c.cfg.SampleInterval)
 	defer sample.Stop()
-	reannounce := time.NewTimer(c.cfg.AnnounceInterval)
-	defer reannounce.Stop()
+	c.announce.timer = time.NewTimer(c.cfg.AnnounceInterval)
+	defer c.announce.timer.Stop()
 
 	c.recordSample() // t = 0 observation
 
@@ -419,11 +421,11 @@ func (c *Client) eventLoop(ctx context.Context) {
 		case <-sample.C:
 			c.recordSample()
 			c.maybeShake()
-		case <-reannounce.C:
+		case <-c.announce.timer.C:
 			if len(c.conns) < c.cfg.MaxPeers {
 				c.requestAnnounce(tracker.EventNone)
 			}
-			reannounce.Reset(c.reannounceDelay())
+			c.announce.timer.Reset(c.reannounceDelay())
 		}
 	}
 }
@@ -471,6 +473,18 @@ func (c *Client) requestAnnounce(event tracker.Event) {
 			if c.announce.failures > 0 {
 				c.log.Info("announce recovered", "after_failures", c.announce.failures)
 				c.announce.failures = 0
+				// The timer was armed with the stretched delay when this
+				// announce was sent; the tracker is back, so is the cadence.
+				if !c.announce.timer.Stop() {
+					select {
+					case <-c.announce.timer.C:
+					default:
+					}
+				}
+				c.announce.timer.Reset(c.cfg.AnnounceInterval)
+			}
+			if resp.Warning != "" {
+				c.log.Warn("tracker warning", "msg", resp.Warning)
 			}
 			c.onPeerList(resp.Peers)
 		}:

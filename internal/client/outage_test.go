@@ -20,7 +20,7 @@ import (
 // tracker that rejects N consecutive announces from the leecher and then
 // recovers. Through the outage the established connection keeps trading;
 // the re-announce delay doubles per failure, is capped at 8x and falls
-// back to the configured interval on the first success;
+// back to the configured interval on the first success, timer included;
 // client.dl.announce_failures ends at exactly N; and a peer that joined
 // the swarm during the outage is dialled once the tracker answers again.
 func TestClientSurvivesTrackerOutage(t *testing.T) {
@@ -48,6 +48,7 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 		seen      []sighting
 		firstFail = make(chan struct{})
 		recovered = make(chan struct{})
+		cadence   = make(chan struct{}) // the announce after the recovery
 	)
 	srv := tracker.NewServer()
 	inner := srv.Handler()
@@ -85,6 +86,8 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 			close(firstFail)
 		case n == outage+1:
 			close(recovered)
+		case n == outage+2:
+			close(cadence)
 		}
 		if left == 0 {
 			inner.ServeHTTP(w, r)
@@ -228,6 +231,17 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 	}
 	if n := reg.Counter("client.dl.disconnects").Value(); n != 0 {
 		t.Errorf("%d disconnects during the outage, want 0", n)
+	}
+
+	// The timer armed when the recovering announce went out still held the
+	// 8x delay; the success re-arms it, so the next announce is one base
+	// interval away (the bound splits 1x from 8x).
+	wait(cadence, "the announce after the recovery")
+	mu.Lock()
+	gap := seen[outage+1].at.Sub(seen[outage].at)
+	mu.Unlock()
+	if gap > 5*interval {
+		t.Errorf("first re-announce after recovery came %v later, want about %v", gap, interval)
 	}
 
 	wait(dialled, "the leecher to dial the peer that joined during the outage")

@@ -98,10 +98,18 @@ func newStorage(info metainfo.Info, back backing) *Storage {
 	}
 }
 
+// maxMemStorage bounds an in-memory store: metainfo.Validate admits
+// torrents of terabytes, which belong in NewFileStorage; asking make for
+// one would take the process down, not return an error.
+const maxMemStorage = 1 << 30
+
 // NewStorage returns an empty in-memory store for the given metainfo.
 func NewStorage(info metainfo.Info) (*Storage, error) {
 	if err := info.Validate(); err != nil {
 		return nil, err
+	}
+	if info.Length > maxMemStorage {
+		return nil, fmt.Errorf("client: %d bytes exceeds the in-memory store's %d; use NewFileStorage", info.Length, maxMemStorage)
 	}
 	return newStorage(info, make(memBacking, info.Length)), nil
 }

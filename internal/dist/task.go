@@ -34,7 +34,7 @@ type slotKey struct{}
 // to, built once per slot however many of the task's leases — one after
 // another or at once — ask for it; a failed build is not kept, so the
 // next lease retries. build must not itself call Prepared. A ctx with no
-// slot (a direct call, btworker -selftest's reference) just builds.
+// slot (a direct call, a test's local reference) just builds.
 func Prepared[T any](ctx context.Context, build func() (T, error)) (T, error) {
 	slot, _ := ctx.Value(slotKey{}).(*taskSlot)
 	if slot == nil {

@@ -23,7 +23,7 @@ func normalized(s Spec) Spec {
 }
 
 // TestSpecRoundTripEveryKind pins one table case per fault kind — the
-// chaos soak's reproduction lines must reconstruct each schedule
+// pool chaos rows' replay lines must reconstruct each schedule
 // exactly from its printed form.
 func TestSpecRoundTripEveryKind(t *testing.T) {
 	cases := map[string]Spec{

@@ -51,23 +51,11 @@ const (
 // time worth saving.
 const fillTimeout = 250 * time.Millisecond
 
-// Config configures a Gateway. Zero values take the defaults noted on
-// each field.
+// Config configures a Gateway.
 type Config struct {
 	// Replicas are the btserve base URLs ("http://host:port") the
 	// gateway fronts. Required, at least one.
 	Replicas []string
-	// VNodes is the virtual-node count per replica (default
-	// DefaultVNodes).
-	VNodes int
-	// LoadFactor is the bounded-load spill factor (default
-	// DefaultLoadFactor; values <= 1 are clamped to 1, meaning "spill as
-	// soon as the home exceeds an equal share").
-	LoadFactor float64
-	// ForwardTimeout bounds one proxied query/batch exchange (default
-	// DefaultForwardTimeout). Streams are bounded by the client, not the
-	// gateway.
-	ForwardTimeout time.Duration
 	// Registry receives gateway.* metrics (nil = a private one, read only
 	// through the gateway's own /metrics).
 	Registry *obs.Registry
@@ -82,6 +70,9 @@ type Config struct {
 	Client *http.Client
 	// now is injectable for quarantine tests.
 	now func() time.Time
+	// loadFactor replaces DefaultLoadFactor in the spill test: 1 means
+	// "spill as soon as the home exceeds an equal share".
+	loadFactor float64
 }
 
 // Gateway is the routing tier: an http.Handler fronting N replicas.
@@ -108,18 +99,12 @@ type Gateway struct {
 
 // New builds a Gateway, validating the replica set.
 func New(cfg Config) (*Gateway, error) {
-	ring, err := NewRing(cfg.Replicas, cfg.VNodes)
+	ring, err := NewRing(cfg.Replicas, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.LoadFactor == 0 {
-		cfg.LoadFactor = DefaultLoadFactor
-	}
-	if cfg.LoadFactor < 1 {
-		cfg.LoadFactor = 1
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = DefaultForwardTimeout
+	if cfg.loadFactor == 0 {
+		cfg.loadFactor = DefaultLoadFactor
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -253,7 +238,7 @@ type exchange struct {
 	// many items it carries, and a spill would miss the successor's cache
 	// on every one of them.
 	items int
-	// stream lifts ForwardTimeout: a stream is bounded by its client.
+	// stream lifts DefaultForwardTimeout: a stream is bounded by its client.
 	stream bool
 	// fill, if set, is offered a spilled request's home before anything is
 	// forwarded; true means it answered the client.
@@ -276,7 +261,7 @@ type exchange struct {
 // A caller that went away is neither: the attempt failed because ctx,
 // the inbound request's context, ended, which says nothing about the
 // replica, so do stops there with no strike and no retry. (The
-// per-attempt ForwardTimeout running out is still the replica's strike.)
+// per-attempt DefaultForwardTimeout running out is still the replica's strike.)
 func (g *Gateway) do(ctx context.Context, x exchange) error {
 	g.mu.Lock()
 	healthy := g.healthyLocked(g.ring.Walk(x.key), g.cfg.now())
@@ -285,7 +270,7 @@ func (g *Gateway) do(ctx context.Context, x exchange) error {
 		// Bounded load: ceil(c·(total+1)/healthy) concurrent exchanges per
 		// replica; the +1 counts this request. The first replica under its
 		// share goes first, the rest of the walk keeps its order behind it.
-		cap := int(float64(g.total+1)*g.cfg.LoadFactor/float64(len(healthy))) + 1
+		cap := int(float64(g.total+1)*g.cfg.loadFactor/float64(len(healthy))) + 1
 		for j, i := range healthy {
 			if g.inflight[i] < cap {
 				copy(healthy[1:j+1], healthy[:j])
@@ -332,7 +317,7 @@ func (g *Gateway) attempt(ctx context.Context, x exchange, target, home int) err
 	}
 	if !x.stream {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.ForwardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultForwardTimeout)
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.cfg.Replicas[target]+x.path, bytes.NewReader(x.body))

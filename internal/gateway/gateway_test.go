@@ -320,7 +320,7 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 	} else {
 		h1, h2 = spillHandler, homeHandler
 	}
-	_, gw, reg := newGateway(t, Config{Replicas: replicas, LoadFactor: 1})
+	_, gw, reg := newGateway(t, Config{Replicas: replicas, loadFactor: 1})
 
 	// Saturate the home with two in-flight requests for the same key.
 	for i := 0; i < 2; i++ {

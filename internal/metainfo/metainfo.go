@@ -7,6 +7,7 @@ import (
 	"crypto/sha1"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/bencode"
 )
@@ -57,18 +58,36 @@ func (i *Info) PieceSize(idx int) int64 {
 	return i.PieceLength
 }
 
-// Validate checks geometric consistency.
+// MaxPieces caps the piece count of an accepted torrent at the door, as
+// serve caps a request's: 2^20 pieces is a 20 MiB hash blob and a 128 KiB
+// bitfield, inside wire.MaxPayload. MaxPieceLength caps one piece, which
+// the client buffers whole to hash it.
+const (
+	MaxPieces      = 1 << 20
+	MaxPieceLength = 1 << 26
+)
+
+// Validate checks what every consumer relies on: a name that is a single
+// path element (it is the default output path), bounded geometry, and one
+// hash per piece. The piece count is computed without the overflow that
+// (Length + PieceLength - 1) has near MaxInt64.
 func (i *Info) Validate() error {
 	switch {
-	case i.Name == "":
-		return errors.New("metainfo: empty name")
-	case i.PieceLength < 1:
-		return fmt.Errorf("metainfo: piece length %d", i.PieceLength)
+	case i.Name == "" || i.Name == "." || i.Name == ".." || strings.ContainsAny(i.Name, "/\\\x00"):
+		return fmt.Errorf("metainfo: name %q is not a single path element", i.Name)
+	case i.PieceLength < 1 || i.PieceLength > MaxPieceLength:
+		return fmt.Errorf("metainfo: piece length %d outside [1, %d]", i.PieceLength, MaxPieceLength)
 	case i.Length < 1:
 		return fmt.Errorf("metainfo: length %d", i.Length)
 	}
-	want := int((i.Length + i.PieceLength - 1) / i.PieceLength)
-	if len(i.PieceHashes) != want {
+	want := i.Length / i.PieceLength
+	if i.Length%i.PieceLength != 0 {
+		want++
+	}
+	if want > MaxPieces {
+		return fmt.Errorf("metainfo: %d pieces exceeds cap %d", want, MaxPieces)
+	}
+	if int64(len(i.PieceHashes)) != want {
 		return fmt.Errorf("metainfo: %d piece hashes for %d pieces", len(i.PieceHashes), want)
 	}
 	return nil

@@ -2,6 +2,8 @@ package metainfo
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,10 +146,27 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		[]byte("d8:announce3:urle"),
 		// pieces blob with bad length
 		[]byte("d8:announce3:url4:infod6:lengthi10e4:name1:f12:piece lengthi4e6:pieces3:abcee"),
+		// length = piece length = MaxInt64: the rounded-up piece count used
+		// to wrap to the zero hashes given
+		[]byte("d8:announce3:url4:infod6:lengthi9223372036854775807e4:name1:f12:piece lengthi9223372036854775807e6:pieces0:ee"),
+		[]byte("d8:announce3:url4:infod6:lengthi9223372036854775807e4:name10:../../evil12:piece lengthi9223372036854775807e6:pieces0:ee"),
+	}
+	// The name is the default output path: one path element or nothing.
+	for _, name := range []string{"../../evil", "a/b", `a\b`, "..", ".", "a\x00b"} {
+		cases = append(cases, []byte(fmt.Sprintf(
+			"d8:announce3:url4:infod6:lengthi1e4:name%d:%s12:piece lengthi1e6:pieces20:aaaaaaaaaaaaaaaaaaaaee", len(name), name)))
 	}
 	for i, blob := range cases {
 		if _, err := Unmarshal(blob); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
+		}
+	}
+	for _, info := range []Info{
+		{Name: "f", PieceLength: 1, Length: MaxPieces + 1},
+		{Name: "f", PieceLength: MaxPieceLength + 1, Length: 1, PieceHashes: make([][HashSize]byte, 1)},
+	} {
+		if err := info.Validate(); err == nil || !strings.Contains(err.Error(), "cap") && !strings.Contains(err.Error(), "outside") {
+			t.Errorf("%d bytes in pieces of %d: Validate = %v, want a cap error", info.Length, info.PieceLength, err)
 		}
 	}
 }

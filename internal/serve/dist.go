@@ -20,7 +20,7 @@ const DefaultShardRuns = 32
 
 // Evaluate computes a canonicalized request's response body locally. It
 // is the exported face of the server's default evaluator, for callers
-// (btworker -selftest, tests) that need the reference result a pool run
+// (bench/, tests) that need the reference result a pool run
 // must reproduce byte for byte.
 func Evaluate(ctx context.Context, req *Request) (any, error) {
 	return evaluate(ctx, req)

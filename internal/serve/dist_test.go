@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
@@ -210,6 +212,88 @@ func TestPoolChaosMidLeaseIdentity(t *testing.T) {
 			t.Fatalf("pool: %v", err)
 		}
 	}
+
+	// The same property under seeded connection faults: every profile at
+	// 2 and 4 workers (rounds 1..14 of the worker-count cycle 1/2/4, minus
+	// the fault-free single-worker rounds).
+	var injected, healed int64
+	for _, row := range []struct{ round, workers int }{
+		{1, 2}, {2, 4}, {4, 2}, {5, 4}, {7, 2}, {8, 4}, {10, 2}, {11, 4}, {13, 2}, {14, 4},
+	} {
+		t.Run(fmt.Sprintf("round=%d,workers=%d", row.round, row.workers), func(t *testing.T) {
+			i, h := chaosRound(t, row.round, row.workers)
+			injected, healed = injected+i, healed+h
+		})
+	}
+	if injected == 0 || healed == 0 {
+		t.Errorf("faults injected on %d conns, self-healing counters moved %d: want both > 0", injected, healed)
+	}
+}
+
+// chaosProfiles are the fault mixes a chaos round cycles through:
+// latency, drop, corruption, stall, then all four.
+var chaosProfiles = [5]faults.Spec{
+	{Latency: 2 * time.Millisecond},
+	{DropRate: 0.4, DropAfter: 2048},
+	{CorruptRate: 0.35},
+	{StallRate: 0.25},
+	{Latency: time.Millisecond, DropRate: 0.25, DropAfter: 4096, CorruptRate: 0.2, StallRate: 0.15},
+}
+
+// chaosRound merges one ensemble on a pool whose worker 0 is clean (the
+// round can always finish) and whose others dial through the round's
+// profile, seeded from (round, worker): the spec a failure prints replays
+// it. It returns the faulted-connection and self-healing counter sums.
+func chaosRound(t *testing.T, round, workers int) (injected, healed int64) {
+	reg := obs.NewRegistry()
+	specs := make([]string, workers)
+	coord, stop := startPool(t, workers, dist.Config{
+		Registry: reg, LeaseTTL: 400 * time.Millisecond, SweepEvery: 25 * time.Millisecond,
+		Requeue: retry.Policy{MaxAttempts: 60, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+	}, func(i int, wc *dist.WorkerConfig) {
+		if i == 0 {
+			return
+		}
+		spec := chaosProfiles[round%5]
+		spec.Seed = 7 ^ uint64(round)<<16 ^ uint64(i)<<1
+		specs[i] = spec.String()
+		inj := faults.NewInjector(spec)
+		inj.Instrument(reg)
+		wc.Reconnect = retry.Policy{MaxAttempts: 1000, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
+		wc.Dial = func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return inj.WrapConn(c), nil
+		}
+	})
+	defer stop()
+	// Let the faulty workers connect, or the clean one finishes alone;
+	// one whose hello its own faults eat only redials, hence the bound.
+	for deadline := time.Now().Add(time.Second); coord.Workers() < workers && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
+	req := &serve.Request{Kind: serve.KindModel, Seed: 7 + uint64(round), Model: &serve.ModelQuery{B: 40, Runs: 240}}
+	if err := req.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	got, err := serve.PoolEvaluator(coord, 4)(ctx, req)
+	if err != nil {
+		t.Fatalf("pool: %v\nworker faults (worker 0 clean): %q", err, specs[1:])
+	}
+	local, err := serve.Evaluate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gb, want := mustJSON(t, got), mustJSON(t, local); !bytes.Equal(gb, want) {
+		t.Fatalf("chaos pool result diverges from local:\n pool: %.120s\nlocal: %.120s\nworker faults (worker 0 clean): %q",
+			gb, want, specs[1:])
+	}
+	c := reg.Snapshot().Counters
+	return c["faults.conns_injected"], c["dist.strikes"] + c["dist.reassignments"] + c["dist.hedges"]
 }
 
 // payloadPool is a serve.Pool that answers every task with fixed

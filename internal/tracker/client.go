@@ -38,9 +38,18 @@ type AnnounceRequest struct {
 // AnnounceResponse is the tracker's reply.
 type AnnounceResponse struct {
 	Interval time.Duration
-	Seeders  int
-	Leechers int
-	Peers    []PeerInfo
+	// MinInterval, when non-zero, is the shortest gap the tracker will
+	// tolerate between announces (BEP 3 "min interval").
+	MinInterval time.Duration
+	// Warning is BEP 3's "warning message": the announce succeeded, the
+	// tracker wants a human to read this.
+	Warning string
+	// TrackerID is BEP 3's "tracker id"; Client echoes the last one seen
+	// from an announce URL as trackerid on later announces to it.
+	TrackerID string
+	Seeders   int
+	Leechers  int
+	Peers     []PeerInfo
 }
 
 // ErrTrackerFailure wraps a tracker-reported failure reason. It is not
@@ -75,6 +84,9 @@ type Client struct {
 	metOnce   sync.Once
 	retryMet  *retry.Metrics
 	failovers *obs.Counter
+
+	idMu       sync.Mutex
+	trackerIDs map[string]string // announce URL -> last "tracker id" it sent
 }
 
 func (c *Client) metrics() *retry.Metrics {
@@ -163,6 +175,13 @@ func (c *Client) announceOnce(ctx context.Context, parsed *url.URL, req Announce
 	if req.NumWant > 0 {
 		q.Set("numwant", strconv.Itoa(req.NumWant))
 	}
+	announceURL := parsed.String()
+	c.idMu.Lock()
+	trackerID := c.trackerIDs[announceURL]
+	c.idMu.Unlock()
+	if trackerID != "" {
+		q.Set("trackerid", trackerID)
+	}
 	u.RawQuery = q.Encode()
 
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
@@ -185,8 +204,21 @@ func (c *Client) announceOnce(ctx context.Context, parsed *url.URL, req Announce
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tracker: http status %d", resp.StatusCode)
 	}
-	return parseAnnounceResponse(body)
+	out, err := parseAnnounceResponse(body)
+	if err == nil && out.TrackerID != "" {
+		c.idMu.Lock()
+		if c.trackerIDs == nil {
+			c.trackerIDs = make(map[string]string)
+		}
+		c.trackerIDs[announceURL] = out.TrackerID
+		c.idMu.Unlock()
+	}
+	return out, err
 }
+
+// maxIntervalSeconds bounds "interval" and "min interval": a year, far
+// past any real tracker's and far short of overflowing a time.Duration.
+const maxIntervalSeconds = 365 * 24 * 3600
 
 func parseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 	v, err := bencode.Decode(body)
@@ -204,14 +236,21 @@ func parseAnnounceResponse(body []byte) (*AnnounceResponse, error) {
 	if err != nil {
 		return nil, err
 	}
+	minInterval, _ := d.Int("min interval") // optional: absent reads 0
+	if interval < 0 || interval > maxIntervalSeconds || minInterval < 0 || minInterval > maxIntervalSeconds {
+		return nil, fmt.Errorf("tracker: interval %d / min interval %d outside [0, %d] seconds", interval, minInterval, maxIntervalSeconds)
+	}
 	peers, err := parsePeers(d["peers"])
 	if err != nil {
 		return nil, err
 	}
 	out := &AnnounceResponse{
-		Interval: time.Duration(interval) * time.Second,
-		Peers:    peers,
+		Interval:    time.Duration(interval) * time.Second,
+		MinInterval: time.Duration(minInterval) * time.Second,
+		Peers:       peers,
 	}
+	out.Warning, _ = d.String("warning message")
+	out.TrackerID, _ = d.String("tracker id")
 	if n, err := d.Int("complete"); err == nil {
 		out.Seeders = int(n)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bencode"
 )
@@ -32,9 +33,18 @@ func TestAnnounceInterop(t *testing.T) {
 		"entry":    []any{"127.0.0.1:6881"},
 		"shortid":  []any{map[string]any{"ip": "127.0.0.1", "port": int64(6881), "peer id": "short"}},
 	}
+	var echoed []string // the trackerid each /extras announce carried
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reply := map[string]any{"interval": int64(60)}
-		if form := strings.TrimPrefix(r.URL.Path, "/"); form != "missing" {
+		switch form := strings.TrimPrefix(r.URL.Path, "/"); form {
+		case "missing":
+		case "extras": // the three BEP 3 keys beside the peer list
+			echoed = append(echoed, r.URL.Query().Get("trackerid"))
+			reply["peers"], reply["min interval"] = "", int64(30)
+			reply["warning message"], reply["tracker id"] = "slow down", "T1"
+		case "negative":
+			reply["peers"], reply["interval"] = "", int64(-1)
+		default:
 			reply["peers"] = replies[form]
 		}
 		body, err := bencode.Encode(reply)
@@ -69,10 +79,21 @@ func TestAnnounceInterop(t *testing.T) {
 	if resp, err := announce("ipv6"); err != nil || len(resp.Peers) != 1 || resp.Peers[0].IP.String() != "::1" {
 		t.Errorf("ipv6 dict peer: %+v, %v", resp, err)
 	}
-	for _, form := range []string{"integer", "hostname", "port", "entry", "shortid", "missing"} {
+	for _, form := range []string{"integer", "hostname", "port", "entry", "shortid", "missing", "negative"} {
 		if resp, err := announce(form); err == nil {
 			t.Errorf("%s peers accepted: %+v", form, resp.Peers)
 		}
+	}
+	// A tracker id is remembered per announce URL and sent back from the
+	// next announce on; the warning and min interval reach the caller.
+	for i := 0; i < 2; i++ {
+		resp, err := announce("extras")
+		if err != nil || resp.Warning != "slow down" || resp.MinInterval != 30*time.Second || resp.TrackerID != "T1" {
+			t.Fatalf("extras: %+v, %v", resp, err)
+		}
+	}
+	if len(echoed) != 2 || echoed[0] != "" || echoed[1] != "T1" {
+		t.Errorf("trackerid echoed as %q, want [\"\" \"T1\"]", echoed)
 	}
 
 	// Every byte below is special somewhere between url.Values.Encode and

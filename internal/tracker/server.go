@@ -307,7 +307,8 @@ func compactPeers(peers []PeerInfo) []byte {
 	return out
 }
 
-// ParseCompactPeers decodes the compact peer format.
+// ParseCompactPeers decodes the compact peer format. An entry with port
+// 0 cannot be dialled and is left out rather than failing its neighbours.
 func ParseCompactPeers(blob []byte) ([]PeerInfo, error) {
 	if len(blob)%6 != 0 {
 		return nil, fmt.Errorf("tracker: compact peers length %d not a multiple of 6", len(blob))
@@ -315,8 +316,9 @@ func ParseCompactPeers(blob []byte) ([]PeerInfo, error) {
 	out := make([]PeerInfo, 0, len(blob)/6)
 	for off := 0; off < len(blob); off += 6 {
 		ip := net.IPv4(blob[off], blob[off+1], blob[off+2], blob[off+3]).To4()
-		port := int(binary.BigEndian.Uint16(blob[off+4 : off+6]))
-		out = append(out, PeerInfo{IP: ip, Port: port})
+		if port := int(binary.BigEndian.Uint16(blob[off+4 : off+6])); port != 0 {
+			out = append(out, PeerInfo{IP: ip, Port: port})
+		}
 	}
 	return out, nil
 }

@@ -28,6 +28,14 @@ const (
 // connectionIDTTL is how long an issued connection id stays valid.
 const connectionIDTTL = 2 * time.Minute
 
+// udpMaxPacket is the largest packet either side reads; the server cuts
+// an announce reply's peer list to fit it (maxUDPPeers), since a longer
+// one would reach the client truncated mid-peer.
+const (
+	udpMaxPacket = 2048
+	maxUDPPeers  = (udpMaxPacket - 20) / 6
+)
+
 // UDPServer serves the BEP 15 announce protocol backed by the same swarm
 // state as the HTTP Server.
 type UDPServer struct {
@@ -78,7 +86,7 @@ func (s *UDPServer) Close() error {
 
 func (s *UDPServer) serve() {
 	defer s.wg.Done()
-	buf := make([]byte, 2048)
+	buf := make([]byte, udpMaxPacket)
 	for {
 		n, remote, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -132,6 +140,7 @@ func (s *UDPServer) handlePacket(pkt []byte, remote *net.UDPAddr) []byte {
 		if numWant < 0 {
 			numWant = DefaultNumWant
 		}
+		numWant = min(numWant, maxUDPPeers)
 		if port == 0 || left < 0 {
 			return udpError(txn, "bad announce fields")
 		}
@@ -303,21 +312,15 @@ func (c UDPConfig) Announce(ctx context.Context, addr string, req AnnounceReques
 	binary.BigEndian.PutUint64(pkt[0:8], udpProtocolMagic)
 	binary.BigEndian.PutUint32(pkt[8:12], udpActionConnect)
 	binary.BigEndian.PutUint32(pkt[12:16], txn)
-	buf := make([]byte, 2048)
+	buf := make([]byte, udpMaxPacket)
 	n, err := c.exchange(ctx, conn, pkt, buf)
 	if err != nil {
 		return nil, fmt.Errorf("tracker: udp connect: %w", err)
 	}
-	if n < 16 {
-		return nil, fmt.Errorf("%w: short connect response", ErrUDPTracker)
+	connID, _, err := decodeUDPReply(buf[:n], udpActionConnect, txn)
+	if err != nil {
+		return nil, err
 	}
-	if got := binary.BigEndian.Uint32(buf[4:8]); got != txn {
-		return nil, fmt.Errorf("%w: transaction mismatch", ErrUDPTracker)
-	}
-	if action := binary.BigEndian.Uint32(buf[0:4]); action != udpActionConnect {
-		return nil, fmt.Errorf("%w: %s", ErrUDPTracker, udpErrMessage(buf[:n]))
-	}
-	connID := binary.BigEndian.Uint64(buf[8:16])
 
 	// Announce.
 	txn++
@@ -341,26 +344,39 @@ func (c UDPConfig) Announce(ctx context.Context, addr string, req AnnounceReques
 	if err != nil {
 		return nil, fmt.Errorf("tracker: udp announce: %w", err)
 	}
-	if n < 20 {
-		if n >= 8 && binary.BigEndian.Uint32(buf[0:4]) == udpActionError {
-			return nil, fmt.Errorf("%w: %s", ErrUDPTracker, udpErrMessage(buf[:n]))
-		}
-		return nil, fmt.Errorf("%w: short announce response", ErrUDPTracker)
+	_, resp, err := decodeUDPReply(buf[:n], udpActionAnnounce, txn)
+	return resp, err
+}
+
+// decodeUDPReply checks a reply against the request it answers — the
+// action sent (connect or announce) and its transaction id — and decodes
+// it: the connection id of a connect reply, the response of an announce
+// reply. A tracker error reply of any length, for this transaction,
+// surfaces the tracker's message.
+func decodeUDPReply(pkt []byte, action, txn uint32) (connID uint64, resp *AnnounceResponse, err error) {
+	what, size := "connect", 16
+	if action == udpActionAnnounce {
+		what, size = "announce", 20
 	}
-	if got := binary.BigEndian.Uint32(buf[4:8]); got != txn {
-		return nil, fmt.Errorf("%w: transaction mismatch", ErrUDPTracker)
+	isError := len(pkt) >= 8 && binary.BigEndian.Uint32(pkt[0:4]) == udpActionError
+	switch {
+	case len(pkt) < size && !isError:
+		return 0, nil, fmt.Errorf("%w: short %s response", ErrUDPTracker, what)
+	case binary.BigEndian.Uint32(pkt[4:8]) != txn:
+		return 0, nil, fmt.Errorf("%w: transaction mismatch", ErrUDPTracker)
+	case binary.BigEndian.Uint32(pkt[0:4]) != action:
+		return 0, nil, fmt.Errorf("%w: %s", ErrUDPTracker, udpErrMessage(pkt))
+	case action == udpActionConnect:
+		return binary.BigEndian.Uint64(pkt[8:16]), nil, nil
 	}
-	if action := binary.BigEndian.Uint32(buf[0:4]); action != udpActionAnnounce {
-		return nil, fmt.Errorf("%w: %s", ErrUDPTracker, udpErrMessage(buf[:n]))
-	}
-	peers, err := ParseCompactPeers(buf[20:n])
+	peers, err := ParseCompactPeers(pkt[20:])
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return &AnnounceResponse{
-		Interval: time.Duration(binary.BigEndian.Uint32(buf[8:12])) * time.Second,
-		Leechers: int(binary.BigEndian.Uint32(buf[12:16])),
-		Seeders:  int(binary.BigEndian.Uint32(buf[16:20])),
+	return 0, &AnnounceResponse{
+		Interval: time.Duration(binary.BigEndian.Uint32(pkt[8:12])) * time.Second,
+		Leechers: int(binary.BigEndian.Uint32(pkt[12:16])),
+		Seeders:  int(binary.BigEndian.Uint32(pkt[16:20])),
 		Peers:    peers,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,6 +134,11 @@ func TestUDPAnnounceErrors(t *testing.T) {
 		InfoHash: id(0xE2), PeerID: id(3), Port: 6881, Left: 5,
 	}); err == nil {
 		t.Error("unreachable tracker must error")
+	}
+	// A tracker that refuses the connect in fewer than 16 bytes is still
+	// quoted, not reported as a short response.
+	if _, _, err := decodeUDPReply(udpError(9, "banned"), udpActionConnect, 9); !errors.Is(err, ErrUDPTracker) || !strings.Contains(err.Error(), "banned") {
+		t.Errorf("short error reply to connect: %v, want the tracker's message", err)
 	}
 }
 

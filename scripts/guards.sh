@@ -1,0 +1,114 @@
+#!/bin/sh
+# guards.sh holds the repo's "one way to do it" rules: each guard names
+# identifiers a PR deleted for good and fails if any has grown back, and
+# the last one keeps CI's fuzz list equal to the fuzz functions in the
+# tree. CI's test job runs it once; run it locally before pushing:
+#
+#   sh scripts/guards.sh
+#
+# It prints every offending line, then "guard NAME fired" per guard, and
+# exits 1 if any did.
+set -eu
+cd "$(dirname "$0")/.."
+fired=""
+
+# absent NAME PATTERN PATHSPEC...: guard NAME fires if PATTERN matches.
+absent() {
+	name=$1
+	pattern=$2
+	shift 2
+	if git grep -nE "$pattern" -- "$@"; then
+		echo "guards.sh: guard $name fired: the names above may not grow back" >&2
+		fired="$fired $name"
+	fi
+}
+
+# The strike/ban policy lives in internal/health only, dist has one
+# re-issue threshold, and the only cache fill is the gateway's spill
+# probe. None of the deleted copies may grow back (bench/ keeps the
+# names as a historical never-import list).
+one_failure_accounting_kernel() {
+	absent one_failure_accounting_kernel \
+		'StragglerAfter|HTTPCacheFill|FillProbeOff|replicaBook|healthBook|banList' \
+		'*.go' ':!bench'
+}
+
+# The gateway forwards through one exchange function and the pool
+# breaker is a one-key strike book with constants (DESIGN.md §10, §13,
+# §16): the per-endpoint forwarders, the index splice and the breaker's
+# two flags may not grow back.
+one_request_path() {
+	absent one_request_path \
+		'forwardSubBatch|spliceIndex|homeFor|breaker-threshold|breaker-cooldown' \
+		'*.go' ':!bench'
+}
+
+# The simulator has one RNG discipline for the trading steps, the one
+# the oracle goldens pin (DESIGN.md §14); the pooled second schedule may
+# not grow back (bench/ carries the name only in its never-import list).
+one_trading_schedule() {
+	absent one_trading_schedule 'BatchedTrading|poolNext|tradeBernoulli' '*.go' ':!bench'
+}
+
+# client.Storage is the only verified piece store (memory or file behind
+# one backing), a nil *obs.Registry is the only way to switch metrics
+# off (DESIGN.md §10: no detached-handle literals outside internal/obs),
+# and bench/ is the only place a performance number comes from: the root
+# bench_test.go ledger may not grow back.
+one_piece_store_one_metrics_off_idiom_one_ledger() {
+	absent one_piece_store_one_metrics_off_idiom_one_ledger \
+		'type FileStorage struct|&obs\.(Counter|Gauge|Histogram)\{\}|bench2json|BENCH_PR' \
+		'*.go' '*.sh' ':!bench' ':!internal/obs' ':!scripts/guards.sh'
+}
+
+# Every *_ms histogram observes obs.Ms(d), fractional milliseconds.
+# float64(d.Milliseconds()) truncates: sub-millisecond shards, cache hits
+# and forwards all read 0, and the replica's Retry-After took that for
+# "no history".
+one_way_to_time_a_request() {
+	absent one_way_to_time_a_request 'float64\(.*\.Milliseconds\(\)' '*.go' ':!bench'
+}
+
+# SolveEfficiency's mean-field cross-check and its scatter helper are
+# test oracles (efficiency_test.go), and ln C(n,k) is stats.LogChoose:
+# none of them may grow back beside the solver.
+one_efficiency_solver_one_log_choose() {
+	absent one_efficiency_solver_one_log_choose \
+		'func (logChoose|SolveEfficiencyMeanField|scatter)\(' \
+		'internal/core/*.go' ':!*_test.go'
+}
+
+# A property is asserted once, by a test `go test -race ./...` runs, and
+# a live stack is stood up one way, by scripts/stack.sh (DESIGN.md §17):
+# the in-binary smoke modes and the soak command that asserted the same
+# things a third time may not grow back. (The pattern is written so that
+# it does not match this file.)
+one_way_to_check_the_stack() {
+	absent one_way_to_check_the_stack 'selftes[t]|chaossoa[k]' '*.go' '*.sh' '*.yml' ':!bench'
+}
+
+# CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
+# function missing from it would never be run with new inputs.
+every_fuzz_function_in_ci() {
+	want=$(git grep -h '^func Fuzz' -- '*_test.go' | sed 's/^func \(Fuzz[A-Za-z0-9]*\).*/\1/' | sort)
+	have=$(sed -n 's/^ *[a-z][a-z/]* \(Fuzz[A-Za-z0-9]*\)$/\1/p' .github/workflows/ci.yml | sort)
+	if [ "$want" != "$have" ]; then
+		echo "guards.sh: guard every_fuzz_function_in_ci fired: the tree has" >&2
+		echo "$want" | tr '\n' ' ' >&2
+		echo "and .github/workflows/ci.yml lists" >&2
+		echo "$have" | tr '\n' ' ' >&2
+		echo >&2
+		fired="$fired every_fuzz_function_in_ci"
+	fi
+}
+
+one_failure_accounting_kernel
+one_request_path
+one_trading_schedule
+one_piece_store_one_metrics_off_idiom_one_ledger
+one_way_to_time_a_request
+one_efficiency_solver_one_log_choose
+one_way_to_check_the_stack
+every_fuzz_function_in_ci
+
+[ -z "$fired" ] || exit 1

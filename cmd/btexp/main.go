@@ -206,7 +206,7 @@ func runDist(w io.Writer, logger *slog.Logger, tracer *trace.Tracer, addr, fig, 
 		if err != nil {
 			return nil, fmt.Errorf("fig %s: %w", figs[i].Name, err)
 		}
-		return experiments.DecodeFigPayload(payloads[0])
+		return payloads[0], nil
 	})
 	if err != nil {
 		return err

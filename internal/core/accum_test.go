@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -94,7 +94,7 @@ func sameEnsemble(a, b EnsembleStats) bool {
 // for seeded model parameters and ensemble sizes, folding the
 // accumulators of any partition of [0, runs) into contiguous ranges —
 // singletons, one range, serve's default 32-run shards, random cuts, each
-// also through the JSON a shard crosses the wire as — equals Ensemble,
+// also through the bytes a shard crosses the wire as — equals Ensemble,
 // and Ensemble equals the former run-by-run float64 fold, on every bit
 // of every curve and with CompletionTimes in run order.
 func TestAccumFoldMatchesEnsemble(t *testing.T) {
@@ -157,12 +157,12 @@ func TestAccumFoldMatchesEnsemble(t *testing.T) {
 						t.Fatalf("case %d %s [%d,%d): accumulator holds %d runs", c, name, lo, hi, part.Runs())
 					}
 					if wire {
-						enc, err := json.Marshal(part)
+						enc, err := part.AppendBinary(nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						part = &EnsembleAccum{}
-						if err := json.Unmarshal(enc, part); err != nil {
+						if err := part.UnmarshalBinary(enc); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -231,11 +231,11 @@ func TestAccumMergeValidation(t *testing.T) {
 	}
 }
 
-// TestAccumResetForDecode: a Reset accumulator decodes a payload to
-// exactly what a fresh one would — no allocation of new curves, and
-// nothing of the previous payload showing through where the next one
-// says null or says nothing.
-func TestAccumResetForDecode(t *testing.T) {
+// TestAccumDecodeOverwritesScratch: one scratch accumulator decodes a
+// sequence of payloads to exactly what a fresh one would each time —
+// nothing of the previous payload shows through a shorter or emptier
+// next one — and a payload of the scratch's own B reuses its curves.
+func TestAccumDecodeOverwritesScratch(t *testing.T) {
 	m, err := NewModel(DefaultParams(10))
 	if err != nil {
 		t.Fatal(err)
@@ -244,44 +244,81 @@ func TestAccumResetForDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := NewEnsembleAccum(m.p.B)
-	curve := &scratch.PotSum[:1][0]
-	for _, next := range []string{
-		string(payload),
-		`{"potSum":[null,null,null],"potCnt":null,"completion":[]}`,
-		`{}`,
-	} {
-		if err := json.Unmarshal(payload, scratch); err != nil {
+	encode := func(a *EnsembleAccum) []byte {
+		t.Helper()
+		enc, err := a.AppendBinary(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		scratch.Reset()
-		if scratch.Runs() != 0 || len(scratch.PotSum) != 0 || cap(scratch.PotSum) != m.p.B+1 || scratch.Phases != (phaseAccumulator{}) {
-			t.Fatalf("Reset left %+v", scratch)
+		return enc
+	}
+	payload := encode(full)
+	scratch := NewEnsembleAccum(m.p.B)
+	curve := &scratch.PotSum[0]
+	for name, next := range map[string][]byte{
+		"same again":  payload,
+		"empty B=10":  encode(NewEnsembleAccum(m.p.B)),
+		"smaller B=2": encode(NewEnsembleAccum(2)),
+		"no curves":   encode(&EnsembleAccum{}),
+	} {
+		if err := scratch.UnmarshalBinary(payload); err != nil {
+			t.Fatal(err)
 		}
 		fresh := &EnsembleAccum{}
-		if err := json.Unmarshal([]byte(next), fresh); err != nil {
+		if err := fresh.UnmarshalBinary(next); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal([]byte(next), scratch); err != nil {
+		if err := scratch.UnmarshalBinary(next); err != nil {
 			t.Fatal(err)
 		}
-		for name, pair := range map[string][2][]int64{
-			"potSum": {scratch.PotSum, fresh.PotSum}, "potCnt": {scratch.PotCnt, fresh.PotCnt},
-			"fpSum": {scratch.FPSum, fresh.FPSum}, "fpCnt": {scratch.FPCnt, fresh.FPCnt},
-		} {
-			if len(pair[0]) != len(pair[1]) || (len(pair[0]) > 0 && !reflect.DeepEqual(pair[0], pair[1])) {
-				t.Errorf("%s after %.40s: scratch %v, fresh %v", name, next, pair[0], pair[1])
-			}
-		}
-		if scratch.Runs() != fresh.Runs() || scratch.Phases != fresh.Phases {
-			t.Errorf("after %.40s: scratch holds %d runs / %+v, fresh %d / %+v", next, scratch.Runs(), scratch.Phases, fresh.Runs(), fresh.Phases)
+		if !bytes.Equal(encode(scratch), encode(fresh)) || scratch.Runs() != fresh.Runs() {
+			t.Errorf("%s: scratch decoded to %+v, a fresh accumulator to %+v", name, scratch, fresh)
 		}
 	}
-	if err := json.Unmarshal(payload, scratch); err != nil || &scratch.PotSum[0] != curve {
-		t.Fatalf("decode after Reset reallocated the curves (err %v)", err)
+	if err := scratch.UnmarshalBinary(payload); err != nil || &scratch.PotSum[0] != curve {
+		t.Fatalf("decoding a B=%d payload reallocated the scratch's curves (err %v)", m.p.B, err)
 	}
+}
+
+// FuzzEnsembleAccumBinary: UnmarshalBinary never panics, never allocates
+// for a count the input could not hold, and whatever it accepts survives
+// AppendBinary → UnmarshalBinary unchanged; Merge into a B = 1
+// accumulator then either folds it or refuses its curve length.
+func FuzzEnsembleAccumBinary(f *testing.F) {
+	// Two runs of a B = 1 model; testdata/fuzz holds the hostile shapes.
+	enc, err := (&EnsembleAccum{
+		PotSum: []int64{0, 1}, PotCnt: []int64{3, 2}, FPSum: []int64{0, 5}, FPCnt: []int64{2, 2},
+		Phases: phaseAccumulator{Bootstrap: 2, Efficient: 3}, Completion: []int{2, 3},
+	}).AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := &EnsembleAccum{}
+		err := a.UnmarshalBinary(data)
+		// Every entry costs at least a byte, so what was sized for — kept
+		// or refused — is bounded by the input, whatever its counts said.
+		if held := 4*len(a.PotSum) + len(a.Completion); held > len(data) {
+			t.Fatalf("sized for %d entries on the strength of %d bytes (err %v)", held, len(data), err)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := a.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		b := &EnsembleAccum{}
+		if err := b.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("decode of re-encoding: %v", err)
+		}
+		if again, _ := b.AppendBinary(nil); !bytes.Equal(again, enc) {
+			t.Fatalf("round trip moved the encoding:\n %x\n %x", enc, again)
+		}
+		acc := NewEnsembleAccum(1)
+		if err := acc.Merge(a); (err == nil) != (len(a.PotSum) == 2) {
+			t.Fatalf("Merge of %d-entry curves into B = 1: err = %v", len(a.PotSum), err)
+		}
+	})
 }

@@ -84,12 +84,12 @@ type PhaseSummary struct {
 // phaseAccumulator sums phase breakdowns over runs. It is the phase part
 // of an EnsembleAccum and crosses the wire with it.
 type phaseAccumulator struct {
-	Bootstrap int64 `json:"bootstrap"`
-	Efficient int64 `json:"efficient"`
-	Last      int64 `json:"last"`
+	Bootstrap int64
+	Efficient int64
+	Last      int64
 	// StuckBootstrap and HasLast count runs, not steps.
-	StuckBootstrap int64 `json:"stuckBootstrap"`
-	HasLast        int64 `json:"hasLast"`
+	StuckBootstrap int64
+	HasLast        int64
 }
 
 func (a *phaseAccumulator) add(pb PhaseBreakdown) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/stats"
@@ -102,8 +104,8 @@ type EnsembleStats struct {
 // every curve in EnsembleStats is a ratio of two of its entries. It is
 // the only unit of merge: a chunk of the local pool and a shard of a
 // distributed task are both sampled straight into one (SampleRuns) and
-// folded with Merge, and it is exported with JSON tags so a shard can
-// cross a wire.
+// folded with Merge, and a shard crosses the wire as AppendBinary's
+// varints.
 //
 // Every entry is an integer count or a sum of counts. Integer addition
 // is associative, so any partition of [0, runs) into contiguous ranges,
@@ -115,18 +117,18 @@ type EnsembleStats struct {
 type EnsembleAccum struct {
 	// PotSum[b] sums potential-set sizes over the steps spent holding
 	// exactly b pieces; PotCnt[b] counts those steps.
-	PotSum []int64 `json:"potSum"`
-	PotCnt []int64 `json:"potCnt"`
+	PotSum []int64
+	PotCnt []int64
 	// FPSum[b] sums, over the runs that ever held >= b pieces, the first
 	// step at which they did; FPCnt[b] counts those runs.
-	FPSum []int64 `json:"fpSum"`
-	FPCnt []int64 `json:"fpCnt"`
+	FPSum []int64
+	FPCnt []int64
 	// Phases totals the per-run phase breakdowns.
-	Phases phaseAccumulator `json:"phases"`
+	Phases phaseAccumulator
 	// Completion holds the step count of each completed run, in run order.
-	Completion []int `json:"completion"`
+	Completion []int
 	// Truncated counts the runs that hit the step cap instead.
-	Truncated int `json:"truncated"`
+	Truncated int
 }
 
 // NewEnsembleAccum returns the empty accumulator of a B-piece model.
@@ -141,22 +143,80 @@ func NewEnsembleAccum(b int) *EnsembleAccum {
 	}
 }
 
-// Reset empties a, keeping every slice's capacity, so one accumulator
-// can take a sequence of decoded shards. The backing arrays are zeroed
-// too: encoding/json leaves a slice element it decodes null into as it
-// was, and a curve the next payload omits must be empty — failing
-// Merge's length check — never a stale copy of the previous shard's.
-func (a *EnsembleAccum) Reset() {
-	*a = EnsembleAccum{
-		PotSum: emptied(a.PotSum), PotCnt: emptied(a.PotCnt),
-		FPSum: emptied(a.FPSum), FPCnt: emptied(a.FPCnt),
-		Completion: emptied(a.Completion),
+// AppendBinary appends a's wire form to b: the curve length n, the four
+// curves, the five phase totals, the completion count and its entries,
+// and Truncated, every one a uvarint (of the two's-complement bits, so
+// any int64 survives). The curves must be equally long, as every
+// accumulator SampleRuns or UnmarshalBinary produced is.
+func (a *EnsembleAccum) AppendBinary(b []byte) ([]byte, error) {
+	n := len(a.PotSum)
+	if len(a.PotCnt) != n || len(a.FPSum) != n || len(a.FPCnt) != n {
+		return b, errors.New("core: accumulator curves differ in length")
 	}
+	// One allocation for the usual shard: its entries take 1–2 bytes each.
+	b = slices.Grow(b, 2*(4*n+len(a.Completion))+16)
+	b = binary.AppendUvarint(b, uint64(n))
+	for _, curve := range [][]int64{a.PotSum, a.PotCnt, a.FPSum, a.FPCnt} {
+		for _, v := range curve {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	ph := &a.Phases
+	for _, v := range [...]int64{ph.Bootstrap, ph.Efficient, ph.Last, ph.StuckBootstrap, ph.HasLast} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	b = binary.AppendUvarint(b, uint64(len(a.Completion)))
+	for _, v := range a.Completion {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return binary.AppendUvarint(b, uint64(a.Truncated)), nil
 }
 
-func emptied[T any](s []T) []T {
-	clear(s[:cap(s)])
-	return s[:0]
+// UnmarshalBinary is AppendBinary's inverse. It overwrites every field
+// of a — reusing the curves' and Completion's capacity, so one scratch
+// takes a task's payloads in turn and keeps nothing of the last — and
+// refuses truncated input, trailing bytes, and a count the bytes present
+// could not hold (an entry is at least one byte) before allocating for
+// it. It does not know B: Merge checks the curve length.
+func (a *EnsembleAccum) UnmarshalBinary(data []byte) error {
+	bad := false
+	next := func() uint64 {
+		v, w := binary.Uvarint(data)
+		if w <= 0 {
+			bad = true
+			return 0
+		}
+		data = data[w:]
+		return v
+	}
+	count := func(per int) int {
+		if v := next(); v <= uint64(len(data)/per) {
+			return int(v)
+		}
+		bad = true
+		return 0
+	}
+	n := count(4)
+	for _, curve := range []*[]int64{&a.PotSum, &a.PotCnt, &a.FPSum, &a.FPCnt} {
+		*curve = slices.Grow((*curve)[:0], n)[:n]
+		for i := range *curve {
+			(*curve)[i] = int64(next())
+		}
+	}
+	ph := &a.Phases
+	for _, v := range []*int64{&ph.Bootstrap, &ph.Efficient, &ph.Last, &ph.StuckBootstrap, &ph.HasLast} {
+		*v = int64(next())
+	}
+	done := count(1)
+	a.Completion = slices.Grow(a.Completion[:0], done)[:done]
+	for i := range a.Completion {
+		a.Completion[i] = int(next())
+	}
+	a.Truncated = int(next())
+	if bad || len(data) != 0 {
+		return errors.New("core: malformed accumulator encoding")
+	}
+	return nil
 }
 
 // addRun folds one trajectory in. The piece count is monotone along a

@@ -352,10 +352,12 @@ func TestStragglerReissue(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch speaks a future protocol version, and the
-// previous one, at the coordinator and expects each to be nacked at the
-// handshake with both versions named. A v1 worker's result payloads are
-// per-run partials a v2 merge cannot fold; it must never get a lease.
+// TestHelloVersionMismatch speaks a future protocol version, and an
+// earlier one, at the coordinator — in the current frame layout, which
+// is how the nack can be read — and expects each to be nacked at the
+// handshake with both versions named: a peer that means something else
+// by a payload must never get a lease. (A peer still writing the v<=2
+// layout is TestOldLayoutPeerRefusedByName's.)
 func TestHelloVersionMismatch(t *testing.T) {
 	coord := dist.New(dist.Config{})
 	addr, err := coord.Listen("127.0.0.1:0")

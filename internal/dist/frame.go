@@ -23,13 +23,20 @@
 // are counted and dropped, never merged twice. That turns fault recovery
 // into re-execution with zero correctness cost.
 //
-// Transport is a versioned, length-prefixed JSONL protocol over TCP:
-// each frame is a 4-byte big-endian length followed by one JSON object
-// and a trailing newline (human-greppable in captures). Frames are
-// hello (handshake, version + slots), lease (coordinator grants a
-// shard), heartbeat (worker liveness per shard), result (payload), nack
-// (worker-side failure), and goodbye (worker drain announcement: no new
-// leases, in-flight shards will finish).
+// Transport is a versioned, checksummed frame protocol over TCP:
+//
+//	length | header length | CRC-32C | JSON header\n | payload
+//
+// Three 4-byte big-endian words: length counts the rest of the frame
+// (the body), header length the JSON object and its newline, and the
+// CRC covers the body but for its own four bytes. The header holds the
+// control fields, greppable in captures; the payload (result frames
+// only) is the evaluator's bytes untouched by any JSON scanner, so
+// damage to it is the checksum's to catch: ErrBadFrame, the connection
+// torn down, the shard requeued. Frames are hello (handshake, version +
+// slots), lease (coordinator grants a shard), heartbeat (worker liveness
+// per shard), result (payload), nack (worker-side failure), and goodbye
+// (worker drain announcement: no new leases, in-flight shards finish).
 package dist
 
 import (
@@ -38,20 +45,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"repro/internal/obs/trace"
 )
 
 // ProtocolVersion is the wire-protocol version exchanged in hello
-// frames; both sides must speak the same version. Version 2 changed
-// what a model shard's result payload means (one folded accumulator per
-// shard where v1 carried a partial per run); the frame layout is v1's.
-const ProtocolVersion = 2
+// frames; both sides must speak the same version. Version 3 is the
+// layout above; a peer still framing one JSON object, payload inside it,
+// behind the length (v1, v2) is refused by name at its first frame.
+const ProtocolVersion = 3
 
 // MaxFrameBytes bounds a single frame body. The largest legitimate
 // frames are result payloads of whole-response kinds (a sim or figure
-// body, tens of KiB; a model shard's accumulator is a few KiB) and
+// body, tens of KiB; a model shard's accumulator is under 1 KiB) and
 // results carrying trace spans; anything near the cap is a corrupt or
 // hostile length prefix and is rejected.
 const MaxFrameBytes = 16 << 20
@@ -64,9 +72,19 @@ const readChunkBytes = 64 << 10
 // ErrFrameTooLarge reports a length prefix beyond MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("dist: frame exceeds size limit")
 
-// ErrBadFrame tags every malformed-frame failure (zero length, junk
-// bytes, truncation) so transports can treat the class uniformly.
+// ErrBadFrame tags every malformed-frame failure (lengths, checksum,
+// header, truncation) so transports can treat the class uniformly.
 var ErrBadFrame = errors.New("dist: malformed frame")
+
+// frameFixedBytes is the three words before the header.
+const frameFixedBytes = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// bodyCRC sums the header length and everything after the CRC word.
+func bodyCRC(body []byte) uint32 {
+	return crc32.Update(crc32.Checksum(body[:4], castagnoli), castagnoli, body[8:])
+}
 
 // Frame types.
 const (
@@ -85,9 +103,7 @@ const (
 	TypeNack = "nack"
 	// TypeGoodbye announces a graceful worker drain (worker →
 	// coordinator): grant no further leases; in-flight shards will still
-	// deliver results, and the eventual disconnect costs no strike. The
-	// frame is version-compatible — a peer that predates it logs and
-	// ignores the unknown type.
+	// deliver results, and the eventual disconnect costs no strike.
 	TypeGoodbye = "goodbye"
 )
 
@@ -113,8 +129,9 @@ type Frame struct {
 	Lease *Lease `json:"lease,omitempty"`
 	// Shard address for heartbeat/result/nack.
 	Addr string `json:"addr,omitempty"`
-	// Result payload (opaque to the protocol).
-	Payload json.RawMessage `json:"payload,omitempty"`
+	// Result payload: opaque bytes that follow the JSON header on the
+	// wire. A decoded frame's Payload aliases the buffer it was read into.
+	Payload []byte `json:"-"`
 	// EvalMs is the worker-reported evaluation time for a result frame,
 	// in fractional milliseconds (obs.Ms of a Duration: always finite).
 	EvalMs float64 `json:"evalMs,omitempty"`
@@ -122,8 +139,7 @@ type Frame struct {
 	Err string `json:"err,omitempty"`
 	// Spans carries worker-side trace spans back with a result frame so
 	// the coordinator can stitch them into the request's trace. Absent
-	// unless the lease carried a trace ID; old peers ignore it (unknown
-	// JSON fields are dropped on decode).
+	// unless the lease carried a trace ID.
 	Spans []trace.SpanData `json:"spans,omitempty"`
 }
 
@@ -140,37 +156,41 @@ type Lease struct {
 	// TraceID/ParentSpanID propagate the request's trace context to the
 	// worker: the worker binds its eval span under ParentSpanID (the
 	// coordinator's per-grant shard span) and ships completed spans back
-	// in the result frame. Empty when tracing is off; old workers ignore
-	// them.
+	// in the result frame. Empty when tracing is off.
 	TraceID      string `json:"traceId,omitempty"`
 	ParentSpanID string `json:"parentSpan,omitempty"`
 }
 
-// WriteFrame encodes f as one length-prefixed JSONL frame on w, in a
-// single Write: on a TCP conn a separate 4-byte header is its own
-// segment and its own reader wake-up.
+// WriteFrame encodes f as one frame on w, in a single Write: on a TCP
+// conn a separate prefix is its own segment and its own reader wake-up.
 func WriteFrame(w io.Writer, f *Frame) error {
 	var buf bytes.Buffer
-	var hdr [4]byte // filled in below, once the body's length is known
-	buf.Write(hdr[:])
+	buf.Grow(frameFixedBytes + 256 + len(f.Payload))
+	var fixed [frameFixedBytes]byte // filled in below, once the lengths are known
+	buf.Write(fixed[:])
 	// Encode is Marshal plus the trailing newline.
 	if err := json.NewEncoder(&buf).Encode(f); err != nil {
 		return fmt.Errorf("dist: encode frame: %w", err)
 	}
+	hlen := buf.Len() - frameFixedBytes
+	buf.Write(f.Payload)
 	frame := buf.Bytes()
 	n := len(frame) - 4
 	if n > MaxFrameBytes {
 		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
+	binary.BigEndian.PutUint32(frame[0:], uint32(n))
+	binary.BigEndian.PutUint32(frame[4:], uint32(hlen))
+	binary.BigEndian.PutUint32(frame[8:], bodyCRC(frame[4:]))
 	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame decodes one frame from r. Truncated streams, zero or
-// oversized length prefixes, and non-JSON bodies all error cleanly; the
-// body buffer starts at no more than readChunkBytes and grows only as
-// bytes actually arrive, so a hostile length prefix cannot force a large
+// ReadFrame decodes one frame from r. Truncated streams, a zero or
+// oversized length or header length, a checksum mismatch and a non-JSON
+// header all error cleanly (errors.Is ErrBadFrame, every one); the body
+// buffer starts at no more than readChunkBytes and grows only as bytes
+// actually arrive, so a hostile length prefix cannot force a large
 // allocation.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
@@ -178,14 +198,15 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("%w: short header: %v", ErrBadFrame, err)
+		return nil, fmt.Errorf("%w: short length prefix: %v", ErrBadFrame, err)
 	}
+	const words = frameFixedBytes - 4 // header length and CRC
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n == 0 {
-		return nil, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
+	if n <= words {
+		return nil, fmt.Errorf("%w: %d-byte body has no header", ErrBadFrame, n)
 	}
 	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return nil, fmt.Errorf("%w: %w: %d bytes", ErrBadFrame, ErrFrameTooLarge, n)
 	}
 	body := make([]byte, min(n, readChunkBytes))
 	for got := 0; ; {
@@ -199,12 +220,27 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		}
 		body = append(body, make([]byte, min(got, n-got))...)
 	}
+	// A version <= 2 body is one JSON object. A v3 body opens with its
+	// header length, whose top byte MaxFrameBytes keeps at 0 or 1.
+	if body[0] == '{' {
+		return nil, fmt.Errorf("%w: peer speaks frame layout v≤2, this build v%d", ErrBadFrame, ProtocolVersion)
+	}
+	hlen := int(binary.BigEndian.Uint32(body))
+	if hlen == 0 || hlen > n-words {
+		return nil, fmt.Errorf("%w: header length %d of %d", ErrBadFrame, hlen, n-words)
+	}
+	if got, want := bodyCRC(body), binary.BigEndian.Uint32(body[4:]); got != want {
+		return nil, fmt.Errorf("%w: checksum %08x, frame says %08x", ErrBadFrame, got, want)
+	}
 	f := &Frame{}
-	if err := json.Unmarshal(body, f); err != nil {
+	if err := json.Unmarshal(body[words:words+hlen], f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if f.T == "" {
 		return nil, fmt.Errorf("%w: missing frame type", ErrBadFrame)
+	}
+	if words+hlen < n {
+		f.Payload = body[words+hlen:]
 	}
 	return f, nil
 }

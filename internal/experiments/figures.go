@@ -301,8 +301,7 @@ type FigSpec struct {
 // EvalFigShard is the worker-side dist.Evaluator for figure
 // regeneration: spec is a JSON FigSpec, and the payload is the rendered
 // table text — byte-identical to a local render because every harness
-// seeds its runs by index. The text ships as a JSON string (dist frame
-// payloads must be valid JSON); DecodeFigPayload recovers the bytes.
+// seeds its runs by index.
 func EvalFigShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	var fs FigSpec
 	if err := json.Unmarshal(spec, &fs); err != nil {
@@ -333,15 +332,5 @@ func EvalFigShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) 
 	if err != nil {
 		return nil, fmt.Errorf("fig %s: %w", figs[0].Name, err)
 	}
-	return json.Marshal(b.String())
-}
-
-// DecodeFigPayload recovers the rendered table bytes from an
-// EvalFigShard payload.
-func DecodeFigPayload(payload []byte) ([]byte, error) {
-	var s string
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("experiments: figure payload: %w", err)
-	}
-	return []byte(s), nil
+	return b.Bytes(), nil
 }

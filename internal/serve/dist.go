@@ -13,9 +13,10 @@ import (
 // PoolEvaluator when none is given: small enough to spread a default
 // 200-run ensemble across a handful of workers. A worker builds a task's
 // model once, not per shard, so a shard's fixed cost is a lease round
-// trip (~40 µs on loopback) and one accumulator back (1.5 KB at B = 100
-// whatever the shard size, ~45 µs to frame, decode and fold) — still of
-// the order of sampling 32 runs at ~2 µs each: smaller is mostly overhead.
+// trip (~40 µs on loopback) and one accumulator back (0.6 KB of varints
+// at B = 100 whatever the shard size, ~8 µs to frame, checksum, decode
+// and fold) — the round trip alone is of the order of sampling 32 runs
+// at ~2 µs each: smaller is mostly overhead.
 const DefaultShardRuns = 32
 
 // Evaluate computes a canonicalized request's response body locally. It
@@ -39,10 +40,10 @@ type shardTask struct {
 //
 // For KindModel the units are ensemble run indices: run i draws from
 // modelRNG(seed).At(i) — the identical substream the local evaluator
-// gives it — and the payload is the JSON core.EnsembleAccum of the
-// range, sampled by the same chunked core.Model.SampleRuns the local
-// evaluator runs over [0, runs) (so a large shard still fans over the
-// worker's -jobs) and folded coordinator-side in index order. Every
+// gives it — and the payload is the core.EnsembleAccum of the range in
+// its binary form, sampled by the same chunked core.Model.SampleRuns the
+// local evaluator runs over [0, runs) (so a large shard still fans over
+// the worker's -jobs) and folded coordinator-side in index order. Every
 // other kind is a single indivisible unit ([0, 1)); the payload is the
 // JSON response body, embedded verbatim in the envelope so it carries
 // the exact bytes a local evaluation would have produced.
@@ -89,7 +90,7 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(acc)
+	return acc.AppendBinary(nil)
 }
 
 // Pool is the slice of a dist coordinator the serving layer needs;
@@ -136,13 +137,11 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 			return json.RawMessage(payloads[0]), nil
 		}
 		acc := core.NewEnsembleAccum(req.Model.B)
-		// One scratch takes every payload, emptied before each decode: a
-		// curve a payload omits must fail the merge, not replay the last.
+		// One scratch takes every payload: UnmarshalBinary overwrites all
+		// of it, so a shorter curve fails the merge, never replays the last.
 		part := core.NewEnsembleAccum(req.Model.B)
-		part.Completion = make([]int, 0, shardRuns)
 		for i, p := range payloads {
-			part.Reset()
-			if err := json.Unmarshal(p, part); err != nil {
+			if err := part.UnmarshalBinary(p); err != nil {
 				return nil, fmt.Errorf("serve: pool shard %d payload: %w", i, err)
 			}
 			if err := acc.Merge(part); err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/serve"
 )
@@ -28,39 +29,36 @@ func TestPoolScratchEmptiedBetweenPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// edit rewrites one field of the second shard's accumulator.
-	edit := func(field string, f func(json.RawMessage) json.RawMessage) payloadPool {
+	// edit rewrites the second shard's accumulator.
+	edit := func(f func(*core.EnsembleAccum)) payloadPool {
 		t.Helper()
-		var acc map[string]json.RawMessage
-		if err := json.Unmarshal(good[1], &acc); err != nil {
+		acc := &core.EnsembleAccum{}
+		if err := acc.UnmarshalBinary(good[1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := acc[field]; !ok {
-			t.Fatalf("accumulator payload has no %q field", field)
+		if len(acc.Completion) != 8 {
+			t.Fatalf("shard holds %d completed runs, want 8", len(acc.Completion))
 		}
-		if v := f(acc[field]); v == nil {
-			delete(acc, field)
-		} else {
-			acc[field] = v
+		f(acc)
+		enc, err := acc.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return payloadPool{good[0], mustJSON(t, acc)}
+		return payloadPool{good[0], enc}
 	}
-	drop := func(json.RawMessage) json.RawMessage { return nil }
 
 	if _, err := serve.PoolEvaluator(payloadPool(good), 8)(context.Background(), req); err != nil {
 		t.Fatalf("unedited payloads: %v", err)
 	}
 	cases := map[string]payloadPool{
-		"potSum missing":     edit("potSum", drop),
-		"fpCnt missing":      edit("fpCnt", drop),
-		"completion missing": edit("completion", drop),
-		"completion short": edit("completion", func(v json.RawMessage) json.RawMessage {
-			var steps []int
-			if err := json.Unmarshal(v, &steps); err != nil || len(steps) != 8 {
-				t.Fatalf("completion = %s (%v), want 8 completed runs", v, err)
-			}
-			return mustJSON(t, steps[:7])
+		"curves missing": edit(func(a *core.EnsembleAccum) { a.PotSum, a.PotCnt, a.FPSum, a.FPCnt = nil, nil, nil, nil }),
+		"curves short": edit(func(a *core.EnsembleAccum) {
+			a.PotSum, a.PotCnt, a.FPSum, a.FPCnt = a.PotSum[:20], a.PotCnt[:20], a.FPSum[:20], a.FPCnt[:20]
 		}),
+		"completion missing": edit(func(a *core.EnsembleAccum) { a.Completion = nil }),
+		"completion short":   edit(func(a *core.EnsembleAccum) { a.Completion = a.Completion[:7] }),
+		"payload cut short":  {good[0], good[1][:len(good[1])-1]},
+		"payload empty":      {good[0], nil},
 	}
 	for name, pool := range cases {
 		if _, err := serve.PoolEvaluator(pool, 8)(context.Background(), req); err == nil {

@@ -203,15 +203,23 @@ func TestPooledChaosTraceShowsRequeue(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			// First connection dies after ~1.5KB — enough to handshake and
-			// accept leases, not enough to return their results.
+			// First connection dies after 1000 bytes — enough to handshake
+			// and accept its two leases (~810), not enough to also return
+			// both results (~520 each, spans included).
 			if dials.Add(1) == 1 {
-				return faults.DropConn(c, 1500), nil
+				return faults.DropConn(c, 1000), nil
 			}
 			return c, nil
 		}
 	})
 	defer stop()
+	// Let the flaky worker connect, or the healthy one finishes alone and
+	// nothing is ever requeued.
+	for deadline := time.Now().Add(10 * time.Second); coord.Workers() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 workers connected", coord.Workers())
+		}
+	}
 
 	tracer := trace.New(1024, "btserve")
 	ctx, root := tracer.Root(t.Context(), req.Key(), "ingress")

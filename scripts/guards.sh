@@ -87,6 +87,17 @@ one_way_to_check_the_stack() {
 	absent one_way_to_check_the_stack 'selftes[t]|chaossoa[k]' '*.go' '*.sh' '*.yml' ':!bench'
 }
 
+# A dist result payload is opaque bytes beside the frame's JSON header,
+# under the frame's checksum, and a model shard's is core.EnsembleAccum's
+# varints (DESIGN.md §11): the payload may not move back inside the JSON,
+# the accumulator may not grow a JSON form back, nothing on the dist path
+# may json-encode one, and a figure's payload is its rendered bytes.
+one_shard_payload_encoding() {
+	absent one_shard_payload_encoding \
+		'Payload +json\.RawMessage|json:"(potSum|potCnt|fpSum|fpCnt|stuckBootstrap|hasLast)"|json\.(Marshal|Unmarshal)\((acc|p, part)\)|DecodeFigPayload' \
+		'internal/dist/*.go' 'internal/core/*.go' 'internal/serve/*.go' 'internal/experiments/*.go' 'cmd/*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -109,6 +120,7 @@ one_piece_store_one_metrics_off_idiom_one_ledger
 one_way_to_time_a_request
 one_efficiency_solver_one_log_choose
 one_way_to_check_the_stack
+one_shard_payload_encoding
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

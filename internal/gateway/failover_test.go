@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -229,6 +230,83 @@ func TestItemLinePrefixRead(t *testing.T) {
 	} {
 		if index, status, _, ok := splitItemLine([]byte(line)); ok {
 			t.Errorf("splitItemLine(%q) accepted a line without the fixed prefix: index %d status %d", line, index, status)
+		}
+	}
+}
+
+// TestItemLineWriterMatchesEncoder ties the two ends of the batch
+// exchange to one line shape. For every item a replica can emit — a 200
+// whose body is a real cached envelope of each request kind, or a decoy
+// that spells "index": and "status": itself, under a hex key and one of
+// the three cache words; a failure whose error text needs every escape
+// encoding/json has, with and without a retry hint — the line
+// serve.WriteItemLine writes (copying the body, never scanning it) is
+// byte for byte json.Encoder's, splitItemLine reads the item's own index
+// and status off it, and the re-indexed line is the encoder's line for
+// the same item at its new index.
+func TestItemLineWriterMatchesEncoder(t *testing.T) {
+	_, live := newReplica(t, serve.Config{})
+	var bodies [][]byte
+	for _, q := range []string{
+		qBody,
+		`{"kind":"efficiency","efficiency":{"k":5}}`,
+		`{"kind":"sim","seed":7,"sim":{"pieces":20,"initialPeers":30,"horizon":40}}`,
+		`{"kind":"fluid","fluid":{"horizon":50}}`,
+		`{"kind":"fluid","fluid":{"model":"chunk","k":8,"s":4,"horizon":50}}`,
+	} {
+		resp, b := post(t, live, "/v1/query", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", q, resp.StatusCode)
+		}
+		bodies = append(bodies, bytes.TrimSuffix(b, []byte("\n")))
+	}
+	rng := rand.New(rand.NewSource(23))
+	texts := []string{
+		`plain`, `"quoted" back\slash`, `<script>&amp;</script>`, "line\nbreak\ttab", "sep\u2028\u2029",
+		"bad utf8 \xff\xfe", `{"type":"item","index":9,"status":200}`, `,"status":500,`, ``,
+	}
+	encoded := func(it serve.BatchItem) []byte {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(it); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for n := 0; n < 3000; n++ {
+		item := serve.BatchItem{Type: "item", Index: rng.Intn(1<<20 + 1)}
+		if rng.Intn(3) > 0 {
+			key := make([]byte, 32)
+			rng.Read(key)
+			item.Status, item.Key, item.Cache = http.StatusOK, fmt.Sprintf("%x", key), []string{"hit", "miss", "shared"}[rng.Intn(3)]
+			if item.Response = bodies[rng.Intn(len(bodies))]; rng.Intn(3) == 0 {
+				item.Response, _ = json.Marshal(map[string]any{
+					"index": rng.Intn(99), "status": texts[rng.Intn(len(texts))], "type": "item",
+					"nested": map[string]any{"index": 1, "status": 2, "response": json.RawMessage(item.Response)},
+				})
+			}
+		} else {
+			item.Status = []int{400, 429, 500, 502, 503, 504}[rng.Intn(6)]
+			item.Error = texts[rng.Intn(len(texts))] + texts[rng.Intn(len(texts))]
+			item.RetryAfterSec = rng.Intn(2) * rng.Intn(31)
+		}
+		var buf bytes.Buffer
+		bw := bufio.NewWriterSize(&buf, 16+rng.Intn(4096)) // lines straddle flushes
+		serve.WriteItemLine(bw, &item)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		line := buf.Bytes()
+		if want := encoded(item); !bytes.Equal(line, want) {
+			t.Fatalf("written line differs from json.Encoder's:\n got %s\nwant %s", line, want)
+		}
+		line = bytes.TrimSuffix(line, []byte("\n")) // as the gateway's line scanner hands it over
+		index, status, rest, ok := splitItemLine(line)
+		if !ok || index != item.Index || status != item.Status {
+			t.Fatalf("prefix read of %s = (%d, %d, %v), want (%d, %d, true)", line, index, status, ok, item.Index, item.Status)
+		}
+		item.Index = rng.Intn(1 << 20)
+		if got, want := reindexed(item.Index, rest), bytes.TrimSuffix(encoded(item), []byte("\n")); !bytes.Equal(got, want) {
+			t.Fatalf("re-indexed line differs from the encoder's at index %d:\n got %s\nwant %s", item.Index, got, want)
 		}
 	}
 }

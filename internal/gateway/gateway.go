@@ -622,16 +622,6 @@ func errorLine(index, status int, msg string, retrySec int) batchLine {
 	return batchLine{raw: b, status: status}
 }
 
-// The fixed head of every line json.Marshal(serve.BatchItem) produces:
-// BatchItem's field order puts type, index and status first, so the
-// routing fields are read off the prefix and the payload behind them —
-// the big Response blob — is never parsed.
-const (
-	itemHead    = `{"type":"item","index":`
-	statusHead  = `,"status":`
-	summaryHead = `{"type":"summary"`
-)
-
 // digits reads the decimal number b starts with — at most nine digits,
 // which no index or status needs more of — and returns it with its
 // width; width 0 means b does not start with one.
@@ -643,21 +633,22 @@ func digits(b []byte) (n, width int) {
 	return n, width
 }
 
-// splitItemLine reads index and status off an item line's fixed prefix,
-// {"type":"item","index":N,"status":S, and returns what follows the
-// index, so that itemHead + a new index + rest is the same line
-// re-indexed. ok is false for every other line.
+// splitItemLine reads index and status off an item line's fixed prefix
+// (serve.ItemHead N serve.StatusHead S: the payload behind it is never
+// parsed) and returns what follows the index, so that ItemHead + a new
+// index + rest is the same line re-indexed. ok is false for every other
+// line.
 func splitItemLine(line []byte) (index, status int, rest []byte, ok bool) {
-	if !bytes.HasPrefix(line, []byte(itemHead)) {
+	if !bytes.HasPrefix(line, []byte(serve.ItemHead)) {
 		return 0, 0, nil, false
 	}
-	index, w := digits(line[len(itemHead):])
-	rest = line[len(itemHead)+w:]
-	if w == 0 || !bytes.HasPrefix(rest, []byte(statusHead)) {
+	index, w := digits(line[len(serve.ItemHead):])
+	rest = line[len(serve.ItemHead)+w:]
+	if w == 0 || !bytes.HasPrefix(rest, []byte(serve.StatusHead)) {
 		return 0, 0, nil, false
 	}
-	status, w = digits(rest[len(statusHead):])
-	end := len(statusHead) + w
+	status, w = digits(rest[len(serve.StatusHead):])
+	end := len(serve.StatusHead) + w
 	if w == 0 || end == len(rest) || (rest[end] != ',' && rest[end] != '}') {
 		return 0, 0, nil, false
 	}
@@ -667,8 +658,8 @@ func splitItemLine(line []byte) (index, status int, rest []byte, ok bool) {
 // reindexed is the line rest was split from, under a new index: the one
 // copy a relayed item costs.
 func reindexed(index int, rest []byte) []byte {
-	out := make([]byte, 0, len(itemHead)+len(rest)+8)
-	out = strconv.AppendInt(append(out, itemHead...), int64(index), 10)
+	out := make([]byte, 0, len(serve.ItemHead)+len(rest)+8)
+	out = strconv.AppendInt(append(out, serve.ItemHead...), int64(index), 10)
 	return append(out, rest...)
 }
 
@@ -705,7 +696,7 @@ func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLi
 				case ok && index < len(got) && got[index].raw == nil:
 					got[index] = batchLine{raw: reindexed(sub.indices[index], rest), status: status}
 					n++
-				case !ok && bytes.HasPrefix(line, []byte(summaryHead)):
+				case !ok && bytes.HasPrefix(line, []byte(serve.SummaryHead)):
 				default:
 					return fmt.Errorf("sub-batch reply line %.60q is not the protocol's", line)
 				}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -10,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/par"
@@ -51,6 +54,47 @@ type BatchSummary struct {
 	Shed   int    `json:"shed"`
 }
 
+// The fixed head of an item line and of the summary line, which
+// WriteItemLine and json.Marshal(BatchItem) both begin with (type, index
+// and status are BatchItem's first fields): the gateway reads an item's
+// routing fields off this prefix and never parses the payload behind it.
+const (
+	ItemHead    = `{"type":"item","index":`
+	StatusHead  = `,"status":`
+	SummaryHead = `{"type":"summary"`
+)
+
+// lineWriters holds the buffers /v1/batch replies are written through:
+// a reply costs neither a write per line nor a buffer of its own size.
+var lineWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// WriteItemLine writes it as the line a json.Encoder's Encode(it)
+// writes, byte for byte. A 200 item is the replica's own — Key is hex,
+// Cache is hit, miss or shared, Response is what marshalBody rendered, a
+// fixed point of the encoder's compaction — so nothing in it needs
+// escaping and Response is copied, not scanned again. Any other item
+// carries error text and goes through encoding/json.
+func WriteItemLine(w *bufio.Writer, it *BatchItem) {
+	if it.Status != http.StatusOK {
+		writeJSONLine(w, *it)
+		return
+	}
+	b := strconv.AppendInt(append(w.AvailableBuffer(), ItemHead...), int64(it.Index), 10)
+	b = append(append(b, StatusHead+`200,"key":"`...), it.Key...)
+	b = append(append(b, `","cache":"`...), it.Cache...)
+	_, _ = w.Write(append(b, `","response":`...))
+	_, _ = w.Write(it.Response)
+	_, _ = w.WriteString("}\n")
+}
+
+// writeJSONLine writes v's JSON and a newline or, like json.Encoder,
+// nothing if v does not marshal.
+func writeJSONLine(w *bufio.Writer, v any) {
+	if b, err := json.Marshal(v); err == nil {
+		_, _ = w.Write(append(b, '\n'))
+	}
+}
+
 // SplitBatch reads a JSON array of raw batch items from r, enforcing
 // the item cap. It rejects anything that is not a non-empty array.
 // Shared by the replica handler and the gateway so both tiers agree on
@@ -62,8 +106,8 @@ func SplitBatch(r io.Reader) ([]json.RawMessage, error) {
 		return nil, fmt.Errorf("%w: batch body must be a JSON array of requests: %v", ErrBadRequest, err)
 	}
 	// Trailing garbage after the array is a malformed batch, not ignorable.
-	if err := checkEOF(dec); err != nil {
-		return nil, err
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after batch array", ErrBadRequest)
 	}
 	if len(items) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
@@ -72,13 +116,6 @@ func SplitBatch(r io.Reader) ([]json.RawMessage, error) {
 		return nil, fmt.Errorf("%w: batch of %d items exceeds cap %d", ErrBadRequest, len(items), MaxBatchItems)
 	}
 	return items, nil
-}
-
-func checkEOF(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%w: trailing data after batch array", ErrBadRequest)
-	}
-	return nil
 }
 
 // DecodeBatchItem decodes one raw batch item exactly as /v1/query decodes
@@ -168,15 +205,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	bw := lineWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
 	sum := BatchSummary{Type: "summary", Items: len(items)}
+	retrySec := 0 // the reply's one Retry-After hint, taken on its first 429
 	for i := range items {
 		item := BatchItem{Type: "item", Index: i, Status: http.StatusOK}
 		err := bad[i]
 		if err == nil {
 			a := answers[slot[i]]
 			item.Key, item.Cache, err = uniq[slot[i]].key, a.src, a.err
-			item.Response = json.RawMessage(bytes.TrimSuffix(a.body, []byte("\n")))
+			item.Response = bytes.TrimSuffix(a.body, []byte("\n"))
 		}
 		if err != nil {
 			item.Status, item.Error = ErrorStatus(err), err.Error()
@@ -187,15 +226,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case item.Status == http.StatusOK:
 			sum.OK++
 		case item.Status == http.StatusTooManyRequests:
-			// The per-item spelling of the 429 Retry-After header, derived
-			// from the same live-load formula.
-			item.RetryAfterSec = s.retryAfterSeconds()
+			// The per-item spelling of the 429 Retry-After header, from the
+			// same live-load formula: one histogram snapshot per reply.
+			if retrySec == 0 {
+				retrySec = s.retryAfterSeconds()
+			}
+			item.RetryAfterSec = retrySec
 			sum.Shed++
 			s.shed.Inc()
 		case item.Status >= 500:
 			s.failures.Inc()
 		}
-		_ = enc.Encode(item)
+		WriteItemLine(bw, &item)
 	}
-	_ = enc.Encode(sum)
+	writeJSONLine(bw, sum)
+	_ = bw.Flush() // a client that hung up loses only its own reply
+	bw.Reset(nil)
+	lineWriters.Put(bw)
 }

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -104,6 +107,40 @@ func TestBatchItemsMatchSingleQueryBytes(t *testing.T) {
 	if got := reg.Counter("serve.computations").Value(); got != 3 {
 		t.Fatalf("computations = %d, want 3 (in-batch dedup)", got)
 	}
+
+	// Replies are written through pooled buffers: concurrent replies to
+	// different batches must each stay whole and their own.
+	bodies := []string{"[" + strings.Join(reqs, ",") + "]", "[" + reqs[3] + "," + reqs[1] + "]"}
+	reply := func(k int) ([]byte, error) {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(bodies[k]))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	var want [2][]byte
+	for k := range bodies {
+		var err error
+		if want[k], err = reply(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				k := (g + n) % 2
+				if got, err := reply(k); err != nil || !bytes.Equal(got, want[k]) {
+					t.Errorf("concurrent reply to batch %d (err %v) differs from the sequential one:\n%s\n%s", k, err, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBatchMixedValidInvalid pins the per-item error semantics: a batch
@@ -217,6 +254,10 @@ func TestBatchItemsCarryRetryHints(t *testing.T) {
 		}
 		if it.RetryAfterSec < 1 || it.RetryAfterSec > 30 {
 			t.Fatalf("item %d retryAfterSec = %d, want within [1, 30]", i, it.RetryAfterSec)
+		}
+		// One reply, one hint: it is derived once, on the first shed item.
+		if it.RetryAfterSec != items[0].RetryAfterSec {
+			t.Fatalf("item %d retryAfterSec = %d, item 0 of the same reply says %d", i, it.RetryAfterSec, items[0].RetryAfterSec)
 		}
 	}
 	if sum.Shed != 2 || sum.Errors != 2 {
@@ -356,6 +397,44 @@ func FuzzBatchDecode(f *testing.F) {
 			if again.Key() != key {
 				t.Fatalf("canonicalization not idempotent: %s -> %s (body %s)", key, again.Key(), b)
 			}
+		}
+	})
+}
+
+// FuzzItemLine: for any item the replica can emit — a 200 with one of
+// the three cache words, a hex key and a body that is encoder output
+// (the fuzzer's bytes passed through json.Marshal, as marshalBody's are),
+// or a failure whose error text is the fuzzer's bytes verbatim, with or
+// without a retry hint — WriteItemLine's line is json.Encoder's.
+func FuzzItemLine(f *testing.F) {
+	// testdata/fuzz/FuzzItemLine holds the bodies and error texts that need
+	// compaction and escaping; these are the edges of the other arguments.
+	f.Add(1<<20, 0, uint8(2), []byte("not json \u2028 \xff"))
+	f.Add(-1, 5, uint8(0), []byte(""))
+	f.Fuzz(func(t *testing.T, index, status int, choice uint8, data []byte) {
+		statuses := []int{200, 400, 429, 500, 502, 503, 504}
+		it := BatchItem{Type: "item", Index: index, Status: statuses[uint(status)%uint(len(statuses))]}
+		if it.Status == http.StatusOK {
+			body, err := json.Marshal(json.RawMessage(data))
+			if err != nil {
+				body, _ = json.Marshal(string(data))
+			}
+			sum := sha256.Sum256(data)
+			it.Key, it.Cache, it.Response = hex.EncodeToString(sum[:]), []string{"hit", "miss", "shared"}[choice%3], body
+		} else {
+			it.Error, it.RetryAfterSec = string(data), int(choice%4)*int(choice%31)
+		}
+		var got, want bytes.Buffer
+		bw := bufio.NewWriterSize(&got, 64) // small: a line straddles flushes
+		WriteItemLine(bw, &it)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&want).Encode(it); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteItemLine differs from json.Encoder:\n got %q\nwant %q", got.Bytes(), want.Bytes())
 		}
 	})
 }

@@ -34,7 +34,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fluid"
@@ -554,81 +553,72 @@ func (q *FluidQuery) chunkParams() fluid.ChunkParams {
 // form: a fixed field order, lowercase keys, shortest-round-trip float
 // formatting. The request must have passed Canonicalize first.
 func (r *Request) Canonical() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d;kind=%s;seed=%d", r.V, r.Kind, r.Seed)
-	put := func(k string, v any) {
-		b.WriteByte(';')
-		b.WriteString(k)
-		b.WriteByte('=')
-		switch x := v.(type) {
-		case int:
-			b.WriteString(strconv.Itoa(x))
-		case bool:
-			b.WriteString(strconv.FormatBool(x))
-		case float64:
-			b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-		default:
-			fmt.Fprintf(&b, "%v", x)
-		}
-	}
+	b := strconv.AppendInt(append(make([]byte, 0, 256), 'v'), int64(r.V), 10)
+	b = append(append(b, ";kind="...), r.Kind...)
+	b = strconv.AppendUint(append(b, ";seed="...), r.Seed, 10)
+	name := func(k string) { b = append(append(append(b, ';'), k...), '=') }
+	putInt := func(k string, v int) { name(k); b = strconv.AppendInt(b, int64(v), 10) }
+	putFloat := func(k string, v float64) { name(k); b = strconv.AppendFloat(b, v, 'g', -1, 64) }
+	putBool := func(k string, v bool) { name(k); b = strconv.AppendBool(b, v) }
 	switch {
 	case r.Model != nil:
 		q := r.Model
-		put("b", q.B)
-		put("k", q.K)
-		put("s", q.S)
-		put("pinit", *q.PInit)
-		put("alpha", *q.Alpha)
-		put("gamma", *q.Gamma)
-		put("pr", *q.PR)
-		put("pn", *q.PN)
-		put("runs", q.Runs)
+		putInt("b", q.B)
+		putInt("k", q.K)
+		putInt("s", q.S)
+		putFloat("pinit", *q.PInit)
+		putFloat("alpha", *q.Alpha)
+		putFloat("gamma", *q.Gamma)
+		putFloat("pr", *q.PR)
+		putFloat("pn", *q.PN)
+		putInt("runs", q.Runs)
 	case r.Efficiency != nil:
 		q := r.Efficiency
-		put("k", q.K)
-		put("pr", *q.PR)
+		putInt("k", q.K)
+		putFloat("pr", *q.PR)
 	case r.Fluid != nil:
 		q := r.Fluid
-		put("model", q.Model)
-		put("lambda", *q.Lambda)
-		put("theta", *q.Theta)
-		put("c", q.C)
-		put("mu", q.Mu)
-		put("eta", *q.Eta)
-		put("gamma", *q.Gamma)
-		put("x0", *q.X0)
-		put("y0", *q.Y0)
-		put("horizon", q.Horizon)
-		put("grid", q.Grid)
-		put("rtol", q.RTol)
-		put("atol", q.ATol)
+		name("model")
+		b = append(b, q.Model...)
+		putFloat("lambda", *q.Lambda)
+		putFloat("theta", *q.Theta)
+		putFloat("c", q.C)
+		putFloat("mu", q.Mu)
+		putFloat("eta", *q.Eta)
+		putFloat("gamma", *q.Gamma)
+		putFloat("x0", *q.X0)
+		putFloat("y0", *q.Y0)
+		putFloat("horizon", q.Horizon)
+		putInt("grid", q.Grid)
+		putFloat("rtol", q.RTol)
+		putFloat("atol", q.ATol)
 		if q.Model == FluidChunk {
-			put("k", q.K)
-			put("s", q.S)
-			put("seedup", q.SeedUpload)
-			put("seedfrac", *q.SeedFraction)
+			putInt("k", q.K)
+			putInt("s", q.S)
+			putFloat("seedup", q.SeedUpload)
+			putFloat("seedfrac", *q.SeedFraction)
 		}
 	case r.Sim != nil:
 		q := r.Sim
-		put("pieces", q.Pieces)
-		put("conns", q.MaxConns)
-		put("nbr", q.NeighborSet)
-		put("lambda", *q.ArrivalRate)
-		put("initial", *q.InitialPeers)
-		put("skew", q.InitialSkew)
-		put("seeds", *q.Seeds)
-		put("seedup", *q.SeedUpload)
-		put("super", q.SuperSeed)
-		put("opt", *q.OptimisticProb)
-		put("abort", q.AbortRate)
-		put("linger", q.SeedLingerRounds)
-		put("random", q.RandomFirst)
-		put("shake", q.ShakeThreshold)
-		put("refresh", q.TrackerRefreshRounds)
-		put("horizon", q.Horizon)
-		put("maxpeers", q.MaxPeers)
+		putInt("pieces", q.Pieces)
+		putInt("conns", q.MaxConns)
+		putInt("nbr", q.NeighborSet)
+		putFloat("lambda", *q.ArrivalRate)
+		putInt("initial", *q.InitialPeers)
+		putFloat("skew", q.InitialSkew)
+		putInt("seeds", *q.Seeds)
+		putInt("seedup", *q.SeedUpload)
+		putBool("super", q.SuperSeed)
+		putFloat("opt", *q.OptimisticProb)
+		putFloat("abort", q.AbortRate)
+		putInt("linger", q.SeedLingerRounds)
+		putBool("random", q.RandomFirst)
+		putFloat("shake", q.ShakeThreshold)
+		putInt("refresh", q.TrackerRefreshRounds)
+		putFloat("horizon", q.Horizon)
+		putInt("maxpeers", q.MaxPeers)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // Key hashes the canonical byte form into the content-addressed cache

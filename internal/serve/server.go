@@ -593,6 +593,9 @@ func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 
 // marshalBody renders the response envelope to its canonical bytes
 // (trailing newline included) — the unit the cache stores and replays.
+// It must stay plain json.Marshal output: as the cache's only producer
+// it is why WriteItemLine may copy a body into a batch line unscanned
+// (TestCachedBodyIsEncoderFixedPoint).
 func marshalBody(resp *Response) ([]byte, error) {
 	b, err := json.Marshal(resp)
 	if err != nil {

@@ -546,6 +546,38 @@ func TestF64MarshalsNaNAsNull(t *testing.T) {
 	}
 }
 
+// TestCachedBodyIsEncoderFixedPoint pins the property WriteItemLine
+// rests on: the bytes marshalBody renders — what the cache holds and a
+// batch line embeds — are valid JSON that encoding/json's compaction
+// (HTML escaping included) leaves exactly as they are, so copying them
+// into a line is what json.Encoder would have written after scanning
+// them. One response of every kind, served and then served from cache.
+func TestCachedBodyIsEncoderFixedPoint(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	for _, req := range []string{
+		`{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":40}}`,
+		`{"kind":"efficiency","efficiency":{"k":5}}`,
+		`{"kind":"sim","seed":7,"sim":{"pieces":20,"initialPeers":30,"horizon":40}}`,
+		`{"kind":"stability","seed":1,"sim":{"pieces":20,"initialPeers":20,"lambda":1,"horizon":40}}`,
+		`{"kind":"fluid","fluid":{"horizon":50}}`,
+		`{"kind":"fluid","fluid":{"model":"chunk","k":8,"s":4,"horizon":50}}`,
+	} {
+		for _, want := range []string{"miss", "hit"} {
+			resp, b := postQuery(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want {
+				t.Fatalf("%s: status %d, X-Cache %q, want 200 %s", req, resp.StatusCode, resp.Header.Get("X-Cache"), want)
+			}
+			body := bytes.TrimSuffix(b, []byte("\n"))
+			if len(body) == len(b) || !json.Valid(body) {
+				t.Fatalf("%s: body is not one JSON value and a newline: %q", req, b)
+			}
+			if again, err := json.Marshal(json.RawMessage(body)); err != nil || !bytes.Equal(again, body) {
+				t.Errorf("%s (%s): the encoder rewrites the cached body (err %v):\n%s\n%s", req, want, err, body, again)
+			}
+		}
+	}
+}
+
 // BenchmarkQueryCacheHit measures the serving hot path (a warmed cache
 // hit) with tracing off and on. The disabled variant is the zero-cost
 // contract: a nil Tracer must add no work — trace.Start on an unbound

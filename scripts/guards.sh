@@ -98,6 +98,16 @@ one_shard_payload_encoding() {
 		'internal/dist/*.go' 'internal/core/*.go' 'internal/serve/*.go' 'internal/experiments/*.go' 'cmd/*.go' ':!*_test.go'
 }
 
+# A /v1/batch line has one shape, defined beside its one writer in
+# internal/serve/batch.go (DESIGN.md §16): the replica writes lines with
+# WriteItemLine — no json.Encoder pass over cached bodies it rendered
+# itself — and the gateway reads the prefix serve defines, not a copy.
+one_item_line_writer() {
+	absent one_item_line_writer 'json\.NewEncoder' 'internal/serve/batch.go'
+	absent one_item_line_writer '^[[:space:]]*(const +)?([iI]tem|[sS]tatus|[sS]ummary)Head +=' \
+		'*.go' ':!bench' ':!internal/serve/batch.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -121,6 +131,7 @@ one_way_to_time_a_request
 one_efficiency_solver_one_log_choose
 one_way_to_check_the_stack
 one_shard_payload_encoding
+one_item_line_writer
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

@@ -189,17 +189,11 @@ type (
 // NewClient validates the configuration and prepares a swarm participant.
 func NewClient(cfg ClientConfig) (*Client, error) { return client.New(cfg) }
 
-// PieceStore is the storage contract the client engine drives.
-type PieceStore = client.PieceStore
-
-// FileStorage is a disk-backed verified piece store with resume.
-type FileStorage = client.FileStorage
-
 // NewStorage returns an empty verified piece store.
 func NewStorage(info TorrentInfo) (*Storage, error) { return client.NewStorage(info) }
 
 // NewFileStorage opens or resumes a disk-backed piece store at path.
-func NewFileStorage(info TorrentInfo, path string) (*FileStorage, error) {
+func NewFileStorage(info TorrentInfo, path string) (*Storage, error) {
 	return client.NewFileStorage(info, path)
 }
 

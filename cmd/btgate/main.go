@@ -3,8 +3,8 @@
 // serving surface. Requests are routed by consistent hash over their
 // canonical cache key (bounded-load variant, so hot keys spill instead
 // of capsizing one replica), failing replicas are struck and
-// quarantined, and spilled requests are first answered from the home
-// replica's cache when its bytes are already there.
+// quarantined, and a spilled request is forwarded to the key's ring
+// successor like any other — same request, same bytes.
 //
 // Usage:
 //

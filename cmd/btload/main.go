@@ -120,16 +120,15 @@ type loadOptions struct {
 
 // report is btload's JSON output.
 type report struct {
-	Target     string  `json:"target"`
-	Duration   string  `json:"duration"`
-	Requests   int64   `json:"requests"` // HTTP exchanges issued
-	Items      int64   `json:"items"`    // logical queries (batch items counted individually)
-	Rate       float64 `json:"rate"`     // achieved items/s over the measured window
-	OK         int64   `json:"ok"`
-	Shed       int64   `json:"shed"`   // 429s
-	Errors     int64   `json:"errors"` // everything else non-2xx, plus transport failures
-	CacheHits  int64   `json:"cacheHits"`
-	CacheFills int64   `json:"cacheFills"`
+	Target    string  `json:"target"`
+	Duration  string  `json:"duration"`
+	Requests  int64   `json:"requests"` // HTTP exchanges issued
+	Items     int64   `json:"items"`    // logical queries (batch items counted individually)
+	Rate      float64 `json:"rate"`     // achieved items/s over the measured window
+	OK        int64   `json:"ok"`
+	Shed      int64   `json:"shed"`   // 429s
+	Errors    int64   `json:"errors"` // everything else non-2xx, plus transport failures
+	CacheHits int64   `json:"cacheHits"`
 
 	// Exact quantiles over every recorded per-exchange latency.
 	P50Ms float64 `json:"p50Ms"`
@@ -267,7 +266,7 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	}
 
 	rep := &report{Target: o.target, Duration: o.duration.String()}
-	var requests, items, ok, shed, errs, hits, fills atomic.Int64
+	var requests, items, ok, shed, errs, hits atomic.Int64
 	var issued atomic.Int64
 	lats := make([][]float64, o.concurrency) // per-worker: no contention
 
@@ -332,11 +331,8 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 					errs.Add(1)
 				case status == http.StatusOK:
 					ok.Add(1)
-					switch cache {
-					case "hit":
+					if cache == "hit" {
 						hits.Add(1)
-					case "fill":
-						fills.Add(1)
 					}
 				case status == http.StatusTooManyRequests:
 					shed.Add(1)
@@ -360,7 +356,6 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	rep.Shed = shed.Load()
 	rep.Errors = errs.Load()
 	rep.CacheHits = hits.Load()
-	rep.CacheFills = fills.Load()
 	rep.Rate = float64(rep.Items) / elapsed.Seconds()
 	rep.P50Ms = exactQuantile(all, 0.50)
 	rep.P95Ms = exactQuantile(all, 0.95)

@@ -297,16 +297,3 @@ func (d Dict) Sub(key string) (Dict, error) {
 	}
 	return AsDict(v)
 }
-
-// List returns the list value at key.
-func (d Dict) List(key string) ([]any, error) {
-	v, ok := d[key]
-	if !ok {
-		return nil, fmt.Errorf("bencode: missing key %q", key)
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("bencode: key %q is %T, want list", key, v)
-	}
-	return l, nil
-}

@@ -23,9 +23,6 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the capacity in bits.
-func (s *Set) Len() int { return s.n }
-
 // Has reports whether bit i is set. Out-of-range indices report false.
 func (s *Set) Has(i int) bool {
 	if i < 0 || i >= s.n {
@@ -41,14 +38,6 @@ func (s *Set) Add(i int) error {
 	}
 	s.words[i/64] |= 1 << uint(i%64)
 	return nil
-}
-
-// Remove clears bit i. Out-of-range indices are ignored.
-func (s *Set) Remove(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/64] &^= 1 << uint(i%64)
 }
 
 // Count returns the number of set bits.
@@ -92,17 +81,6 @@ func (s *Set) maskTail() {
 	}
 }
 
-// AnyNotIn reports whether s has at least one bit set that other lacks.
-// Both sets must have the same capacity.
-func (s *Set) AnyNotIn(other *Set) bool {
-	for i, w := range s.words {
-		if w&^other.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CountNotIn returns the number of bits set in s but not in other.
 func (s *Set) CountNotIn(other *Set) int {
 	c := 0
@@ -110,32 +88,6 @@ func (s *Set) CountNotIn(other *Set) int {
 		c += bits.OnesCount64(w &^ other.words[i])
 	}
 	return c
-}
-
-// NotIn appends to dst the indices of bits set in s but not in other, and
-// returns the extended slice.
-func (s *Set) NotIn(other *Set, dst []int) []int {
-	for wi, w := range s.words {
-		diff := w &^ other.words[wi]
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			dst = append(dst, wi*64+b)
-			diff &= diff - 1
-		}
-	}
-	return dst
-}
-
-// Indices appends the indices of all set bits to dst and returns it.
-func (s *Set) Indices(dst []int) []int {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, wi*64+b)
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Bytes serializes the set in BitTorrent BITFIELD order: bit 0 is the
@@ -175,7 +127,7 @@ func FromBytes(payload []byte, n int) (*Set, error) {
 // below operate directly on such rows ([]uint64 views), mirroring the Set
 // methods without requiring a Set header per peer. Rows passed to binary
 // operations must have equal length; bits beyond the logical size must be
-// kept zero by the caller (RowFill and RowSetBit maintain this).
+// kept zero by the caller (RowFill maintains this).
 
 // RowWords returns the number of 64-bit words needed for n bits.
 func RowWords(n int) int { return (n + 63) / 64 }
@@ -183,11 +135,6 @@ func RowWords(n int) int { return (n + 63) / 64 }
 // RowHas reports whether bit i of the row is set.
 func RowHas(row []uint64, i int) bool {
 	return row[i>>6]&(1<<uint(i&63)) != 0
-}
-
-// RowSetBit sets bit i of the row.
-func RowSetBit(row []uint64, i int) {
-	row[i>>6] |= 1 << uint(i&63)
 }
 
 // RowClear zeroes the row (the clear-fast operation: one memclr, no
@@ -206,15 +153,6 @@ func RowFill(row []uint64, n int) {
 	if n&63 != 0 && len(row) > 0 {
 		row[len(row)-1] = (1 << uint(n&63)) - 1
 	}
-}
-
-// RowCount returns the number of set bits in the row.
-func RowCount(row []uint64) int {
-	c := 0
-	for _, w := range row {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // RowAnyAndNot reports whether a has at least one bit set that b lacks.
@@ -256,13 +194,6 @@ func RowSelectAndNot(a, b []uint64, k int) int {
 	return -1
 }
 
-// RowIntersectInto stores a AND b into dst. dst may alias a or b.
-func RowIntersectInto(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
 // RowAppendIndices appends the indices of all set bits of the row to dst
 // and returns the extended slice (the row iteration primitive).
 func RowAppendIndices(dst []int, row []uint64) []int {
@@ -271,20 +202,6 @@ func RowAppendIndices(dst []int, row []uint64) []int {
 			b := bits.TrailingZeros64(w)
 			dst = append(dst, wi<<6+b)
 			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// RowAppendAndNotIndices appends the indices of bits set in a but not in
-// b to dst and returns the extended slice.
-func RowAppendAndNotIndices(dst []int, a, b []uint64) []int {
-	for wi, w := range a {
-		diff := w &^ b[wi]
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			dst = append(dst, wi<<6+b)
-			diff &= diff - 1
 		}
 	}
 	return dst

@@ -14,11 +14,11 @@ func randomRowPair(rng *rand.Rand, n int, pa, pb float64) (a, b []uint64, sa, sb
 	sa, sb = New(n), New(n)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < pa {
-			RowSetBit(a, i)
+			a[i>>6] |= 1 << uint(i&63)
 			_ = sa.Add(i)
 		}
 		if rng.Float64() < pb {
-			RowSetBit(b, i)
+			b[i>>6] |= 1 << uint(i&63)
 			_ = sb.Add(i)
 		}
 	}
@@ -29,25 +29,23 @@ func TestRowOpsMatchSetSemantics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	for _, n := range []int{1, 3, 63, 64, 65, 200, 513} {
 		a, b, sa, sb := randomRowPair(rng, n, 0.4, 0.3)
-		if got, want := RowCount(a), sa.Count(); got != want {
-			t.Fatalf("n=%d RowCount = %d, want %d", n, got, want)
-		}
-		if got, want := RowAnyAndNot(a, b), sa.AnyNotIn(sb); got != want {
+		if got, want := RowAnyAndNot(a, b), sa.CountNotIn(sb) > 0; got != want {
 			t.Fatalf("n=%d RowAnyAndNot = %v, want %v", n, got, want)
 		}
 		if got, want := RowAndNotCount(a, b), sa.CountNotIn(sb); got != want {
 			t.Fatalf("n=%d RowAndNotCount = %d, want %d", n, got, want)
 		}
-		if got, want := RowAppendAndNotIndices(nil, a, b), sa.NotIn(sb, nil); !slices.Equal(got, want) {
-			t.Fatalf("n=%d RowAppendAndNotIndices = %v, want %v", n, got, want)
-		}
-		if got, want := RowAppendIndices(nil, a), sa.Indices(nil); !slices.Equal(got, want) {
-			t.Fatalf("n=%d RowAppendIndices = %v, want %v", n, got, want)
-		}
+		var want []int
 		for i := 0; i < n; i++ {
 			if RowHas(a, i) != sa.Has(i) {
 				t.Fatalf("n=%d RowHas(%d) mismatch", n, i)
 			}
+			if sa.Has(i) {
+				want = append(want, i)
+			}
+		}
+		if got := RowAppendIndices(nil, a); !slices.Equal(got, want) {
+			t.Fatalf("n=%d RowAppendIndices = %v, want %v", n, got, want)
 		}
 	}
 }
@@ -56,7 +54,12 @@ func TestRowSelectAndNot(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 7))
 	for _, n := range []int{1, 64, 130, 400} {
 		a, b, sa, sb := randomRowPair(rng, n, 0.5, 0.4)
-		want := sa.NotIn(sb, nil)
+		var want []int
+		for i := 0; i < n; i++ {
+			if sa.Has(i) && !sb.Has(i) {
+				want = append(want, i)
+			}
+		}
 		for k, idx := range want {
 			if got := RowSelectAndNot(a, b, k); got != idx {
 				t.Fatalf("n=%d select %d = %d, want %d", n, k, got, idx)
@@ -72,7 +75,7 @@ func TestRowFillClearIntersect(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 200} {
 		row := make([]uint64, RowWords(n))
 		RowFill(row, n)
-		if got := RowCount(row); got != n {
+		if got := len(RowAppendIndices(nil, row)); got != n {
 			t.Fatalf("n=%d fill count = %d", n, got)
 		}
 		// Tail bits beyond n must stay clear so binary ops stay exact.
@@ -82,23 +85,8 @@ func TestRowFillClearIntersect(t *testing.T) {
 			}
 		}
 		RowClear(row)
-		if got := RowCount(row); got != 0 {
+		if got := len(RowAppendIndices(nil, row)); got != 0 {
 			t.Fatalf("n=%d clear count = %d", n, got)
-		}
-
-		rng := rand.New(rand.NewPCG(uint64(n), 5))
-		a, b, sa, sb := randomRowPair(rng, n, 0.5, 0.5)
-		dst := make([]uint64, len(a))
-		RowIntersectInto(dst, a, b)
-		for i := 0; i < n; i++ {
-			if RowHas(dst, i) != (sa.Has(i) && sb.Has(i)) {
-				t.Fatalf("n=%d intersect bit %d wrong", n, i)
-			}
-		}
-		// Aliasing: dst == a.
-		RowIntersectInto(a, a, b)
-		if !slices.Equal(a, dst) {
-			t.Fatalf("n=%d aliased intersect diverged", n)
 		}
 	}
 }

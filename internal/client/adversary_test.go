@@ -139,7 +139,7 @@ func waitComplete(t *testing.T, leech *Client, content []byte) {
 		t.Fatalf("download stuck at %d pieces despite adversary handling",
 			leech.storage.NumHave())
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}

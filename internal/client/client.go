@@ -71,7 +71,7 @@ type Config struct {
 	// Storage backs the download; pre-seeded storage makes this client a
 	// seed. Use NewStorage/NewSeededStorage for in-memory stores or
 	// NewFileStorage for disk-backed downloads with resume.
-	Storage PieceStore
+	Storage *Storage
 	// PeerID identifies this client; zero means derive from the seeds.
 	PeerID [20]byte
 	// ListenAddr is the TCP listen address (default "127.0.0.1:0").
@@ -132,7 +132,7 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() error {
-	if c.Torrent == nil || c.Storage == nil || c.Storage == PieceStore(nil) {
+	if c.Torrent == nil || c.Storage == nil {
 		return errors.New("client: Torrent and Storage are required")
 	}
 	if c.ListenAddr == "" {
@@ -196,7 +196,7 @@ func (c *Config) setDefaults() error {
 // Client is one running swarm participant.
 type Client struct {
 	cfg      Config
-	storage  PieceStore
+	storage  *Storage
 	rng      *stats.RNG
 	listener net.Listener
 	trClient *tracker.Client

@@ -125,7 +125,7 @@ func waitAll(t *testing.T, clients []*Client, timeout time.Duration) {
 func TestSingleLeecherDownloadsFromSeed(t *testing.T) {
 	sw := newTestSwarm(t, 1, nil)
 	waitAll(t, sw.clients, 30*time.Second)
-	got, err := sw.clients[0].storage.(*Storage).Content()
+	got, err := sw.clients[0].storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMultiPeerSwarmCompletesAndTrades(t *testing.T) {
 	sw := newTestSwarm(t, 4, nil)
 	waitAll(t, sw.clients, 60*time.Second)
 	for i, cl := range sw.clients {
-		got, err := cl.storage.(*Storage).Content()
+		got, err := cl.storage.Content()
 		if err != nil {
 			t.Fatalf("leecher %d: %v", i, err)
 		}
@@ -230,7 +230,7 @@ func TestStrictTFTAvoidsSeeds(t *testing.T) {
 	// Give any in-flight deliveries a moment, then confirm the seed-held
 	// piece was never fetched and no bytes came from seed-like peers.
 	time.Sleep(300 * time.Millisecond)
-	if strict.storage.HasPiece(0) {
+	if strict.storage.Have().Has(0) {
 		t.Error("strict leecher obtained the seed-only piece")
 	}
 	done := make(chan int64, 1)
@@ -303,7 +303,7 @@ func TestRandomFirstStrategySwarm(t *testing.T) {
 		cfg.Strategy = PickRandomFirst
 	})
 	waitAll(t, sw.clients, 60*time.Second)
-	got, err := sw.clients[0].storage.(*Storage).Content()
+	got, err := sw.clients[0].storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestRateLimitedSwarm(t *testing.T) {
 	if elapsed < 200*time.Millisecond {
 		t.Errorf("download finished in %v; rate limit seems inactive", elapsed)
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestClientOverUDPTracker(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("UDP-tracked download stuck at %d pieces", leech.storage.NumHave())
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}

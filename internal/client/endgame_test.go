@@ -170,7 +170,7 @@ func TestEndgameBeatsStallingPeer(t *testing.T) {
 		t.Fatalf("endgame did not rescue the download (%d/%d pieces)",
 			leech.storage.NumHave(), torrent.Info.NumPieces())
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRequestTimeoutReapsStalledPeer(t *testing.T) {
 		t.Fatalf("timeout did not rescue the download (%d/%d pieces)",
 			leech.storage.NumHave(), torrent.Info.NumPieces())
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}

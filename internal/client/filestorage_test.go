@@ -79,10 +79,10 @@ func TestFileStorageResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close() //nolint:errcheck
-	if fs2.NumHave() != 2 || !fs2.HasPiece(0) || !fs2.HasPiece(1) {
+	if fs2.NumHave() != 2 || !fs2.Have().Has(0) || !fs2.Have().Has(1) {
 		t.Fatalf("resume found %d pieces, want 2", fs2.NumHave())
 	}
-	if fs2.HasPiece(2) || fs2.HasPiece(3) {
+	if fs2.Have().Has(2) || fs2.Have().Has(3) {
 		t.Fatal("unwritten pieces must not verify")
 	}
 	// Finish the download.
@@ -128,7 +128,7 @@ func TestFileStorageVerifyFailure(t *testing.T) {
 }
 
 func TestFileStorageClientDownload(t *testing.T) {
-	// End-to-end: a leecher backed by FileStorage downloads from a seed,
+	// End-to-end: a leecher backed by a file store downloads from a seed,
 	// and the on-disk file matches.
 	sw := newTestSwarm(t, 0, nil)
 	path := filepath.Join(t.TempDir(), "e2e.bin")

@@ -129,7 +129,7 @@ func TestQuarantineBansCorruptingPeer(t *testing.T) {
 		t.Fatalf("download stuck at %d pieces despite quarantine",
 			leech.storage.NumHave())
 	}
-	got, err := leech.storage.(*Storage).Content()
+	got, err := leech.storage.Content()
 	if err != nil {
 		t.Fatal(err)
 	}

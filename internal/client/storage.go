@@ -17,35 +17,6 @@ import (
 	"repro/internal/metainfo"
 )
 
-// PieceStore is the storage contract the client engine drives: verified
-// piece bookkeeping plus block-level reads and writes. The package ships
-// one implementation, Storage, over memory or a file; external callers
-// may provide their own.
-type PieceStore interface {
-	// Info returns the torrent geometry.
-	Info() metainfo.Info
-	// Have returns a snapshot of the verified piece set.
-	Have() *bitset.Set
-	// HasPiece reports whether piece idx is verified.
-	HasPiece(idx int) bool
-	// NumHave returns the number of verified pieces.
-	NumHave() int
-	// BytesVerified returns the payload bytes in verified pieces.
-	BytesVerified() int64
-	// Complete reports whether every piece is verified.
-	Complete() bool
-	// Left returns the number of missing bytes.
-	Left() int64
-	// ReadBlock returns a block of a verified piece.
-	ReadBlock(idx, begin, length int) ([]byte, error)
-	// AddBlock buffers a downloaded block, committing and verifying the
-	// piece when its last block arrives. It must return ErrVerify (and
-	// discard the buffered piece) on a hash mismatch.
-	AddBlock(idx, begin, blockSize int, data []byte) (completed bool, err error)
-}
-
-var _ PieceStore = (*Storage)(nil)
-
 // backing is where verified pieces live, each at its final offset: a
 // byte slice in memory or an *os.File on disk. Storage checks every
 // range against the torrent geometry before it gets here.
@@ -73,9 +44,6 @@ type Storage struct {
 	partial map[int]*partialPiece
 	bytes   int64
 }
-
-// FileStorage names a disk-backed store: a Storage over an *os.File.
-type FileStorage = Storage
 
 type partialPiece struct {
 	data    []byte
@@ -138,7 +106,7 @@ func NewSeededStorage(info metainfo.Info, content []byte) (*Storage, error) {
 // NewFileStorage opens (or creates) the backing file at path, sizes it to
 // the torrent length, and re-verifies any pieces already present so an
 // interrupted download resumes where it left off.
-func NewFileStorage(info metainfo.Info, path string) (*FileStorage, error) {
+func NewFileStorage(info metainfo.Info, path string) (*Storage, error) {
 	if err := info.Validate(); err != nil {
 		return nil, err
 	}
@@ -201,13 +169,6 @@ func (s *Storage) Have() *bitset.Set {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.have.Clone()
-}
-
-// HasPiece reports whether piece idx is verified.
-func (s *Storage) HasPiece(idx int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.have.Has(idx)
 }
 
 // NumHave returns the number of verified pieces.

@@ -74,7 +74,7 @@ func TestStorageBlockAssembly(t *testing.T) {
 		if err != nil || !done {
 			t.Fatalf("second block: done=%v err=%v", done, err)
 		}
-		if !s.HasPiece(0) || s.NumHave() != 1 || s.BytesVerified() != 256 {
+		if !s.Have().Has(0) || s.NumHave() != 1 || s.BytesVerified() != 256 {
 			t.Error("piece 0 not committed")
 		}
 

@@ -54,9 +54,6 @@ func NewModel(p Params) (*Model, error) {
 	return m, nil
 }
 
-// Params returns the model parameters.
-func (m *Model) Params() Params { return m.p }
-
 // TradingPower returns the precomputed p_(x).
 func (m *Model) TradingPower(x int) float64 {
 	if x < 0 || x >= len(m.power) {

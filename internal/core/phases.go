@@ -34,9 +34,6 @@ type PhaseBreakdown struct {
 	Last      int
 }
 
-// Total returns the trajectory length in steps.
-func (pb PhaseBreakdown) Total() int { return pb.Bootstrap + pb.Efficient + pb.Last }
-
 // ClassifyPhases attributes each step of a trajectory to a phase:
 //
 //   - bootstrap: from joining until the peer first holds a piece AND has a

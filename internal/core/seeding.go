@@ -57,12 +57,6 @@ func NewSeededModel(p Params, sp SeedParams) (*SeededModel, error) {
 	}, nil
 }
 
-// Params returns the underlying model parameters.
-func (m *SeededModel) Params() Params { return m.base.Params() }
-
-// SeedParams returns the seeding extension parameters.
-func (m *SeededModel) SeedParams() SeedParams { return m.sp }
-
 // Step advances one transition: the tit-for-tat dynamics of the base
 // model plus Binomial(Conns, PServe) free pieces from seeds.
 func (m *SeededModel) Step(r *stats.RNG, s State) State {

@@ -131,12 +131,6 @@ func TestSeededMeanDownloadValidation(t *testing.T) {
 	if _, err := m.MeanDownloadSteps(stats.NewRNG(1, 1), 0); err == nil {
 		t.Error("zero runs must be rejected")
 	}
-	if m.Params().B != testParams().B {
-		t.Error("Params accessor wrong")
-	}
-	if m.SeedParams().Conns != 1 {
-		t.Error("SeedParams accessor wrong")
-	}
 	v, err := m.MeanDownloadSteps(stats.NewRNG(1, 2), 50)
 	if err != nil || math.IsNaN(v) || v <= 0 {
 		t.Errorf("mean = %g, %v", v, err)

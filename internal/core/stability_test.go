@@ -156,9 +156,6 @@ func TestClassifyPhases(t *testing.T) {
 	if pb.Efficient != 5 {
 		t.Errorf("efficient = %d, want 5", pb.Efficient)
 	}
-	if pb.Total() != len(traj)-1 {
-		t.Errorf("total = %d, want %d", pb.Total(), len(traj)-1)
-	}
 }
 
 func TestPhaseSummaryAggregation(t *testing.T) {

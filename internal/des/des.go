@@ -13,11 +13,8 @@ import (
 	"time"
 )
 
-// Errors returned by the simulator kernel.
-var (
-	ErrPastEvent = errors.New("des: event scheduled in the past")
-	ErrStopped   = errors.New("des: simulator already stopped")
-)
+// ErrPastEvent is returned for an event scheduled before the clock.
+var ErrPastEvent = errors.New("des: event scheduled in the past")
 
 // Event is a scheduled callback. The callback runs with the clock set to
 // the event's time.
@@ -32,12 +29,6 @@ type Event struct {
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired or was cancelled is a no-op.
 func (e *Event) Cancel() { e.cancel = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Time returns the virtual time the event is (or was) scheduled for.
-func (e *Event) Time() float64 { return e.at }
 
 // Simulator owns the virtual clock and the pending-event queue.
 // A Simulator is not safe for concurrent use; all scheduling must happen

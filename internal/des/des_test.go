@@ -78,9 +78,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() must be true")
-	}
 }
 
 func TestScheduleFromWithinEvent(t *testing.T) {

@@ -153,9 +153,6 @@ func NewChunkModel(p ChunkParams) (*ChunkModel, error) {
 	return &ChunkModel{p: p, use: use, sigma: sigma}, nil
 }
 
-// Params returns the model's parameters.
-func (m *ChunkModel) Params() ChunkParams { return m.p }
-
 // Dim returns the state dimension: K leecher classes plus the seed
 // population (state layout: y[j] = N_j for j < K, y[K] = seeds).
 func (m *ChunkModel) Dim() int { return m.p.K + 1 }

@@ -45,12 +45,6 @@ const (
 	strikeWindow    = 10 * time.Second
 )
 
-// fillTimeout bounds one cache-fill probe of a key's home replica. The
-// probe is an optimization: when the home is slow the spill target
-// should compute instead, so the budget stays well under any compute
-// time worth saving.
-const fillTimeout = 250 * time.Millisecond
-
 // Config configures a Gateway.
 type Config struct {
 	// Replicas are the btserve base URLs ("http://host:port") the
@@ -90,9 +84,8 @@ type Gateway struct {
 	book     *health.Book[int] // by replica index
 
 	requests, batchRequests, batchItemsC *obs.Counter
-	spills, fills, fillMisses            *obs.Counter
-	retries, replicaErrors, strikes      *obs.Counter
-	shed                                 *obs.Counter
+	spills, retries, replicaErrors       *obs.Counter
+	strikes, shed                        *obs.Counter
 	quarGauge, inflightGauge             *obs.Gauge
 	latency, upstream                    *obs.Histogram
 }
@@ -126,8 +119,6 @@ func New(cfg Config) (*Gateway, error) {
 		batchRequests: reg.Counter("gateway.batch.requests"),
 		batchItemsC:   reg.Counter("gateway.batch.items"),
 		spills:        reg.Counter("gateway.spills"),
-		fills:         reg.Counter("gateway.fill.hits"),
-		fillMisses:    reg.Counter("gateway.fill.misses"),
 		retries:       reg.Counter("gateway.retries"),
 		replicaErrors: reg.Counter("gateway.replica_errors"),
 		strikes:       reg.Counter("gateway.strikes"),
@@ -240,9 +231,6 @@ type exchange struct {
 	items int
 	// stream lifts DefaultForwardTimeout: a stream is bounded by its client.
 	stream bool
-	// fill, if set, is offered a spilled request's home before anything is
-	// forwarded; true means it answered the client.
-	fill func(home int) bool
 	// consume takes the response, whatever its status — what a replica
 	// chose to answer is the client's business — and returns an error only
 	// while nothing has reached the client and the reply is unusable: a
@@ -283,10 +271,6 @@ func (g *Gateway) do(ctx context.Context, x exchange) error {
 	g.mu.Unlock()
 	if healthy[0] != home {
 		g.spills.Inc()
-		if x.fill != nil && x.fill(home) {
-			g.release(healthy[0])
-			return nil
-		}
 	}
 	var err error
 	for n, target := range healthy {
@@ -406,23 +390,6 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer root.End()
 	w.Header().Set("X-Cache-Key", x.key)
-	x.fill = func(home int) bool {
-		root.Annotate("route", "spill")
-		// The home replica probably holds this key's bytes — its cache is
-		// why the key was homed there. Serving the home's cached bytes
-		// beats recomputing on the spill target.
-		cached, ok := g.probeCache(ctx, home, x.key)
-		if !ok {
-			g.fillMisses.Inc()
-			return false
-		}
-		g.fills.Inc()
-		w.Header().Set("X-Cache", "fill")
-		w.Header().Set("X-Replica", g.cfg.Replicas[home])
-		w.Header().Set("X-Route", "fill")
-		g.writeBody(w, http.StatusOK, cached)
-		return true
-	}
 	x.consume = func(target, home int, resp *http.Response) error {
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -447,44 +414,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// probeCache asks replica i's cache endpoint for key, bounded by
-// fillTimeout.
-func (g *Gateway) probeCache(tctx context.Context, i int, key string) ([]byte, bool) {
-	ctx, sp := trace.Start(tctx, "fill")
-	outcome := "error"
-	defer func() {
-		sp.Annotate("outcome", outcome)
-		sp.End()
-	}()
-	sp.Annotate("replica", g.cfg.Replicas[i])
-	ctx, cancel := context.WithTimeout(ctx, fillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.Replicas[i]+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		outcome = "miss"
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false
-	}
-	outcome = "hit"
-	return body, true
-}
-
 // handleStream proxies a streaming run to the key's replica, flushing
-// each chunk as it arrives. Streams bypass the cache on the replica, so
-// there is no fill path; bounded load still applies (a stream occupies
-// a replica slot for its whole life).
+// each chunk as it arrives. Bounded load applies: a stream occupies a
+// replica slot for its whole life.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, root, x, ok := g.single(w, r, "/v1/stream")
 	if !ok {
@@ -665,11 +597,12 @@ func reindexed(index int, rest []byte) []byte {
 
 // forwardSub sends one sub-batch and writes its items' ready-to-emit
 // lines, each re-indexed to the caller's position, into lines. A
-// non-200 reply stamps the replica's status (and Retry-After, for a
-// saturated replica) onto every item; a reply that is cut short, answers
-// an item twice or not at all, or holds a line that is neither an item
-// nor the terminal summary is no reply, and the sub-batch goes to the
-// next successor. With no replica left every item is a 502.
+// non-200 reply stamps the replica's status, its error text (and
+// Retry-After, for a saturated replica) onto every item; a reply that
+// is cut short, answers an item twice or not at all, or holds a line
+// that is neither an item nor the terminal summary is no reply, and the
+// sub-batch goes to the next successor. With no replica left every item
+// is a 502.
 func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLine) {
 	fail := func(status int, msg string, retrySec int) {
 		for _, idx := range sub.indices {
@@ -681,8 +614,17 @@ func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLi
 		consume: func(_, _ int, resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
 				retrySec, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-				fail(resp.StatusCode, string(bytes.TrimSpace(msg)), retrySec)
+				raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+				// Unwrap the replica's {"error": …} envelope so the item says
+				// what /v1/query would have; anything else passes as it is.
+				var env struct {
+					Error string `json:"error"`
+				}
+				msg := string(bytes.TrimSpace(raw))
+				if json.Unmarshal(raw, &env) == nil && env.Error != "" {
+					msg = env.Error
+				}
+				fail(resp.StatusCode, msg, retrySec)
 				return nil
 			}
 			got := make([]batchLine, len(sub.indices))
@@ -751,10 +693,4 @@ func (g *Gateway) writeErr(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (g *Gateway) writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }

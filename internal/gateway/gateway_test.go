@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +187,11 @@ func TestGatewayBatchRetryHintsPassThrough(t *testing.T) {
 		if it.RetryAfterSec != 9 {
 			t.Errorf("item %d retryAfterSec = %d, want 9 (verbatim from replica)", i, it.RetryAfterSec)
 		}
+		// The replica's {"error": …} envelope is unwrapped, not nested
+		// as JSON inside the item's string.
+		if it.Error != "saturated" {
+			t.Errorf("item %d error = %q, want %q (what /v1/query says)", i, it.Error, "saturated")
+		}
 	}
 	if sum.Shed != 2 {
 		t.Errorf("summary shed = %d, want 2", sum.Shed)
@@ -265,11 +271,11 @@ func TestGatewayBatchFanoutMatchesDirectBytes(t *testing.T) {
 	}
 }
 
-// TestGatewaySpillFillsFromHomeCache exercises the bounded-load spill +
-// cache-fill short-circuit: with the home replica saturated by in-flight
-// requests, the next request for a key it has cached is answered from
-// the home's cache bytes — not recomputed on the spill target.
-func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
+// TestGatewaySpillGoesToRingSuccessor exercises the bounded-load spill:
+// with the home replica saturated by in-flight requests, the next
+// request for one of its keys is forwarded to the key's ring successor
+// like any other exchange, and the home hears nothing more about it.
+func TestGatewaySpillGoesToRingSuccessor(t *testing.T) {
 	req := &serve.Request{}
 	if err := json.Unmarshal([]byte(qBody), req); err != nil {
 		t.Fatal(err)
@@ -278,27 +284,22 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := req.Key()
-	cached := `{"key":"` + key + `","cached":"bytes"}` + "\n"
+	const successorBytes = `{"computed":"on the ring successor"}` + "\n"
 
 	release := make(chan struct{})
 	var started sync.WaitGroup
 	started.Add(2)
+	var homeRequests atomic.Int32
 	homeHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/cache/") {
-			if !strings.HasSuffix(r.URL.Path, key) {
-				http.NotFound(w, r)
-				return
-			}
-			w.Header().Set("X-Cache", "hit")
-			_, _ = io.WriteString(w, cached)
-			return
+		if homeRequests.Add(1) > 2 {
+			return // counted; the test fails on the total below
 		}
 		started.Done()
 		<-release
-		_, _ = io.WriteString(w, cached)
+		_, _ = io.WriteString(w, `{"computed":"at home"}`+"\n")
 	})
 	spillHandler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, `{"recomputed":"on spill target"}`+"\n")
+		_, _ = io.WriteString(w, successorBytes)
 	})
 
 	// Ring ownership follows the URL hashes (ephemeral test ports), so
@@ -315,7 +316,8 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ring.Owner(key) == 0 {
+	walk := ring.Walk(key)
+	if walk[0] == 0 {
 		h1, h2 = homeHandler, spillHandler
 	} else {
 		h1, h2 = spillHandler, homeHandler
@@ -328,23 +330,25 @@ func TestGatewaySpillFillsFromHomeCache(t *testing.T) {
 	}
 	started.Wait()
 
-	// The third request must spill — and be served from the home's cache.
+	// The third request must spill to the successor.
 	resp, body := post(t, gw, "/v1/query", qBody)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("X-Cache"); got != "fill" {
-		t.Fatalf("X-Cache = %q, want \"fill\" (body: %s)", got, body)
+	if got := resp.Header.Get("X-Route"); got != "spill" {
+		t.Errorf("X-Route = %q, want \"spill\"", got)
 	}
-	if string(body) != cached {
-		t.Errorf("spilled request returned %q, want the home's cached bytes", body)
+	if got, want := resp.Header.Get("X-Replica"), replicas[walk[1]]; got != want {
+		t.Errorf("X-Replica = %q, want the ring successor %q", got, want)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["gateway.spills"] < 1 {
-		t.Error("gateway.spills not incremented")
+	if string(body) != successorBytes {
+		t.Errorf("spilled request returned %q, want the successor's bytes", body)
 	}
-	if snap.Counters["gateway.fill.hits"] != 1 {
-		t.Errorf("gateway.fill.hits = %d, want 1", snap.Counters["gateway.fill.hits"])
+	if got := reg.Snapshot().Counters["gateway.spills"]; got != 1 {
+		t.Errorf("gateway.spills = %d, want 1", got)
+	}
+	if got := homeRequests.Load(); got != 2 {
+		t.Errorf("home replica saw %d requests, want only the 2 that saturate it", got)
 	}
 }
 

@@ -8,9 +8,9 @@
 // cache key exactly one "home" replica. A key's traffic concentrates
 // where its cached bytes live, the tier-wide hit rate approaches a
 // single process's, and adding a replica only re-homes the keys on the
-// ring segments it claims. This is the same trick the modeled BitTorrent
-// swarm uses for pieces: spread the content, and answer a miss from
-// whoever already holds the bytes (the spill fill in handleQuery).
+// ring segments it claims. A miss is never fetched from another
+// replica: whoever is asked computes, and determinism makes the bytes
+// the same.
 //
 // Routing is the bounded-load variant of consistent hashing: a key
 // normally goes to its home replica, but when the home's in-flight
@@ -91,9 +91,6 @@ func hash64(s string) uint64 {
 	sum := sha256.Sum256([]byte(s))
 	return binary.BigEndian.Uint64(sum[:8])
 }
-
-// Replicas returns the replica count.
-func (r *Ring) Replicas() int { return r.n }
 
 // Owner returns the home replica index for a content-addressed key:
 // the replica owning the first ring point at or after the key's hash.

@@ -1,6 +1,6 @@
 // Package markov implements finite discrete-time Markov chains with sparse
-// transition structure: distribution evolution, stationary distributions,
-// absorbing-chain hitting-time analysis, and trajectory sampling.
+// transition structure: distribution evolution, absorbing-chain
+// hitting-time and visit-count analysis, and trajectory sampling.
 //
 // The package is the analytical engine underneath the paper's multiphased
 // download model (internal/core), which is a three-dimensional chain over
@@ -96,16 +96,6 @@ func (b *Builder) Build() (*Chain, error) {
 	return &Chain{rows: rows}, nil
 }
 
-// N returns the number of states.
-func (c *Chain) N() int { return len(c.rows) }
-
-// Row returns a copy of the sparse transition row of state i.
-func (c *Chain) Row(i int) []Transition {
-	out := make([]Transition, len(c.rows[i]))
-	copy(out, c.rows[i])
-	return out
-}
-
 // IsAbsorbing reports whether state i transitions only to itself.
 func (c *Chain) IsAbsorbing(i int) bool {
 	return len(c.rows[i]) == 1 && c.rows[i][0].To == i
@@ -139,29 +129,6 @@ func (c *Chain) Evolve(dist []float64, steps int, observe func(step int, dist []
 		}
 	}
 	return cur
-}
-
-// Stationary computes a stationary distribution by power iteration starting
-// from the uniform distribution, stopping when the L1 change drops below
-// tol or maxIter steps elapse. For unichain aperiodic chains this is the
-// unique equilibrium.
-func (c *Chain) Stationary(tol float64, maxIter int) ([]float64, error) {
-	n := len(c.rows)
-	if n == 0 {
-		return nil, ErrBadState
-	}
-	cur := make([]float64, n)
-	for i := range cur {
-		cur[i] = 1 / float64(n)
-	}
-	for it := 0; it < maxIter; it++ {
-		next := c.Step(cur)
-		if l1Diff(cur, next) < tol {
-			return next, nil
-		}
-		cur = next
-	}
-	return nil, fmt.Errorf("%w after %d iterations (tol %g)", ErrNoConverge, maxIter, tol)
 }
 
 // AbsorptionTime returns, for every transient state, the expected number of
@@ -241,12 +208,4 @@ func (c *Chain) nextState(r *stats.RNG, state int) int {
 	}
 	// Rounding slack: fall through to the last entry.
 	return row[len(row)-1].To
-}
-
-func l1Diff(a, b []float64) float64 {
-	sum := 0.0
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum
 }

@@ -56,7 +56,7 @@ func TestBuilderMergesDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := c.Row(0)
+	row := c.rows[0]
 	if len(row) != 2 {
 		t.Fatalf("row has %d entries, want 2 (merged)", len(row))
 	}
@@ -102,27 +102,6 @@ func TestEvolveObserve(t *testing.T) {
 	})
 	if len(steps) != 3 || steps[0] != 1 || steps[2] != 3 {
 		t.Errorf("observe steps = %v", steps)
-	}
-}
-
-func TestStationaryTwoStateFlip(t *testing.T) {
-	// 0 <-> 1 with asymmetric rates: stationary is (b, a)/(a+b) for
-	// a = P(0->1), b = P(1->0).
-	b := NewBuilder(2)
-	_ = b.Add(0, 1, 0.2)
-	_ = b.Add(0, 0, 0.8)
-	_ = b.Add(1, 0, 0.6)
-	_ = b.Add(1, 1, 0.4)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := c.Stationary(1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-0.75) > 1e-9 || math.Abs(pi[1]-0.25) > 1e-9 {
-		t.Errorf("stationary = %v, want [0.75 0.25]", pi)
 	}
 }
 

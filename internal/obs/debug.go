@@ -80,13 +80,6 @@ func (d *DebugServer) Addr() net.Addr { return d.addr }
 // Close shuts the server down immediately, aborting in-flight requests.
 func (d *DebugServer) Close() error { return d.srv.Close() }
 
-// Shutdown gracefully stops the server via http.Server.Shutdown: the
-// listener closes at once (the port is released), in-flight requests run
-// to completion, and the call returns ctx's error if they outlast it.
-func (d *DebugServer) Shutdown(ctx context.Context) error {
-	return d.srv.Shutdown(ctx)
-}
-
 // Drain is the exit-path convenience CLIs use: graceful shutdown bounded
 // by timeout, falling back to an immediate Close when in-flight requests
 // (e.g. a long pprof trace) do not finish in time.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 )
 
 // spanRecord is the JSONL line form: SpanData under the repository's
@@ -205,26 +204,4 @@ func Handler(t *Tracer) http.Handler {
 			http.Error(w, fmt.Sprintf("unknown format %q (want chrome or jsonl)", f), http.StatusBadRequest)
 		}
 	})
-}
-
-// TreeString renders spans of one trace as an indented tree, a
-// debugging aid for tests and log dumps.
-func TreeString(spans []SpanData, traceID string) string {
-	children := map[string][]SpanData{}
-	for _, sd := range spans {
-		if sd.Trace != traceID {
-			continue
-		}
-		children[sd.Parent] = append(children[sd.Parent], sd)
-	}
-	var b strings.Builder
-	var walk func(parent string, depth int)
-	walk = func(parent string, depth int) {
-		for _, sd := range children[parent] {
-			fmt.Fprintf(&b, "%s%s (%s, %dus)\n", strings.Repeat("  ", depth), sd.Name, sd.Proc, sd.DurUS)
-			walk(sd.ID, depth+1)
-		}
-	}
-	walk("", 0)
-	return b.String()
 }

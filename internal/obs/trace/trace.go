@@ -176,30 +176,6 @@ func (t *Tracer) Spans() []SpanData {
 	return out
 }
 
-// Total returns how many spans have ever been recorded (including any
-// already evicted from the ring).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Reset drops all buffered spans (the ingress sequence keeps counting,
-// so trace IDs stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring = nil
-	t.next = 0
-	t.total = 0
-	t.mu.Unlock()
-}
-
 // Collector is a Sink that captures spans for shipment in a dist result
 // frame, optionally teeing them into a local tracer's ring so the
 // worker's own /debug/trace shows them too.

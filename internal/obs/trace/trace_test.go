@@ -81,13 +81,6 @@ func TestRingBufferEvictsOldest(t *testing.T) {
 	if spans[0].ID != "g" || spans[3].ID != "j" {
 		t.Fatalf("ring kept %q..%q, want g..j", spans[0].ID, spans[3].ID)
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
-	}
-	tr.Reset()
-	if len(tr.Spans()) != 0 {
-		t.Fatal("reset left spans behind")
-	}
 }
 
 func TestNilTracerDisabledEverywhere(t *testing.T) {
@@ -114,8 +107,7 @@ func TestNilTracerDisabledEverywhere(t *testing.T) {
 		t.Fatal("nil span leaked identity")
 	}
 	tr.Record(SpanData{})
-	tr.Reset()
-	if tr.Spans() != nil || tr.Total() != 0 || tr.Proc() != "" {
+	if tr.Spans() != nil || tr.Proc() != "" {
 		t.Fatal("nil tracer not empty")
 	}
 	if ref := ContextRef(ctx); ref.Valid() || ref.Start("x") != nil {
@@ -214,7 +206,7 @@ func TestTransplantAndRef(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("ref-started shard span missing or misparented:\n%s", TreeString(spans, root.TraceID()))
+		t.Fatalf("ref-started shard span missing or misparented: %+v", spans)
 	}
 }
 

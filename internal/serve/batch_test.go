@@ -300,51 +300,6 @@ func TestColdBatchDoesNotShedItself(t *testing.T) {
 	}
 }
 
-// TestCachePeekServesStoredBytes covers the endpoint the gateway's
-// spill fill probes: a cached key replays its exact bytes, a cold key 404s, and
-// a malformed key 400s.
-func TestCachePeekServesStoredBytes(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	r1, b1 := postQuery(t, ts.URL, `{"kind":"efficiency","efficiency":{"k":5}}`)
-	key := r1.Header.Get("X-Cache-Key")
-
-	resp, err := http.Get(ts.URL + "/v1/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cache peek status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(got, b1) {
-		t.Fatalf("cache peek bytes diverge from query bytes")
-	}
-
-	cold := strings.Repeat("ab", 32)
-	resp, err = http.Get(ts.URL + "/v1/cache/" + cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()              //nolint:errcheck
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cold key status %d, want 404", resp.StatusCode)
-	}
-
-	for _, bad := range []string{"zz", strings.Repeat("Z", 64), strings.Repeat("a", 63)} {
-		resp, err = http.Get(ts.URL + "/v1/cache/" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()              //nolint:errcheck
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad key %q status %d, want 400", bad, resp.StatusCode)
-		}
-	}
-}
-
 // FuzzBatchDecode fuzzes the batch decoder end to end (split, per-item
 // decode, canonicalize), seeded from the serve canonicalization corpus:
 // the request shapes the existing tests exercise, wrapped in arrays,

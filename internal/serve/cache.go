@@ -112,14 +112,6 @@ func (c *Cache) Put(key string, body []byte) {
 	c.entries.Set(float64(len(c.items)))
 }
 
-// Len returns the number of entries currently held (including any that
-// have expired but not yet been touched).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 func (c *Cache) removeLocked(el *list.Element) {
 	if el == nil {
 		return

@@ -44,8 +44,8 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("expired entry served")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry not removed, len = %d", c.Len())
+	if len(c.items) != 0 {
+		t.Fatalf("expired entry not removed, len = %d", len(c.items))
 	}
 }
 
@@ -53,8 +53,8 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(4, 0)
 	c.Put("k", []byte("old"))
 	c.Put("k", []byte("new"))
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if len(c.items) != 1 {
+		t.Fatalf("len = %d, want 1", len(c.items))
 	}
 	body, ok := c.Get("k")
 	if !ok || string(body) != "new" {
@@ -80,7 +80,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if c.Len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.Len())
+	if len(c.items) > 16 {
+		t.Fatalf("cache exceeded capacity: %d", len(c.items))
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,5 +195,95 @@ func TestCanonicalizeRoundTripsJSON(t *testing.T) {
 	}
 	if back.Key() != req.Key() {
 		t.Fatal("key changed across JSON round trip")
+	}
+}
+
+// nudge moves a canonicalized field to a different value that is still
+// inside every domain the request validators check, and reports whether
+// it knows how for the field's type.
+func nudge(f reflect.Value) bool {
+	switch f.Kind() {
+	case reflect.Pointer:
+		if f.IsNil() {
+			f.Set(reflect.New(f.Type().Elem()))
+		}
+		return nudge(f.Elem())
+	case reflect.Int:
+		f.SetInt(f.Int() + 1)
+	case reflect.Float64:
+		if f.Float() == 0 {
+			f.SetFloat(0.25)
+		} else {
+			f.SetFloat(f.Float() / 2)
+		}
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.String:
+		switch f.String() {
+		case FluidQS:
+			f.SetString(FluidChunk)
+		case FluidChunk:
+			f.SetString(FluidQS)
+		default:
+			return false
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// TestEveryRequestFieldMovesTheKey walks the JSON fields of the four
+// query sections by reflection: starting from a canonical request, one
+// field at a time is moved to another valid value, and the resulting key
+// must differ from the base request's and from every other one-field
+// variant's. A field added to a struct and forgotten in Canonical would
+// alias cache keys — two different computations, one cached answer — and
+// fails here by name. (A chunk-only knob on a "qs" fluid request is
+// refused outright, which aliases nothing.)
+func TestEveryRequestFieldMovesTheKey(t *testing.T) {
+	for name, c := range map[string]struct {
+		base    Request
+		section func(*Request) any
+	}{
+		"model":       {Request{Kind: KindModel}, func(r *Request) any { return r.Model }},
+		"efficiency":  {Request{Kind: KindEfficiency}, func(r *Request) any { return r.Efficiency }},
+		"sim":         {Request{Kind: KindSim}, func(r *Request) any { return r.Sim }},
+		"fluid/qs":    {Request{Kind: KindFluid}, func(r *Request) any { return r.Fluid }},
+		"fluid/chunk": {Request{Kind: KindFluid, Fluid: &FluidQuery{Model: FluidChunk}}, func(r *Request) any { return r.Fluid }},
+	} {
+		fresh := func() (*Request, reflect.Value) {
+			r := c.base
+			if c.base.Fluid != nil {
+				q := *c.base.Fluid
+				r.Fluid = &q
+			}
+			if err := r.Canonicalize(); err != nil {
+				t.Fatalf("%s: base request: %v", name, err)
+			}
+			return &r, reflect.ValueOf(c.section(&r)).Elem()
+		}
+		base, sec := fresh()
+		seen := map[string]string{base.Key(): "the base request"}
+		for i := 0; i < sec.NumField(); i++ {
+			field, _, _ := strings.Cut(sec.Type().Field(i).Tag.Get("json"), ",")
+			if field == "" {
+				t.Fatalf("%s: field %s has no json name", name, sec.Type().Field(i).Name)
+			}
+			req, sec := fresh()
+			if !nudge(sec.Field(i)) {
+				t.Fatalf("%s.%s: nudge has no rule for a %s", name, field, sec.Type().Field(i).Type)
+			}
+			if err := req.Canonicalize(); err != nil {
+				if strings.Contains(err.Error(), "applies only to") {
+					continue
+				}
+				t.Fatalf("%s.%s: nudged request is invalid, teach nudge a valid value: %v", name, field, err)
+			}
+			if other, dup := seen[req.Key()]; dup {
+				t.Errorf("%s.%s: same key as %s — Canonical does not render this field\n%s", name, field, other, req.Canonical())
+			}
+			seen[req.Key()] = field
+		}
 	}
 }

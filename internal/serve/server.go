@@ -85,7 +85,6 @@ type Server struct {
 	requests, shed, computations, failures *obs.Counter
 	streamRounds                           *obs.Counter
 	fluidRequests, fluidSteps              *obs.Counter
-	cacheServes                            *obs.Counter
 	batchRequests, batchItems, batchBad    *obs.Counter
 	latency                                *obs.Histogram
 	// evalMs tracks evaluator time alone (admission wait excluded): the
@@ -140,7 +139,6 @@ func New(cfg Config) *Server {
 		streamRounds:  reg.Counter("serve.stream_rounds"),
 		fluidRequests: reg.Counter("serve.fluid.requests"),
 		fluidSteps:    reg.Counter("serve.fluid.stream_steps"),
-		cacheServes:   reg.Counter("serve.cachefill.serves"),
 		batchRequests: reg.Counter("serve.batch.requests"),
 		batchItems:    reg.Counter("serve.batch.items"),
 		batchBad:      reg.Counter("serve.batch.item_errors"),
@@ -152,7 +150,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -369,39 +366,6 @@ func (s *Server) admit(ctx context.Context, req *Request, eval func(context.Cont
 		result, err = eval(pctx, req)
 	})
 	return result, err
-}
-
-// handleCachePeek is the cache-fill endpoint the gateway probes when a
-// request spills away from its home replica: a pure cache probe
-// returning the stored marshaled bytes for a content-addressed key, or
-// 404. It never computes and never touches the admission gate.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if len(key) != 64 || !isHexKey(key) {
-		s.writeError(w, r, fmt.Errorf("%w: cache key must be 64 hex chars", ErrBadRequest))
-		return
-	}
-	body, ok := s.cache.Get(key)
-	if !ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		_ = json.NewEncoder(w).Encode(errorBody{Error: "cache miss"})
-		return
-	}
-	s.cacheServes.Inc()
-	w.Header().Set("X-Cache", "hit")
-	w.Header().Set("X-Cache-Key", key)
-	s.writeBody(w, http.StatusOK, body)
-}
-
-func isHexKey(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // roundRecord is one per-round streaming line: the internal/trace

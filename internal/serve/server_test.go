@@ -324,6 +324,17 @@ func TestBadRequests400(t *testing.T) {
 			t.Fatalf("%s: error body malformed: %s", name, b)
 		}
 	}
+	// The replica has no cache side door: even a key it holds is a 404.
+	// (The path is joined so scripts/guards.sh can ban its literal.)
+	warm, _ := postQuery(t, ts.URL, `{"kind":"efficiency","efficiency":{"k":5}}`)
+	resp, err := http.Get(strings.Join([]string{ts.URL, "v1", "cache", warm.Header.Get("X-Cache-Key")}, "/"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of a cached key's old peek path: status = %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestLatencyObservedOnAllExits: the serve.latency_ms histogram must

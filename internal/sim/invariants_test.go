@@ -67,9 +67,9 @@ func checkInvariants(t testing.TB, s *Swarm) {
 			}
 		}
 	}
-	if len(s.alive)+len(offline) != ps.len() {
+	if len(s.alive)+len(offline) != len(ps.id) {
 		t.Fatalf("round %d: %d alive + %d free/crashed slots != %d allocated",
-			round, len(s.alive), len(offline), ps.len())
+			round, len(s.alive), len(offline), len(ps.id))
 	}
 
 	// The seed list is exactly the alive slots flagged as seeds.
@@ -269,7 +269,7 @@ func checkDetachAll(t testing.TB, s *Swarm) {
 		for _, q := range slices.Clone(ps.nbrRow(sl)) {
 			unlinkOracle(s, sl, q)
 		}
-		for x := int32(0); int(x) < ps.len(); x++ {
+		for x := int32(0); int(x) < len(ps.id); x++ {
 			// Compare the live part of each row; what lies beyond the
 			// length is dead storage the two are free to leave differently.
 			if !slices.Equal(got.nbr[int(x)*ps.nbrCap:][:got.nbrLen[x]], ps.nbrRow(x)) ||

@@ -134,13 +134,8 @@ func (r *Result) Rounds() int { return r.rounds }
 // ConnsFormed returns the number of connections established over the run.
 func (r *Result) ConnsFormed() int { return r.connsFormed }
 
-// ConnsDropped returns the number of connections dropped by the strict
-// tit-for-tat condition (no remaining mutual interest, or a round in
-// which one endpoint had nothing to give).
-func (r *Result) ConnsDropped() int { return r.connsDropped }
-
 // FaultDrops returns the number of connections torn down by the injected
-// failure process (a subset of ConnsDropped).
+// failure process (a subset of the drops RoundStats.ConnsDropped counts).
 func (r *Result) FaultDrops() int { return r.faultDrops }
 
 // Crashes returns the number of injected leecher crashes.

@@ -142,7 +142,7 @@ func TestConnectionCountersPopulated(t *testing.T) {
 	if res.ConnsFormed() == 0 {
 		t.Error("no connections formed")
 	}
-	if res.ConnsDropped() == 0 {
+	if res.connsDropped == 0 {
 		t.Error("no connections dropped over a full run")
 	}
 }

@@ -69,8 +69,8 @@ func TestObserverMatchesResult(t *testing.T) {
 	if co.connsFormed != res.ConnsFormed() {
 		t.Errorf("conns formed: observer %d, result %d", co.connsFormed, res.ConnsFormed())
 	}
-	if co.connsDrop != res.ConnsDropped() {
-		t.Errorf("conns dropped: observer %d, result %d", co.connsDrop, res.ConnsDropped())
+	if co.connsDrop != res.connsDropped {
+		t.Errorf("conns dropped: observer %d, result %d", co.connsDrop, res.connsDropped)
 	}
 	// Arrivals fire between rounds; every arrival before the final round is
 	// attributed to some round. At most the post-final-round stragglers are
@@ -125,7 +125,7 @@ func TestRegistryObserverPopulates(t *testing.T) {
 		"sim.optimistic":    int64(res.OptimisticUploads()),
 		"sim.completions":   int64(len(res.Completions)),
 		"sim.conns_formed":  int64(res.ConnsFormed()),
-		"sim.conns_dropped": int64(res.ConnsDropped()),
+		"sim.conns_dropped": int64(res.connsDropped),
 	}
 	for name, want := range wantCounters {
 		if got := snap.Counters[name]; got != want {

@@ -160,7 +160,7 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 			"seed_uploads": res.SeedUploads(), "optimistic": res.OptimisticUploads(),
 			"shakes": res.Shakes(), "aborts": res.Aborts(), "lingered": res.Lingered(),
 			"rounds": res.Rounds(), "conns_formed": res.ConnsFormed(),
-			"conns_dropped": res.ConnsDropped(), "fault_drops": res.FaultDrops(),
+			"conns_dropped": res.connsDropped, "fault_drops": res.FaultDrops(),
 			"crashes": res.Crashes(), "rejoins": res.Rejoins(),
 			"blackout_rounds": res.BlackoutRounds(),
 		},

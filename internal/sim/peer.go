@@ -127,9 +127,6 @@ func newPeerStore(cfg Config) peerStore {
 	}
 }
 
-// len returns the number of allocated slots (live + free).
-func (ps *peerStore) len() int { return len(ps.id) }
-
 // extend appends n copies of v to s.
 func extend[T any](s []T, n int, v T) []T {
 	s = slices.Grow(s, n)

@@ -130,9 +130,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the running mean, or NaN when empty.
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -148,9 +145,6 @@ func (a *Accumulator) Variance() float64 {
 	}
 	return a.m2 / float64(a.n-1)
 }
-
-// Stddev returns the running sample standard deviation.
-func (a *Accumulator) Stddev() float64 { return math.Sqrt(a.Variance()) }
 
 // Min returns the smallest observation, or NaN when empty.
 func (a *Accumulator) Min() float64 {

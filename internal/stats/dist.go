@@ -61,14 +61,6 @@ type Binomial struct {
 	P float64
 }
 
-// NewBinomial validates the parameters and returns the distribution.
-func NewBinomial(n int, p float64) (Binomial, error) {
-	if n < 0 || p < 0 || p > 1 || math.IsNaN(p) {
-		return Binomial{}, ErrInvalidParam
-	}
-	return Binomial{N: n, P: p}, nil
-}
-
 // Mean returns N·P.
 func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
 
@@ -243,29 +235,10 @@ type Exponential struct {
 	Rate float64
 }
 
-// NewExponential validates the rate and returns the distribution.
-func NewExponential(rate float64) (Exponential, error) {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return Exponential{}, ErrInvalidParam
-	}
-	return Exponential{Rate: rate}, nil
-}
-
-// Mean returns 1/rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
 // Sample draws one variate by inversion.
 func (e Exponential) Sample(r *RNG) float64 {
 	// 1-U avoids ln(0); U in [0,1) so 1-U in (0,1].
 	return -math.Log(1-r.Float64()) / e.Rate
-}
-
-// CDF returns Pr(X <= x).
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-e.Rate*x)
 }
 
 // Geometric is the distribution of the number of Bernoulli(P) failures

@@ -1,7 +1,7 @@
 // Package stats provides the probabilistic substrate shared by the model,
 // the simulator, and the experiment harnesses: deterministic random-number
 // streams, discrete and continuous distributions with exact log-space PMFs,
-// descriptive statistics, histograms, and time-series utilities.
+// descriptive statistics, and time-series utilities.
 //
 // All randomness flows through explicitly seeded RNG values so that every
 // experiment in this repository is reproducible bit-for-bit.
@@ -128,9 +128,6 @@ func (r *RNG) uint64n(n uint64) uint64 {
 
 // Uint64 returns a uniform 64-bit value.
 func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
-
-// NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return rand.New(&r.pcg).NormFloat64() }
 
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {

@@ -31,9 +31,6 @@ func (s *Series) Append(t, v float64) error {
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.T) }
 
-// At returns the i-th point.
-func (s *Series) At(i int) (t, v float64) { return s.T[i], s.V[i] }
-
 // Last returns the final point, or NaNs when empty.
 func (s *Series) Last() (t, v float64) {
 	if len(s.T) == 0 {
@@ -138,13 +135,6 @@ func (s *Series) Downsample(maxPoints int) *Series {
 		j := int(math.Round(float64(i) * step))
 		_ = out.Append(s.T[j], s.V[j])
 	}
-	return out
-}
-
-// Values returns a copy of the value column.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.V))
-	copy(out, s.V)
 	return out
 }
 

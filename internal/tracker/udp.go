@@ -253,12 +253,6 @@ func (c UDPConfig) retransmits() int {
 	return c.MaxRetransmits
 }
 
-// AnnounceUDP performs a BEP 15 connect + announce round trip against a
-// UDP tracker at addr with the default transport configuration.
-func AnnounceUDP(addr string, req AnnounceRequest) (*AnnounceResponse, error) {
-	return UDPConfig{}.Announce(context.Background(), addr, req)
-}
-
 // exchange sends pkt and waits for a reply, retransmitting with the BEP
 // 15 backoff (timeout·2^n, bounded by MaxRetransmits) and honoring ctx
 // cancellation via the socket deadline.

@@ -24,22 +24,25 @@ absent() {
 }
 
 # The strike/ban policy lives in internal/health only, dist has one
-# re-issue threshold, and the only cache fill is the gateway's spill
-# probe. None of the deleted copies may grow back (bench/ keeps the
-# names as a historical never-import list).
+# re-issue threshold, and no tier fills its cache from another's (the
+# gateway's spill probe, the last fill, is guarded by one_request_path).
+# None of the deleted copies may grow back (bench/ keeps the names as a
+# historical never-import list).
 one_failure_accounting_kernel() {
 	absent one_failure_accounting_kernel \
 		'StragglerAfter|HTTPCacheFill|FillProbeOff|replicaBook|healthBook|banList' \
 		'*.go' ':!bench'
 }
 
-# The gateway forwards through one exchange function and the pool
+# The gateway forwards through one exchange function — the POST in
+# attempt is the only request it ever sends a replica — and the pool
 # breaker is a one-key strike book with constants (DESIGN.md §10, §13,
-# §16): the per-endpoint forwarders, the index splice and the breaker's
+# §16): the per-endpoint forwarders, the index splice, the spill
+# cache-fill probe with the replica route it called, and the breaker's
 # two flags may not grow back.
 one_request_path() {
 	absent one_request_path \
-		'forwardSubBatch|spliceIndex|homeFor|breaker-threshold|breaker-cooldown' \
+		'forwardSubBatch|spliceIndex|homeFor|breaker-threshold|breaker-cooldown|probeCache|handleCachePeek|fillTimeout|/v1/cache/|cachefill' \
 		'*.go' ':!bench'
 }
 

@@ -83,7 +83,7 @@ func BuildChain(p Params) (*markov.Chain, *StateSpace, error) {
 			}
 			continue
 		}
-		bNext := F(p, s.N, s.B)
+		bNext := F(p.B, s.N, s.B)
 		for _, gi := range G(p, s.N, s.B, s.I) {
 			for _, hn := range H(p, s.N, s.B, gi.Value) {
 				to := ss.Index(State{N: hn.Value, B: bNext, I: gi.Value})
@@ -106,7 +106,7 @@ func BuildChain(p Params) (*markov.Chain, *StateSpace, error) {
 // Step advances a state one transition step without materializing the
 // chain, drawing i' and n' from their exact distributions.
 func Step(p Params, r *stats.RNG, s State) State {
-	bNext := F(p, s.N, s.B)
+	bNext := F(p.B, s.N, s.B)
 	iNext := sampleOutcomes(r, G(p, s.N, s.B, s.I))
 	nNext := sampleOutcomes(r, H(p, s.N, s.B, iNext))
 	return State{N: nNext, B: bNext, I: iNext}

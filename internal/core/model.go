@@ -7,19 +7,20 @@ import (
 // Model is a Params set with every transition distribution precomputed:
 // the Equation (1) trading-power curve, the potential-set binomial tables
 // per piece count, and the Y1+Y2 connection-count convolutions per
-// (current connections, allowed new slots) pair. A Model is immutable
-// after construction and safe for concurrent use.
+// (current connections, allowed new slots) pair. Each distribution is
+// held as its running sum, so a draw is one binary search. A Model is
+// immutable after construction and safe for concurrent use.
 type Model struct {
 	p Params
 
 	// power[x] = p_(x) for x = 0..B.
 	power []float64
-	// iDist[x] = PMF of Binomial(S, p_(x)) used when i > 0 and b+n = x.
-	iDist [][]float64
-	// iInit = PMF of Binomial(S, PInit) used on joining.
-	iInit []float64
-	// nDist[n][m] = PMF of Bin(n, PR) + Bin(m, PN), n = 0..K, m = 0..K.
-	nDist [][][]float64
+	// iDist[x] = Binomial(S, p_(x)), used when i > 0 and b+n = x.
+	iDist []cdf
+	// iInit = Binomial(S, PInit), used on joining.
+	iInit cdf
+	// nDist[n][m] = Bin(n, PR) + Bin(m, PN), n = 0..K, m = 0..K.
+	nDist [][]cdf
 }
 
 // NewModel validates p and precomputes the transition tables.
@@ -33,22 +34,22 @@ func NewModel(p Params) (*Model, error) {
 	// log-choose row; the K+1 distinct factors of each connection-count
 	// convolution are tabulated once, not once per (n, slots) pair.
 	logChooseS := stats.LogChooseRow(p.S)
-	m.iDist = make([][]float64, p.B+1)
+	m.iDist = make([]cdf, p.B+1)
 	for x := 0; x <= p.B; x++ {
-		m.iDist[x] = stats.Binomial{N: p.S, P: m.power[x]}.PMFTableFrom(logChooseS)
+		m.iDist[x] = runningSum(stats.Binomial{N: p.S, P: m.power[x]}.PMFTableFrom(logChooseS))
 	}
-	m.iInit = stats.Binomial{N: p.S, P: p.PInit}.PMFTableFrom(logChooseS)
+	m.iInit = runningSum(stats.Binomial{N: p.S, P: p.PInit}.PMFTableFrom(logChooseS))
 	y1 := make([][]float64, p.K+1)
 	y2 := make([][]float64, p.K+1)
 	for n := 0; n <= p.K; n++ {
 		y1[n] = stats.Binomial{N: n, P: p.PR}.PMFTable()
 		y2[n] = stats.Binomial{N: n, P: p.PN}.PMFTable()
 	}
-	m.nDist = make([][][]float64, p.K+1)
+	m.nDist = make([][]cdf, p.K+1)
 	for n := 0; n <= p.K; n++ {
-		m.nDist[n] = make([][]float64, p.K+1)
+		m.nDist[n] = make([]cdf, p.K+1)
 		for slots := 0; slots <= p.K; slots++ {
-			m.nDist[n][slots] = convolvePMF(y1[n], y2[slots])
+			m.nDist[n][slots] = runningSum(convolvePMF(y1[n], y2[slots]))
 		}
 	}
 	return m, nil
@@ -64,8 +65,8 @@ func (m *Model) TradingPower(x int) float64 {
 
 // Step advances one state transition using the precomputed tables.
 func (m *Model) Step(r *stats.RNG, s State) State {
-	p := m.p
-	bNext := F(p, s.N, s.B)
+	p := &m.p
+	bNext := F(p.B, s.N, s.B)
 
 	// i' per Equation (2).
 	var iNext int
@@ -74,7 +75,7 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 	case s.B == p.B:
 		iNext = 0
 	case x == 0:
-		iNext = samplePMF(r, m.iInit)
+		iNext = m.iInit.index(r.Float64())
 	case s.I == 0 && x == 1:
 		if r.Bernoulli(p.Alpha) {
 			iNext = 1
@@ -84,7 +85,7 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 			iNext = 1
 		}
 	default:
-		iNext = samplePMF(r, m.iDist[clampIdx(x, p.B)])
+		iNext = m.iDist[clampIdx(x, p.B)].index(r.Float64())
 	}
 
 	// n' per Equation (3).
@@ -98,7 +99,7 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 		if slots < 0 {
 			slots = 0
 		}
-		nNext = samplePMF(r, m.nDist[s.N][slots])
+		nNext = m.nDist[s.N][slots].index(r.Float64())
 	}
 	return State{N: nNext, B: bNext, I: iNext}
 }
@@ -110,17 +111,36 @@ func clampIdx(x, hi int) int {
 	return x
 }
 
-// samplePMF draws an index from a dense PMF table.
-func samplePMF(r *stats.RNG, pmf []float64) int {
-	u := r.Float64()
+// cdf is a distribution over 0..len-1 held as its running sum.
+type cdf []float64
+
+// runningSum turns pmf into its running sum in place. It adds left to
+// right, so entry v is the float a linear inversion scan of pmf holds
+// after adding entry v, and index draws exactly what that scan draws.
+func runningSum(pmf []float64) cdf {
 	acc := 0.0
 	for v, p := range pmf {
 		acc += p
-		if u < acc {
-			return v
+		pmf[v] = acc
+	}
+	return pmf
+}
+
+// index inverts c at u: the first v with u < c[v], or the last index when
+// no entry passes u (a sum that rounded below 1 keeps the linear scan's
+// fallback). A running sum of non-negative entries never decreases, so
+// this is a binary search.
+func (c cdf) index(u float64) int {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < c[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return len(pmf) - 1
+	return lo
 }
 
 // convolvePMF returns the distribution of the sum of two independent

@@ -37,8 +37,8 @@ func (sp SeedParams) Validate() error {
 type SeededModel struct {
 	base *Model
 	sp   SeedParams
-	// serveDist is the PMF of pieces delivered by seeds per step.
-	serveDist []float64
+	// serveDist is the distribution of pieces delivered by seeds per step.
+	serveDist cdf
 }
 
 // NewSeededModel validates and builds the extended model.
@@ -53,7 +53,7 @@ func NewSeededModel(p Params, sp SeedParams) (*SeededModel, error) {
 	return &SeededModel{
 		base:      base,
 		sp:        sp,
-		serveDist: stats.Binomial{N: sp.Conns, P: sp.PServe}.PMFTable(),
+		serveDist: runningSum(stats.Binomial{N: sp.Conns, P: sp.PServe}.PMFTable()),
 	}, nil
 }
 
@@ -66,7 +66,7 @@ func (m *SeededModel) Step(r *stats.RNG, s State) State {
 		// stream-for-stream identical to the base model.
 		return next
 	}
-	if free := samplePMF(r, m.serveDist); free > 0 {
+	if free := m.serveDist.index(r.Float64()); free > 0 {
 		next.B += free
 		if next.B > m.base.p.B {
 			next.B = m.base.p.B

@@ -220,16 +220,22 @@ func (a *EnsembleAccum) UnmarshalBinary(data []byte) error {
 }
 
 // addRun folds one trajectory in. The piece count is monotone along a
-// trajectory (F never decreases b), so first-passage steps are found
-// with a single rising cursor instead of a per-run seen bitmap.
+// trajectory (F never decreases b), so the step that first reaches s.B
+// is the first passage of every count not reached before it. Each such
+// range goes into FPSum/FPCnt in difference form — +step at its start,
+// −step one past its end — which settleFirstPassages sums up.
 func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
 	nextB := 0
 	for step, s := range traj {
 		a.PotSum[s.B] += int64(s.I)
 		a.PotCnt[s.B]++
-		for ; nextB <= s.B; nextB++ {
+		if nextB <= s.B {
 			a.FPSum[nextB] += int64(step)
 			a.FPCnt[nextB]++
+			if nextB = s.B + 1; nextB < len(a.FPSum) {
+				a.FPSum[nextB] -= int64(step)
+				a.FPCnt[nextB]--
+			}
 		}
 	}
 	if steps := len(traj) - 1; traj[steps].B == p.B {
@@ -238,6 +244,16 @@ func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
 		a.Truncated++
 	}
 	a.Phases.add(ClassifyPhases(p, traj))
+}
+
+// settleFirstPassages turns the difference form addRun leaves in FPSum
+// and FPCnt into the sums themselves, with one prefix sum per chunk
+// instead of one add per piece per run.
+func (a *EnsembleAccum) settleFirstPassages() {
+	for b := 1; b < len(a.FPSum); b++ {
+		a.FPSum[b] += a.FPSum[b-1]
+		a.FPCnt[b] += a.FPCnt[b-1]
+	}
 }
 
 // Runs is the number of trajectories folded in.
@@ -361,6 +377,7 @@ func (m *Model) SampleRuns(ctx context.Context, r *stats.RNG, lo, hi int) (*Ense
 			}
 			acc.addRun(m.p, traj)
 		}
+		acc.settleFirstPassages()
 		return acc, nil
 	})
 	if err != nil {

@@ -10,18 +10,18 @@ type Outcome struct {
 	P     float64
 }
 
-// F returns the deterministic next piece count b' given the current state
-// (Section 3.1):
+// F returns the deterministic next piece count b' of a B-piece download
+// given the current state (Section 3.1):
 //
 //	b = 0           -> b' = 1              (first piece via seed/optimistic unchoke)
 //	b >= 1          -> b' = min(b+n, B)    (each active connection delivers one piece)
-func F(p Params, n, b int) int {
+func F(B, n, b int) int {
 	if b == 0 {
 		return 1
 	}
 	next := b + n
-	if next > p.B {
-		next = p.B
+	if next > B {
+		next = B
 	}
 	return next
 }

@@ -35,7 +35,7 @@ func TestF(t *testing.T) {
 		{0, 20, 20}, // complete stays complete
 	}
 	for _, c := range cases {
-		if got := F(p, c.n, c.b); got != c.want {
+		if got := F(p.B, c.n, c.b); got != c.want {
 			t.Errorf("F(n=%d, b=%d) = %d, want %d", c.n, c.b, got, c.want)
 		}
 	}

@@ -61,12 +61,6 @@ type Binomial struct {
 	P float64
 }
 
-// Mean returns N·P.
-func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
-
-// Variance returns N·P·(1−P).
-func (b Binomial) Variance() float64 { return float64(b.N) * b.P * (1 - b.P) }
-
 // LogPMF returns ln Pr(X = k).
 func (b Binomial) LogPMF(k int) float64 {
 	if k < 0 || k > b.N {
@@ -91,48 +85,6 @@ func (b Binomial) LogPMF(k int) float64 {
 
 // PMF returns Pr(X = k).
 func (b Binomial) PMF(k int) float64 { return math.Exp(b.LogPMF(k)) }
-
-// CDF returns Pr(X <= k).
-func (b Binomial) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= b.N {
-		return 1
-	}
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += b.PMF(i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// Sample draws one variate. For small N it inverts the CDF sequentially;
-// the distributions used in this repository have N = s (neighbor-set size,
-// tens), so this is both exact and fast.
-func (b Binomial) Sample(r *RNG) int {
-	if b.N == 0 || b.P <= 0 {
-		return 0
-	}
-	if b.P >= 1 {
-		return b.N
-	}
-	// Sequential inversion with recurrence pmf(k+1) = pmf(k)·(N-k)/(k+1)·p/(1-p).
-	u := r.Float64()
-	ratio := b.P / (1 - b.P)
-	pmf := math.Pow(1-b.P, float64(b.N))
-	cdf := pmf
-	k := 0
-	for cdf < u && k < b.N {
-		pmf *= float64(b.N-k) / float64(k+1) * ratio
-		cdf += pmf
-		k++
-	}
-	return k
-}
 
 // PMFTable returns the full probability vector Pr(X = 0..N).
 func (b Binomial) PMFTable() []float64 {

@@ -114,51 +114,12 @@ func TestBinomialPMFTableBitEqualsPMF(t *testing.T) {
 	}
 }
 
-func TestBinomialMomentsMatchSampling(t *testing.T) {
-	b := Binomial{N: 40, P: 0.3}
-	r := NewRNG(1, 2)
-	var acc Accumulator
-	for i := 0; i < 20000; i++ {
-		acc.Add(float64(b.Sample(r)))
-	}
-	if !almostEqual(acc.Mean(), b.Mean(), 0.15) {
-		t.Errorf("sample mean %g far from %g", acc.Mean(), b.Mean())
-	}
-	if !almostEqual(acc.Variance(), b.Variance(), 0.5) {
-		t.Errorf("sample variance %g far from %g", acc.Variance(), b.Variance())
-	}
-}
-
 func TestBinomialEdgeCases(t *testing.T) {
-	r := NewRNG(7, 7)
-	b0 := Binomial{N: 10, P: 0}
-	if b0.Sample(r) != 0 {
-		t.Error("P=0 must always sample 0")
-	}
-	if b0.PMF(0) != 1 {
+	if (Binomial{N: 10, P: 0}).PMF(0) != 1 {
 		t.Error("P=0 PMF(0) must be 1")
 	}
-	b1 := Binomial{N: 10, P: 1}
-	if b1.Sample(r) != 10 {
-		t.Error("P=1 must always sample N")
-	}
-	if b1.PMF(10) != 1 {
+	if (Binomial{N: 10, P: 1}).PMF(10) != 1 {
 		t.Error("P=1 PMF(N) must be 1")
-	}
-}
-
-func TestBinomialCDFMonotone(t *testing.T) {
-	b := Binomial{N: 25, P: 0.6}
-	prev := -1.0
-	for k := -1; k <= 26; k++ {
-		c := b.CDF(k)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF decreased at k=%d: %g < %g", k, c, prev)
-		}
-		prev = c
-	}
-	if b.CDF(25) != 1 {
-		t.Error("CDF at N must be 1")
 	}
 }
 

@@ -111,6 +111,15 @@ one_item_line_writer() {
 		'*.go' ':!bench' ':!internal/serve/batch.go'
 }
 
+# The chain draws every transition one way: a binary search of a
+# running-sum table (core's cdf.index, DESIGN.md §17). The linear scan it
+# replaced is the test-only reference FuzzCDFIndex holds it to, and
+# stats.Binomial's own recurrence sampler and CDF may not grow back.
+one_transition_sampler() {
+	absent one_transition_sampler 'func samplePMF\(' 'internal/core/*.go' ':!*_test.go'
+	absent one_transition_sampler 'func \(b Binomial\) (Sample|CDF)\(' 'internal/stats/*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -135,6 +144,7 @@ one_efficiency_solver_one_log_choose
 one_way_to_check_the_stack
 one_shard_payload_encoding
 one_item_line_writer
+one_transition_sampler
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

@@ -153,7 +153,7 @@ func run(w io.Writer, cfg sim.Config, series bool, tracesTo, metricsOut, debugAd
 		}
 		written := 0
 		for _, pt := range res.Traces {
-			d := simTraceToDownload(pt, cfg)
+			d := pt.Download(cfg)
 			if len(d.Samples) < 2 {
 				continue
 			}
@@ -191,26 +191,4 @@ func run(w io.Writer, cfg sim.Config, series bool, tracesTo, metricsOut, debugAd
 		fmt.Fprintf(w, "metrics snapshot written to %s\n", metricsOut)
 	}
 	return nil
-}
-
-func simTraceToDownload(pt sim.PeerTrace, cfg sim.Config) *trace.Download {
-	d := &trace.Download{
-		Meta: trace.Meta{
-			Client:      "btsim",
-			Swarm:       fmt.Sprintf("sim-B%d-s%d", cfg.Pieces, cfg.NeighborSet),
-			Pieces:      cfg.Pieces,
-			PieceSize:   trace.DefaultPieceSize,
-			NeighborCap: cfg.NeighborSet,
-		},
-	}
-	for _, s := range pt.Samples {
-		d.Samples = append(d.Samples, trace.Sample{
-			T:         s.Time - pt.ArrivedAt,
-			Bytes:     int64(s.Pieces) * trace.DefaultPieceSize,
-			Pieces:    s.Pieces,
-			Potential: s.Potential,
-			Conns:     s.Conns,
-		})
-	}
-	return d
 }

@@ -63,7 +63,7 @@ func TestRunWritesTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if d.Meta.Client != "btsim" {
+		if d.Meta.Client != "sim" {
 			t.Errorf("%s: client = %q", e.Name(), d.Meta.Client)
 		}
 	}

@@ -108,19 +108,28 @@ func eventMix(w io.Writer, path string, ref *trace.Download) error {
 		return fmt.Errorf("%s: no metric snapshots", path)
 	}
 
-	phases := []string{"bootstrap", "efficient", "last"}
-	mix := make(map[string]map[string]int64) // counter -> phase -> delta
+	// One forward merge of the snapshots with the trace's samples: an
+	// interval takes the label trace.Phaser gives the last sample at or
+	// before its left endpoint (bootstrap before the first sample). A
+	// snapshot time that goes backwards restarts the walk.
+	mix := make(map[string]map[trace.Phase]int64) // counter -> phase -> delta
 	prev := map[string]int64{}
 	prevT := 0.0
+	ph, phase, next := trace.Phaser{B: ref.Meta.Pieces}, trace.PhaseBootstrap, 0
 	for _, rec := range recs {
-		phase := phaseAt(ref, prevT)
+		for ; next < len(ref.Samples) && ref.Samples[next].T <= prevT; next++ {
+			phase = ph.Next(ref.Samples[next].Pieces, ref.Samples[next].Potential)
+		}
 		for name, v := range rec.Counters {
 			if d := v - prev[name]; d != 0 {
 				if mix[name] == nil {
-					mix[name] = make(map[string]int64)
+					mix[name] = make(map[trace.Phase]int64)
 				}
 				mix[name][phase] += d
 			}
+		}
+		if rec.T < prevT {
+			ph, phase, next = trace.Phaser{B: ref.Meta.Pieces}, trace.PhaseBootstrap, 0
 		}
 		prev = rec.Counters
 		prevT = rec.T
@@ -132,46 +141,15 @@ func eventMix(w io.Writer, path string, ref *trace.Download) error {
 	}
 	sort.Strings(names)
 
+	boot, eff, last := trace.PhaseBootstrap, trace.PhaseEfficient, trace.PhaseLast
 	fmt.Fprintf(w, "event mix by phase (%s, %d snapshots, reference %s):\n",
 		path, len(recs), ref.Meta.Client)
-	fmt.Fprintf(w, "  %-40s %10s %10s %10s\n", "counter", phases[0], phases[1], phases[2])
+	fmt.Fprintf(w, "  %-40s %10s %10s %10s\n", "counter", boot, eff, last)
 	for _, name := range names {
 		fmt.Fprintf(w, "  %-40s %10d %10d %10d\n",
-			name, mix[name]["bootstrap"], mix[name]["efficient"], mix[name]["last"])
+			name, mix[name][boot], mix[name][eff], mix[name][last])
 	}
 	return nil
-}
-
-// phaseAt classifies the reference trace's state at time t using the same
-// rules as trace.Analyze: bootstrap until the peer first holds a piece
-// with a non-empty potential set; afterwards, an empty potential set
-// while incomplete is the last download phase; everything else is the
-// efficient phase. Times before the first sample are bootstrap; times
-// after the last sample keep its classification.
-func phaseAt(d *trace.Download, t float64) string {
-	bootEnd := -1
-	for i, s := range d.Samples {
-		if s.Pieces >= 1 && s.Potential >= 1 {
-			bootEnd = i
-			break
-		}
-	}
-	// Index of the last sample at or before t.
-	at := -1
-	for i, s := range d.Samples {
-		if s.T > t {
-			break
-		}
-		at = i
-	}
-	if bootEnd < 0 || at < bootEnd {
-		return "bootstrap"
-	}
-	s := d.Samples[at]
-	if s.Potential == 0 && s.Pieces > 1 && s.Pieces < d.Meta.Pieces {
-		return "last"
-	}
-	return "efficient"
 }
 
 func parseRegime(s string) (trace.Regime, error) {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -153,5 +157,111 @@ func TestRunEventMixErrors(t *testing.T) {
 	}
 	if err := run(&sb, "", false, empty, []string{path}); err == nil {
 		t.Error("empty metrics file must error")
+	}
+}
+
+// phaseAtRef is the per-snapshot classifier eventMix used before its
+// forward merge: it rescans the whole trace for every time asked. It
+// stays as the reference the merge must match.
+func phaseAtRef(d *trace.Download, t float64) string {
+	bootEnd := -1
+	for i, s := range d.Samples {
+		if s.Pieces >= 1 && s.Potential >= 1 {
+			bootEnd = i
+			break
+		}
+	}
+	at := -1
+	for i, s := range d.Samples {
+		if s.T > t {
+			break
+		}
+		at = i
+	}
+	if bootEnd < 0 || at < bootEnd {
+		return "bootstrap"
+	}
+	s := d.Samples[at]
+	if s.Potential == 0 && s.Pieces > 1 && s.Pieces < d.Meta.Pieces {
+		return "last"
+	}
+	return "efficient"
+}
+
+// TestEventMixMatchesPhaseAtRef runs eventMix on random traces and random
+// snapshot times — before the first sample, after the last, exactly on
+// sample times, and, in some cases, out of order — with one counter per
+// snapshot, so each output row names the phase one interval was given,
+// and compares every row with phaseAtRef at the interval's left endpoint.
+func TestEventMixMatchesPhaseAtRef(t *testing.T) {
+	r := rand.New(rand.NewPCG(30, 2))
+	dir := t.TempDir()
+	row := regexp.MustCompile(`(?m)^  (c\d+)\s+(\d+)\s+(\d+)\s+(\d+)$`)
+	columns := map[string]string{"bootstrap": "1 0 0", "efficient": "0 1 0", "last": "0 0 1"}
+	for c := 0; c < 300; c++ {
+		b := 1 + r.IntN(8)
+		d := &trace.Download{Meta: trace.Meta{Client: "ref", Pieces: b, PieceSize: 1}}
+		tm, pieces := float64(r.IntN(3)), 0
+		for n := 2 + r.IntN(20); len(d.Samples) < n; {
+			if r.IntN(4) > 0 { // else a zero-length interval
+				tm += float64(1 + r.IntN(3))
+			}
+			pieces = min(b, pieces+r.IntN(3))
+			d.Samples = append(d.Samples, trace.Sample{
+				T: tm, Bytes: int64(pieces), Pieces: pieces, Potential: r.IntN(3) * r.IntN(2),
+			})
+		}
+		var times []float64
+		for n := 1 + r.IntN(25); len(times) < n; {
+			switch r.IntN(3) {
+			case 0: // exactly on a sample time
+				times = append(times, d.Samples[r.IntN(len(d.Samples))].T)
+			default: // anywhere from before the first sample to after the last
+				times = append(times, r.Float64()*(tm+4)-2)
+			}
+		}
+		if r.IntN(4) > 0 {
+			slices.Sort(times)
+		}
+
+		tracePath := filepath.Join(dir, fmt.Sprintf("t%d.jsonl", c))
+		var tb strings.Builder
+		if err := trace.Write(&tb, d); err != nil {
+			t.Fatal(err)
+		}
+		metricsPath := filepath.Join(dir, fmt.Sprintf("m%d.jsonl", c))
+		var mb strings.Builder
+		for k, at := range times {
+			snap := obs.Snapshot{Counters: map[string]int64{fmt.Sprintf("c%03d", k): 1}}
+			if err := obs.WriteSnapshot(&mb, at, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(tracePath, []byte(tb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metricsPath, []byte(mb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var out strings.Builder
+		if err := run(&out, "", false, metricsPath, []string{tracePath}); err != nil {
+			t.Fatal(err)
+		}
+		got := row.FindAllStringSubmatch(out.String(), -1)
+		if len(got) != len(times) {
+			t.Fatalf("case %d: %d rows for %d snapshots in %q", c, len(got), len(times), out.String())
+		}
+		for _, m := range got {
+			k, _ := strconv.Atoi(m[1][1:])
+			left := 0.0
+			if k > 0 {
+				left = times[k-1]
+			}
+			if want := phaseAtRef(d, left); strings.Join(m[2:], " ") != columns[want] {
+				t.Fatalf("case %d snapshot %d (interval from t=%g): row %q, want phase %s\ntrace %+v\ntimes %v",
+					c, k, left, m[0], want, d.Samples, times)
+			}
+		}
 	}
 }

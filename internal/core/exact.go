@@ -6,6 +6,8 @@ package core
 // ... including transient effects" as future work; for state spaces that
 // fit in memory this file provides it.
 
+import "repro/internal/trace"
+
 // PhaseDurations holds expected step counts per download phase.
 type PhaseDurations struct {
 	Bootstrap float64
@@ -16,18 +18,24 @@ type PhaseDurations struct {
 // Total returns the expected download time in steps.
 func (d PhaseDurations) Total() float64 { return d.Bootstrap + d.Efficient + d.Last }
 
-// phaseOfState classifies a state by region, consistent with the
-// trajectory classifier: waiting states with at most one piece are
-// bootstrap; incomplete states with an empty potential set and no
-// connections are the last phase; everything else is efficient download.
-func phaseOfState(p Params, s State) Phase {
+// phaseOfState classifies a state by region alone: waiting states with
+// at most one piece are bootstrap; incomplete states with an empty
+// potential set and no connections are the last phase; everything else is
+// efficient download. The exact chain does not remember whether the peer
+// has booted, so this is not trace.Phaser, the trajectory rule. For
+// 0 < b < B they disagree exactly here (TestExactRuleVersusPhaser):
+//   - b=1, i=0, n=0 after booting: bootstrap here, efficient there;
+//   - i=0, n>0 before booting: efficient here, bootstrap there;
+//   - i=0, n>0, 1<b<B after booting: efficient here, last there;
+//   - i=0, n=0, b>1 before booting: last here, bootstrap there.
+func phaseOfState(p Params, s State) trace.Phase {
 	switch {
 	case s.B == 0 || (s.B == 1 && s.I == 0 && s.N == 0):
-		return PhaseBootstrap
+		return trace.PhaseBootstrap
 	case s.B < p.B && s.I == 0 && s.N == 0 && s.B > 1:
-		return PhaseLast
+		return trace.PhaseLast
 	default:
-		return PhaseEfficient
+		return trace.PhaseEfficient
 	}
 }
 
@@ -44,7 +52,7 @@ func ExactPhaseDurations(p Params) (PhaseDurations, error) {
 	if err != nil {
 		return PhaseDurations{}, err
 	}
-	var out PhaseDurations
+	var by [trace.PhaseLast + 1]float64 // expected visits, indexed by phase
 	for idx, v := range visits {
 		if v == 0 {
 			continue
@@ -53,16 +61,11 @@ func ExactPhaseDurations(p Params) (PhaseDurations, error) {
 		if s.B == p.B {
 			continue // completed states are absorbing, not a phase
 		}
-		switch phaseOfState(p, s) {
-		case PhaseBootstrap:
-			out.Bootstrap += v
-		case PhaseLast:
-			out.Last += v
-		default:
-			out.Efficient += v
-		}
+		by[phaseOfState(p, s)] += v
 	}
-	return out, nil
+	return PhaseDurations{
+		Bootstrap: by[trace.PhaseBootstrap], Efficient: by[trace.PhaseEfficient], Last: by[trace.PhaseLast],
+	}, nil
 }
 
 // PhaseOccupancy returns, for each step t = 0..steps, the probability
@@ -91,6 +94,7 @@ func TransientPhases(p Params, steps int) (PhaseOccupancy, error) {
 		Last:      make([]float64, steps+1),
 		Done:      make([]float64, steps+1),
 	}
+	byPhase := [...][]float64{trace.PhaseBootstrap: out.Bootstrap, trace.PhaseEfficient: out.Efficient, trace.PhaseLast: out.Last}
 	dist := make([]float64, ss.Size())
 	dist[ss.Index(ss.Initial())] = 1
 	record := func(t int, d []float64) {
@@ -103,14 +107,7 @@ func TransientPhases(p Params, steps int) (PhaseOccupancy, error) {
 				out.Done[t] += pm
 				continue
 			}
-			switch phaseOfState(p, s) {
-			case PhaseBootstrap:
-				out.Bootstrap[t] += pm
-			case PhaseLast:
-				out.Last[t] += pm
-			default:
-				out.Efficient[t] += pm
-			}
+			byPhase[phaseOfState(p, s)][t] += pm
 		}
 	}
 	record(0, dist)

@@ -1,31 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
 
-// Phase labels the three regimes of the download evolution identified by
-// the paper (Section 3.2).
-type Phase int
-
-// The three phases, in download order.
-const (
-	PhaseBootstrap Phase = iota + 1
-	PhaseEfficient
-	PhaseLast
+	"repro/internal/trace"
 )
-
-// String returns the phase name.
-func (p Phase) String() string {
-	switch p {
-	case PhaseBootstrap:
-		return "bootstrap"
-	case PhaseEfficient:
-		return "efficient"
-	case PhaseLast:
-		return "last"
-	default:
-		return "unknown"
-	}
-}
 
 // PhaseBreakdown counts the steps a single trajectory spent in each phase.
 type PhaseBreakdown struct {
@@ -34,34 +13,29 @@ type PhaseBreakdown struct {
 	Last      int
 }
 
-// ClassifyPhases attributes each step of a trajectory to a phase:
-//
-//   - bootstrap: from joining until the peer first holds a piece AND has a
-//     non-empty potential set (it can finally trade);
-//   - last: steps after bootstrap where the potential set is empty and the
-//     peer holds more than one piece (waiting on γ for piece inflow);
-//   - efficient: every other step before completion.
+// ClassifyPhases counts each step of a trajectory in the phase of the
+// state it lands in, as trace.Phaser labels it: bootstrap until the peer
+// first holds a piece and has a non-empty potential set (that step is
+// efficient), then last while the potential set is empty and 1 < b < B,
+// and efficient otherwise.
 func ClassifyPhases(p Params, t Trajectory) PhaseBreakdown {
 	var out PhaseBreakdown
-	booted := false
+	ph := trace.Phaser{B: p.B}
 	for step := 1; step < len(t); step++ {
-		s := t[step]
-		if !booted {
-			if s.B >= 1 && s.I >= 1 {
-				booted = true
-				out.Efficient++ // the escaping step begins trading
-				continue
-			}
-			out.Bootstrap++
-			continue
-		}
-		if s.I == 0 && s.B > 1 && s.B < p.B {
-			out.Last++
-			continue
-		}
-		out.Efficient++
+		out.count(ph.Next(t[step].B, t[step].I))
 	}
 	return out
+}
+
+func (pb *PhaseBreakdown) count(ph trace.Phase) {
+	switch ph {
+	case trace.PhaseBootstrap:
+		pb.Bootstrap++
+	case trace.PhaseLast:
+		pb.Last++
+	default:
+		pb.Efficient++
+	}
 }
 
 // PhaseSummary aggregates phase breakdowns over an ensemble of runs.

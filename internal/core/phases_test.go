@@ -1,0 +1,166 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/stats"
+	"repro/internal/trace"
+)
+
+// classifyPhasesRef is ClassifyPhases as it was written before it labelled
+// through trace.Phaser, with the escape and last-phase predicates inline.
+// It stays as the reference the Phaser-based labelling must match.
+func classifyPhasesRef(p Params, t Trajectory) PhaseBreakdown {
+	var out PhaseBreakdown
+	booted := false
+	for step := 1; step < len(t); step++ {
+		s := t[step]
+		if !booted {
+			if s.B >= 1 && s.I >= 1 {
+				booted = true
+				out.Efficient++ // the escaping step begins trading
+				continue
+			}
+			out.Bootstrap++
+			continue
+		}
+		if s.I == 0 && s.B > 1 && s.B < p.B {
+			out.Last++
+			continue
+		}
+		out.Efficient++
+	}
+	return out
+}
+
+// TestClassifyPhasesMatchesReference holds ClassifyPhases and addRun's
+// phase totals to the reference on sampled and hand-made trajectories.
+func TestClassifyPhasesMatchesReference(t *testing.T) {
+	hand := []Trajectory{
+		nil,
+		{{}},
+		{{}, {B: 1}, {B: 1}},                   // never boots
+		{{}, {B: 1}, {B: 1}, {B: 1, I: 1}},     // boots on the last step
+		{{}, {B: 1, I: 2}, {N: 0, B: 1, I: 0}}, // b=1, i=0 after booting
+		{{}, {B: 1, I: 2}, {N: 2, B: 1}, {N: 2, B: 3}},          // i=0 with live connections
+		{{}, {B: 1}, {N: 2, B: 1}, {N: 1, B: 3}, {B: 4}},        // i=0, n>0 before booting
+		{{}, {B: 1, I: 1}, {N: 1, B: 2}, {B: 3}, {B: 3}},        // stalls to the end
+		{{}, {B: 1, I: 1}, {N: 3, B: 4}, {B: 20}, {B: 20}},      // completes with i=0
+		{{}, {B: 25, I: 3}, {B: 30}, {N: 1, B: 30, I: 0}},       // b beyond B
+		{{N: 3, B: 5, I: 2}, {B: 5}, {B: 5, I: 1}, {B: 6}},      // starts mid-download
+		{{}, {B: 1, I: 1}, {B: 1, I: 0}, {B: 2, I: 0}, {B: 19}}, // 1 < b < B edges
+	}
+	p := testParams()
+	for i, traj := range hand {
+		want := classifyPhasesRef(p, traj)
+		if got := ClassifyPhases(p, traj); got != want {
+			t.Errorf("hand-made %d: ClassifyPhases = %+v, reference %+v", i, got, want)
+		}
+		if len(traj) == 0 || slices.ContainsFunc(traj, func(s State) bool { return s.B > p.B }) {
+			continue // addRun folds only what a model can sample
+		}
+		acc, ref := NewEnsembleAccum(p.B), phaseAccumulator{}
+		acc.addRun(p, traj)
+		if ref.add(want); acc.Phases != ref {
+			t.Errorf("hand-made %d: addRun phases = %+v, reference %+v", i, acc.Phases, ref)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"DefaultParams(5)", DefaultParams(5)},
+		{"DefaultParams(40)", DefaultParams(40)},
+		{"testParams", testParams()},
+	} {
+		m, err := NewModel(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := NewEnsembleAccum(c.p.B)
+		var want phaseAccumulator
+		r := stats.NewRNG(30, 5)
+		for run := 0; run < 10_000; run++ {
+			traj := m.SampleTrajectory(r.At(run))
+			ref := classifyPhasesRef(c.p, traj)
+			if got := ClassifyPhases(c.p, traj); got != ref {
+				t.Fatalf("%s run %d: ClassifyPhases = %+v, reference %+v", c.name, run, got, ref)
+			}
+			want.add(ref)
+			acc.addRun(c.p, traj)
+			if acc.Phases != want {
+				t.Fatalf("%s run %d: addRun phases = %+v, reference %+v", c.name, run, acc.Phases, want)
+			}
+		}
+	}
+}
+
+// TestExactRuleVersusPhaser walks testParams()'s incomplete states and
+// pins exactly where the memoryless exact-chain rule (phaseOfState)
+// disagrees with the trajectory rule (trace.Phaser), before and after the
+// peer has booted: the four rows phaseOfState's comment names, with the
+// labels it gives them, and no other state.
+func TestExactRuleVersusPhaser(t *testing.T) {
+	p := testParams()
+	const (
+		boot = trace.PhaseBootstrap
+		eff  = trace.PhaseEfficient
+		last = trace.PhaseLast
+	)
+	rows := map[string]int{}
+	for n := 0; n <= p.K; n++ {
+		for b := 0; b < p.B; b++ {
+			for i := 0; i <= p.S; i++ {
+				s := State{N: n, B: b, I: i}
+				exact := phaseOfState(p, s)
+				fresh, booted := trace.Phaser{B: p.B}, trace.Phaser{B: p.B}
+				booted.Next(1, 1)
+				before, after := fresh.Next(b, i), booted.Next(b, i)
+
+				var row string
+				var wantExact, wantBefore, wantAfter trace.Phase // 0: as exact
+				switch {
+				case b == 1 && i == 0 && n == 0:
+					row, wantExact, wantAfter = "b=1,i=0,n=0 after", boot, eff
+				case i == 0 && n > 0 && b > 1:
+					row, wantExact, wantBefore, wantAfter = "i=0,n>0,1<b<B after (and before)", eff, boot, last
+				case i == 0 && n > 0 && b == 1:
+					row, wantExact, wantBefore = "i=0,n>0 before", eff, boot
+				case i == 0 && n == 0 && b > 1:
+					row, wantExact, wantBefore = "i=0,n=0,b>1 before", last, boot
+				default:
+					wantExact = exact
+				}
+				rows[row]++
+				if wantBefore == 0 {
+					wantBefore = wantExact
+				}
+				if wantAfter == 0 {
+					wantAfter = wantExact
+				}
+				if exact != wantExact || before != wantBefore || (b > 0 && after != wantAfter) {
+					// A booted peer holds a piece, so b = 0 has no "after".
+					t.Errorf("%+v: exact %v, Phaser before %v, after %v; want %v, %v, %v",
+						s, exact, before, after, wantExact, wantBefore, wantAfter)
+				}
+			}
+		}
+	}
+	delete(rows, "")
+	want := map[string]int{
+		"b=1,i=0,n=0 after":                1,
+		"i=0,n>0 before":                   3,
+		"i=0,n>0,1<b<B after (and before)": 54,
+		"i=0,n=0,b>1 before":               18,
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", rows, want)
+	}
+	for row, n := range want {
+		if rows[row] != n {
+			t.Errorf("row %q: %d states, want %d", row, rows[row], n)
+		}
+	}
+}

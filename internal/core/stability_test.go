@@ -180,12 +180,3 @@ func TestPhaseSummaryAggregation(t *testing.T) {
 		t.Error("empty accumulator must produce zero summary")
 	}
 }
-
-func TestPhaseString(t *testing.T) {
-	if PhaseBootstrap.String() != "bootstrap" ||
-		PhaseEfficient.String() != "efficient" ||
-		PhaseLast.String() != "last" ||
-		Phase(0).String() != "unknown" {
-		t.Error("phase names wrong")
-	}
-}

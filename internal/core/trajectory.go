@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Trajectory is one sampled realization of the download process. Entry t
@@ -223,10 +224,16 @@ func (a *EnsembleAccum) UnmarshalBinary(data []byte) error {
 // trajectory (F never decreases b), so the step that first reaches s.B
 // is the first passage of every count not reached before it. Each such
 // range goes into FPSum/FPCnt in difference form — +step at its start,
-// −step one past its end — which settleFirstPassages sums up.
+// −step one past its end — which settleFirstPassages sums up. Each step
+// after the first is labelled as ClassifyPhases labels it, in this pass.
 func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
+	var pb PhaseBreakdown
+	ph := trace.Phaser{B: p.B}
 	nextB := 0
 	for step, s := range traj {
+		if step > 0 {
+			pb.count(ph.Next(s.B, s.I))
+		}
 		a.PotSum[s.B] += int64(s.I)
 		a.PotCnt[s.B]++
 		if nextB <= s.B {
@@ -243,7 +250,7 @@ func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
 	} else {
 		a.Truncated++
 	}
-	a.Phases.add(ClassifyPhases(p, traj))
+	a.Phases.add(pb)
 }
 
 // settleFirstPassages turns the difference form addRun leaves in FPSum

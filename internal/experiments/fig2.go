@@ -74,30 +74,6 @@ func fig2Config(regime trace.Regime, scale Scale) sim.Config {
 	return cfg
 }
 
-// toTrace converts a simulator peer trajectory into the shared trace
-// format (bytes = pieces × the conventional 256 KiB piece size).
-func toTrace(pt sim.PeerTrace, cfg sim.Config) *trace.Download {
-	d := &trace.Download{
-		Meta: trace.Meta{
-			Client:      "sim",
-			Swarm:       fmt.Sprintf("sim-B%d-s%d", cfg.Pieces, cfg.NeighborSet),
-			Pieces:      cfg.Pieces,
-			PieceSize:   trace.DefaultPieceSize,
-			NeighborCap: cfg.NeighborSet,
-		},
-	}
-	for _, s := range pt.Samples {
-		d.Samples = append(d.Samples, trace.Sample{
-			T:         s.Time - pt.ArrivedAt,
-			Bytes:     int64(s.Pieces) * trace.DefaultPieceSize,
-			Pieces:    s.Pieces,
-			Potential: s.Potential,
-			Conns:     s.Conns,
-		})
-	}
-	return d
-}
-
 // Fig2 runs the three regime configurations, classifies every tracked
 // peer's trace, and returns a representative instance per regime.
 func Fig2(scale Scale) (*Fig2Result, error) {
@@ -123,7 +99,7 @@ func Fig2(scale Scale) (*Fig2Result, error) {
 		var bestRep trace.PhaseReport
 		matches, classified := 0, 0
 		for _, pt := range res.Traces {
-			d := toTrace(pt, cfg)
+			d := pt.Download(cfg)
 			rep, err := trace.Analyze(d)
 			if err != nil {
 				continue

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/des"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // CompletionRecord describes one finished download.
@@ -29,6 +31,31 @@ type PeerTrace struct {
 	ArrivedAt float64
 	Completed bool
 	Samples   []TraceSample
+}
+
+// Download converts pt into the shared trace format: time since arrival,
+// and bytes = pieces × trace.DefaultPieceSize.
+func (pt PeerTrace) Download(cfg Config) *trace.Download {
+	d := &trace.Download{
+		Meta: trace.Meta{
+			Client:      "sim",
+			Swarm:       fmt.Sprintf("sim-B%d-s%d", cfg.Pieces, cfg.NeighborSet),
+			Pieces:      cfg.Pieces,
+			PieceSize:   trace.DefaultPieceSize,
+			NeighborCap: cfg.NeighborSet,
+		},
+		Samples: make([]trace.Sample, len(pt.Samples)),
+	}
+	for i, s := range pt.Samples {
+		d.Samples[i] = trace.Sample{
+			T:         s.Time - pt.ArrivedAt,
+			Bytes:     int64(s.Pieces) * trace.DefaultPieceSize,
+			Pieces:    s.Pieces,
+			Potential: s.Potential,
+			Conns:     s.Conns,
+		}
+	}
+	return d
 }
 
 // Result holds every measurement of a simulation run.

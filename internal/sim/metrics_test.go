@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestMeanTTDByOrdinalRaggedLengths is the regression test for the sizing
@@ -144,5 +146,23 @@ func TestConnectionCountersPopulated(t *testing.T) {
 	}
 	if res.connsDropped == 0 {
 		t.Error("no connections dropped over a full run")
+	}
+}
+
+func TestPeerTraceDownload(t *testing.T) {
+	pt := PeerTrace{ArrivedAt: 10, Samples: []TraceSample{
+		{Time: 10, Pieces: 0, Potential: 0, Conns: 0},
+		{Time: 12.5, Pieces: 3, Potential: 2, Conns: 1},
+	}}
+	d := pt.Download(Config{Pieces: 8, NeighborSet: 5})
+	want := trace.Meta{Client: "sim", Swarm: "sim-B8-s5", Pieces: 8, PieceSize: trace.DefaultPieceSize, NeighborCap: 5}
+	if d.Meta != want {
+		t.Errorf("meta = %+v, want %+v", d.Meta, want)
+	}
+	if len(d.Samples) != 2 || cap(d.Samples) != 2 {
+		t.Fatalf("samples len %d cap %d, want 2 and 2", len(d.Samples), cap(d.Samples))
+	}
+	if s := d.Samples[1]; s != (trace.Sample{T: 2.5, Bytes: 3 * trace.DefaultPieceSize, Pieces: 3, Potential: 2, Conns: 1}) {
+		t.Errorf("sample = %+v", s)
 	}
 }

@@ -86,40 +86,34 @@ func Analyze(d *Download) (PhaseReport, error) {
 		rep.MeanRate = float64(last.Bytes-first.Bytes) / rep.Duration
 	}
 
-	// Bootstrap: until the peer first holds >= 1 piece with a non-empty
-	// potential set (it can finally trade).
+	// One pass labels each interval's first sample (Phaser). Bootstrap
+	// ends at the first sample that is not bootstrap; after it, each
+	// interval counts in the phase of the sample it starts from. A peer
+	// that boots only at the last sample spent the whole trace booting.
+	ph := Phaser{B: d.Meta.Pieces}
 	bootEnd := -1
-	for i, s := range d.Samples {
-		if s.Pieces >= 1 && s.Potential >= 1 {
+	for i, s := range d.Samples[:len(d.Samples)-1] {
+		phase := ph.Next(s.Pieces, s.Potential)
+		if phase == PhaseBootstrap {
+			continue
+		}
+		if bootEnd < 0 {
 			bootEnd = i
-			break
+		}
+		if dt := d.Samples[i+1].T - s.T; phase == PhaseLast {
+			rep.LastPhaseTime += dt
+			rep.TailStall += dt
+		} else {
+			rep.TailStall = 0
 		}
 	}
 	if bootEnd < 0 {
-		// Never escaped: the entire trace is bootstrap.
+		// Never escaped before the last sample: all of it is bootstrap.
 		rep.BootstrapTime = rep.Duration
 		rep.Regime = RegimeBootstrap
 		return rep, nil
 	}
 	rep.BootstrapTime = d.Samples[bootEnd].T - first.T
-
-	// Last-phase stalls: intervals after bootstrap with an empty
-	// potential set while the download is incomplete. Attribute each
-	// inter-sample interval to the state at its left endpoint.
-	stall := 0.0
-	tail := 0.0
-	for i := bootEnd; i < len(d.Samples)-1; i++ {
-		s := d.Samples[i]
-		dt := d.Samples[i+1].T - s.T
-		if s.Potential == 0 && s.Pieces > 1 && s.Pieces < d.Meta.Pieces {
-			stall += dt
-			tail += dt
-		} else {
-			tail = 0
-		}
-	}
-	rep.LastPhaseTime = stall
-	rep.TailStall = tail
 	rep.EfficientTime = rep.Duration - rep.BootstrapTime - rep.LastPhaseTime
 	if rep.EfficientTime < 0 {
 		rep.EfficientTime = 0

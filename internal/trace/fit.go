@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // FitResult holds model-parameter estimates extracted from a set of
@@ -72,15 +74,15 @@ func Fit(traces []*Download) (FitResult, error) {
 	interval := median(intervals)
 	out := FitResult{
 		Traces:               used,
-		PotentialRatio:       mean(ratios),
-		MeanCompletion:       mean(compTimes),
+		PotentialRatio:       stats.Mean(ratios),
+		MeanCompletion:       stats.Mean(compTimes),
 		MedianSampleInterval: interval,
 	}
 	// Escape probabilities per sample step: the wait is geometric with
 	// mean 1/p, so p = interval / meanWait. Zero observed waits mean the
 	// phase effectively never binds; report 1 (instant escape).
-	out.Alpha = escapeProb(mean(bootWaits), interval)
-	out.Gamma = escapeProb(mean(stallTimes), interval)
+	out.Alpha = escapeProb(stats.Mean(bootWaits), interval)
+	out.Gamma = escapeProb(stats.Mean(stallTimes), interval)
 	return out, nil
 }
 
@@ -124,17 +126,6 @@ func sampleIntervals(d *Download) []float64 {
 		}
 	}
 	return out
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 func median(xs []float64) float64 {

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzRead asserts the trace reader never panics and that accepted traces
-// survive a write/read round trip and analysis.
+// FuzzRead asserts the trace reader never panics, that accepted traces
+// survive a write/read round trip and analysis, and that Analyze agrees
+// with analyzeRef bit for bit.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	_ = Write(&buf, &Download{
@@ -40,6 +41,24 @@ func FuzzRead(f *testing.F) {
 		`{"type":"sample","sample":{"t":0,"pieces":9}}`)
 	f.Add(`{"type":"meta","meta":{"pieces":2,"pieceSize":1}}` + "\n" +
 		`{"type":"round","sample":{"t":0}}`)
+	// Phase boundaries Analyze must segment exactly as analyzeRef does:
+	// boots only at the last sample; never boots; boots then stalls to
+	// the end; b = 1 with an empty potential set after booting; a first
+	// sample away from t = 0; zero-length intervals.
+	for _, samples := range []string{
+		`{"t":0}|{"t":1,"pieces":1}|{"t":2,"pieces":2,"potential":1}`,
+		`{"t":0}|{"t":1,"pieces":1}|{"t":3,"pieces":3}`,
+		`{"t":0}|{"t":1,"pieces":1,"potential":2}|{"t":2,"pieces":2}|{"t":5,"pieces":3}`,
+		`{"t":0}|{"t":1,"pieces":1,"potential":1}|{"t":2,"pieces":1}|{"t":4,"pieces":4}`,
+		`{"t":7.5}|{"t":8,"pieces":1,"potential":1}|{"t":9,"pieces":2}|{"t":12,"pieces":4}`,
+		`{"t":0}|{"t":0,"pieces":1,"potential":1}|{"t":0,"pieces":2}|{"t":2,"pieces":2}|{"t":2,"pieces":4}`,
+	} {
+		rec := `{"type":"meta","meta":{"pieces":4,"pieceSize":1}}`
+		for _, s := range strings.Split(samples, "|") {
+			rec += "\n" + `{"type":"sample","sample":` + s + `}`
+		}
+		f.Add(rec)
+	}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		d, err := Read(strings.NewReader(data))
@@ -58,8 +77,11 @@ func FuzzRead(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 		// Analysis and parameter fitting must never panic on an accepted
-		// trace.
-		_, _ = Analyze(d)
+		// trace, and Analyze matches its reference bit for bit.
+		got, gerr := Analyze(d)
+		if want, werr := analyzeRef(d); gerr != werr || !sameReport(got, want) {
+			t.Fatalf("Analyze = %+v (%v), reference %+v (%v)", got, gerr, want, werr)
+		}
 		_, _ = Fit([]*Download{d})
 	})
 }

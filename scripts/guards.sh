@@ -120,6 +120,20 @@ one_transition_sampler() {
 	absent one_transition_sampler 'func \(b Binomial\) (Sample|CDF)\(' 'internal/stats/*.go' ':!*_test.go'
 }
 
+# A download's states are labelled with the paper's phases by one rule,
+# trace.Phaser (DESIGN.md §17), and a sim trace converts to the trace
+# format one way, sim.PeerTrace.Download: the per-snapshot rescan, the
+# two conversion copies, and the bootstrap-escape (pieces >= 1 &&
+# potential >= 1) and last-phase (potential == 0 && pieces > 1)
+# predicates written inline may not grow back. core's exact-chain rule
+# is memoryless on purpose and tests n == 0 too, so it does not match.
+one_phase_rule() {
+	absent one_phase_rule 'func (phaseAt|toTrace|simTraceToDownload)\(' '*.go' ':!bench'
+	absent one_phase_rule \
+		'(B|Pieces|pieces) >= 1 && [[:alnum:]_.]*(I|Potential|potential) >= 1|(I|Potential|potential) == 0 && [[:alnum:]_.]*(B|Pieces|pieces) > 1' \
+		'*.go' ':!*_test.go' ':!bench' ':!internal/trace/phase.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -145,6 +159,7 @@ one_way_to_check_the_stack
 one_shard_payload_encoding
 one_item_line_writer
 one_transition_sampler
+one_phase_rule
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

@@ -147,14 +147,13 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 		})
 	}
 	doc := map[string]any{
-		"population":               ser(res.PopulationSeries.T, res.PopulationSeries.V),
-		"entropy":                  ser(res.EntropySeries.T, res.EntropySeries.V),
-		"efficiency":               ser(res.EfficiencySeries.T, res.EfficiencySeries.V),
-		"pr":                       ser(res.PRSeries.T, res.PRSeries.V),
-		"completions":              completions,
-		"traces":                   traces,
-		"mean_potential_by_pieces": fs(res.MeanPotentialByPieces),
-		"end_time":                 f(res.EndTime),
+		"population":  ser(res.PopulationSeries.T, res.PopulationSeries.V),
+		"entropy":     ser(res.EntropySeries.T, res.EntropySeries.V),
+		"efficiency":  ser(res.EfficiencySeries.T, res.EfficiencySeries.V),
+		"pr":          ser(res.PRSeries.T, res.PRSeries.V),
+		"completions": completions,
+		"traces":      traces,
+		"end_time":    f(res.EndTime),
 		"counters": map[string]int{
 			"arrivals": res.Arrivals(), "exchanges": res.Exchanges(),
 			"seed_uploads": res.SeedUploads(), "optimistic": res.OptimisticUploads(),

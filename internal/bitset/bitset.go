@@ -67,13 +67,6 @@ func (s *Set) Fill() {
 	s.maskTail()
 }
 
-// Clear unsets every bit.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // maskTail zeroes the bits beyond n in the last word.
 func (s *Set) maskTail() {
 	if s.n%64 != 0 && len(s.words) > 0 {

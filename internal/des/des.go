@@ -95,13 +95,6 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events waiting in the queue, including
-// cancelled events not yet discarded.
-func (s *Simulator) Pending() int { return s.queue.Len() }
-
 // At schedules fn at absolute virtual time at. It returns the Event handle
 // so the caller may cancel it.
 func (s *Simulator) At(at float64, fn func()) (*Event, error) {

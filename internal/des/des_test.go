@@ -175,15 +175,12 @@ func TestFiredAndPendingCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", s.Pending())
+	if st := s.Stats(); st.Pending != 5 {
+		t.Errorf("pending = %d, want 5", st.Pending)
 	}
 	s.Run(math.Inf(1))
-	if s.Fired() != 5 {
-		t.Errorf("fired = %d, want 5", s.Fired())
-	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d, want 0", s.Pending())
+	if st := s.Stats(); st.Fired != 5 || st.Pending != 0 {
+		t.Errorf("fired = %d, pending = %d, want 5 and 0", st.Fired, st.Pending)
 	}
 }
 

@@ -59,10 +59,33 @@ func churnConfig() Config {
 //
 // profiles the regime DESIGN §14's "Where a round goes" table describes
 // without the bench/ harness.
-func BenchmarkSwarmChurn(b *testing.B) {
+func BenchmarkSwarmChurn(b *testing.B) { benchSwarm(b, churnConfig()) }
+
+// BenchmarkSwarmSmall is Figure 1(b)'s s = 50 swarm (internal/experiments
+// fig1.go: B = 50, k = 7, 120 initial leechers, λ = 2, seed upload 6, at
+// the full horizon of 300): a small swarm whose tracker spends most of its
+// tries on draws that cannot link, and the longest single job of a quick
+// figures pass.
+func BenchmarkSwarmSmall(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Pieces = 50
+	cfg.MaxConns = 7
+	cfg.NeighborSet = 50
+	cfg.InitialPeers = 120
+	cfg.ArrivalRate = 2
+	cfg.SeedUpload = 6
+	cfg.Horizon = 300
+	cfg.TrackPeers = 0
+	cfg.Seed1, cfg.Seed2 = 50, 0x51B
+	benchSwarm(b, cfg)
+}
+
+// benchSwarm runs cfg end to end b.N times and reports peer-rounds/s and
+// tracker tries per link made.
+func benchSwarm(b *testing.B, cfg Config) {
 	var peerRounds, tries, links float64
 	for i := 0; i < b.N; i++ {
-		s, err := New(churnConfig())
+		s, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -169,6 +169,26 @@ func checkInvariants(t testing.TB, s *Swarm) {
 	if ps.roomy != roomy {
 		t.Fatalf("round %d: roomy = %d, %d alive peers have a free neighbor slot", round, ps.roomy, roomy)
 	}
+	checkDegrees(t, s)
+
+	// A tracked leecher of this round was sampled by recordMetrics, and
+	// its sample's potential is the tradable scan of that moment. Without
+	// aborts, departures cannot change a survivor's potential set — a
+	// completed leaver or a seed lacks nothing, so it is nobody's trading
+	// partner — so the scan repeated now must agree.
+	if cfg.AbortRate == 0 && round > 0 {
+		for _, sl := range s.alive {
+			if !ps.tracked[sl] || ps.inRound[sl] != int32(round) {
+				continue
+			}
+			samples := s.traces[ps.traceIdx[sl]]
+			last := samples[len(samples)-1]
+			if want := len(ps.tradable(nil, sl)); last.Time != s.sim.Now() || last.Potential != want {
+				t.Fatalf("round %d: tracked peer %d's newest sample %+v, want potential %d at t=%g",
+					round, ps.id[sl], last, want, s.sim.Now())
+			}
+		}
+	}
 
 	// Every peer that ever joined is somewhere: done (lingering seeds were
 	// recorded at completion), aborted, present, or crashed (awaiting
@@ -199,6 +219,54 @@ func checkInvariants(t testing.TB, s *Swarm) {
 			if float64(sum) != pop.V[n-1] {
 				t.Fatalf("round %d: census sums to %d, population sample is %g", round, sum, pop.V[n-1])
 			}
+		}
+	}
+}
+
+// checkDegrees recounts every piece's replication degree over alive from
+// the piece rows and requires the table the round maintains to agree.
+func checkDegrees(t testing.TB, s *Swarm) {
+	t.Helper()
+	recount := make([]int, s.cfg.Pieces)
+	for _, sl := range s.alive {
+		countRowInto(recount, s.ps.pieceRow(sl))
+	}
+	if !slices.Equal(s.degree, recount) {
+		t.Fatalf("round %d: degree table %v, recount over alive %v", s.res.rounds, s.degree, recount)
+	}
+}
+
+// TestDegreeFollowsAlive: the degree table counts the slots in alive,
+// which keeps a removed peer until compactAlive drops it — so removePeer
+// leaves the table alone, and compactAlive takes the pieces out.
+func TestDegreeFollowsAlive(t *testing.T) {
+	cfg := smallConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(10); err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range s.alive {
+		if !s.ps.seed[sl] && s.ps.pieceCnt[sl] > 0 {
+			s.removePeer(sl, true)
+			checkDegrees(t, s)
+			s.compactAlive()
+			checkDegrees(t, s)
+			return
+		}
+	}
+	t.Fatal("no leecher holds a piece after 10 rounds")
+}
+
+// countRowInto increments out[j] for every bit j set in the row.
+func countRowInto(out []int, row []uint64) {
+	for wi, w := range row {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			out[wi<<6+b]++
 		}
 	}
 }

@@ -58,7 +58,9 @@ func (pt PeerTrace) Download(cfg Config) *trace.Download {
 	return d
 }
 
-// Result holds every measurement of a simulation run.
+// Result holds every measurement of a simulation run. The potential set
+// is measured the way the paper's §4 measures it, on instrumented peers
+// only: set Config.TrackPeers and read TraceSample.Potential in Traces.
 type Result struct {
 	// PopulationSeries is the number of leechers over time (Fig. 4b).
 	PopulationSeries *stats.Series
@@ -75,11 +77,6 @@ type Result struct {
 	Completions []CompletionRecord
 	// Traces holds the tracked peers' instrumented trajectories.
 	Traces []PeerTrace
-
-	// MeanPotentialByPieces[b] is the average potential-set size observed
-	// across all peer-rounds at piece count b (NaN when unobserved) —
-	// the simulation side of Figure 1.
-	MeanPotentialByPieces []float64
 
 	// CensusT and Census hold the piece-count population vector over time
 	// when Config.PieceCensus is set: Census[i][b] is the number of
@@ -102,8 +99,6 @@ type Result struct {
 	rounds         int
 	blackoutRounds int
 
-	potSum []float64
-	potCnt []int
 	prAcc  stats.Accumulator
 	effAcc stats.Accumulator
 }
@@ -129,8 +124,6 @@ func newResult(cfg Config) *Result {
 		EntropySeries:    stats.NewSeries(rounds),
 		EfficiencySeries: stats.NewSeries(rounds),
 		PRSeries:         stats.NewSeries(rounds),
-		potSum:           make([]float64, cfg.Pieces+1),
-		potCnt:           make([]int, cfg.Pieces+1),
 	}
 }
 
@@ -277,13 +270,5 @@ func (r *Result) finish(s *Swarm, now float64) {
 				Samples:   s.traces[s.ps.traceIdx[sl]],
 			})
 		}
-	}
-	r.MeanPotentialByPieces = make([]float64, len(r.potSum))
-	for b := range r.potSum {
-		if r.potCnt[b] == 0 {
-			r.MeanPotentialByPieces[b] = math.NaN()
-			continue
-		}
-		r.MeanPotentialByPieces[b] = r.potSum[b] / float64(r.potCnt[b])
 	}
 }

@@ -43,6 +43,12 @@ type Swarm struct {
 	tracked int
 	traces  [][]TraceSample // per tracked peer, indexed by traceIdx
 
+	// degree[j] counts the slots in alive that hold piece j, kept as pieces
+	// and peers move (give, New, aliveInsert, compactAlive). alive keeps a
+	// removed peer until compactAlive drops it, so the table loses the
+	// peer's pieces there, not in removePeer.
+	degree []int
+
 	// epoch counts piece acquisitions and seed-flag flips swarm-wide; it
 	// keys the peerStore quiescence memos. Starts at 1 so a zero memo
 	// field can never validate.
@@ -85,7 +91,6 @@ type Swarm struct {
 	unchokeBuf  []int32
 	candBuf     []int32
 	connScratch []int32 // connection-row snapshots under mutation
-	degreeBuf   []int   // replication-degree tables
 
 	// Last-round gauge values, kept for the Observer hook. NaN means
 	// "not measured this round".
@@ -112,6 +117,7 @@ func New(cfg Config) (*Swarm, error) {
 		rng:          stats.NewRNG(cfg.Seed1, cfg.Seed2),
 		sim:          des.New(),
 		ps:           newPeerStore(cfg),
+		degree:       make([]int, cfg.Pieces),
 		epoch:        1,
 		superPending: make(map[int]bool),
 		res:          newResult(cfg),
@@ -125,6 +131,9 @@ func New(cfg Config) (*Swarm, error) {
 		s.alive = append(s.alive, sl)
 		s.seeds = append(s.seeds, sl)
 		s.ps.roomy++
+	}
+	for j := range s.degree {
+		s.degree[j] = cfg.Seeds
 	}
 	for i := 0; i < cfg.InitialPeers; i++ {
 		sl := s.spawnLeecher(0)
@@ -174,8 +183,8 @@ func (s *Swarm) applySkew(sl int32) {
 }
 
 // give records the acquisition of piece j by slot sl at the given time,
-// updating the piece inventory, the acquisition log, and the neighbors'
-// rarest-first replication counts.
+// updating the piece inventory, the acquisition log, the piece's
+// replication degree, and the neighbors' rarest-first replication counts.
 func (s *Swarm) give(sl int32, j int, now float64) {
 	ps := &s.ps
 	wbase := int(sl) * ps.words
@@ -189,6 +198,7 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 	ps.pieceTimes[base+j] = now
 	ps.acqOrder[base+int(ps.acqLen[sl])] = int32(j)
 	ps.acqLen[sl]++
+	s.degree[j]++
 	s.epoch++
 	if s.ps.useRare {
 		for _, nb := range ps.nbrRow(sl) {
@@ -199,12 +209,17 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 
 // rareShift adds src's whole piece inventory to dst's rarest-first
 // replication table delta times: +1 on link, -1 (as its uint16 two's
-// complement, rareDec) on detach. An empty inventory — every fresh
-// arrival — changes nothing, and a full one — every departing leecher and
-// every seed — shifts the whole row without reading a single bit.
+// complement, rareDec) on detach.
 func (s *Swarm) rareShift(dst, src int32, delta uint16) {
 	ps := &s.ps
-	row := ps.rare[int(dst)*ps.pieces:][:ps.pieces]
+	addInventory(ps, ps.rare[int(dst)*ps.pieces:][:ps.pieces], src, delta)
+}
+
+// addInventory adds delta to row[j] for every piece j that src holds. An
+// empty inventory — every fresh arrival — changes nothing, and a full one
+// — every departing leecher and every seed — shifts the whole row without
+// reading a single bit.
+func addInventory[T int | uint16](ps *peerStore, row []T, src int32, delta T) {
 	switch int(ps.pieceCnt[src]) {
 	case 0:
 	case ps.pieces:
@@ -608,15 +623,18 @@ func (s *Swarm) removePeer(sl int32, freeSlot bool) {
 }
 
 // compactAlive drops the peers removed since the last call from the
-// alive list in one pass — a departure apiece would move the tail of the
-// list once per departure, O(population) each.
+// alive list, and their inventories from the degree table, in one pass —
+// a departure apiece would move the tail of the list once per departure,
+// O(population) each.
 func (s *Swarm) compactAlive() {
 	if s.removed == 0 {
 		return
 	}
 	kept := s.alive[:0]
 	for _, sl := range s.alive {
-		if !s.ps.gone[sl] {
+		if s.ps.gone[sl] {
+			addInventory(&s.ps, s.degree, sl, -1)
+		} else {
 			kept = append(kept, sl)
 		}
 	}
@@ -631,6 +649,7 @@ func (s *Swarm) aliveInsert(sl int32) {
 	s.alive = append(s.alive, 0)
 	copy(s.alive[i+1:], s.alive[i:])
 	s.alive[i] = sl
+	addInventory(&s.ps, s.degree, sl, 1)
 	s.ps.gone[sl] = false
 	s.ps.roomy++
 }
@@ -700,7 +719,9 @@ func (s *Swarm) topUpNeighbors(p int32) {
 func (s *Swarm) establishConns(p int32) {
 	ps := &s.ps
 	free := s.cfg.MaxConns - int(ps.connLen[p])
-	if free <= 0 {
+	// A peer with no piece has nothing any neighbor lacks, so its potential
+	// set is empty; in a churning swarm most scans would be fresh arrivals'.
+	if free <= 0 || ps.pieceCnt[p] == 0 {
 		return
 	}
 	// Quiescence memo: the last scan found the potential set empty
@@ -885,10 +906,8 @@ func (s *Swarm) pickPiece(src, dst int32) int {
 // maximizing the distinct pieces injected per unit of seed bandwidth.
 func (s *Swarm) seedUploads(now float64) {
 	ps := &s.ps
-	var leecherDegrees []int
 	if s.cfg.SuperSeed {
-		leecherDegrees = s.leecherReplicationDegrees()
-		s.releaseConfirmedPieces(leecherDegrees)
+		s.releaseConfirmedPieces()
 	}
 	for _, sd := range s.seeds {
 		interested := s.candBuf[:0]
@@ -905,16 +924,16 @@ func (s *Swarm) seedUploads(now float64) {
 			interested[i], interested[j] = interested[j], interested[i]
 		})
 		for u := 0; u < s.cfg.SeedUpload; u++ {
-			s.seedUploadOne(sd, interested[u%len(interested)], now, leecherDegrees)
+			s.seedUploadOne(sd, interested[u%len(interested)], now)
 		}
 	}
 }
 
 // seedUploadOne pushes one piece from seed sd to leecher q.
-func (s *Swarm) seedUploadOne(sd, q int32, now float64, leecherDegrees []int) {
+func (s *Swarm) seedUploadOne(sd, q int32, now float64) {
 	var j int
 	if s.cfg.SuperSeed {
-		j = s.pickSuperSeedPiece(q, leecherDegrees)
+		j = s.pickSuperSeedPiece(q)
 	} else {
 		j = s.pickPiece(sd, q)
 	}
@@ -925,13 +944,12 @@ func (s *Swarm) seedUploadOne(sd, q int32, now float64, leecherDegrees []int) {
 	s.res.seedUploads++
 	if s.cfg.SuperSeed {
 		s.superPending[j] = true
-		leecherDegrees[j]++
 	}
 }
 
 // pickSuperSeedPiece chooses the rarest piece (by leecher replication)
 // that the target lacks and that is not pending confirmation.
-func (s *Swarm) pickSuperSeedPiece(q int32, degrees []int) int {
+func (s *Swarm) pickSuperSeedPiece(q int32) int {
 	qrow := s.ps.pieceRow(q)
 	best := -1
 	bestDeg := math.MaxInt
@@ -941,35 +959,25 @@ func (s *Swarm) pickSuperSeedPiece(q int32, degrees []int) int {
 		if bitset.RowHas(qrow, j) || s.superPending[j] {
 			continue
 		}
-		if degrees[j] < bestDeg {
-			best, bestDeg = j, degrees[j]
+		if d := s.leecherDegree(j); d < bestDeg {
+			best, bestDeg = j, d
 		}
 	}
 	return best
 }
 
-// leecherReplicationDegrees counts per-piece replication among leechers
-// only (the seed's view of how well a handed-out piece has spread). The
-// returned table aliases the shared degree buffer; it is valid until the
-// next replication-degree call.
-func (s *Swarm) leecherReplicationDegrees() []int {
-	out := s.degreeTable()
-	for _, sl := range s.alive {
-		if s.ps.seed[sl] {
-			continue
-		}
-		countRowInto(out, s.ps.pieceRow(sl))
-	}
-	return out
-}
+// leecherDegree is piece j's replication among leechers only (the seed's
+// view of how well a handed-out piece has spread): every live seed holds
+// every piece, so it is the degree table less the seed count.
+func (s *Swarm) leecherDegree(j int) int { return s.degree[j] - len(s.seeds) }
 
 // releaseConfirmedPieces clears the pending flag of pieces the swarm has
 // replicated on its own (two or more leecher copies) — and of pieces that
 // vanished entirely (their only holder departed), which the seed must
 // re-inject or they would stay pending forever in churny swarms.
-func (s *Swarm) releaseConfirmedPieces(degrees []int) {
+func (s *Swarm) releaseConfirmedPieces() {
 	for j := range s.superPending {
-		if degrees[j] >= 2 || degrees[j] == 0 {
+		if d := s.leecherDegree(j); d >= 2 || d == 0 {
 			delete(s.superPending, j)
 		}
 	}
@@ -1033,7 +1041,7 @@ func (s *Swarm) optimisticUnchokes(now float64) {
 // potentialSet scans for the neighbors with whom strict trade is possible
 // right now (the paper's potential set), into the shared candidate buffer.
 // Its size is cached per slot against the (epoch, neighbor-version) pair,
-// so quiescent stretches cost potentialSize and establishConns two
+// so in quiescent stretches potentialSize and establishConns cost two
 // comparisons instead of a neighbor scan.
 func (s *Swarm) potentialSet(p int32) []int32 {
 	ps := &s.ps
@@ -1052,46 +1060,34 @@ func (s *Swarm) potentialSize(p int32) int {
 }
 
 // recordMetrics appends the per-round aggregate series and tracked-peer
-// trace samples.
+// trace samples. Only a tracked peer's potential set is measured; without
+// tracked peers or a census, no leecher is visited.
 func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 	ps := &s.ps
 	_ = s.res.PopulationSeries.Append(now, float64(len(leechers)))
-
-	degrees := s.replicationDegrees()
-	ent := entropyOf(degrees)
+	ent := entropyOf(s.degree)
 	_ = s.res.EntropySeries.Append(now, ent)
 	s.lastEntropy = ent
+	if s.cfg.TrackPeers == 0 && !s.cfg.PieceCensus {
+		return
+	}
 
 	var census []int32
 	if s.cfg.PieceCensus {
 		census = make([]int32, s.cfg.Pieces+1)
 	}
-
 	for _, p := range leechers {
 		b := int(ps.pieceCnt[p])
 		if census != nil && b <= s.cfg.Pieces {
 			census[b]++
 		}
-		// Inlined cache hit: potentialSize's memo path is hot enough at
-		// 10^5 leechers that the call overhead itself shows up.
-		var pot int
-		if ps.potEpoch[p] == s.epoch && ps.potVer[p] == ps.nbrVer[p] {
-			pot = int(ps.potVal[p])
-		} else {
-			pot = s.potentialSize(p)
-		}
-		if b <= s.cfg.Pieces {
-			s.res.potSum[b] += float64(pot)
-			s.res.potCnt[b]++
-		}
 		if ps.tracked[p] {
 			idx := ps.traceIdx[p]
 			s.traces[idx] = append(s.traces[idx], TraceSample{
-				Time: now, Pieces: b, Potential: pot, Conns: int(ps.connLen[p]),
+				Time: now, Pieces: b, Potential: s.potentialSize(p), Conns: int(ps.connLen[p]),
 			})
 		}
 	}
-
 	if census != nil {
 		s.res.CensusT = append(s.res.CensusT, now)
 		s.res.Census = append(s.res.Census, census)
@@ -1129,39 +1125,6 @@ func (s *Swarm) recordCompletion(sl int32, now float64) {
 			ID: ps.id[sl], ArrivedAt: ps.arrived[sl], Completed: true, Samples: samples,
 		})
 	}
-}
-
-// replicationDegrees counts, for every piece, how many peers (leechers and
-// seeds) hold it. The returned table aliases the shared degree buffer; it
-// is valid until the next replication-degree call.
-func (s *Swarm) replicationDegrees() []int {
-	out := s.degreeTable()
-	for _, sl := range s.alive {
-		countRowInto(out, s.ps.pieceRow(sl))
-	}
-	return out
-}
-
-// countRowInto increments out[j] for every bit j set in the row.
-func countRowInto(out []int, row []uint64) {
-	for wi, w := range row {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			out[wi<<6+b]++
-		}
-	}
-}
-
-// degreeTable returns the shared per-piece counter table, zeroed.
-func (s *Swarm) degreeTable() []int {
-	if cap(s.degreeBuf) < s.cfg.Pieces {
-		s.degreeBuf = make([]int, s.cfg.Pieces)
-	} else {
-		s.degreeBuf = s.degreeBuf[:s.cfg.Pieces]
-		clear(s.degreeBuf)
-	}
-	return s.degreeBuf
 }
 
 func entropyOf(degrees []int) float64 {

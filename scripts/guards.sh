@@ -134,6 +134,16 @@ one_phase_rule() {
 		'*.go' ':!*_test.go' ':!bench' ':!internal/trace/phase.go'
 }
 
+# The simulator keeps one replication-degree table as pieces move, and
+# measures the potential set only for tracked peers (DESIGN.md §14): the
+# per-round recounts and the every-leecher potential average may not
+# grow back.
+one_degree_table() {
+	absent one_degree_table \
+		'func \(s \*Swarm\) (replicationDegrees|leecherReplicationDegrees|degreeTable)\(|MeanPotentialByPieces|potSum|potCnt' \
+		'internal/sim/*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -160,6 +170,7 @@ one_shard_payload_encoding
 one_item_line_writer
 one_transition_sampler
 one_phase_rule
+one_degree_table
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

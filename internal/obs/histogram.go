@@ -119,18 +119,6 @@ func decodeExtreme(enc uint64) float64 {
 	return math.Float64frombits(enc - 1)
 }
 
-// Reset clears all accumulated observations.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sumBits.Store(0)
-	h.minEnc.Store(0)
-	h.maxEnc.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-		h.sums[i].Store(0)
-	}
-}
-
 // HistogramSnapshot is a JSON-friendly summary of a histogram.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`

@@ -139,19 +139,3 @@ func TestHistogramQuantileExact(t *testing.T) {
 		}
 	})
 }
-
-// TestHistogramResetClearsBucketSums guards the new per-bucket sum
-// accumulators against surviving a Reset and skewing later estimates.
-func TestHistogramResetClearsBucketSums(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 100; i++ {
-		h.Observe(1000)
-	}
-	h.Reset()
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if got := h.Snapshot().P50; got != 5 {
-		t.Errorf("p50 after reset = %g, want exactly 5", got)
-	}
-}

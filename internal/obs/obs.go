@@ -12,8 +12,8 @@
 //
 // Metrics off is one idiom, and it lives here: a nil *Registry. Its
 // Counter, Gauge and Histogram getters hand out working handles that are
-// registered nowhere (a fresh one per call), and its Snapshot and
-// CounterNames are empty. A holder therefore builds its handles once from
+// registered nowhere (a fresh one per call), and its Snapshot is
+// empty. A holder therefore builds its handles once from
 // whatever registry it was given and uses them unconditionally: disabled
 // metrics cost the same atomic add as enabled ones and no branch. Only a
 // caller that would fetch a handle per observation from a registry that
@@ -22,7 +22,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -158,21 +157,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sanitize maps NaN/Inf (not representable in JSON) to 0.

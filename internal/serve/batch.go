@@ -30,9 +30,9 @@ const (
 // BatchItem is one order-preserving line of a /v1/batch JSONL response.
 // Index is the item's position in the request array; Status is the HTTP
 // status the item would have received from /v1/query. Successful items
-// carry the full /v1/query envelope verbatim in Response (the exact
-// cached bytes, so batch and single-query responses are byte-identical
-// per item); failed items carry Error, and shed (429) items additionally
+// carry the full /v1/query envelope verbatim in Response (one writer's
+// bytes, so batch and single-query responses are byte-identical per
+// item); failed items carry Error, and shed (429) items additionally
 // carry RetryAfterSec — the per-item spelling of the Retry-After header.
 type BatchItem struct {
 	Type          string          `json:"type"` // "item"
@@ -64,17 +64,34 @@ const (
 	SummaryHead = `{"type":"summary"`
 )
 
-// lineWriters holds the buffers /v1/batch replies are written through:
-// a reply costs neither a write per line nor a buffer of its own size.
+// lineWriters holds the buffers replies are written through: a reply
+// costs neither a write per line nor a buffer of its own size.
 var lineWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// writeEnvelope is the one envelope writer: k's Response around result,
+// its cached bytes, as json.Marshal renders it. Kinds are ASCII, keys hex
+// and results encoder fixed points: nothing is escaped or rescanned.
+func writeEnvelope(w *bufio.Writer, k *keyed, result []byte) {
+	b := strconv.AppendInt(append(w.AvailableBuffer(), `{"v":`...), int64(k.req.V), 10)
+	b = append(append(b, `,"kind":"`...), k.req.Kind...)
+	b = strconv.AppendUint(append(b, `","seed":`...), k.req.Seed, 10)
+	b = append(append(b, `,"key":"`...), k.key...)
+	_, _ = w.Write(append(b, `","result":`...))
+	_, _ = w.Write(result)
+	_ = w.WriteByte('}')
+}
 
 // WriteItemLine writes it as the line a json.Encoder's Encode(it)
 // writes, byte for byte. A 200 item is the replica's own — Key is hex,
-// Cache is hit, miss or shared, Response is what marshalBody rendered, a
+// Cache is hit, miss or shared, Response is a writeEnvelope envelope, a
 // fixed point of the encoder's compaction — so nothing in it needs
 // escaping and Response is copied, not scanned again. Any other item
 // carries error text and goes through encoding/json.
-func WriteItemLine(w *bufio.Writer, it *BatchItem) {
+func WriteItemLine(w *bufio.Writer, it *BatchItem) { writeItemLine(w, it, nil) }
+
+// writeItemLine is WriteItemLine; with k set, it.Response is k's cached
+// result, written inside k's envelope.
+func writeItemLine(w *bufio.Writer, it *BatchItem, k *keyed) {
 	if it.Status != http.StatusOK {
 		writeJSONLine(w, *it)
 		return
@@ -83,7 +100,11 @@ func WriteItemLine(w *bufio.Writer, it *BatchItem) {
 	b = append(append(b, StatusHead+`200,"key":"`...), it.Key...)
 	b = append(append(b, `","cache":"`...), it.Cache...)
 	_, _ = w.Write(append(b, `","response":`...))
-	_, _ = w.Write(it.Response)
+	if k == nil {
+		_, _ = w.Write(it.Response)
+	} else {
+		writeEnvelope(w, k, it.Response)
+	}
 	_, _ = w.WriteString("}\n")
 }
 
@@ -158,9 +179,9 @@ func ErrorStatus(err error) int {
 // handleBatch is the amortized-throughput path: a JSON array of
 // requests answered as order-preserving JSONL, one BatchItem line per
 // input item plus a terminal BatchSummary. It is the /v1/query pipeline
-// over many requests: every item goes through the same decoder, identical
-// items share one key and so one cache probe and one computation, and
-// the unique keys resolve through the same resolve a single does.
+// over many requests: every item goes through the same decoder, items
+// with one compute key share one cache probe and one computation, and
+// the unique compute keys resolve through the same resolve a single does.
 // Per-item failures are per-item statuses; the batch itself only fails
 // (400) when the array is malformed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -177,10 +198,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer root.End()
 	root.AnnotateInt("items", len(items))
 
-	// Decode + canonicalize every item first, grouping identical keys so
-	// N copies of one request cost one resolution.
+	// Decode + canonicalize every item first, grouping compute keys so N
+	// requests for one result cost one resolution.
 	bad := make([]error, len(items))     // per item: why it never became a request
-	slot := make([]int, len(items))      // per valid item: its index in uniq
+	ks := make([]keyed, len(items))      // per valid item: its request and keys
+	slot := make([]int, len(items))      // per valid item: its compute key's index in uniq
 	uniq := make([]keyed, 0, len(items)) // first-seen order
 	byKey := make(map[string]int, len(items))
 	for i, raw := range items {
@@ -189,12 +211,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			bad[i] = err
 			continue
 		}
-		key := req.Key()
-		j, ok := byKey[key]
+		ks[i] = keyOf(req)
+		j, ok := byKey[ks[i].ckey]
 		if !ok {
 			j = len(uniq)
-			byKey[key] = j
-			uniq = append(uniq, keyed{req: req, key: key})
+			byKey[ks[i].ckey] = j
+			uniq = append(uniq, ks[i])
 		}
 		slot[i] = j
 	}
@@ -214,8 +236,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err := bad[i]
 		if err == nil {
 			a := answers[slot[i]]
-			item.Key, item.Cache, err = uniq[slot[i]].key, a.src, a.err
-			item.Response = bytes.TrimSuffix(a.body, []byte("\n"))
+			item.Key, item.Cache, item.Response, err = ks[i].key, a.src, a.result, a.err
 		}
 		if err != nil {
 			item.Status, item.Error = ErrorStatus(err), err.Error()
@@ -237,7 +258,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case item.Status >= 500:
 			s.failures.Inc()
 		}
-		WriteItemLine(bw, &item)
+		writeItemLine(bw, &item, &ks[i])
 	}
 	writeJSONLine(bw, sum)
 	_ = bw.Flush() // a client that hung up loses only its own reply

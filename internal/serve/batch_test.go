@@ -228,7 +228,7 @@ func TestBatchItemsCarryRetryHints(t *testing.T) {
 		Workers: 1, Queue: -1,
 		Evaluator: func(ctx context.Context, req *Request) (any, error) {
 			<-block
-			return evaluate(ctx, req)
+			return Evaluate(ctx, req)
 		},
 	}
 	s, ts, _ := newTestServer(t, cfg)
@@ -275,7 +275,7 @@ func TestColdBatchDoesNotShedItself(t *testing.T) {
 		// Long enough that no slot frees up while the rest arrive.
 		Evaluator: func(ctx context.Context, req *Request) (any, error) {
 			time.Sleep(2 * time.Millisecond)
-			return evaluate(ctx, req)
+			return Evaluate(ctx, req)
 		},
 	})
 	const n = 64
@@ -358,7 +358,7 @@ func FuzzBatchDecode(f *testing.F) {
 
 // FuzzItemLine: for any item the replica can emit — a 200 with one of
 // the three cache words, a hex key and a body that is encoder output
-// (the fuzzer's bytes passed through json.Marshal, as marshalBody's are),
+// (the fuzzer's bytes passed through json.Marshal, as a result's are),
 // or a failure whose error text is the fuzzer's bytes verbatim, with or
 // without a retry hint — WriteItemLine's line is json.Encoder's.
 func FuzzItemLine(f *testing.F) {
@@ -390,6 +390,75 @@ func FuzzItemLine(f *testing.F) {
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteItemLine differs from json.Encoder:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// FuzzEnvelope pins the one envelope writer: for any request the
+// decoder accepts, of every kind and any seed, with its Evaluate result
+// cached as the replica caches it (json.Marshal of the result alone),
+// the envelope /v1/query writes is json.Marshal(&Response{…}) and a
+// newline, and the 200 batch line around it is json.Encoder's.
+// Evaluations that outrun a short deadline are skipped.
+func FuzzEnvelope(f *testing.F) {
+	for _, s := range []string{
+		`{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":20}}`,
+		`{"kind":"model","seed":18446744073709551615,"model":{"b":10,"runs":5,"pInit":0}}`,
+		`{"kind":"efficiency","efficiency":{"k":5}}`,
+		`{"kind":"efficiency","seed":9,"efficiency":{"k":3,"pr":0}}`,
+		`{"kind":"sim","seed":7,"sim":{"pieces":20,"initialPeers":30,"horizon":40}}`,
+		`{"kind":"stability","seed":1,"sim":{"pieces":20,"initialPeers":20,"lambda":1,"horizon":40}}`,
+		`{"kind":"fluid","seed":3,"fluid":{"horizon":50,"grid":20}}`,
+		`{"kind":"fluid","fluid":{"model":"chunk","k":8,"s":4,"horizon":50,"grid":20}}`,
+		`{"kind":"fluid","fluid":{"lambda":0,"x0":0,"y0":0,"horizon":10}}`,
+	} {
+		f.Add([]byte(s), 0, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, index int, choice uint8) {
+		req, err := DecodeRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		result, err := Evaluate(ctx, req)
+		if err != nil {
+			return
+		}
+		cached, err := json.Marshal(result)
+		if err != nil {
+			t.Fatalf("%s: result does not marshal: %v", data, err)
+		}
+		want, err := json.Marshal(&Response{V: req.V, Kind: req.Kind, Seed: req.Seed, Key: req.Key(), Result: result})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := keyOf(req)
+		var got bytes.Buffer
+		bw := bufio.NewWriterSize(&got, 64) // small: an envelope straddles flushes
+		writeEnvelope(bw, &k, cached)
+		_ = bw.WriteByte('\n')
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("envelope differs from json.Marshal(&Response{…}):\n got %q\nwant %q", got.Bytes(), want)
+		}
+
+		it := BatchItem{Type: "item", Index: index, Status: http.StatusOK, Key: k.key, Cache: []string{"hit", "miss", "shared"}[choice%3]}
+		var line, wantLine bytes.Buffer
+		bw.Reset(&line)
+		it.Response = cached
+		writeItemLine(bw, &it, &k)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		it.Response = bytes.TrimSuffix(want, []byte("\n"))
+		if err := json.NewEncoder(&wantLine).Encode(it); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line.Bytes(), wantLine.Bytes()) {
+			t.Fatalf("item line differs from json.Encoder:\n got %q\nwant %q", line.Bytes(), wantLine.Bytes())
 		}
 	})
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Cache is an LRU result cache with an optional TTL. Entries are the
-// fully marshaled response bodies keyed by the content-addressed request
-// key, so a hit replays exactly the bytes a recomputation would produce
+// marshaled results keyed by the requests' compute keys (keyed), so a
+// hit replays exactly the bytes a recomputation would produce
 // — the determinism discipline makes "cache" and "memoization"
 // synonymous here.
 //

@@ -19,12 +19,13 @@ import (
 // at ~2 µs each: smaller is mostly overhead.
 const DefaultShardRuns = 32
 
-// Evaluate computes a canonicalized request's response body locally. It
-// is the exported face of the server's default evaluator, for callers
-// (bench/, tests) that need the reference result a pool run
-// must reproduce byte for byte.
+// Evaluate computes a canonicalized request's result locally: the
+// server's default evaluator, and the reference result a pool run must
+// reproduce byte for byte. It is a pure function of (req, seed) — the
+// server's cache correctness and the singleflight layer both depend on
+// that.
 func Evaluate(ctx context.Context, req *Request) (any, error) {
-	return evaluate(ctx, req)
+	return evalKind(ctx, req, progress{})
 }
 
 // shardTask is what EvalShard prepares once per task and every shard of
@@ -49,7 +50,7 @@ type shardTask struct {
 // the exact bytes a local evaluation would have produced.
 //
 // Concurrent shards of a task share one prepared request and model:
-// core.Model is immutable, and evaluate and everything under it only
+// core.Model is immutable, and Evaluate and everything under it only
 // reads its *Request — a kind that wrote to it would race here.
 func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	t, err := dist.Prepared(ctx, func() (*shardTask, error) {
@@ -77,7 +78,7 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 		if lo != 0 || hi != 1 {
 			return nil, fmt.Errorf("%w: kind %q is a single unit, got shard [%d,%d)", ErrBadRequest, req.Kind, lo, hi)
 		}
-		result, err := evaluate(ctx, req)
+		result, err := Evaluate(ctx, req)
 		if err != nil {
 			return nil, err
 		}

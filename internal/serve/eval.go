@@ -146,12 +146,9 @@ type progress struct {
 	step  func(t float64, y []float64) // every accepted fluid solver step
 }
 
-// evaluate computes a canonicalized request's response body. It is a
-// pure function of (req, seed) — the server's cache correctness and the
-// singleflight layer both depend on that.
-func evaluate(ctx context.Context, req *Request) (any, error) {
-	return evalKind(ctx, req, progress{})
-}
+// seedFree names the kinds whose evaluators never read req.Seed; only
+// evalModel, the model shards and runSim do (TestSeedFreenessIsAProperty).
+var seedFree = map[string]bool{KindEfficiency: true, KindFluid: true}
 
 // evalKind is the one kind → evaluator switch; p is handed whatever the
 // run can report while it is still running.

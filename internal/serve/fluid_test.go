@@ -438,7 +438,7 @@ func TestFluidEvalShardSingleUnit(t *testing.T) {
 	if err := r.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
-	local, err := evaluate(context.Background(), r)
+	local, err := Evaluate(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

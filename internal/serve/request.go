@@ -10,13 +10,13 @@
 //
 //	  - Requests carry a versioned schema over the paper's parameters
 //	    (core.Params, sim.Config knobs, a seed). Normalization fills
-//	    defaults and the canonical byte form is hashed into a
-//	    content-addressed cache key, so semantically identical requests
-//	    dedupe regardless of field order or explicit defaults.
-//	  - Every evaluation in this repository is bit-deterministic in
-//	    (request, seed) — the PR-3 determinism discipline — so a cached
-//	    response is exactly the response a recomputation would produce,
-//	    byte for byte.
+//	    defaults and the canonical byte form is hashed into a content
+//	    address, so semantically identical requests dedupe regardless of
+//	    field order or explicit defaults.
+//	  - Every evaluation is bit-deterministic in (request, seed), and the
+//	    efficiency and fluid ones in the request alone, so results are
+//	    cached under what their evaluator reads, and a cached response is
+//	    byte for byte the one a recomputation would produce.
 //	  - A singleflight layer collapses N concurrent identical requests
 //	    into one computation; an admission gate (internal/par.Gate)
 //	    bounds concurrent work and sheds overload with 429s.
@@ -26,6 +26,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -621,9 +622,34 @@ func (r *Request) Canonical() []byte {
 	return b
 }
 
-// Key hashes the canonical byte form into the content-addressed cache
-// key: the hex SHA-256 of Canonical().
-func (r *Request) Key() string {
-	sum := sha256.Sum256(r.Canonical())
-	return hex.EncodeToString(sum[:])
+// Key hashes the canonical byte form into the request's content
+// address: the hex SHA-256 of Canonical().
+func (r *Request) Key() string { return hexSHA256(r.Canonical()) }
+
+func hexSHA256(b []byte) string {
+	sum := sha256.Sum256(b)
+	var h [2 * sha256.Size]byte // on the stack: the string is the one allocation
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// keyed is a canonicalized request with its two addresses, hashed once:
+// key is Key(), what the envelope and X-Cache-Key report, and ckey is
+// the compute key the cache and the singleflight hold its result under;
+// for a seedFree kind, the hash of Canonical() with its seed field cut
+// out (a section field always follows it).
+type keyed struct {
+	req       *Request
+	key, ckey string
+}
+
+func keyOf(req *Request) keyed {
+	c := req.Canonical()
+	key := hexSHA256(c)
+	if !seedFree[req.Kind] {
+		return keyed{req, key, key}
+	}
+	i := bytes.Index(c, []byte(";seed="))
+	j := i + 1 + bytes.IndexByte(c[i+1:], ';')
+	return keyed{req, key, hexSHA256(append(c[:i], c[j:]...))}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -240,7 +241,8 @@ func nudge(f reflect.Value) bool {
 // variant's. A field added to a struct and forgotten in Canonical would
 // alias cache keys — two different computations, one cached answer — and
 // fails here by name. (A chunk-only knob on a "qs" fluid request is
-// refused outright, which aliases nothing.)
+// refused outright, which aliases nothing.) Every field moves the
+// compute key the same way: only the seed may leave it in place.
 func TestEveryRequestFieldMovesTheKey(t *testing.T) {
 	for name, c := range map[string]struct {
 		base    Request
@@ -265,6 +267,7 @@ func TestEveryRequestFieldMovesTheKey(t *testing.T) {
 		}
 		base, sec := fresh()
 		seen := map[string]string{base.Key(): "the base request"}
+		seenCompute := map[string]string{keyOf(base).ckey: "the base request"}
 		for i := 0; i < sec.NumField(); i++ {
 			field, _, _ := strings.Cut(sec.Type().Field(i).Tag.Get("json"), ",")
 			if field == "" {
@@ -284,6 +287,58 @@ func TestEveryRequestFieldMovesTheKey(t *testing.T) {
 				t.Errorf("%s.%s: same key as %s — Canonical does not render this field\n%s", name, field, other, req.Canonical())
 			}
 			seen[req.Key()] = field
+			ckey := keyOf(req).ckey
+			if other, dup := seenCompute[ckey]; dup {
+				t.Errorf("%s.%s: same compute key as %s", name, field, other)
+			}
+			seenCompute[ckey] = field
+		}
+	}
+}
+
+// TestSeedFreenessIsAProperty holds seedFree to what the evaluators do:
+// efficiency and both fluid models return byte-identical results at
+// seeds 0, 1 and 2⁶⁴−1, and share one compute key while Key() still
+// moves; model, sim and stability results are seed-dependent, and their
+// compute key moves with the seed.
+func TestSeedFreenessIsAProperty(t *testing.T) {
+	for _, c := range []struct {
+		body     string
+		seedFree bool
+	}{
+		{`{"kind":"efficiency","efficiency":{"k":5}}`, true},
+		{`{"kind":"fluid","fluid":{"horizon":50,"grid":20}}`, true},
+		{`{"kind":"fluid","fluid":{"model":"chunk","k":8,"s":4,"horizon":50,"grid":20}}`, true},
+		{`{"kind":"model","model":{"b":20,"k":3,"s":8,"runs":20}}`, false},
+		{`{"kind":"sim","sim":{"pieces":20,"initialPeers":30,"horizon":40}}`, false},
+		{`{"kind":"stability","sim":{"pieces":20,"initialPeers":20,"lambda":1,"horizon":40}}`, false},
+	} {
+		keys, ckeys, results := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for _, seed := range []uint64{0, 1, 1<<64 - 1} {
+			req, err := DecodeRequest(strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Seed = seed
+			k := keyOf(req)
+			keys[k.key], ckeys[k.ckey] = true, true
+			result, err := Evaluate(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s at seed %d: %v", c.body, seed, err)
+			}
+			b, err := json.Marshal(result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[string(b)] = true
+		}
+		want := 3 // distinct compute keys and results over three seeds
+		if c.seedFree {
+			want = 1
+		}
+		if len(keys) != 3 || len(ckeys) != want || len(results) != want {
+			t.Errorf("%s: %d keys, %d compute keys, %d results over three seeds; want 3, %d, %d",
+				c.body, len(keys), len(ckeys), len(results), want, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -116,7 +117,7 @@ func New(cfg Config) *Server {
 		cfg.Registry = obs.NewRegistry()
 	}
 	if cfg.Evaluator == nil {
-		cfg.Evaluator = evaluate
+		cfg.Evaluator = Evaluate
 	}
 	reg := cfg.Registry
 	ctx, cancel := context.WithCancel(context.Background())
@@ -172,13 +173,13 @@ func (s *Server) Close() { s.closeOnce.Do(s.baseCancel) }
 
 // Response is the /v1/query envelope: the canonicalized request's
 // identity plus the kind-specific result. The whole envelope is a pure
-// function of (request, seed); the cache stores its marshaled bytes.
+// function of (request, seed); the cache holds only the result's bytes.
 type Response struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
 	Seed uint64 `json:"seed"`
-	// Key is the content-addressed cache key (hex SHA-256 of the
-	// canonical request form).
+	// Key is the request's content address, Request.Key (hex SHA-256 of
+	// the canonical request form, seed included).
 	Key    string `json:"key"`
 	Result any    `json:"result"`
 }
@@ -187,20 +188,13 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// keyed is a canonicalized request with its content address, hashed
-// once per request and carried from there.
-type keyed struct {
-	req *Request
-	key string
-}
-
-// answer is one resolved request: the response bytes and where they
+// answer is one resolved request: the marshaled result and where it
 // came from — "hit", "miss" (computed here) or "shared" (another
 // flight's result) — or the error that becomes its status.
 type answer struct {
-	body []byte
-	src  string
-	err  error
+	result []byte
+	src    string
+	err    error
 }
 
 // handleQuery answers one request: the cached path, run as a batch of
@@ -227,7 +221,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, a.err)
 	} else {
 		w.Header().Set("X-Cache", a.src)
-		s.writeBody(w, http.StatusOK, a.body)
+		w.Header().Set("Content-Type", "application/json")
+		bw := lineWriters.Get().(*bufio.Writer)
+		bw.Reset(w)
+		writeEnvelope(bw, &k, a.result)
+		_ = bw.WriteByte('\n')
+		_ = bw.Flush() // a client that hung up loses only its own reply
+		bw.Reset(nil)
+		lineWriters.Put(bw)
 	}
 }
 
@@ -243,7 +244,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (keyed, bool) {
 	if req.Kind == KindFluid {
 		s.fluidRequests.Inc()
 	}
-	return keyed{req: req, key: req.Key()}, true
+	return keyOf(req), true
 }
 
 // rootSpan opens the request's root span and announces its trace. A
@@ -280,9 +281,9 @@ func (s *Server) resolve(tctx context.Context, reqs []keyed) []answer {
 	var misses []int
 	for i, k := range reqs {
 		_, csp := trace.Start(tctx, "cache")
-		if body, ok := s.cache.Get(k.key); ok {
+		if result, ok := s.cache.Get(k.ckey); ok {
 			csp.Annotate("outcome", "hit")
-			out[i] = answer{body: body, src: "hit"}
+			out[i] = answer{result: result, src: "hit"}
 		} else {
 			csp.Annotate("outcome", "miss")
 			misses = append(misses, i)
@@ -300,12 +301,12 @@ func (s *Server) resolve(tctx context.Context, reqs []keyed) []answer {
 	return out
 }
 
-// compute resolves one cache miss: concurrent duplicates collapse into
-// a single flight whose leader is admitted, evaluates, encodes the
-// envelope and fills the cache.
+// compute resolves one cache miss: concurrent requests with one compute
+// key collapse into a single flight whose leader is admitted, evaluates,
+// encodes the result and fills the cache.
 func (s *Server) compute(tctx context.Context, k keyed) answer {
 	sfctx, fsp := trace.Start(tctx, "singleflight")
-	body, shared, err := s.flights.Do(k.key, func() ([]byte, error) {
+	result, shared, err := s.flights.Do(k.ckey, func() ([]byte, error) {
 		// The flight leader acquires admission for the whole flight: N
 		// concurrent identical requests consume one worker slot, and a
 		// saturation rejection propagates to every waiter. It computes
@@ -318,9 +319,7 @@ func (s *Server) compute(tctx context.Context, k keyed) answer {
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(&Response{
-			V: k.req.V, Kind: k.req.Kind, Seed: k.req.Seed, Key: k.key, Result: result,
-		})
+		return json.Marshal(result)
 	})
 	if shared {
 		fsp.Annotate("role", "follower")
@@ -332,10 +331,10 @@ func (s *Server) compute(tctx context.Context, k keyed) answer {
 	case err != nil:
 		return answer{err: err}
 	case shared:
-		return answer{body: body, src: "shared"}
+		return answer{result: result, src: "shared"}
 	}
-	s.cache.Put(k.key, body)
-	return answer{body: body, src: "miss"}
+	s.cache.Put(k.ckey, result)
+	return answer{result: result, src: "miss"}
 }
 
 // admit is the one admit-and-compute step, shared by the cached path
@@ -547,23 +546,4 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
-}
-
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// marshalBody renders the response envelope to its canonical bytes
-// (trailing newline included) — the unit the cache stores and replays.
-// It must stay plain json.Marshal output: as the cache's only producer
-// it is why WriteItemLine may copy a body into a batch line unscanned
-// (TestCachedBodyIsEncoderFixedPoint).
-func marshalBody(resp *Response) ([]byte, error) {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

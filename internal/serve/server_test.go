@@ -92,6 +92,61 @@ func TestQueryCacheServesIdenticalBytes(t *testing.T) {
 	}
 }
 
+// TestSeedVariedQueriesShareOneResult: a seed-free query under a new
+// seed is a cache hit, and seed-varied copies in one batch are one
+// computation, yet every envelope carries its own seed and Key().
+func TestSeedVariedQueriesShareOneResult(t *testing.T) {
+	_, ts, reg := newTestServer(t, Config{})
+	type envelope struct {
+		Seed   uint64          `json:"seed"`
+		Key    string          `json:"key"`
+		Result json.RawMessage `json:"result"`
+	}
+	check := func(src string, seed uint64, raw []byte) json.RawMessage {
+		t.Helper()
+		var env envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		req, err := DecodeRequest(strings.NewReader(`{"kind":"efficiency","efficiency":{"k":5}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Seed = seed
+		if env.Seed != seed || env.Key != req.Key() {
+			t.Errorf("%s answer for seed %d carries seed %d, key %s; want key %s", src, seed, env.Seed, env.Key, req.Key())
+		}
+		return env.Result
+	}
+	r1, b1 := postQuery(t, ts.URL, `{"kind":"efficiency","seed":1,"efficiency":{"k":5}}`)
+	r2, b2 := postQuery(t, ts.URL, `{"kind":"efficiency","seed":2,"efficiency":{"k":5}}`)
+	if r1.Header.Get("X-Cache") != "miss" || r2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("X-Cache %q then %q, want miss then hit", r1.Header.Get("X-Cache"), r2.Header.Get("X-Cache"))
+	}
+	if r2.Header.Get("X-Cache-Key") == r1.Header.Get("X-Cache-Key") {
+		t.Error("two seeds share an X-Cache-Key")
+	}
+	res := check("query", 1, b1)
+	if !bytes.Equal(check("query", 2, b2), res) {
+		t.Error("the two seeds' results differ")
+	}
+
+	_, items, sum := postBatch(t, ts.URL, `[{"kind":"efficiency","seed":3,"efficiency":{"k":6}},`+
+		`{"kind":"efficiency","seed":4,"efficiency":{"k":6}},{"kind":"efficiency","seed":5,"efficiency":{"k":5}}]`)
+	if sum == nil || sum.OK != 3 {
+		t.Fatalf("batch summary %+v, want 3 ok", sum)
+	}
+	if comps := reg.Counter("serve.computations").Value(); comps != 2 {
+		t.Errorf("computations = %d, want 2: k=5 once, k=6 once for two seeds", comps)
+	}
+	if items[2].Cache != "hit" || !bytes.Equal(check("batch", 5, items[2].Response), res) {
+		t.Errorf("batch item for k=5 at a third seed: cache %q, want hit with the same result", items[2].Cache)
+	}
+	if items[0].Key == items[1].Key {
+		t.Error("two seeds share a batch item key")
+	}
+}
+
 // TestSimQueryDeterministicAcrossProcessesShape: sim responses exclude
 // wall-clock telemetry, so two computed (not cached) runs of the same
 // request are byte-identical too.
@@ -558,8 +613,8 @@ func TestF64MarshalsNaNAsNull(t *testing.T) {
 }
 
 // TestCachedBodyIsEncoderFixedPoint pins the property WriteItemLine
-// rests on: the bytes marshalBody renders — what the cache holds and a
-// batch line embeds — are valid JSON that encoding/json's compaction
+// rests on: the envelopes writeEnvelope writes — what a batch line
+// embeds — are valid JSON that encoding/json's compaction
 // (HTML escaping included) leaves exactly as they are, so copying them
 // into a line is what json.Encoder would have written after scanning
 // them. One response of every kind, served and then served from cache.

@@ -111,6 +111,14 @@ one_item_line_writer() {
 		'*.go' ':!bench' ':!internal/serve/batch.go'
 }
 
+# The replica caches a result alone, under its compute key, and writes
+# the /v1/query envelope around it in one place, writeEnvelope
+# (DESIGN.md §10): the envelope marshaler whose bytes the cache used to
+# hold may not grow back, nor may a second envelope encoder.
+one_envelope_writer() {
+	absent one_envelope_writer 'marshalBody|json\.Marshal\(&Response' 'internal/serve/*.go' ':!*_test.go'
+}
+
 # The chain draws every transition one way: a binary search of a
 # running-sum table (core's cdf.index, DESIGN.md §17). The linear scan it
 # replaced is the test-only reference FuzzCDFIndex holds it to, and
@@ -168,6 +176,7 @@ one_efficiency_solver_one_log_choose
 one_way_to_check_the_stack
 one_shard_payload_encoding
 one_item_line_writer
+one_envelope_writer
 one_transition_sampler
 one_phase_rule
 one_degree_table

@@ -15,13 +15,13 @@ func TestStateSpaceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx := 0; idx < ss.Size(); idx++ {
-		s := ss.State(idx)
-		if back := ss.Index(s); back != idx {
-			t.Fatalf("index %d -> %+v -> %d", idx, s, back)
+		s, booted := ss.State(idx)
+		if back := ss.Index(s, booted); back != idx {
+			t.Fatalf("index %d -> %+v, %v -> %d", idx, s, booted, back)
 		}
 	}
 	p := testParams()
-	if got := ss.Size(); got != (p.K+1)*(p.B+1)*(p.S+1) {
+	if got := ss.Size(); got != 2*(p.K+1)*(p.B+1)*(p.S+1) {
 		t.Errorf("size = %d", got)
 	}
 	if ss.Initial() != (State{}) {
@@ -38,20 +38,22 @@ func TestBuildChainAbsorbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !chain.IsAbsorbing(ss.Index(ss.Absorbing())) {
-		t.Error("(0,B,0) must be absorbing")
+	for _, booted := range []bool{false, true} {
+		if !chain.IsAbsorbing(ss.Index(ss.Absorbing(), booted)) {
+			t.Errorf("(0,B,0) booted=%v must be absorbing", booted)
+		}
 	}
 	// Evolve the initial distribution long enough; nearly all mass must be
 	// complete (b = B).
 	dist := make([]float64, ss.Size())
-	dist[ss.Index(ss.Initial())] = 1
+	dist[ss.Index(ss.Initial(), false)] = 1
 	dist = chain.Evolve(dist, 400, nil)
 	doneMass := 0.0
 	for idx, pm := range dist {
 		if pm == 0 {
 			continue
 		}
-		if ss.State(idx).B == p.B {
+		if s, _ := ss.State(idx); s.B == p.B {
 			doneMass += pm
 		}
 	}

@@ -18,50 +18,28 @@ type PhaseDurations struct {
 // Total returns the expected download time in steps.
 func (d PhaseDurations) Total() float64 { return d.Bootstrap + d.Efficient + d.Last }
 
-// phaseOfState classifies a state by region alone: waiting states with
-// at most one piece are bootstrap; incomplete states with an empty
-// potential set and no connections are the last phase; everything else is
-// efficient download. The exact chain does not remember whether the peer
-// has booted, so this is not trace.Phaser, the trajectory rule. For
-// 0 < b < B they disagree exactly here (TestExactRuleVersusPhaser):
-//   - b=1, i=0, n=0 after booting: bootstrap here, efficient there;
-//   - i=0, n>0 before booting: efficient here, bootstrap there;
-//   - i=0, n>0, 1<b<B after booting: efficient here, last there;
-//   - i=0, n=0, b>1 before booting: last here, bootstrap there.
-func phaseOfState(p Params, s State) trace.Phase {
-	switch {
-	case s.B == 0 || (s.B == 1 && s.I == 0 && s.N == 0):
-		return trace.PhaseBootstrap
-	case s.B < p.B && s.I == 0 && s.N == 0 && s.B > 1:
-		return trace.PhaseLast
-	default:
-		return trace.PhaseEfficient
-	}
-}
-
 // ExactPhaseDurations computes the expected number of steps spent in each
 // phase from joining to completion, using the exact chain's expected-visit
-// counts. Only valid for configurations small enough for exact chain
+// counts. A step counts in the phase of the product state it lands in, as
+// EnsembleAccum labels a trajectory: the join state is not counted and the
+// completing step is (booted, so efficient, whenever B ≥ 2). The expected
+// landings in each state are the visit row times the kernel, one Step of
+// it. Only valid for configurations small enough for exact chain
 // materialization (see BuildChain).
 func ExactPhaseDurations(p Params) (PhaseDurations, error) {
 	chain, ss, err := BuildChain(p)
 	if err != nil {
 		return PhaseDurations{}, err
 	}
-	visits, err := chain.ExpectedVisits(ss.Index(ss.Initial()), 1e-10, 2_000_000)
+	visits, err := chain.ExpectedVisits(ss.Index(ss.Initial(), false), 1e-10, 2_000_000)
 	if err != nil {
 		return PhaseDurations{}, err
 	}
-	var by [trace.PhaseLast + 1]float64 // expected visits, indexed by phase
-	for idx, v := range visits {
-		if v == 0 {
-			continue
+	var by [trace.PhaseLast + 1]float64 // expected landings, indexed by phase
+	for idx, v := range chain.Step(visits) {
+		if v != 0 {
+			by[ss.Phase(idx)] += v
 		}
-		s := ss.State(idx)
-		if s.B == p.B {
-			continue // completed states are absorbing, not a phase
-		}
-		by[phaseOfState(p, s)] += v
 	}
 	return PhaseDurations{
 		Bootstrap: by[trace.PhaseBootstrap], Efficient: by[trace.PhaseEfficient], Last: by[trace.PhaseLast],
@@ -82,7 +60,8 @@ type PhaseOccupancy struct {
 }
 
 // TransientPhases evolves the exact chain for the given number of steps
-// and reports phase occupancy over time.
+// and reports phase occupancy over time, each product state (state,
+// booted) labelled by trace.Phaser.
 func TransientPhases(p Params, steps int) (PhaseOccupancy, error) {
 	chain, ss, err := BuildChain(p)
 	if err != nil {
@@ -96,18 +75,17 @@ func TransientPhases(p Params, steps int) (PhaseOccupancy, error) {
 	}
 	byPhase := [...][]float64{trace.PhaseBootstrap: out.Bootstrap, trace.PhaseEfficient: out.Efficient, trace.PhaseLast: out.Last}
 	dist := make([]float64, ss.Size())
-	dist[ss.Index(ss.Initial())] = 1
+	dist[ss.Index(ss.Initial(), false)] = 1
 	record := func(t int, d []float64) {
 		for idx, pm := range d {
 			if pm == 0 {
 				continue
 			}
-			s := ss.State(idx)
-			if s.B == p.B {
+			if s, _ := ss.State(idx); s.B == p.B {
 				out.Done[t] += pm
 				continue
 			}
-			byPhase[phaseOfState(p, s)][t] += pm
+			byPhase[ss.Phase(idx)][t] += pm
 		}
 	}
 	record(0, dist)

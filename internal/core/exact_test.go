@@ -2,48 +2,111 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-func TestExactPhaseDurationsMatchMonteCarlo(t *testing.T) {
+// slowBootParams is testParams() with a rare escape (α = 0.02) and a
+// mostly empty initial potential set (p_init = 0.05, s = 4), so the
+// bootstrap phase dominates.
+func slowBootParams() Params {
 	p := testParams()
-	exact, err := ExactPhaseDurations(p)
-	if err != nil {
-		t.Fatal(err)
+	p.Alpha = 0.02
+	p.PInit = 0.05
+	p.S = 4
+	return p
+}
+
+// TestExactPhaseDurationsMatchMonteCarlo holds every exact phase to the
+// sampler's mean within 4 standard errors of a fixed-seed ensemble, and
+// to two closed forms: the bootstrap phase is the join step plus the α
+// wait when the initial potential set is empty, (1−p_init)^s/α, and the
+// total is the absorption time.
+func TestExactPhaseDurationsMatchMonteCarlo(t *testing.T) {
+	const runs = 40000
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{{"testParams", testParams()}, {"DefaultParams(5)", DefaultParams(5)}, {"alpha=0.02", slowBootParams()}} {
+		exact, err := ExactPhaseDurations(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := stats.NewRNG(31, 41)
+		var boot, eff, last stats.Accumulator
+		for range runs {
+			traj := m.SampleTrajectory(r.Split())
+			if traj[len(traj)-1].B != c.p.B {
+				t.Fatalf("%s: trajectory did not complete", c.name)
+			}
+			pb := ClassifyPhases(c.p, traj)
+			boot.Add(float64(pb.Bootstrap))
+			eff.Add(float64(pb.Efficient))
+			last.Add(float64(pb.Last))
+		}
+		for _, ph := range []struct {
+			name  string
+			exact float64
+			mc    *stats.Accumulator
+		}{{"bootstrap", exact.Bootstrap, &boot}, {"efficient", exact.Efficient, &eff}, {"last", exact.Last, &last}} {
+			se := math.Sqrt(ph.mc.Variance() / runs)
+			if d := math.Abs(ph.exact - ph.mc.Mean()); d > 4*se {
+				t.Errorf("%s %s: exact %.5g vs MC %.5g ± %.2g (%.1f SE)", c.name, ph.name, ph.exact, ph.mc.Mean(), se, d/se)
+			}
+		}
+		wantBoot := math.Pow(1-c.p.PInit, float64(c.p.S)) * ExpectedBootstrapWait(c.p)
+		if math.Abs(exact.Bootstrap-wantBoot) > 1e-9 {
+			t.Errorf("%s: bootstrap %.12g, closed form %.12g", c.name, exact.Bootstrap, wantBoot)
+		}
+		total, err := ExpectedDownloadTime(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(exact.Total()-total) > 1e-9 {
+			t.Errorf("%s: total %.12g, absorption time %.12g", c.name, exact.Total(), total)
+		}
 	}
-	m, err := NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := m.Ensemble(stats.NewRNG(31, 41), 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Totals must agree tightly (both equal the expected download time).
-	mcTotal := es.Phases.MeanBootstrap + es.Phases.MeanEfficient + es.Phases.MeanLast
-	if rel := math.Abs(exact.Total()-mcTotal) / mcTotal; rel > 0.05 {
-		t.Errorf("total: exact %g vs MC %g (rel %g)", exact.Total(), mcTotal, rel)
-	}
-	// The efficient phase dominates in this configuration, in both views.
-	if exact.Efficient < exact.Bootstrap || exact.Efficient < exact.Last {
-		t.Errorf("efficient phase should dominate: %+v", exact)
-	}
-	// Phase-level agreement within absolute slack (state-based vs
-	// history-based classification differ on rare boundary states).
-	if math.Abs(exact.Efficient-es.Phases.MeanEfficient) > 0.1*mcTotal+1 {
-		t.Errorf("efficient: exact %g vs MC %g", exact.Efficient, es.Phases.MeanEfficient)
+}
+
+// TestExactResultsAreBitReproducible calls the exact analyses repeatedly:
+// every result must carry the same bits, so the chain's rows may not
+// depend on map iteration order.
+func TestExactResultsAreBitReproducible(t *testing.T) {
+	p := testParams()
+	var want []uint64
+	for call := 0; call < 20; call++ {
+		d, err := ExactPhaseDurations(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		occ, err := TransientPhases(p, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, xs := range [][]float64{{d.Bootstrap, d.Efficient, d.Last}, occ.Bootstrap, occ.Efficient, occ.Last, occ.Done} {
+			for _, x := range xs {
+				bits = append(bits, math.Float64bits(x))
+			}
+		}
+		if call == 0 {
+			want = bits
+		} else if !slices.Equal(bits, want) {
+			t.Fatalf("call %d differs from call 0", call)
+		}
 	}
 }
 
 func TestExactPhaseDurationsRespondToAlpha(t *testing.T) {
 	// Lowering α must lengthen the bootstrap phase and leave the efficient
 	// phase nearly unchanged.
-	slow := testParams()
-	slow.Alpha = 0.02
-	slow.PInit = 0.05 // frequent empty initial potential sets
-	slow.S = 4
+	slow := slowBootParams()
 	fast := slow
 	fast.Alpha = 0.9
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // classifyPhasesRef is ClassifyPhases as it was written before it labelled
@@ -93,74 +92,6 @@ func TestClassifyPhasesMatchesReference(t *testing.T) {
 			if acc.Phases != want {
 				t.Fatalf("%s run %d: addRun phases = %+v, reference %+v", c.name, run, acc.Phases, want)
 			}
-		}
-	}
-}
-
-// TestExactRuleVersusPhaser walks testParams()'s incomplete states and
-// pins exactly where the memoryless exact-chain rule (phaseOfState)
-// disagrees with the trajectory rule (trace.Phaser), before and after the
-// peer has booted: the four rows phaseOfState's comment names, with the
-// labels it gives them, and no other state.
-func TestExactRuleVersusPhaser(t *testing.T) {
-	p := testParams()
-	const (
-		boot = trace.PhaseBootstrap
-		eff  = trace.PhaseEfficient
-		last = trace.PhaseLast
-	)
-	rows := map[string]int{}
-	for n := 0; n <= p.K; n++ {
-		for b := 0; b < p.B; b++ {
-			for i := 0; i <= p.S; i++ {
-				s := State{N: n, B: b, I: i}
-				exact := phaseOfState(p, s)
-				fresh, booted := trace.Phaser{B: p.B}, trace.Phaser{B: p.B}
-				booted.Next(1, 1)
-				before, after := fresh.Next(b, i), booted.Next(b, i)
-
-				var row string
-				var wantExact, wantBefore, wantAfter trace.Phase // 0: as exact
-				switch {
-				case b == 1 && i == 0 && n == 0:
-					row, wantExact, wantAfter = "b=1,i=0,n=0 after", boot, eff
-				case i == 0 && n > 0 && b > 1:
-					row, wantExact, wantBefore, wantAfter = "i=0,n>0,1<b<B after (and before)", eff, boot, last
-				case i == 0 && n > 0 && b == 1:
-					row, wantExact, wantBefore = "i=0,n>0 before", eff, boot
-				case i == 0 && n == 0 && b > 1:
-					row, wantExact, wantBefore = "i=0,n=0,b>1 before", last, boot
-				default:
-					wantExact = exact
-				}
-				rows[row]++
-				if wantBefore == 0 {
-					wantBefore = wantExact
-				}
-				if wantAfter == 0 {
-					wantAfter = wantExact
-				}
-				if exact != wantExact || before != wantBefore || (b > 0 && after != wantAfter) {
-					// A booted peer holds a piece, so b = 0 has no "after".
-					t.Errorf("%+v: exact %v, Phaser before %v, after %v; want %v, %v, %v",
-						s, exact, before, after, wantExact, wantBefore, wantAfter)
-				}
-			}
-		}
-	}
-	delete(rows, "")
-	want := map[string]int{
-		"b=1,i=0,n=0 after":                1,
-		"i=0,n>0 before":                   3,
-		"i=0,n>0,1<b<B after (and before)": 54,
-		"i=0,n=0,b>1 before":               18,
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %v, want %v", rows, want)
-	}
-	for row, n := range want {
-		if rows[row] != n {
-			t.Errorf("row %q: %d states, want %d", row, rows[row], n)
 		}
 	}
 }

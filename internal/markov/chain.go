@@ -1,18 +1,19 @@
 // Package markov implements finite discrete-time Markov chains with sparse
-// transition structure: distribution evolution, absorbing-chain
-// hitting-time and visit-count analysis, and trajectory sampling.
+// transition structure: distribution evolution and absorbing-chain
+// hitting-time and visit-count analysis. Building a chain is
+// deterministic, so every result is bit-reproducible.
 //
 // The package is the analytical engine underneath the paper's multiphased
-// download model (internal/core), which is a three-dimensional chain over
-// (connections, pieces, potential-set size) states.
+// download model (internal/core), whose exact chain runs over
+// (connections, pieces, potential-set size, booted) states.
 package markov
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
+	"slices"
 )
 
 // Errors returned by chain construction and analysis.
@@ -65,8 +66,10 @@ func (b *Builder) Add(from, to int, p float64) error {
 }
 
 // Build validates that every row is stochastic (sums to 1 within tolerance),
-// merges duplicate targets, and returns the immutable Chain. Rows with no
-// entries are treated as absorbing (implicit self-loop with probability 1).
+// merges duplicate targets in (target, probability) order, so a row does
+// not depend on the order its entries were added in, and returns the
+// immutable Chain. Rows with no entries are treated as absorbing (implicit
+// self-loop with probability 1).
 func (b *Builder) Build() (*Chain, error) {
 	rows := make([][]Transition, b.n)
 	for i, row := range b.rows {
@@ -74,16 +77,21 @@ func (b *Builder) Build() (*Chain, error) {
 			rows[i] = []Transition{{To: i, P: 1}}
 			continue
 		}
-		merged := make(map[int]float64, len(row))
-		for _, tr := range row {
-			merged[tr.To] += tr.P
+		out := slices.Clone(row)
+		slices.SortFunc(out, func(x, y Transition) int {
+			return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.P, y.P))
+		})
+		n, sum := 0, 0.0
+		for _, tr := range out {
+			sum += tr.P
+			if n > 0 && out[n-1].To == tr.To {
+				out[n-1].P += tr.P
+			} else {
+				out[n] = tr
+				n++
+			}
 		}
-		sum := 0.0
-		out := make([]Transition, 0, len(merged))
-		for to, p := range merged {
-			sum += p
-			out = append(out, Transition{To: to, P: p})
-		}
+		out = out[:n]
 		if math.Abs(sum-1) > rowTolerance {
 			return nil, fmt.Errorf("%w: row %d sums to %.12g", ErrNotStochastic, i, sum)
 		}
@@ -175,37 +183,4 @@ func (c *Chain) AbsorptionTime(tol float64, maxIter int) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNoConverge, maxIter)
-}
-
-// Sample walks the chain from state for at most maxSteps steps or until an
-// absorbing state is entered, whichever comes first. It returns the visited
-// state sequence including the initial state.
-func (c *Chain) Sample(r *stats.RNG, state, maxSteps int) ([]int, error) {
-	if state < 0 || state >= len(c.rows) {
-		return nil, ErrBadState
-	}
-	path := make([]int, 1, maxSteps+1)
-	path[0] = state
-	for s := 0; s < maxSteps; s++ {
-		if c.IsAbsorbing(state) {
-			break
-		}
-		state = c.nextState(r, state)
-		path = append(path, state)
-	}
-	return path, nil
-}
-
-func (c *Chain) nextState(r *stats.RNG, state int) int {
-	u := r.Float64()
-	acc := 0.0
-	row := c.rows[state]
-	for _, tr := range row {
-		acc += tr.P
-		if u < acc {
-			return tr.To
-		}
-	}
-	// Rounding slack: fall through to the last entry.
-	return row[len(row)-1].To
 }

@@ -86,30 +86,3 @@ func (c *Chain) ExpectedVisits(start int, tol float64, maxIter int) ([]float64, 
 	}
 	return nil, fmt.Errorf("%w after %d iterations", ErrNoConverge, maxIter)
 }
-
-// AbsorptionProbabilities returns, for the given start state, the
-// probability of being absorbed in each absorbing state (the start's row
-// of B = N·R). Transient states report 0 in the result.
-func (c *Chain) AbsorptionProbabilities(start int, tol float64, maxIter int) ([]float64, error) {
-	visits, err := c.ExpectedVisits(start, tol, maxIter)
-	if err != nil {
-		return nil, err
-	}
-	n := len(c.rows)
-	out := make([]float64, n)
-	if c.IsAbsorbing(start) {
-		out[start] = 1
-		return out, nil
-	}
-	for i, vi := range visits {
-		if vi == 0 || c.IsAbsorbing(i) {
-			continue
-		}
-		for _, tr := range c.rows[i] {
-			if c.IsAbsorbing(tr.To) {
-				out[tr.To] += vi * tr.P
-			}
-		}
-	}
-	return out, nil
-}

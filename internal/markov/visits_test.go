@@ -106,57 +106,3 @@ func TestExpectedVisitsNoAbsorbing(t *testing.T) {
 		t.Error("no absorbing states must error")
 	}
 }
-
-func TestAbsorptionProbabilities(t *testing.T) {
-	// 0 -> 1 (absorbing) w.p. 0.3, 0 -> 2 (absorbing) w.p. 0.7.
-	b := NewBuilder(3)
-	_ = b.Add(0, 1, 0.3)
-	_ = b.Add(0, 2, 0.7)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := c.AbsorptionProbabilities(0, 1e-12, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(probs[1]-0.3) > 1e-9 || math.Abs(probs[2]-0.7) > 1e-9 {
-		t.Errorf("absorption probs = %v", probs)
-	}
-	if probs[0] != 0 {
-		t.Error("transient state must report 0")
-	}
-
-	// From an absorbing start: probability 1 of itself.
-	p1, err := c.AbsorptionProbabilities(1, 1e-12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1[1] != 1 || p1[2] != 0 {
-		t.Errorf("absorbing start probs = %v", p1)
-	}
-}
-
-func TestAbsorptionProbabilitiesGamblersRuin(t *testing.T) {
-	// Symmetric gambler's ruin on 0..4 starting at 2: 1/2 each way.
-	b := NewBuilder(5)
-	for i := 1; i <= 3; i++ {
-		_ = b.Add(i, i-1, 0.5)
-		_ = b.Add(i, i+1, 0.5)
-	}
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := c.AbsorptionProbabilities(2, 1e-12, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(probs[0]-0.5) > 1e-6 || math.Abs(probs[4]-0.5) > 1e-6 {
-		t.Errorf("ruin probs = %v, want 0.5/0.5", probs)
-	}
-	sum := probs[0] + probs[4]
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("absorption probs sum %g", sum)
-	}
-}

@@ -28,17 +28,19 @@ func (p Phase) String() string {
 // efficient. A Phaser{B: pieces} is ready to use; Next allocates nothing.
 type Phaser struct {
 	// B is the download's piece count.
-	B      int
-	booted bool
+	B int
+	// Booted reports whether the peer has booted; set it to resume
+	// labelling mid-download, as core's exact chain does per state.
+	Booted bool
 }
 
 // Next labels the next state: the pieces held and the potential-set size.
 func (p *Phaser) Next(pieces, potential int) Phase {
-	if !p.booted {
+	if !p.Booted {
 		if pieces < 1 || potential < 1 {
 			return PhaseBootstrap
 		}
-		p.booted = true
+		p.Booted = true
 		return PhaseEfficient
 	}
 	if potential == 0 && pieces > 1 && pieces < p.B {

@@ -133,13 +133,15 @@ one_transition_sampler() {
 # format one way, sim.PeerTrace.Download: the per-snapshot rescan, the
 # two conversion copies, and the bootstrap-escape (pieces >= 1 &&
 # potential >= 1) and last-phase (potential == 0 && pieces > 1)
-# predicates written inline may not grow back. core's exact-chain rule
-# is memoryless on purpose and tests n == 0 too, so it does not match.
+# predicates written inline may not grow back. core's exact chain
+# carries the booted flag and labels its states through Phaser too, so
+# no region classifier (phaseOfState was the last) may grow back there.
 one_phase_rule() {
 	absent one_phase_rule 'func (phaseAt|toTrace|simTraceToDownload)\(' '*.go' ':!bench'
 	absent one_phase_rule \
 		'(B|Pieces|pieces) >= 1 && [[:alnum:]_.]*(I|Potential|potential) >= 1|(I|Potential|potential) == 0 && [[:alnum:]_.]*(B|Pieces|pieces) > 1' \
 		'*.go' ':!*_test.go' ':!bench' ':!internal/trace/phase.go'
+	absent one_phase_rule 'func phaseOf' 'internal/core/*.go' ':!*_test.go'
 }
 
 # The simulator keeps one replication-degree table as pieces move, and

@@ -286,8 +286,9 @@ type (
 	FluidSteadyState = fluid.SteadyState
 )
 
-// ExactPhaseDurations computes expected per-phase step counts from the
-// exact chain (transient analysis the paper leaves as future work).
+// ExactPhaseDurations computes expected per-phase step counts exactly, in
+// one sweep over the chain's piece levels (transient analysis the paper
+// leaves as future work).
 func ExactPhaseDurations(p Params) (core.PhaseDurations, error) {
 	return core.ExactPhaseDurations(p)
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	btmodel -B 200 -k 7 -s 40 -runs 400
-//	btmodel -B 20 -k 3 -s 8 -exact          # fundamental-matrix phase analysis
+//	btmodel -B 20 -k 3 -s 8 -exact          # exact phase analysis, no sampling
 //	btmodel -B 100 -seedconns 2 -seedserve 0.5
 //	btmodel -B 40 -selfphi                  # self-consistent piece distribution
 package main
@@ -34,7 +34,7 @@ func main() {
 		runs   = flag.Int("runs", 400, "Monte-Carlo trajectories")
 		seed   = flag.Uint64("seed", 1, "RNG seed")
 
-		exact     = flag.Bool("exact", false, "exact phase analysis via the fundamental matrix (small B only)")
+		exact     = flag.Bool("exact", false, "exact phase analysis: one sweep over piece levels, no sampling")
 		seedConns = flag.Int("seedconns", 0, "seed connections for the Section 7.2 extension")
 		seedServe = flag.Float64("seedserve", 0.3, "per-step seed delivery probability")
 		selfPhi   = flag.Bool("selfphi", false, "iterate the piece distribution to its self-consistent fixed point")
@@ -72,13 +72,13 @@ func main() {
 	}
 }
 
-// runExact prints the fundamental-matrix phase analysis.
+// runExact prints the exact phase analysis.
 func runExact(w io.Writer, p core.Params) error {
 	d, err := core.ExactPhaseDurations(p)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nexact phase analysis (fundamental matrix):\n")
+	fmt.Fprintf(w, "\nexact phase analysis (level sweep):\n")
 	fmt.Fprintf(w, "  bootstrap %.2f + efficient %.2f + last %.2f = %.2f steps\n",
 		d.Bootstrap, d.Efficient, d.Last, d.Total())
 	occ, err := core.TransientPhases(p, 30)

@@ -9,59 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestStateSpaceRoundTrip(t *testing.T) {
-	ss, err := NewStateSpace(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := 0; idx < ss.Size(); idx++ {
-		s, booted := ss.State(idx)
-		if back := ss.Index(s, booted); back != idx {
-			t.Fatalf("index %d -> %+v, %v -> %d", idx, s, booted, back)
-		}
-	}
-	p := testParams()
-	if got := ss.Size(); got != 2*(p.K+1)*(p.B+1)*(p.S+1) {
-		t.Errorf("size = %d", got)
-	}
-	if ss.Initial() != (State{}) {
-		t.Error("initial must be (0,0,0)")
-	}
-	if abs := ss.Absorbing(); abs.B != p.B || abs.N != 0 || abs.I != 0 {
-		t.Errorf("absorbing = %+v", abs)
-	}
-}
-
-func TestBuildChainAbsorbs(t *testing.T) {
-	p := testParams()
-	chain, ss, err := BuildChain(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, booted := range []bool{false, true} {
-		if !chain.IsAbsorbing(ss.Index(ss.Absorbing(), booted)) {
-			t.Errorf("(0,B,0) booted=%v must be absorbing", booted)
-		}
-	}
-	// Evolve the initial distribution long enough; nearly all mass must be
-	// complete (b = B).
-	dist := make([]float64, ss.Size())
-	dist[ss.Index(ss.Initial(), false)] = 1
-	dist = chain.Evolve(dist, 400, nil)
-	doneMass := 0.0
-	for idx, pm := range dist {
-		if pm == 0 {
-			continue
-		}
-		if s, _ := ss.State(idx); s.B == p.B {
-			doneMass += pm
-		}
-	}
-	if doneMass < 0.99 {
-		t.Errorf("completed mass after 400 steps = %g, want > 0.99", doneMass)
-	}
-}
-
 func TestExpectedDownloadTimeMatchesSampling(t *testing.T) {
 	p := testParams()
 	exact, err := ExpectedDownloadTime(p)
@@ -87,16 +34,6 @@ func TestExpectedDownloadTimeMatchesSampling(t *testing.T) {
 	}
 	if rel := math.Abs(acc.Mean()-exact) / exact; rel > 0.05 {
 		t.Errorf("sampled mean %g vs exact %g (rel %g)", acc.Mean(), exact, rel)
-	}
-}
-
-func TestBuildChainTooLarge(t *testing.T) {
-	p := DefaultParams(50) // 8 * 201 * 51 states is fine; blow up S
-	p.S = 50
-	p.B = 20000
-	p.Phi = UniformPhi(20000)
-	if _, _, err := BuildChain(p); err == nil {
-		t.Error("oversized state space must be rejected")
 	}
 }
 

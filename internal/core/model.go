@@ -104,6 +104,40 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 	return State{N: nNext, B: bNext, I: iNext}
 }
 
+// iLaw writes into dst, of length S+1, the law Step draws i' from at
+// (n, b, i), Equation (2): the probabilities its running sums assign, and
+// for the waits those of its Bernoulli escape.
+func (m *Model) iLaw(dst []float64, n, b, i int) []float64 {
+	p := &m.p
+	x := b + n
+	clear(dst)
+	switch {
+	case b == p.B:
+		dst[0] = 1
+	case x == 0:
+		m.iInit.probs(dst)
+	case i == 0 && x == 1:
+		dst[0], dst[1] = 1-p.Alpha, p.Alpha
+	case i == 0:
+		dst[0], dst[1] = 1-p.Gamma, p.Gamma
+	default:
+		m.iDist[clampIdx(x, p.B)].probs(dst)
+	}
+	return dst
+}
+
+// nLaw writes into dst, of length K+1, the law Step draws n' from at
+// (n, b) given i', Equation (3).
+func (m *Model) nLaw(dst []float64, n, b, iNext int) []float64 {
+	clear(dst)
+	if b+n == 0 || b == m.p.B {
+		dst[0] = 1
+		return dst
+	}
+	m.nDist[n][max(min(iNext, m.p.K)-n, 0)].probs(dst)
+	return dst
+}
+
 func clampIdx(x, hi int) int {
 	if x > hi {
 		return hi
@@ -141,6 +175,19 @@ func (c cdf) index(u float64) int {
 		}
 	}
 	return lo
+}
+
+// probs writes into dst the law index draws from for u uniform on [0, 1):
+// P(v) = c[v] − c[v−1] with sums capped at 1, and the last entry takes
+// every u past c[last−1].
+func (c cdf) probs(dst []float64) {
+	prev := 0.0
+	for v, cv := range c[:len(c)-1] {
+		cv = min(cv, 1)
+		dst[v] = cv - prev
+		prev = cv
+	}
+	dst[len(c)-1] = 1 - prev
 }
 
 // convolvePMF returns the distribution of the sum of two independent

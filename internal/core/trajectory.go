@@ -13,6 +13,13 @@ import (
 	"repro/internal/trace"
 )
 
+// State is one point of the download-evolution state space.
+type State struct {
+	N int // active connections, 0..K
+	B int // downloaded pieces, 0..B
+	I int // potential-set size, 0..S
+}
+
 // Trajectory is one sampled realization of the download process. Entry t
 // holds the state after t transition steps; entry 0 is the joining state.
 type Trajectory []State

@@ -73,18 +73,20 @@ func H(p Params, n, b, iNext int) []Outcome {
 	if newTrials < 0 {
 		newTrials = 0
 	}
-	y1 := stats.Binomial{N: n, P: p.PR}
-	y2 := stats.Binomial{N: newTrials, P: p.PN}
-	return convolveBinomials(y1, y2)
+	y1 := stats.Binomial{N: n, P: p.PR}.PMFTable()
+	y2 := stats.Binomial{N: newTrials, P: p.PN}.PMFTable()
+	return outcomes(convolvePMF(y1, y2))
 }
 
-// binomialOutcomes tabulates a Binomial(n, q) distribution as outcomes,
-// dropping zero-probability entries.
+// binomialOutcomes tabulates a Binomial(n, q) distribution as outcomes.
 func binomialOutcomes(n int, q float64) []Outcome {
-	d := stats.Binomial{N: n, P: q}
-	table := d.PMFTable()
-	out := make([]Outcome, 0, len(table))
-	for v, prob := range table {
+	return outcomes(stats.Binomial{N: n, P: q}.PMFTable())
+}
+
+// outcomes lists a dense PMF table's non-zero entries.
+func outcomes(pmf []float64) []Outcome {
+	out := make([]Outcome, 0, len(pmf))
+	for v, prob := range pmf {
 		if prob > 0 {
 			out = append(out, Outcome{Value: v, P: prob})
 		}
@@ -95,51 +97,5 @@ func binomialOutcomes(n int, q float64) []Outcome {
 // waitOutcomes models the geometric wait for a tradable peer: stay at 0
 // with probability 1−q, escape to 1 with probability q.
 func waitOutcomes(q float64) []Outcome {
-	switch q {
-	case 0:
-		return []Outcome{{Value: 0, P: 1}}
-	case 1:
-		return []Outcome{{Value: 1, P: 1}}
-	default:
-		return []Outcome{{Value: 0, P: 1 - q}, {Value: 1, P: q}}
-	}
-}
-
-// convolveBinomials returns the exact distribution of Y1 + Y2 for
-// independent binomials.
-func convolveBinomials(y1, y2 stats.Binomial) []Outcome {
-	t1 := y1.PMFTable()
-	t2 := y2.PMFTable()
-	sum := make([]float64, len(t1)+len(t2)-1)
-	for a, pa := range t1 {
-		if pa == 0 {
-			continue
-		}
-		for b, pb := range t2 {
-			if pb == 0 {
-				continue
-			}
-			sum[a+b] += pa * pb
-		}
-	}
-	out := make([]Outcome, 0, len(sum))
-	for v, prob := range sum {
-		if prob > 0 {
-			out = append(out, Outcome{Value: v, P: prob})
-		}
-	}
-	return out
-}
-
-// sampleOutcomes draws one value from a sparse distribution.
-func sampleOutcomes(r *stats.RNG, outs []Outcome) int {
-	u := r.Float64()
-	acc := 0.0
-	for _, o := range outs {
-		acc += o.P
-		if u < acc {
-			return o.Value
-		}
-	}
-	return outs[len(outs)-1].Value
+	return outcomes([]float64{1 - q, q})
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/stats"
 )
 
 func testParams() Params {
@@ -196,35 +195,50 @@ func TestTransitionDistributionsAreStochastic(t *testing.T) {
 	}
 }
 
+// TestModelStepMatchesTransitionFunctions holds the laws Model.Step draws
+// from, which the exact tier reads as its kernel, to Equations (2) and (3)
+// at every state: each i' row must equal G's outcome and each n' row H's,
+// entry by entry, and each must sum to 1 within 1e-12. An entry may
+// differ by a few ulps (worst 3.9e-15 at DefaultParams(5)): Model takes
+// p_(x) from TradingPowerCurve's closed form, within 9e-16 of Equation
+// (1)'s sum, and a running sum that ends short of 1 gives the rest to its
+// last value (cdf.index's fallback), up to 1.3e-15 here.
 func TestModelStepMatchesTransitionFunctions(t *testing.T) {
-	// The precomputed Model.Step must agree in distribution with the
-	// direct Step using F/G/H; compare empirical i'/n' means from a fixed
-	// state.
-	p := testParams()
-	m, err := NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := State{N: 1, B: 5, I: 4}
-	r1 := stats.NewRNG(100, 200)
-	r2 := stats.NewRNG(300, 400)
-	var accI1, accI2, accN1, accN2 stats.Accumulator
-	for trial := 0; trial < 20000; trial++ {
-		s1 := m.Step(r1, from)
-		s2 := Step(p, r2, from)
-		if s1.B != 6 || s2.B != 6 {
-			t.Fatal("deterministic b' mismatch")
+	for _, p := range []Params{testParams(), DefaultParams(5)} {
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		accI1.Add(float64(s1.I))
-		accI2.Add(float64(s2.I))
-		accN1.Add(float64(s1.N))
-		accN2.Add(float64(s2.N))
-	}
-	if math.Abs(accI1.Mean()-accI2.Mean()) > 0.1 {
-		t.Errorf("i' means diverge: %g vs %g", accI1.Mean(), accI2.Mean())
-	}
-	if math.Abs(accN1.Mean()-accN2.Mean()) > 0.06 {
-		t.Errorf("n' means diverge: %g vs %g", accN1.Mean(), accN2.Mean())
+		iRow := make([]float64, p.S+1)
+		nRow := make([]float64, p.K+1)
+		check := func(got []float64, want []Outcome, format string, args ...any) {
+			t.Helper()
+			what := func() string { return fmt.Sprintf(format, args...) }
+			dense := make([]float64, len(got))
+			for _, o := range want {
+				dense[o.Value] = o.P
+			}
+			sum := 0.0
+			for v, pv := range got {
+				sum += pv
+				if math.Abs(pv-dense[v]) > 1e-14 {
+					t.Fatalf("B=%d %s: P(%d) = %.17g, Equation gives %.17g", p.B, what(), v, pv, dense[v])
+				}
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("B=%d %s: row sums to %.17g", p.B, what(), sum)
+			}
+		}
+		for n := 0; n <= p.K; n++ {
+			for b := 0; b <= p.B; b++ {
+				for i := 0; i <= p.S; i++ {
+					check(m.iLaw(iRow, n, b, i), G(p, n, b, i), "i' at (%d,%d,%d)", n, b, i)
+				}
+				for iNext := 0; iNext <= p.S; iNext++ {
+					check(m.nLaw(nRow, n, b, iNext), H(p, n, b, iNext), "n' at (%d,%d) given i'=%d", n, b, iNext)
+				}
+			}
+		}
 	}
 }
 

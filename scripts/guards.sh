@@ -144,6 +144,17 @@ one_phase_rule() {
 	absent one_phase_rule 'func phaseOf' 'internal/core/*.go' ':!*_test.go'
 }
 
+# The exact tier reads the sampler's own running sums as one
+# level-structured kernel and sweeps it (DESIGN.md §17): the generic
+# sparse chain it replaced, its materialising builder and state cap, and
+# the package-level sampler that re-evaluated f/g/h beside Model.Step may
+# not grow back.
+one_exact_kernel() {
+	absent one_exact_kernel \
+		'repro/internal/markov|func BuildChain\(|maxExactStates|^func Step\(|func sampleOutcomes\(' \
+		'internal/core/*.go' ':!*_test.go'
+}
+
 # The simulator keeps one replication-degree table as pieces move, and
 # measures the potential set only for tracked peers (DESIGN.md §14): the
 # per-round recounts and the every-leecher potential average may not
@@ -181,6 +192,7 @@ one_item_line_writer
 one_envelope_writer
 one_transition_sampler
 one_phase_rule
+one_exact_kernel
 one_degree_table
 every_fuzz_function_in_ci
 

@@ -163,12 +163,13 @@ const (
 // AnalyzeTrace segments a download trace into the three phases.
 func AnalyzeTrace(d *DownloadTrace) (PhaseReport, error) { return trace.Analyze(d) }
 
-// TraceFit holds model-parameter estimates recovered from traces.
-type TraceFit = trace.FitResult
+// TraceFit holds the chain's parameters estimated from traces, each with
+// its standard error and the number of sample pairs that informed it.
+type TraceFit = core.Estimates
 
-// FitTraces estimates multiphased-model parameters (α, γ, potential
-// ratio) from a set of download traces.
-func FitTraces(traces []*DownloadTrace) (TraceFit, error) { return trace.Fit(traces) }
+// FitTraces inverts the multiphased chain: it estimates p_init, α, γ,
+// p_r, p_n and the p_(x) curve from a set of download traces.
+func FitTraces(traces []*DownloadTrace) (TraceFit, error) { return core.Estimate(traces) }
 
 // The real-client stack (loopback swarms, paper Section 4.2 methodology).
 type (

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metainfo"
 	"repro/internal/obs"
@@ -288,9 +289,9 @@ func run(w io.Writer, logger *slog.Logger, o options) error {
 			fmt.Fprintf(w, "  trace written to %s\n", path)
 		}
 	}
-	// Close the Section 4.2 loop: fit the multiphased model's parameters
-	// to the real-client traces just collected.
-	if fit, err := trace.Fit(collected); err == nil {
+	// Close the Section 4.2 loop: estimate the multiphased chain's
+	// parameters from the real-client traces just collected.
+	if fit, err := core.Estimate(collected); err == nil {
 		fmt.Fprintln(w, fit)
 	}
 	return nil

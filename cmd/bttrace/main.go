@@ -1,13 +1,16 @@
 // Command bttrace analyzes download traces: it segments each trace into
 // the bootstrap / efficient / last download phases and classifies its
-// regime (the Figure 2 instances). It can also generate synthetic traces
-// for each regime, and correlate a JSONL metrics stream (as emitted by
-// btswarm -metrics) against the trace's phases into a per-phase event mix.
+// regime (the Figure 2 instances). -fit inverts the multiphased chain on
+// the traces (core.Estimate: p_init, α, γ, p_r, p_n and the p_(x) curve,
+// each with its standard error, or "no information"). -gen writes one
+// trajectory of the chain itself, drawn from a fixed preset per regime.
+// -metrics correlates a JSONL metrics stream (as emitted by btswarm
+// -metrics) against the trace's phases into a per-phase event mix.
 //
 // Usage:
 //
 //	bttrace peer-1.jsonl peer-2.jsonl
-//	bttrace -fit peer-*.jsonl        # estimate model parameters
+//	bttrace -fit peer-*.jsonl        # estimate the chain's parameters
 //	bttrace -gen last-phase > last.jsonl
 //	bttrace -metrics metrics.jsonl leecher-0.jsonl
 package main
@@ -19,13 +22,15 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 func main() {
-	gen := flag.String("gen", "", "generate a synthetic trace: smooth, last-phase, or bootstrap")
-	fit := flag.Bool("fit", false, "estimate multiphased-model parameters from the traces")
+	gen := flag.String("gen", "", "write one chain trajectory from a regime's preset: smooth, last-phase, or bootstrap")
+	fit := flag.Bool("fit", false, "estimate the multiphased chain's parameters from the traces")
 	metrics := flag.String("metrics", "", "JSONL metrics snapshots to correlate with the first trace's phases")
 	flag.Parse()
 
@@ -41,11 +46,12 @@ func run(w io.Writer, gen string, fit bool, metrics string, files []string) erro
 		if err != nil {
 			return err
 		}
-		d, err := trace.Generate(trace.DefaultSyntheticConfig(regime))
+		p := preset(regime)
+		m, err := core.NewModel(p)
 		if err != nil {
 			return err
 		}
-		return trace.Write(w, d)
+		return trace.Write(w, m.SampleTrajectory(stats.NewRNG(1, 2)).Download(p))
 	}
 	if len(files) == 0 {
 		return fmt.Errorf("no trace files given (or use -gen)")
@@ -73,11 +79,11 @@ func run(w io.Writer, gen string, fit bool, metrics string, files []string) erro
 		all = append(all, d)
 	}
 	if fit {
-		res, err := trace.Fit(all)
+		est, err := core.Estimate(all)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, res)
+		fmt.Fprintln(w, est)
 	}
 	if metrics != "" {
 		if err := eventMix(w, metrics, all[0]); err != nil {
@@ -150,6 +156,25 @@ func eventMix(w io.Writer, path string, ref *trace.Download) error {
 			name, mix[name][boot], mix[name][eff], mix[name][last])
 	}
 	return nil
+}
+
+// preset is the chain configuration -gen draws a regime's trajectory
+// from; trace.Analyze classifies at least 191 of 200 draws of each as
+// its own regime. A small γ alone makes no last phase: under uniform ϕ
+// the potential set rarely empties. Under a geometric ϕ most peers hold
+// few pieces, so p_(x) falls as the peer's own count nears B.
+func preset(r trace.Regime) core.Params {
+	p := core.DefaultParams(5)
+	switch r {
+	case trace.RegimeSmooth:
+		p = core.DefaultParams(20)
+	case trace.RegimeLastPhase:
+		p.Phi, _ = core.GeometricPhi(p.B, 0.5) // fails only for a ratio outside (0, 1)
+		p.Gamma = 0.02
+	case trace.RegimeBootstrap:
+		p.Alpha, p.PInit = 0.002, 0.002
+	}
+	return p
 }
 
 func parseRegime(s string) (trace.Regime, error) {

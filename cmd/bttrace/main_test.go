@@ -15,25 +15,31 @@ import (
 	"repro/internal/trace"
 )
 
+// TestRunGenerateAndAnalyze writes each regime's -gen trajectory to a
+// file and analyzes it: every preset is classified as its own regime,
+// and the chain's trace completes.
 func TestRunGenerateAndAnalyze(t *testing.T) {
-	// Generate a synthetic trace to a file, then analyze it.
-	var gen strings.Builder
-	if err := run(&gen, "last-phase", false, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := os.WriteFile(path, []byte(gen.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := run(&sb, "", false, "", []string{path}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "regime=last-phase") {
-		t.Errorf("analysis output: %q", sb.String())
+	for _, regime := range []string{"smooth", "last-phase", "bootstrap"} {
+		var gen strings.Builder
+		if err := run(&gen, regime, false, "", nil); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), regime+".jsonl")
+		if err := os.WriteFile(path, []byte(gen.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(&sb, "", false, "", []string{path}); err != nil {
+			t.Fatal(err)
+		}
+		if out := sb.String(); !strings.Contains(out, "regime="+regime) || !strings.Contains(out, "completed=true") {
+			t.Errorf("-gen %s analyzed as %q", regime, out)
+		}
 	}
 }
 
+// TestRunFit estimates from a -gen trace read twice: one pair is one
+// chain step, and the α wait the bootstrap preset is made of informs α.
 func TestRunFit(t *testing.T) {
 	var gen strings.Builder
 	if err := run(&gen, "bootstrap", false, "", nil); err != nil {
@@ -47,8 +53,14 @@ func TestRunFit(t *testing.T) {
 	if err := run(&sb, "", true, "", []string{path, path}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "fit over 2 traces") {
-		t.Errorf("fit output: %q", sb.String())
+	out := sb.String()
+	for _, want := range []string{"estimate over 2 traces", "off-step pairs 0.0%", "p_(x)    "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fit output lacks %q: %q", want, out)
+		}
+	}
+	if regexp.MustCompile(`alpha +no information`).MatchString(out) {
+		t.Errorf("the bootstrap preset's wait must inform alpha: %q", out)
 	}
 }
 

@@ -330,6 +330,7 @@ func (c *Client) Trace() *trace.Download {
 		Pieces:      c.cfg.Torrent.Info.NumPieces(),
 		PieceSize:   c.cfg.Torrent.Info.PieceLength,
 		NeighborCap: c.cfg.MaxPeers,
+		ConnCap:     c.cfg.MaxPeers, // Conns counts active peers, at most all of them
 	}}
 	done := make(chan struct{})
 	select {

@@ -43,6 +43,7 @@ func (pt PeerTrace) Download(cfg Config) *trace.Download {
 			Pieces:      cfg.Pieces,
 			PieceSize:   trace.DefaultPieceSize,
 			NeighborCap: cfg.NeighborSet,
+			ConnCap:     cfg.MaxConns,
 		},
 		Samples: make([]trace.Sample, len(pt.Samples)),
 	}

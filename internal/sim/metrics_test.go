@@ -154,8 +154,8 @@ func TestPeerTraceDownload(t *testing.T) {
 		{Time: 10, Pieces: 0, Potential: 0, Conns: 0},
 		{Time: 12.5, Pieces: 3, Potential: 2, Conns: 1},
 	}}
-	d := pt.Download(Config{Pieces: 8, NeighborSet: 5})
-	want := trace.Meta{Client: "sim", Swarm: "sim-B8-s5", Pieces: 8, PieceSize: trace.DefaultPieceSize, NeighborCap: 5}
+	d := pt.Download(Config{Pieces: 8, NeighborSet: 5, MaxConns: 3})
+	want := trace.Meta{Client: "sim", Swarm: "sim-B8-s5", Pieces: 8, PieceSize: trace.DefaultPieceSize, NeighborCap: 5, ConnCap: 3}
 	if d.Meta != want {
 		t.Errorf("meta = %+v, want %+v", d.Meta, want)
 	}

@@ -76,12 +76,11 @@ func FuzzRead(f *testing.F) {
 		if len(back.Samples) != len(d.Samples) || back.Meta != d.Meta {
 			t.Fatal("round trip mismatch")
 		}
-		// Analysis and parameter fitting must never panic on an accepted
-		// trace, and Analyze matches its reference bit for bit.
+		// Analysis must never panic on an accepted trace, and Analyze
+		// matches its reference bit for bit.
 		got, gerr := Analyze(d)
 		if want, werr := analyzeRef(d); gerr != werr || !sameReport(got, want) {
 			t.Fatalf("Analyze = %+v (%v), reference %+v (%v)", got, gerr, want, werr)
 		}
-		_, _ = Fit([]*Download{d})
 	})
 }

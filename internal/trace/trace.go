@@ -16,14 +16,20 @@ import (
 	"io"
 )
 
+// DefaultPieceSize is the conventional 256 KiB BitTorrent piece size
+// (Section 2.1), used when a model or simulator trace counts bytes.
+const DefaultPieceSize int64 = 256 << 10
+
 // Meta describes the download a trace belongs to.
 type Meta struct {
-	Client      string  `json:"client"`
-	Swarm       string  `json:"swarm"`
-	Pieces      int     `json:"pieces"`
-	PieceSize   int64   `json:"pieceSize"`
-	NeighborCap int     `json:"neighborCap"`
-	Start       float64 `json:"start"`
+	Client      string `json:"client"`
+	Swarm       string `json:"swarm"`
+	Pieces      int    `json:"pieces"`
+	PieceSize   int64  `json:"pieceSize"`
+	NeighborCap int    `json:"neighborCap"`
+	// ConnCap is k, the cap the samples' Conns count obeys (0: unknown).
+	ConnCap int     `json:"connCap,omitempty"`
+	Start   float64 `json:"start"`
 }
 
 // Sample is one instrumentation point.

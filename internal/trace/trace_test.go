@@ -201,60 +201,3 @@ func TestRegimeString(t *testing.T) {
 		t.Error("regime names wrong")
 	}
 }
-
-func TestGenerateRegimes(t *testing.T) {
-	for _, regime := range []Regime{RegimeSmooth, RegimeLastPhase, RegimeBootstrap} {
-		cfg := DefaultSyntheticConfig(regime)
-		d, err := Generate(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", regime, err)
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("%s: invalid synthetic trace: %v", regime, err)
-		}
-		rep, err := Analyze(d)
-		if err != nil {
-			t.Fatalf("%s: %v", regime, err)
-		}
-		if rep.Regime != regime {
-			t.Errorf("generated %s classified as %s (report: %s)", regime, rep.Regime, rep)
-		}
-		if !d.Complete() {
-			t.Errorf("%s: synthetic trace must complete", regime)
-		}
-	}
-}
-
-func TestGenerateRoundTripThroughSerialization(t *testing.T) {
-	d, err := Generate(DefaultSyntheticConfig(RegimeLastPhase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repA, err := Analyze(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB, err := Analyze(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repA != repB {
-		t.Errorf("analysis changed across serialization: %+v vs %+v", repA, repB)
-	}
-}
-
-func TestGenerateBadConfig(t *testing.T) {
-	cfg := DefaultSyntheticConfig(RegimeSmooth)
-	cfg.Pieces = 1
-	if _, err := Generate(cfg); err == nil {
-		t.Error("bad config must be rejected")
-	}
-}

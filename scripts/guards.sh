@@ -165,6 +165,15 @@ one_degree_table() {
 		'internal/sim/*.go' ':!*_test.go'
 }
 
+# The chain is the one download process: bttrace -gen draws its synthetic
+# traces from core's presets, and core.Estimate, which reads a trace pair
+# as one Model.Step, is the one fit (DESIGN.md §17). The hand-built
+# second generator and the sojourn fit that did not invert the chain may
+# not grow back.
+one_trace_generator() {
+	absent one_trace_generator 'func Generate\(|SyntheticConfig|func Fit\(|escapeProb' '*.go' ':!bench'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -194,6 +203,7 @@ one_transition_sampler
 one_phase_rule
 one_exact_kernel
 one_degree_table
+one_trace_generator
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

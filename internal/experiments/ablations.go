@@ -335,20 +335,24 @@ func boolToUint(b bool) uint64 {
 }
 
 // FluidComparisonResult contrasts the Qiu–Srikant fluid baseline with the
-// protocol-level simulator across neighbor-set sizes.
+// protocol-level simulator across neighbor-set sizes. Every fluid input
+// comes from the row's own run: its configuration (λ, μ = c) and its
+// measured p_r (η), never from its download time.
 type FluidComparisonResult struct {
 	SetSizes []int
 	SimDT    []float64
-	// FluidDT is the fluid model's steady-state prediction — a single
-	// number, blind to the neighbor-set size (repeated per row for
-	// comparison).
-	FluidDT float64
+	// FluidDT[i] is the fluid steady-state download time at ModelEta[i].
+	FluidDT []float64
+	// ModelEta[i] is the §5 η at row i's measured p_r (modelEta), the η
+	// fed to the fluid model; SimEta[i] is the slot use the run realised.
+	ModelEta, SimEta []float64
 }
 
 // FluidComparison demonstrates the paper's motivating critique of fluid
-// models (Section 2.2): the fluid steady state predicts a download time
-// independent of protocol detail, while the protocol-level simulator
-// shows the neighbor-set size changing it materially.
+// models (Section 2.2): the fluid steady state sees the neighbor-set size
+// only through η, and the §5 model at the run's own p_r barely moves η,
+// while the protocol-level simulator shows the neighbor-set size changing
+// the download time materially.
 func FluidComparison(scale Scale) (*FluidComparisonResult, error) {
 	logger.Debug("fluid comparison: start", "scale", scale.String())
 	defer observeWalltime("fluid_comparison", time.Now())
@@ -357,7 +361,10 @@ func FluidComparison(scale Scale) (*FluidComparisonResult, error) {
 		pieces, initial, horizon = 50, 60, 300
 	}
 	setSizes := []int{5, 15, 50}
-	simDT, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (float64, error) {
+	type row struct {
+		simDT, fluidDT, modelEta, simEta float64
+	}
+	rows, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (row, error) {
 		s := setSizes[i]
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = pieces
@@ -372,43 +379,49 @@ func FluidComparison(scale Scale) (*FluidComparisonResult, error) {
 		cfg.Seed2 = 0xF1D
 		sw, err := sim.New(cfg)
 		if err != nil {
-			return 0, fmt.Errorf("fluid comparison: %w", err)
+			return row{}, fmt.Errorf("fluid comparison: %w", err)
 		}
 		res, err := sw.Run()
 		if err != nil {
-			return 0, fmt.Errorf("fluid comparison: %w", err)
+			return row{}, fmt.Errorf("fluid comparison: %w", err)
 		}
-		return res.MeanDownloadTime(), nil
+		eta, _, err := modelEta(cfg.MaxConns, res)
+		if err != nil {
+			return row{}, fmt.Errorf("fluid comparison model s=%d: %w", s, err)
+		}
+		// Fluid model in file units: a peer moves at most MaxConns of the
+		// Pieces pieces per round each way, so μ = c = MaxConns/Pieces; γ
+		// is large because the simulator's completed peers leave at once
+		// (the origin seed is a small additive term).
+		mu := float64(cfg.MaxConns) / float64(cfg.Pieces)
+		qs := fluid.QSParams{Lambda: cfg.ArrivalRate, C: mu, Mu: mu, Eta: eta, Gamma: 1000 * mu}
+		ss, err := qs.ClosedFormSteadyState()
+		if err != nil {
+			return row{}, fmt.Errorf("fluid comparison: %w", err)
+		}
+		return row{simDT: res.MeanDownloadTime(), fluidDT: ss.DownloadTime, modelEta: eta, simEta: res.MeanEfficiency()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &FluidComparisonResult{SetSizes: setSizes, SimDT: simDT}
-	// Calibrate the fluid μ post-hoc from the large-neighbor-set (s = 50)
-	// run: a peer uploads ~η·k pieces per round out of B total, so in
-	// file units μ ≈ (completed pieces per round per peer) / B.
-	calibMu := 1 / simDT[len(simDT)-1]
-	// Fluid model in file units: η = 1, c generous (download links are
-	// not the bottleneck in the simulator), γ large (the simulator's
-	// completed peers leave immediately; the origin seed is a small
-	// additive term).
-	qs := fluid.QSParams{Lambda: 2, C: 10 * calibMu, Mu: calibMu, Eta: 1, Gamma: 1000 * calibMu}
-	ss, err := qs.ClosedFormSteadyState()
-	if err != nil {
-		return nil, fmt.Errorf("fluid comparison: %w", err)
+	out := &FluidComparisonResult{SetSizes: setSizes}
+	for _, r := range rows {
+		out.SimDT = append(out.SimDT, r.simDT)
+		out.FluidDT = append(out.FluidDT, r.fluidDT)
+		out.ModelEta = append(out.ModelEta, r.modelEta)
+		out.SimEta = append(out.SimEta, r.simEta)
 	}
-	out.FluidDT = ss.DownloadTime
 	return out, nil
 }
 
 // Table renders the fluid-versus-simulator comparison.
 func (r *FluidComparisonResult) Table() *Table {
 	t := &Table{
-		Title:   "Baseline: Qiu-Srikant fluid model vs protocol-level simulator (mean download time)",
-		Columns: []string{"neighbor set", "sim DT", "fluid DT (s-blind)"},
+		Title:   "Baseline: Qiu-Srikant fluid model at the model eta vs protocol-level simulator (mean download time)",
+		Columns: []string{"neighbor set", "sim DT", "fluid DT", "model eta", "sim eta"},
 	}
 	for i := range r.SetSizes {
-		t.AddRow(float64(r.SetSizes[i]), r.SimDT[i], r.FluidDT)
+		t.AddRow(float64(r.SetSizes[i]), r.SimDT[i], r.FluidDT[i], r.ModelEta[i], r.SimEta[i])
 	}
 	return t
 }

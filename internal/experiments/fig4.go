@@ -60,15 +60,11 @@ func Fig4a(scale Scale) (*Fig4aResult, error) {
 		if err != nil {
 			return point{}, fmt.Errorf("fig4a: %w", err)
 		}
-		pr := res.MeanPR()
-		if math.IsNaN(pr) {
-			pr = core.CalibratedPR(k)
-		}
-		model, err := core.SolveEfficiency(core.EfficiencyParams{K: k, PR: pr}, 1e-9, 500000)
+		eta, pr, err := modelEta(k, res)
 		if err != nil {
 			return point{}, fmt.Errorf("fig4a model k=%d: %w", k, err)
 		}
-		return point{modelEta: model.Eta, simEta: res.MeanEfficiency(), pr: pr}, nil
+		return point{modelEta: eta, simEta: res.MeanEfficiency(), pr: pr}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -81,6 +77,22 @@ func Fig4a(scale Scale) (*Fig4aResult, error) {
 		out.MeasuredPR = append(out.MeasuredPR, p.pr)
 	}
 	return out, nil
+}
+
+// modelEta is the one route from a simulator run to a model η (§4's
+// method: measure, then feed the model): the §5 efficiency model for k
+// connections at the run's measured p_r, or at core.CalibratedPR(k) when
+// the run measured no connection. Fig4a and both fluid comparisons use it.
+func modelEta(k int, res *sim.Result) (eta, pr float64, err error) {
+	pr = res.MeanPR()
+	if math.IsNaN(pr) {
+		pr = core.CalibratedPR(k)
+	}
+	model, err := core.SolveEfficiency(core.EfficiencyParams{K: k, PR: pr}, 1e-9, 500000)
+	if err != nil {
+		return 0, 0, err
+	}
+	return model.Eta, pr, nil
 }
 
 // Table renders the Figure 4(a) rows.

@@ -21,10 +21,11 @@ import (
 // The comparison deliberately scores the quasi-stationary tracking
 // window, not the bootstrap transient: the transient's shape depends on
 // protocol details the mean-field model averages out (a bias that does
-// not vanish in N), while the stationary level converges — the single
-// calibrated η absorbs the level bias at the largest N, the residual
-// finite-size level shift decays like 1/N, and the fluctuation term
-// decays like 1/√N.
+// not vanish in N), while the stationary level converges — the
+// finite-size level shift decays like 1/N and the fluctuation term like
+// 1/√N. Nothing is fitted: each replicate is scored with the §5 η
+// predicted at its own measured p_r (modelEta), so what remains at the
+// largest N is that prediction's gap to the sim's realised slot use.
 type FluidConvergenceResult struct {
 	// Ns are the swarm scales, ascending: the arrival rate is N/25 and
 	// the origin-seed count N/100, so the stationary population is
@@ -34,9 +35,9 @@ type FluidConvergenceResult struct {
 	Seeds []int
 	// Pieces is the piece count K shared by the sim and the chunk model.
 	Pieces int
-	// Eta is the trading-efficiency scalar calibrated once against the
-	// largest-N runs; every row is scored with this single value.
-	Eta float64
+	// Eta[i] is the mean over Ns[i]'s replicates of the §5 η each
+	// replicate was scored with (modelEta of that run).
+	Eta []float64
 	// Reps is the number of replicate seeds averaged per row.
 	Reps int
 	// Err[i] is the RMSE of X_sim(t)/Ns[i] against the fluid x(t) over
@@ -51,11 +52,14 @@ type FluidConvergenceResult struct {
 	Monotone bool
 }
 
-// drainRun is one simulated scenario replicate: census times and the
-// scaled leecher-population path extracted from the piece census.
+// drainRun is one simulated scenario replicate: census times, the
+// scaled leecher-population path extracted from the piece census, and
+// the run mapped onto the chunk model it is scored against.
 type drainRun struct {
-	t []float64
-	x []float64 // Σ_b Census[i][b] / N
+	t     []float64
+	x     []float64         // Σ_b Census[i][b] / N
+	p     fluid.ChunkParams // at the model η of the run's measured p_r
+	seeds int               // origin seeds; y0 = seeds / N
 }
 
 // Scenario constants: every run integrates to fluidConvHorizon and is
@@ -66,23 +70,24 @@ const (
 	fluidConvWarmup  = 60.0
 )
 
-// fluidConvChunkParams maps the sim scenario onto the chunk model in
-// scaled (per-N) units. Rates follow sim units (PieceTime = 1): a
-// leecher moves at most MaxConns pieces per round each way, so
-// C·K = Mu·K = MaxConns; σ is the per-seed pieces-per-round knob
-// verbatim; λ = 1/25 matches ArrivalRate = N/25 per capita. Theta,
+// fluidConvChunkParams maps a run of the scenario at scale n onto the
+// chunk model in scaled (per-N) units, at trading efficiency eta. Rates
+// follow sim units (PieceTime = 1): a leecher moves at most MaxConns
+// pieces per round each way, so C·K = Mu·K = MaxConns; σ is the per-seed
+// pieces-per-round knob verbatim; λ is ArrivalRate per capita. Theta,
 // Gamma and SeedFraction stay zero — no aborts, completions leave
 // immediately, and the origin seeds never depart — matching the sim
 // configuration in fluidConvSim.
-func fluidConvChunkParams(pieces, maxConns, seedUpload int, eta float64) fluid.ChunkParams {
+func fluidConvChunkParams(cfg sim.Config, n int, eta float64) fluid.ChunkParams {
+	rate := float64(cfg.MaxConns) / float64(cfg.Pieces)
 	return fluid.ChunkParams{
-		K:          pieces,
-		S:          maxConns,
-		Lambda:     1.0 / 25,
-		C:          float64(maxConns) / float64(pieces),
-		Mu:         float64(maxConns) / float64(pieces),
+		K:          cfg.Pieces,
+		S:          cfg.MaxConns,
+		Lambda:     cfg.ArrivalRate / float64(n),
+		C:          rate,
+		Mu:         rate,
 		Eta:        eta,
-		SeedUpload: float64(seedUpload),
+		SeedUpload: float64(cfg.SeedUpload),
 	}
 }
 
@@ -124,9 +129,15 @@ func runFluidConvSim(pieces, n, rep int) (drainRun, error) {
 	if len(res.Census) == 0 {
 		return drainRun{}, fmt.Errorf("fluidconv N=%d: no census rows", n)
 	}
+	eta, _, err := modelEta(cfg.MaxConns, res)
+	if err != nil {
+		return drainRun{}, fmt.Errorf("fluidconv N=%d model: %w", n, err)
+	}
 	run := drainRun{
-		t: res.CensusT,
-		x: make([]float64, len(res.Census)),
+		t:     res.CensusT,
+		x:     make([]float64, len(res.Census)),
+		p:     fluidConvChunkParams(cfg, n, eta),
+		seeds: cfg.Seeds,
 	}
 	for i, row := range res.Census {
 		sum := 0
@@ -184,74 +195,9 @@ func windowMean(t, x []float64) float64 {
 	return sum / float64(n)
 }
 
-// calibrateEta fits the single trading-efficiency scalar η against the
-// largest-N replicates: a coarse scan over [0.05, 1] followed by a
-// golden-section refinement of the best bracket, minimizing the mean
-// windowed RMSE. Deterministic: fixed probe sequence, no randomness.
-func calibrateEta(pieces, maxConns, seedUpload int, y0 float64, runs []drainRun) (float64, error) {
-	eval := func(eta float64) (float64, error) {
-		sum := 0.0
-		for _, run := range runs {
-			tr, err := solveFluidConv(fluidConvChunkParams(pieces, maxConns, seedUpload, eta), y0, run.t)
-			if err != nil {
-				return 0, err
-			}
-			sum += windowRMSE(run.t, run.x, tr)
-		}
-		return sum / float64(len(runs)), nil
-	}
-	bestEta, bestErr := 0.0, math.Inf(1)
-	for i := 1; i <= 20; i++ {
-		eta := float64(i) * 0.05
-		r, err := eval(eta)
-		if err != nil {
-			return 0, fmt.Errorf("fluidconv calibrate eta=%.2f: %w", eta, err)
-		}
-		if r < bestErr {
-			bestEta, bestErr = eta, r
-		}
-	}
-	if math.IsInf(bestErr, 1) {
-		return 0, fmt.Errorf("fluidconv: calibration found no usable eta")
-	}
-	lo, hi := bestEta-0.05, bestEta+0.05
-	if lo < 0.01 {
-		lo = 0.01
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	const invphi = 0.6180339887498949
-	a, b := hi-invphi*(hi-lo), lo+invphi*(hi-lo)
-	fa, err := eval(a)
-	if err != nil {
-		return 0, err
-	}
-	fb, err := eval(b)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < 24 && hi-lo > 1e-4; i++ {
-		if fa < fb {
-			hi, b, fb = b, a, fa
-			a = hi - invphi*(hi-lo)
-			if fa, err = eval(a); err != nil {
-				return 0, err
-			}
-		} else {
-			lo, a, fa = a, b, fb
-			b = lo + invphi*(hi-lo)
-			if fb, err = eval(b); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
 // FluidConvergence runs the sim-to-fluid convergence study: the
 // steady-arrival scenario at three scales, scored against the
-// chunk-level fluid trajectory with one η calibrated at the largest N.
+// chunk-level fluid trajectory, each replicate with its own predicted η.
 // The Monotone verdict is the CI gate; see FluidConvergenceResult for
 // why the error is expected to shrink strictly in N.
 func FluidConvergence(scale Scale) (*FluidConvergenceResult, error) {
@@ -262,7 +208,6 @@ func FluidConvergence(scale Scale) (*FluidConvergenceResult, error) {
 	if scale == Full {
 		ns = []int{1000, 10000, 100000}
 	}
-	cfg := sim.DefaultConfig()
 	flat, err := par.Map(context.Background(), len(ns)*reps, 0, func(i int) (drainRun, error) {
 		return runFluidConvSim(pieces, ns[i/reps], i%reps)
 	})
@@ -273,41 +218,30 @@ func FluidConvergence(scale Scale) (*FluidConvergenceResult, error) {
 		Ns:         ns,
 		Pieces:     pieces,
 		Reps:       reps,
+		Eta:        make([]float64, len(ns)),
 		Err:        make([]float64, len(ns)),
 		SimLevel:   make([]float64, len(ns)),
 		FluidLevel: make([]float64, len(ns)),
 	}
-	seedFrac := make([]float64, len(ns))
 	for i, n := range ns {
-		s := n / 100
-		if s < 1 {
-			s = 1
-		}
-		out.Seeds = append(out.Seeds, s)
-		seedFrac[i] = float64(s) / float64(n)
-	}
-	last := len(ns) - 1
-	eta, err := calibrateEta(pieces, cfg.MaxConns, cfg.SeedUpload, seedFrac[last], flat[last*reps:last*reps+reps])
-	if err != nil {
-		return nil, err
-	}
-	out.Eta = eta
-	for i := range ns {
-		errSum, simSum, fluidSum := 0.0, 0.0, 0.0
+		out.Seeds = append(out.Seeds, flat[i*reps].seeds)
+		etaSum, errSum, simSum, fluidSum := 0.0, 0.0, 0.0, 0.0
 		for r := 0; r < reps; r++ {
 			run := flat[i*reps+r]
-			tr, err := solveFluidConv(fluidConvChunkParams(pieces, cfg.MaxConns, cfg.SeedUpload, eta), seedFrac[i], run.t)
+			tr, err := solveFluidConv(run.p, float64(run.seeds)/float64(n), run.t)
 			if err != nil {
-				return nil, fmt.Errorf("fluidconv N=%d: %w", ns[i], err)
+				return nil, fmt.Errorf("fluidconv N=%d: %w", n, err)
 			}
+			etaSum += run.p.Eta
 			errSum += windowRMSE(run.t, run.x, tr)
 			simSum += windowMean(run.t, run.x)
 			fluidSum += windowMean(tr.T, tr.Leechers)
 		}
+		out.Eta[i] = etaSum / reps
 		out.Err[i] = errSum / reps
 		out.SimLevel[i] = simSum / reps
 		out.FluidLevel[i] = fluidSum / reps
-		logger.Debug("fluid convergence: row", "n", ns[i], "rmse", out.Err[i])
+		logger.Debug("fluid convergence: row", "n", n, "rmse", out.Err[i])
 	}
 	out.Monotone = true
 	for i := 1; i < len(out.Err); i++ {
@@ -321,12 +255,12 @@ func FluidConvergence(scale Scale) (*FluidConvergenceResult, error) {
 // Table renders the convergence study.
 func (r *FluidConvergenceResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Convergence: sim vs chunk-level fluid limit, stationary window (K=%d, eta=%.4f, %d reps)",
-			r.Pieces, r.Eta, r.Reps),
-		Columns: []string{"N", "seeds", "scaled RMSE", "sim level", "fluid level"},
+		Title: fmt.Sprintf("Convergence: sim vs chunk-level fluid limit at the model eta, stationary window (K=%d, %d reps)",
+			r.Pieces, r.Reps),
+		Columns: []string{"N", "seeds", "model eta", "scaled RMSE", "sim level", "fluid level"},
 	}
 	for i := range r.Ns {
-		t.AddRow(float64(r.Ns[i]), float64(r.Seeds[i]), r.Err[i], r.SimLevel[i], r.FluidLevel[i])
+		t.AddRow(float64(r.Ns[i]), float64(r.Seeds[i]), r.Eta[i], r.Err[i], r.SimLevel[i], r.FluidLevel[i])
 	}
 	return t
 }

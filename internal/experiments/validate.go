@@ -65,7 +65,7 @@ func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = b
-		cfg.MaxConns = 7
+		cfg.MaxConns = p.K
 		cfg.NeighborSet = s
 		cfg.InitialPeers = 120
 		cfg.ArrivalRate = 2

@@ -174,6 +174,14 @@ one_trace_generator() {
 	absent one_trace_generator 'func Generate\(|SyntheticConfig|func Fit\(|escapeProb' '*.go' ':!bench'
 }
 
+# The fluid tier takes η one way, modelEta: the §5 efficiency model at
+# the scored run's measured p_r (DESIGN.md §17). The golden-section fit
+# against the runs it then scored, and the μ read off the sim DT it was
+# compared with, may not grow back.
+one_calibration_route() {
+	absent one_calibration_route 'calibrateEta|calibMu|invphi' '*.go' ':!bench'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -204,6 +212,7 @@ one_phase_rule
 one_exact_kernel
 one_degree_table
 one_trace_generator
+one_calibration_route
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

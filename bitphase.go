@@ -250,7 +250,6 @@ var (
 	AblationShakeThreshold = experiments.AblationShakeThreshold
 	AblationTrackerRefresh = experiments.AblationTrackerRefresh
 	AblationSuperSeed      = experiments.AblationSuperSeed
-	FluidComparison        = experiments.FluidComparison
 	FlashCrowd             = experiments.FlashCrowd
 	ValidateDistributions  = experiments.ValidateDistributions
 )

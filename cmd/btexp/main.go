@@ -43,7 +43,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1a, 1b, 2, 4a, 4bc, 4bcxl, 4d, ablations, validate, flashcrowd, fluid, fluidconv, or all (4bcxl is excluded from all)")
+	fig := flag.String("fig", "all", "figure to regenerate, or a comma-separated list: 1a, 1b, 2, 4a, 4b, 4c, 4bc, 4bcxl, 4d, ablations, validate, flashcrowd, fluidconv, or all (4bcxl is excluded from all)")
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	rows := flag.Int("rows", 15, "maximum series rows per table")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent workers for figures and their inner sweeps (must be >= 1)")

@@ -32,25 +32,28 @@ func TestRunMultipleFigures(t *testing.T) {
 
 func TestRunValidateAndFluid(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, nil, "validate,fluid", "quick", 6); err != nil {
+	if err := run(&sb, nil, "validate", "quick", 6); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "Kolmogorov") && !strings.Contains(out, "KS") {
-		t.Error("missing validation table")
-	}
-	if !strings.Contains(out, "fluid") {
-		t.Error("missing fluid table")
+	for _, col := range []string{"KS", "band", "lambda-cohort KS", "fluid DT", "model eta", "sim eta"} {
+		if !strings.Contains(out, col) {
+			t.Errorf("validation table lacks the %q column", col)
+		}
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, nil, "nonsense", "quick", 5); err == nil {
-		t.Error("unknown figure must error")
-	}
-	if err := run(&sb, nil, "4a", "warp", 5); err == nil {
-		t.Error("unknown scale must error")
+	for _, tc := range []struct{ fig, scale string }{
+		{"nonsense", "quick"},
+		{"4a,nonsense", "quick"}, // an unknown id inside a list
+		{"fluid", "quick"},       // folded into validate
+		{"4a", "warp"},
+	} {
+		var sb strings.Builder
+		if err := run(&sb, nil, tc.fig, tc.scale, 5); err == nil {
+			t.Errorf("-fig %s -scale %s must error", tc.fig, tc.scale)
+		}
 	}
 }
 

@@ -6,15 +6,13 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/fluid"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
 
 // Ablation experiments for the design choices DESIGN.md Section 6 calls
 // out: piece selection, shake threshold, tracker refresh cadence, and
-// seeding policy — plus a comparison against the fluid-model baseline the
-// paper positions itself against.
+// seeding policy.
 
 // PieceSelectionResult compares rarest-first against random-first on a
 // skew-recovery workload.
@@ -332,96 +330,4 @@ func boolToUint(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// FluidComparisonResult contrasts the Qiu–Srikant fluid baseline with the
-// protocol-level simulator across neighbor-set sizes. Every fluid input
-// comes from the row's own run: its configuration (λ, μ = c) and its
-// measured p_r (η), never from its download time.
-type FluidComparisonResult struct {
-	SetSizes []int
-	SimDT    []float64
-	// FluidDT[i] is the fluid steady-state download time at ModelEta[i].
-	FluidDT []float64
-	// ModelEta[i] is the §5 η at row i's measured p_r (modelEta), the η
-	// fed to the fluid model; SimEta[i] is the slot use the run realised.
-	ModelEta, SimEta []float64
-}
-
-// FluidComparison demonstrates the paper's motivating critique of fluid
-// models (Section 2.2): the fluid steady state sees the neighbor-set size
-// only through η, and the §5 model at the run's own p_r barely moves η,
-// while the protocol-level simulator shows the neighbor-set size changing
-// the download time materially.
-func FluidComparison(scale Scale) (*FluidComparisonResult, error) {
-	logger.Debug("fluid comparison: start", "scale", scale.String())
-	defer observeWalltime("fluid_comparison", time.Now())
-	pieces, initial, horizon := 200, 120, 800.0
-	if scale == Quick {
-		pieces, initial, horizon = 50, 60, 300
-	}
-	setSizes := []int{5, 15, 50}
-	type row struct {
-		simDT, fluidDT, modelEta, simEta float64
-	}
-	rows, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (row, error) {
-		s := setSizes[i]
-		cfg := sim.DefaultConfig()
-		cfg.Pieces = pieces
-		cfg.MaxConns = 7
-		cfg.NeighborSet = s
-		cfg.InitialPeers = initial
-		cfg.ArrivalRate = 2
-		cfg.SeedUpload = 6
-		cfg.Horizon = horizon
-		cfg.TrackPeers = 0
-		cfg.Seed1 = uint64(s)
-		cfg.Seed2 = 0xF1D
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return row{}, fmt.Errorf("fluid comparison: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return row{}, fmt.Errorf("fluid comparison: %w", err)
-		}
-		eta, _, err := modelEta(cfg.MaxConns, res)
-		if err != nil {
-			return row{}, fmt.Errorf("fluid comparison model s=%d: %w", s, err)
-		}
-		// Fluid model in file units: a peer moves at most MaxConns of the
-		// Pieces pieces per round each way, so μ = c = MaxConns/Pieces; γ
-		// is large because the simulator's completed peers leave at once
-		// (the origin seed is a small additive term).
-		mu := float64(cfg.MaxConns) / float64(cfg.Pieces)
-		qs := fluid.QSParams{Lambda: cfg.ArrivalRate, C: mu, Mu: mu, Eta: eta, Gamma: 1000 * mu}
-		ss, err := qs.ClosedFormSteadyState()
-		if err != nil {
-			return row{}, fmt.Errorf("fluid comparison: %w", err)
-		}
-		return row{simDT: res.MeanDownloadTime(), fluidDT: ss.DownloadTime, modelEta: eta, simEta: res.MeanEfficiency()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &FluidComparisonResult{SetSizes: setSizes}
-	for _, r := range rows {
-		out.SimDT = append(out.SimDT, r.simDT)
-		out.FluidDT = append(out.FluidDT, r.fluidDT)
-		out.ModelEta = append(out.ModelEta, r.modelEta)
-		out.SimEta = append(out.SimEta, r.simEta)
-	}
-	return out, nil
-}
-
-// Table renders the fluid-versus-simulator comparison.
-func (r *FluidComparisonResult) Table() *Table {
-	t := &Table{
-		Title:   "Baseline: Qiu-Srikant fluid model at the model eta vs protocol-level simulator (mean download time)",
-		Columns: []string{"neighbor set", "sim DT", "fluid DT", "model eta", "sim eta"},
-	}
-	for i := range r.SetSizes {
-		t.AddRow(float64(r.SetSizes[i]), r.SimDT[i], r.FluidDT[i], r.ModelEta[i], r.SimEta[i])
-	}
-	return t
 }

@@ -11,7 +11,8 @@ import (
 // parallel experiment engine: a fixed-seed figure must produce a
 // bit-identical result structure whether its runs execute serially or on
 // 4 or 8 workers. It covers one model-heavy harness (Fig1a), one
-// simulator sweep (Fig4a), and one paired-arm comparison (Fig4d). The CI
+// simulator sweep (Fig4a), one paired-arm comparison (Fig4d), and the
+// three-tier validation (ValidateDistributions). The CI
 // test job runs this under -race, so it doubles as a data-race probe of
 // the fan-out paths.
 func TestJobCountInvariance(t *testing.T) {
@@ -25,6 +26,7 @@ func TestJobCountInvariance(t *testing.T) {
 		{"fig1a", func() (any, error) { return Fig1a(Quick) }},
 		{"fig4a", func() (any, error) { return Fig4a(Quick) }},
 		{"fig4d", func() (any, error) { return Fig4d(Quick) }},
+		{"validate", func() (any, error) { return ValidateDistributions(Quick) }},
 	}
 	defer par.SetDefaultJobs(0)
 	for _, h := range harnesses {

@@ -104,9 +104,9 @@ type Fig1bResult struct {
 func Fig1b(scale Scale) (*Fig1bResult, error) {
 	logger.Debug("fig1b: start", "scale", scale.String())
 	defer observeWalltime("fig1b", time.Now())
-	b, runs, horizon := 200, 400, 800.0
+	runs := 400
 	if scale == Quick {
-		b, runs, horizon = 50, 120, 300
+		runs = 120
 	}
 	setSizes := []int{5, 50}
 	// Each set size runs an independently seeded model ensemble and
@@ -116,10 +116,8 @@ func Fig1b(scale Scale) (*Fig1bResult, error) {
 	}
 	cols, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (column, error) {
 		s := setSizes[i]
+		cfg, p := paperSwarm(s, scale)
 		// Model side.
-		p := core.DefaultParams(s)
-		p.B = b
-		p.Phi = core.UniformPhi(b)
 		m, err := core.NewModel(p)
 		if err != nil {
 			return column{}, fmt.Errorf("fig1b model: %w", err)
@@ -130,16 +128,6 @@ func Fig1b(scale Scale) (*Fig1bResult, error) {
 		}
 
 		// Simulation side.
-		cfg := sim.DefaultConfig()
-		cfg.Pieces = b
-		cfg.MaxConns = 7
-		cfg.NeighborSet = s
-		cfg.InitialPeers = 120
-		cfg.ArrivalRate = 2
-		cfg.SeedUpload = 6
-		cfg.Horizon = horizon
-		cfg.TrackPeers = 0
-		cfg.Seed1 = uint64(s)
 		cfg.Seed2 = 0x51B
 		sw, err := sim.New(cfg)
 		if err != nil {
@@ -149,17 +137,44 @@ func Fig1b(scale Scale) (*Fig1bResult, error) {
 		if err != nil {
 			return column{}, fmt.Errorf("fig1b sim: %w", err)
 		}
-		return column{model: es.FirstPassage, sim: res.MeanFirstPassage(b)}, nil
+		return column{model: es.FirstPassage, sim: res.MeanFirstPassage(cfg.Pieces)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig1bResult{Pieces: b, SetSizes: setSizes}
+	// FirstPassage is indexed by piece count 0..B.
+	out := &Fig1bResult{Pieces: len(cols[0].model) - 1, SetSizes: setSizes}
 	for _, c := range cols {
 		out.ModelTime = append(out.ModelTime, c.model)
 		out.SimTime = append(out.SimTime, c.sim)
 	}
 	return out, nil
+}
+
+// paperSwarm is the §4 swarm at neighbor-set size s, the one Figure 1(b)
+// and ValidateDistributions run: a flash crowd of 120 peers, λ = 2
+// arrivals after it and one origin seed, with the chain it is compared
+// against (DefaultParams(s) at B = Pieces, K = MaxConns, uniform ϕ).
+// Callers set Seed2.
+func paperSwarm(s int, scale Scale) (sim.Config, core.Params) {
+	b, horizon := 200, 800.0
+	if scale == Quick {
+		b, horizon = 50, 300
+	}
+	p := core.DefaultParams(s)
+	p.B = b
+	p.Phi = core.UniformPhi(b)
+	cfg := sim.DefaultConfig()
+	cfg.Pieces = b
+	cfg.MaxConns = p.K
+	cfg.NeighborSet = s
+	cfg.InitialPeers = 120
+	cfg.ArrivalRate = 2
+	cfg.SeedUpload = 6
+	cfg.Horizon = horizon
+	cfg.TrackPeers = 0
+	cfg.Seed1 = uint64(s)
+	return cfg, p
 }
 
 // Table renders the timeline comparison with at most maxRows points.

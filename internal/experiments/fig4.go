@@ -82,7 +82,8 @@ func Fig4a(scale Scale) (*Fig4aResult, error) {
 // modelEta is the one route from a simulator run to a model η (§4's
 // method: measure, then feed the model): the §5 efficiency model for k
 // connections at the run's measured p_r, or at core.CalibratedPR(k) when
-// the run measured no connection. Fig4a and both fluid comparisons use it.
+// the run measured no connection. Fig4a, ValidateDistributions and
+// FluidConvergence use it.
 func modelEta(k int, res *sim.Result) (eta, pr float64, err error) {
 	pr = res.MeanPR()
 	if math.IsNaN(pr) {

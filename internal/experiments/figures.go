@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/obs/trace"
@@ -27,20 +28,27 @@ type Figure struct {
 	Render func(w io.Writer) error
 }
 
-// figIDs is the user-facing selector vocabulary, in output order.
-// 4bcxl (the 100×-population stability rerun) must be named explicitly:
-// it is deliberately excluded from "all" because it runs minutes, not
-// seconds.
-const figIDs = "1a, 1b, 2, 4a, 4bc, 4bcxl, 4d, ablations, validate, flashcrowd, fluid, fluidconv"
+// figIDs is the user-facing selector vocabulary, in output order; 4b
+// and 4c select one half of 4bc. 4bcxl (the 100×-population stability
+// rerun) must be named explicitly: it is deliberately excluded from
+// "all" because it runs minutes, not seconds.
+var figIDs = []string{"1a", "1b", "2", "4a", "4b", "4c", "4bc", "4bcxl", "4d",
+	"ablations", "validate", "flashcrowd", "fluidconv", "all"}
 
 // SelectFigures resolves a comma-separated figure selection ("4a",
 // "1a,2", "all") into the ordered renderer list. The returned order is
 // the fixed figure order regardless of selector order, so output
-// layout is stable. An empty or unknown selection is an error.
+// layout is stable. An empty or unknown id anywhere in the selection is
+// an error.
 func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 	wanted := map[string]bool{}
 	for _, f := range strings.Split(sel, ",") {
-		wanted[strings.TrimSpace(f)] = true
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figIDs, f) {
+			return nil, fmt.Errorf("unknown figure %q in %q (want a comma-separated list of %s)",
+				f, sel, strings.Join(figIDs, ", "))
+		}
+		wanted[f] = true
 	}
 	all := wanted["all"]
 
@@ -118,48 +126,25 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 	case wantEnt && !wantPop:
 		sel4bc = "4c"
 	}
-	add(wanted["4bc"] || wanted["4b"] || wanted["4c"], "4bc", sel4bc, func(w io.Writer) error {
-		r, err := Fig4bc(scale)
-		if err != nil {
-			return err
-		}
-		if wantPop {
-			if err := r.PopulationTable(rows).Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		if wantEnt {
-			if err := r.EntropyTable(rows).Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		for _, run := range r.Runs {
-			fmt.Fprintf(w, "  B=%d: entropy %.3f -> %.3f, trend %.2g, stable=%v\n",
-				run.Pieces, run.Assessment.Initial, run.Assessment.Final,
-				run.Assessment.Trend, run.Assessment.Stable)
-		}
-		fmt.Fprintln(w)
-		return nil
-	})
-	// The XL stability rerun opts out of "all" (appended directly instead
-	// of through add): at 100× population it is a minutes-long run
-	// reserved for explicit requests and the EXPERIMENTS.md entry.
-	if wanted["4bcxl"] {
-		figs = append(figs, Figure{Name: "4bcxl", Sel: "4bcxl", Render: func(w io.Writer) error {
-			r, err := Fig4bcXL(scale)
+	// Fig4bc and its XL rerun share one result type and one rendering.
+	render4bc := func(harness func(Scale) (*Fig4bcResult, error), pop, ent bool) func(io.Writer) error {
+		return func(w io.Writer) error {
+			r, err := harness(scale)
 			if err != nil {
 				return err
 			}
-			if err := r.PopulationTable(rows).Render(w); err != nil {
-				return err
+			if pop {
+				if err := r.PopulationTable(rows).Render(w); err != nil {
+					return err
+				}
+				fmt.Fprintln(w)
 			}
-			fmt.Fprintln(w)
-			if err := r.EntropyTable(rows).Render(w); err != nil {
-				return err
+			if ent {
+				if err := r.EntropyTable(rows).Render(w); err != nil {
+					return err
+				}
+				fmt.Fprintln(w)
 			}
-			fmt.Fprintln(w)
 			for _, run := range r.Runs {
 				fmt.Fprintf(w, "  B=%d: entropy %.3f -> %.3f, trend %.2g, stable=%v\n",
 					run.Pieces, run.Assessment.Initial, run.Assessment.Final,
@@ -167,7 +152,14 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 			}
 			fmt.Fprintln(w)
 			return nil
-		}})
+		}
+	}
+	add(wanted["4bc"] || wanted["4b"] || wanted["4c"], "4bc", sel4bc, render4bc(Fig4bc, wantPop, wantEnt))
+	// The XL stability rerun opts out of "all" (appended directly instead
+	// of through add): at 100× population it is a minutes-long run
+	// reserved for explicit requests and the EXPERIMENTS.md entry.
+	if wanted["4bcxl"] {
+		figs = append(figs, Figure{Name: "4bcxl", Sel: "4bcxl", Render: render4bc(Fig4bcXL, true, true)})
 	}
 	add(wanted["4d"], "4d", "4d", func(w io.Writer) error {
 		r, err := Fig4d(scale)
@@ -243,17 +235,6 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		fmt.Fprintln(w)
 		return nil
 	})
-	add(wanted["fluid"], "fluid", "fluid", func(w io.Writer) error {
-		fc, err := FluidComparison(scale)
-		if err != nil {
-			return err
-		}
-		if err := fc.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
-	})
 	add(wanted["fluidconv"], "fluidconv", "fluidconv", func(w io.Writer) error {
 		r, err := FluidConvergence(scale)
 		if err != nil {
@@ -266,9 +247,6 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		return nil
 	})
 
-	if len(figs) == 0 {
-		return nil, fmt.Errorf("unknown figure %q (want %s, or all)", sel, figIDs)
-	}
 	return figs, nil
 }
 

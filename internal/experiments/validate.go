@@ -3,119 +3,132 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fluid"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// ValidationResult compares the model's and the simulator's download-time
-// *distributions* (not just means) per neighbor-set size, using the
-// two-sample Kolmogorov–Smirnov statistic. This strengthens the paper's
-// Figure 1(b) mean-timeline validation to distribution level.
+// ValidationResult scores one simulator run of the paper swarm per
+// neighbor-set size against both lower tiers: the chain's exact
+// completion-time distribution, so that only the sim side carries
+// noise, and the Qiu–Srikant fluid steady state. Every chain and fluid
+// input comes from the run's configuration or its measured p_r, never
+// from its download time.
 type ValidationResult struct {
-	SetSizes []int
-	// ModelMean and SimMean are the mean completion times (rounds).
-	ModelMean []float64
-	SimMean   []float64
-	// KS is the two-sample KS distance between the model's and the
-	// simulator's completion-time samples.
-	KS []float64
-	// SelfKS is the KS distance between two independent model ensembles
-	// — the Monte-Carlo noise floor the cross-comparison is judged
-	// against.
-	SelfKS []float64
-	// SampleSizes records (model, sim) sample counts per set size.
-	SampleSizes [][2]int
+	Rows []ValidationRow
 }
 
-// ValidateDistributions runs the model and the simulator on matched
-// configurations and reports the KS comparison.
+// ValidationRow is the scoring of the run at neighbor-set size S.
+type ValidationRow struct {
+	S int
+	// ChainMean is the chain's expected download time (steps = rounds);
+	// SimMean is the mean over every completion of the run.
+	ChainMean, SimMean float64
+	// KS is the one-sample sup |F_sim − F_chain| over every completion,
+	// F_chain the chain's exact CDF (TransientPhases' Done); Band is the
+	// one-sample 95 % critical value for their count.
+	KS, Band float64
+	// CohortMean and CohortKS score the λ cohort alone: completions of
+	// peers that arrived after t = 0, without the flash crowd.
+	CohortMean, CohortKS float64
+	// FluidDT is the fluid steady-state download time at ModelEta, to be
+	// read against CohortMean: a steady state cannot describe the flash
+	// crowd's transient.
+	FluidDT float64
+	// ModelEta is the §5 η at the run's measured p_r (modelEta), the η
+	// fed to the fluid model; SimEta is the slot use the run realised.
+	ModelEta, SimEta float64
+}
+
+// ValidateDistributions runs the paper swarm once per neighbor-set size
+// and scores each run against the chain (exactly) and the fluid model.
+// The fluid side is the paper's critique of fluid models (§2.2): the
+// steady state sees the neighbor-set size only through η, which the §5
+// model at the run's own p_r barely moves, while the sim shows s
+// changing the download time materially.
 func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 	logger.Debug("validate distributions: start", "scale", scale.String())
 	defer observeWalltime("validate", time.Now())
-	b, runs, horizon := 200, 400, 800.0
-	if scale == Quick {
-		b, runs, horizon = 50, 150, 300
-	}
-	setSizes := []int{5, 50}
-	type row struct {
-		modelMean, simMean, ks, selfKS float64
-		samples                        [2]int
-	}
-	rows, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (row, error) {
+	setSizes := []int{5, 15, 50}
+	rows, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (ValidationRow, error) {
 		s := setSizes[i]
-		p := core.DefaultParams(s)
-		p.B = b
-		p.Phi = core.UniformPhi(b)
-		m, err := core.NewModel(p)
-		if err != nil {
-			return row{}, fmt.Errorf("validate: %w", err)
-		}
-		esA, err := m.Ensemble(stats.NewRNG(uint64(s), 0x7A11), runs)
-		if err != nil {
-			return row{}, fmt.Errorf("validate: %w", err)
-		}
-		esB, err := m.Ensemble(stats.NewRNG(uint64(s), 0x7A12), runs)
-		if err != nil {
-			return row{}, fmt.Errorf("validate: %w", err)
-		}
-
-		cfg := sim.DefaultConfig()
-		cfg.Pieces = b
-		cfg.MaxConns = p.K
-		cfg.NeighborSet = s
-		cfg.InitialPeers = 120
-		cfg.ArrivalRate = 2
-		cfg.SeedUpload = 6
-		cfg.Horizon = horizon
-		cfg.TrackPeers = 0
-		cfg.Seed1 = uint64(s)
+		cfg, p := paperSwarm(s, scale)
 		cfg.Seed2 = 0x7A13
 		sw, err := sim.New(cfg)
 		if err != nil {
-			return row{}, fmt.Errorf("validate: %w", err)
+			return ValidationRow{}, fmt.Errorf("validate: %w", err)
 		}
 		res, err := sw.Run()
 		if err != nil {
-			return row{}, fmt.Errorf("validate: %w", err)
+			return ValidationRow{}, fmt.Errorf("validate: %w", err)
 		}
-		simTimes := make([]float64, 0, len(res.Completions))
+		var all, cohort []float64
+		longest := 0.0
 		for _, c := range res.Completions {
-			simTimes = append(simTimes, c.Duration())
+			all = append(all, c.Duration())
+			if c.ArrivedAt > 0 {
+				cohort = append(cohort, c.Duration())
+			}
+			longest = math.Max(longest, c.Duration())
 		}
-		return row{
-			modelMean: stats.Mean(esA.CompletionTimes),
-			simMean:   stats.Mean(simTimes),
-			ks:        stats.KolmogorovSmirnov(esA.CompletionTimes, simTimes),
-			selfKS:    stats.KolmogorovSmirnov(esA.CompletionTimes, esB.CompletionTimes),
-			samples:   [2]int{len(esA.CompletionTimes), len(simTimes)},
+		chainMean, err := core.ExpectedDownloadTime(p)
+		if err != nil {
+			return ValidationRow{}, fmt.Errorf("validate chain s=%d: %w", s, err)
+		}
+		occ, err := core.TransientPhases(p, int(math.Ceil(longest)))
+		if err != nil {
+			return ValidationRow{}, fmt.Errorf("validate chain s=%d: %w", s, err)
+		}
+		eta, _, err := modelEta(cfg.MaxConns, res)
+		if err != nil {
+			return ValidationRow{}, fmt.Errorf("validate model s=%d: %w", s, err)
+		}
+		// Fluid model in file units: a peer moves at most MaxConns of the
+		// Pieces pieces per round each way, so μ = c = MaxConns/Pieces; γ
+		// is large because the simulator's completed peers leave at once
+		// (the origin seed is a small additive term).
+		mu := float64(cfg.MaxConns) / float64(cfg.Pieces)
+		qs := fluid.QSParams{Lambda: cfg.ArrivalRate, C: mu, Mu: mu, Eta: eta, Gamma: 1000 * mu}
+		ss, err := qs.ClosedFormSteadyState()
+		if err != nil {
+			return ValidationRow{}, fmt.Errorf("validate fluid s=%d: %w", s, err)
+		}
+		return ValidationRow{
+			S:          s,
+			ChainMean:  chainMean,
+			SimMean:    stats.Mean(all),
+			KS:         stats.KolmogorovSmirnov(all, occ.Done),
+			Band:       stats.KSCriticalValue(len(all), 0.05),
+			CohortMean: stats.Mean(cohort),
+			CohortKS:   stats.KolmogorovSmirnov(cohort, occ.Done),
+			FluidDT:    ss.DownloadTime,
+			ModelEta:   eta,
+			SimEta:     res.MeanEfficiency(),
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ValidationResult{SetSizes: setSizes}
-	for _, r := range rows {
-		out.ModelMean = append(out.ModelMean, r.modelMean)
-		out.SimMean = append(out.SimMean, r.simMean)
-		out.KS = append(out.KS, r.ks)
-		out.SelfKS = append(out.SelfKS, r.selfKS)
-		out.SampleSizes = append(out.SampleSizes, r.samples)
-	}
-	return out, nil
+	return &ValidationResult{Rows: rows}, nil
 }
 
-// Table renders the distribution validation.
+// Table renders the three-tier validation, one row per neighbor set.
 func (r *ValidationResult) Table() *Table {
 	t := &Table{
-		Title:   "Validation: model vs simulator completion-time distributions (two-sample KS)",
-		Columns: []string{"neighbor set", "model mean", "sim mean", "KS(model,sim)", "KS noise floor"},
+		Title: "Validation: one sim run per neighbor set vs the chain's exact completion-time CDF " +
+			"(one-sample KS, 95% band) and the Qiu-Srikant fluid steady state at the model eta " +
+			"(lambda cohort: arrivals after t = 0)",
+		Columns: []string{"neighbor set", "chain mean", "sim mean", "KS", "band",
+			"lambda-cohort mean", "lambda-cohort KS", "fluid DT", "model eta", "sim eta"},
 	}
-	for i := range r.SetSizes {
-		t.AddRow(float64(r.SetSizes[i]), r.ModelMean[i], r.SimMean[i], r.KS[i], r.SelfKS[i])
+	for _, v := range r.Rows {
+		t.AddRow(float64(v.S), v.ChainMean, v.SimMean, v.KS, v.Band,
+			v.CohortMean, v.CohortKS, v.FluidDT, v.ModelEta, v.SimEta)
 	}
 	return t
 }

@@ -5,44 +5,45 @@ import (
 	"sort"
 )
 
-// KolmogorovSmirnov returns the two-sample KS statistic
-// D = sup_x |F_a(x) − F_b(x)| between the empirical CDFs of a and b.
-// It returns NaN when either sample is empty. Inputs are not modified.
-func KolmogorovSmirnov(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+// KolmogorovSmirnov returns the one-sample KS statistic
+// D = sup_x |F_n(x) − F(x)| between the empirical CDF of sample and a
+// CDF on the integers: F(x) = cdf[⌊x⌋] for 0 ≤ x < len(cdf), held at
+// its last entry beyond the table and 0 below 0. It returns NaN when
+// either slice is empty. The sample is not modified.
+func KolmogorovSmirnov(sample, cdf []float64) float64 {
+	if len(sample) == 0 || len(cdf) == 0 {
 		return math.NaN()
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var (
-		i, j int
-		d    float64
-	)
-	na, nb := float64(len(sa)), float64(len(sb))
-	for i < len(sa) && j < len(sb) {
-		// Advance both walks through every observation equal to the
-		// current smallest value, so ties never create spurious gaps.
-		x := math.Min(sa[i], sb[j])
-		for i < len(sa) && sa[i] == x {
+	s := append([]float64(nil), sample...)
+	sort.Float64s(s)
+	n := float64(len(s))
+	// F is constant, at f, on each of (−∞, 0), [0, 1), …, [L, ∞), and
+	// F_n only rises inside one, so the sup sits at an interval's ends:
+	// lo, F_n at the left edge with every sample tied there counted, and
+	// F_n's left limit at the right edge.
+	var d, f, lo float64
+	i := 0
+	for j := 0; j <= len(cdf); j++ {
+		for i < len(s) && (j == len(cdf) || s[i] < float64(j)) {
 			i++
 		}
-		for j < len(sb) && sb[j] == x {
-			j++
+		d = math.Max(d, math.Max(math.Abs(lo-f), math.Abs(float64(i)/n-f)))
+		if j == len(cdf) {
+			break
 		}
-		if diff := math.Abs(float64(i)/na - float64(j)/nb); diff > d {
-			d = diff
+		for i < len(s) && s[i] <= float64(j) {
+			i++
 		}
+		lo, f = float64(i)/n, cdf[j]
 	}
 	return d
 }
 
-// KSCriticalValue returns the approximate two-sample KS critical value at
-// significance level alpha (supported: 0.10, 0.05, 0.01): samples with
-// D below this are consistent with a common distribution.
-func KSCriticalValue(nA, nB int, alpha float64) float64 {
-	if nA < 1 || nB < 1 {
+// KSCriticalValue returns the approximate one-sample KS critical value
+// c/√n for n observations at significance level alpha (supported: 0.10,
+// 0.05, 0.01): a sample with D below it is consistent with the CDF.
+func KSCriticalValue(n int, alpha float64) float64 {
+	if n < 1 {
 		return math.NaN()
 	}
 	var c float64
@@ -54,6 +55,5 @@ func KSCriticalValue(nA, nB int, alpha float64) float64 {
 	default:
 		c = 1.22
 	}
-	n := float64(nA) * float64(nB) / float64(nA+nB)
-	return c / math.Sqrt(n)
+	return c / math.Sqrt(float64(n))
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
@@ -57,14 +58,27 @@ func TestBinarySmokeGoldenFig4a(t *testing.T) {
 	}
 }
 
+// allQuickSHA256 pins the bytes of `btexp -fig all -scale quick`: 201
+// lines covering every figure in "all". Only a change that means to move
+// a rendered number may change it, and the commit says so.
+const allQuickSHA256 = "2790af6eb59954a43570ce1a9c717e1638beeaae42e86bf0458a374cff77e963"
+
 // TestBinarySmokeJobsInvariant: the experiment engine's determinism
 // contract at the CLI boundary — the rendered tables are identical for
-// any worker count.
+// any worker count, and every quick-scale figure renders the pinned
+// bytes at both. The binary is built without -race, so the race pass
+// costs no more here.
 func TestBinarySmokeJobsInvariant(t *testing.T) {
 	serial := runBtexp(t, "-fig", "4a", "-scale", "quick", "-jobs", "1")
 	wide := runBtexp(t, "-fig", "4a", "-scale", "quick", "-jobs", "8")
 	if serial != wide {
 		t.Fatal("-jobs changed the rendered figure")
+	}
+	for _, jobs := range []string{"1", "8"} {
+		out := runBtexp(t, "-fig", "all", "-scale", "quick", "-jobs", jobs)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != allQuickSHA256 {
+			t.Errorf("-fig all -scale quick -jobs %s: sha256 %s, want %s\n--- got:\n%s", jobs, got, allQuickSHA256, out)
+		}
 	}
 }
 

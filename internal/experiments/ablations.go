@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Ablation experiments for the design choices DESIGN.md Section 6 calls
@@ -34,8 +32,7 @@ func AblationPieceSelection(scale Scale) (*PieceSelectionResult, error) {
 	type row struct {
 		finalEnt, meanEnt, meanDT float64
 	}
-	rows, err := par.Map(context.Background(), len(strategies), 0, func(i int) (row, error) {
-		strat := strategies[i]
+	cfgs := configs(strategies, func(strat sim.Strategy) sim.Config {
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = 20
 		cfg.NeighborSet = 20
@@ -53,22 +50,13 @@ func AblationPieceSelection(scale Scale) (*PieceSelectionResult, error) {
 			cfg.InitialPeers = 150
 			cfg.Horizon = 100
 		}
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return row{}, fmt.Errorf("ablation piece selection: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return row{}, fmt.Errorf("ablation piece selection: %w", err)
-		}
+		return cfg
+	})
+	rows, err := sweep("ablation piece selection", cfgs, func(_ int, res *sim.Result) (row, error) {
 		n := res.EntropySeries.Len()
-		sum := 0.0
-		for _, v := range res.EntropySeries.V {
-			sum += v
-		}
 		return row{
 			finalEnt: res.EntropySeries.V[n-1],
-			meanEnt:  sum / float64(n),
+			meanEnt:  stats.Mean(res.EntropySeries.V),
 			meanDT:   res.MeanDownloadTime(),
 		}, nil
 	})
@@ -114,19 +102,14 @@ func AblationShakeThreshold(scale Scale) (*ShakeThresholdResult, error) {
 		tail, meanDT float64
 		shakes       int
 	}
-	rows, err := par.Map(context.Background(), len(thresholds), 0, func(i int) (row, error) {
+	cfgs := configs(thresholds, func(th float64) sim.Config {
 		cfg := fig4dConfig(false, scale)
-		cfg.ShakeThreshold = thresholds[i]
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return row{}, fmt.Errorf("ablation shake: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return row{}, fmt.Errorf("ablation shake: %w", err)
-		}
+		cfg.ShakeThreshold = th
+		return cfg
+	})
+	rows, err := sweep("ablation shake", cfgs, func(i int, res *sim.Result) (row, error) {
 		return row{
-			tail:   tailMeanTTD(res, cfg.Pieces),
+			tail:   tailMeanTTD(res, cfgs[i].Pieces),
 			meanDT: res.MeanDownloadTime(),
 			shakes: res.Shakes(),
 		}, nil
@@ -146,10 +129,8 @@ func AblationShakeThreshold(scale Scale) (*ShakeThresholdResult, error) {
 // tailMeanTTD averages the mean time-to-download over the final 5% of
 // block ordinals (NaN when no completion reached them).
 func tailMeanTTD(res *sim.Result, pieces int) float64 {
-	ttd := res.MeanTTDByOrdinal()
-	lo := pieces - pieces/20
 	sum, n := 0.0, 0
-	for _, v := range ttd[lo:] {
+	for _, v := range tailTTD(res, pieces) {
 		if !math.IsNaN(v) {
 			sum += v
 			n++
@@ -194,21 +175,15 @@ func AblationTrackerRefresh(scale Scale) (*TrackerRefreshResult, error) {
 	type row struct {
 		tail, meanDT float64
 	}
-	rows, err := par.Map(context.Background(), len(cadences), 0, func(i int) (row, error) {
-		refresh := cadences[i]
+	cfgs := configs(cadences, func(refresh int) sim.Config {
 		cfg := fig4dConfig(false, scale)
 		cfg.TrackerRefreshRounds = refresh
 		cfg.Seed1 = uint64(refresh)
 		cfg.Seed2 = 0xAB3
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return row{}, fmt.Errorf("ablation refresh: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return row{}, fmt.Errorf("ablation refresh: %w", err)
-		}
-		return row{tail: tailMeanTTD(res, cfg.Pieces), meanDT: res.MeanDownloadTime()}, nil
+		return cfg
+	})
+	rows, err := sweep("ablation refresh", cfgs, func(i int, res *sim.Result) (row, error) {
+		return row{tail: tailMeanTTD(res, cfgs[i].Pieces), meanDT: res.MeanDownloadTime()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -253,8 +228,9 @@ func AblationSuperSeed(scale Scale) (*SuperSeedResult, error) {
 		completions int
 		uploads     int
 	}
-	rows, err := par.Map(context.Background(), 2, 0, func(i int) (row, error) {
-		super := i == 1
+	modes := []string{"normal", "super"}
+	cfgs := configs(modes, func(mode string) sim.Config {
+		super := mode == "super"
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = 10
 		cfg.NeighborSet = 20
@@ -268,30 +244,20 @@ func AblationSuperSeed(scale Scale) (*SuperSeedResult, error) {
 		cfg.Horizon = 100
 		cfg.TrackPeers = 0
 		cfg.Seed1 = 0xAB4
-		cfg.Seed2 = uint64(boolToUint(super))
+		cfg.Seed2 = 0
+		if super {
+			cfg.Seed2 = 1
+		}
 		if scale == Quick {
 			cfg.InitialPeers = 120
 			cfg.Horizon = 60
 		}
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return row{}, fmt.Errorf("ablation superseed: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return row{}, fmt.Errorf("ablation superseed: %w", err)
-		}
-		sum := 0.0
-		for _, v := range res.EntropySeries.V {
-			sum += v
-		}
-		mode := "normal"
-		if super {
-			mode = "super"
-		}
+		return cfg
+	})
+	rows, err := sweep("ablation superseed", cfgs, func(i int, res *sim.Result) (row, error) {
 		return row{
-			mode:        mode,
-			meanEnt:     sum / float64(res.EntropySeries.Len()),
+			mode:        modes[i],
+			meanEnt:     stats.Mean(res.EntropySeries.V),
 			completions: len(res.Completions),
 			uploads:     res.SeedUploads(),
 		}, nil
@@ -323,11 +289,4 @@ func (r *SuperSeedResult) Table() *Table {
 		t.AddRow(mode, r.MeanEntropy[i], float64(r.Completions[i]), float64(r.SeedUploads[i]))
 	}
 	return t
-}
-
-func boolToUint(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

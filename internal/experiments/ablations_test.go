@@ -66,6 +66,15 @@ func TestAblationShakeThreshold(t *testing.T) {
 	}
 }
 
+// TestTailMeanTTDNoCompletions: a run in which nobody finished has no
+// per-ordinal times at all; its tail mean is "no observation", not a
+// slice-bounds panic.
+func TestTailMeanTTDNoCompletions(t *testing.T) {
+	if got := tailMeanTTD(&sim.Result{}, 20); !math.IsNaN(got) {
+		t.Fatalf("tailMeanTTD with no completions = %g, want NaN", got)
+	}
+}
+
 func TestAblationTrackerRefresh(t *testing.T) {
 	r, err := AblationTrackerRefresh(Quick)
 	if err != nil {

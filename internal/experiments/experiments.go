@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/sim"
 )
 
 // logger receives progress events from the harnesses. Experiments are
@@ -40,6 +43,39 @@ func observeWalltime(name string, start time.Time) {
 	if reg := metrics.Load(); reg != nil {
 		reg.Histogram("experiments." + name + ".seconds").Observe(time.Since(start).Seconds())
 	}
+}
+
+// sweep is the one way a harness runs swarms (DESIGN.md §8): one job on
+// par's pool per config, each run reduced inside its own job, so a
+// *sim.Result is dropped as soon as it is reduced — Fig4bcXL and
+// full-scale FluidConvergence run 100k+ peers. The reductions come back
+// in config order whatever the worker count, and every config carries
+// its own seeds, so a sweep is bit-identical at any -jobs. Errors name
+// the harness and the point.
+func sweep[T any](name string, cfgs []sim.Config, reduce func(i int, res *sim.Result) (T, error)) ([]T, error) {
+	return par.Map(context.Background(), len(cfgs), 0, func(i int) (T, error) {
+		var out T
+		sw, err := sim.New(cfgs[i])
+		if err == nil {
+			var res *sim.Result
+			if res, err = sw.Run(); err == nil {
+				out, err = reduce(i, res)
+			}
+		}
+		if err != nil {
+			return out, fmt.Errorf("%s point %d: %w", name, i, err)
+		}
+		return out, nil
+	})
+}
+
+// configs maps a harness's swept points to their swarm configs, in order.
+func configs[P any](points []P, config func(P) sim.Config) []sim.Config {
+	out := make([]sim.Config, len(points))
+	for i, p := range points {
+		out[i] = config(p)
+	}
+	return out
 }
 
 // Scale shrinks or grows an experiment's workload. Quick is used by unit

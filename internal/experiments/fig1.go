@@ -109,35 +109,27 @@ func Fig1b(scale Scale) (*Fig1bResult, error) {
 		runs = 120
 	}
 	setSizes := []int{5, 50}
-	// Each set size runs an independently seeded model ensemble and
-	// simulator replication — one job per set size.
+	params := make([]core.Params, len(setSizes))
+	cfgs := make([]sim.Config, len(setSizes))
+	for i, s := range setSizes {
+		cfgs[i], params[i] = paperSwarm(s, scale)
+		cfgs[i].Seed2 = 0x51B
+	}
+	// One job per set size: the simulator run, and in its reduce the
+	// independently seeded model ensemble it is compared with.
 	type column struct {
 		model, sim []float64
 	}
-	cols, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (column, error) {
-		s := setSizes[i]
-		cfg, p := paperSwarm(s, scale)
-		// Model side.
-		m, err := core.NewModel(p)
+	cols, err := sweep("fig1b", cfgs, func(i int, res *sim.Result) (column, error) {
+		m, err := core.NewModel(params[i])
 		if err != nil {
-			return column{}, fmt.Errorf("fig1b model: %w", err)
+			return column{}, err
 		}
-		es, err := m.Ensemble(stats.NewRNG(uint64(s), 0xF161B), runs)
+		es, err := m.Ensemble(stats.NewRNG(uint64(setSizes[i]), 0xF161B), runs)
 		if err != nil {
-			return column{}, fmt.Errorf("fig1b model: %w", err)
+			return column{}, err
 		}
-
-		// Simulation side.
-		cfg.Seed2 = 0x51B
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return column{}, fmt.Errorf("fig1b sim: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return column{}, fmt.Errorf("fig1b sim: %w", err)
-		}
-		return column{model: es.FirstPassage, sim: res.MeanFirstPassage(cfg.Pieces)}, nil
+		return column{model: es.FirstPassage, sim: res.MeanFirstPassage(cfgs[i].Pieces)}, nil
 	})
 	if err != nil {
 		return nil, err

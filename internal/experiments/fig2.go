@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -84,22 +82,14 @@ func Fig2(scale Scale) (*Fig2Result, error) {
 	}
 	// The three regime configurations carry their own seeds — one
 	// simulator replication per worker.
-	cases, err := par.Map(context.Background(), len(regimes), 0, func(i int) (Fig2Case, error) {
+	cfgs := configs(regimes, func(r trace.Regime) sim.Config { return fig2Config(r, scale) })
+	cases, err := sweep("fig2", cfgs, func(i int, res *sim.Result) (Fig2Case, error) {
 		want := regimes[i]
-		cfg := fig2Config(want, scale)
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return Fig2Case{}, fmt.Errorf("fig2 %s: %w", want, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return Fig2Case{}, fmt.Errorf("fig2 %s: %w", want, err)
-		}
 		var best *trace.Download
 		var bestRep trace.PhaseReport
 		matches, classified := 0, 0
 		for _, pt := range res.Traces {
-			d := pt.Download(cfg)
+			d := pt.Download(cfgs[i])
 			rep, err := trace.Analyze(d)
 			if err != nil {
 				continue
@@ -116,7 +106,7 @@ func Fig2(scale Scale) (*Fig2Result, error) {
 			}
 		}
 		if best == nil {
-			return Fig2Case{}, fmt.Errorf("fig2: no %s instance among %d traces", want, classified)
+			return Fig2Case{}, fmt.Errorf("no %s instance among %d traces", want, classified)
 		}
 		frac := 0.0
 		if classified > 0 {

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -36,11 +34,8 @@ func Fig4a(scale Scale) (*Fig4aResult, error) {
 	}
 	// One job per swept k: the simulator replication is seeded by k and
 	// the balance-equation solve only consumes that run's measured p_r.
-	type point struct {
-		modelEta, simEta, pr float64
-	}
-	points, err := par.Map(context.Background(), 8, 0, func(i int) (point, error) {
-		k := i + 1
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	cfgs := configs(ks, func(k int) sim.Config {
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = pieces
 		cfg.MaxConns = k
@@ -52,26 +47,20 @@ func Fig4a(scale Scale) (*Fig4aResult, error) {
 		cfg.TrackPeers = 0
 		cfg.Seed1 = uint64(k)
 		cfg.Seed2 = 0xF164A
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return point{}, fmt.Errorf("fig4a: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return point{}, fmt.Errorf("fig4a: %w", err)
-		}
-		eta, pr, err := modelEta(k, res)
-		if err != nil {
-			return point{}, fmt.Errorf("fig4a model k=%d: %w", k, err)
-		}
-		return point{modelEta: eta, simEta: res.MeanEfficiency(), pr: pr}, nil
+		return cfg
+	})
+	type point struct {
+		modelEta, simEta, pr float64
+	}
+	points, err := sweep("fig4a", cfgs, func(i int, res *sim.Result) (point, error) {
+		eta, pr, err := modelEta(ks[i], res)
+		return point{modelEta: eta, simEta: res.MeanEfficiency(), pr: pr}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig4aResult{}
-	for i, p := range points {
-		out.K = append(out.K, i+1)
+	out := &Fig4aResult{K: ks}
+	for _, p := range points {
 		out.ModelEta = append(out.ModelEta, p.modelEta)
 		out.SimEta = append(out.SimEta, p.simEta)
 		out.MeasuredPR = append(out.MeasuredPR, p.pr)
@@ -152,32 +141,26 @@ func stabilityConfig(pieces int, scale Scale) sim.Config {
 // Fig4bc runs the skewed-start stability experiment for B = 3 and B = 10
 // (Figures 4b and 4c share these runs).
 func Fig4bc(scale Scale) (*Fig4bcResult, error) {
-	logger.Debug("fig4bc: start", "scale", scale.String())
-	defer observeWalltime("fig4bc", time.Now())
+	return stability("fig4bc", stabilityConfig, scale)
+}
+
+// stability runs the B = 3 and B = 10 evolutions of one stability
+// workload (independently seeded runs) and assesses each entropy series.
+// Fig4bc and Fig4bcXL differ only in the workload.
+func stability(name string, config func(pieces int, scale Scale) sim.Config, scale Scale) (*Fig4bcResult, error) {
+	logger.Debug(name+": start", "scale", scale.String())
+	defer observeWalltime(name, time.Now())
 	sizes := []int{3, 10}
-	// The B = 3 and B = 10 evolutions are independently seeded runs.
-	runs, err := par.Map(context.Background(), len(sizes), 0, func(i int) (StabilityRun, error) {
-		pieces := sizes[i]
-		cfg := stabilityConfig(pieces, scale)
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bc B=%d: %w", pieces, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bc B=%d: %w", pieces, err)
-		}
+	cfgs := configs(sizes, func(b int) sim.Config { return config(b, scale) })
+	runs, err := sweep(name, cfgs, func(i int, res *sim.Result) (StabilityRun, error) {
 		assess, err := core.AssessStability(res.EntropySeries.T, res.EntropySeries.V)
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bc B=%d: %w", pieces, err)
-		}
 		return StabilityRun{
-			Pieces:     pieces,
+			Pieces:     sizes[i],
 			Times:      append([]float64(nil), res.PopulationSeries.T...),
 			Population: append([]float64(nil), res.PopulationSeries.V...),
 			Entropy:    append([]float64(nil), res.EntropySeries.V...),
 			Assessment: assess,
-		}, nil
+		}, err
 	})
 	if err != nil {
 		return nil, err
@@ -273,36 +256,7 @@ func stabilityXLConfig(pieces int, scale Scale) sim.Config {
 // demonstrating the paper's Section 6 result is not an artifact of the
 // few-hundred-peer populations its simulator could reach.
 func Fig4bcXL(scale Scale) (*Fig4bcResult, error) {
-	logger.Debug("fig4bcxl: start", "scale", scale.String())
-	defer observeWalltime("fig4bcxl", time.Now())
-	sizes := []int{3, 10}
-	runs, err := par.Map(context.Background(), len(sizes), 0, func(i int) (StabilityRun, error) {
-		pieces := sizes[i]
-		cfg := stabilityXLConfig(pieces, scale)
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bcxl B=%d: %w", pieces, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bcxl B=%d: %w", pieces, err)
-		}
-		assess, err := core.AssessStability(res.EntropySeries.T, res.EntropySeries.V)
-		if err != nil {
-			return StabilityRun{}, fmt.Errorf("fig4bcxl B=%d: %w", pieces, err)
-		}
-		return StabilityRun{
-			Pieces:     pieces,
-			Times:      append([]float64(nil), res.PopulationSeries.T...),
-			Population: append([]float64(nil), res.PopulationSeries.V...),
-			Entropy:    append([]float64(nil), res.EntropySeries.V...),
-			Assessment: assess,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig4bcResult{Runs: runs}, nil
+	return stability("fig4bcxl", stabilityXLConfig, scale)
 }
 
 // Fig4dResult compares per-block time-to-download near the end of the
@@ -356,38 +310,40 @@ func Fig4d(scale Scale) (*Fig4dResult, error) {
 	// The normal and shake arms share a seed pair by design (same
 	// workload, one knob) but are separate simulator instances — run both
 	// concurrently.
-	arms, err := par.Map(context.Background(), 2, 0, func(i int) (*sim.Result, error) {
-		shake := i == 1
-		cfg := fig4dConfig(shake, scale)
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fig4d shake=%v: %w", shake, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig4d shake=%v: %w", shake, err)
-		}
-		return res, nil
+	cfgs := configs([]bool{false, true}, func(shake bool) sim.Config { return fig4dConfig(shake, scale) })
+	type arm struct {
+		tail   []float64
+		meanDT float64
+	}
+	arms, err := sweep("fig4d", cfgs, func(i int, res *sim.Result) (arm, error) {
+		return arm{tailTTD(res, cfgs[i].Pieces), res.MeanDownloadTime()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	normal, shaken := arms[0], arms[1]
-	cfg := fig4dConfig(false, scale)
-	nTTD := normal.MeanTTDByOrdinal()
-	sTTD := shaken.MeanTTDByOrdinal()
+	pieces := cfgs[0].Pieces
 	out := &Fig4dResult{
-		Pieces:       cfg.Pieces,
-		NormalMeanDT: normal.MeanDownloadTime(),
-		ShakeMeanDT:  shaken.MeanDownloadTime(),
+		Pieces:       pieces,
+		NormalTTD:    arms[0].tail,
+		ShakeTTD:     arms[1].tail,
+		NormalMeanDT: arms[0].meanDT,
+		ShakeMeanDT:  arms[1].meanDT,
 	}
-	lo := cfg.Pieces - cfg.Pieces/20 // final 5% of blocks, as in the paper
-	for ord := lo; ord < cfg.Pieces; ord++ {
+	for ord := pieces - pieces/20; ord < pieces; ord++ {
 		out.Ordinals = append(out.Ordinals, ord+1)
-		out.NormalTTD = append(out.NormalTTD, at(nTTD, ord))
-		out.ShakeTTD = append(out.ShakeTTD, at(sTTD, ord))
 	}
 	return out, nil
+}
+
+// tailTTD is the mean time-to-download at each of the final 5% of block
+// ordinals, as in the paper (NaN where no completion reached one).
+func tailTTD(res *sim.Result, pieces int) []float64 {
+	ttd := res.MeanTTDByOrdinal()
+	var out []float64
+	for ord := pieces - pieces/20; ord < pieces; ord++ {
+		out = append(out, at(ttd, ord))
+	}
+	return out
 }
 
 func at(xs []float64, i int) float64 {

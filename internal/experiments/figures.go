@@ -64,27 +64,20 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		if err != nil {
 			return err
 		}
-		if err := r.Table(rows).Render(w); err != nil {
-			return err
-		}
+		var phases []string
 		for i, s := range r.SetSizes {
 			ph := r.Phases[i]
-			fmt.Fprintf(w, "  PSS=%d: mean bootstrap %.1f steps, stuck-bootstrap %.1f%%, last-phase %.1f%% of runs\n",
-				s, ph.MeanBootstrap, 100*ph.FracStuckBootstrap, 100*ph.FracLastPhase)
+			phases = append(phases, fmt.Sprintf("  PSS=%d: mean bootstrap %.1f steps, stuck-bootstrap %.1f%%, last-phase %.1f%% of runs",
+				s, ph.MeanBootstrap, 100*ph.FracStuckBootstrap, 100*ph.FracLastPhase))
 		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{r.Table(rows)}, phases...)
 	})
 	add(wanted["1b"], "1b", "1b", func(w io.Writer) error {
 		r, err := Fig1b(scale)
 		if err != nil {
 			return err
 		}
-		if err := r.Table(rows).Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{r.Table(rows)})
 	})
 	add(wanted["2"], "2", "2", func(w io.Writer) error {
 		r, err := Fig2(scale)
@@ -95,24 +88,14 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		if err != nil {
 			return err
 		}
-		for _, t := range tables {
-			if err := t.Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+		return writeTables(w, tables)
 	})
 	add(wanted["4a"], "4a", "4a", func(w io.Writer) error {
 		r, err := Fig4a(scale)
 		if err != nil {
 			return err
 		}
-		if err := r.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{r.Table()})
 	})
 	// The 4bc harness renders differently depending on which halves were
 	// selected; the canonical selector records that choice so a remote
@@ -126,32 +109,29 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 	case wantEnt && !wantPop:
 		sel4bc = "4c"
 	}
-	// Fig4bc and its XL rerun share one result type and one rendering.
+	// Fig4bc and its XL rerun share one result type and one rendering;
+	// the stability lines stand after the tables' blank lines, in a
+	// paragraph of their own.
 	render4bc := func(harness func(Scale) (*Fig4bcResult, error), pop, ent bool) func(io.Writer) error {
 		return func(w io.Writer) error {
 			r, err := harness(scale)
 			if err != nil {
 				return err
 			}
+			var tables []*Table
 			if pop {
-				if err := r.PopulationTable(rows).Render(w); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
+				tables = append(tables, r.PopulationTable(rows))
 			}
 			if ent {
-				if err := r.EntropyTable(rows).Render(w); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
+				tables = append(tables, r.EntropyTable(rows))
 			}
+			lines := []string{""}
 			for _, run := range r.Runs {
-				fmt.Fprintf(w, "  B=%d: entropy %.3f -> %.3f, trend %.2g, stable=%v\n",
+				lines = append(lines, fmt.Sprintf("  B=%d: entropy %.3f -> %.3f, trend %.2g, stable=%v",
 					run.Pieces, run.Assessment.Initial, run.Assessment.Final,
-					run.Assessment.Trend, run.Assessment.Stable)
+					run.Assessment.Trend, run.Assessment.Stable))
 			}
-			fmt.Fprintln(w)
-			return nil
+			return writeTables(w, tables, lines...)
 		}
 	}
 	add(wanted["4bc"] || wanted["4b"] || wanted["4c"], "4bc", sel4bc, render4bc(Fig4bc, wantPop, wantEnt))
@@ -166,88 +146,75 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		if err != nil {
 			return err
 		}
-		if err := r.Table().Render(w); err != nil {
-			return err
-		}
 		normal, shake := r.TailMeans()
-		fmt.Fprintf(w, "  tail-block mean TTD: normal %.2f vs shake %.2f (x%.1f faster)\n\n",
-			normal, shake, normal/shake)
-		return nil
+		return writeTables(w, []*Table{r.Table()},
+			fmt.Sprintf("  tail-block mean TTD: normal %.2f vs shake %.2f (x%.1f faster)", normal, shake, normal/shake))
 	})
 	add(wanted["ablations"], "ablations", "ablations", func(w io.Writer) error {
 		ps, err := AblationPieceSelection(scale)
 		if err != nil {
 			return err
 		}
-		if err := ps.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
 		st, err := AblationShakeThreshold(scale)
 		if err != nil {
 			return err
 		}
-		if err := st.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
 		tr, err := AblationTrackerRefresh(scale)
 		if err != nil {
 			return err
 		}
-		if err := tr.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
 		ss, err := AblationSuperSeed(scale)
 		if err != nil {
 			return err
 		}
-		if err := ss.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{ps.Table(), st.Table(), tr.Table(), ss.Table()})
 	})
 	add(wanted["validate"], "validate", "validate", func(w io.Writer) error {
-		vr, err := ValidateDistributions(scale)
+		r, err := ValidateDistributions(scale)
 		if err != nil {
 			return err
 		}
-		if err := vr.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{r.Table()})
 	})
 	add(wanted["flashcrowd"], "flashcrowd", "flashcrowd", func(w io.Writer) error {
-		fcr, err := FlashCrowd(scale)
+		r, err := FlashCrowd(scale)
 		if err != nil {
 			return err
 		}
-		if err := fcr.BurstTable().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := fcr.SteadyTable().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
+		return writeTables(w, []*Table{r.BurstTable(), r.SteadyTable()})
 	})
 	add(wanted["fluidconv"], "fluidconv", "fluidconv", func(w io.Writer) error {
 		r, err := FluidConvergence(scale)
 		if err != nil {
 			return err
 		}
-		if err := r.Table().Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  scaled sim-vs-fluid RMSE shrinking in N, monotone: %v\n\n", r.Monotone)
-		return nil
+		return writeTables(w, []*Table{r.Table()},
+			fmt.Sprintf("  scaled sim-vs-fluid RMSE shrinking in N, monotone: %v", r.Monotone))
 	})
 
 	return figs, nil
+}
+
+// writeTables is the one way a figure is written: each table followed by
+// a blank line, with the footer lines, if any, between the last table and
+// its blank line (an empty footer line is a blank line of its own).
+func writeTables(w io.Writer, tables []*Table, footer ...string) error {
+	for i, t := range tables {
+		if err := t.Render(w); err != nil {
+			return err
+		}
+		if i == len(tables)-1 {
+			for _, line := range footer {
+				if _, err := fmt.Fprintln(w, line); err != nil {
+					return err
+				}
+			}
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParseScale resolves the CLI scale flag vocabulary.

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -39,57 +36,30 @@ func FlashCrowd(scale Scale) (*FlashCrowdResult, error) {
 		bursts = []int{40, 80, 160}
 		horizon = 250
 	}
-	// Both sweeps fan their independently seeded runs across the pool.
-	drains, err := par.Map(context.Background(), len(bursts), 0, func(i int) (float64, error) {
-		n := bursts[i]
+	// Both sweeps share one workload and differ in the initial crowd, the
+	// arrival rate and the seeds.
+	config := func(initial int, lambda float64, seed1, seed2 uint64) sim.Config {
 		cfg := sim.DefaultConfig()
 		cfg.Pieces = pieces
 		cfg.MaxConns = 4
 		cfg.NeighborSet = 25
-		cfg.InitialPeers = n
-		cfg.ArrivalRate = 0
-		cfg.SeedUpload = 4
-		cfg.Horizon = horizon
-		cfg.TrackPeers = 0
-		cfg.Seed1 = uint64(n)
-		cfg.Seed2 = 0xFC
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("flash crowd burst %d: %w", n, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return 0, fmt.Errorf("flash crowd burst %d: %w", n, err)
-		}
-		return drainTime(res, n, 0.9), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	steady, err := par.Map(context.Background(), len(lambdas), 0, func(i int) (float64, error) {
-		lambda := lambdas[i]
-		cfg := sim.DefaultConfig()
-		cfg.Pieces = pieces
-		cfg.MaxConns = 4
-		cfg.NeighborSet = 25
-		cfg.InitialPeers = 40
+		cfg.InitialPeers = initial
 		cfg.ArrivalRate = lambda
 		cfg.SeedUpload = 4
 		cfg.Horizon = horizon
 		cfg.TrackPeers = 0
-		cfg.Seed1 = uint64(lambda * 10)
-		cfg.Seed2 = 0xFD
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("steady state lambda %g: %w", lambda, err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return 0, fmt.Errorf("steady state lambda %g: %w", lambda, err)
-		}
-		return res.MeanDownloadTime(), nil
-	})
+		cfg.Seed1, cfg.Seed2 = seed1, seed2
+		return cfg
+	}
+	drains, err := sweep("flash crowd burst",
+		configs(bursts, func(n int) sim.Config { return config(n, 0, uint64(n), 0xFC) }),
+		func(i int, res *sim.Result) (float64, error) { return drainTime(res, bursts[i], 0.9), nil })
+	if err != nil {
+		return nil, err
+	}
+	steady, err := sweep("flash crowd steady",
+		configs(lambdas, func(l float64) sim.Config { return config(40, l, uint64(l*10), 0xFD) }),
+		func(_ int, res *sim.Result) (float64, error) { return res.MeanDownloadTime(), nil })
 	if err != nil {
 		return nil, err
 	}

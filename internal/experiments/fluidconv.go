@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/fluid"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -113,25 +113,15 @@ func fluidConvSim(pieces, n int) sim.Config {
 	return cfg
 }
 
-// runFluidConvSim executes one scenario replicate and extracts the
-// scaled population path from the piece census.
-func runFluidConvSim(pieces, n, rep int) (drainRun, error) {
-	cfg := fluidConvSim(pieces, n)
-	cfg.Seed2 += uint64(rep)
-	sw, err := sim.New(cfg)
-	if err != nil {
-		return drainRun{}, fmt.Errorf("fluidconv N=%d: %w", n, err)
-	}
-	res, err := sw.Run()
-	if err != nil {
-		return drainRun{}, fmt.Errorf("fluidconv N=%d: %w", n, err)
-	}
+// drainOf reduces one scenario replicate at scale n to its scaled
+// population path, extracted from the piece census.
+func drainOf(cfg sim.Config, n int, res *sim.Result) (drainRun, error) {
 	if len(res.Census) == 0 {
-		return drainRun{}, fmt.Errorf("fluidconv N=%d: no census rows", n)
+		return drainRun{}, errors.New("no census rows")
 	}
 	eta, _, err := modelEta(cfg.MaxConns, res)
 	if err != nil {
-		return drainRun{}, fmt.Errorf("fluidconv N=%d model: %w", n, err)
+		return drainRun{}, err
 	}
 	run := drainRun{
 		t:     res.CensusT,
@@ -208,8 +198,14 @@ func FluidConvergence(scale Scale) (*FluidConvergenceResult, error) {
 	if scale == Full {
 		ns = []int{1000, 10000, 100000}
 	}
-	flat, err := par.Map(context.Background(), len(ns)*reps, 0, func(i int) (drainRun, error) {
-		return runFluidConvSim(pieces, ns[i/reps], i%reps)
+	// One job per (N, replicate), N-major; replicate r shifts Seed2 by r.
+	cfgs := make([]sim.Config, len(ns)*reps)
+	for i := range cfgs {
+		cfgs[i] = fluidConvSim(pieces, ns[i/reps])
+		cfgs[i].Seed2 += uint64(i % reps)
+	}
+	flat, err := sweep("fluidconv", cfgs, func(i int, res *sim.Result) (drainRun, error) {
+		return drainOf(cfgs[i], ns[i/reps], res)
 	})
 	if err != nil {
 		return nil, err

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fluid"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -55,18 +52,14 @@ func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 	logger.Debug("validate distributions: start", "scale", scale.String())
 	defer observeWalltime("validate", time.Now())
 	setSizes := []int{5, 15, 50}
-	rows, err := par.Map(context.Background(), len(setSizes), 0, func(i int) (ValidationRow, error) {
-		s := setSizes[i]
-		cfg, p := paperSwarm(s, scale)
-		cfg.Seed2 = 0x7A13
-		sw, err := sim.New(cfg)
-		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate: %w", err)
-		}
-		res, err := sw.Run()
-		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate: %w", err)
-		}
+	params := make([]core.Params, len(setSizes))
+	cfgs := make([]sim.Config, len(setSizes))
+	for i, s := range setSizes {
+		cfgs[i], params[i] = paperSwarm(s, scale)
+		cfgs[i].Seed2 = 0x7A13
+	}
+	rows, err := sweep("validate", cfgs, func(i int, res *sim.Result) (ValidationRow, error) {
+		s, cfg, p := setSizes[i], cfgs[i], params[i]
 		var all, cohort []float64
 		longest := 0.0
 		for _, c := range res.Completions {
@@ -78,15 +71,15 @@ func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 		}
 		chainMean, err := core.ExpectedDownloadTime(p)
 		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate chain s=%d: %w", s, err)
+			return ValidationRow{}, err
 		}
 		occ, err := core.TransientPhases(p, int(math.Ceil(longest)))
 		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate chain s=%d: %w", s, err)
+			return ValidationRow{}, err
 		}
 		eta, _, err := modelEta(cfg.MaxConns, res)
 		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate model s=%d: %w", s, err)
+			return ValidationRow{}, err
 		}
 		// Fluid model in file units: a peer moves at most MaxConns of the
 		// Pieces pieces per round each way, so μ = c = MaxConns/Pieces; γ
@@ -96,7 +89,7 @@ func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 		qs := fluid.QSParams{Lambda: cfg.ArrivalRate, C: mu, Mu: mu, Eta: eta, Gamma: 1000 * mu}
 		ss, err := qs.ClosedFormSteadyState()
 		if err != nil {
-			return ValidationRow{}, fmt.Errorf("validate fluid s=%d: %w", s, err)
+			return ValidationRow{}, err
 		}
 		return ValidationRow{
 			S:          s,

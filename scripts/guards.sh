@@ -193,6 +193,15 @@ one_tier_comparison() {
 	absent one_tier_comparison '\.Ensemble\(' 'internal/experiments/validate.go'
 }
 
+# A harness runs swarms one way, sweep in internal/experiments/
+# experiments.go (DESIGN.md §8): one par job per config, each result
+# reduced inside its job, errors named by harness and point. The
+# hand-rolled par.Map → sim.New → Run copies may not grow back.
+one_swarm_sweep() {
+	absent one_swarm_sweep 'sim\.New\(' \
+		'internal/experiments/*.go' ':!*_test.go' ':!internal/experiments/experiments.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -225,6 +234,7 @@ one_degree_table
 one_trace_generator
 one_calibration_route
 one_tier_comparison
+one_swarm_sweep
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

@@ -8,16 +8,10 @@
 // renders into its own buffer and the buffers are flushed in the fixed
 // figure order, so the output text is stable too.
 //
-// With -dist, btexp instead hosts a coordinator (internal/dist) on the
-// given address and fans the selected figures out to connected btworker
-// processes; determinism makes the distributed output byte-identical to
-// a local run.
-//
 // Usage:
 //
 //	btexp -fig all -scale quick
 //	btexp -fig 4a -scale full -jobs 8
-//	btexp -fig all -scale full -dist :9400   # btworker -connect :9400
 package main
 
 import (
@@ -29,12 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/fluid"
 	"repro/internal/obs"
@@ -47,9 +39,8 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	rows := flag.Int("rows", 15, "maximum series rows per table")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent workers for figures and their inner sweeps (must be >= 1)")
-	distAddr := flag.String("dist", "", "host a coordinator on this address and fan figures out to btworker processes instead of rendering locally")
 	metricsOut := flag.String("metrics", "", "write a final JSONL metrics snapshot (pool gauges, per-experiment wall time) to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of per-figure spans to this file (load in Perfetto); under -dist includes worker-side spans")
+	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of per-figure spans to this file (load in Perfetto)")
 	logCfg := obs.RegisterLogFlags(nil)
 	flag.Parse()
 	logger := logCfg.Logger()
@@ -63,9 +54,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One registry collects the pool gauges, the per-experiment wall-time
-	// histograms, and (under -dist) the dist.* coordinator surface;
-	// -metrics dumps it as a JSONL snapshot, the same format btsim emits.
+	// One registry collects the pool gauges and the per-experiment
+	// wall-time histograms; -metrics dumps it as a JSONL snapshot, the
+	// same format btsim emits.
 	reg := obs.NewRegistry()
 	par.SetMetrics(reg)
 	experiments.SetMetrics(reg)
@@ -77,13 +68,7 @@ func main() {
 	}
 
 	start := time.Now()
-	var err error
-	if *distAddr != "" {
-		err = runDist(os.Stdout, logger, tracer, *distAddr, *fig, *scaleFlag, *rows, reg)
-	} else {
-		err = run(os.Stdout, tracer, *fig, *scaleFlag, *rows)
-	}
-	if err != nil {
+	if err := run(os.Stdout, tracer, *fig, *scaleFlag, *rows); err != nil {
 		logger.Error("btexp failed", "err", err)
 		os.Exit(1)
 	}
@@ -103,11 +88,15 @@ func main() {
 	}
 }
 
-// figKey derives a figure's content address — the sha256 of its FigSpec
-// JSON, the same spec a -dist lease ships — so trace IDs stay
-// deterministic across runs and transports.
+// figKey derives a figure's content address — the sha256 of the JSON
+// {fig, scale, rows} that selects exactly its rendering — so trace IDs
+// stay deterministic across runs.
 func figKey(sel, scale string, rows int) string {
-	spec, _ := json.Marshal(experiments.FigSpec{Fig: sel, Scale: scale, Rows: rows})
+	spec, _ := json.Marshal(struct {
+		Fig   string `json:"fig"`
+		Scale string `json:"scale"`
+		Rows  int    `json:"rows"`
+	}{sel, scale, rows})
 	sum := sha256.Sum256(spec)
 	return hex.EncodeToString(sum[:])
 }
@@ -162,57 +151,6 @@ func run(w io.Writer, tracer *trace.Tracer, fig, scaleFlag string, rows int) err
 	}
 	for _, b := range bufs {
 		if _, err := w.Write(b.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runDist hosts a coordinator and submits each selected figure as a
-// one-shard task; connected btworker processes render them. Payloads
-// come back per task and are flushed in figure order — the same bytes a
-// local run writes, because every harness seeds its runs by index.
-func runDist(w io.Writer, logger *slog.Logger, tracer *trace.Tracer, addr, fig, scaleFlag string, rows int, reg *obs.Registry) error {
-	scale, err := experiments.ParseScale(scaleFlag)
-	if err != nil {
-		return err
-	}
-	figs, err := experiments.SelectFigures(fig, scale, rows)
-	if err != nil {
-		return err
-	}
-	coord := dist.New(dist.Config{Registry: reg})
-	bound, err := coord.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("btexp: coordinator listen: %w", err)
-	}
-	defer coord.Close()
-	logger.Info("coordinator listening; waiting for btworker connections", "addr", bound, "figures", len(figs))
-
-	bufs, err := par.Map(context.Background(), len(figs), len(figs), func(i int) ([]byte, error) {
-		spec, err := json.Marshal(experiments.FigSpec{Fig: figs[i].Sel, Scale: scale.String(), Rows: rows})
-		if err != nil {
-			return nil, err
-		}
-		// Root the figure's trace here so the coordinator's shard spans —
-		// and the worker-side render spans shipped back in result frames —
-		// stitch under one deterministic trace ID per figure.
-		ctx, sp := tracer.Root(context.Background(), figKey(figs[i].Sel, scale.String(), rows), "figure")
-		sp.Annotate("fig", figs[i].Name)
-		payloads, err := coord.Run(ctx, dist.Task{
-			Kind: experiments.KindFigure, Spec: spec, N: 1,
-		})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("fig %s: %w", figs[i].Name, err)
-		}
-		return payloads[0], nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, b := range bufs {
-		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,7 @@
 // Command btworker is a distributed-execution worker: it connects to a
-// coordinator (btserve -pool or btexp -dist, both built on
-// internal/dist), leases deterministic shards — model-ensemble seed
-// ranges, served queries, figure renders — evaluates them on the local
+// coordinator (btserve -pool, built on internal/dist), leases
+// deterministic shards of served queries — model-ensemble seed ranges
+// and whole answers of every other kind — evaluates them on the local
 // internal/par pool, and streams results back. Because every shard is a
 // pure function of (spec, index range), any number of btworker
 // processes produce results bit-identical to a single local run.
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/par"
@@ -93,7 +92,7 @@ func main() {
 		Name: *name, Slots: *slots, Addr: *connect,
 		Registry: reg, Tracer: tracer, Logger: logger,
 	})
-	registerEvaluators(wk)
+	serve.RegisterEvaluators(wk)
 
 	// First signal: graceful drain (goodbye frame, finish in-flight
 	// shards, exit clean). Second signal: force teardown — the
@@ -114,13 +113,4 @@ func main() {
 		logger.Error("btworker failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// registerEvaluators installs every shard kind this worker can
-// evaluate: the four serve query kinds plus figure regeneration.
-func registerEvaluators(wk *dist.Worker) {
-	for _, kind := range []string{serve.KindModel, serve.KindEfficiency, serve.KindSim, serve.KindStability} {
-		wk.Register(kind, serve.EvalShard)
-	}
-	wk.Register(experiments.KindFigure, experiments.EvalFigShard)
 }

@@ -39,9 +39,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestBinaryConnect drives the shipped binary down its real path: it
-// dials an in-test coordinator, says hello, leases model shards through
-// registerEvaluators, and the pooled merge must be byte-identical to a
-// local run; SIGTERM then sends the goodbye and exits 0, with no strike.
+// dials an in-test coordinator, says hello, and answers one request of
+// every serve kind — model shards and whole answers alike — each pooled
+// result byte-identical to a local run under its own deadline, with no
+// nack and no strike; SIGTERM then sends the goodbye and exits 0.
 func TestBinaryConnect(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord := dist.New(dist.Config{Registry: reg})
@@ -63,21 +64,30 @@ func TestBinaryConnect(t *testing.T) {
 		}
 	}
 
-	req := &serve.Request{Kind: serve.KindModel, Seed: 7, Model: &serve.ModelQuery{B: 40, Runs: 96}}
-	if err := req.Canonicalize(); err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := serve.PoolEvaluator(coord, 16)(context.Background(), req)
-	if err != nil {
-		t.Fatalf("pool evaluation: %v\nstderr: %s", err, stderr.String())
-	}
-	local, err := serve.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := json.Marshal(local)
-	if pb, _ := json.Marshal(pooled); !bytes.Equal(pb, lb) {
-		t.Fatalf("pool result diverges from local run:\n pool: %s\nlocal: %s", pb, lb)
+	for _, req := range []*serve.Request{
+		{Kind: serve.KindModel, Seed: 7, Model: &serve.ModelQuery{B: 40, Runs: 96}},
+		{Kind: serve.KindEfficiency, Seed: 7, Efficiency: &serve.EfficiencyQuery{K: 5}},
+		{Kind: serve.KindSim, Seed: 7, Sim: &serve.SimQuery{Horizon: 40}},
+		{Kind: serve.KindStability, Seed: 7, Sim: &serve.SimQuery{Horizon: 40}},
+		{Kind: serve.KindFluid, Seed: 7, Fluid: &serve.FluidQuery{Horizon: 50, Grid: 20}},
+	} {
+		if err := req.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		pooled, err := serve.PoolEvaluator(coord, 16)(ctx, req)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: pool evaluation: %v\nstderr: %s", req.Kind, err, stderr.String())
+		}
+		local, err := serve.Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, _ := json.Marshal(local)
+		if pb, _ := json.Marshal(pooled); !bytes.Equal(pb, lb) {
+			t.Fatalf("%s: pool result diverges from local run:\n pool: %.160s\nlocal: %.160s", req.Kind, pb, lb)
+		}
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -93,9 +103,9 @@ func TestBinaryConnect(t *testing.T) {
 			t.Fatal("coordinator never saw the worker leave")
 		}
 	}
-	if c := reg.Snapshot().Counters; c["dist.goodbyes"] != 1 || c["dist.strikes"] != 0 || c["dist.results"] < 6 {
-		t.Fatalf("goodbyes=%d strikes=%d results=%d, want 1, 0, >= 6 (96 runs in shards of 16)",
-			c["dist.goodbyes"], c["dist.strikes"], c["dist.results"])
+	if c := reg.Snapshot().Counters; c["dist.goodbyes"] != 1 || c["dist.strikes"] != 0 || c["dist.nacks"] != 0 || c["dist.results"] < 10 {
+		t.Fatalf("goodbyes=%d strikes=%d nacks=%d results=%d, want 1, 0, 0, >= 10 (96 runs in shards of 16, one shard per other kind)",
+			c["dist.goodbyes"], c["dist.strikes"], c["dist.nacks"], c["dist.results"])
 	}
 }
 

@@ -83,35 +83,6 @@ func leastSquaresSlope(xs, ys []float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// SkewedReplication constructs a replication-degree vector with the kind
-// of initial skew used in the paper's Figure 4(b)/(c) experiments: piece 1
-// is replicated on (roughly) a `skew` fraction of the peers, the remaining
-// mass is spread evenly over the other pieces. peers and b must be
-// positive; skew must lie in (0, 1].
-func SkewedReplication(b, peers int, skew float64) ([]int, error) {
-	if b < 1 || peers < 1 || skew <= 0 || skew > 1 || math.IsNaN(skew) {
-		return nil, ErrBadParams
-	}
-	out := make([]int, b)
-	out[0] = int(math.Round(skew * float64(peers)))
-	if b == 1 {
-		return out, nil
-	}
-	rest := peers - out[0]
-	if rest < 0 {
-		rest = 0
-	}
-	per := rest / (b - 1)
-	extra := rest % (b - 1)
-	for j := 1; j < b; j++ {
-		out[j] = per
-		if j <= extra {
-			out[j]++
-		}
-	}
-	return out, nil
-}
-
 // PredictPopulation applies Little's law to the download model: with
 // Poisson arrivals at rate lambda (peers per exchange round) and the
 // model's mean download time E[T] (rounds), the steady-state leecher

@@ -85,39 +85,6 @@ func TestAssessStabilitySteadyHigh(t *testing.T) {
 	}
 }
 
-func TestSkewedReplication(t *testing.T) {
-	d, err := SkewedReplication(5, 100, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d) != 5 {
-		t.Fatalf("len = %d", len(d))
-	}
-	if d[0] != 80 {
-		t.Errorf("dominant piece degree %d, want 80", d[0])
-	}
-	total := 0
-	for _, v := range d {
-		total += v
-	}
-	if total != 100 {
-		t.Errorf("total %d, want 100", total)
-	}
-	if e := Entropy(d); e >= 0.5 {
-		t.Errorf("skewed entropy %g, want < 0.5", e)
-	}
-	if _, err := SkewedReplication(0, 10, 0.5); err == nil {
-		t.Error("b = 0 must be rejected")
-	}
-	if _, err := SkewedReplication(3, 10, 1.5); err == nil {
-		t.Error("skew > 1 must be rejected")
-	}
-	one, err := SkewedReplication(1, 10, 0.7)
-	if err != nil || len(one) != 1 {
-		t.Fatalf("b = 1: %v %v", one, err)
-	}
-}
-
 func TestPhaseWaits(t *testing.T) {
 	p := testParams()
 	if got := ExpectedBootstrapWait(p); math.Abs(got-5) > 1e-12 {

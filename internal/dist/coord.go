@@ -639,9 +639,11 @@ func (c *Coordinator) releaseSlotLocked(w *workerConn, addr string) {
 }
 
 // requeueLocked returns a lost shard to the queue with backoff, failing
-// the task once attempts are exhausted.
+// the task once attempts are exhausted. A shard already on the queue
+// lost nothing: the sweeper reaches every open shard without a lease,
+// and counting those would book each waiting shard once per sweep.
 func (c *Coordinator) requeueLocked(s *shard, now time.Time, why string) {
-	if s.done || s.task.err != nil || len(s.leases) > 0 {
+	if s.done || s.queued || s.task.err != nil || len(s.leases) > 0 {
 		return
 	}
 	if s.attempts >= c.cfg.Requeue.MaxAttempts {

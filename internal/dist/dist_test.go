@@ -194,6 +194,26 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	}
 }
 
+// TestQueuedShardsAreNotReassigned: a shard waiting on the queue has
+// lost no lease, so sweeps over a workerless pool must not book it as a
+// reassignment.
+func TestQueuedShardsAreNotReassigned(t *testing.T) {
+	reg := obs.NewRegistry()
+	coord := dist.New(dist.Config{Registry: reg, LeaseTTL: 40 * time.Millisecond})
+	if _, err := coord.Listen("127.0.0.1:0"); err != nil { // starts the sweeper
+		t.Fatalf("listen: %v", err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`"idle"`), N: 4, ShardSize: 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run with no workers: err = %v, want the deadline", err)
+	}
+	if n := reg.Counter("dist.reassignments").Value(); n != 0 {
+		t.Fatalf("reassignments = %d after 300 ms of sweeps with no worker, want 0", n)
+	}
+}
+
 // TestNackExhaustion checks a permanently failing shard fails the task
 // after the configured attempts, with the worker's reason attached.
 func TestNackExhaustion(t *testing.T) {

@@ -1,23 +1,18 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
-
-	"repro/internal/obs/trace"
 )
 
 // Figure is one renderable entry of the figure registry: the id shown
 // to the user, the selector that reproduces exactly this rendering
 // (e.g. "4b" selects only the population half of the 4bc harness), and
 // the renderer itself. Renderers are pure functions of (selector,
-// scale, rows) — the property that lets a remote worker regenerate a
-// figure byte-identically to a local run.
+// scale, rows) — the property that makes a figure's output the same
+// bytes at any -jobs value.
 type Figure struct {
 	// Name is the figure id, for error messages and progress logs.
 	Name string
@@ -98,8 +93,8 @@ func SelectFigures(sel string, scale Scale, rows int) ([]Figure, error) {
 		return writeTables(w, []*Table{r.Table()})
 	})
 	// The 4bc harness renders differently depending on which halves were
-	// selected; the canonical selector records that choice so a remote
-	// re-render matches.
+	// selected; the canonical selector records that choice, so the
+	// figure's trace ID names exactly this rendering.
 	wantPop := all || wanted["4bc"] || wanted["4b"]
 	wantEnt := all || wanted["4bc"] || wanted["4c"]
 	sel4bc := "4bc"
@@ -227,55 +222,4 @@ func ParseScale(s string) (Scale, error) {
 	default:
 		return 0, fmt.Errorf("unknown scale %q (want quick or full)", s)
 	}
-}
-
-// KindFigure is the dist task kind btworker registers EvalFigShard
-// under.
-const KindFigure = "figure"
-
-// FigSpec is the distributed work-unit spec for one figure: the
-// canonical selector plus the rendering knobs, shipped to workers as
-// JSON. A figure is a single indivisible unit ([0, 1)) — its inner
-// sweeps already parallelize on the worker's local pool.
-type FigSpec struct {
-	Fig   string `json:"fig"`
-	Scale string `json:"scale"`
-	Rows  int    `json:"rows"`
-}
-
-// EvalFigShard is the worker-side dist.Evaluator for figure
-// regeneration: spec is a JSON FigSpec, and the payload is the rendered
-// table text — byte-identical to a local render because every harness
-// seeds its runs by index.
-func EvalFigShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
-	var fs FigSpec
-	if err := json.Unmarshal(spec, &fs); err != nil {
-		return nil, fmt.Errorf("experiments: figure spec: %w", err)
-	}
-	if lo != 0 || hi != 1 {
-		return nil, fmt.Errorf("experiments: a figure is a single unit, got shard [%d,%d)", lo, hi)
-	}
-	scale, err := ParseScale(fs.Scale)
-	if err != nil {
-		return nil, err
-	}
-	figs, err := SelectFigures(fs.Fig, scale, fs.Rows)
-	if err != nil {
-		return nil, err
-	}
-	if len(figs) != 1 {
-		return nil, fmt.Errorf("experiments: spec %q selects %d figures, want exactly 1", fs.Fig, len(figs))
-	}
-	var b bytes.Buffer
-	// When the lease carried trace context (bound upstream by the dist
-	// worker), the render shows up as its own child span; otherwise this
-	// is a nil no-op.
-	_, sp := trace.Start(ctx, "figure.render")
-	sp.Annotate("fig", figs[0].Name)
-	err = figs[0].Render(&b)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("fig %s: %w", figs[0].Name, err)
-	}
-	return b.Bytes(), nil
 }

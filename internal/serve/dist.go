@@ -94,6 +94,14 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	return acc.AppendBinary(nil)
 }
 
+// RegisterEvaluators installs EvalShard on wk for every request kind,
+// so a worker evaluates exactly the kinds a server accepts.
+func RegisterEvaluators(wk *dist.Worker) {
+	for kind := range kindSection {
+		wk.Register(kind, EvalShard)
+	}
+}
+
 // Pool is the slice of a dist coordinator the serving layer needs;
 // *dist.Coordinator satisfies it.
 type Pool interface {

@@ -35,9 +35,7 @@ func startPool(t *testing.T, n int, cfg dist.Config, mutate func(i int, wc *dist
 			mutate(i, &wc)
 		}
 		wk := dist.NewWorker(wc)
-		for _, kind := range []string{serve.KindModel, serve.KindEfficiency, serve.KindSim, serve.KindStability} {
-			wk.Register(kind, serve.EvalShard)
-		}
+		serve.RegisterEvaluators(wk)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -124,31 +122,40 @@ func TestPoolShardSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestPoolSimByteIdentity: non-model kinds ship as one shard whose
-// bytes embed verbatim; the pooled body must marshal identically to a
-// local evaluation.
+// TestPoolSimByteIdentity: every request kind a server accepts
+// evaluates through the pool — model ensembles as merged shards, every
+// other kind as one shard whose bytes embed verbatim — and each pooled
+// body must marshal identically to a local evaluation. One row per kind
+// in serve's kind table, each under its own deadline: a kind the
+// workers do not register is nacked until the deadline, not answered.
 func TestPoolSimByteIdentity(t *testing.T) {
-	horizon := 40.0
-	req := &serve.Request{
-		Kind: serve.KindSim,
-		Seed: 11,
-		Sim:  &serve.SimQuery{Horizon: horizon},
-	}
-	if err := req.Canonicalize(); err != nil {
-		t.Fatal(err)
-	}
-	local, err := serve.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord, stop := startPool(t, 2, dist.Config{}, nil)
 	defer stop()
-	got, err := serve.PoolEvaluator(coord, 0)(context.Background(), req)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	if gb, wb := mustJSON(t, got), mustJSON(t, local); !bytes.Equal(gb, wb) {
-		t.Fatalf("sim pool result diverges:\n pool: %.160s\nlocal: %.160s", gb, wb)
+	for _, req := range []*serve.Request{
+		{Kind: serve.KindModel, Seed: 4, Model: &serve.ModelQuery{B: 40, Runs: 40}},
+		{Kind: serve.KindEfficiency, Seed: 5, Efficiency: &serve.EfficiencyQuery{K: 6}},
+		{Kind: serve.KindSim, Seed: 11, Sim: &serve.SimQuery{Horizon: 40}},
+		{Kind: serve.KindStability, Seed: 12, Sim: &serve.SimQuery{Horizon: 40}},
+		{Kind: serve.KindFluid, Seed: 13, Fluid: &serve.FluidQuery{Horizon: 50, Grid: 20}},
+	} {
+		t.Run(req.Kind, func(t *testing.T) {
+			if err := req.Canonicalize(); err != nil {
+				t.Fatal(err)
+			}
+			local, err := serve.Evaluate(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			got, err := serve.PoolEvaluator(coord, 0)(ctx, req)
+			if err != nil {
+				t.Fatalf("pool: %v", err)
+			}
+			if gb, wb := mustJSON(t, got), mustJSON(t, local); !bytes.Equal(gb, wb) {
+				t.Fatalf("%s pool result diverges:\n pool: %.160s\nlocal: %.160s", req.Kind, gb, wb)
+			}
+		})
 	}
 }
 

@@ -94,7 +94,7 @@ one_way_to_check_the_stack() {
 # under the frame's checksum, and a model shard's is core.EnsembleAccum's
 # varints (DESIGN.md §11): the payload may not move back inside the JSON,
 # the accumulator may not grow a JSON form back, nothing on the dist path
-# may json-encode one, and a figure's payload is its rendered bytes.
+# may json-encode one, and the figure payload decoder may not return.
 one_shard_payload_encoding() {
 	absent one_shard_payload_encoding \
 		'Payload +json\.RawMessage|json:"(potSum|potCnt|fpSum|fpCnt|stuckBootstrap|hasLast)"|json\.(Marshal|Unmarshal)\((acc|p, part)\)|DecodeFigPayload' \
@@ -202,6 +202,23 @@ one_swarm_sweep() {
 		'internal/experiments/*.go' ':!*_test.go' ':!internal/experiments/experiments.go'
 }
 
+# btexp renders figures one way, locally on the par pool (DESIGN.md §11):
+# -dist shipped each figure as one indivisible shard, so it was never
+# shorter than the slowest figure. Its task kind, spec, evaluator and
+# flag may not grow back.
+one_figure_path() {
+	absent one_figure_path 'KindFigure|EvalFigShard|FigSpec' '*.go' ':!*_test.go'
+	absent one_figure_path 'flag\.[A-Za-z]+\("dist"' 'cmd/btexp/*.go'
+}
+
+# A worker evaluates exactly the kinds a server accepts, by one call to
+# serve.RegisterEvaluators over serve's kind table (DESIGN.md §11). A
+# hand-kept kind list in btworker (the last one left out fluid) may not
+# grow back.
+one_worker_kind_list() {
+	absent one_worker_kind_list 'serve\.Kind[A-Z]' 'cmd/btworker/*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -235,6 +252,8 @@ one_trace_generator
 one_calibration_route
 one_tier_comparison
 one_swarm_sweep
+one_figure_path
+one_worker_kind_list
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

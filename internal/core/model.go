@@ -55,6 +55,24 @@ func NewModel(p Params) (*Model, error) {
 	return m, nil
 }
 
+// Bytes returns the memory m's tables hold: every float and every
+// slice header of the running sums and the trading-power curve. A cache
+// of models charges each one this much against its budget.
+func (m *Model) Bytes() int {
+	const header = 24 // a slice header on a 64-bit machine
+	floats, slices := len(m.power)+len(m.iInit), 2+len(m.iDist)+len(m.nDist)
+	for _, c := range m.iDist {
+		floats += len(c)
+	}
+	for _, row := range m.nDist {
+		slices += len(row)
+		for _, c := range row {
+			floats += len(c)
+		}
+	}
+	return 8*floats + header*slices
+}
+
 // TradingPower returns the precomputed p_(x).
 func (m *Model) TradingPower(x int) float64 {
 	if x < 0 || x >= len(m.power) {

@@ -33,13 +33,22 @@ func (d tableDist) MaxPieces() int { return len(d.p) - 1 }
 // UniformPhi returns the uniform distribution ϕ(j) = 1/B for j = 1..B.
 // The paper's Section 6 identifies this as the distribution the trading
 // phase drives the system towards when it is stable.
-func UniformPhi(b int) PieceDist {
-	p := make([]float64, b+1)
-	for j := 1; j <= b; j++ {
-		p[j] = 1 / float64(b)
+// It is a closed form, not a table: At(j) computes 1/B, the value each
+// entry of a table would hold, so building Params allocates no B+1
+// floats.
+func UniformPhi(b int) PieceDist { return uniformDist(b) }
+
+// uniformDist is UniformPhi's ϕ over 1..B, B = the value itself.
+type uniformDist int
+
+func (d uniformDist) At(j int) float64 {
+	if j < 1 || j > int(d) {
+		return 0
 	}
-	return tableDist{p: p}
+	return 1 / float64(d)
 }
+
+func (d uniformDist) MaxPieces() int { return int(d) }
 
 // GeometricPhi returns a skewed distribution in which the fraction of
 // peers holding j pieces decays geometrically with ratio r in (0, 1):

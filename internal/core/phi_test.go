@@ -27,6 +27,34 @@ func TestUniformPhi(t *testing.T) {
 	if s := phiSum(d); math.Abs(s-1) > 1e-12 {
 		t.Errorf("sum = %g, want 1", s)
 	}
+
+	// UniformPhi is a closed form; the table it replaced is the reference.
+	// Every value, on and off the support, and the trading-power curve
+	// built from it must match bit for bit.
+	table := func(b int) PieceDist {
+		p := make([]float64, b+1)
+		for j := 1; j <= b; j++ {
+			p[j] = 1 / float64(b)
+		}
+		return tableDist{p: p}
+	}
+	for _, b := range []int{1, 2, 3, 100, 2000} {
+		got, want := UniformPhi(b), table(b)
+		if got.MaxPieces() != want.MaxPieces() {
+			t.Fatalf("B = %d: MaxPieces = %d, want %d", b, got.MaxPieces(), want.MaxPieces())
+		}
+		for j := -1; j <= b+1; j++ {
+			if g, w := got.At(j), want.At(j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("B = %d: At(%d) = %x, table holds %x", b, j, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+		gc, wc := TradingPowerCurve(got), TradingPowerCurve(want)
+		for x := range wc {
+			if math.Float64bits(gc[x]) != math.Float64bits(wc[x]) {
+				t.Fatalf("B = %d: p_(%d) = %v, table gives %v", b, x, gc[x], wc[x])
+			}
+		}
+	}
 }
 
 func TestGeometricPhi(t *testing.T) {

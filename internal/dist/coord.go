@@ -91,6 +91,7 @@ type Coordinator struct {
 	closed   bool
 	wg       sync.WaitGroup // accept loop + per-conn readers + sweeper
 	stop     chan struct{}
+	wake     *time.Timer // dispatches when the earliest backoff gate opens
 
 	// Metrics (always non-nil; unregistered when cfg.Registry is nil).
 	gWorkers, gLeases, gPending, gQuarantined *obs.Gauge
@@ -256,6 +257,9 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	close(c.stop)
+	if c.wake != nil {
+		c.wake.Stop()
+	}
 	if c.ln != nil {
 		_ = c.ln.Close()
 	}
@@ -475,12 +479,16 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 	}
 	// Pending shards first, in queue order.
 	rest := c.queue[:0]
+	var gate time.Time // earliest backoff gate still closed
 	for _, s := range c.queue {
 		if s.done || s.task.err != nil {
 			s.queued = false
 			continue
 		}
 		if now.Before(s.notBefore) {
+			if gate.IsZero() || s.notBefore.Before(gate) {
+				gate = s.notBefore
+			}
 			rest = append(rest, s)
 			continue
 		}
@@ -498,6 +506,15 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 	clear(c.queue[len(rest):])
 	c.queue = rest
 	c.gPending.Set(float64(len(c.queue)))
+	if !gate.IsZero() && c.wake == nil {
+		c.wake = time.AfterFunc(gate.Sub(now), func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.dispatchLocked(c.now())
+		})
+	} else if !gate.IsZero() {
+		c.wake.Reset(gate.Sub(now))
+	}
 
 	// Speculative re-issue: only when nothing is pending and capacity is
 	// idle, duplicate over-age single-leased shards.

@@ -245,6 +245,41 @@ func TestNackExhaustion(t *testing.T) {
 	}
 }
 
+// TestBackedOffShardWakesIdlePool: a nacked shard waits out its requeue
+// backoff (50 ms at the defaults) and is then leased at once, not at the
+// next sweep (LeaseTTL/4, 3.75 s at the defaults), even though nothing
+// else happens on the pool in between.
+func TestBackedOffShardWakesIdlePool(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := dist.New(dist.Config{})
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer coord.Close()
+	var calls atomic.Int32
+	stop := startWorker(t, ctx, dist.WorkerConfig{Name: "flaky", Slots: 1, Addr: addr}, "sum",
+		func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
+			if calls.Add(1) == 1 {
+				return nil, errors.New("synthetic first-call failure")
+			}
+			return sumEval(ctx, spec, lo, hi)
+		})
+	defer stop()
+
+	start := time.Now()
+	if _, err := coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`"x"`), N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("one-shard task took %v after one nack, want under 1s", d)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("evaluator called %d times, want 2", n)
+	}
+}
+
 // TestChaosConnDropReassignment is the dist-layer half of the
 // acceptance criterion: one worker's connection is fault-injected to
 // die mid-lease (after the lease arrives, before its result can leave),

@@ -379,6 +379,11 @@ func copyHeaders(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
+// relayBufs recycles handleQuery's reply buffers up to maxRelayBuf.
+var relayBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxRelayBuf = 1 << 20
+
 // handleQuery routes one query to its replica and relays the response
 // bytes untouched.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -391,8 +396,16 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer root.End()
 	w.Header().Set("X-Cache-Key", x.key)
 	x.consume = func(target, home int, resp *http.Response) error {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
+		// The whole body is read before any header goes out, so a failed
+		// read can still move on to a successor.
+		buf := relayBufs.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxRelayBuf {
+				buf.Reset()
+				relayBufs.Put(buf)
+			}
+		}()
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			return err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -406,7 +419,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("X-Route", route)
 		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(body)
+		_, _ = w.Write(buf.Bytes())
 		return nil
 	}
 	if err := g.do(ctx, x); err != nil && ctx.Err() == nil {

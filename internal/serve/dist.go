@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,10 +12,11 @@ import (
 
 // DefaultShardRuns is the model-ensemble shard granularity used by
 // PoolEvaluator when none is given: small enough to spread a default
-// 200-run ensemble across a handful of workers. A worker builds a task's
-// model once, not per shard, so a shard's fixed cost is a lease round
-// trip (~40 µs on loopback) and one accumulator back (0.6 KB of varints
-// at B = 100 whatever the shard size, ~8 µs to frame, checksum, decode
+// 200-run ensemble across a handful of workers. A worker decodes a
+// task's spec once, not per shard, and takes its model from the
+// process's model memo, so a shard's fixed cost is a lease round trip
+// (~40 µs on loopback) and one accumulator back (0.6 KB of varints at
+// B = 100 whatever the shard size, ~8 µs to frame, checksum, decode
 // and fold) — the round trip alone is of the order of sampling 32 runs
 // at ~2 µs each: smaller is mostly overhead.
 const DefaultShardRuns = 32
@@ -28,16 +30,10 @@ func Evaluate(ctx context.Context, req *Request) (any, error) {
 	return evalKind(ctx, req, progress{})
 }
 
-// shardTask is what EvalShard prepares once per task and every shard of
-// it reads: the canonicalized request and, for KindModel, its model.
-type shardTask struct {
-	req   *Request
-	model *core.Model
-}
-
 // EvalShard is the worker-side dist.Evaluator over serve requests: spec
-// is a JSON request (canonicalized on arrival, so worker and
-// coordinator agree on defaults), [lo, hi) selects the work units.
+// is a JSON request (decoded by DecodeRequest and so canonicalized on
+// arrival: worker and coordinator agree on defaults), [lo, hi) selects
+// the work units.
 //
 // For KindModel the units are ensemble run indices: run i draws from
 // modelRNG(seed).At(i) — the identical substream the local evaluator
@@ -49,31 +45,15 @@ type shardTask struct {
 // JSON response body, embedded verbatim in the envelope so it carries
 // the exact bytes a local evaluation would have produced.
 //
-// Concurrent shards of a task share one prepared request and model:
-// core.Model is immutable, and Evaluate and everything under it only
-// reads its *Request — a kind that wrote to it would race here.
+// Concurrent shards of a task share one prepared request, and tasks
+// with equal chain parameters one memoized core.Model, which is
+// immutable; Evaluate and everything under it only reads its *Request —
+// a kind that wrote to it would race here.
 func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
-	t, err := dist.Prepared(ctx, func() (*shardTask, error) {
-		req := &Request{}
-		if err := json.Unmarshal(spec, req); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		if err := req.Canonicalize(); err != nil {
-			return nil, err
-		}
-		if req.Kind != KindModel {
-			return &shardTask{req: req}, nil
-		}
-		m, err := core.NewModel(req.Model.params())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return &shardTask{req, m}, nil
-	})
+	req, err := dist.Prepared(ctx, func() (*Request, error) { return DecodeRequest(bytes.NewReader(spec)) })
 	if err != nil {
 		return nil, err
 	}
-	req := t.req
 	if req.Kind != KindModel {
 		if lo != 0 || hi != 1 {
 			return nil, fmt.Errorf("%w: kind %q is a single unit, got shard [%d,%d)", ErrBadRequest, req.Kind, lo, hi)
@@ -87,7 +67,11 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	if lo < 0 || hi > req.Model.Runs || lo >= hi {
 		return nil, fmt.Errorf("%w: shard [%d,%d) outside runs [0,%d)", ErrBadRequest, lo, hi, req.Model.Runs)
 	}
-	acc, err := t.model.SampleRuns(ctx, modelRNG(req.Seed), lo, hi)
+	m, err := models.get(req.Model)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := m.SampleRuns(ctx, modelRNG(req.Seed), lo, hi)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 
 // startPool stands up a coordinator plus n loopback workers running
 // serve.EvalShard, returning the coordinator and a stop func.
-func startPool(t *testing.T, n int, cfg dist.Config, mutate func(i int, wc *dist.WorkerConfig)) (*dist.Coordinator, func()) {
+func startPool(t testing.TB, n int, cfg dist.Config, mutate func(i int, wc *dist.WorkerConfig)) (*dist.Coordinator, func()) {
 	t.Helper()
 	coord := dist.New(cfg)
 	addr, err := coord.Listen("127.0.0.1:0")
@@ -62,34 +62,82 @@ func mustJSON(t *testing.T, v any) []byte {
 // a model ensemble evaluated through 1, 2, and 4 workers — and through
 // the in-process jobs pool — yields byte-identical response bodies. The
 // shard size deliberately does not divide Runs so the last shard is
-// ragged.
+// ragged. The second seed has the first one's chain parameters, so its
+// model is a hit in the process's model memo, locally and on every
+// worker, and must still read the same bytes as local evaluation.
 func TestPoolModelWorkerCountInvariance(t *testing.T) {
-	req := &serve.Request{
-		Kind:  serve.KindModel,
-		Seed:  42,
-		Model: &serve.ModelQuery{B: 60, Runs: 50},
+	var reqs []*serve.Request
+	var wants [][]byte
+	for _, seed := range []uint64{42, 43} {
+		req := &serve.Request{
+			Kind:  serve.KindModel,
+			Seed:  seed,
+			Model: &serve.ModelQuery{B: 60, Runs: 50},
+		}
+		if err := req.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+		local, err := serve.Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, wants = append(reqs, req), append(wants, mustJSON(t, local))
 	}
-	if err := req.Canonicalize(); err != nil {
-		t.Fatal(err)
+	if bytes.Equal(wants[0], wants[1]) {
+		t.Fatal("seeds 42 and 43 evaluate to the same bytes")
 	}
-	local, err := serve.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, local)
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			coord, stop := startPool(t, workers, dist.Config{}, nil)
 			defer stop()
-			got, err := serve.PoolEvaluator(coord, 8)(context.Background(), req)
-			if err != nil {
-				t.Fatalf("pool: %v", err)
-			}
-			if gb := mustJSON(t, got); !bytes.Equal(gb, want) {
-				t.Fatalf("pool result diverges from local:\n pool: %.120s\nlocal: %.120s", gb, want)
+			for i, req := range reqs {
+				got, err := serve.PoolEvaluator(coord, 8)(context.Background(), req)
+				if err != nil {
+					t.Fatalf("seed %d: pool: %v", req.Seed, err)
+				}
+				if gb := mustJSON(t, got); !bytes.Equal(gb, wants[i]) {
+					t.Fatalf("seed %d: pool result diverges from local:\n pool: %.120s\nlocal: %.120s", req.Seed, gb, wants[i])
+				}
 			}
 		})
+	}
+}
+
+// BenchmarkPoolCrossover is one model query at serve_dist's chain
+// parameters (B = 100, K = 7, S = 40) evaluated in-process and through a
+// loopback pool of 1 and 2 single-slot workers at the default shard size,
+// from serve_dist's 256 runs up to serve's cap of 20 000. Per size, the
+// pool/local ratio of ns/op says whether the pool ever pays on one box.
+func BenchmarkPoolCrossover(b *testing.B) {
+	ctx := context.Background()
+	for _, runs := range []int{256, 2048, 20000} {
+		req := &serve.Request{Kind: serve.KindModel, Seed: 1, Model: &serve.ModelQuery{B: 100, K: 7, S: 40, Runs: runs}}
+		if err := req.Canonicalize(); err != nil {
+			b.Fatal(err)
+		}
+		bench := func(eval func(context.Context, *serve.Request) (any, error)) func(*testing.B) {
+			return func(b *testing.B) {
+				if _, err := eval(ctx, req); err != nil { // connects the workers, builds the model
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eval(ctx, req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("runs=%d/local", runs), bench(serve.Evaluate))
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("runs=%d/pool=%d", runs, workers), func(b *testing.B) {
+				coord, stop := startPool(b, workers, dist.Config{}, func(_ int, wc *dist.WorkerConfig) { wc.Slots = 1 })
+				defer stop()
+				bench(serve.PoolEvaluator(coord, 0))(b)
+			})
+		}
 	}
 }
 

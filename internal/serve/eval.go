@@ -249,9 +249,9 @@ func fluidErr(err error) error {
 // ensemble is the ensemble `btmodel -seed N` reports.
 func evalModel(ctx context.Context, req *Request) (*ModelOut, error) {
 	q := req.Model
-	m, err := core.NewModel(q.params())
+	m, err := models.get(q)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, err
 	}
 	es, err := m.EnsembleCtx(ctx, modelRNG(req.Seed), q.Runs)
 	if err != nil {

@@ -145,10 +145,10 @@ func leaseContext(b *testing.B, spec []byte) context.Context {
 }
 
 // BenchmarkEvalShard is one default-size shard of the serve_dist query
-// (B = 100, S = 40): cold from a context with nothing prepared — what
-// every shard cost before workers kept a task between leases — and warm
-// inside a lease whose task is already prepared. The B/op gap is the
-// spec decode, canonicalization and core.NewModel a shard no longer pays.
+// (B = 100, S = 40): cold from a context with nothing prepared, and warm
+// inside a lease whose task is already prepared. Both take the model from
+// the process's memo (built by the first iteration), so the B/op gap is
+// the spec decode and canonicalization a prepared task no longer pays.
 func BenchmarkEvalShard(b *testing.B) {
 	req := &serve.Request{Kind: serve.KindModel, Seed: 1, Model: &serve.ModelQuery{B: 100, S: 40, Runs: 256}}
 	if err := req.Canonicalize(); err != nil {

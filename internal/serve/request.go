@@ -331,9 +331,8 @@ func (q *ModelQuery) normalize() error {
 	if q.Runs == 0 {
 		q.Runs = 200
 	}
-	// Bounds come before q.params(): a negative b would make
-	// core.UniformPhi allocate a negative-length slice and panic, so it
-	// must never reach params construction.
+	// Bounds come before q.params().Validate, which checks the model's
+	// domain only: a request past serve's caps fails naming the cap.
 	switch {
 	case q.B < 1 || q.B > maxPieces:
 		return fmt.Errorf("%w: b = %d outside [1, %d]", ErrBadRequest, q.B, maxPieces)

@@ -219,6 +219,14 @@ one_worker_kind_list() {
 	absent one_worker_kind_list 'serve\.Kind[A-Z]' 'cmd/btworker/*.go' ':!*_test.go'
 }
 
+# serve builds a chain model in one place, the process-wide memo in
+# internal/serve/models.go (DESIGN.md §11): a per-query build in the
+# local evaluator or a per-task one on a worker may not grow back.
+one_model_build() {
+	absent one_model_build 'core\.NewModel\(' \
+		'internal/serve/*.go' ':!*_test.go' ':!internal/serve/models.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -254,6 +262,7 @@ one_tier_comparison
 one_swarm_sweep
 one_figure_path
 one_worker_kind_list
+one_model_build
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

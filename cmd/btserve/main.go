@@ -121,18 +121,17 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		// coordinator, btworker processes connect to it, and the cache /
 		// singleflight / admission layers stay exactly where they were —
 		// only admitted cache misses reach the pool. Determinism makes the
-		// substitution unobservable in response bytes. A circuit breaker
-		// guards the delegation: a dead or failing pool fails over to
-		// local evaluation (degraded capacity, identical bytes) and is
-		// re-probed when its quarantine expires.
+		// substitution unobservable in response bytes. A pool with no
+		// healthy worker, or an attempt that fails there, is answered by
+		// local evaluation instead (degraded capacity, identical bytes);
+		// the coordinator's quarantines decide when the pool is tried again.
 		coord = dist.New(dist.Config{Registry: reg, Logger: logger})
 		bound, err := coord.Listen(o.poolAddr)
 		if err != nil {
 			return fmt.Errorf("btserve: pool listen: %w", err)
 		}
 		defer coord.Close()
-		breaker := serve.NewBreaker(serve.BreakerConfig{Registry: reg, Logger: logger})
-		cfg.Evaluator = breaker.Evaluator(coord, o.shardRuns)
+		cfg.Evaluator = serve.FallbackEvaluator(coord, o.shardRuns, reg, logger)
 		fmt.Fprintf(w, "worker pool coordinator on %s (connect with: btworker -connect %s)\n", bound, bound)
 	}
 	srv := serve.New(cfg)

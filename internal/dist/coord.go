@@ -82,7 +82,6 @@ type Coordinator struct {
 	ln      net.Listener
 	workers map[*workerConn]struct{}
 	strikes *health.Book[string] // by worker name, so a reconnect must live its record down
-	latency latencyEWMA
 	// open maps shard address → every open shard with that address
 	// (identical computations submitted concurrently share results).
 	open     map[string][]*shard
@@ -126,8 +125,7 @@ type shard struct {
 
 // leaseGrant is one worker's live lease on a shard.
 type leaseGrant struct {
-	exp     time.Time // heartbeat-renewed expiry
-	granted time.Time // when this grant was issued (per-worker latency)
+	exp time.Time // heartbeat-renewed expiry
 	// lapsed marks a grant the sweeper has already seen expired once:
 	// expiry takes effect only on the second consecutive sighting, so a
 	// result frame racing the same sweep tick still counts as a result,
@@ -203,7 +201,6 @@ func New(cfg Config) *Coordinator {
 		now:     cfg.now,
 		workers: make(map[*workerConn]struct{}),
 		strikes: health.NewBook[string](strikeThreshold, strikeWindowTTLs*cfg.LeaseTTL),
-		latency: latencyEWMA{},
 		open:    make(map[string][]*shard),
 		stop:    make(chan struct{}),
 
@@ -324,7 +321,7 @@ func (c *Coordinator) Workers() int {
 
 // HealthyWorkers returns the number of connected workers that are
 // neither draining nor quarantined — the pool capacity a scheduler (or
-// the serve-layer circuit breaker) can actually count on.
+// serve's local fallback) can actually count on.
 func (c *Coordinator) HealthyWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -350,18 +347,6 @@ func (c *Coordinator) refreshHealthGaugeLocked(now time.Time) {
 		}
 	}
 	c.gQuarantined.Set(float64(q))
-}
-
-// forgetLatencyLocked drops name's latency EWMA once no connection
-// carries that name: an unnamed worker is named by its ephemeral remote
-// address, so without this every redial would leave an entry behind.
-func (c *Coordinator) forgetLatencyLocked(name string) {
-	for w := range c.workers {
-		if w.name == name {
-			return
-		}
-	}
-	delete(c.latency, name)
 }
 
 // strikeLocked charges one health strike against w and logs a new
@@ -539,7 +524,7 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 			}
 			w := c.freeWorkerLocked(holder, now)
 			if w == nil {
-				return // no idle capacity anywhere; stop scanning
+				return // no idle healthy capacity anywhere; stop scanning
 			}
 			c.cHedges.Inc()
 			c.logger.Debug("hedge re-issue", "shard", s.addr[:12], "age", age, "threshold", after)
@@ -549,12 +534,14 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 }
 
 // freeWorkerLocked returns a worker with a free slot, preferring healthy
-// (non-quarantined) workers, then the least-loaded, then the lowest
-// EWMA latency; except excludes a specific worker (the current lease
-// holder, for speculative duplicates). When every candidate is
-// quarantined the least-bad one is returned anyway — quarantine routes
-// work away from flaky capacity but never starves the queue.
-func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *workerConn {
+// (non-quarantined) workers, then the least-loaded, then the lower
+// name. holder is a hedge's current lease holder, which it excludes, or
+// nil for a queued shard. When every candidate is quarantined the
+// least-loaded one is returned anyway for a queued shard — quarantine
+// routes work away from flaky capacity but never starves the queue — and
+// nil for a hedge, which duplicates a shard that still holds a live
+// lease and so never needs a worker that just struck out.
+func (c *Coordinator) freeWorkerLocked(holder *workerConn, now time.Time) *workerConn {
 	var best, bestBad *workerConn
 	better := func(w, cur *workerConn) bool {
 		if cur == nil {
@@ -563,19 +550,14 @@ func (c *Coordinator) freeWorkerLocked(except *workerConn, now time.Time) *worke
 		if w.active != cur.active {
 			return w.active < cur.active
 		}
-		wl, wok := c.latency[w.name]
-		cl, cok := c.latency[cur.name]
-		if wok && cok && wl != cl {
-			return wl < cl
-		}
 		return w.name < cur.name
 	}
 	for w := range c.workers {
-		if w == except || w.gone || w.draining || w.active >= w.slots {
+		if w == holder || w.gone || w.draining || w.active >= w.slots {
 			continue
 		}
 		if c.strikes.Quarantined(w.name, now) {
-			if better(w, bestBad) {
+			if holder == nil && better(w, bestBad) {
 				bestBad = w
 			}
 			continue
@@ -596,7 +578,7 @@ func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, hedge 
 	if s.firstIssue.IsZero() {
 		s.firstIssue = now
 	}
-	s.leases[w] = &leaseGrant{exp: now.Add(c.cfg.LeaseTTL), granted: now, hedge: hedge}
+	s.leases[w] = &leaseGrant{exp: now.Add(c.cfg.LeaseTTL), hedge: hedge}
 	w.active++
 	w.leased[s.addr]++
 	c.gLeases.Add(1)
@@ -718,13 +700,9 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 	c.cResults.Inc()
 	c.adoptSpansLocked(ss, spans)
 	for _, s := range ss {
-		// The winner's grant latency feeds its health EWMA; a hedge grant
-		// winning is the hedge surface's success signal.
-		if g := s.leases[w]; g != nil {
-			c.latency.note(w.name, obs.Ms(now.Sub(g.granted)))
-			if g.hedge {
-				c.cHedgeWins.Inc()
-			}
+		// A hedge grant winning is the hedge surface's success signal.
+		if g := s.leases[w]; g != nil && g.hedge {
+			c.cHedgeWins.Inc()
 		}
 		// Release every other holder's lease on this shard: their slots
 		// free up now; their eventual results land in the duplicate path.
@@ -984,7 +962,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	delete(c.workers, w)
 	w.gone = true
 	c.gWorkers.Set(float64(len(c.workers)))
-	c.forgetLatencyLocked(w.name)
 	abandoned := false
 	for addr := range w.leased {
 		for _, s := range c.open[addr] {

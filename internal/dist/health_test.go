@@ -29,25 +29,6 @@ func (c *stubClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func TestHealthBookLatencyEWMA(t *testing.T) {
-	l := latencyEWMA{}
-	if _, ok := l["w"]; ok {
-		t.Fatal("latency reported with no samples")
-	}
-	l.note("w", 100)
-	if got, ok := l["w"]; !ok || got != 100 {
-		t.Fatalf("first sample should set the EWMA directly: %v %v", got, ok)
-	}
-	l.note("w", 0)
-	if got := l["w"]; got != 80 {
-		t.Fatalf("EWMA after 100 then 0 at alpha 0.2 = %v, want 80", got)
-	}
-	l.note("w", -5) // a clock step backwards counts as instant, not negative
-	if got := l["w"]; got != 64 {
-		t.Fatalf("EWMA after a negative sample = %v, want 64", got)
-	}
-}
-
 // TestReissueThreshold pins the one speculative re-issue rule: four
 // lease TTLs until eight shards have completed, then three times their
 // p95 latency, never below two sweeps nor above the four TTLs.
@@ -224,11 +205,10 @@ func TestHeartbeatClearsLapsedGrace(t *testing.T) {
 }
 
 // TestUnnamedWorkerChurnStaysBounded: an unnamed worker is known by its
-// remote address, a fresh ephemeral port on every redial. A thousand
-// connect → one shard → disconnect cycles must leave no latency entry
-// behind (the map is bounded by live connections), and the strikes some
-// of them earn must be pruned a window later, so neither map grows with
-// the number of workers the coordinator has ever seen.
+// remote address, a fresh ephemeral port on every redial. Over a
+// thousand connect → one shard → disconnect cycles the strikes some of
+// them earn must be pruned a window later, so the strike book does not
+// grow with the number of workers the coordinator has ever seen.
 func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 	clk := &stubClock{t: time.Unix(1000, 0)}
 	c := New(Config{now: clk.Now})
@@ -245,10 +225,10 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 			}
 		}
 	}
-	sizes := func() (latencies, strikes int) {
+	struck := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.latency), c.strikes.Len()
+		return c.strikes.Len()
 	}
 	// One stub second per cycle against a 4 × 15 s strike window: a
 	// strike every tenth cycle keeps at most seven records alive.
@@ -276,11 +256,11 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 		if i%strikeEvery == 0 {
 			// Fail the shard once: a strike against this connection's
 			// ephemeral name, then a re-grant once the backoff has passed.
-			_, before := sizes()
+			before := struck()
 			if err := WriteFrame(conn, &Frame{T: TypeNack, Addr: lease.Lease.Addr, Err: "synthetic"}); err != nil {
 				t.Fatalf("cycle %d: nack: %v", i, err)
 			}
-			poll("the nack's strike", func() bool { _, n := sizes(); return n == before+1 })
+			poll("the nack's strike", func() bool { return struck() == before+1 })
 			clk.Advance(time.Second)
 			c.sweepOnce()
 			if lease, err = ReadFrame(conn); err != nil || lease.T != TypeLease {
@@ -293,24 +273,138 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("cycle %d: run: %v", i, err)
 		}
-		if n, _ := sizes(); n != 1 {
-			t.Fatalf("cycle %d: %d latency entries with one worker connected", i, n)
-		}
 		_ = conn.Close()
 		poll("the worker to unregister", func() bool { return c.Workers() == 0 })
 		clk.Advance(time.Second)
 		c.sweepOnce()
-		if l, s := sizes(); l != 0 || s > maxStruck {
-			t.Fatalf("cycle %d: %d latency entries with no worker connected, %d strike records (want 0, <= %d)",
-				i, l, s, maxStruck)
+		if s := struck(); s > maxStruck {
+			t.Fatalf("cycle %d: %d strike records, want <= %d", i, s, maxStruck)
 		}
 	}
-	if _, s := sizes(); s == 0 {
+	if struck() == 0 {
 		t.Fatal("no strike record survived to the end: the nack cycles did not strike")
 	}
 	clk.Advance(strikeWindowTTLs*DefaultLeaseTTL + time.Second)
 	c.sweepOnce()
-	if _, s := sizes(); s != 0 {
+	if s := struck(); s != 0 {
 		t.Fatalf("%d strike records a full window after the last strike, want 0", s)
+	}
+}
+
+// TestHedgeSkipsQuarantinedWorker: a hedge duplicates a shard that
+// still holds a live lease, so it never goes to a quarantined worker —
+// not even when that worker is the only idle one, where a queued shard
+// would take it so the queue never starves. Once the quarantine ends,
+// the same shard is hedged onto the same worker.
+func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
+	clk := &stubClock{t: time.Unix(1000, 0)}
+	reg := obs.NewRegistry()
+	c := New(Config{Registry: reg, now: clk.Now})
+	addr, err := c.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer c.Close()
+	dial := func(name string) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", name, err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		if err := WriteFrame(conn, &Frame{T: TypeHello, V: ProtocolVersion, Worker: name, Slots: 1}); err != nil {
+			t.Fatalf("%s: hello: %v", name, err)
+		}
+		if f, err := ReadFrame(conn); err != nil || f.T != TypeHello {
+			t.Fatalf("%s: hello ack = %+v, %v", name, f, err)
+		}
+		return conn
+	}
+	lease := func(conn net.Conn) *Lease {
+		t.Helper()
+		f, err := ReadFrame(conn)
+		if err != nil || f.T != TypeLease {
+			t.Fatalf("lease = %+v, %v", f, err)
+		}
+		return f.Lease
+	}
+	send := func(conn net.Conn, f *Frame) {
+		t.Helper()
+		if err := WriteFrame(conn, f); err != nil {
+			t.Fatalf("write %s: %v", f.T, err)
+		}
+	}
+	run := func(spec string) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte(spec), N: 1})
+			done <- err
+		}()
+		return done
+	}
+	strikes := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.strikes.Strikes("b")
+	}
+	hedges := func() int64 { return reg.Snapshot().Counters["dist.hedges"] }
+
+	// b strikes out: four nacks on one task quarantine it for two strike
+	// windows; its fifth lease, granted because nobody else is free,
+	// completes the task.
+	b := dial("b")
+	done := run("1")
+	for n := 1; n <= strikeThreshold+1; n++ {
+		send(b, &Frame{T: TypeNack, Addr: lease(b).Addr, Err: "synthetic"})
+		for deadline := time.Now().Add(10 * time.Second); strikes() < n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("nack %d never struck", n)
+			}
+		}
+		clk.Advance(5 * time.Second) // past the requeue backoff
+		c.sweepOnce()
+	}
+	send(b, &Frame{T: TypeResult, Addr: lease(b).Addr, Payload: []byte(`[1]`)})
+	if err := <-done; err != nil {
+		t.Fatalf("run 1: %v", err)
+	}
+
+	// a takes the next shard and holds it past the re-issue age: the only
+	// idle worker is b, quarantined, so nothing is hedged.
+	a := dial("a")
+	done = run("2")
+	held := lease(a)
+	var wa *workerConn
+	c.mu.Lock()
+	for w := range c.workers {
+		if w.name == "a" {
+			wa = w
+		}
+	}
+	c.mu.Unlock()
+	clk.Advance(reissueAfter(0, 0, DefaultLeaseTTL, c.cfg.SweepEvery) + time.Second)
+	c.handleHeartbeat(wa, held.Addr)
+	c.sweepOnce()
+	if h := c.HealthyWorkers(); h != 1 {
+		t.Fatalf("healthy workers = %d at the re-issue age, want 1 (b quarantined)", h)
+	}
+	if n := hedges(); n != 0 {
+		t.Fatalf("dist.hedges = %d: a hedge went to the quarantined worker", n)
+	}
+
+	// b's quarantine ends (2 windows after its fourth strike): the same
+	// over-age shard is now hedged onto it.
+	clk.Advance(2*strikeWindowTTLs*DefaultLeaseTTL - reissueAfter(0, 0, DefaultLeaseTTL, c.cfg.SweepEvery))
+	c.handleHeartbeat(wa, held.Addr)
+	c.sweepOnce()
+	if n := hedges(); n != 1 {
+		t.Fatalf("dist.hedges = %d once b's quarantine ended, want 1", n)
+	}
+	if l := lease(b); l.Addr != held.Addr {
+		t.Fatalf("hedge lease for %s, want %s", l.Addr, held.Addr)
+	}
+	send(a, &Frame{T: TypeResult, Addr: held.Addr, Payload: []byte(`[2]`)})
+	if err := <-done; err != nil {
+		t.Fatalf("run 2: %v", err)
 	}
 }

@@ -6,10 +6,11 @@
 //
 // Determinism rests on two rules:
 //
-//   - Randomness is indexed, never shared. MapSeeded derives job i's RNG
-//     as base.At(i) (a SplitMix64-style jump, see internal/stats), so the
-//     stream a job draws from depends only on the root seed pair and the
-//     job index — not on which worker runs it or when.
+//   - Randomness is indexed, never shared. A job that draws numbers
+//     takes the substream base.At(i) for its index i (a SplitMix64-style
+//     jump, see internal/stats), so the stream it draws from depends only
+//     on the root seed pair and the job index — not on which worker runs
+//     it or when.
 //   - Results are position-addressed. Every job writes its result into
 //     slot i of the output slice; reductions that care about
 //     floating-point association then merge the slots in index order.
@@ -28,11 +29,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // defaultJobs holds the process-wide worker-count default used when a
-// Map/MapSeeded call passes jobs <= 0. Zero means runtime.GOMAXPROCS(0).
+// Map call passes jobs <= 0. Zero means runtime.GOMAXPROCS(0).
 var defaultJobs atomic.Int64
 
 // SetDefaultJobs sets the process-wide default worker count used when a
@@ -170,14 +170,4 @@ func Map[T any](ctx context.Context, n, jobs int, fn func(i int) (T, error)) ([]
 		return nil, fmt.Errorf("par: job %d: %w", errIdx, jobErr)
 	}
 	return out, nil
-}
-
-// MapSeeded is Map for jobs that need randomness: job i receives the
-// indexed substream base.At(i), so the numbers it draws are a pure
-// function of (base seed pair, i) and the combined result is bit-identical
-// for any worker count. base itself is never drawn from.
-func MapSeeded[T any](ctx context.Context, n, jobs int, base *stats.RNG, fn func(i int, r *stats.RNG) (T, error)) ([]T, error) {
-	return Map(ctx, n, jobs, func(i int) (T, error) {
-		return fn(i, base.At(i))
-	})
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 func TestMapOrdersResults(t *testing.T) {
@@ -88,55 +87,6 @@ func TestMapErrorStopsFeed(t *testing.T) {
 	}
 	if n := ran.Load(); n > 1000 {
 		t.Errorf("%d jobs ran after early failure", n)
-	}
-}
-
-func TestMapSeededDeterministicAcrossJobs(t *testing.T) {
-	// The core contract: identical output for any worker count, because
-	// job i's randomness comes from base.At(i).
-	run := func(jobs int) []uint64 {
-		base := stats.NewRNG(11, 22)
-		got, err := MapSeeded(context.Background(), 200, jobs, base, func(i int, r *stats.RNG) (uint64, error) {
-			v := r.Uint64()
-			for j := 0; j < i%7; j++ { // uneven work per job
-				v ^= r.Uint64()
-			}
-			return v, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want := run(1)
-	for _, jobs := range []int{2, 4, 8, 64} {
-		got := run(jobs)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("jobs=%d: slot %d differs", jobs, i)
-			}
-		}
-	}
-}
-
-func TestMapSeededMatchesSerialSplit(t *testing.T) {
-	// MapSeeded replays a serial Split loop: job i's stream equals the
-	// (i+1)-th Split child, the idiom the pre-parallel harnesses used.
-	serial := stats.NewRNG(5, 9)
-	var want []uint64
-	for i := 0; i < 32; i++ {
-		want = append(want, serial.Split().Uint64())
-	}
-	got, err := MapSeeded(context.Background(), 32, 4, stats.NewRNG(5, 9), func(i int, r *stats.RNG) (uint64, error) {
-		return r.Uint64(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slot %d: %x != split child %x", i, got[i], want[i])
-		}
 	}
 }
 

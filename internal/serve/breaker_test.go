@@ -13,25 +13,8 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/retry"
 )
-
-// breakerClock is a manually advanced stub clock.
-type breakerClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *breakerClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *breakerClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
 
 // stubPool is an in-process Pool: when failing, Run errors; otherwise
 // it evaluates the task's single shard with the local evaluator (the
@@ -75,7 +58,7 @@ func evalN(t *testing.T, eval func(context.Context, *Request) (any, error), req 
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
-			t.Fatalf("call %d: fallback diverges from local: %s vs %s", i, gj, want)
+			t.Fatalf("call %d: answer diverges from local: %s vs %s", i, gj, want)
 		}
 	}
 }
@@ -90,96 +73,173 @@ func localJSON(t *testing.T, req *Request) []byte {
 	return b
 }
 
-// TestBreakerOpenHalfOpenClosedCycle drives the full cycle: repeated
-// pool infrastructure failures quarantine the pool (requests keep
-// succeeding via local fallback, byte-identical), a quarantined pool is
-// not touched, expiry admits the next request as the probe, and a
-// healthy probe closes the breaker again.
-func TestBreakerOpenHalfOpenClosedCycle(t *testing.T) {
-	clk := &breakerClock{t: time.Unix(1000, 0)}
-	pool := &stubPool{}
-	pool.healthy.Store(1)
-	pool.failing.Store(true)
-	reg := obs.NewRegistry()
-	br := NewBreaker(BreakerConfig{Registry: reg, now: clk.Now})
-	eval := br.Evaluator(pool, 8)
-	req := breakerReq(t)
-	want := localJSON(t, req)
+// flakyTTL is the lease TTL of the breaker tests' coordinator. Its
+// strike window (dist: 4 lease TTLs), and so a first quarantine, is
+// 400 ms.
+const (
+	flakyTTL    = 100 * time.Millisecond
+	flakyWindow = 4 * flakyTTL
+)
 
-	// Below the threshold the pool keeps being tried.
-	evalN(t, eval, req, breakerThreshold-1, want)
-	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("state after %d failures = %q, want closed", breakerThreshold-1, got)
-	}
-	evalN(t, eval, req, 1, want)
-	if got := br.State(); got != BreakerOpen {
-		t.Fatalf("state after %d failures = %q, want open", breakerThreshold, got)
-	}
-	if got := pool.calls.Load(); got != breakerThreshold {
-		t.Fatalf("pool attempts = %d, want %d", got, breakerThreshold)
-	}
-	// While quarantined, the pool is not touched.
-	evalN(t, eval, req, 2, want)
-	if got := pool.calls.Load(); got != breakerThreshold {
-		t.Fatal("open breaker still sent a request to the pool")
-	}
+// flakyPool is a real coordinator with single-slot workers w0, w1, …
+// whose efficiency evaluator nacks the pool's next failNext leases and
+// then answers with EvalShard's bytes. With one worker and four lease
+// attempts per shard, a request that meets three failures gets the
+// worker quarantined and is still answered by the pool (its fourth lease
+// goes to the quarantined worker: nobody else is free), and one that
+// meets four is answered locally.
+type flakyPool struct {
+	coord    *dist.Coordinator
+	reg      *obs.Registry
+	eval     func(context.Context, *Request) (any, error)
+	failNext atomic.Int64
+	leases   atomic.Int64 // evaluations the worker has started
+}
 
-	// Quarantine expires: half-open, the next request is the probe; the
-	// pool has recovered.
-	clk.Advance(breakerWindow + time.Second)
-	if got := br.State(); got != BreakerHalfOpen {
-		t.Fatalf("state after expiry = %q, want half-open", got)
+func newFlakyPool(t *testing.T, workers, attempts int, ttl time.Duration) *flakyPool {
+	t.Helper()
+	p := &flakyPool{reg: obs.NewRegistry()}
+	p.coord = dist.New(dist.Config{
+		Registry: p.reg, LeaseTTL: ttl,
+		Requeue: retry.Policy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	})
+	addr, err := p.coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	pool.failing.Store(false)
-	evalN(t, eval, req, 1, want)
-	if got := pool.calls.Load(); got != breakerThreshold+1 {
-		t.Fatal("half-open did not probe the pool")
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wk := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Slots: 1, Addr: addr})
+		wk.Register(KindEfficiency, func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
+			p.leases.Add(1)
+			if p.failNext.Add(-1) >= 0 {
+				return nil, errors.New("synthetic failure")
+			}
+			return EvalShard(ctx, spec, lo, hi)
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = wk.Run(ctx)
+		}()
 	}
-	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("state after successful probe = %q, want closed", got)
+	t.Cleanup(func() {
+		cancel()
+		p.coord.Close()
+		wg.Wait()
+	})
+	p.waitHealthy(t, workers, 10*time.Second)
+	p.eval = FallbackEvaluator(p.coord, 8, p.reg, nil)
+	return p
+}
+
+// waitHealthy polls until the pool reports want healthy workers and
+// returns how long that took.
+func (p *flakyPool) waitHealthy(t *testing.T, want int, limit time.Duration) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for p.coord.HealthyWorkers() != want {
+		if time.Since(start) > limit {
+			t.Fatalf("healthy workers = %d after %v, want %d", p.coord.HealthyWorkers(), limit, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	snap := reg.Snapshot()
-	if o, p, f := snap.Counters["serve.breaker_opens"], snap.Counters["serve.breaker_probes"], snap.Counters["serve.breaker_fallbacks"]; o != 1 || p != 1 || f != breakerThreshold+2 {
-		t.Fatalf("opens/probes/fallbacks = %d/%d/%d, want 1/1/%d", o, p, f, breakerThreshold+2)
+	return time.Since(start)
+}
+
+// check asserts the worker's lease count and the local answers so far.
+func (p *flakyPool) check(t *testing.T, phase string, leases, fallbacks int64) {
+	t.Helper()
+	if got := p.leases.Load(); got != leases {
+		t.Fatalf("%s: worker leases = %d, want %d", phase, got, leases)
 	}
-	if g := snap.Gauges["serve.breaker_state"]; g != 0 {
-		t.Fatalf("serve.breaker_state = %v after closing, want 0", g)
+	if got := p.reg.Snapshot().Counters["serve.pool_fallbacks"]; got != fallbacks {
+		t.Fatalf("%s: serve.pool_fallbacks = %d, want %d", phase, got, fallbacks)
 	}
 }
 
-// TestBreakerReopensOnFailedProbe: a failing probe is one more strike
-// on the record the book holds, and the quarantine it earns is longer
-// than the first. The probe lands at the instant of expiry, as in
-// internal/health's own table: the book forgives a record once it is out
-// of quarantine and a window past its last strike, so a probe any later
-// than that counts from one.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	clk := &breakerClock{t: time.Unix(1000, 0)}
-	pool := &stubPool{}
-	pool.healthy.Store(1)
-	pool.failing.Store(true)
-	br := NewBreaker(BreakerConfig{now: clk.Now})
-	eval := br.Evaluator(pool, 8)
+// TestBreakerOpenHalfOpenClosedCycle drives the full cycle on a real
+// coordinator whose worker fails and then recovers. Open: three nacks
+// quarantine the worker, and the requests after it are answered locally
+// without a new lease. Half-open: when the quarantine ends, the next
+// request reaches the pool. Closed: the recovered pool answers it, and
+// the next one too. Every answer is Evaluate's bytes.
+func TestBreakerOpenHalfOpenClosedCycle(t *testing.T) {
+	p := newFlakyPool(t, 1, 4, flakyTTL)
 	req := breakerReq(t)
 	want := localJSON(t, req)
 
-	evalN(t, eval, req, breakerThreshold, want) // opens
-	clk.Advance(breakerWindow)
-	evalN(t, eval, req, 1, want) // the probe fails, still served locally
-	if got := pool.calls.Load(); got != breakerThreshold+1 {
-		t.Fatalf("pool attempts = %d, want the %d failures plus one probe", got, breakerThreshold)
+	p.failNext.Store(3)
+	evalN(t, p.eval, req, 1, want) // nack, nack, nack, then the pool answers
+	p.check(t, "strike-out", 4, 0)
+	if h := p.coord.HealthyWorkers(); h != 0 {
+		t.Fatalf("healthy workers = %d after three nacks, want 0 (quarantined)", h)
 	}
-	if got := br.State(); got != BreakerOpen {
-		t.Fatalf("state after failed probe = %q, want open", got)
+
+	evalN(t, p.eval, req, 2, want)
+	p.check(t, "open", 4, 2)
+
+	p.waitHealthy(t, 1, 10*time.Second)
+	evalN(t, p.eval, req, 1, want)
+	p.check(t, "half-open", 5, 2)
+	evalN(t, p.eval, req, 1, want)
+	p.check(t, "closed", 6, 2)
+}
+
+// TestBreakerReopensOnFailedProbe: a probe that fails earns a longer
+// quarantine than the first one. The coordinator's book has forgiven
+// the worker by the time a quarantine ends, so the probe's strikes count
+// from one; but every retry of its shard lands on the same worker, and
+// the fourth failure doubles the quarantine (internal/health).
+func TestBreakerReopensOnFailedProbe(t *testing.T) {
+	p := newFlakyPool(t, 1, 4, flakyTTL)
+	req := breakerReq(t)
+	want := localJSON(t, req)
+
+	p.failNext.Store(3)
+	evalN(t, p.eval, req, 1, want)
+	if first := p.waitHealthy(t, 1, 10*time.Second); first > flakyWindow+flakyWindow/4 {
+		t.Fatalf("first quarantine lasted %v, want about %v", first, flakyWindow)
 	}
-	// One window was enough to re-probe the first time; not the second.
-	clk.Advance(breakerWindow + time.Second)
-	if got := br.State(); got != BreakerOpen {
-		t.Fatalf("state one window after a failed probe = %q, want still open (doubled quarantine)", got)
+
+	p.failNext.Store(4)
+	evalN(t, p.eval, req, 1, want) // the probe fails four times: answered locally
+	p.check(t, "failed probe", 8, 1)
+	time.Sleep(flakyWindow + flakyWindow/4)
+	if h := p.coord.HealthyWorkers(); h != 0 {
+		t.Fatalf("healthy workers = %d %v after a failed probe, want 0 (a doubled quarantine)", h, flakyWindow+flakyWindow/4)
 	}
-	clk.Advance(breakerWindow)
-	if got := br.State(); got != BreakerHalfOpen {
-		t.Fatalf("state two windows after a failed probe = %q, want half-open", got)
+	evalN(t, p.eval, req, 1, want)
+	p.check(t, "reopened", 8, 2)
+	p.waitHealthy(t, 1, 10*time.Second)
+	evalN(t, p.eval, req, 1, want)
+	p.check(t, "closed", 9, 2)
+}
+
+// TestPoolNackStormIsSkipped: when every worker nacks every lease, the
+// coordinator's quarantines alone take the pool out of use — at btserve's
+// eight lease attempts per shard, after one single-shard request at 1
+// and 2 workers and after two at 4, never more than the three failures
+// a pool-level breaker would wait for. Every answer is local, and
+// Evaluate's bytes.
+func TestPoolNackStormIsSkipped(t *testing.T) {
+	for _, row := range []struct{ workers, reached int }{{1, 1}, {2, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("workers=%d", row.workers), func(t *testing.T) {
+			p := newFlakyPool(t, row.workers, 8, dist.DefaultLeaseTTL)
+			p.failNext.Store(1 << 30)
+			req := breakerReq(t)
+			want := localJSON(t, req)
+			for i := 1; i <= row.reached; i++ {
+				evalN(t, p.eval, req, 1, want)
+				p.check(t, fmt.Sprintf("request %d", i), int64(8*i), int64(i))
+			}
+			if h := p.coord.HealthyWorkers(); h != 0 {
+				t.Fatalf("healthy workers = %d after %d requests, want 0", h, row.reached)
+			}
+			evalN(t, p.eval, req, 1, want)
+			p.check(t, "skipped", int64(8*row.reached), int64(row.reached+1))
+		})
 	}
 }
 
@@ -188,23 +248,18 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 // letting Run block against empty capacity — and, nothing having
 // failed, is used again the moment it reports capacity.
 func TestBreakerZeroHealthyFastPath(t *testing.T) {
-	clk := &breakerClock{t: time.Unix(1000, 0)}
 	pool := &stubPool{} // healthy = 0
 	reg := obs.NewRegistry()
-	br := NewBreaker(BreakerConfig{Registry: reg, now: clk.Now})
-	eval := br.Evaluator(pool, 8)
+	eval := FallbackEvaluator(pool, 8, reg, nil)
 	req := breakerReq(t)
 	want := localJSON(t, req)
 
-	evalN(t, eval, req, breakerThreshold+1, want)
+	evalN(t, eval, req, 4, want)
 	if pool.calls.Load() != 0 {
 		t.Fatal("pool attempted despite zero healthy workers")
 	}
-	if got := reg.Snapshot().Counters["serve.breaker_fallbacks"]; got != breakerThreshold+1 {
-		t.Fatalf("serve.breaker_fallbacks = %d, want %d", got, breakerThreshold+1)
-	}
-	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("state = %q: an unattempted pool earned strikes", got)
+	if got := reg.Snapshot().Counters["serve.pool_fallbacks"]; got != 4 {
+		t.Fatalf("serve.pool_fallbacks = %d, want 4", got)
 	}
 	pool.healthy.Store(2)
 	evalN(t, eval, req, 1, want)
@@ -220,38 +275,34 @@ func (p *errPool) HealthyWorkers() int                              { return 1 }
 func (p *errPool) Run(context.Context, dist.Task) ([][]byte, error) { return nil, p.err }
 
 // TestBreakerIgnoresNonInfraFailures: request-shaped failures and
-// caller cancellations must not trip the breaker — only pool
-// infrastructure failures count.
+// caller cancellations are returned as they are — only pool
+// infrastructure failures are answered locally.
 func TestBreakerIgnoresNonInfraFailures(t *testing.T) {
 	req := breakerReq(t)
+	reg := obs.NewRegistry()
 
 	// A pool surfacing ErrBadRequest (e.g. a worker rejecting the shard
 	// spec) is a request problem, not pool health.
 	bad := fmt.Errorf("%w: synthetic rejection", ErrBadRequest)
-	br := NewBreaker(BreakerConfig{})
-	eval := br.Evaluator(&errPool{err: bad}, 8)
-	for i := 0; i < 2*breakerThreshold; i++ {
+	eval := FallbackEvaluator(&errPool{err: bad}, 8, reg, nil)
+	for i := 0; i < 6; i++ {
 		if _, err := eval(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("err = %v, want ErrBadRequest", err)
 		}
-	}
-	if got := br.State(); got != BreakerClosed {
-		t.Fatalf("bad requests tripped the breaker: state = %q", got)
 	}
 
 	// A caller abandoning the request mid-flight says nothing about the
 	// pool either.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br2 := NewBreaker(BreakerConfig{})
-	eval2 := br2.Evaluator(&errPool{err: ctx.Err()}, 8)
-	for i := 0; i < 2*breakerThreshold; i++ {
-		if _, err := eval2(ctx, req); err == nil {
-			t.Fatal("cancelled request unexpectedly succeeded")
+	eval = FallbackEvaluator(&errPool{err: ctx.Err()}, 8, reg, nil)
+	for i := 0; i < 6; i++ {
+		if _, err := eval(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	}
-	if got := br2.State(); got != BreakerClosed {
-		t.Fatalf("caller cancellations tripped the breaker: state = %q", got)
+	if got := reg.Snapshot().Counters["serve.pool_fallbacks"]; got != 0 {
+		t.Fatalf("serve.pool_fallbacks = %d: a bad request or a cancellation was answered locally", got)
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 // DefaultShardRuns is the model-ensemble shard granularity used by
@@ -146,4 +149,52 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 		}
 		return modelOut(req.Model, acc.Stats()), nil
 	}
+}
+
+// HealthyPool is the optional pool introspection FallbackEvaluator
+// uses: a pool that reports zero healthy workers is skipped at once
+// instead of letting Run block on empty capacity until the request
+// deadline. *dist.Coordinator satisfies it.
+type HealthyPool interface {
+	HealthyWorkers() int
+}
+
+// FallbackEvaluator is PoolEvaluator(pool, shardRuns) with local
+// fallback: a request is answered by local Evaluate — the same bytes,
+// by worker-count invariance — when the pool reports zero healthy
+// workers (nothing is attempted), or when the pool attempt fails for
+// infrastructure reasons. Pool health is the coordinator's own strike
+// book: a worker that nacks, lets leases expire or drops mid-lease is
+// quarantined there, and a pool whose every worker is quarantined
+// reports zero healthy workers until a quarantine ends; the next request
+// then reaches the pool again. serve.pool_fallbacks counts the local
+// answers.
+func FallbackEvaluator(pool Pool, shardRuns int, reg *obs.Registry, logger *slog.Logger) func(ctx context.Context, req *Request) (any, error) {
+	pooled := PoolEvaluator(pool, shardRuns)
+	hp, hasHealth := pool.(HealthyPool)
+	fallbacks := reg.Counter("serve.pool_fallbacks")
+	logger = obs.Component(logger, "serve.pool")
+	return func(ctx context.Context, req *Request) (any, error) {
+		if !hasHealth || hp.HealthyWorkers() > 0 {
+			result, err := pooled(ctx, req)
+			if !poolInfraFailure(ctx, err) {
+				return result, err
+			}
+			logger.Warn("pool evaluation failed, answering locally", "err", err)
+		}
+		fallbacks.Inc()
+		return Evaluate(ctx, req)
+	}
+}
+
+// poolInfraFailure classifies an error from a pool attempt: bad
+// requests and the caller's own context expiring say nothing about the
+// pool and are returned as they are; everything else (coordinator
+// closed, shard attempts exhausted, payloads that do not merge) is
+// answered locally.
+func poolInfraFailure(ctx context.Context, err error) bool {
+	if err == nil || errors.Is(err, ErrBadRequest) {
+		return false
+	}
+	return ctx.Err() == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }

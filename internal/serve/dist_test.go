@@ -18,6 +18,11 @@ import (
 	"repro/internal/serve"
 )
 
+// A zero from HealthyWorkers is what keeps FallbackEvaluator's requests
+// off a dead pool; if the method were renamed, its type assertion would
+// fail silently and every request would wait out the pool instead.
+var _ serve.HealthyPool = (*dist.Coordinator)(nil)
+
 // startPool stands up a coordinator plus n loopback workers running
 // serve.EvalShard, returning the coordinator and a stop func.
 func startPool(t testing.TB, n int, cfg dist.Config, mutate func(i int, wc *dist.WorkerConfig)) (*dist.Coordinator, func()) {

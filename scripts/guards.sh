@@ -35,11 +35,10 @@ one_failure_accounting_kernel() {
 }
 
 # The gateway forwards through one exchange function — the POST in
-# attempt is the only request it ever sends a replica — and the pool
-# breaker is a one-key strike book with constants (DESIGN.md §10, §13,
-# §16): the per-endpoint forwarders, the index splice, the spill
-# cache-fill probe with the replica route it called, and the breaker's
-# two flags may not grow back.
+# attempt is the only request it ever sends a replica — and the pool has
+# no breaker flags (DESIGN.md §10, §13, §16): the per-endpoint
+# forwarders, the index splice, the spill cache-fill probe with the
+# replica route it called, and the breaker's two flags may not grow back.
 one_request_path() {
 	absent one_request_path \
 		'forwardSubBatch|spliceIndex|homeFor|breaker-threshold|breaker-cooldown|probeCache|handleCachePeek|fillTimeout|/v1/cache/|cachefill' \
@@ -227,6 +226,17 @@ one_model_build() {
 		'internal/serve/*.go' ':!*_test.go' ':!internal/serve/models.go'
 }
 
+# The worker pool has one health record, the coordinator's strike book
+# (DESIGN.md §13): serve answers locally when the pool reports no healthy
+# worker or fails, and keeps no breaker state of its own; dist breaks
+# load ties by name, with no latency score. par.Map is the one fan-out:
+# a job that draws numbers calls base.At(i) itself (DESIGN.md §8).
+one_pool_health_record() {
+	absent one_pool_health_record \
+		'NewBreaker|BreakerConfig|BreakerHalfOpen|breaker_state|breaker_opens|breaker_probes|latencyEWMA|MapSeeded' \
+		'*.go' ':!bench'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -263,6 +273,7 @@ one_swarm_sweep
 one_figure_path
 one_worker_kind_list
 one_model_build
+one_pool_health_record
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

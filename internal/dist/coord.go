@@ -25,10 +25,10 @@ const (
 	defaultShardAttempts = 8
 )
 
-// Worker quarantine: strikeThreshold strikes (nacks, lease expiries,
-// disconnects with leases held) inside strikeWindowTTLs × LeaseTTL take
-// a worker out of scheduling for that long, doubling per further strike
-// (internal/health).
+// Worker quarantine: strikeThreshold strikes (nacks, disconnects with
+// leases held, silent connections included) inside strikeWindowTTLs ×
+// LeaseTTL take a worker out of scheduling for that long, doubling per
+// further strike (internal/health).
 const (
 	strikeThreshold  = 3
 	strikeWindowTTLs = 4
@@ -42,14 +42,20 @@ var ErrCoordinatorClosed = errors.New("dist: coordinator closed")
 // coordinator is finishing in-flight tasks and accepts no new work.
 var ErrCoordinatorDraining = errors.New("dist: coordinator draining")
 
+// ErrNoHealthyWorker fails a task whose ready shard finds every connected
+// worker that is not draining quarantined: none may take it.
+var ErrNoHealthyWorker = errors.New("dist: every worker is quarantined")
+
 // Config configures a Coordinator. Zero values take the defaults noted.
 type Config struct {
-	// LeaseTTL is how long a granted shard stays leased without a
-	// heartbeat before it is presumed lost and requeued
-	// (DefaultLeaseTTL when zero). Workers heartbeat at TTL/3.
+	// LeaseTTL is how long a worker connection may stay silent: each
+	// sweep pings it, the worker echoes, and a connection with no echo
+	// for LeaseTTL is closed, requeueing its leases. It also bounds the
+	// hello and scales the strike window (DefaultLeaseTTL when zero).
 	LeaseTTL time.Duration
-	// SweepEvery is the janitor interval scanning for expired leases and
-	// over-age shards to re-issue (LeaseTTL/4 when zero, floor 5ms).
+	// SweepEvery is the janitor interval: each pass closes silent
+	// connections, pings the others and re-issues over-age shards
+	// (LeaseTTL/4 when zero, floor 5ms).
 	SweepEvery time.Duration
 	// Requeue shapes reassignment: Delay(attempt) spaces out re-grants of
 	// a shard after failures, and MaxAttempts bounds lease grants per
@@ -66,8 +72,8 @@ type Config struct {
 }
 
 // Coordinator owns the shard queue and the worker pool: it accepts
-// btworker connections, leases shards, tracks lease TTLs via
-// heartbeats, requeues lost shards with backoff, speculatively
+// btworker connections, leases shards, drops connections that stop
+// echoing its pings, requeues lost shards with backoff, speculatively
 // re-issues over-age shards, scores worker health (quarantining repeat
 // offenders), and accepts results idempotently by
 // shard content address. Construct with New, attach a listener with
@@ -80,6 +86,7 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	ln      net.Listener
+	conns   map[net.Conn]struct{} // every accepted connection, registered or not
 	workers map[*workerConn]struct{}
 	strikes *health.Book[string] // by worker name, so a reconnect must live its record down
 	// open maps shard address → every open shard with that address
@@ -108,10 +115,10 @@ type shard struct {
 	hi   int
 	addr string
 
-	attempts   int                         // queue-grant count (speculative re-issues excluded)
-	leases     map[*workerConn]*leaseGrant // active lease holders
-	firstIssue time.Time                   // first grant, for latency and re-issue age
-	notBefore  time.Time                   // requeue backoff gate
+	attempts   int                  // queue-grant count (speculative re-issues excluded)
+	leases     map[*workerConn]bool // active lease holder → whether its grant is a hedge
+	firstIssue time.Time            // first grant, for latency and re-issue age
+	notBefore  time.Time            // requeue backoff gate
 	queued     bool
 	done       bool
 
@@ -121,19 +128,6 @@ type shard struct {
 	// child span with its own outcome.
 	ref   trace.Ref
 	spans map[*workerConn]*trace.Span
-}
-
-// leaseGrant is one worker's live lease on a shard.
-type leaseGrant struct {
-	exp time.Time // heartbeat-renewed expiry
-	// lapsed marks a grant the sweeper has already seen expired once:
-	// expiry takes effect only on the second consecutive sighting, so a
-	// result frame racing the same sweep tick still counts as a result,
-	// not an expiry (and costs the worker no strike).
-	lapsed bool
-	// hedge marks a speculative duplicate of an over-age shard, as
-	// opposed to a grant off the queue.
-	hedge bool
 }
 
 // endSpanLocked closes the grant span held for w (if any) with an
@@ -167,8 +161,11 @@ type workerConn struct {
 	active   int
 	leased   map[string]int // addr → leases held on this conn for it
 	out      chan *Frame
-	gone     bool
 	draining bool // goodbye received: no new grants, no strike on exit
+	// heard is when the worker last echoed a ping (its registration
+	// until the first echo); pinged marks a ping still awaiting its echo.
+	heard  time.Time
+	pinged bool
 }
 
 // New builds a Coordinator from cfg (defaults applied lazily).
@@ -199,6 +196,7 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist"),
 		now:     cfg.now,
+		conns:   make(map[net.Conn]struct{}),
 		workers: make(map[*workerConn]struct{}),
 		strikes: health.NewBook[string](strikeThreshold, strikeWindowTTLs*cfg.LeaseTTL),
 		open:    make(map[string][]*shard),
@@ -244,8 +242,9 @@ func (c *Coordinator) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener, disconnects every worker, and fails every
-// pending task with ErrCoordinatorClosed. Safe to call more than once.
+// Close stops the listener, closes every accepted connection — a dialer
+// that has not said hello yet too — and fails every pending task with
+// ErrCoordinatorClosed. Safe to call more than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -260,9 +259,8 @@ func (c *Coordinator) Close() {
 	if c.ln != nil {
 		_ = c.ln.Close()
 	}
-	conns := make([]*workerConn, 0, len(c.workers))
-	for w := range c.workers {
-		conns = append(conns, w)
+	for conn := range c.conns {
+		_ = conn.Close()
 	}
 	tasks := map[*task]struct{}{}
 	for _, ss := range c.open {
@@ -274,9 +272,6 @@ func (c *Coordinator) Close() {
 		c.failTaskLocked(t, ErrCoordinatorClosed)
 	}
 	c.mu.Unlock()
-	for _, w := range conns {
-		_ = w.conn.Close()
-	}
 	c.wg.Wait()
 }
 
@@ -325,13 +320,9 @@ func (c *Coordinator) Workers() int {
 func (c *Coordinator) HealthyWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.healthyWorkersLocked(c.now())
-}
-
-func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
-	n := 0
+	now, n := c.now(), 0
 	for w := range c.workers {
-		if !w.gone && !w.draining && !c.strikes.Quarantined(w.name, now) {
+		if !w.draining && !c.strikes.Quarantined(w.name, now) {
 			n++
 		}
 	}
@@ -342,18 +333,20 @@ func (c *Coordinator) healthyWorkersLocked(now time.Time) int {
 func (c *Coordinator) refreshHealthGaugeLocked(now time.Time) {
 	q := 0
 	for w := range c.workers {
-		if !w.gone && c.strikes.Quarantined(w.name, now) {
+		if c.strikes.Quarantined(w.name, now) {
 			q++
 		}
 	}
 	c.gQuarantined.Set(float64(q))
 }
 
-// strikeLocked charges one health strike against w and logs a new
-// quarantine.
+// strikeLocked charges one health strike against w and logs the
+// quarantine it starts, if any (a strike inside a running quarantine
+// only lengthens it).
 func (c *Coordinator) strikeLocked(w *workerConn, now time.Time, why string) {
 	c.cStrikes.Inc()
-	if c.strikes.Strike(w.name, now) {
+	wasQuarantined := c.strikes.Quarantined(w.name, now)
+	if c.strikes.Strike(w.name, now) && !wasQuarantined {
 		c.logger.Warn("worker quarantined", "worker", w.name,
 			"strikes", c.strikes.Strikes(w.name), "why", why)
 	}
@@ -403,7 +396,7 @@ func (c *Coordinator) Run(ctx context.Context, t Task) ([][]byte, error) {
 		s := &shard{
 			task: tk, idx: i, lo: r[0], hi: r[1],
 			addr:   ShardAddr(t.Kind, canonical, r[0], r[1]),
-			leases: make(map[*workerConn]*leaseGrant),
+			leases: make(map[*workerConn]bool),
 			ref:    ref,
 		}
 		shards[i] = s
@@ -456,7 +449,8 @@ func reissueAfter(samples int64, p95, ttl, sweepEvery time.Duration) time.Durati
 	return min(max(p95s*p95, minSweeps*sweepEvery), maxTTLs*ttl)
 }
 
-// dispatchLocked matches queued shards to workers with free slots, and
+// dispatchLocked matches queued shards to workers with free slots, fails
+// a task whose ready shard finds every worker quarantined, and
 // speculatively re-issues over-age shards when capacity is left over.
 func (c *Coordinator) dispatchLocked(now time.Time) {
 	if c.closed {
@@ -477,7 +471,12 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 			rest = append(rest, s)
 			continue
 		}
-		w := c.freeWorkerLocked(nil, now)
+		w, struckOut := c.freeWorkerLocked(nil, now)
+		if struckOut {
+			s.queued = false
+			c.failTaskLocked(s.task, ErrNoHealthyWorker)
+			continue
+		}
 		if w == nil {
 			rest = append(rest, s)
 			continue
@@ -522,7 +521,7 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 			for w := range s.leases {
 				holder = w
 			}
-			w := c.freeWorkerLocked(holder, now)
+			w, _ := c.freeWorkerLocked(holder, now)
 			if w == nil {
 				return // no idle healthy capacity anywhere; stop scanning
 			}
@@ -533,43 +532,30 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 	}
 }
 
-// freeWorkerLocked returns a worker with a free slot, preferring healthy
-// (non-quarantined) workers, then the least-loaded, then the lower
-// name. holder is a hedge's current lease holder, which it excludes, or
-// nil for a queued shard. When every candidate is quarantined the
-// least-loaded one is returned anyway for a queued shard — quarantine
-// routes work away from flaky capacity but never starves the queue — and
-// nil for a hedge, which duplicates a shard that still holds a live
-// lease and so never needs a worker that just struck out.
-func (c *Coordinator) freeWorkerLocked(holder *workerConn, now time.Time) *workerConn {
-	var best, bestBad *workerConn
-	better := func(w, cur *workerConn) bool {
-		if cur == nil {
-			return true
-		}
-		if w.active != cur.active {
-			return w.active < cur.active
-		}
-		return w.name < cur.name
-	}
+// freeWorkerLocked returns the worker with a free slot that is neither
+// draining nor quarantined — the least loaded, then the lower name — or
+// nil; holder, a hedge's current lease holder, is excluded. struckOut
+// reports that some connected worker is not draining and every such
+// worker is quarantined: a quarantined worker never gets a lease.
+func (c *Coordinator) freeWorkerLocked(holder *workerConn, now time.Time) (best *workerConn, struckOut bool) {
+	live, healthy := 0, 0
 	for w := range c.workers {
-		if w == holder || w.gone || w.draining || w.active >= w.slots {
+		if w.draining {
 			continue
 		}
+		live++
 		if c.strikes.Quarantined(w.name, now) {
-			if holder == nil && better(w, bestBad) {
-				bestBad = w
-			}
 			continue
 		}
-		if better(w, best) {
+		healthy++
+		if w == holder || w.active >= w.slots {
+			continue
+		}
+		if best == nil || w.active < best.active || w.active == best.active && w.name < best.name {
 			best = w
 		}
 	}
-	if best == nil {
-		return bestBad
-	}
-	return best
+	return best, live > 0 && healthy == 0
 }
 
 // grantLocked leases s to w and pushes the lease frame; hedge marks a
@@ -578,13 +564,13 @@ func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, hedge 
 	if s.firstIssue.IsZero() {
 		s.firstIssue = now
 	}
-	s.leases[w] = &leaseGrant{exp: now.Add(c.cfg.LeaseTTL), hedge: hedge}
+	s.leases[w] = hedge
 	w.active++
 	w.leased[s.addr]++
 	c.gLeases.Add(1)
 	l := &Lease{
 		Addr: s.addr, Kind: s.task.t.Kind, Spec: s.task.t.Spec,
-		Lo: s.lo, Hi: s.hi, TTLMs: c.cfg.LeaseTTL.Milliseconds(),
+		Lo: s.lo, Hi: s.hi,
 	}
 	if s.ref.Valid() {
 		sp := s.ref.Start("shard")
@@ -603,12 +589,15 @@ func (c *Coordinator) grantLocked(w *workerConn, s *shard, now time.Time, hedge 
 		l.TraceID = s.ref.Trace
 		l.ParentSpanID = sp.ID()
 	}
-	f := &Frame{T: TypeLease, Lease: l}
+	c.pushLocked(w, &Frame{T: TypeLease, Lease: l})
+}
+
+// pushLocked queues f on w's outbox (room for the hello ack, a lease per
+// slot and one ping); a full one means a wedged writer: drop the worker.
+func (c *Coordinator) pushLocked(w *workerConn, f *Frame) {
 	select {
 	case w.out <- f:
 	default:
-		// The outbox is sized to the slot count, so a full outbox means a
-		// wedged writer; drop the worker rather than block the dispatcher.
 		c.logger.Warn("worker outbox full, dropping", "worker", w.name)
 		_ = w.conn.Close()
 	}
@@ -686,7 +675,7 @@ func (c *Coordinator) failTaskLocked(t *task, err error) {
 
 // handleResult accepts a shard payload idempotently: the first result
 // for an address completes every open shard under it; later duplicates
-// (hedge twins, post-expiry deliveries) are counted and dropped.
+// (hedge twins, deliveries after a requeue) are counted and dropped.
 func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, spans []trace.SpanData) {
 	now := c.now()
 	c.mu.Lock()
@@ -701,18 +690,18 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 	c.adoptSpansLocked(ss, spans)
 	for _, s := range ss {
 		// A hedge grant winning is the hedge surface's success signal.
-		if g := s.leases[w]; g != nil && g.hedge {
+		if s.leases[w] {
 			c.cHedgeWins.Inc()
 		}
 		// Release every other holder's lease on this shard: their slots
 		// free up now; their eventual results land in the duplicate path.
-		for h, g := range s.leases {
+		for h, hedge := range s.leases {
 			switch {
-			case h == w && g.hedge:
+			case h == w && hedge:
 				s.endSpanLocked(h, "hedge-win")
 			case h == w:
 				s.endSpanLocked(h, "result")
-			case g.hedge:
+			case hedge:
 				c.cDuplicates.Inc()
 				s.endSpanLocked(h, "hedge-lose")
 			default:
@@ -740,7 +729,7 @@ func (c *Coordinator) handleResult(w *workerConn, addr string, payload []byte, s
 // trace. The bundle's root (the worker.eval span) names its grant span
 // as Parent; route the whole bundle into that grant span's sink, or the
 // first traced shard when no grant span matches (e.g. the grant span
-// already closed as expired before the late result landed).
+// already closed as disconnected before the late result landed).
 func (c *Coordinator) adoptSpansLocked(ss []*shard, spans []trace.SpanData) {
 	if len(spans) == 0 {
 		return
@@ -789,17 +778,14 @@ func (c *Coordinator) handleNack(w *workerConn, addr, reason string) {
 	c.dispatchLocked(now)
 }
 
-// handleHeartbeat renews w's leases on addr.
-func (c *Coordinator) handleHeartbeat(w *workerConn, addr string) {
+// handleEcho records w's echo of a sweeper ping. The ping was queued
+// behind every lease sent to w before it, and TCP keeps that order, so
+// the echo also says w has read all of them.
+func (c *Coordinator) handleEcho(w *workerConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	exp := c.now().Add(c.cfg.LeaseTTL)
-	for _, s := range c.open[addr] {
-		if g, ok := s.leases[w]; ok {
-			g.exp = exp
-			g.lapsed = false
-		}
-	}
+	w.heard = c.now()
+	w.pinged = false
 }
 
 // handleGoodbye marks w as draining: no further grants, and the
@@ -817,7 +803,7 @@ func (c *Coordinator) handleGoodbye(w *workerConn) {
 	c.logger.Info("worker draining", "worker", w.name, "inflight", w.active)
 }
 
-// sweeper periodically expires silent leases and re-dispatches.
+// sweeper periodically runs sweepOnce.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.SweepEvery)
@@ -832,33 +818,21 @@ func (c *Coordinator) sweeper() {
 	}
 }
 
-// sweepOnce runs one janitor pass: leases seen expired for the first
-// time are only marked (the one-sweep grace that lets a result frame
-// racing this very tick win); leases still expired on the next pass are
-// released, charged as a strike, and their shards requeued.
+// sweepOnce runs one janitor pass. A connection that has echoed no ping
+// for longer than LeaseTTL is closed: its read loop ends, and the
+// disconnect path in serveConn requeues its leases and charges it one
+// strike. Every other connection without a ping in flight gets one.
 func (c *Coordinator) sweepOnce() {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ss := range c.open {
-		for _, s := range ss {
-			if s.done {
-				continue
-			}
-			for w, g := range s.leases {
-				if !now.After(g.exp) {
-					continue
-				}
-				if !g.lapsed {
-					g.lapsed = true // grace: a same-tick result still counts as a result
-					continue
-				}
-				c.logger.Debug("lease expired", "shard", s.addr[:12], "worker", w.name)
-				s.endSpanLocked(w, "expired")
-				c.releaseLeaseLocked(w, s)
-				c.strikeLocked(w, now, "lease expired")
-			}
-			c.requeueLocked(s, now, "lease expired")
+	for w := range c.workers {
+		if silent := now.Sub(w.heard); silent > c.cfg.LeaseTTL {
+			c.logger.Warn("worker silent, disconnecting", "worker", w.name, "silent", silent)
+			_ = w.conn.Close()
+		} else if !w.pinged {
+			w.pinged = true
+			c.pushLocked(w, &Frame{T: TypeHeartbeat})
 		}
 	}
 	c.strikes.Prune(now)
@@ -874,7 +848,15 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		c.conns[conn] = struct{}{}
 		c.wg.Add(1)
+		c.mu.Unlock()
 		go c.serveConn(conn)
 	}
 }
@@ -882,12 +864,20 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 // serveConn runs one worker connection: handshake, register, read loop.
 func (c *Coordinator) serveConn(conn net.Conn) {
 	defer c.wg.Done()
-	defer conn.Close() //nolint:errcheck
+	defer func() {
+		c.mu.Lock()
+		delete(c.conns, conn)
+		c.mu.Unlock()
+		_ = conn.Close()
+	}()
+	// A dialer that never says hello is dropped after one LeaseTTL.
+	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.LeaseTTL))
 	hello, err := ReadFrame(conn)
 	if err != nil || hello.T != TypeHello {
 		c.logger.Warn("bad handshake", "err", err)
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	if hello.V != ProtocolVersion {
 		_ = WriteFrame(conn, &Frame{T: TypeNack, Err: fmt.Sprintf(
 			"dist: protocol version %d unsupported (coordinator speaks v%d)", hello.V, ProtocolVersion)})
@@ -903,14 +893,12 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	if w.name == "" {
 		w.name = conn.RemoteAddr().String()
 	}
-	// The outbox holds at most one lease per slot plus the hello ack.
+	// The outbox holds the hello ack, one lease per slot and one ping.
 	w.out = make(chan *Frame, w.slots*2+2)
 
+	// After Close the conn is closed: the read loop ends and unregisters w.
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
+	w.heard = c.now()
 	c.workers[w] = struct{}{}
 	c.gWorkers.Set(float64(len(c.workers)))
 	w.out <- &Frame{T: TypeHello, V: ProtocolVersion}
@@ -940,7 +928,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			}
 			switch f.T {
 			case TypeHeartbeat:
-				c.handleHeartbeat(w, f.Addr)
+				c.handleEcho(w)
 			case TypeResult:
 				c.hRemoteEval.Observe(f.EvalMs)
 				c.handleResult(w, f.Addr, f.Payload, f.Spans)
@@ -956,28 +944,25 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 
 	// Unregister: requeue everything this worker held. A drained worker
 	// leaves without a strike — its goodbye announced the exit; a worker
-	// that vanished mid-lease is charged one.
+	// that vanished or fell silent mid-lease is charged one.
 	now := c.now()
 	c.mu.Lock()
 	delete(c.workers, w)
-	w.gone = true
 	c.gWorkers.Set(float64(len(c.workers)))
-	abandoned := false
+	why, held := "disconnected", false
+	if w.draining {
+		why = "drained"
+	}
 	for addr := range w.leased {
 		for _, s := range c.open[addr] {
 			if c.releaseLeaseLocked(w, s) {
-				if w.draining {
-					s.endSpanLocked(w, "drained")
-					c.requeueLocked(s, now, "worker "+w.name+" drained")
-				} else {
-					abandoned = true
-					s.endSpanLocked(w, "disconnected")
-					c.requeueLocked(s, now, "worker "+w.name+" disconnected")
-				}
+				held = true
+				s.endSpanLocked(w, why)
+				c.requeueLocked(s, now, "worker "+w.name+" "+why)
 			}
 		}
 	}
-	if abandoned {
+	if held && !w.draining {
 		c.strikeLocked(w, now, "disconnected with leases held")
 	}
 	// Slots held for already-closed shards.

@@ -97,8 +97,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryReassignment wedges a heartbeat-disabled worker on a
-// shard and checks the sweeper hands it to a healthy worker.
+// TestLeaseExpiryReassignment wedges a worker's reads right after its
+// hello ack — it can still write, but never reads its lease or a ping —
+// and checks the sweeper drops the silent connection and the shard goes
+// to a healthy worker.
 func TestLeaseExpiryReassignment(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -113,18 +115,17 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// The stuck worker never heartbeats and never finishes.
-	stuck := make(chan struct{})
-	defer close(stuck)
+	// The stuck worker reads its hello ack and nothing after it.
 	stopStuck := startWorker(t, ctx, dist.WorkerConfig{
-		Name: "z-stuck", Slots: 1, Addr: addr, HeartbeatEvery: -1,
-	}, "sum", func(ctx context.Context, _ []byte, _, _ int) ([]byte, error) {
-		select {
-		case <-stuck:
-		case <-ctx.Done():
-		}
-		return nil, ctx.Err()
-	})
+		Name: "z-stuck", Slots: 1, Addr: addr,
+		Dial: func(a string) (net.Conn, error) {
+			c, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			return faults.StallConn(c, helloAckBytes(t)), nil
+		},
+	}, "sum", sumEval)
 	defer stopStuck()
 
 	// Wait until the stuck worker is connected and can take the lease.
@@ -158,8 +159,9 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	}
 }
 
-// TestHeartbeatKeepsLease checks the opposite: a slow-but-alive worker
-// heartbeating at the default cadence is never expired.
+// TestHeartbeatKeepsLease checks the opposite: a slow-but-alive worker,
+// whose read loop echoes every ping while the shard evaluates, is never
+// disconnected.
 func TestHeartbeatKeepsLease(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -176,7 +178,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	stop := startWorker(t, ctx, dist.WorkerConfig{
 		Name: "slow", Slots: 1, Addr: addr,
 	}, "sum", func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
-		time.Sleep(500 * time.Millisecond) // several TTLs, kept alive by heartbeats
+		time.Sleep(500 * time.Millisecond) // several TTLs, kept alive by echoes
 		return sumEval(ctx, spec, lo, hi)
 	})
 	defer stop()
@@ -190,7 +192,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 		t.Fatalf("payload %s, want %s", payloads[0], want)
 	}
 	if n := reg.Counter("dist.reassignments").Value(); n != 0 {
-		t.Fatalf("reassignments = %d, want 0 (heartbeats should keep the lease)", n)
+		t.Fatalf("reassignments = %d, want 0 (echoes should keep the connection)", n)
 	}
 }
 
@@ -352,8 +354,8 @@ func TestStragglerReissue(t *testing.T) {
 	defer cancel()
 	reg := obs.NewRegistry()
 	// No shard has completed, so the re-issue age is 4 × LeaseTTL = 480ms;
-	// the slow worker's heartbeats (every TTL/3) keep its lease from
-	// expiring meanwhile, as in TestHeartbeatKeepsLease.
+	// the slow worker echoes every ping meanwhile, so its connection
+	// stays up, as in TestHeartbeatKeepsLease.
 	coord := dist.New(dist.Config{
 		Registry:   reg,
 		LeaseTTL:   120 * time.Millisecond,
@@ -407,12 +409,13 @@ func TestStragglerReissue(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch speaks a future protocol version, and an
-// earlier one, at the coordinator — in the current frame layout, which
+// TestHelloVersionMismatch speaks a future protocol version, and two
+// earlier ones, at the coordinator — in the current frame layout, which
 // is how the nack can be read — and expects each to be nacked at the
 // handshake with both versions named: a peer that means something else
-// by a payload must never get a lease. (A peer still writing the v<=2
-// layout is TestOldLayoutPeerRefusedByName's.)
+// by a payload must never get a lease. A v3 peer shares the layout but
+// heartbeats per lease and never echoes a ping. (A peer still writing
+// the v<=2 layout is TestOldLayoutPeerRefusedByName's.)
 func TestHelloVersionMismatch(t *testing.T) {
 	coord := dist.New(dist.Config{})
 	addr, err := coord.Listen("127.0.0.1:0")
@@ -420,7 +423,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer coord.Close()
-	for _, v := range []int{dist.ProtocolVersion + 41, 1} {
+	for _, v := range []int{dist.ProtocolVersion + 41, 1, 3} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -447,6 +450,46 @@ func TestHelloVersionMismatch(t *testing.T) {
 	if n := coord.Workers(); n != 0 {
 		t.Fatalf("%d workers registered after rejected handshakes", n)
 	}
+}
+
+// TestSilentDialerDoesNotBlockClose: a connection that never sends its
+// hello is still the coordinator's to close. Close returns at once,
+// not when the dialer hangs up.
+func TestSilentDialerDoesNotBlockClose(t *testing.T) {
+	coord := dist.New(dist.Config{})
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	time.Sleep(20 * time.Millisecond) // accepted, waiting for a hello
+	closed := make(chan struct{})
+	go func() {
+		coord.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked 1s after it was called, with a silent dialer connected")
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("silent dialer's connection still open after Close")
+	}
+}
+
+// helloAckBytes is the size of the coordinator's hello ack on the wire.
+func helloAckBytes(t *testing.T) int64 {
+	var b bytes.Buffer
+	if err := dist.WriteFrame(&b, &dist.Frame{T: dist.TypeHello, V: dist.ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	return int64(b.Len())
 }
 
 // TestFinishedTaskUnreachable: once Run has returned and the caller has

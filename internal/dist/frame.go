@@ -34,9 +34,11 @@
 // only) is the evaluator's bytes untouched by any JSON scanner, so
 // damage to it is the checksum's to catch: ErrBadFrame, the connection
 // torn down, the shard requeued. Frames are hello (handshake, version +
-// slots), lease (coordinator grants a shard), heartbeat (worker liveness
-// per shard), result (payload), nack (worker-side failure), and goodbye
-// (worker drain announcement: no new leases, in-flight shards finish).
+// slots), lease (coordinator grants a shard), heartbeat (the
+// coordinator's once-per-sweep liveness ping, which the worker's read
+// loop echoes back: liveness is per connection, not per lease), result
+// (payload), nack (worker-side failure), and goodbye (worker drain
+// announcement: no new leases, in-flight shards finish).
 package dist
 
 import (
@@ -52,10 +54,13 @@ import (
 )
 
 // ProtocolVersion is the wire-protocol version exchanged in hello
-// frames; both sides must speak the same version. Version 3 is the
-// layout above; a peer still framing one JSON object, payload inside it,
-// behind the length (v1, v2) is refused by name at its first frame.
-const ProtocolVersion = 3
+// frames; both sides must speak the same version. Version 3 introduced
+// the layout above; version 4 keeps it and moves liveness from the lease
+// to the connection (an echoed ping replaces per-lease heartbeats, and a
+// lease carries no TTL). A peer still framing one JSON object, payload
+// inside it, behind the length (v1, v2) is refused by name at its first
+// frame.
+const ProtocolVersion = 4
 
 // MaxFrameBytes bounds a single frame body. The largest legitimate
 // frames are result payloads of whole-response kinds (a sim or figure
@@ -94,7 +99,9 @@ const (
 	TypeHello = "hello"
 	// TypeLease grants a shard to a worker (coordinator → worker).
 	TypeLease = "lease"
-	// TypeHeartbeat renews a shard lease (worker → coordinator).
+	// TypeHeartbeat is the coordinator's liveness ping, sent once per
+	// sweep (coordinator → worker) and echoed by the worker's read loop
+	// (worker → coordinator).
 	TypeHeartbeat = "heartbeat"
 	// TypeResult delivers a shard's payload (worker → coordinator).
 	TypeResult = "result"
@@ -117,17 +124,13 @@ const ReasonDraining = "worker draining"
 // one place.
 type Frame struct {
 	T string `json:"t"`
-	// Hello fields. Nonce is a deterministic per-worker value (derived
-	// from the worker's name and target address) that seeds schedule
-	// jitter — heartbeat cadence desynchronization across a fleet — while
-	// keeping replays reproducible. Goodbye frames reuse Worker.
+	// Hello fields. Goodbye frames reuse Worker.
 	V      int    `json:"v,omitempty"`
 	Worker string `json:"worker,omitempty"`
 	Slots  int    `json:"slots,omitempty"`
-	Nonce  uint64 `json:"nonce,omitempty"`
 	// Lease grant (coordinator → worker).
 	Lease *Lease `json:"lease,omitempty"`
-	// Shard address for heartbeat/result/nack.
+	// Shard address for result/nack.
 	Addr string `json:"addr,omitempty"`
 	// Result payload: opaque bytes that follow the JSON header on the
 	// wire. A decoded frame's Payload aliases the buffer it was read into.
@@ -144,15 +147,14 @@ type Frame struct {
 }
 
 // Lease describes one granted shard: the evaluator kind, the spec bytes
-// it parameterizes, the index range [Lo, Hi), the shard's content
-// address, and the lease TTL the worker must heartbeat within.
+// it parameterizes, the index range [Lo, Hi) and the shard's content
+// address.
 type Lease struct {
-	Addr  string          `json:"addr"`
-	Kind  string          `json:"kind"`
-	Spec  json.RawMessage `json:"spec"`
-	Lo    int             `json:"lo"`
-	Hi    int             `json:"hi"`
-	TTLMs int64           `json:"ttlMs"`
+	Addr string          `json:"addr"`
+	Kind string          `json:"kind"`
+	Spec json.RawMessage `json:"spec"`
+	Lo   int             `json:"lo"`
+	Hi   int             `json:"hi"`
 	// TraceID/ParentSpanID propagate the request's trace context to the
 	// worker: the worker binds its eval span under ParentSpanID (the
 	// coordinator's per-grant shard span) and ships completed spans back

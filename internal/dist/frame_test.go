@@ -24,9 +24,9 @@ var binaryPayload = []byte{0x00, '{', '\n', 0xff, 0x80, '"', 0x00}
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []*Frame{
-		{T: TypeHello, V: ProtocolVersion, Worker: "w1", Slots: 4, Nonce: 0xDEADBEEF},
-		{T: TypeLease, Lease: &Lease{Addr: "abc", Kind: "model", Spec: json.RawMessage(`{"b":40}`), Lo: 3, Hi: 9, TTLMs: 1500}},
-		{T: TypeHeartbeat, Addr: "abc"},
+		{T: TypeHello, V: ProtocolVersion, Worker: "w1", Slots: 4},
+		{T: TypeLease, Lease: &Lease{Addr: "abc", Kind: "model", Spec: json.RawMessage(`{"b":40}`), Lo: 3, Hi: 9}},
+		{T: TypeHeartbeat},
 		{T: TypeResult, Addr: "abc", Payload: []byte(`[1,2,3]`), EvalMs: 12},
 		{T: TypeResult, Addr: "abc", Payload: binaryPayload},
 		{T: TypeNack, Addr: "abc", Err: "boom"},
@@ -307,7 +307,8 @@ func TestWriteFrameTooLarge(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	for _, fr := range []*Frame{
 		{T: TypeHello, V: ProtocolVersion, Worker: "w", Slots: 2},
-		{T: TypeLease, Lease: &Lease{Addr: "a", Kind: "model", Spec: json.RawMessage(`{"b":1}`), Hi: 2, TTLMs: 1500}},
+		{T: TypeLease, Lease: &Lease{Addr: "a", Kind: "model", Spec: json.RawMessage(`{"b":1}`), Hi: 2}},
+		{T: TypeHeartbeat}, // v4's ping, and its echo
 		{T: TypeGoodbye, Worker: "w"},
 		// A model result: one varint accumulator (B = 1, two runs).
 		{T: TypeResult, Addr: "a", EvalMs: 1, Payload: []byte("\x02\x00\x01\x03\x02\x00\x05\x02\x02\x02\x03\x00\x00\x00\x02\x02\x03\x00")},

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strconv"
 	"sync"
@@ -57,150 +58,213 @@ func TestReissueThreshold(t *testing.T) {
 	}
 }
 
-// fakeWorkerConn registers a synthetic worker on c without a real
-// connection: grants land in the buffered outbox, results are injected
-// via handleResult.
-func fakeWorkerConn(t *testing.T, c *Coordinator, name string) *workerConn {
+// stubPool starts a coordinator on clk with a 100 ms LeaseTTL whose
+// background sweeper never fires: the test sweeps by hand.
+func stubPool(t *testing.T, clk *stubClock, reg *obs.Registry) (*Coordinator, string) {
 	t.Helper()
-	p1, p2 := net.Pipe()
-	t.Cleanup(func() { _ = p1.Close(); _ = p2.Close() })
-	w := &workerConn{
-		conn: p1, name: name, slots: 1,
-		leased: make(map[string]int), out: make(chan *Frame, 8),
+	c := New(Config{Registry: reg, LeaseTTL: 100 * time.Millisecond, SweepEvery: time.Hour, now: clk.Now})
+	addr, err := c.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	c.mu.Lock()
-	c.workers[w] = struct{}{}
-	c.mu.Unlock()
-	return w
+	t.Cleanup(c.Close)
+	return c, addr
 }
 
-// startStubbedRun submits a 1-shard task on a goroutine and returns the
-// granted shard address plus the Run completion channel.
-func startStubbedRun(t *testing.T, c *Coordinator) (string, chan error) {
+// dialRaw connects to addr as a worker the test speaks for frame by
+// frame, and completes its hello.
+func dialRaw(t *testing.T, addr, name string, slots int) net.Conn {
 	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("%s: dial: %v", name, err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	sendFrame(t, conn, &Frame{T: TypeHello, V: ProtocolVersion, Worker: name, Slots: slots})
+	if f, err := ReadFrame(conn); err != nil || f.T != TypeHello {
+		t.Fatalf("%s: hello ack = %+v, %v", name, f, err)
+	}
+	return conn
+}
+
+func sendFrame(t *testing.T, conn net.Conn, f *Frame) {
+	t.Helper()
+	if err := WriteFrame(conn, f); err != nil {
+		t.Fatalf("write %s: %v", f.T, err)
+	}
+}
+
+// readSkippingPings reads conn's next frame that is not a sweeper ping.
+func readSkippingPings(conn net.Conn) (*Frame, error) {
+	for {
+		f, err := ReadFrame(conn)
+		if err != nil || f.T != TypeHeartbeat {
+			return f, err
+		}
+	}
+}
+
+// readLease reads conn's next lease, skipping pings.
+func readLease(t *testing.T, conn net.Conn) *Lease {
+	t.Helper()
+	f, err := readSkippingPings(conn)
+	if err != nil || f.T != TypeLease {
+		t.Fatalf("lease = %+v, %v", f, err)
+	}
+	return f.Lease
+}
+
+// runAsync submits a one-shard task and returns its Run result channel.
+func runAsync(c *Coordinator, spec string) chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), Task{Kind: "k", N: 1, ShardSize: 1})
+		_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte(spec), N: 1})
 		done <- err
 	}()
-	var addr string
-	deadline := time.Now().Add(5 * time.Second)
-	for addr == "" && time.Now().Before(deadline) {
-		c.mu.Lock()
-		for a, ss := range c.open {
-			if len(ss) > 0 && len(ss[0].leases) > 0 {
-				addr = a
-			}
-		}
-		c.mu.Unlock()
-		time.Sleep(time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("shard never granted")
-	}
-	return addr, done
+	return done
 }
 
-// TestSweepGraceResultRace pins the sweeper edge: a result frame that
-// lands in the same sweep tick its lease expires in counts as a result
-// — no strike, no reassignment — because the sweeper only expires a
-// lease it has already seen lapsed on a previous pass.
+// echoPing answers the ping c's last sweep sent on conn, as a worker's
+// read loop does, and waits until c has recorded the echo.
+func echoPing(t *testing.T, c *Coordinator, conn net.Conn) {
+	t.Helper()
+	f, err := ReadFrame(conn)
+	if err != nil || f.T != TypeHeartbeat {
+		t.Fatalf("ping = %+v, %v", f, err)
+	}
+	sendFrame(t, conn, f)
+	poll(t, "the echo", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for w := range c.workers {
+			if w.pinged {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// echoAll stands for every worker having echoed its pings meanwhile.
+func echoAll(c *Coordinator) {
+	c.mu.Lock()
+	ws := make([]*workerConn, 0, len(c.workers))
+	for w := range c.workers {
+		ws = append(ws, w)
+	}
+	c.mu.Unlock()
+	for _, w := range ws {
+		c.handleEcho(w)
+	}
+}
+
+// poll waits up to 10 s for ok.
+func poll(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSweepGraceResultRace: a lease older than LeaseTTL on a connection
+// that echoes every ping is never expired — liveness is the
+// connection's, not the lease's — and its result counts as a result:
+// no strike, no reassignment.
 func TestSweepGraceResultRace(t *testing.T) {
 	clk := &stubClock{t: time.Unix(1000, 0)}
 	reg := obs.NewRegistry()
-	c := New(Config{
-		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		now: clk.Now,
-	})
-	defer c.Close()
-	w := fakeWorkerConn(t, c, "w0")
-	addr, done := startStubbedRun(t, c)
-
-	clk.Advance(150 * time.Millisecond) // past the lease TTL
-	c.sweepOnce()                       // first sighting: lapsed, not expired
-	c.mu.Lock()
-	held := len(c.open[addr][0].leases)
-	strikes := c.strikes.Strikes("w0")
-	c.mu.Unlock()
-	if held != 1 || strikes != 0 {
-		t.Fatalf("lease released on first expired sighting: held=%d strikes=%d", held, strikes)
+	c, addr := stubPool(t, clk, reg)
+	conn := dialRaw(t, addr, "w0", 1)
+	done := runAsync(c, "1")
+	l := readLease(t, conn)
+	for i := 0; i < 5; i++ { // the lease ends 2.5 TTLs old
+		clk.Advance(50 * time.Millisecond)
+		c.sweepOnce()
+		echoPing(t, c, conn)
 	}
-
-	// The result arrives within the same tick's grace window.
-	c.handleResult(w, addr, []byte(`[0]`), nil)
+	if n := c.Workers(); n != 1 {
+		t.Fatalf("workers = %d: an echoing connection was closed", n)
+	}
+	sendFrame(t, conn, &Frame{T: TypeResult, Addr: l.Addr, Payload: []byte(`[0]`)})
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["dist.results"] != 1 || snap.Counters["dist.late_results"] != 0 ||
 		snap.Counters["dist.reassignments"] != 0 || snap.Counters["dist.strikes"] != 0 {
-		t.Fatalf("race counted as expiry, not result: %+v", snap.Counters)
+		t.Fatalf("an old lease on a live connection was expired: %+v", snap.Counters)
 	}
 }
 
-// TestSweepSecondTickExpires is the counterpart: a lease still silent on
-// the next sweep is expired, charged as a strike, and requeued.
+// TestSweepSecondTickExpires: a connection that has echoed nothing for
+// LeaseTTL is kept; the next sweep, with it silent past LeaseTTL, closes
+// it, and the disconnect requeues its lease and charges one strike.
 func TestSweepSecondTickExpires(t *testing.T) {
 	clk := &stubClock{t: time.Unix(1000, 0)}
 	reg := obs.NewRegistry()
-	c := New(Config{
-		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		now: clk.Now,
-	})
-	defer c.Close()
-	w := fakeWorkerConn(t, c, "w0")
-	addr, done := startStubbedRun(t, c)
+	c, addr := stubPool(t, clk, reg)
+	conn := dialRaw(t, addr, "w0", 1)
+	done := runAsync(c, "1")
+	l := readLease(t, conn)
 
-	clk.Advance(150 * time.Millisecond)
-	c.sweepOnce() // lapsed
+	clk.Advance(100 * time.Millisecond)
+	c.sweepOnce() // silent for exactly LeaseTTL: pinged, not closed
+	if n := c.Workers(); n != 1 {
+		t.Fatalf("workers = %d after LeaseTTL of silence, want 1", n)
+	}
 	clk.Advance(50 * time.Millisecond)
-	c.sweepOnce() // expired: strike + requeue + immediate re-grant to w0
+	c.sweepOnce() // the ping unanswered, silent past LeaseTTL: closed
+	if _, err := readSkippingPings(conn); err == nil {
+		t.Fatal("silent connection still open after the sweep")
+	}
+	poll(t, "the silent worker to unregister", func() bool { return c.Workers() == 0 })
 	c.mu.Lock()
 	strikes := c.strikes.Strikes("w0")
 	c.mu.Unlock()
 	if strikes != 1 {
-		t.Fatalf("strikes after expiry = %d, want 1", strikes)
+		t.Fatalf("strikes = %d, want 1", strikes)
 	}
-	if snap := reg.Snapshot(); snap.Counters["dist.reassignments"] != 1 {
-		t.Fatalf("reassignments = %d, want 1", snap.Counters["dist.reassignments"])
+	if n := reg.Snapshot().Counters["dist.reassignments"]; n != 1 {
+		t.Fatalf("reassignments = %d, want 1", n)
 	}
-	// The requeued shard is backoff-gated; advance past it and dispatch.
+
+	// A worker joining once the backoff has passed takes the shard.
 	clk.Advance(5 * time.Second)
-	c.sweepOnce()
-	c.handleResult(w, addr, []byte(`[0]`), nil)
+	conn = dialRaw(t, addr, "w1", 1)
+	if again := readLease(t, conn); again.Addr != l.Addr {
+		t.Fatalf("re-grant for %s, want %s", again.Addr, l.Addr)
+	}
+	sendFrame(t, conn, &Frame{T: TypeResult, Addr: l.Addr, Payload: []byte(`[0]`)})
 	if err := <-done; err != nil {
 		t.Fatalf("run after reassignment: %v", err)
 	}
 }
 
-// TestHeartbeatClearsLapsedGrace: a heartbeat arriving during the grace
-// tick renews the lease and clears the lapsed mark, so the next sweep
-// does not expire it.
+// TestHeartbeatClearsLapsedGrace: an echo keeps the connection alive —
+// three TTLs of echoed pings leave it open — and the same connection,
+// once it stops echoing, is closed; holding no lease, it is not struck.
 func TestHeartbeatClearsLapsedGrace(t *testing.T) {
 	clk := &stubClock{t: time.Unix(1000, 0)}
 	reg := obs.NewRegistry()
-	c := New(Config{
-		Registry: reg, LeaseTTL: 100 * time.Millisecond,
-		now: clk.Now,
-	})
-	defer c.Close()
-	w := fakeWorkerConn(t, c, "w0")
-	addr, done := startStubbedRun(t, c)
-
-	clk.Advance(150 * time.Millisecond)
-	c.sweepOnce() // lapsed
-	c.handleHeartbeat(w, addr)
-	c.sweepOnce() // renewed: must not expire
-	c.mu.Lock()
-	held := len(c.open[addr][0].leases)
-	strikes := c.strikes.Strikes("w0")
-	c.mu.Unlock()
-	if held != 1 || strikes != 0 {
-		t.Fatalf("heartbeat did not rescue lapsed lease: held=%d strikes=%d", held, strikes)
+	c, addr := stubPool(t, clk, reg)
+	conn := dialRaw(t, addr, "w0", 1)
+	for i := 0; i < 4; i++ {
+		clk.Advance(75 * time.Millisecond)
+		c.sweepOnce()
+		echoPing(t, c, conn)
 	}
-	c.handleResult(w, addr, []byte(`[0]`), nil)
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v", err)
+	if n := c.Workers(); n != 1 {
+		t.Fatalf("workers = %d: an echoing connection was closed", n)
+	}
+	clk.Advance(75 * time.Millisecond)
+	c.sweepOnce() // pinged; no echo this time
+	clk.Advance(75 * time.Millisecond)
+	c.sweepOnce()
+	poll(t, "the silent worker to unregister", func() bool { return c.Workers() == 0 })
+	if n := reg.Snapshot().Counters["dist.strikes"]; n != 0 {
+		t.Fatalf("strikes = %d for a silent worker holding no lease, want 0", n)
 	}
 }
 
@@ -217,14 +281,6 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer c.Close()
-	poll := func(what string, ok func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
 	struck := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -249,7 +305,7 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 			_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte(strconv.Itoa(i)), N: 1})
 			done <- err
 		}()
-		lease, err := ReadFrame(conn)
+		lease, err := readSkippingPings(conn)
 		if err != nil || lease.T != TypeLease {
 			t.Fatalf("cycle %d: lease = %+v, %v", i, lease, err)
 		}
@@ -260,10 +316,10 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 			if err := WriteFrame(conn, &Frame{T: TypeNack, Addr: lease.Lease.Addr, Err: "synthetic"}); err != nil {
 				t.Fatalf("cycle %d: nack: %v", i, err)
 			}
-			poll("the nack's strike", func() bool { return struck() == before+1 })
+			poll(t, "the nack's strike", func() bool { return struck() == before+1 })
 			clk.Advance(time.Second)
 			c.sweepOnce()
-			if lease, err = ReadFrame(conn); err != nil || lease.T != TypeLease {
+			if lease, err = readSkippingPings(conn); err != nil || lease.T != TypeLease {
 				t.Fatalf("cycle %d: re-grant = %+v, %v", i, lease, err)
 			}
 		}
@@ -274,7 +330,7 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 			t.Fatalf("cycle %d: run: %v", i, err)
 		}
 		_ = conn.Close()
-		poll("the worker to unregister", func() bool { return c.Workers() == 0 })
+		poll(t, "the worker to unregister", func() bool { return c.Workers() == 0 })
 		clk.Advance(time.Second)
 		c.sweepOnce()
 		if s := struck(); s > maxStruck {
@@ -291,11 +347,11 @@ func TestUnnamedWorkerChurnStaysBounded(t *testing.T) {
 	}
 }
 
-// TestHedgeSkipsQuarantinedWorker: a hedge duplicates a shard that
-// still holds a live lease, so it never goes to a quarantined worker —
-// not even when that worker is the only idle one, where a queued shard
-// would take it so the queue never starves. Once the quarantine ends,
-// the same shard is hedged onto the same worker.
+// TestHedgeSkipsQuarantinedWorker: a quarantined worker gets no lease
+// at all. A task whose shard is ready while every worker is quarantined
+// fails at once with ErrNoHealthyWorker, and a hedge never goes to a
+// quarantined worker, not even when it is the only idle one. Once the
+// quarantine ends, the same shard is hedged onto the same worker.
 func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
 	clk := &stubClock{t: time.Unix(1000, 0)}
 	reg := obs.NewRegistry()
@@ -305,43 +361,6 @@ func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer c.Close()
-	dial := func(name string) net.Conn {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatalf("%s: dial: %v", name, err)
-		}
-		t.Cleanup(func() { _ = conn.Close() })
-		if err := WriteFrame(conn, &Frame{T: TypeHello, V: ProtocolVersion, Worker: name, Slots: 1}); err != nil {
-			t.Fatalf("%s: hello: %v", name, err)
-		}
-		if f, err := ReadFrame(conn); err != nil || f.T != TypeHello {
-			t.Fatalf("%s: hello ack = %+v, %v", name, f, err)
-		}
-		return conn
-	}
-	lease := func(conn net.Conn) *Lease {
-		t.Helper()
-		f, err := ReadFrame(conn)
-		if err != nil || f.T != TypeLease {
-			t.Fatalf("lease = %+v, %v", f, err)
-		}
-		return f.Lease
-	}
-	send := func(conn net.Conn, f *Frame) {
-		t.Helper()
-		if err := WriteFrame(conn, f); err != nil {
-			t.Fatalf("write %s: %v", f.T, err)
-		}
-	}
-	run := func(spec string) chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte(spec), N: 1})
-			done <- err
-		}()
-		return done
-	}
 	strikes := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -349,41 +368,35 @@ func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
 	}
 	hedges := func() int64 { return reg.Snapshot().Counters["dist.hedges"] }
 
-	// b strikes out: four nacks on one task quarantine it for two strike
-	// windows; its fifth lease, granted because nobody else is free,
-	// completes the task.
-	b := dial("b")
-	done := run("1")
-	for n := 1; n <= strikeThreshold+1; n++ {
-		send(b, &Frame{T: TypeNack, Addr: lease(b).Addr, Err: "synthetic"})
-		for deadline := time.Now().Add(10 * time.Second); strikes() < n; time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("nack %d never struck", n)
-			}
+	// b strikes out: it nacks both shards of a task twice. The third
+	// strike quarantines it and the fourth, landing inside that
+	// quarantine, doubles it to two strike windows. The requeued shards
+	// then find no worker that may take them, and the task fails.
+	b := dialRaw(t, addr, "b", 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background(), Task{Kind: "k", Spec: []byte("1"), N: 2, ShardSize: 1})
+		done <- err
+	}()
+	for round := 1; round <= 2; round++ {
+		for range 2 {
+			sendFrame(t, b, &Frame{T: TypeNack, Addr: readLease(t, b).Addr, Err: "synthetic"})
 		}
+		poll(t, "the nacks' strikes", func() bool { return strikes() == 2*round })
 		clk.Advance(5 * time.Second) // past the requeue backoff
 		c.sweepOnce()
 	}
-	send(b, &Frame{T: TypeResult, Addr: lease(b).Addr, Payload: []byte(`[1]`)})
-	if err := <-done; err != nil {
-		t.Fatalf("run 1: %v", err)
+	if err := <-done; !errors.Is(err, ErrNoHealthyWorker) {
+		t.Fatalf("run 1 on a struck-out pool: %v, want ErrNoHealthyWorker", err)
 	}
 
 	// a takes the next shard and holds it past the re-issue age: the only
 	// idle worker is b, quarantined, so nothing is hedged.
-	a := dial("a")
-	done = run("2")
-	held := lease(a)
-	var wa *workerConn
-	c.mu.Lock()
-	for w := range c.workers {
-		if w.name == "a" {
-			wa = w
-		}
-	}
-	c.mu.Unlock()
+	a := dialRaw(t, addr, "a", 1)
+	done = runAsync(c, "2")
+	held := readLease(t, a)
 	clk.Advance(reissueAfter(0, 0, DefaultLeaseTTL, c.cfg.SweepEvery) + time.Second)
-	c.handleHeartbeat(wa, held.Addr)
+	echoAll(c)
 	c.sweepOnce()
 	if h := c.HealthyWorkers(); h != 1 {
 		t.Fatalf("healthy workers = %d at the re-issue age, want 1 (b quarantined)", h)
@@ -395,15 +408,15 @@ func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
 	// b's quarantine ends (2 windows after its fourth strike): the same
 	// over-age shard is now hedged onto it.
 	clk.Advance(2*strikeWindowTTLs*DefaultLeaseTTL - reissueAfter(0, 0, DefaultLeaseTTL, c.cfg.SweepEvery))
-	c.handleHeartbeat(wa, held.Addr)
+	echoAll(c)
 	c.sweepOnce()
 	if n := hedges(); n != 1 {
 		t.Fatalf("dist.hedges = %d once b's quarantine ended, want 1", n)
 	}
-	if l := lease(b); l.Addr != held.Addr {
+	if l := readLease(t, b); l.Addr != held.Addr {
 		t.Fatalf("hedge lease for %s, want %s", l.Addr, held.Addr)
 	}
-	send(a, &Frame{T: TypeResult, Addr: held.Addr, Payload: []byte(`[2]`)})
+	sendFrame(t, a, &Frame{T: TypeResult, Addr: held.Addr, Payload: []byte(`[2]`)})
 	if err := <-done; err != nil {
 		t.Fatalf("run 2: %v", err)
 	}

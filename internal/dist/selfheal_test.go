@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-
+	"log/slog"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,6 +134,72 @@ func TestQuarantineRoutesAroundFlakyWorker(t *testing.T) {
 	}
 }
 
+// TestQuarantineLoggedOnce: a nack storm logs "worker quarantined" once
+// per quarantine, not once per strike. Each worker holds four leases and
+// nacks every one, so the strikes for leases still in flight when its
+// third strike quarantines it land inside that quarantine.
+func TestQuarantineLoggedOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	reg := obs.NewRegistry()
+	logs := &quarantineLog{by: map[string]int{}}
+	coord := dist.New(dist.Config{
+		Registry: reg, Logger: slog.New(logs),
+		Requeue: retry.Policy{MaxAttempts: 30, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	})
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer coord.Close()
+	nack := func(context.Context, []byte, int, int) ([]byte, error) {
+		return nil, errors.New("synthetic failure")
+	}
+	for _, name := range []string{"a", "b"} {
+		defer startWorker(t, ctx, dist.WorkerConfig{Name: name, Slots: 4, Addr: addr}, "sum", nack)()
+	}
+	waitFor(t, func() bool { return coord.Workers() == 2 })
+
+	_, err = coord.Run(ctx, dist.Task{Kind: "sum", Spec: []byte(`{}`), N: 16, ShardSize: 1})
+	if !errors.Is(err, dist.ErrNoHealthyWorker) {
+		t.Fatalf("run on a nacking pool: %v, want ErrNoHealthyWorker", err)
+	}
+	if n := reg.Snapshot().Counters["dist.strikes"]; n <= 2*3 {
+		t.Fatalf("strikes = %d, want some inside a quarantine (more than 3 per worker)", n)
+	}
+	logs.mu.Lock()
+	defer logs.mu.Unlock()
+	if logs.by["a"] != 1 || logs.by["b"] != 1 || len(logs.by) != 2 {
+		t.Fatalf("quarantine records by worker = %v, want one each for a and b", logs.by)
+	}
+}
+
+// quarantineLog is a slog handler counting "worker quarantined"
+// records by worker.
+type quarantineLog struct {
+	mu sync.Mutex
+	by map[string]int
+}
+
+func (h *quarantineLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *quarantineLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *quarantineLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *quarantineLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "worker quarantined" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "worker" {
+			h.mu.Lock()
+			h.by[a.Value.String()]++
+			h.mu.Unlock()
+		}
+		return true
+	})
+	return nil
+}
+
 // TestHedgeReissueWins: a wedged worker holds one shard while the fast
 // worker builds up a latency distribution; once the shard's age clears
 // the percentile-derived hedge threshold it is speculatively re-issued,
@@ -156,7 +223,7 @@ func TestHedgeReissueWins(t *testing.T) {
 	defer close(release)
 	stopSlow := startWorker(t, ctx, dist.WorkerConfig{Name: "slow", Slots: 1, Addr: addr},
 		"sum", func(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
-			select { // wedge until the test ends; heartbeats keep the lease alive
+			select { // wedge until the test ends; echoed pings keep the connection up
 			case <-release:
 			case <-ctx.Done():
 			}

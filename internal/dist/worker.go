@@ -3,11 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"log/slog"
 	"net"
 	"runtime/pprof"
@@ -36,10 +33,6 @@ type WorkerConfig struct {
 	// Reconnect shapes the redial loop after a lost connection (default:
 	// unbounded attempts, 100ms base, 2s cap).
 	Reconnect retry.Policy
-	// HeartbeatEvery overrides the lease-renewal cadence. Zero derives
-	// TTL/3 from each lease; negative disables heartbeats entirely (a
-	// test knob for forcing lease expiry).
-	HeartbeatEvery time.Duration
 	// Registry receives worker-side dist.* metrics (nil disables).
 	Registry *obs.Registry
 	// Tracer tees traced-lease spans into this worker's local ring (for
@@ -57,9 +50,6 @@ type Worker struct {
 	cfg    WorkerConfig
 	logger *slog.Logger
 	evals  map[string]Evaluator
-	// nonce is the deterministic schedule nonce shipped in the hello
-	// frame and used to jitter heartbeat cadence (see heartbeatJitter).
-	nonce uint64
 
 	drainOnce sync.Once
 	drainCh   chan struct{}
@@ -89,7 +79,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg:     cfg,
 		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist.worker"),
 		evals:   make(map[string]Evaluator),
-		nonce:   helloNonce(cfg.Name, cfg.Addr),
 		drainCh: make(chan struct{}),
 
 		cShards: cfg.Registry.Counter("dist.worker.shards"),
@@ -121,35 +110,6 @@ func (w *Worker) drained() bool {
 	default:
 		return false
 	}
-}
-
-// helloNonce derives the worker's deterministic schedule nonce from its
-// identity: the same name and coordinator address always produce the
-// same nonce, so replayed runs jitter their heartbeats identically.
-func helloNonce(name, addr string) uint64 {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, name)
-	_, _ = h.Write([]byte{0})
-	_, _ = io.WriteString(h, addr)
-	return h.Sum64()
-}
-
-// heartbeatJitter spreads the derived TTL/3 heartbeat cadence by up to
-// ±TTL/12, hashed from (nonce, shard addr): a fleet of workers stops
-// synchronizing heartbeat frames into coordinator read-loop bursts,
-// while any given (worker, shard) pair heartbeats on the exact same
-// schedule in every replay.
-func heartbeatJitter(nonce uint64, addr string, ttl time.Duration) time.Duration {
-	span := ttl / 6
-	if span <= 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], nonce)
-	_, _ = h.Write(b[:])
-	_, _ = io.WriteString(h, addr)
-	return time.Duration(h.Sum64()%uint64(span)) - ttl/12
 }
 
 // Run connects to the coordinator and serves leases until ctx fires or
@@ -210,7 +170,7 @@ func (w *Worker) session(ctx context.Context) error {
 		defer wmu.Unlock()
 		return WriteFrame(conn, f)
 	}
-	if err := send(&Frame{T: TypeHello, V: ProtocolVersion, Worker: w.cfg.Name, Slots: w.cfg.Slots, Nonce: w.nonce}); err != nil {
+	if err := send(&Frame{T: TypeHello, V: ProtocolVersion, Worker: w.cfg.Name, Slots: w.cfg.Slots}); err != nil {
 		return fmt.Errorf("dist: handshake write: %w", err)
 	}
 	ack, err := ReadFrame(conn)
@@ -261,6 +221,13 @@ func (w *Worker) session(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("dist: read: %w", err)
 		}
+		if f.T == TypeHeartbeat {
+			// Echo the ping from the read loop, never a timer: the echo says
+			// every lease sent before it was read, so wedged reads fall silent.
+			// A failed write leaves a broken conn for the next read to report.
+			_ = send(f)
+			continue
+		}
 		if f.T != TypeLease || f.Lease == nil {
 			w.logger.Warn("unexpected frame from coordinator", "type", f.T)
 			continue
@@ -308,8 +275,8 @@ func (ts *taskSlots) lease(l *Lease) *taskSlot {
 	return slot
 }
 
-// serveLease evaluates one granted shard, heartbeating until done, then
-// sends the result (or a nack).
+// serveLease evaluates one granted shard, then sends the result (or a
+// nack).
 func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) error) {
 	ev, ok := w.evals[l.Kind]
 	if !ok {
@@ -317,33 +284,6 @@ func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) err
 		_ = send(&Frame{T: TypeNack, Addr: l.Addr, Err: fmt.Sprintf("dist: no evaluator registered for kind %q", l.Kind)})
 		return
 	}
-	every := w.cfg.HeartbeatEvery
-	if every == 0 {
-		ttl := time.Duration(l.TTLMs) * time.Millisecond
-		every = ttl/3 + heartbeatJitter(w.nonce, l.Addr, ttl)
-		if every <= 0 {
-			every = time.Second
-		}
-	}
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	if every > 0 {
-		go func() {
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-hbCtx.Done():
-					return
-				case <-tick.C:
-					if send(&Frame{T: TypeHeartbeat, Addr: l.Addr}) != nil {
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	start := time.Now()
 	// Traced lease: bind a collector so the eval span — and any spans the
 	// evaluator itself opens — are captured and shipped back with the
@@ -375,7 +315,6 @@ func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) err
 		payload, err = ev(lctx, l.Spec, l.Lo, l.Hi)
 	})
 	sp.End()
-	stopHB()
 	evalMs := obs.Ms(time.Since(start))
 	w.hEvalMs.Observe(evalMs)
 	if err != nil {

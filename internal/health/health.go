@@ -7,9 +7,9 @@
 //
 // What a strike is, and what to do with a quarantined key, is the
 // caller's business: internal/client refuses to dial banned peers,
-// internal/dist schedules around quarantined workers, internal/gateway
-// routes around quarantined replicas — and the latter two fall back to
-// a quarantined key rather than stall when nothing healthy is left.
+// internal/dist never leases to a quarantined worker, and
+// internal/gateway routes around quarantined replicas, falling back to
+// the least banned one rather than stall when nothing healthy is left.
 package health
 
 import (

@@ -83,11 +83,10 @@ const (
 
 // flakyPool is a real coordinator with single-slot workers w0, w1, …
 // whose efficiency evaluator nacks the pool's next failNext leases and
-// then answers with EvalShard's bytes. With one worker and four lease
-// attempts per shard, a request that meets three failures gets the
-// worker quarantined and is still answered by the pool (its fourth lease
-// goes to the quarantined worker: nobody else is free), and one that
-// meets four is answered locally.
+// then answers with EvalShard's bytes. With one worker, a request that
+// meets three failures gets the worker quarantined and is answered
+// locally: a quarantined worker gets no lease, so the coordinator fails
+// the task with dist.ErrNoHealthyWorker.
 type flakyPool struct {
 	coord    *dist.Coordinator
 	reg      *obs.Registry
@@ -161,8 +160,8 @@ func (p *flakyPool) check(t *testing.T, phase string, leases, fallbacks int64) {
 
 // TestBreakerOpenHalfOpenClosedCycle drives the full cycle on a real
 // coordinator whose worker fails and then recovers. Open: three nacks
-// quarantine the worker, and the requests after it are answered locally
-// without a new lease. Half-open: when the quarantine ends, the next
+// quarantine the worker, and that request and the ones after it are
+// answered locally without a new lease. Half-open: when the quarantine ends, the next
 // request reaches the pool. Closed: the recovered pool answers it, and
 // the next one too. Every answer is Evaluate's bytes.
 func TestBreakerOpenHalfOpenClosedCycle(t *testing.T) {
@@ -171,27 +170,28 @@ func TestBreakerOpenHalfOpenClosedCycle(t *testing.T) {
 	want := localJSON(t, req)
 
 	p.failNext.Store(3)
-	evalN(t, p.eval, req, 1, want) // nack, nack, nack, then the pool answers
-	p.check(t, "strike-out", 4, 0)
+	evalN(t, p.eval, req, 1, want) // nack, nack, nack, then a local answer
+	p.check(t, "strike-out", 3, 1)
 	if h := p.coord.HealthyWorkers(); h != 0 {
 		t.Fatalf("healthy workers = %d after three nacks, want 0 (quarantined)", h)
 	}
 
 	evalN(t, p.eval, req, 2, want)
-	p.check(t, "open", 4, 2)
+	p.check(t, "open", 3, 3)
 
 	p.waitHealthy(t, 1, 10*time.Second)
 	evalN(t, p.eval, req, 1, want)
-	p.check(t, "half-open", 5, 2)
+	p.check(t, "half-open", 4, 3)
 	evalN(t, p.eval, req, 1, want)
-	p.check(t, "closed", 6, 2)
+	p.check(t, "closed", 5, 3)
 }
 
-// TestBreakerReopensOnFailedProbe: a probe that fails earns a longer
-// quarantine than the first one. The coordinator's book has forgiven
-// the worker by the time a quarantine ends, so the probe's strikes count
-// from one; but every retry of its shard lands on the same worker, and
-// the fourth failure doubles the quarantine (internal/health).
+// TestBreakerReopensOnFailedProbe: a probe that fails quarantines the
+// worker again. The coordinator's book has forgiven the worker by the
+// time a quarantine ends, so the probe's strikes count from one, and its
+// third failure starts a new quarantine of one window: the probe is
+// answered locally and so is the request after it, until that
+// quarantine ends too.
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	p := newFlakyPool(t, 1, 4, flakyTTL)
 	req := breakerReq(t)
@@ -203,42 +203,48 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 		t.Fatalf("first quarantine lasted %v, want about %v", first, flakyWindow)
 	}
 
-	p.failNext.Store(4)
-	evalN(t, p.eval, req, 1, want) // the probe fails four times: answered locally
-	p.check(t, "failed probe", 8, 1)
-	time.Sleep(flakyWindow + flakyWindow/4)
+	p.failNext.Store(3)
+	evalN(t, p.eval, req, 1, want) // the probe fails three times: answered locally
+	p.check(t, "failed probe", 6, 2)
 	if h := p.coord.HealthyWorkers(); h != 0 {
-		t.Fatalf("healthy workers = %d %v after a failed probe, want 0 (a doubled quarantine)", h, flakyWindow+flakyWindow/4)
+		t.Fatalf("healthy workers = %d after a failed probe, want 0 (quarantined again)", h)
 	}
 	evalN(t, p.eval, req, 1, want)
-	p.check(t, "reopened", 8, 2)
-	p.waitHealthy(t, 1, 10*time.Second)
+	p.check(t, "reopened", 6, 3)
+	if again := p.waitHealthy(t, 1, 10*time.Second); again > flakyWindow+flakyWindow/4 {
+		t.Fatalf("second quarantine lasted %v, want about %v", again, flakyWindow)
+	}
 	evalN(t, p.eval, req, 1, want)
-	p.check(t, "closed", 9, 2)
+	p.check(t, "closed", 7, 3)
 }
 
 // TestPoolNackStormIsSkipped: when every worker nacks every lease, the
-// coordinator's quarantines alone take the pool out of use — at btserve's
-// eight lease attempts per shard, after one single-shard request at 1
-// and 2 workers and after two at 4, never more than the three failures
-// a pool-level breaker would wait for. Every answer is local, and
-// Evaluate's bytes.
+// coordinator's quarantines alone take the pool out of use. A worker
+// takes three leases — it is quarantined at the third nack and gets no
+// more — so at btserve's eight lease attempts per shard one single-shard
+// request strikes out 1 and 2 workers (3 and 6 leases, the task failing
+// with dist.ErrNoHealthyWorker), and 4 workers take two (8 leases, then
+// 4). Every answer is local, and Evaluate's bytes.
 func TestPoolNackStormIsSkipped(t *testing.T) {
-	for _, row := range []struct{ workers, reached int }{{1, 1}, {2, 1}, {4, 2}} {
+	for _, row := range []struct {
+		workers int
+		leases  []int64 // worker leases after each request that reaches the pool
+	}{{1, []int64{3}}, {2, []int64{6}}, {4, []int64{8, 12}}} {
 		t.Run(fmt.Sprintf("workers=%d", row.workers), func(t *testing.T) {
 			p := newFlakyPool(t, row.workers, 8, dist.DefaultLeaseTTL)
 			p.failNext.Store(1 << 30)
 			req := breakerReq(t)
 			want := localJSON(t, req)
-			for i := 1; i <= row.reached; i++ {
+			for i, leases := range row.leases {
 				evalN(t, p.eval, req, 1, want)
-				p.check(t, fmt.Sprintf("request %d", i), int64(8*i), int64(i))
+				p.check(t, fmt.Sprintf("request %d", i+1), leases, int64(i+1))
 			}
+			reached := len(row.leases)
 			if h := p.coord.HealthyWorkers(); h != 0 {
-				t.Fatalf("healthy workers = %d after %d requests, want 0", h, row.reached)
+				t.Fatalf("healthy workers = %d after %d requests, want 0", h, reached)
 			}
 			evalN(t, p.eval, req, 1, want)
-			p.check(t, "skipped", int64(8*row.reached), int64(row.reached+1))
+			p.check(t, "skipped", row.leases[reached-1], int64(reached+1))
 		})
 	}
 }

@@ -164,10 +164,10 @@ type HealthyPool interface {
 // by worker-count invariance — when the pool reports zero healthy
 // workers (nothing is attempted), or when the pool attempt fails for
 // infrastructure reasons. Pool health is the coordinator's own strike
-// book: a worker that nacks, lets leases expire or drops mid-lease is
-// quarantined there, and a pool whose every worker is quarantined
-// reports zero healthy workers until a quarantine ends; the next request
-// then reaches the pool again. serve.pool_fallbacks counts the local
+// book: a worker that nacks, falls silent or drops mid-lease is
+// quarantined there, and a pool whose every worker is quarantined fails
+// the task (dist.ErrNoHealthyWorker) and reports zero healthy workers
+// until a quarantine ends; the next request then reaches the pool again. serve.pool_fallbacks counts the local
 // answers.
 func FallbackEvaluator(pool Pool, shardRuns int, reg *obs.Registry, logger *slog.Logger) func(ctx context.Context, req *Request) (any, error) {
 	pooled := PoolEvaluator(pool, shardRuns)

@@ -288,6 +288,60 @@ func TestPoolChaosMidLeaseIdentity(t *testing.T) {
 	if injected == 0 || healed == 0 {
 		t.Errorf("faults injected on %d conns, self-healing counters moved %d: want both > 0", injected, healed)
 	}
+
+	// One deterministic row: worker 1's first connection stops reading
+	// right after its hello ack, so the leases it is sent are never read
+	// and it never echoes a ping. It can still write; only the silence
+	// gives it away. Six shards: with fewer than eight completed, no
+	// shard is hedged before the silent connection is closed.
+	t.Run("stall-after-hello,workers=2", func(t *testing.T) {
+		var ack bytes.Buffer
+		if err := dist.WriteFrame(&ack, &dist.Frame{T: dist.TypeHello, V: dist.ProtocolVersion}); err != nil {
+			t.Fatal(err)
+		}
+		var dials atomic.Int32
+		reg := obs.NewRegistry()
+		coord, stop := startPool(t, 2, dist.Config{
+			Registry: reg, LeaseTTL: 400 * time.Millisecond, SweepEvery: 25 * time.Millisecond,
+			Requeue: retry.Policy{MaxAttempts: 60, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		}, func(i int, wc *dist.WorkerConfig) {
+			if i != 1 {
+				return
+			}
+			wc.Dial = func(addr string) (net.Conn, error) {
+				c, err := net.Dial("tcp", addr)
+				if err != nil || dials.Add(1) > 1 {
+					return c, err
+				}
+				return faults.StallConn(c, int64(ack.Len())), nil
+			}
+		})
+		defer stop()
+		for deadline := time.Now().Add(5 * time.Second); coord.Workers() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("workers never connected")
+			}
+		}
+		req := &serve.Request{Kind: serve.KindModel, Seed: 21, Model: &serve.ModelQuery{B: 40, Runs: 24}}
+		if err := req.Canonicalize(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := serve.PoolEvaluator(coord, 4)(context.Background(), req)
+		if err != nil {
+			t.Fatalf("pool: %v", err)
+		}
+		local, err := serve.Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gb, want := mustJSON(t, got), mustJSON(t, local); !bytes.Equal(gb, want) {
+			t.Fatalf("stalled-worker pool result diverges from local:\n pool: %.120s\nlocal: %.120s", gb, want)
+		}
+		c := reg.Snapshot().Counters
+		if c["dist.reassignments"] < 1 || c["dist.strikes"] < 1 {
+			t.Fatalf("reassignments = %d, strikes = %d: want both >= 1", c["dist.reassignments"], c["dist.strikes"])
+		}
+	})
 }
 
 // chaosProfiles are the fault mixes a chaos round cycles through:

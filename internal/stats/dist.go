@@ -1,13 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrInvalidParam reports a distribution constructed with parameters outside
-// its domain.
-var ErrInvalidParam = errors.New("stats: invalid distribution parameter")
+import "math"
 
 // LogChoose returns ln C(n, k), the natural log of the binomial coefficient.
 // It returns -Inf when k < 0 or k > n, matching C(n,k) = 0.
@@ -114,74 +107,6 @@ func (b Binomial) PMFTableFrom(logChoose []float64) []float64 {
 	return out
 }
 
-// Poisson is the distribution of event counts at rate Lambda.
-type Poisson struct {
-	Lambda float64
-}
-
-// NewPoisson validates the rate and returns the distribution.
-func NewPoisson(lambda float64) (Poisson, error) {
-	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return Poisson{}, ErrInvalidParam
-	}
-	return Poisson{Lambda: lambda}, nil
-}
-
-// Mean returns λ.
-func (p Poisson) Mean() float64 { return p.Lambda }
-
-// Variance returns λ.
-func (p Poisson) Variance() float64 { return p.Lambda }
-
-// LogPMF returns ln Pr(X = k).
-func (p Poisson) LogPMF(k int) float64 {
-	if k < 0 {
-		return math.Inf(-1)
-	}
-	if p.Lambda == 0 {
-		if k == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	lk1, _ := math.Lgamma(float64(k + 1))
-	return float64(k)*math.Log(p.Lambda) - p.Lambda - lk1
-}
-
-// PMF returns Pr(X = k).
-func (p Poisson) PMF(k int) float64 { return math.Exp(p.LogPMF(k)) }
-
-// Sample draws one variate. Small rates use sequential inversion; large
-// rates are split recursively so the per-draw work stays bounded without
-// losing exactness.
-func (p Poisson) Sample(r *RNG) int {
-	const splitThreshold = 30
-	lambda := p.Lambda
-	n := 0
-	for lambda > splitThreshold {
-		// Poisson(λ) = Poisson(λ/2) + Poisson(λ/2) independently.
-		half := lambda / 2
-		n += (Poisson{Lambda: half}).sampleSmall(r)
-		lambda -= half
-	}
-	return n + (Poisson{Lambda: lambda}).sampleSmall(r)
-}
-
-func (p Poisson) sampleSmall(r *RNG) int {
-	if p.Lambda <= 0 {
-		return 0
-	}
-	// Knuth multiplication method: count exponential inter-arrivals.
-	limit := math.Exp(-p.Lambda)
-	k := 0
-	prod := r.Float64()
-	for prod > limit {
-		k++
-		prod *= r.Float64()
-	}
-	return k
-}
-
 // Exponential is the continuous distribution with the given Rate.
 type Exponential struct {
 	Rate float64
@@ -191,38 +116,4 @@ type Exponential struct {
 func (e Exponential) Sample(r *RNG) float64 {
 	// 1-U avoids ln(0); U in [0,1) so 1-U in (0,1].
 	return -math.Log(1-r.Float64()) / e.Rate
-}
-
-// Geometric is the distribution of the number of Bernoulli(P) failures
-// before the first success (support 0, 1, 2, ...).
-type Geometric struct {
-	P float64
-}
-
-// NewGeometric validates the success probability and returns the distribution.
-func NewGeometric(p float64) (Geometric, error) {
-	if p <= 0 || p > 1 || math.IsNaN(p) {
-		return Geometric{}, ErrInvalidParam
-	}
-	return Geometric{P: p}, nil
-}
-
-// Mean returns (1−P)/P.
-func (g Geometric) Mean() float64 { return (1 - g.P) / g.P }
-
-// PMF returns Pr(X = k) = (1−P)^k · P.
-func (g Geometric) PMF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	return math.Exp(float64(k)*math.Log1p(-g.P)) * g.P
-}
-
-// Sample draws one variate by inversion.
-func (g Geometric) Sample(r *RNG) int {
-	if g.P >= 1 {
-		return 0
-	}
-	u := 1 - r.Float64() // in (0, 1]
-	return int(math.Floor(math.Log(u) / math.Log1p(-g.P)))
 }

@@ -123,40 +123,6 @@ func TestBinomialEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPoissonPMFAndSampling(t *testing.T) {
-	p := Poisson{Lambda: 4.5}
-	sum := 0.0
-	for k := 0; k < 60; k++ {
-		sum += p.PMF(k)
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("Poisson PMF tail sum = %g, want 1", sum)
-	}
-	r := NewRNG(3, 4)
-	var acc Accumulator
-	for i := 0; i < 20000; i++ {
-		acc.Add(float64(p.Sample(r)))
-	}
-	if !almostEqual(acc.Mean(), 4.5, 0.1) {
-		t.Errorf("Poisson sample mean %g, want ~4.5", acc.Mean())
-	}
-}
-
-func TestPoissonLargeLambdaSampling(t *testing.T) {
-	p := Poisson{Lambda: 250}
-	r := NewRNG(5, 6)
-	var acc Accumulator
-	for i := 0; i < 5000; i++ {
-		acc.Add(float64(p.Sample(r)))
-	}
-	if !almostEqual(acc.Mean(), 250, 1.5) {
-		t.Errorf("Poisson(250) sample mean %g, want ~250", acc.Mean())
-	}
-	if !almostEqual(acc.Variance(), 250, 20) {
-		t.Errorf("Poisson(250) sample variance %g, want ~250", acc.Variance())
-	}
-}
-
 func TestExponentialSampling(t *testing.T) {
 	e := Exponential{Rate: 2}
 	r := NewRNG(9, 10)
@@ -170,39 +136,5 @@ func TestExponentialSampling(t *testing.T) {
 	}
 	if !almostEqual(acc.Mean(), 0.5, 0.01) {
 		t.Errorf("Exponential(2) sample mean %g, want ~0.5", acc.Mean())
-	}
-}
-
-func TestGeometricSampling(t *testing.T) {
-	g, err := NewGeometric(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(11, 12)
-	var acc Accumulator
-	for i := 0; i < 30000; i++ {
-		acc.Add(float64(g.Sample(r)))
-	}
-	if !almostEqual(acc.Mean(), 3, 0.1) {
-		t.Errorf("Geometric(0.25) sample mean %g, want ~3", acc.Mean())
-	}
-	sum := 0.0
-	for k := 0; k < 200; k++ {
-		sum += g.PMF(k)
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("Geometric PMF sum %g, want 1", sum)
-	}
-}
-
-func TestInvalidParams(t *testing.T) {
-	if _, err := NewPoisson(-1); err == nil {
-		t.Error("negative lambda must be rejected")
-	}
-	if _, err := NewPoisson(math.Inf(1)); err == nil {
-		t.Error("infinite lambda must be rejected")
-	}
-	if _, err := NewGeometric(0); err == nil {
-		t.Error("zero p must be rejected")
 	}
 }

@@ -237,6 +237,17 @@ one_pool_health_record() {
 		'*.go' ':!bench'
 }
 
+# A worker connection has one liveness signal (DESIGN.md §11, §13): the
+# sweeper pings every connection, the worker's read loop echoes it, and
+# a connection silent for LeaseTTL is closed. The per-lease heartbeats,
+# their cadence knob and jitter, the hello nonce that seeded it, a
+# lease's TTL and the lease-expiry record may not grow back.
+one_liveness_signal() {
+	absent one_liveness_signal \
+		'HeartbeatEvery|heartbeatJitter|helloNonce|Nonce|TTLMs|leaseGrant|handleHeartbeat' \
+		'*.go' ':!bench'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -274,6 +285,7 @@ one_figure_path
 one_worker_kind_list
 one_model_build
 one_pool_health_record
+one_liveness_signal
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

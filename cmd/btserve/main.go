@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/fluid"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -49,8 +48,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request compute deadline")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget on SIGTERM")
 		debugAddr    = flag.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. :6060)")
-		poolAddr     = flag.String("pool", "", "host a dist coordinator on this address and delegate computation to connected btworker processes")
-		shardRuns    = flag.Int("shard-runs", serve.DefaultShardRuns, "model-ensemble runs per worker shard under -pool")
 		traceSpans   = flag.Int("trace-spans", trace.DefaultCapacity, "completed-span ring buffer capacity for /debug/trace (0 disables tracing)")
 		logCfg       = obs.RegisterLogFlags(nil)
 	)
@@ -61,8 +58,7 @@ func main() {
 	if err := run(os.Stdout, logger, options{
 		addr: *addr, cacheSize: *cacheSize, cacheTTL: *cacheTTL,
 		workers: *workers, queue: *queue, timeout: *timeout,
-		drainTimeout: *drainTimeout, debugAddr: *debugAddr,
-		poolAddr: *poolAddr, shardRuns: *shardRuns, traceSpans: *traceSpans,
+		drainTimeout: *drainTimeout, debugAddr: *debugAddr, traceSpans: *traceSpans,
 	}, ctx.Done(), nil); err != nil {
 		logger.Error("btserve failed", "err", err)
 		os.Exit(1)
@@ -78,8 +74,6 @@ type options struct {
 	timeout      time.Duration
 	drainTimeout time.Duration
 	debugAddr    string
-	poolAddr     string
-	shardRuns    int
 	traceSpans   int
 }
 
@@ -115,25 +109,6 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		RequestTimeout: o.timeout,
 		Tracer:         tracer,
 	}
-	var coord *dist.Coordinator
-	if o.poolAddr != "" {
-		// Delegate evaluation to a worker pool: btserve hosts the
-		// coordinator, btworker processes connect to it, and the cache /
-		// singleflight / admission layers stay exactly where they were —
-		// only admitted cache misses reach the pool. Determinism makes the
-		// substitution unobservable in response bytes. A pool with no
-		// healthy worker, or an attempt that fails there, is answered by
-		// local evaluation instead (degraded capacity, identical bytes);
-		// the coordinator's quarantines decide when the pool is tried again.
-		coord = dist.New(dist.Config{Registry: reg, Logger: logger})
-		bound, err := coord.Listen(o.poolAddr)
-		if err != nil {
-			return fmt.Errorf("btserve: pool listen: %w", err)
-		}
-		defer coord.Close()
-		cfg.Evaluator = serve.FallbackEvaluator(coord, o.shardRuns, reg, logger)
-		fmt.Fprintf(w, "worker pool coordinator on %s (connect with: btworker -connect %s)\n", bound, bound)
-	}
 	srv := serve.New(cfg)
 	defer srv.Close()
 
@@ -160,12 +135,6 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			srv.Close() // cut the base context: abort stuck computations
 			return httpSrv.Close()
-		}
-		// With the HTTP side drained no new pool work can arrive; let the
-		// coordinator finish anything still leased (a straggling shard a
-		// handler already stopped waiting for) before its deferred Close.
-		if coord != nil {
-			_ = coord.Drain(ctx)
 		}
 		return nil
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 func startTestServer(t *testing.T, o options) (base string, stop chan struct{}, errCh chan error) {
@@ -144,54 +142,4 @@ func TestRunDrainsInflightOnStop(t *testing.T) {
 		t.Fatalf("port not released after drain: %v", err)
 	}
 	ln.Close() //nolint:errcheck
-}
-
-// TestRunPoolFallsBackWithNoWorker: with -pool set and no worker
-// connected, a model query is answered locally — 200, serve.Evaluate's
-// bytes — and counted once in serve.pool_fallbacks.
-func TestRunPoolFallsBackWithNoWorker(t *testing.T) {
-	base, stop, errCh := startTestServer(t, options{workers: 2, queue: 4, cacheSize: 8,
-		poolAddr: "127.0.0.1:0", shardRuns: serve.DefaultShardRuns})
-	defer func() { close(stop); <-errCh }()
-
-	body := `{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":50}}`
-	resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, b)
-	}
-	var env struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	req, err := serve.DecodeRequest(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := serve.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := json.Marshal(local); !bytes.Equal(env.Result, want) {
-		t.Fatalf("pool fallback answer diverges from serve.Evaluate:\n got: %.120s\nwant: %.120s", env.Result, want)
-	}
-
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close() //nolint:errcheck
-	var snap obs.Snapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counters["serve.pool_fallbacks"]; got != 1 {
-		t.Fatalf("serve.pool_fallbacks = %d, want 1", got)
-	}
 }

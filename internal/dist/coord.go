@@ -38,12 +38,8 @@ const (
 // task interrupted by Close).
 var ErrCoordinatorClosed = errors.New("dist: coordinator closed")
 
-// ErrCoordinatorDraining reports a Run submitted after Drain: the
-// coordinator is finishing in-flight tasks and accepts no new work.
-var ErrCoordinatorDraining = errors.New("dist: coordinator draining")
-
 // ErrNoHealthyWorker fails a task whose ready shard finds every connected
-// worker that is not draining quarantined: none may take it.
+// worker quarantined: none may take it.
 var ErrNoHealthyWorker = errors.New("dist: every worker is quarantined")
 
 // Config configures a Coordinator. Zero values take the defaults noted.
@@ -72,13 +68,12 @@ type Config struct {
 }
 
 // Coordinator owns the shard queue and the worker pool: it accepts
-// btworker connections, leases shards, drops connections that stop
+// worker connections, leases shards, drops connections that stop
 // echoing its pings, requeues lost shards with backoff, speculatively
 // re-issues over-age shards, scores worker health (quarantining repeat
 // offenders), and accepts results idempotently by
 // shard content address. Construct with New, attach a listener with
-// Start, submit work with Run, Drain to finish in-flight tasks before
-// shutdown, and Close when done.
+// Start, submit work with Run, and Close when done.
 type Coordinator struct {
 	cfg    Config
 	logger *slog.Logger
@@ -91,19 +86,18 @@ type Coordinator struct {
 	strikes *health.Book[string] // by worker name, so a reconnect must live its record down
 	// open maps shard address → every open shard with that address
 	// (identical computations submitted concurrently share results).
-	open     map[string][]*shard
-	queue    []*shard
-	draining bool
-	closed   bool
-	wg       sync.WaitGroup // accept loop + per-conn readers + sweeper
-	stop     chan struct{}
-	wake     *time.Timer // dispatches when the earliest backoff gate opens
+	open   map[string][]*shard
+	queue  []*shard
+	closed bool
+	wg     sync.WaitGroup // accept loop + per-conn readers + sweeper
+	stop   chan struct{}
+	wake   *time.Timer // dispatches when the earliest backoff gate opens
 
 	// Metrics (always non-nil; unregistered when cfg.Registry is nil).
 	gWorkers, gLeases, gPending, gQuarantined *obs.Gauge
 	cResults, cReassigned, cDuplicates        *obs.Counter
 	cNacks, cLate                             *obs.Counter
-	cHedges, cHedgeWins, cStrikes, cGoodbyes  *obs.Counter
+	cHedges, cHedgeWins, cStrikes             *obs.Counter
 	hShardLatency, hRemoteEval                *obs.Histogram
 }
 
@@ -151,17 +145,16 @@ type task struct {
 	doneCh    chan struct{}
 }
 
-// workerConn is one connected btworker.
+// workerConn is one connected worker.
 type workerConn struct {
 	conn  net.Conn
 	name  string
 	slots int
 	// active counts leases currently held; leased tracks which shard
 	// addresses they are, so late results release exactly once.
-	active   int
-	leased   map[string]int // addr → leases held on this conn for it
-	out      chan *Frame
-	draining bool // goodbye received: no new grants, no strike on exit
+	active int
+	leased map[string]int // addr → leases held on this conn for it
+	out    chan *Frame
 	// heard is when the worker last echoed a ping (its registration
 	// until the first echo); pinged marks a ping still awaiting its echo.
 	heard  time.Time
@@ -214,7 +207,6 @@ func New(cfg Config) *Coordinator {
 		cHedges:       reg.Counter("dist.hedges"),
 		cHedgeWins:    reg.Counter("dist.hedge_wins"),
 		cStrikes:      reg.Counter("dist.strikes"),
-		cGoodbyes:     reg.Counter("dist.goodbyes"),
 		hShardLatency: reg.Histogram("dist.shard_latency_ms"),
 		hRemoteEval:   reg.Histogram("dist.remote_eval_ms"),
 	}
@@ -275,58 +267,11 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// Drain marks the coordinator as draining — new Run calls are rejected
-// with ErrCoordinatorDraining — and blocks until every in-flight task
-// has completed, ctx fires, or the coordinator closes. btserve calls it
-// between the HTTP listener drain and the coordinator Close so pooled
-// computations already admitted can finish cleanly.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrCoordinatorClosed
-	}
-	c.draining = true
-	c.mu.Unlock()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		c.mu.Lock()
-		n := len(c.open)
-		c.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-c.stop:
-			return ErrCoordinatorClosed
-		case <-tick.C:
-		}
-	}
-}
-
 // Workers returns the number of connected workers.
 func (c *Coordinator) Workers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.workers)
-}
-
-// HealthyWorkers returns the number of connected workers that are
-// neither draining nor quarantined — the pool capacity a scheduler (or
-// serve's local fallback) can actually count on.
-func (c *Coordinator) HealthyWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now, n := c.now(), 0
-	for w := range c.workers {
-		if !w.draining && !c.strikes.Quarantined(w.name, now) {
-			n++
-		}
-	}
-	return n
 }
 
 // refreshHealthGaugeLocked republishes the quarantined-worker gauge.
@@ -383,10 +328,6 @@ func (c *Coordinator) Run(ctx context.Context, t Task) ([][]byte, error) {
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrCoordinatorClosed
-	}
-	if c.draining {
-		c.mu.Unlock()
-		return nil, ErrCoordinatorDraining
 	}
 	// Capture the caller's trace binding once: grant spans are created
 	// later from sweeper/dispatch goroutines, long after ctx may be gone.
@@ -532,18 +473,14 @@ func (c *Coordinator) dispatchLocked(now time.Time) {
 	}
 }
 
-// freeWorkerLocked returns the worker with a free slot that is neither
-// draining nor quarantined — the least loaded, then the lower name — or
-// nil; holder, a hedge's current lease holder, is excluded. struckOut
-// reports that some connected worker is not draining and every such
-// worker is quarantined: a quarantined worker never gets a lease.
+// freeWorkerLocked returns the worker with a free slot that is not
+// quarantined — the least loaded, then the lower name — or nil; holder,
+// a hedge's current lease holder, is excluded. struckOut reports that
+// some worker is connected and every one is quarantined: a quarantined
+// worker never gets a lease.
 func (c *Coordinator) freeWorkerLocked(holder *workerConn, now time.Time) (best *workerConn, struckOut bool) {
-	live, healthy := 0, 0
+	healthy := 0
 	for w := range c.workers {
-		if w.draining {
-			continue
-		}
-		live++
 		if c.strikes.Quarantined(w.name, now) {
 			continue
 		}
@@ -555,7 +492,7 @@ func (c *Coordinator) freeWorkerLocked(holder *workerConn, now time.Time) (best 
 			best = w
 		}
 	}
-	return best, live > 0 && healthy == 0
+	return best, len(c.workers) > 0 && healthy == 0
 }
 
 // grantLocked leases s to w and pushes the lease frame; hedge marks a
@@ -758,17 +695,14 @@ func (c *Coordinator) adoptSpansLocked(ss []*shard, spans []trace.SpanData) {
 	}
 }
 
-// handleNack requeues a worker-failed shard with backoff. Evaluation
-// failures cost the worker a strike; drain-race nacks (the worker said
-// goodbye while a lease was in flight) do not.
+// handleNack requeues a worker-failed shard with backoff and charges
+// the worker a strike.
 func (c *Coordinator) handleNack(w *workerConn, addr, reason string) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cNacks.Inc()
-	if reason != ReasonDraining {
-		c.strikeLocked(w, now, "nack: "+reason)
-	}
+	c.strikeLocked(w, now, "nack: "+reason)
 	c.releaseSlotLocked(w, addr)
 	for _, s := range c.open[addr] {
 		s.endSpanLocked(w, "nack")
@@ -786,21 +720,6 @@ func (c *Coordinator) handleEcho(w *workerConn) {
 	defer c.mu.Unlock()
 	w.heard = c.now()
 	w.pinged = false
-}
-
-// handleGoodbye marks w as draining: no further grants, and the
-// eventual disconnect requeues anything left without a strike. Leases
-// the worker already holds keep running — a draining worker finishes
-// its in-flight shards before closing the connection.
-func (c *Coordinator) handleGoodbye(w *workerConn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w.draining {
-		return
-	}
-	w.draining = true
-	c.cGoodbyes.Inc()
-	c.logger.Info("worker draining", "worker", w.name, "inflight", w.active)
 }
 
 // sweeper periodically runs sweepOnce.
@@ -934,35 +853,29 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 				c.handleResult(w, f.Addr, f.Payload, f.Spans)
 			case TypeNack:
 				c.handleNack(w, f.Addr, f.Err)
-			case TypeGoodbye:
-				c.handleGoodbye(w)
 			default:
 				c.logger.Warn("unexpected frame from worker", "worker", w.name, "type", f.T)
 			}
 		}
 	})
 
-	// Unregister: requeue everything this worker held. A drained worker
-	// leaves without a strike — its goodbye announced the exit; a worker
-	// that vanished or fell silent mid-lease is charged one.
+	// Unregister: requeue everything this worker held. A worker that
+	// vanished or fell silent mid-lease is charged one strike.
 	now := c.now()
 	c.mu.Lock()
 	delete(c.workers, w)
 	c.gWorkers.Set(float64(len(c.workers)))
-	why, held := "disconnected", false
-	if w.draining {
-		why = "drained"
-	}
+	held := false
 	for addr := range w.leased {
 		for _, s := range c.open[addr] {
 			if c.releaseLeaseLocked(w, s) {
 				held = true
-				s.endSpanLocked(w, why)
-				c.requeueLocked(s, now, "worker "+w.name+" "+why)
+				s.endSpanLocked(w, "disconnected")
+				c.requeueLocked(s, now, "worker "+w.name+" disconnected")
 			}
 		}
 	}
-	if held && !w.draining {
+	if held {
 		c.strikeLocked(w, now, "disconnected with leases held")
 	}
 	// Slots held for already-closed shards.

@@ -409,13 +409,14 @@ func TestStragglerReissue(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch speaks a future protocol version, and two
+// TestHelloVersionMismatch speaks a future protocol version, and three
 // earlier ones, at the coordinator — in the current frame layout, which
 // is how the nack can be read — and expects each to be nacked at the
 // handshake with both versions named: a peer that means something else
 // by a payload must never get a lease. A v3 peer shares the layout but
-// heartbeats per lease and never echoes a ping. (A peer still writing
-// the v<=2 layout is TestOldLayoutPeerRefusedByName's.)
+// heartbeats per lease and never echoes a ping; a v4 peer announces its
+// exit with a goodbye frame this coordinator no longer reads. (A peer
+// still writing the v<=2 layout is TestOldLayoutPeerRefusedByName's.)
 func TestHelloVersionMismatch(t *testing.T) {
 	coord := dist.New(dist.Config{})
 	addr, err := coord.Listen("127.0.0.1:0")
@@ -423,7 +424,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer coord.Close()
-	for _, v := range []int{dist.ProtocolVersion + 41, 1, 3} {
+	for _, v := range []int{dist.ProtocolVersion + 41, 1, 3, 4} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)

@@ -1,8 +1,10 @@
 // Package dist is the repository's deterministic multi-node execution
 // layer: a stdlib-only coordinator/worker subsystem that shards large
-// fixed-seed computations — Monte-Carlo ensembles, figure regenerations,
-// served queries — across any number of worker processes while keeping
-// the repository's signature bit-identical determinism.
+// fixed-seed computations — Monte-Carlo ensembles, served queries —
+// across any number of workers while keeping the repository's signature
+// bit-identical determinism. No binary runs it: on one host it is
+// slower than local evaluation at every size serve admits (DESIGN.md
+// §11), and it stays as the fixture of the serve_dist benchmark.
 //
 // The design rests on the same two rules as the single-node engine
 // (internal/par):
@@ -37,8 +39,7 @@
 // slots), lease (coordinator grants a shard), heartbeat (the
 // coordinator's once-per-sweep liveness ping, which the worker's read
 // loop echoes back: liveness is per connection, not per lease), result
-// (payload), nack (worker-side failure), and goodbye (worker drain
-// announcement: no new leases, in-flight shards finish).
+// (payload), and nack (worker-side failure).
 package dist
 
 import (
@@ -57,10 +58,10 @@ import (
 // frames; both sides must speak the same version. Version 3 introduced
 // the layout above; version 4 keeps it and moves liveness from the lease
 // to the connection (an echoed ping replaces per-lease heartbeats, and a
-// lease carries no TTL). A peer still framing one JSON object, payload
-// inside it, behind the length (v1, v2) is refused by name at its first
-// frame.
-const ProtocolVersion = 4
+// lease carries no TTL); version 5 drops the worker's goodbye frame and
+// its drain nack. A peer still framing one JSON object, payload inside
+// it, behind the length (v1, v2) is refused by name at its first frame.
+const ProtocolVersion = 5
 
 // MaxFrameBytes bounds a single frame body. The largest legitimate
 // frames are result payloads of whole-response kinds (a sim or figure
@@ -108,16 +109,7 @@ const (
 	// TypeNack reports a shard evaluation failure (worker → coordinator)
 	// or a fatal protocol rejection (coordinator → worker).
 	TypeNack = "nack"
-	// TypeGoodbye announces a graceful worker drain (worker →
-	// coordinator): grant no further leases; in-flight shards will still
-	// deliver results, and the eventual disconnect costs no strike.
-	TypeGoodbye = "goodbye"
 )
-
-// ReasonDraining is the nack reason a draining worker attaches when a
-// lease races its goodbye: the coordinator requeues the shard without
-// charging the worker a health strike.
-const ReasonDraining = "worker draining"
 
 // Frame is the single wire envelope; T selects which fields are
 // meaningful. A union type keeps the codec — and its fuzz surface — in

@@ -30,7 +30,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{T: TypeResult, Addr: "abc", Payload: []byte(`[1,2,3]`), EvalMs: 12},
 		{T: TypeResult, Addr: "abc", Payload: binaryPayload},
 		{T: TypeNack, Addr: "abc", Err: "boom"},
-		{T: TypeGoodbye, Worker: "w1"},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -309,7 +308,7 @@ func FuzzReadFrame(f *testing.F) {
 		{T: TypeHello, V: ProtocolVersion, Worker: "w", Slots: 2},
 		{T: TypeLease, Lease: &Lease{Addr: "a", Kind: "model", Spec: json.RawMessage(`{"b":1}`), Hi: 2}},
 		{T: TypeHeartbeat}, // v4's ping, and its echo
-		{T: TypeGoodbye, Worker: "w"},
+		{T: TypeNack, Addr: "a", Err: "synthetic"},
 		// A model result: one varint accumulator (B = 1, two runs).
 		{T: TypeResult, Addr: "a", EvalMs: 1, Payload: []byte("\x02\x00\x01\x03\x02\x00\x05\x02\x02\x02\x03\x00\x00\x00\x02\x02\x03\x00")},
 	} {

@@ -398,8 +398,8 @@ func TestHedgeSkipsQuarantinedWorker(t *testing.T) {
 	clk.Advance(reissueAfter(0, 0, DefaultLeaseTTL, c.cfg.SweepEvery) + time.Second)
 	echoAll(c)
 	c.sweepOnce()
-	if h := c.HealthyWorkers(); h != 1 {
-		t.Fatalf("healthy workers = %d at the re-issue age, want 1 (b quarantined)", h)
+	if q := reg.Snapshot().Gauges["dist.quarantined_workers"]; q != 1 {
+		t.Fatalf("dist.quarantined_workers = %v at the re-issue age, want 1 (b)", q)
 	}
 	if n := hedges(); n != 0 {
 		t.Fatalf("dist.hedges = %d: a hedge went to the quarantined worker", n)

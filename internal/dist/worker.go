@@ -35,10 +35,6 @@ type WorkerConfig struct {
 	Reconnect retry.Policy
 	// Registry receives worker-side dist.* metrics (nil disables).
 	Registry *obs.Registry
-	// Tracer tees traced-lease spans into this worker's local ring (for
-	// its own /debug/trace); spans also ship back to the coordinator in
-	// result frames regardless. Nil keeps only the ship-back path.
-	Tracer *trace.Tracer
 	// Logger receives worker events (nil = discard).
 	Logger *slog.Logger
 }
@@ -50,9 +46,6 @@ type Worker struct {
 	cfg    WorkerConfig
 	logger *slog.Logger
 	evals  map[string]Evaluator
-
-	drainOnce sync.Once
-	drainCh   chan struct{}
 
 	cShards, cErrors *obs.Counter
 	hEvalMs          *obs.Histogram
@@ -76,10 +69,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Reconnect.MaxDelay = 2 * time.Second
 	}
 	w := &Worker{
-		cfg:     cfg,
-		logger:  obs.Component(obs.OrNop(cfg.Logger), "dist.worker"),
-		evals:   make(map[string]Evaluator),
-		drainCh: make(chan struct{}),
+		cfg:    cfg,
+		logger: obs.Component(obs.OrNop(cfg.Logger), "dist.worker"),
+		evals:  make(map[string]Evaluator),
 
 		cShards: cfg.Registry.Counter("dist.worker.shards"),
 		cErrors: cfg.Registry.Counter("dist.worker.errors"),
@@ -93,42 +85,15 @@ func (w *Worker) Register(kind string, ev Evaluator) {
 	w.evals[kind] = ev
 }
 
-// Drain asks the worker to exit gracefully: the live session stops
-// accepting leases, sends a goodbye frame so the coordinator reassigns
-// without a health strike, finishes every in-flight shard, and then Run
-// returns nil. Safe to call from any goroutine, more than once, and
-// before Run.
-func (w *Worker) Drain() {
-	w.drainOnce.Do(func() { close(w.drainCh) })
-}
-
-// drained reports whether Drain has been called.
-func (w *Worker) drained() bool {
-	select {
-	case <-w.drainCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// Run connects to the coordinator and serves leases until ctx fires or
-// Drain completes, redialing with backoff after disconnects. A drained
-// exit returns nil; a protocol version mismatch is fatal and returned
-// immediately.
+// Run connects to the coordinator and serves leases until ctx fires,
+// redialing with backoff after disconnects. A protocol version mismatch
+// is fatal and returned immediately.
 func (w *Worker) Run(ctx context.Context) error {
 	for attempt := 0; ; attempt++ {
-		if w.drained() {
-			return nil
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		err := w.session(ctx)
-		if w.drained() {
-			w.logger.Info("drained, exiting")
-			return nil
-		}
 		if ctx.Err() != nil || err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return ctx.Err()
 		}
@@ -186,35 +151,10 @@ func (w *Worker) session(ctx context.Context) error {
 	w.logger.Info("connected", "coordinator", w.cfg.Addr, "slots", w.cfg.Slots)
 
 	// Lease goroutines run per grant; the coordinator never grants more
-	// than Slots at once, so no local admission gate is needed. lmu
-	// sequences lease admission against drain: once draining is set, no
-	// further leases.Add can happen, so leases.Wait below sees them all.
+	// than Slots at once, so no local admission gate is needed.
 	var leases sync.WaitGroup
 	defer leases.Wait()
-	var lmu sync.Mutex
-	draining := false
 	slots := make(taskSlots, 0, w.cfg.Slots)
-
-	// Drain watcher: announce the goodbye, refuse new leases, finish
-	// in-flight shards, then close the conn to unwind the read loop.
-	sessionDone := make(chan struct{})
-	defer close(sessionDone)
-	go func() {
-		select {
-		case <-sessionDone:
-			return
-		case <-ctx.Done():
-			return
-		case <-w.drainCh:
-		}
-		lmu.Lock()
-		draining = true
-		lmu.Unlock()
-		w.logger.Info("draining: goodbye sent, finishing in-flight shards")
-		_ = send(&Frame{T: TypeGoodbye, Worker: w.cfg.Name})
-		leases.Wait()
-		_ = conn.Close()
-	}()
 
 	for {
 		f, err := ReadFrame(conn)
@@ -232,16 +172,7 @@ func (w *Worker) session(ctx context.Context) error {
 			w.logger.Warn("unexpected frame from coordinator", "type", f.T)
 			continue
 		}
-		lmu.Lock()
-		if draining {
-			lmu.Unlock()
-			// A grant raced our goodbye: hand it straight back. The
-			// ReasonDraining nack requeues without a health strike.
-			_ = send(&Frame{T: TypeNack, Addr: f.Lease.Addr, Err: ReasonDraining})
-			continue
-		}
 		leases.Add(1)
-		lmu.Unlock()
 		lctx := context.WithValue(ctx, slotKey{}, slots.lease(f.Lease))
 		go func(l *Lease) {
 			defer leases.Done()
@@ -293,10 +224,10 @@ func (w *Worker) serveLease(ctx context.Context, l *Lease, send func(*Frame) err
 	evalCtx := ctx
 	var sp *trace.Span
 	if l.TraceID != "" {
-		col = &trace.Collector{Tee: w.cfg.Tracer}
+		col = &trace.Collector{}
 		proc := w.cfg.Name
 		if proc == "" {
-			proc = "btworker"
+			proc = "dist.worker"
 		}
 		evalCtx = trace.Bind(ctx, col, proc, l.TraceID, l.ParentSpanID)
 		evalCtx, sp = trace.Start(evalCtx, "worker.eval")

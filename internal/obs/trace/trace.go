@@ -177,19 +177,14 @@ func (t *Tracer) Spans() []SpanData {
 }
 
 // Collector is a Sink that captures spans for shipment in a dist result
-// frame, optionally teeing them into a local tracer's ring so the
-// worker's own /debug/trace shows them too.
+// frame.
 type Collector struct {
-	// Tee, when non-nil, additionally receives every recorded span.
-	Tee *Tracer
-
 	mu    sync.Mutex
 	spans []SpanData
 }
 
 // Record implements Sink.
 func (c *Collector) Record(sd SpanData) {
-	c.Tee.Record(sd)
 	c.mu.Lock()
 	c.spans = append(c.spans, sd)
 	c.mu.Unlock()

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/obs"
 )
 
 // DefaultShardRuns is the model-ensemble shard granularity used by
@@ -43,10 +40,10 @@ func Evaluate(ctx context.Context, req *Request) (any, error) {
 // gives it — and the payload is the core.EnsembleAccum of the range in
 // its binary form, sampled by the same chunked core.Model.SampleRuns the
 // local evaluator runs over [0, runs) (so a large shard still fans over
-// the worker's -jobs) and folded coordinator-side in index order. Every
-// other kind is a single indivisible unit ([0, 1)); the payload is the
-// JSON response body, embedded verbatim in the envelope so it carries
-// the exact bytes a local evaluation would have produced.
+// the worker process's par pool) and folded coordinator-side in index
+// order. Every other kind is a single indivisible unit ([0, 1)); the
+// payload is the JSON response body, embedded verbatim in the envelope
+// so it carries the exact bytes a local evaluation would have produced.
 //
 // Concurrent shards of a task share one prepared request, and tasks
 // with equal chain parameters one memoized core.Model, which is
@@ -81,14 +78,6 @@ func EvalShard(ctx context.Context, spec []byte, lo, hi int) ([]byte, error) {
 	return acc.AppendBinary(nil)
 }
 
-// RegisterEvaluators installs EvalShard on wk for every request kind,
-// so a worker evaluates exactly the kinds a server accepts.
-func RegisterEvaluators(wk *dist.Worker) {
-	for kind := range kindSection {
-		wk.Register(kind, EvalShard)
-	}
-}
-
 // Pool is the slice of a dist coordinator the serving layer needs;
 // *dist.Coordinator satisfies it.
 type Pool interface {
@@ -96,7 +85,10 @@ type Pool interface {
 }
 
 // PoolEvaluator returns a Server evaluator that delegates computation
-// to a worker pool. Model ensembles shard into shardRuns-sized index
+// to a worker pool. No binary wires it in — local evaluation is faster
+// at every size serve admits (DESIGN.md §11) — and it stays as the
+// serve_dist benchmark's fixture and the subject of the pool's
+// byte-identity tests. Model ensembles shard into shardRuns-sized index
 // ranges (DefaultShardRuns if <= 0) whose accumulators fold — in index
 // order, through the same core.EnsembleAccum merge as the local pool's
 // chunks — into results bit-identical to local evaluation; a payload
@@ -149,52 +141,4 @@ func PoolEvaluator(pool Pool, shardRuns int) func(ctx context.Context, req *Requ
 		}
 		return modelOut(req.Model, acc.Stats()), nil
 	}
-}
-
-// HealthyPool is the optional pool introspection FallbackEvaluator
-// uses: a pool that reports zero healthy workers is skipped at once
-// instead of letting Run block on empty capacity until the request
-// deadline. *dist.Coordinator satisfies it.
-type HealthyPool interface {
-	HealthyWorkers() int
-}
-
-// FallbackEvaluator is PoolEvaluator(pool, shardRuns) with local
-// fallback: a request is answered by local Evaluate — the same bytes,
-// by worker-count invariance — when the pool reports zero healthy
-// workers (nothing is attempted), or when the pool attempt fails for
-// infrastructure reasons. Pool health is the coordinator's own strike
-// book: a worker that nacks, falls silent or drops mid-lease is
-// quarantined there, and a pool whose every worker is quarantined fails
-// the task (dist.ErrNoHealthyWorker) and reports zero healthy workers
-// until a quarantine ends; the next request then reaches the pool again. serve.pool_fallbacks counts the local
-// answers.
-func FallbackEvaluator(pool Pool, shardRuns int, reg *obs.Registry, logger *slog.Logger) func(ctx context.Context, req *Request) (any, error) {
-	pooled := PoolEvaluator(pool, shardRuns)
-	hp, hasHealth := pool.(HealthyPool)
-	fallbacks := reg.Counter("serve.pool_fallbacks")
-	logger = obs.Component(logger, "serve.pool")
-	return func(ctx context.Context, req *Request) (any, error) {
-		if !hasHealth || hp.HealthyWorkers() > 0 {
-			result, err := pooled(ctx, req)
-			if !poolInfraFailure(ctx, err) {
-				return result, err
-			}
-			logger.Warn("pool evaluation failed, answering locally", "err", err)
-		}
-		fallbacks.Inc()
-		return Evaluate(ctx, req)
-	}
-}
-
-// poolInfraFailure classifies an error from a pool attempt: bad
-// requests and the caller's own context expiring say nothing about the
-// pool and are returned as they are; everything else (coordinator
-// closed, shard attempts exhausted, payloads that do not merge) is
-// answered locally.
-func poolInfraFailure(ctx context.Context, err error) bool {
-	if err == nil || errors.Is(err, ErrBadRequest) {
-		return false
-	}
-	return ctx.Err() == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }

@@ -18,13 +18,9 @@ import (
 	"repro/internal/serve"
 )
 
-// A zero from HealthyWorkers is what keeps FallbackEvaluator's requests
-// off a dead pool; if the method were renamed, its type assertion would
-// fail silently and every request would wait out the pool instead.
-var _ serve.HealthyPool = (*dist.Coordinator)(nil)
-
 // startPool stands up a coordinator plus n loopback workers running
-// serve.EvalShard, returning the coordinator and a stop func.
+// serve.EvalShard for every kind a server accepts, returning the
+// coordinator and a stop func.
 func startPool(t testing.TB, n int, cfg dist.Config, mutate func(i int, wc *dist.WorkerConfig)) (*dist.Coordinator, func()) {
 	t.Helper()
 	coord := dist.New(cfg)
@@ -40,7 +36,9 @@ func startPool(t testing.TB, n int, cfg dist.Config, mutate func(i int, wc *dist
 			mutate(i, &wc)
 		}
 		wk := dist.NewWorker(wc)
-		serve.RegisterEvaluators(wk)
+		for _, kind := range []string{serve.KindModel, serve.KindEfficiency, serve.KindSim, serve.KindStability, serve.KindFluid} {
+			wk.Register(kind, serve.EvalShard)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

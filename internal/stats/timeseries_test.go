@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func mustSeries(t *testing.T, pts ...float64) *Series {
-	t.Helper()
-	if len(pts)%2 != 0 {
-		t.Fatal("mustSeries needs (t, v) pairs")
-	}
-	s := NewSeries(len(pts) / 2)
-	for i := 0; i < len(pts); i += 2 {
-		if err := s.Append(pts[i], pts[i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
 func TestSeriesAppendOrdering(t *testing.T) {
 	s := NewSeries(2)
 	if err := s.Append(1, 10); err != nil {
@@ -29,97 +15,6 @@ func TestSeriesAppendOrdering(t *testing.T) {
 	}
 	if err := s.Append(0.5, 12); err == nil {
 		t.Error("time going backwards must be rejected")
-	}
-}
-
-func TestSeriesValueAtStepInterpolation(t *testing.T) {
-	s := mustSeries(t, 1, 10, 2, 20, 4, 40)
-	cases := []struct{ at, want float64 }{
-		{1, 10}, {1.5, 10}, {2, 20}, {3.999, 20}, {4, 40}, {100, 40},
-	}
-	for _, c := range cases {
-		if got := s.ValueAt(c.at); got != c.want {
-			t.Errorf("ValueAt(%g) = %g, want %g", c.at, got, c.want)
-		}
-	}
-	if !math.IsNaN(s.ValueAt(0.5)) {
-		t.Error("ValueAt before first point must be NaN")
-	}
-}
-
-func TestSeriesDiffAndRate(t *testing.T) {
-	s := mustSeries(t, 0, 0, 1, 5, 3, 5, 4, 9)
-	d := s.Diff()
-	wantV := []float64{5, 0, 4}
-	for i, w := range wantV {
-		if d.V[i] != w {
-			t.Errorf("Diff[%d] = %g, want %g", i, d.V[i], w)
-		}
-	}
-	r := s.Rate()
-	wantR := []float64{5, 0, 4}
-	for i, w := range wantR {
-		if r.V[i] != w {
-			t.Errorf("Rate[%d] = %g, want %g", i, r.V[i], w)
-		}
-	}
-}
-
-func TestSeriesRateZeroInterval(t *testing.T) {
-	s := mustSeries(t, 0, 0, 0, 3, 1, 4)
-	r := s.Rate()
-	if r.V[0] != 0 {
-		t.Errorf("zero-length interval rate = %g, want 0", r.V[0])
-	}
-	if r.V[1] != 1 {
-		t.Errorf("rate = %g, want 1", r.V[1])
-	}
-}
-
-func TestSeriesMovingAverage(t *testing.T) {
-	s := mustSeries(t, 0, 0, 1, 6, 2, 0, 3, 6, 4, 0)
-	m := s.MovingAverage(1)
-	want := []float64{3, 2, 4, 2, 3}
-	for i, w := range want {
-		if m.V[i] != w {
-			t.Errorf("MA[%d] = %g, want %g", i, m.V[i], w)
-		}
-	}
-	// halfWidth 0 is the identity.
-	id := s.MovingAverage(0)
-	for i := range s.V {
-		if id.V[i] != s.V[i] {
-			t.Error("MovingAverage(0) must be identity")
-		}
-	}
-}
-
-func TestSeriesDownsample(t *testing.T) {
-	s := NewSeries(100)
-	for i := 0; i < 100; i++ {
-		_ = s.Append(float64(i), float64(i*i))
-	}
-	d := s.Downsample(10)
-	if d.Len() != 10 {
-		t.Fatalf("Downsample len = %d, want 10", d.Len())
-	}
-	if d.T[0] != 0 || d.T[9] != 99 {
-		t.Errorf("Downsample must retain endpoints, got %g..%g", d.T[0], d.T[9])
-	}
-	if s.Downsample(200) != s {
-		t.Error("Downsample of a small series must return the receiver")
-	}
-}
-
-func TestSeriesResample(t *testing.T) {
-	s := mustSeries(t, 0, 1, 10, 2)
-	grid := Grid(0, 10, 5)
-	r := s.Resample(grid)
-	if r.Len() != 6 {
-		t.Fatalf("resample len = %d, want 6", r.Len())
-	}
-	if r.V[0] != 1 || r.V[4] != 1 || r.V[5] != 2 {
-		t.Errorf("resampled values wrong: %v", r.V)
 	}
 }
 

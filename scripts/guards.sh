@@ -210,12 +210,17 @@ one_figure_path() {
 	absent one_figure_path 'flag\.[A-Za-z]+\("dist"' 'cmd/btexp/*.go'
 }
 
-# A worker evaluates exactly the kinds a server accepts, by one call to
-# serve.RegisterEvaluators over serve's kind table (DESIGN.md §11). A
-# hand-kept kind list in btworker (the last one left out fluid) may not
-# grow back.
-one_worker_kind_list() {
-	absent one_worker_kind_list 'serve\.Kind[A-Z]' 'cmd/btworker/*.go' ':!*_test.go'
+# btserve evaluates locally only (DESIGN.md §11): the pool is 3.4–7.3×
+# slower than local evaluation at every size serve admits, and
+# internal/dist stays only as the serve_dist benchmark's fixture. No
+# binary may import it, btserve may not grow a pool flag back, and the
+# fallback evaluator, the drain protocol and their names may not return.
+no_pool_product() {
+	absent no_pool_product \
+		'FallbackEvaluator|HealthyPool|RegisterEvaluators|HealthyWorkers|pool_fallbacks|TypeGoodbye|ReasonDraining|ErrCoordinatorDraining' \
+		'*.go' ':!bench'
+	absent no_pool_product 'flag\.[A-Za-z]+\("(pool|shard-runs)"' 'cmd/btserve/*.go'
+	absent no_pool_product '"repro/internal/dist"' 'cmd/*.go'
 }
 
 # serve builds a chain model in one place, the process-wide memo in
@@ -227,9 +232,8 @@ one_model_build() {
 }
 
 # The worker pool has one health record, the coordinator's strike book
-# (DESIGN.md §13): serve answers locally when the pool reports no healthy
-# worker or fails, and keeps no breaker state of its own; dist breaks
-# load ties by name, with no latency score. par.Map is the one fan-out:
+# (DESIGN.md §13): serve keeps no breaker state of its own, and dist
+# breaks load ties by name, with no latency score. par.Map is the one fan-out:
 # a job that draws numbers calls base.At(i) itself (DESIGN.md §8).
 one_pool_health_record() {
 	absent one_pool_health_record \
@@ -282,7 +286,7 @@ one_calibration_route
 one_tier_comparison
 one_swarm_sweep
 one_figure_path
-one_worker_kind_list
+no_pool_product
 one_model_build
 one_pool_health_record
 one_liveness_signal

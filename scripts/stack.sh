@@ -3,7 +3,6 @@
 # command against them, and tears everything down again.
 #
 #   scripts/stack.sh gateway <command...>   2 btserve replicas + btgate
-#   scripts/stack.sh pool    <command...>   btserve hosting a pool + 1 btworker
 #
 # The binaries are built once into a scratch directory whose path the
 # command sees as $BIN (btload is there too). Each process is waited for
@@ -13,11 +12,10 @@
 #
 #   gateway: replicas 127.0.0.1:18091/:18092 (debug :16061/:16062),
 #            gateway 127.0.0.1:18080 (debug :16060)
-#   pool:    btserve 127.0.0.1:18090 (debug :16060), coordinator :19400
 set -eu
 
 usage() {
-	echo "usage: $0 gateway|pool command [args...]" >&2
+	echo "usage: $0 gateway command [args...]" >&2
 	exit 2
 }
 [ $# -ge 2 ] || usage
@@ -79,14 +77,6 @@ gateway)
 		-replicas http://127.0.0.1:18091,http://127.0.0.1:18092 \
 		-debug-addr 127.0.0.1:16060
 	await http://127.0.0.1:18080/healthz
-	;;
-pool)
-	go build -o "$dir" ./cmd/btserve ./cmd/btworker
-	start server "$dir/btserve" -addr 127.0.0.1:18090 -pool 127.0.0.1:19400 \
-		-debug-addr 127.0.0.1:16060
-	await http://127.0.0.1:18090/healthz
-	start worker "$dir/btworker" -connect 127.0.0.1:19400 -slots 2
-	await http://127.0.0.1:18090/metrics '"dist.workers":1'
 	;;
 *)
 	usage

@@ -2,11 +2,9 @@
 // well-formed Chrome trace-event JSON (per trace.ValidateChrome — the
 // same checker the unit and fuzz tests enforce), and the merged event
 // set optionally must contain a minimum number of complete spans, named
-// spans, and named processes. CI's trace-smoke job runs it against a
-// live btserve -pool export to prove coordinator and worker spans
-// stitched into one trace; the gateway-smoke job runs it across a
+// spans, and named processes. CI's live-stack job runs it across a
 // btgate export AND the replica exports to prove one trace ID covers
-// both tiers.
+// both tiers, down to the owning replica's evaluation span.
 //
 // Usage:
 //

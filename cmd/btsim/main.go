@@ -55,7 +55,6 @@ func main() {
 		Pieces:               *pieces,
 		MaxConns:             *k,
 		NeighborSet:          *s,
-		PieceTime:            1,
 		ArrivalRate:          *lambda,
 		InitialPeers:         *initial,
 		InitialSkew:          *skew,
@@ -108,10 +107,12 @@ func run(w io.Writer, cfg sim.Config, series bool, tracesTo, metricsOut, debugAd
 	if err != nil {
 		return err
 	}
+	t0 := time.Now()
 	res, err := sw.Run()
 	if err != nil {
 		return err
 	}
+	wall := time.Since(t0).Seconds()
 	fmt.Fprintf(w, "swarm run: B=%d k=%d s=%d lambda=%g horizon=%g strategy=%s\n",
 		cfg.Pieces, cfg.MaxConns, cfg.NeighborSet, cfg.ArrivalRate, cfg.Horizon, cfg.PieceSelection)
 	fmt.Fprintf(w, "arrivals=%d completions=%d exchanges=%d seed-uploads=%d optimistic=%d shakes=%d\n",
@@ -120,9 +121,8 @@ func run(w io.Writer, cfg sim.Config, series bool, tracesTo, metricsOut, debugAd
 	fmt.Fprintf(w, "mean download time: %.2f rounds\n", res.MeanDownloadTime())
 	fmt.Fprintf(w, "mean efficiency (slot utilization): %.4f\n", res.MeanEfficiency())
 	fmt.Fprintf(w, "mean connection persistence p_r: %.4f\n", res.MeanPR())
-	fmt.Fprintf(w, "kernel: %d events fired, %d cancelled, max queue depth %d, %.3gs wall (%.3g s/vt)\n",
-		res.Kernel.Fired, res.Kernel.Cancelled, res.Kernel.MaxQueueDepth,
-		res.Kernel.WallSeconds, res.Kernel.WallPerVirtualUnit())
+	fmt.Fprintf(w, "kernel: %d events fired, %.3gs wall (%.3g s/round)\n",
+		res.EventsFired, wall, wall/res.EndTime)
 	if cfg.Faults != nil {
 		fmt.Fprintf(w, "faults: injected drops=%d crashes=%d rejoins=%d blackout rounds=%d\n",
 			res.FaultDrops(), res.Crashes(), res.Rejoins(), res.BlackoutRounds())

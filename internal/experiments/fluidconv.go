@@ -72,7 +72,7 @@ const (
 
 // fluidConvChunkParams maps a run of the scenario at scale n onto the
 // chunk model in scaled (per-N) units, at trading efficiency eta. Rates
-// follow sim units (PieceTime = 1): a leecher moves at most MaxConns
+// follow sim units (one round per time unit): a leecher moves at most MaxConns
 // pieces per round each way, so C·K = Mu·K = MaxConns; σ is the per-seed
 // pieces-per-round knob verbatim; λ is ArrivalRate per capita. Theta,
 // Gamma and SeedFraction stay zero — no aborts, completions leave

@@ -329,10 +329,12 @@ func simOut(req *Request, res *sim.Result) *SimOut {
 		MeanEfficiency:   F64(res.MeanEfficiency()),
 		MeanPR:           F64(res.MeanPR()),
 		EndTime:          res.EndTime,
-		EventsFired:      res.Kernel.Fired,
-		EventsCancelled:  res.Kernel.Cancelled,
+		EventsFired:      res.EventsFired,
 		FinalEntropy:     F64(math.NaN()),
 		FinalPopulation:  F64(math.NaN()),
+		// The swarm has no cancellable events; the field stays because the
+		// sim corpus digests pin the response bytes.
+		EventsCancelled: 0,
 	}
 	if n := res.EntropySeries.Len(); n > 0 {
 		out.FinalEntropy = F64(res.EntropySeries.V[n-1])

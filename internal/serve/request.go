@@ -84,6 +84,9 @@ const (
 	maxConns    = 100
 	maxHorizon  = 20000
 	maxInitial  = 20000
+	// maxLambda bounds the arrivals drawn between two rounds, which the
+	// deadline cannot interrupt (the context is polled once per round).
+	maxLambda = 1000
 	// Fluid caps: the sample grid bounds the response size, the chunk
 	// piece count bounds the O(K²) derivative evaluation and the (K+1)²
 	// usefulness table.
@@ -402,6 +405,8 @@ func (q *SimQuery) normalize(seed uint64) error {
 		return fmt.Errorf("%w: pieces = %d exceeds serving cap %d", ErrBadRequest, q.Pieces, maxPieces)
 	case q.Horizon > maxHorizon:
 		return fmt.Errorf("%w: horizon = %g exceeds serving cap %d", ErrBadRequest, q.Horizon, maxHorizon)
+	case *q.ArrivalRate > maxLambda:
+		return fmt.Errorf("%w: lambda = %g exceeds serving cap %d", ErrBadRequest, *q.ArrivalRate, maxLambda)
 	case *q.InitialPeers > maxInitial:
 		return fmt.Errorf("%w: initialPeers = %d exceeds serving cap %d", ErrBadRequest, *q.InitialPeers, maxInitial)
 	case q.NeighborSet > maxNeighbor:
@@ -427,7 +432,6 @@ func (q *SimQuery) config(seed uint64) sim.Config {
 		Pieces:               q.Pieces,
 		MaxConns:             q.MaxConns,
 		NeighborSet:          q.NeighborSet,
-		PieceTime:            1,
 		ArrivalRate:          *q.ArrivalRate,
 		InitialPeers:         *q.InitialPeers,
 		InitialSkew:          q.InitialSkew,

@@ -101,6 +101,7 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"wrong section", Request{Kind: KindModel, Sim: &SimQuery{}}},
 		{"two sections", Request{Kind: KindSim, Sim: &SimQuery{}, Model: &ModelQuery{}}},
 		{"pieces cap", Request{Kind: KindSim, Sim: &SimQuery{Pieces: maxPieces + 1}}},
+		{"lambda cap", Request{Kind: KindSim, Sim: &SimQuery{ArrivalRate: fp(maxLambda + 1)}}},
 		{"runs cap", Request{Kind: KindModel, Model: &ModelQuery{Runs: maxRuns + 1}}},
 		{"bad probability", Request{Kind: KindModel, Model: &ModelQuery{PInit: fp(1.5)}}},
 		{"bad efficiency k", Request{Kind: KindEfficiency, Efficiency: &EfficiencyQuery{K: -1}}},

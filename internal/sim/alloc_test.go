@@ -59,10 +59,10 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTradingRoundAllocsBounded is the same gate for a swarm that is
-// really trading: with arrivals on, a round may allocate one des.Event
-// per arrival and one TTD slice per completion, plus a small constant for
-// the amortized growth of the peer store, the completion log and the
-// free list — and nothing per exchange, per link or per neighbor scan.
+// really trading: a round may allocate one TTD slice per completion, plus
+// a small constant for the amortized growth of the peer store, the
+// completion log and the free list — and nothing per arrival, per
+// exchange, per link or per neighbor scan.
 func TestTradingRoundAllocsBounded(t *testing.T) {
 	cfg := churnConfig()
 	cfg.InitialPeers, cfg.Seeds, cfg.ArrivalRate = 200, 20, 80
@@ -75,19 +75,21 @@ func TestTradingRoundAllocsBounded(t *testing.T) {
 	}
 	const rounds = 8
 	arrivals, completions := s.res.arrivals, len(s.res.Completions)
-	at := s.sim.Now()
+	at := s.now
 	// AllocsPerRun calls once to warm up, then rounds times.
 	avg := testing.AllocsPerRun(rounds, func() {
-		at += cfg.PieceTime
+		at++
 		if err := s.Advance(at); err != nil {
 			t.Fatal(err)
 		}
 	})
-	events := float64(s.res.arrivals-arrivals+len(s.res.Completions)-completions) / (rounds + 1)
-	if events < 100 {
-		t.Fatalf("only %.0f arrivals + completions per round: the swarm is not churning", events)
+	arrived := float64(s.res.arrivals-arrivals) / (rounds + 1)
+	done := float64(len(s.res.Completions)-completions) / (rounds + 1)
+	if arrived+done < 100 {
+		t.Fatalf("only %.0f arrivals + completions per round: the swarm is not churning", arrived+done)
 	}
-	if avg > events+8 {
-		t.Errorf("a trading round allocates %.1f times for %.1f arrivals + completions, want at most 8 more", avg, events)
+	if avg > done+8 {
+		t.Errorf("a trading round allocates %.1f times for %.1f completions (and %.1f arrivals), want at most 8 more",
+			avg, done, arrived)
 	}
 }

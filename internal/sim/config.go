@@ -3,7 +3,8 @@
 //
 // Peers arrive as a Poisson process, obtain a neighbor set from a tracker,
 // trade pieces in strict tit-for-tat rounds over at most k simultaneous
-// connections, and depart as soon as they hold all B pieces. The simulator
+// connections, and depart as soon as they hold all B pieces. One exchange
+// round is one unit of virtual time, the chain's time step. The simulator
 // exposes the measurements behind the paper's figures: per-peer download
 // and potential-set trajectories (Figs. 1–2), connection utilization and
 // persistence (Fig. 4a), swarm population and entropy under skewed starts
@@ -51,11 +52,8 @@ type Config struct {
 	MaxConns int
 	// NeighborSet is s, the maximum neighbor-set size.
 	NeighborSet int
-	// PieceTime is the virtual duration of one exchange round; every
-	// active connection transfers one piece each way per round.
-	PieceTime float64
 	// ArrivalRate is λ, the Poisson arrival rate of new leechers per unit
-	// of virtual time. Zero disables arrivals.
+	// of virtual time (per round). Zero disables arrivals.
 	ArrivalRate float64
 	// InitialPeers seeds the swarm with leechers present at time zero.
 	InitialPeers int
@@ -106,7 +104,8 @@ type Config struct {
 	// TrackerRefreshRounds is how many rounds pass between a peer's
 	// tracker re-contacts to top up a depleted neighbor set.
 	TrackerRefreshRounds int
-	// Horizon is the virtual end time of the simulation.
+	// Horizon is the virtual end time of the simulation; the rounds fire
+	// at 1, 2, … up to and including it.
 	Horizon float64
 	// Seed1, Seed2 seed the deterministic RNG.
 	Seed1, Seed2 uint64
@@ -141,7 +140,6 @@ func DefaultConfig() Config {
 		Pieces:               200,
 		MaxConns:             7,
 		NeighborSet:          40,
-		PieceTime:            1,
 		ArrivalRate:          2,
 		InitialPeers:         50,
 		Seeds:                1,
@@ -169,10 +167,8 @@ func (c Config) Validate() error {
 		// The rarest-first replication tables hold one uint16 count per
 		// (peer, piece); a neighbor set beyond 65535 could overflow them.
 		return fmt.Errorf("sim: NeighborSet = %d, need <= 65535", c.NeighborSet)
-	case c.PieceTime <= 0 || math.IsNaN(c.PieceTime):
-		return fmt.Errorf("sim: PieceTime = %g, need > 0", c.PieceTime)
-	case c.ArrivalRate < 0 || math.IsNaN(c.ArrivalRate):
-		return fmt.Errorf("sim: ArrivalRate = %g, need >= 0", c.ArrivalRate)
+	case !(c.ArrivalRate >= 0 && c.ArrivalRate <= math.MaxFloat64):
+		return fmt.Errorf("sim: ArrivalRate = %g, need finite >= 0", c.ArrivalRate)
 	case c.InitialPeers < 0:
 		return fmt.Errorf("sim: InitialPeers = %d", c.InitialPeers)
 	case c.InitialSkew < 0 || c.InitialSkew > 1 || math.IsNaN(c.InitialSkew):
@@ -197,8 +193,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: ShakeThreshold = %g", c.ShakeThreshold)
 	case c.TrackerRefreshRounds < 1:
 		return fmt.Errorf("sim: TrackerRefreshRounds = %d, need >= 1", c.TrackerRefreshRounds)
-	case c.Horizon <= 0 || math.IsNaN(c.Horizon):
-		return fmt.Errorf("sim: Horizon = %g, need > 0", c.Horizon)
+	case !(c.Horizon > 0 && c.Horizon <= math.MaxFloat64):
+		return fmt.Errorf("sim: Horizon = %g, need finite > 0", c.Horizon)
 	case c.TrackPeers < 0:
 		return fmt.Errorf("sim: TrackPeers = %d", c.TrackPeers)
 	case c.MaxPeers < 0:

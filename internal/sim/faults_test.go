@@ -152,7 +152,7 @@ func TestTrackerBlackoutDegradesGracefully(t *testing.T) {
 	if res.BlackoutRounds() == 0 {
 		t.Fatal("blackout window covered no rounds")
 	}
-	// PieceTime 1 over [20, 50) spans ~30 rounds.
+	// [20, 50) spans ~30 rounds.
 	if res.BlackoutRounds() < 25 || res.BlackoutRounds() > 35 {
 		t.Errorf("blackout rounds = %d, want ~30", res.BlackoutRounds())
 	}

@@ -183,9 +183,9 @@ func checkInvariants(t testing.TB, s *Swarm) {
 			}
 			samples := s.traces[ps.traceIdx[sl]]
 			last := samples[len(samples)-1]
-			if want := len(ps.tradable(nil, sl)); last.Time != s.sim.Now() || last.Potential != want {
+			if want := len(ps.tradable(nil, sl)); last.Time != s.now || last.Potential != want {
 				t.Fatalf("round %d: tracked peer %d's newest sample %+v, want potential %d at t=%g",
-					round, ps.id[sl], last, want, s.sim.Now())
+					round, ps.id[sl], last, want, s.now)
 			}
 		}
 	}
@@ -366,7 +366,7 @@ func runChecked(t testing.TB, cfg Config, extra ...func(testing.TB, *Swarm)) (*S
 		t.Fatal(err)
 	}
 	checkInvariants(t, s)
-	for at := cfg.PieceTime; at <= cfg.Horizon; at += cfg.PieceTime {
+	for at := 1.0; at <= cfg.Horizon; at++ {
 		before := s.res.rounds
 		if err := s.Advance(at); err != nil {
 			t.Fatal(err)

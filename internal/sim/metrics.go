@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/des"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -90,9 +89,9 @@ type Result struct {
 	// EndTime is the virtual time the run stopped.
 	EndTime float64
 
-	// Kernel is the DES kernel's own telemetry for the run (events
-	// fired, cancelled timers, heap high-water mark, wall-clock cost).
-	Kernel des.Stats
+	// EventsFired counts the run's events: exchange rounds plus arrival
+	// draws, admitted or refused at MaxPeers.
+	EventsFired uint64
 
 	// Aggregate counters.
 	counters
@@ -119,7 +118,7 @@ type counters struct {
 func newResult(cfg Config) *Result {
 	// Size the per-round series for the whole run up front (one sample per
 	// exchange round), so appends in the round loop never reallocate.
-	rounds := int(math.Min(cfg.Horizon/cfg.PieceTime+2, 65536))
+	rounds := int(math.Min(cfg.Horizon+2, 65536))
 	return &Result{
 		PopulationSeries: stats.NewSeries(rounds),
 		EntropySeries:    stats.NewSeries(rounds),
@@ -259,9 +258,8 @@ func (r *Result) MeanFirstPassage(pieces int) []float64 {
 
 // finish snapshots the run-level aggregates, including traces of tracked
 // peers still present at the horizon.
-func (r *Result) finish(s *Swarm, now float64) {
-	r.EndTime = now
-	r.Kernel = s.sim.Stats()
+func (r *Result) finish(s *Swarm) {
+	r.EndTime, r.EventsFired = s.now, s.events
 	for _, sl := range s.alive {
 		if s.ps.tracked[sl] && !s.ps.seed[sl] {
 			r.Traces = append(r.Traces, PeerTrace{

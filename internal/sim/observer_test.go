@@ -252,7 +252,7 @@ func TestDisabledObserverZeroAlloc(t *testing.T) {
 	}
 	nilAllocs := run(nil)
 	nopAllocs := run(nopObserver{})
-	// The run executes Horizon/PieceTime = 30 rounds. A hook that
+	// The run executes Horizon = 30 rounds. A hook that
 	// allocated even once per round would show a difference of 30+; the
 	// runtime itself wobbles the totals by ±1 between identical runs, so
 	// tolerate that jitter and nothing more.

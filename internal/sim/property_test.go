@@ -19,7 +19,6 @@ func randomConfig(seed uint64) Config {
 		Pieces:               r.IntN(40) + 2,
 		MaxConns:             r.IntN(6) + 1,
 		NeighborSet:          r.IntN(20) + 2,
-		PieceTime:            1,
 		ArrivalRate:          float64(r.IntN(3)),
 		InitialPeers:         r.IntN(40) + 5,
 		InitialSkew:          float64(r.IntN(2)) * 0.9,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -41,8 +42,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Pieces = 0 },
 		func(c *Config) { c.MaxConns = 0 },
 		func(c *Config) { c.NeighborSet = 0 },
-		func(c *Config) { c.PieceTime = 0 },
 		func(c *Config) { c.ArrivalRate = -1 },
+		func(c *Config) { c.ArrivalRate = math.Inf(1) },
 		func(c *Config) { c.InitialPeers = -1 },
 		func(c *Config) { c.InitialSkew = 2 },
 		func(c *Config) { c.Seeds = -1 },
@@ -52,6 +53,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ShakeThreshold = 1.5 },
 		func(c *Config) { c.TrackerRefreshRounds = 0 },
 		func(c *Config) { c.Horizon = -1 },
+		func(c *Config) { c.Horizon = math.Inf(1) },
 		func(c *Config) { c.TrackPeers = -1 },
 		func(c *Config) { c.MaxPeers = -1 },
 		func(c *Config) { c.InitialPeers = 0; c.ArrivalRate = 0 },
@@ -324,40 +326,40 @@ func TestPopulationConservation(t *testing.T) {
 
 // TestAdvanceMatchesRun: stepping the simulation with Advance and then
 // finishing with Run replays the exact trajectory of a single
-// uninterrupted Run.
+// uninterrupted Run, which fires every round up to and including the
+// horizon and stops the clock on it.
 func TestAdvanceMatchesRun(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Pieces = 30
-	cfg.InitialPeers = 40
-	cfg.ArrivalRate = 2
-	cfg.Horizon = 60
-	cfg.TrackPeers = 4
+	for _, horizon := range []float64{60, 60.5} {
+		t.Run(fmt.Sprintf("horizon_%g", horizon), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Pieces = 30
+			cfg.InitialPeers = 40
+			cfg.ArrivalRate = 2
+			cfg.Horizon = horizon
+			cfg.TrackPeers = 4
 
-	straight, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA, err := straight.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+			resA, err := mustRun(t, cfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped := mustRun(t, cfg)
+			if err := stepped.Advance(cfg.Horizon / 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := stepped.Advance(2 * cfg.Horizon / 3); err != nil {
+				t.Fatal(err)
+			}
+			resB, err := stepped.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	stepped, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stepped.Advance(cfg.Horizon / 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := stepped.Advance(2 * cfg.Horizon / 3); err != nil {
-		t.Fatal(err)
-	}
-	resB, err := stepped.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := oracleJSON(t, resA), oracleJSON(t, resB); !bytes.Equal(a, b) {
-		t.Fatal("Advance-then-Run diverged from a straight Run")
+			if a, b := oracleJSON(t, resA), oracleJSON(t, resB); !bytes.Equal(a, b) {
+				t.Fatal("Advance-then-Run diverged from a straight Run")
+			}
+			if resA.Rounds() != 60 || resA.EndTime != horizon {
+				t.Errorf("%d rounds ending at %g, want 60 ending at the horizon", resA.Rounds(), resA.EndTime)
+			}
+		})
 	}
 }

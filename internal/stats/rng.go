@@ -160,33 +160,3 @@ func (r *RNG) Bernoulli(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// SampleWithoutReplacement returns k distinct values drawn uniformly from
-// [0, n). It panics if k > n or either argument is negative.
-// The result is in selection order (itself uniformly random).
-func (r *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k < 0 || n < 0 || k > n {
-		panic("stats: SampleWithoutReplacement requires 0 <= k <= n")
-	}
-	if k == 0 {
-		return nil
-	}
-	// Partial Fisher–Yates over a dense index map; O(k) memory for the
-	// displaced entries only.
-	displaced := make(map[int]int, k)
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + r.IntN(n-i)
-		vi, ok := displaced[i]
-		if !ok {
-			vi = i
-		}
-		vj, ok := displaced[j]
-		if !ok {
-			vj = j
-		}
-		out[i] = vj
-		displaced[j] = vi
-	}
-	return out
-}

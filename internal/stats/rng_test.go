@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 // TestRNGDrawsMatchMathRandV2 pins the draw path RNG implements itself
@@ -256,66 +255,4 @@ func TestBernoulliBounds(t *testing.T) {
 	if frac < 0.28 || frac > 0.32 {
 		t.Errorf("Bernoulli(0.3) hit fraction %g", frac)
 	}
-}
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRNG(8, 9)
-	f := func(nRaw, kRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		k := int(kRaw) % (n + 1)
-		got := r.SampleWithoutReplacement(n, k)
-		if len(got) != k {
-			return false
-		}
-		seen := make(map[int]bool, k)
-		for _, v := range got {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSampleWithoutReplacementFull(t *testing.T) {
-	r := NewRNG(10, 11)
-	got := r.SampleWithoutReplacement(6, 6)
-	seen := make(map[int]bool)
-	for _, v := range got {
-		seen[v] = true
-	}
-	if len(seen) != 6 {
-		t.Errorf("k=n sample must be a permutation, got %v", got)
-	}
-}
-
-func TestSampleWithoutReplacementUniform(t *testing.T) {
-	// Each element of [0,10) should appear in a 3-sample with prob 0.3.
-	r := NewRNG(12, 13)
-	counts := make([]int, 10)
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		for _, v := range r.SampleWithoutReplacement(10, 3) {
-			counts[v]++
-		}
-	}
-	for v, c := range counts {
-		frac := float64(c) / trials
-		if frac < 0.27 || frac > 0.33 {
-			t.Errorf("element %d sampled with frequency %g, want ~0.3", v, frac)
-		}
-	}
-}
-
-func TestSampleWithoutReplacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k > n must panic")
-		}
-	}()
-	NewRNG(1, 1).SampleWithoutReplacement(3, 4)
 }

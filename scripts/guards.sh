@@ -252,6 +252,14 @@ one_liveness_signal() {
 		'*.go' ':!bench'
 }
 
+# The swarm keeps two clocks, the next round and the next arrival
+# (DESIGN.md §14), and a round is one unit of virtual time by
+# construction: the general event kernel, its round-length knob and its
+# telemetry block on Result may not grow back.
+one_event_clock() {
+	absent one_event_clock 'repro/internal/des|PieceTime|Kernel des\.' '*.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -290,6 +298,7 @@ no_pool_product
 one_model_build
 one_pool_health_record
 one_liveness_signal
+one_event_clock
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

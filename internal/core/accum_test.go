@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -181,8 +182,10 @@ func TestAccumFoldMatchesEnsemble(t *testing.T) {
 }
 
 // TestAccumChunkRule: the local fan-out never cuts more chunks than
-// runs, keeps small ensembles in one accumulator, and holds a bounded
-// number of accumulators however large the ensemble.
+// runs, keeps small ensembles in one chunk, and cuts a bounded number of
+// chunks however large the ensemble — and, whatever the worker count,
+// holds at most min(jobs, chunks) accumulators, which fold (with the
+// run-indexed completions) to the one-worker result.
 func TestAccumChunkRule(t *testing.T) {
 	for _, runs := range []int{1, 20, 32, 33, 512, 2048, 2049, 20000, 1 << 20} {
 		chunk := chunkRuns(runs)
@@ -192,6 +195,86 @@ func TestAccumChunkRule(t *testing.T) {
 		}
 		if runs <= minChunkRuns && chunks != 1 {
 			t.Errorf("runs %d: %d chunks, want 1", runs, chunks)
+		}
+	}
+
+	m, err := NewModel(DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.SetDefaultJobs(0) //nolint:errcheck // 0 is always accepted
+	r := stats.NewRNG(4, 9)
+	for _, runs := range []int{1, 33, 512, 3000} {
+		for _, lo := range []int{0, 7} {
+			var want *EnsembleAccum
+			for _, jobs := range []int{1, 2, 3, 8} {
+				if err := par.SetDefaultJobs(jobs); err != nil {
+					t.Fatal(err)
+				}
+				parts, _, err := m.sampleParts(context.Background(), r, lo, lo+runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunk := chunkRuns(runs)
+				if limit := min(jobs, (runs+chunk-1)/chunk); len(parts) > limit {
+					t.Errorf("runs %d jobs %d: %d accumulators, want <= %d", runs, jobs, len(parts), limit)
+				}
+				got, err := m.SampleRuns(context.Background(), r, lo, lo+runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("runs %d lo %d jobs %d: accumulator %+v, one worker's %+v", runs, lo, jobs, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEnsembleAllocsIndependentOfRuns: an ensemble allocates the same
+// number of times at every size — each worker one accumulator, one
+// run-indexed completion slice, no per-run trajectory or substream —
+// under one and two workers. A model that never completes (PN = 0: after
+// the free first piece no connection ever opens) walks every run to the
+// step cap without allocating more than a completing ensemble; that row
+// takes about 0.4 s (two 100 ms ensembles per worker count).
+func TestEnsembleAllocsIndependentOfRuns(t *testing.T) {
+	m, err := NewModel(DefaultParams(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := DefaultParams(40)
+	stuck.PN = 0
+	ms, err := NewModel(stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(m *Model, runs, times int) float64 {
+		return testing.AllocsPerRun(times, func() {
+			if _, err := m.Ensemble(stats.NewRNG(1, 2), runs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	defer par.SetDefaultJobs(0) //nolint:errcheck // 0 is always accepted
+	for _, jobs := range []int{1, 2} {
+		if err := par.SetDefaultJobs(jobs); err != nil {
+			t.Fatal(err)
+		}
+		base := allocs(m, 64, 20)
+		if base > 40 {
+			t.Errorf("jobs %d: a 64-run ensemble allocates %v times, want <= 40", jobs, base)
+		}
+		t.Logf("jobs %d: %v allocations per ensemble", jobs, base)
+		for _, runs := range []int{512, 4096} {
+			if got := allocs(m, runs, 5); got != base {
+				t.Errorf("jobs %d: %d runs allocate %v times, 64 runs %v", jobs, runs, got, base)
+			}
+		}
+		if got, want := allocs(ms, 2, 1), allocs(m, 2, 20); got > want {
+			t.Errorf("jobs %d: 2 runs to the step cap allocate %v times, 2 completing runs %v", jobs, got, want)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // classifyPhasesRef is ClassifyPhases as it was written before it labelled
@@ -33,8 +36,42 @@ func classifyPhasesRef(p Params, t Trajectory) PhaseBreakdown {
 	return out
 }
 
+// addRun is the fold SampleRuns made before the walker sampled into its
+// accumulator: one whole trajectory, folded after the fact, step by step
+// as walk folds each state as it lands. It stays as the reference walk
+// must match entry for entry.
+func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
+	var pb PhaseBreakdown
+	ph := trace.Phaser{B: p.B}
+	nextB := 0
+	for step, s := range traj {
+		if step > 0 {
+			pb.count(ph.Next(s.B, s.I))
+		}
+		a.PotSum[s.B] += int64(s.I)
+		a.PotCnt[s.B]++
+		if nextB <= s.B {
+			a.FPSum[nextB] += int64(step)
+			a.FPCnt[nextB]++
+			if nextB = s.B + 1; nextB < len(a.FPSum) {
+				a.FPSum[nextB] -= int64(step)
+				a.FPCnt[nextB]--
+			}
+		}
+	}
+	if steps := len(traj) - 1; traj[steps].B == p.B {
+		a.Completion = append(a.Completion, steps)
+	} else {
+		a.Truncated++
+	}
+	a.Phases.add(pb)
+}
+
 // TestClassifyPhasesMatchesReference holds ClassifyPhases and addRun's
-// phase totals to the reference on sampled and hand-made trajectories.
+// phase totals to the reference on hand-made trajectories, and on
+// sampled ones holds the walker's phase totals to ClassifyPhases over
+// SampleTrajectory of the same substream — and the walker's whole
+// accumulator and completion step to addRun's.
 func TestClassifyPhasesMatchesReference(t *testing.T) {
 	hand := []Trajectory{
 		nil,
@@ -78,20 +115,35 @@ func TestClassifyPhasesMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc := NewEnsembleAccum(c.p.B)
+		acc, ref := NewEnsembleAccum(c.p.B), NewEnsembleAccum(c.p.B)
 		var want phaseAccumulator
 		r := stats.NewRNG(30, 5)
 		for run := 0; run < 10_000; run++ {
 			traj := m.SampleTrajectory(r.At(run))
-			ref := classifyPhasesRef(c.p, traj)
-			if got := ClassifyPhases(c.p, traj); got != ref {
-				t.Fatalf("%s run %d: ClassifyPhases = %+v, reference %+v", c.name, run, got, ref)
+			if got, wantRef := ClassifyPhases(c.p, traj), classifyPhasesRef(c.p, traj); got != wantRef {
+				t.Fatalf("%s run %d: ClassifyPhases = %+v, reference %+v", c.name, run, got, wantRef)
 			}
-			want.add(ref)
-			acc.addRun(c.p, traj)
+			want.add(ClassifyPhases(c.p, traj))
+			steps, err := m.walk(context.Background(), r.At(run), acc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if acc.Phases != want {
-				t.Fatalf("%s run %d: addRun phases = %+v, reference %+v", c.name, run, acc.Phases, want)
+				t.Fatalf("%s run %d: walk phases = %+v, ClassifyPhases %+v", c.name, run, acc.Phases, want)
 			}
+			ref.addRun(c.p, traj)
+			if steps >= 0 {
+				acc.Completion = append(acc.Completion, steps)
+			} else {
+				acc.Truncated++
+			}
+			if acc.Runs() != ref.Runs() || !slices.Equal(acc.PotSum, ref.PotSum) || !slices.Equal(acc.PotCnt, ref.PotCnt) ||
+				!slices.Equal(acc.FPSum, ref.FPSum) || !slices.Equal(acc.FPCnt, ref.FPCnt) {
+				t.Fatalf("%s run %d: walk folded %+v, addRun %+v", c.name, run, acc, ref)
+			}
+		}
+		if !reflect.DeepEqual(acc, ref) {
+			t.Fatalf("%s: walk folded %+v, addRun %+v", c.name, acc, ref)
 		}
 	}
 }

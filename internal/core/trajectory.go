@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/stats"
@@ -50,14 +51,8 @@ func (m *Model) SampleTrajectory(r *stats.RNG) Trajectory {
 // with the context's error. A nil ctx skips every check — the fast path
 // is identical to SampleTrajectory and allocates nothing extra.
 func (m *Model) SampleTrajectoryCtx(ctx context.Context, r *stats.RNG) (Trajectory, error) {
-	return m.appendTrajectory(ctx, r, make(Trajectory, 0, m.p.B+16))
-}
-
-// appendTrajectory is SampleTrajectoryCtx into buf[:0], so an ensemble
-// chunk walks all its runs through one buffer.
-func (m *Model) appendTrajectory(ctx context.Context, r *stats.RNG, buf Trajectory) (Trajectory, error) {
 	s := State{}
-	traj := append(buf[:0], s)
+	traj := append(make(Trajectory, 0, m.p.B+16), s)
 	for step := 0; step < MaxTrajectorySteps; step++ {
 		if s.B == m.p.B {
 			break
@@ -71,6 +66,47 @@ func (m *Model) appendTrajectory(ctx context.Context, r *stats.RNG, buf Trajecto
 		traj = append(traj, s)
 	}
 	return traj, nil
+}
+
+// walk samples one run from r straight into a and returns its completion
+// step, or -1 at the step cap. It takes SampleTrajectoryCtx's steps and
+// polls and folds each state as it lands: into PotSum/PotCnt; into
+// FPSum/FPCnt as a first passage in difference form (b never decreases,
+// so the step that first reaches s.B is the first passage of every count
+// not reached before it: +step at that range's start, −step one past its
+// end, summed by settleFirstPassages); and, after the first state, into
+// Phases as trace.Phaser labels it. A context error leaves a part-way.
+func (m *Model) walk(ctx context.Context, r *stats.RNG, a *EnsembleAccum) (int, error) {
+	var pb PhaseBreakdown
+	ph := trace.Phaser{B: m.p.B}
+	s, nextB := State{}, 0
+	for step := 0; ; step++ {
+		a.PotSum[s.B] += int64(s.I)
+		a.PotCnt[s.B]++
+		if nextB <= s.B {
+			a.FPSum[nextB] += int64(step)
+			a.FPCnt[nextB]++
+			if nextB = s.B + 1; nextB < len(a.FPSum) {
+				a.FPSum[nextB] -= int64(step)
+				a.FPCnt[nextB]--
+			}
+		}
+		if s.B == m.p.B {
+			a.Phases.add(pb)
+			return step, nil
+		}
+		if step == MaxTrajectorySteps {
+			a.Phases.add(pb)
+			return -1, nil
+		}
+		if step%ctxCheckSteps == 0 {
+			if err := ctx.Err(); err != nil {
+				return -1, err
+			}
+		}
+		s = m.Step(r, s)
+		pb.count(ph.Next(s.B, s.I))
+	}
 }
 
 // DownloadSteps returns the number of steps until the trajectory first
@@ -110,10 +146,10 @@ type EnsembleStats struct {
 
 // EnsembleAccum is the additive state of an ensemble over a set of runs;
 // every curve in EnsembleStats is a ratio of two of its entries. It is
-// the only unit of merge: a chunk of the local pool and a shard of a
-// distributed task are both sampled straight into one (SampleRuns) and
-// folded with Merge, and a shard crosses the wire as AppendBinary's
-// varints.
+// the only unit of merge: each worker of the local pool samples
+// straight into one (SampleRuns), a shard of a distributed task is one
+// and is folded with Merge, and a shard crosses the wire as
+// AppendBinary's varints.
 //
 // Every entry is an integer count or a sum of counts. Integer addition
 // is associative, so any partition of [0, runs) into contiguous ranges,
@@ -227,41 +263,8 @@ func (a *EnsembleAccum) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// addRun folds one trajectory in. The piece count is monotone along a
-// trajectory (F never decreases b), so the step that first reaches s.B
-// is the first passage of every count not reached before it. Each such
-// range goes into FPSum/FPCnt in difference form — +step at its start,
-// −step one past its end — which settleFirstPassages sums up. Each step
-// after the first is labelled as ClassifyPhases labels it, in this pass.
-func (a *EnsembleAccum) addRun(p Params, traj Trajectory) {
-	var pb PhaseBreakdown
-	ph := trace.Phaser{B: p.B}
-	nextB := 0
-	for step, s := range traj {
-		if step > 0 {
-			pb.count(ph.Next(s.B, s.I))
-		}
-		a.PotSum[s.B] += int64(s.I)
-		a.PotCnt[s.B]++
-		if nextB <= s.B {
-			a.FPSum[nextB] += int64(step)
-			a.FPCnt[nextB]++
-			if nextB = s.B + 1; nextB < len(a.FPSum) {
-				a.FPSum[nextB] -= int64(step)
-				a.FPCnt[nextB]--
-			}
-		}
-	}
-	if steps := len(traj) - 1; traj[steps].B == p.B {
-		a.Completion = append(a.Completion, steps)
-	} else {
-		a.Truncated++
-	}
-	a.Phases.add(pb)
-}
-
-// settleFirstPassages turns the difference form addRun leaves in FPSum
-// and FPCnt into the sums themselves, with one prefix sum per chunk
+// settleFirstPassages turns the difference form walk leaves in FPSum and
+// FPCnt into the sums themselves, with one prefix sum per accumulator
 // instead of one add per piece per run.
 func (a *EnsembleAccum) settleFirstPassages() {
 	for b := 1; b < len(a.FPSum); b++ {
@@ -330,10 +333,11 @@ func ratioOrNaN(sum, n int64) float64 {
 //
 // Run i draws from the indexed substream r.At(i), which equals the
 // stream the former serial Split loop gave it. The runs are cut into
-// fixed chunks, fanned across a bounded worker pool (internal/par; the
-// worker count follows the process default, e.g. btexp -jobs) and folded
-// in chunk order — and the fold is integer addition, so the result is
-// bit-identical for any worker count and any chunking.
+// fixed chunks that a bounded worker pool (internal/par; the worker
+// count follows the process default, e.g. btexp -jobs) pulls in any
+// order, each worker into its own accumulator — and the fold is integer
+// addition, so the result is bit-identical for any worker count, any
+// chunking and any schedule.
 func (m *Model) Ensemble(r *stats.RNG, runs int) (EnsembleStats, error) {
 	return m.EnsembleCtx(context.Background(), r, runs)
 }
@@ -355,11 +359,11 @@ func (m *Model) EnsembleCtx(ctx context.Context, r *stats.RNG, runs int) (Ensemb
 }
 
 // Chunk rule of SampleRuns: 32-run chunks (a few hundred microseconds
-// each, well above par.Map's per-job cost) until there are 64 of them,
-// then 64 equal chunks, so a large ensemble holds a bounded number of
-// accumulators however many runs it has. The rule reads only the range
-// length — never the worker count — and since the fold is exact it could
-// not change the result even if it did.
+// each, well above the cost of pulling one off the feed) until there are
+// 64 of them, then 64 equal chunks, so a large ensemble still balances
+// across the workers however many runs it has. The rule reads only the
+// range length — never the worker count — and since the fold is exact it
+// could not change the result even if it did.
 const (
 	minChunkRuns = 32
 	maxChunks    = 64
@@ -374,26 +378,7 @@ func chunkRuns(n int) int {
 // whole ensemble and a distributed worker with its shard; the chunks of
 // the range fan over the local pool either way.
 func (m *Model) SampleRuns(ctx context.Context, r *stats.RNG, lo, hi int) (*EnsembleAccum, error) {
-	if lo < 0 || hi <= lo {
-		return nil, fmt.Errorf("core: empty run range [%d,%d)", lo, hi)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	chunk := chunkRuns(hi - lo)
-	parts, err := par.Map(ctx, (hi-lo+chunk-1)/chunk, 0, func(c int) (*EnsembleAccum, error) {
-		acc := NewEnsembleAccum(m.p.B)
-		var traj Trajectory
-		for i := lo + c*chunk; i < min(lo+(c+1)*chunk, hi); i++ {
-			var err error
-			if traj, err = m.appendTrajectory(ctx, r.At(i), traj); err != nil {
-				return nil, err
-			}
-			acc.addRun(m.p, traj)
-		}
-		acc.settleFirstPassages()
-		return acc, nil
-	})
+	parts, done, err := m.sampleParts(ctx, r, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +386,50 @@ func (m *Model) SampleRuns(ctx context.Context, r *stats.RNG, lo, hi int) (*Ense
 	for _, part := range parts[1:] {
 		acc.merge(part)
 	}
+	completed := 0
+	for _, steps := range done {
+		if steps >= 0 {
+			done[completed] = steps
+			completed++
+		}
+	}
+	acc.Completion, acc.Truncated = done[:completed], len(done)-completed
 	return acc, nil
+}
+
+// sampleParts is SampleRuns before the fold: one settled accumulator per
+// worker, min(par.DefaultJobs(), chunks) of them, each holding the
+// chunks its worker pulled off one shared feed, and done[i-lo], run i's
+// completion step or -1 at the cap, in run order.
+func (m *Model) sampleParts(ctx context.Context, r *stats.RNG, lo, hi int) ([]*EnsembleAccum, []int, error) {
+	if lo < 0 || hi <= lo {
+		return nil, nil, fmt.Errorf("core: empty run range [%d,%d)", lo, hi)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	chunk := chunkRuns(hi - lo)
+	chunks := (hi - lo + chunk - 1) / chunk
+	done := make([]int, hi-lo)
+	var feed atomic.Int64
+	parts, err := par.Map(ctx, min(par.DefaultJobs(), chunks), 0, func(int) (*EnsembleAccum, error) {
+		acc := NewEnsembleAccum(m.p.B)
+		for c := int(feed.Add(1)) - 1; c < chunks; c = int(feed.Add(1)) - 1 {
+			for i := lo + c*chunk; i < min(lo+(c+1)*chunk, hi); i++ {
+				steps, err := m.walk(ctx, r.At(i), acc)
+				if err != nil {
+					return nil, err
+				}
+				done[i-lo] = steps
+			}
+		}
+		acc.settleFirstPassages()
+		return acc, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return parts, done, nil
 }
 
 // PotentialRatioCurve returns E[i | b] / s for b = 0..B: the Figure 1(a)

@@ -104,6 +104,11 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"lambda cap", Request{Kind: KindSim, Sim: &SimQuery{ArrivalRate: fp(maxLambda + 1)}}},
 		{"runs cap", Request{Kind: KindModel, Model: &ModelQuery{Runs: maxRuns + 1}}},
 		{"bad probability", Request{Kind: KindModel, Model: &ModelQuery{PInit: fp(1.5)}}},
+		// pn = 0, or pInit = alpha = 0, strands every peer at its free
+		// first piece: each run would walk to the step cap. Canonicalize
+		// only; never evaluated.
+		{"pn zero", Request{Kind: KindModel, Model: &ModelQuery{PN: fp(0), Runs: maxRuns}}},
+		{"pInit and alpha zero", Request{Kind: KindModel, Model: &ModelQuery{PInit: fp(0), Alpha: fp(0)}}},
 		{"bad efficiency k", Request{Kind: KindEfficiency, Efficiency: &EfficiencyQuery{K: -1}}},
 		// Negative b once reached core.UniformPhi and panicked on a
 		// negative-length make(); it and its siblings must 400 instead.

@@ -63,7 +63,7 @@ func NewRNG(s1, s2 uint64) *RNG {
 // parent and of all previously split children. The parent remains usable.
 func (r *RNG) Split() *RNG {
 	r.nsplits++
-	return r.child(r.nsplits)
+	return r.At(int(r.nsplits - 1))
 }
 
 // At returns the i-th indexed substream of r. The result depends only on
@@ -73,20 +73,27 @@ func (r *RNG) Split() *RNG {
 // equals the (i+1)-th Split child of a fresh stream with the same seeds;
 // see the package comment for the seeding discipline. It panics if i is
 // negative.
+//
+// At stays within the compiler's inlining budget, so the child is
+// allocated in the caller: a loop that draws run i from r.At(i) and
+// lets the stream go keeps it on its own stack.
 func (r *RNG) At(i int) *RNG {
 	if i < 0 {
 		panic("stats: RNG.At requires i >= 0")
 	}
-	return r.child(uint64(i) + 1)
+	c := new(RNG)
+	c.seedChild(r, uint64(i)+1)
+	return c
 }
 
-// child jumps to the k-th derived stream (k >= 1) of r's seed pair: a
-// SplitMix64-style jump that multiplies the index by the 64-bit golden
-// ratio and finalizes with mix64, so nearby indices land on distant,
-// decorrelated seeds.
-func (r *RNG) child(k uint64) *RNG {
-	c := k * 0x9e3779b97f4a7c15
-	return NewRNG(mix64(r.s1^c), mix64(r.s2+c))
+// seedChild seeds c as the k-th derived stream (k >= 1) of parent's seed
+// pair: a SplitMix64-style jump that multiplies the index by the 64-bit
+// golden ratio and finalizes with mix64, so nearby indices land on
+// distant, decorrelated seeds. c must be fresh.
+func (c *RNG) seedChild(parent *RNG, k uint64) {
+	g := k * 0x9e3779b97f4a7c15
+	c.s1, c.s2 = mix64(parent.s1^g), mix64(parent.s2+g)
+	c.pcg.Seed(c.s1, c.s2)
 }
 
 // mix64 is the SplitMix64 finalizer, a strong 64-bit mixing function.

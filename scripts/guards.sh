@@ -260,6 +260,21 @@ one_event_clock() {
 	absent one_event_clock 'repro/internal/des|PieceTime|Kernel des\.' '*.go'
 }
 
+# The chain is walked one way into an ensemble: walk folds each state
+# into the worker's accumulator as it lands (DESIGN.md §8). The
+# trajectory buffer the accumulator re-read and its fold may not grow
+# back outside the tests (addRun is phases_test.go's reference), and a
+# substream comes from At or Split only: no second constructor (AtInto,
+# a SplitN, an exported seeding method) may sit beside them.
+one_chain_walk() {
+	absent one_chain_walk \
+		'func \(m \*Model\) appendTrajectory\(|func \(a \*EnsembleAccum\) addRun\(' \
+		'internal/core/*.go' ':!*_test.go'
+	absent one_chain_walk \
+		'func \([a-z]+ \*?RNG\) ((At|Split)[[:alnum:]_]+|[A-Z][[:alnum:]_]*Into|[A-Z][[:alnum:]_]*\([^)]*\*RNG)' \
+		'internal/stats/*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -299,6 +314,7 @@ one_model_build
 one_pool_health_record
 one_liveness_signal
 one_event_clock
+one_chain_walk
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

@@ -43,23 +43,39 @@ func runBinary(t *testing.T, bin string, args ...string) string {
 	return stdout.String()
 }
 
-// TestBinarySmokeGolden pins a fixed-seed run's headers and the first
+// TestBinarySmokeGolden pins fixed-seed runs' headers and the first
 // and last series lines. These values are the model's output contract:
 // they change only when the model itself (or its RNG discipline)
 // changes, which must be a deliberate, reviewed act.
 func TestBinarySmokeGolden(t *testing.T) {
-	out := runBinary(t, btmodelBin, "-B", "20", "-k", "3", "-s", "8", "-runs", "50", "-seed", "1")
-	for _, want := range []string{
-		"multiphased download model: B=20 k=3 s=8",
-		"  p_(   1) = 0.4750", // first trading-power line
-		"  p_(  19) = 0.4750", // last trading-power line
-		"  completion steps: mean 9.9, median 9.0, p25 9.0, p75 10.0",
-		"  k=1: eta=0.4840 (p_r=0.450, 13 iterations)",  // first efficiency line
-		"  k=4: eta=0.9366 (p_r=0.988, 215 iterations)", // last efficiency line
+	base := []string{"-B", "20", "-k", "3", "-s", "8", "-runs", "50", "-seed", "1"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"chain", base, []string{
+			"multiphased download model: B=20 k=3 s=8",
+			"  p_(   1) = 0.4750", // first trading-power line
+			"  p_(  19) = 0.4750", // last trading-power line
+			"  completion steps: mean 9.9, median 9.0, p25 9.0, p75 10.0",
+			"  k=1: eta=0.4840 (p_r=0.450, 13 iterations)",  // first efficiency line
+			"  k=4: eta=0.9366 (p_r=0.988, 215 iterations)", // last efficiency line
+		}},
+		{"seeded_selfphi", append(base[:len(base):len(base)], "-seedconns", "2", "-seedserve", "0.5", "-selfphi"), []string{
+			"-> 1.48x speedup",
+			"20 iterations, final delta 0.0677, entropy 0.906",
+			"phi(   1) = 0.2359",
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing golden line %q\n--- got:\n%s", want, out)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			out := runBinary(t, btmodelBin, tc.args...)
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing golden line %q\n--- got:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 

@@ -260,18 +260,9 @@ func SelfConsistentPhi(p Params, r *RNG, runs, maxIter int, damping, tol float64
 	return core.SelfConsistentPhi(p, r, runs, maxIter, damping, tol)
 }
 
-// The Section 7.2 seeding extension of the download model.
-type (
-	// SeedParams extends the model with non-tit-for-tat seed connections.
-	SeedParams = core.SeedParams
-	// SeededModel is the multiphased model plus seed connections.
-	SeededModel = core.SeededModel
-)
-
-// NewSeededModel validates and builds the seeding-extended model.
-func NewSeededModel(p Params, sp SeedParams) (*SeededModel, error) {
-	return core.NewSeededModel(p, sp)
-}
+// SeedParams is the Section 7.2 seeding term of the download model: the
+// type of Params.Seeds, non-tit-for-tat seed connections.
+type SeedParams = core.SeedParams
 
 // SeedSpeedup estimates the unseeded-to-seeded download-time ratio.
 func SeedSpeedup(p Params, sp SeedParams, r *RNG, runs int) (float64, error) {

@@ -30,15 +30,16 @@ func run() error {
 		{Conns: 1, PServe: 0.25},
 		{Conns: 2, PServe: 0.5},
 	} {
-		m, err := bitphase.NewSeededModel(params, sp)
+		params.Seeds = sp
+		m, err := bitphase.NewModel(params)
 		if err != nil {
 			return err
 		}
-		mean, err := m.MeanDownloadSteps(bitphase.NewRNG(1, uint64(sp.Conns)), 500)
+		ens, err := m.Ensemble(bitphase.NewRNG(1, uint64(sp.Conns)), 500)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %d seed conns @ p=%.2f: %.1f rounds\n", sp.Conns, sp.PServe, mean)
+		fmt.Printf("  %d seed conns @ p=%.2f: %.1f rounds\n", sp.Conns, sp.PServe, ens.CompletionSteps.Mean)
 	}
 
 	// 2. Simulator side: super-seeding on a skewed swarm.

@@ -26,11 +26,10 @@ func TestExpectedDownloadTimeMatchesSampling(t *testing.T) {
 	var acc stats.Accumulator
 	for i := 0; i < 4000; i++ {
 		traj := m.SampleTrajectory(r.Split())
-		steps := traj.DownloadSteps(p.B)
-		if steps < 0 {
+		if traj[len(traj)-1].B != p.B {
 			t.Fatal("trajectory did not complete")
 		}
-		acc.Add(float64(steps))
+		acc.Add(float64(len(traj) - 1))
 	}
 	if rel := math.Abs(acc.Mean()-exact) / exact; rel > 0.05 {
 		t.Errorf("sampled mean %g vs exact %g (rel %g)", acc.Mean(), exact, rel)

@@ -50,6 +50,9 @@ func newKernel(p Params) (*kernel, error) {
 	if err != nil {
 		return nil, err
 	}
+	if m.free != nil {
+		return nil, fmt.Errorf("%w: the exact sweep assumes b' = min(b+n, B) and has no seed term (ROADMAP item 16(a) lifts this)", ErrBadParams)
+	}
 	k := &kernel{p: p, w: p.K + 1, rows: make([][]float64, p.B*(p.K+1)*2)}
 	iRow := make([]float64, p.S+1)
 	nRow := make([]float64, p.K+1)

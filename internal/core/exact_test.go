@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -138,6 +139,23 @@ func TestExactPhaseDurationsRespondToAlpha(t *testing.T) {
 	}
 	if T, err := ExpectedDownloadTime(stuck); err == nil {
 		t.Errorf("alpha=0, p_init=0: download time %g, want an error", T)
+	}
+}
+
+// TestExactRefusesSeeds: the exact sweep has no seed term, so all three
+// exact entry points refuse a seeded Params rather than answer for the
+// seedless chain.
+func TestExactRefusesSeeds(t *testing.T) {
+	p := testParams()
+	p.Seeds = SeedParams{Conns: 2, PServe: 0.5}
+	if d, err := ExactPhaseDurations(p); !errors.Is(err, ErrBadParams) {
+		t.Errorf("ExactPhaseDurations = %+v, %v; want ErrBadParams", d, err)
+	}
+	if T, err := ExpectedDownloadTime(p); !errors.Is(err, ErrBadParams) {
+		t.Errorf("ExpectedDownloadTime = %g, %v; want ErrBadParams", T, err)
+	}
+	if _, err := TransientPhases(p, 10); !errors.Is(err, ErrBadParams) {
+		t.Errorf("TransientPhases error %v; want ErrBadParams", err)
 	}
 }
 

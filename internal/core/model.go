@@ -21,6 +21,9 @@ type Model struct {
 	iInit cdf
 	// nDist[n][m] = Bin(n, PR) + Bin(m, PN), n = 0..K, m = 0..K.
 	nDist [][]cdf
+	// free = Binomial(Seeds.Conns, Seeds.PServe), the pieces seeds
+	// deliver per step; nil when the seeds deliver nothing.
+	free cdf
 }
 
 // NewModel validates p and precomputes the transition tables.
@@ -52,6 +55,9 @@ func NewModel(p Params) (*Model, error) {
 			m.nDist[n][slots] = runningSum(convolvePMF(y1[n], y2[slots]))
 		}
 	}
+	if sp := p.Seeds; sp.Conns > 0 && sp.PServe > 0 {
+		m.free = runningSum(stats.Binomial{N: sp.Conns, P: sp.PServe}.PMFTable())
+	}
 	return m, nil
 }
 
@@ -60,7 +66,7 @@ func NewModel(p Params) (*Model, error) {
 // of models charges each one this much against its budget.
 func (m *Model) Bytes() int {
 	const header = 24 // a slice header on a 64-bit machine
-	floats, slices := len(m.power)+len(m.iInit), 2+len(m.iDist)+len(m.nDist)
+	floats, slices := len(m.power)+len(m.iInit)+len(m.free), 2+len(m.iDist)+len(m.nDist)
 	for _, c := range m.iDist {
 		floats += len(c)
 	}
@@ -81,7 +87,9 @@ func (m *Model) TradingPower(x int) float64 {
 	return m.power[x]
 }
 
-// Step advances one state transition using the precomputed tables.
+// Step advances one state transition using the precomputed tables. The
+// seed term is drawn last, after n', and only when seeds deliver, so a
+// seedless model draws exactly the paper's chain.
 func (m *Model) Step(r *stats.RNG, s State) State {
 	p := &m.p
 	bNext := F(p.B, s.N, s.B)
@@ -118,6 +126,9 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 			slots = 0
 		}
 		nNext = m.nDist[s.N][slots].index(r.Float64())
+	}
+	if m.free != nil {
+		bNext = min(bNext+m.free.index(r.Float64()), p.B)
 	}
 	return State{N: nNext, B: bNext, I: iNext}
 }

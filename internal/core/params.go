@@ -54,6 +54,9 @@ type Params struct {
 	// Phi is the piece-count distribution over peers: Phi(j) is the
 	// fraction of peers in the swarm holding exactly j pieces, j = 1..B.
 	Phi PieceDist
+	// Seeds adds the Section 7.2 seed connections, which deliver pieces
+	// without tit-for-tat. The zero value is the paper's chain.
+	Seeds SeedParams
 }
 
 // Validate reports whether the parameters are in-domain.
@@ -81,7 +84,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: Phi supports B = %d, params have B = %d",
 			ErrBadParams, p.Phi.MaxPieces(), p.B)
 	}
-	return nil
+	return p.Seeds.Validate()
 }
 
 func isProb(p float64) bool { return p >= 0 && p <= 1 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -14,39 +15,79 @@ func TestSeedParamsValidation(t *testing.T) {
 	if err := (SeedParams{Conns: 1, PServe: 1.5}).Validate(); err == nil {
 		t.Error("PServe > 1 must be rejected")
 	}
-	if _, err := NewSeededModel(testParams(), SeedParams{Conns: -1}); err == nil {
-		t.Error("NewSeededModel must validate")
+	p := testParams()
+	p.Seeds = SeedParams{Conns: -1}
+	if _, err := NewModel(p); !errors.Is(err, ErrBadParams) {
+		t.Errorf("NewModel must validate Seeds: %v", err)
 	}
 	bad := testParams()
 	bad.B = 0
-	if _, err := NewSeededModel(bad, SeedParams{}); err == nil {
-		t.Error("NewSeededModel must validate base params")
+	bad.Seeds = SeedParams{Conns: 1, PServe: 0.5}
+	if _, err := NewModel(bad); err == nil {
+		t.Error("NewModel must validate the base params of a seeded model")
 	}
 }
 
+// TestSeededModelZeroSeedsMatchesBase: seeds that deliver nothing —
+// no connections, or connections that never serve — draw no number, so
+// the model walks the paper's chain stream for stream.
 func TestSeededModelZeroSeedsMatchesBase(t *testing.T) {
 	p := testParams()
-	seeded, err := NewSeededModel(p, SeedParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, err := NewModel(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same seeds, same stream consumption -> identical trajectories.
-	r1 := stats.NewRNG(5, 6)
-	r2 := stats.NewRNG(5, 6)
-	for trial := 0; trial < 50; trial++ {
-		t1 := seeded.SampleTrajectory(r1.Split())
-		t2 := base.SampleTrajectory(r2.Split())
-		if len(t1) != len(t2) {
-			t.Fatalf("trial %d: lengths %d vs %d", trial, len(t1), len(t2))
+	for _, sp := range []SeedParams{{Conns: 3}, {PServe: 0.5}} {
+		p.Seeds = sp
+		seeded, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range t1 {
-			if t1[i] != t2[i] {
-				t.Fatalf("trial %d step %d: %+v vs %+v", trial, i, t1[i], t2[i])
+		if seeded.Bytes() != base.Bytes() {
+			t.Errorf("%+v: Bytes %d, base %d", sp, seeded.Bytes(), base.Bytes())
+		}
+		r1 := stats.NewRNG(5, 6)
+		r2 := stats.NewRNG(5, 6)
+		for trial := 0; trial < 50; trial++ {
+			t1 := seeded.SampleTrajectory(r1.Split())
+			t2 := base.SampleTrajectory(r2.Split())
+			if len(t1) != len(t2) {
+				t.Fatalf("%+v trial %d: lengths %d vs %d", sp, trial, len(t1), len(t2))
 			}
+			for i := range t1 {
+				if t1[i] != t2[i] {
+					t.Fatalf("%+v trial %d step %d: %+v vs %+v", sp, trial, i, t1[i], t2[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSeededStepIsBaseStepThenFree holds a seeded Step to the base
+// chain's step followed by one Binomial(Conns, PServe) draw of free
+// pieces, capped at B: the draw order every seeded figure was made with.
+func TestSeededStepIsBaseStepThenFree(t *testing.T) {
+	p := testParams()
+	base, err := NewModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seeds = SeedParams{Conns: 2, PServe: 0.5}
+	seeded, err := NewModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := runningSum(stats.Binomial{N: 2, P: 0.5}.PMFTable())
+	r1, r2 := stats.NewRNG(13, 14), stats.NewRNG(13, 14)
+	for trial := 0; trial < 50; trial++ {
+		for s := (State{}); s.B < p.B; {
+			got := seeded.Step(r1, s)
+			want := base.Step(r2, s)
+			want.B = min(want.B+free.index(r2.Float64()), p.B)
+			if got != want {
+				t.Fatalf("trial %d at %+v: %+v, want %+v", trial, s, got, want)
+			}
+			s = got
 		}
 	}
 }
@@ -64,17 +105,18 @@ func TestSeedsAccelerateDownloads(t *testing.T) {
 }
 
 func TestSeedSpeedupMonotoneInCapacity(t *testing.T) {
-	p := testParams()
 	mean := func(conns int, pserve float64) float64 {
-		m, err := NewSeededModel(p, SeedParams{Conns: conns, PServe: pserve})
+		p := testParams()
+		p.Seeds = SeedParams{Conns: conns, PServe: pserve}
+		m, err := NewModel(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := m.MeanDownloadSteps(stats.NewRNG(9, uint64(conns)*10+uint64(pserve*100)), 800)
+		ens, err := m.Ensemble(stats.NewRNG(9, uint64(conns)*10+uint64(pserve*100)), 800)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return ens.CompletionSteps.Mean
 	}
 	none := mean(0, 0)
 	some := mean(1, 0.5)
@@ -93,26 +135,22 @@ func TestSeedsRelieveLastPhase(t *testing.T) {
 	p.Alpha = 0.05
 	p.PInit = 0.2
 
-	base, err := NewSeededModel(p, SeedParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := NewSeededModel(p, SeedParams{Conns: 2, PServe: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	phaseMeans := func(m *SeededModel, seed uint64) (boot, last float64) {
-		var accB, accL stats.Accumulator
+	lastMean := func(sp SeedParams, seed uint64) float64 {
+		p := p
+		p.Seeds = sp
+		m, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc stats.Accumulator
 		r := stats.NewRNG(seed, 11)
 		for i := 0; i < 600; i++ {
-			pb := ClassifyPhases(p, m.SampleTrajectory(r.Split()))
-			accB.Add(float64(pb.Bootstrap))
-			accL.Add(float64(pb.Last))
+			acc.Add(float64(ClassifyPhases(p, m.SampleTrajectory(r.Split())).Last))
 		}
-		return accB.Mean(), accL.Mean()
+		return acc.Mean()
 	}
-	_, baseLast := phaseMeans(base, 21)
-	_, seededLast := phaseMeans(seeded, 22)
+	baseLast := lastMean(SeedParams{}, 21)
+	seededLast := lastMean(SeedParams{Conns: 2, PServe: 0.5}, 22)
 	if baseLast <= 0.5 {
 		t.Fatalf("base config must exhibit a last phase (got %g steps)", baseLast)
 	}
@@ -124,15 +162,19 @@ func TestSeedsRelieveLastPhase(t *testing.T) {
 }
 
 func TestSeededMeanDownloadValidation(t *testing.T) {
-	m, err := NewSeededModel(testParams(), SeedParams{Conns: 1, PServe: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.MeanDownloadSteps(stats.NewRNG(1, 1), 0); err == nil {
+	sp := SeedParams{Conns: 1, PServe: 0.5}
+	if _, err := SeedSpeedup(testParams(), sp, stats.NewRNG(1, 1), 0); err == nil {
 		t.Error("zero runs must be rejected")
 	}
-	v, err := m.MeanDownloadSteps(stats.NewRNG(1, 2), 50)
+	v, err := SeedSpeedup(testParams(), sp, stats.NewRNG(1, 2), 50)
 	if err != nil || math.IsNaN(v) || v <= 0 {
-		t.Errorf("mean = %g, %v", v, err)
+		t.Errorf("speedup = %g, %v", v, err)
+	}
+	// Without seeds the stranded chain (α = γ = p_init = 0) never leaves
+	// its first state, so the unseeded side runs into the step cap.
+	stranded := testParams()
+	stranded.Alpha, stranded.Gamma, stranded.PInit = 0, 0, 0
+	if _, err := SeedSpeedup(stranded, sp, stats.NewRNG(1, 3), 1); err == nil {
+		t.Error("a run that did not complete must be an error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -76,20 +77,19 @@ func SelfConsistentPhi(p Params, r *stats.RNG, runs, maxIter int, damping, tol f
 }
 
 // occupancy estimates the normalized expected time spent holding exactly
-// j pieces (j = 1..B-1) over a download.
+// j pieces (j = 1..B-1) over a download: PotCnt of one ensemble, which
+// counts every state a run visits, the joining state and the state at
+// the step cap included.
 func occupancy(m *Model, r *stats.RNG, runs int) ([]float64, error) {
+	acc, err := m.SampleRuns(context.Background(), r, 0, runs)
+	if err != nil {
+		return nil, err
+	}
 	b := m.p.B
 	counts := make([]float64, b+1)
-	for i := 0; i < runs; i++ {
-		traj := m.SampleTrajectory(r.Split())
-		for _, s := range traj {
-			if s.B >= 1 && s.B < b {
-				counts[s.B]++
-			}
-		}
-	}
 	total := 0.0
 	for j := 1; j < b; j++ {
+		counts[j] = float64(acc.PotCnt[j])
 		total += counts[j]
 	}
 	if total == 0 {
@@ -98,7 +98,6 @@ func occupancy(m *Model, r *stats.RNG, runs int) ([]float64, error) {
 	for j := 1; j < b; j++ {
 		counts[j] /= total
 	}
-	counts[b] = 0
 	return counts, nil
 }
 

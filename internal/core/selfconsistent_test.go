@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -114,5 +118,84 @@ func TestOccupancyNormalizes(t *testing.T) {
 	}
 	if occ[0] != 0 || occ[testParams().B] != 0 {
 		t.Error("occupancy must exclude empty and complete states")
+	}
+}
+
+// serialOccupancy is occupancy as a serial loop over materialised
+// trajectories, run i on the i-th r.Split(): the reference the ensemble
+// form must match bit for bit.
+func serialOccupancy(m *Model, r *stats.RNG, runs int) []float64 {
+	b := m.p.B
+	counts := make([]float64, b+1)
+	for i := 0; i < runs; i++ {
+		for _, s := range m.SampleTrajectory(r.Split()) {
+			if s.B >= 1 && s.B < b {
+				counts[s.B]++
+			}
+		}
+	}
+	total := 0.0
+	for j := 1; j < b; j++ {
+		total += counts[j]
+	}
+	for j := 1; j < b; j++ {
+		counts[j] /= total
+	}
+	counts[b] = 0
+	return counts
+}
+
+// TestOccupancyMatchesSerial holds occupancy, and so SelfConsistentPhi,
+// bit-equal to the serial reference at one and two workers. The γ = 0
+// row strands some runs in the last phase, so the state at the step cap
+// is counted too.
+func TestOccupancyMatchesSerial(t *testing.T) {
+	defer par.SetDefaultJobs(0) //nolint:errcheck // 0 is always accepted
+	noGamma := testParams()
+	noGamma.Gamma = 0
+	for _, c := range []struct {
+		name   string
+		p      Params
+		runs   int
+		capped bool
+	}{
+		{"testParams", testParams(), 200, false},
+		{"DefaultParams(40)", DefaultParams(40), 100, false},
+		{"gamma=0", noGamma, 200, true},
+	} {
+		m, err := NewModel(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := m.SampleRuns(context.Background(), stats.NewRNG(31, 32), 0, c.runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (acc.Truncated > 0) != c.capped {
+			t.Fatalf("%s: %d runs at the step cap, want capped = %v", c.name, acc.Truncated, c.capped)
+		}
+		want := serialOccupancy(m, stats.NewRNG(31, 32), c.runs)
+		var phi SelfConsistentResult
+		for _, jobs := range []int{1, 2} {
+			if err := par.SetDefaultJobs(jobs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := occupancy(m, stats.NewRNG(31, 32), c.runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s jobs %d: occupancy differs from the serial loop", c.name, jobs)
+			}
+			res, err := SelfConsistentPhi(c.p, stats.NewRNG(5, 6), c.runs, 3, 0.7, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jobs == 1 {
+				phi = res
+			} else if !reflect.DeepEqual(res, phi) {
+				t.Errorf("%s: SelfConsistentPhi at jobs 2 differs from jobs 1", c.name)
+			}
+		}
 	}
 }

@@ -4,65 +4,45 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// TestSampleTrajectoryCtxNilMatchesPlain asserts the nil-context path of
-// SampleTrajectoryCtx is the exact fast path SampleTrajectory uses: same
-// RNG consumption, same states.
-func TestSampleTrajectoryCtxNilMatchesPlain(t *testing.T) {
-	p := DefaultParams(10)
-	p.B = 40
-	p.Phi = UniformPhi(40)
-	m, err := NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := m.SampleTrajectory(stats.NewRNG(3, 4))
-	viaCtx, err := m.SampleTrajectoryCtx(nil, stats.NewRNG(3, 4))
-	if err != nil {
-		t.Fatalf("nil ctx must not error: %v", err)
-	}
-	if !reflect.DeepEqual(plain, viaCtx) {
-		t.Fatal("nil-context trajectory differs from plain SampleTrajectory")
-	}
-}
-
-// TestSampleTrajectoryCtxCancelled asserts a pre-cancelled context aborts
-// a trajectory immediately with the context's error.
-func TestSampleTrajectoryCtxCancelled(t *testing.T) {
-	// α = γ = 0 with an empty-start swarm would walk the full step cap;
-	// cancellation must cut that short at the first poll.
-	p := DefaultParams(10)
-	p.Alpha, p.Gamma, p.PInit = 0, 0, 0
-	m, err := NewModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	traj, err := m.SampleTrajectoryCtx(ctx, stats.NewRNG(1, 2))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(traj) > ctxCheckSteps+1 {
-		t.Fatalf("cancelled trajectory ran %d steps, want <= %d", len(traj), ctxCheckSteps+1)
-	}
-}
-
-// TestEnsembleCtxCancelled asserts EnsembleCtx surfaces cancellation.
+// TestEnsembleCtxCancelled asserts EnsembleCtx surfaces cancellation. On
+// the stranded chain (α = γ = p_init = 0), where every run would walk the
+// whole step cap, a cancelled context stops each run at its first poll:
+// walk folds the joining state and returns.
 func TestEnsembleCtxCancelled(t *testing.T) {
-	m, err := NewModel(DefaultParams(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stranded := DefaultParams(10)
+	stranded.Alpha, stranded.Gamma, stranded.PInit = 0, 0, 0
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.EnsembleCtx(ctx, stats.NewRNG(1, 2), 32); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{{"default", DefaultParams(10)}, {"stranded", stranded}} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewModel(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.EnsembleCtx(ctx, stats.NewRNG(1, 2), 32); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			acc := NewEnsembleAccum(c.p.B)
+			steps, err := m.walk(ctx, stats.NewRNG(1, 2), acc)
+			if !errors.Is(err, context.Canceled) || steps != -1 {
+				t.Fatalf("walk = %d, %v, want -1, context.Canceled", steps, err)
+			}
+			var states int64
+			for _, n := range acc.PotCnt {
+				states += n
+			}
+			if states != 1 {
+				t.Fatalf("cancelled walk folded %d states, want the joining state only", states)
+			}
+		})
 	}
 }
 

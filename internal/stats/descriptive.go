@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
@@ -59,9 +59,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	return quantileSorted(sorted, q)
+}
+
+// quantileSorted is Quantile over a sorted, non-empty sample and a q in
+// [0, 1].
+func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -87,19 +92,28 @@ type Summary struct {
 	Max    float64
 }
 
-// Summarize computes a Summary of xs.
+// Summarize computes a Summary of xs. Its three quantiles share one
+// sorted copy of xs.
 func Summarize(xs []float64) Summary {
 	minVal, maxVal := MinMax(xs)
-	return Summary{
+	out := Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
 		Stddev: Stddev(xs),
 		Min:    minVal,
-		P25:    Quantile(xs, 0.25),
-		Median: Quantile(xs, 0.5),
-		P75:    Quantile(xs, 0.75),
+		P25:    math.NaN(),
+		Median: math.NaN(),
+		P75:    math.NaN(),
 		Max:    maxVal,
 	}
+	if len(xs) > 0 {
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		out.P25 = quantileSorted(sorted, 0.25)
+		out.Median = quantileSorted(sorted, 0.5)
+		out.P75 = quantileSorted(sorted, 0.75)
+	}
+	return out
 }
 
 // Accumulator computes running mean and variance with Welford's algorithm,

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -85,5 +86,40 @@ func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
 		t.Errorf("unexpected summary %+v", s)
+	}
+}
+
+// TestSummarizeMatchesQuantile holds Summarize's quartiles bit-equal to
+// three Quantile calls, from one sorted copy: one allocation a call.
+func TestSummarizeMatchesQuantile(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, c := range []struct {
+		name   string
+		xs     []float64
+		allocs float64
+	}{
+		{"empty", nil, 0},
+		{"single", []float64{4.5}, 1},
+		{"even", []float64{9, 1, 7, 3, 3, 10.25, -2, 0.1}, 1},
+		{"odd", []float64{5, 1e9, -3.5, 2, 2, 8, 0.3}, 1},
+	} {
+		orig := slices.Clone(c.xs)
+		s := Summarize(c.xs)
+		if !slices.Equal(c.xs, orig) {
+			t.Errorf("%s: Summarize modified its input", c.name)
+		}
+		for _, q := range []struct {
+			got float64
+			q   float64
+		}{{s.P25, 0.25}, {s.Median, 0.5}, {s.P75, 0.75}} {
+			if want := Quantile(c.xs, q.q); !same(q.got, want) {
+				t.Errorf("%s: q%g = %v, Quantile says %v", c.name, q.q, q.got, want)
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { Summarize(c.xs) }); got != c.allocs {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.allocs)
+		}
 	}
 }

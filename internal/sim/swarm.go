@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -1046,7 +1047,7 @@ func (s *Swarm) potentialSize(p int32) int {
 func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 	ps := &s.ps
 	_ = s.res.PopulationSeries.Append(now, float64(len(leechers)))
-	ent := entropyOf(s.degree)
+	ent := core.Entropy(s.degree)
 	_ = s.res.EntropySeries.Append(now, ent)
 	s.lastEntropy = ent
 	if s.cfg.TrackPeers == 0 && !s.cfg.PieceCensus {
@@ -1106,23 +1107,4 @@ func (s *Swarm) recordCompletion(sl int32, now float64) {
 			ID: ps.id[sl], ArrivedAt: ps.arrived[sl], Completed: true, Samples: samples,
 		})
 	}
-}
-
-func entropyOf(degrees []int) float64 {
-	if len(degrees) == 0 {
-		return 0
-	}
-	minD, maxD := degrees[0], degrees[0]
-	for _, d := range degrees[1:] {
-		if d < minD {
-			minD = d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	if maxD == 0 {
-		return 0
-	}
-	return float64(minD) / float64(maxD)
 }

@@ -275,6 +275,19 @@ one_chain_walk() {
 		'internal/stats/*.go' ':!*_test.go'
 }
 
+# The chain has one kernel and one sampler (DESIGN.md §8, §9): the §7.2
+# seed term is Params.Seeds inside Model.Step, every Monte-Carlo reader
+# walks its runs through SampleRuns, SampleTrajectory is the one loop
+# that materialises a trajectory, and the §6 entropy is core.Entropy.
+# The second seeded model, its serial mean, the context-polling
+# trajectory copy, the trajectory's completion scan and sim's entropy
+# copy may not grow back.
+one_chain_kernel() {
+	absent one_chain_kernel \
+		'SeededModel|SampleTrajectoryCtx|MeanDownloadSteps|\) DownloadSteps\(|func entropyOf\(' \
+		'*.go' ':!*_test.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -315,6 +328,7 @@ one_pool_health_record
 one_liveness_signal
 one_event_clock
 one_chain_walk
+one_chain_kernel
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

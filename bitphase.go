@@ -256,17 +256,17 @@ var (
 
 // SelfConsistentPhi closes the ϕ feedback loop of Section 6: the piece
 // distribution implied by the model's own download dynamics.
-func SelfConsistentPhi(p Params, r *RNG, runs, maxIter int, damping, tol float64) (core.SelfConsistentResult, error) {
-	return core.SelfConsistentPhi(p, r, runs, maxIter, damping, tol)
+func SelfConsistentPhi(p Params, maxIter int, damping, tol float64) (core.SelfConsistentResult, error) {
+	return core.SelfConsistentPhi(p, maxIter, damping, tol)
 }
 
 // SeedParams is the Section 7.2 seeding term of the download model: the
 // type of Params.Seeds, non-tit-for-tat seed connections.
 type SeedParams = core.SeedParams
 
-// SeedSpeedup estimates the unseeded-to-seeded download-time ratio.
-func SeedSpeedup(p Params, sp SeedParams, r *RNG, runs int) (float64, error) {
-	return core.SeedSpeedup(p, sp, r, runs)
+// SeedSpeedup returns the exact unseeded-to-seeded download-time ratio.
+func SeedSpeedup(p Params, sp SeedParams) (float64, error) {
+	return core.SeedSpeedup(p, sp)
 }
 
 // The fluid-model baseline (Qiu-Srikant) the paper argues against.

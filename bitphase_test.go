@@ -96,8 +96,7 @@ func TestFacadeExtensions(t *testing.T) {
 	p := bitphase.DefaultParams(10)
 	p.B = 25
 	p.Phi = bitphase.UniformPhi(25)
-	speedup, err := bitphase.SeedSpeedup(p,
-		bitphase.SeedParams{Conns: 2, PServe: 0.5}, bitphase.NewRNG(3, 4), 200)
+	speedup, err := bitphase.SeedSpeedup(p, bitphase.SeedParams{Conns: 2, PServe: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Command btmodel evaluates the multiphased download model directly:
 // trading-power curve, expected phase sojourns, Monte-Carlo ensemble
-// statistics, and the Section 5 efficiency steady state.
+// statistics, and the Section 5 efficiency steady state. -runs and -seed
+// drive the ensemble only; every other section is exact.
 //
 // Usage:
 //
@@ -31,8 +32,8 @@ func main() {
 		gamma  = flag.Float64("gamma", 0.1, "last-phase piece-inflow probability per step")
 		pr     = flag.Float64("pr", 0.9, "re-encounter (connection persistence) probability")
 		pn     = flag.Float64("pn", 0.8, "new-connection success probability")
-		runs   = flag.Int("runs", 400, "Monte-Carlo trajectories")
-		seed   = flag.Uint64("seed", 1, "RNG seed")
+		runs   = flag.Int("runs", 400, "Monte-Carlo trajectories of the ensemble section")
+		seed   = flag.Uint64("seed", 1, "RNG seed of the ensemble section")
 
 		exact     = flag.Bool("exact", false, "exact phase analysis: one sweep over piece levels, no sampling")
 		seedConns = flag.Int("seedconns", 0, "seed connections for the Section 7.2 extension")
@@ -59,13 +60,13 @@ func main() {
 		}
 	}
 	if *seedConns > 0 {
-		if err := runSeeded(os.Stdout, p, *seedConns, *seedServe, *runs, *seed); err != nil {
+		if err := runSeeded(os.Stdout, p, *seedConns, *seedServe); err != nil {
 			logger.Error("btmodel failed", "err", err)
 			os.Exit(1)
 		}
 	}
 	if *selfPhi {
-		if err := runSelfPhi(os.Stdout, p, *runs, *seed); err != nil {
+		if err := runSelfPhi(os.Stdout, p); err != nil {
 			logger.Error("btmodel failed", "err", err)
 			os.Exit(1)
 		}
@@ -93,10 +94,9 @@ func runExact(w io.Writer, p core.Params) error {
 	return nil
 }
 
-// runSeeded prints the Section 7.2 seeding extension.
-func runSeeded(w io.Writer, p core.Params, conns int, serve float64, runs int, seed uint64) error {
-	sp := core.SeedParams{Conns: conns, PServe: serve}
-	speedup, err := core.SeedSpeedup(p, sp, stats.NewRNG(seed, 0x5eed), runs)
+// runSeeded prints the Section 7.2 seeding extension, exactly.
+func runSeeded(w io.Writer, p core.Params, conns int, serve float64) error {
+	speedup, err := core.SeedSpeedup(p, core.SeedParams{Conns: conns, PServe: serve})
 	if err != nil {
 		return err
 	}
@@ -105,9 +105,9 @@ func runSeeded(w io.Writer, p core.Params, conns int, serve float64, runs int, s
 	return nil
 }
 
-// runSelfPhi prints the self-consistent piece distribution.
-func runSelfPhi(w io.Writer, p core.Params, runs int, seed uint64) error {
-	res, err := core.SelfConsistentPhi(p, stats.NewRNG(seed, 0x541), runs, 20, 0.7, 0.02)
+// runSelfPhi prints the self-consistent piece distribution, exactly.
+func runSelfPhi(w io.Writer, p core.Params) error {
+	res, err := core.SelfConsistentPhi(p, 20, 0.7, 0.02)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func TestRunExact(t *testing.T) {
 
 func TestRunSeeded(t *testing.T) {
 	var sb strings.Builder
-	if err := runSeeded(&sb, smallParams(), 2, 0.5, 100, 1); err != nil {
+	if err := runSeeded(&sb, smallParams(), 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "speedup") {
@@ -67,7 +67,7 @@ func TestRunSeeded(t *testing.T) {
 
 func TestRunSelfPhi(t *testing.T) {
 	var sb strings.Builder
-	if err := runSelfPhi(&sb, smallParams(), 80, 1); err != nil {
+	if err := runSelfPhi(&sb, smallParams()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "self-consistent phi") {

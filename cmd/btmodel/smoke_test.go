@@ -63,9 +63,9 @@ func TestBinarySmokeGolden(t *testing.T) {
 			"  k=4: eta=0.9366 (p_r=0.988, 215 iterations)", // last efficiency line
 		}},
 		{"seeded_selfphi", append(base[:len(base):len(base)], "-seedconns", "2", "-seedserve", "0.5", "-selfphi"), []string{
-			"-> 1.48x speedup",
-			"20 iterations, final delta 0.0677, entropy 0.906",
-			"phi(   1) = 0.2359",
+			"-> 1.36x speedup",
+			"4 iterations, final delta 0.0091, entropy 0.911",
+			"phi(   1) = 0.2363",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

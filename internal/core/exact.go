@@ -10,10 +10,12 @@ package core
 // probability is read off a Model's running sums (Model.iLaw, Model.nLaw).
 // A state is (n, b, z, booted), z = 1 when the potential set is non-empty:
 // every transition law depends on i only through z, and so does the label
-// trace.Phaser gives a state, so nothing is lost. F never lowers b and
-// keeps it only when n = 0, so the only cycles are among the four n = 0
-// states of one level b, and each analysis is one sweep over the levels
-// with a 4×4 dense solve per level.
+// trace.Phaser gives a state, so nothing is lost. A step lands on
+// b' = min(F + f, B), f the pieces seeds deliver (Params.Seeds; f = 0
+// without seeds). That never lowers b and keeps it only when n = 0 and
+// f = 0, so the only cycles are among the four n = 0 states of one level
+// b, and each analysis is one sweep over the levels with a 4×4 dense
+// solve per level.
 
 import (
 	"fmt"
@@ -41,19 +43,24 @@ type kernel struct {
 	// rows[(b·(K+1)+n)·2+z] is the law of (z', n') from (n, b, z), b < B:
 	// entry z'·(K+1)+n'.
 	rows [][]float64
+	// free[f] is the probability seeds deliver f pieces in a step, drawn
+	// independently of (z', n'): {1} without seeds.
+	free []float64
 }
 
 // newKernel sums Model's i' and n' laws into the landing law of each
-// (n, b, z), taking i = z as the representative of its class.
+// (n, b, z), taking i = z as the representative of its class, and keeps
+// the seed law Model.Step draws its free pieces from.
 func newKernel(p Params) (*kernel, error) {
 	m, err := NewModel(p)
 	if err != nil {
 		return nil, err
 	}
+	k := &kernel{p: p, w: p.K + 1, rows: make([][]float64, p.B*(p.K+1)*2), free: []float64{1}}
 	if m.free != nil {
-		return nil, fmt.Errorf("%w: the exact sweep assumes b' = min(b+n, B) and has no seed term (ROADMAP item 16(a) lifts this)", ErrBadParams)
+		k.free = make([]float64, len(m.free))
+		m.free.probs(k.free)
 	}
-	k := &kernel{p: p, w: p.K + 1, rows: make([][]float64, p.B*(p.K+1)*2)}
 	iRow := make([]float64, p.S+1)
 	nRow := make([]float64, p.K+1)
 	for src := range k.rows {
@@ -93,14 +100,19 @@ func (k *kernel) phase(st int) trace.Phase {
 // st must be below level B.
 func (k *kernel) each(st int, visit func(to int, pr float64)) {
 	b, n := st/(4*k.w), st/4%k.w
-	bNext := F(k.p.B, n, b)
 	row := k.rows[st/2]
-	for z := range 2 {
-		ph := trace.Phaser{B: k.p.B, Booted: st%2 == 1}
-		ph.Next(bNext, z)
-		for nNext, pr := range row[z*k.w : (z+1)*k.w] {
-			if pr != 0 {
-				visit(k.at(bNext, nNext, z, ph.Booted), pr)
+	for f, pf := range k.free {
+		if pf == 0 {
+			continue
+		}
+		bNext := min(F(k.p.B, n, b)+f, k.p.B)
+		for z := range 2 {
+			ph := trace.Phaser{B: k.p.B, Booted: st%2 == 1}
+			ph.Next(bNext, z)
+			for nNext, pr := range row[z*k.w : (z+1)*k.w] {
+				if pr != 0 {
+					visit(k.at(bNext, nNext, z, ph.Booted), pr*pf)
+				}
 			}
 		}
 	}
@@ -163,18 +175,15 @@ func solve(a [4][4]float64, x *[4]float64, transpose bool, b int) error {
 	return nil
 }
 
-// ExactPhaseDurations computes the expected number of steps spent in each
-// phase from joining to completion, in one forward sweep over the levels.
-// A step counts in the phase of the state it lands in, as EnsembleAccum
-// labels a trajectory: the join state is not counted and the completing
-// step is (booted, so efficient, whenever B ≥ 2). A state's expected
-// landings are its expected visits, the join state's aside.
-func ExactPhaseDurations(p Params) (PhaseDurations, error) {
+// visits sweeps the levels forward once and returns p's kernel and each
+// state's expected landings, levels 0..B. A state's expected landings are
+// its expected visits, the join state's aside: nothing lands on level 0.
+func visits(p Params) (*kernel, []float64, error) {
 	k, err := newKernel(p)
 	if err != nil {
-		return PhaseDurations{}, err
+		return nil, nil, err
 	}
-	v := make([]float64, k.at(p.B+1, 0, 0, false)) // expected landings, levels 0..B
+	v := make([]float64, k.at(p.B+1, 0, 0, false))
 	k.push(v, k.at(0, 0, 0, false), 1)
 	for b := 1; b < p.B; b++ {
 		// The n = 0 states' visits x solve x = landings from below + Qᵀx.
@@ -183,7 +192,7 @@ func ExactPhaseDurations(p Params) (PhaseDurations, error) {
 		base, top := k.at(b, 0, 0, false), k.at(b+1, 0, 0, false)
 		x := [4]float64(v[base : base+4])
 		if err := solve(k.block(b), &x, true, b); err != nil {
-			return PhaseDurations{}, err
+			return nil, nil, err
 		}
 		for j, xj := range x {
 			k.push(v, base+j, xj)
@@ -193,6 +202,19 @@ func ExactPhaseDurations(p Params) (PhaseDurations, error) {
 				k.push(v, st, v[st])
 			}
 		}
+	}
+	return k, v, nil
+}
+
+// ExactPhaseDurations computes the expected number of steps spent in each
+// phase from joining to completion, from the one forward sweep. A step
+// counts in the phase of the state it lands in, as EnsembleAccum labels a
+// trajectory: the join state is not counted and the completing step is
+// (booted, so efficient, whenever B ≥ 2).
+func ExactPhaseDurations(p Params) (PhaseDurations, error) {
+	k, v, err := visits(p)
+	if err != nil {
+		return PhaseDurations{}, err
 	}
 	var by [trace.PhaseLast + 1]float64
 	for st, vs := range v {

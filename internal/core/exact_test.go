@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -21,18 +20,43 @@ func slowBootParams() Params {
 	return p
 }
 
-// TestExactPhaseDurationsMatchMonteCarlo holds every exact phase to the
-// sampler's mean within 4 standard errors of a fixed-seed ensemble, and
-// to two closed forms: the bootstrap phase is the join step plus the α
-// wait when the initial potential set is empty, (1−p_init)^s/α, and the
-// total is the absorption time.
+// seededParams is DefaultParams(s) with conns seed connections that each
+// deliver a piece with probability pserve per step.
+func seededParams(s, conns int, pserve float64) Params {
+	p := DefaultParams(s)
+	p.Seeds = SeedParams{Conns: conns, PServe: pserve}
+	return p
+}
+
+// TestExactPhaseDurationsMatchMonteCarlo holds the three exact entry
+// points to a fixed-seed ensemble within 4 standard errors (plus the
+// ensemble's resolution, one step or one run in all of it): every phase
+// and the download time to the sampler's means, and the phase occupancy
+// and completion probability at a few steps to the sampler's fractions.
+// Two closed forms hold too: the total is the absorption time, and
+// without seeds the bootstrap phase is the join step plus the α wait
+// when the initial potential set is empty, (1−p_init)^s/α. Seeds make
+// that wait a γ wait once they deliver, so seeded rows skip it.
 func TestExactPhaseDurationsMatchMonteCarlo(t *testing.T) {
 	const runs = 40000
+	steps := []int{2, 5, 10, 20, 40}
 	for _, c := range []struct {
 		name string
 		p    Params
-	}{{"testParams", testParams()}, {"DefaultParams(5)", DefaultParams(5)}, {"alpha=0.02", slowBootParams()}} {
+	}{
+		{"testParams", testParams()}, {"DefaultParams(5)", DefaultParams(5)}, {"alpha=0.02", slowBootParams()},
+		{"s=20 seeds 1x0.5", seededParams(20, 1, 0.5)}, {"s=20 seeds 2x0.5", seededParams(20, 2, 0.5)},
+		{"s=5 seeds 1x0.2", seededParams(5, 1, 0.2)}, {"s=50 seeds 3x0.9", seededParams(50, 3, 0.9)},
+	} {
 		exact, err := ExactPhaseDurations(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := ExpectedDownloadTime(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		occ, err := TransientPhases(c.p, steps[len(steps)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +65,12 @@ func TestExactPhaseDurationsMatchMonteCarlo(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := stats.NewRNG(31, 41)
-		var boot, eff, last stats.Accumulator
+		var boot, eff, last, done stats.Accumulator
+		// at[ph][j] counts the runs in phase ph at steps[j], ph = 0 once done.
+		var at [trace.PhaseLast + 1][]float64
+		for ph := range at {
+			at[ph] = make([]float64, len(steps))
+		}
 		for range runs {
 			traj := m.SampleTrajectory(r.Split())
 			if traj[len(traj)-1].B != c.p.B {
@@ -51,24 +80,51 @@ func TestExactPhaseDurationsMatchMonteCarlo(t *testing.T) {
 			boot.Add(float64(pb.Bootstrap))
 			eff.Add(float64(pb.Efficient))
 			last.Add(float64(pb.Last))
+			done.Add(float64(len(traj) - 1))
+			ph := trace.Phaser{B: c.p.B}
+			for st, s := range traj {
+				label := ph.Next(s.B, s.I)
+				if s.B == c.p.B {
+					label = 0
+				}
+				if j := slices.Index(steps, st); j >= 0 {
+					at[label][j]++
+				}
+			}
+			for j, st := range steps {
+				if st >= len(traj) {
+					at[0][j]++
+				}
+			}
 		}
 		for _, ph := range []struct {
 			name  string
 			exact float64
 			mc    *stats.Accumulator
-		}{{"bootstrap", exact.Bootstrap, &boot}, {"efficient", exact.Efficient, &eff}, {"last", exact.Last, &last}} {
+		}{{"bootstrap", exact.Bootstrap, &boot}, {"efficient", exact.Efficient, &eff}, {"last", exact.Last, &last}, {"download time", total, &done}} {
+			// One step in the whole ensemble, 1/runs, is the resolution of a
+			// mean: seeds make the bootstrap and last phases ~1e-5 steps at
+			// s = 20, and no run enters them.
 			se := math.Sqrt(ph.mc.Variance() / runs)
-			if d := math.Abs(ph.exact - ph.mc.Mean()); d > 4*se {
+			if d := math.Abs(ph.exact - ph.mc.Mean()); d > 4*se+1.0/runs {
 				t.Errorf("%s %s: exact %.5g vs MC %.5g ± %.2g (%.1f SE)", c.name, ph.name, ph.exact, ph.mc.Mean(), se, d/se)
 			}
 		}
-		wantBoot := math.Pow(1-c.p.PInit, float64(c.p.S)) * ExpectedBootstrapWait(c.p)
-		if math.Abs(exact.Bootstrap-wantBoot) > 1e-9 {
-			t.Errorf("%s: bootstrap %.12g, closed form %.12g", c.name, exact.Bootstrap, wantBoot)
+		for j, st := range steps {
+			for ph, exact := range [...][]float64{occ.Done, occ.Bootstrap, occ.Efficient, occ.Last} {
+				// A fraction's SE is √(q(1−q)/runs); one run, 1/runs, is its
+				// resolution where q is 0 or 1.
+				q := at[ph][j] / runs
+				if d := math.Abs(exact[st] - q); d > 4*math.Sqrt(q*(1-q)/runs)+1.0/runs {
+					t.Errorf("%s step %d %s: exact %.5g vs MC %.5g", c.name, st, [...]string{"done", "bootstrap", "efficient", "last"}[ph], exact[st], q)
+				}
+			}
 		}
-		total, err := ExpectedDownloadTime(c.p)
-		if err != nil {
-			t.Fatal(err)
+		if c.p.Seeds == (SeedParams{}) {
+			wantBoot := math.Pow(1-c.p.PInit, float64(c.p.S)) * ExpectedBootstrapWait(c.p)
+			if math.Abs(exact.Bootstrap-wantBoot) > 1e-9 {
+				t.Errorf("%s: bootstrap %.12g, closed form %.12g", c.name, exact.Bootstrap, wantBoot)
+			}
 		}
 		if math.Abs(exact.Total()-total) > 1e-9 {
 			t.Errorf("%s: total %.12g, absorption time %.12g", c.name, exact.Total(), total)
@@ -139,23 +195,6 @@ func TestExactPhaseDurationsRespondToAlpha(t *testing.T) {
 	}
 	if T, err := ExpectedDownloadTime(stuck); err == nil {
 		t.Errorf("alpha=0, p_init=0: download time %g, want an error", T)
-	}
-}
-
-// TestExactRefusesSeeds: the exact sweep has no seed term, so all three
-// exact entry points refuse a seeded Params rather than answer for the
-// seedless chain.
-func TestExactRefusesSeeds(t *testing.T) {
-	p := testParams()
-	p.Seeds = SeedParams{Conns: 2, PServe: 0.5}
-	if d, err := ExactPhaseDurations(p); !errors.Is(err, ErrBadParams) {
-		t.Errorf("ExactPhaseDurations = %+v, %v; want ErrBadParams", d, err)
-	}
-	if T, err := ExpectedDownloadTime(p); !errors.Is(err, ErrBadParams) {
-		t.Errorf("ExpectedDownloadTime = %g, %v; want ErrBadParams", T, err)
-	}
-	if _, err := TransientPhases(p, 10); !errors.Is(err, ErrBadParams) {
-		t.Errorf("TransientPhases error %v; want ErrBadParams", err)
 	}
 }
 

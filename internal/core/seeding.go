@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // SeedParams is the paper's Section 7.2 sketch of seeds in the download
 // model: "we can incorporate the effects of seeds by modeling extra
@@ -12,7 +8,7 @@ import (
 // connections deliver pieces unconditionally — in particular during the
 // bootstrap and last-phase waits, which is why downloading from seeds
 // trivially solves the last-piece problem (§7.1). Params.Seeds carries it
-// into Model.Step.
+// into Model.Step and the exact kernel.
 type SeedParams struct {
 	// Conns is the number of connections to seeds the peer holds.
 	Conns int
@@ -33,35 +29,19 @@ func (sp SeedParams) Validate() error {
 	return nil
 }
 
-// SeedSpeedup estimates the ratio of unseeded to seeded mean download
+// SeedSpeedup returns the ratio of unseeded to seeded expected download
 // time for the given configuration — the headline effect of Section 7.2.
-// sp replaces p.Seeds; each side is one Ensemble of runs, on its own
-// r.Split(), and a run that hits the step cap is an error.
-func SeedSpeedup(p Params, sp SeedParams, r *stats.RNG, runs int) (float64, error) {
+// sp replaces p.Seeds; both sides are exact first-step sweeps.
+func SeedSpeedup(p Params, sp SeedParams) (float64, error) {
 	p.Seeds = sp
-	withSeeds, err := meanSteps(p, r.Split(), runs)
+	withSeeds, err := ExpectedDownloadTime(p)
 	if err != nil {
 		return 0, err
 	}
 	p.Seeds = SeedParams{}
-	without, err := meanSteps(p, r.Split(), runs)
+	without, err := ExpectedDownloadTime(p)
 	if err != nil {
 		return 0, err
 	}
 	return without / withSeeds, nil
-}
-
-func meanSteps(p Params, r *stats.RNG, runs int) (float64, error) {
-	m, err := NewModel(p)
-	if err != nil {
-		return 0, err
-	}
-	ens, err := m.Ensemble(r, runs)
-	if err != nil {
-		return 0, err
-	}
-	if ens.Truncated > 0 {
-		return 0, fmt.Errorf("core: %d of %d runs did not complete", ens.Truncated, runs)
-	}
-	return ens.CompletionSteps.Mean, nil
 }

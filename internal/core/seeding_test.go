@@ -93,9 +93,7 @@ func TestSeededStepIsBaseStepThenFree(t *testing.T) {
 }
 
 func TestSeedsAccelerateDownloads(t *testing.T) {
-	p := testParams()
-	r := stats.NewRNG(7, 8)
-	speedup, err := SeedSpeedup(p, SeedParams{Conns: 2, PServe: 0.5}, r, 800)
+	speedup, err := SeedSpeedup(testParams(), SeedParams{Conns: 2, PServe: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +103,18 @@ func TestSeedsAccelerateDownloads(t *testing.T) {
 }
 
 func TestSeedSpeedupMonotoneInCapacity(t *testing.T) {
-	mean := func(conns int, pserve float64) float64 {
-		p := testParams()
-		p.Seeds = SeedParams{Conns: conns, PServe: pserve}
-		m, err := NewModel(p)
+	speedup := func(conns int, pserve float64) float64 {
+		v, err := SeedSpeedup(testParams(), SeedParams{Conns: conns, PServe: pserve})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ens, err := m.Ensemble(stats.NewRNG(9, uint64(conns)*10+uint64(pserve*100)), 800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ens.CompletionSteps.Mean
+		return v
 	}
-	none := mean(0, 0)
-	some := mean(1, 0.5)
-	lots := mean(4, 0.9)
-	if !(lots < some && some < none) {
-		t.Errorf("download times must decrease with seed capacity: %g, %g, %g",
+	none := speedup(0, 0)
+	some := speedup(1, 0.5)
+	lots := speedup(4, 0.9)
+	if !(none == 1 && 1 < some && some < lots) {
+		t.Errorf("speedup must grow with seed capacity from exactly 1: %g, %g, %g",
 			none, some, lots)
 	}
 }
@@ -163,18 +155,18 @@ func TestSeedsRelieveLastPhase(t *testing.T) {
 
 func TestSeededMeanDownloadValidation(t *testing.T) {
 	sp := SeedParams{Conns: 1, PServe: 0.5}
-	if _, err := SeedSpeedup(testParams(), sp, stats.NewRNG(1, 1), 0); err == nil {
-		t.Error("zero runs must be rejected")
+	if _, err := SeedSpeedup(testParams(), SeedParams{Conns: -1}); !errors.Is(err, ErrBadParams) {
+		t.Errorf("negative seed conns: %v, want ErrBadParams", err)
 	}
-	v, err := SeedSpeedup(testParams(), sp, stats.NewRNG(1, 2), 50)
+	v, err := SeedSpeedup(testParams(), sp)
 	if err != nil || math.IsNaN(v) || v <= 0 {
 		t.Errorf("speedup = %g, %v", v, err)
 	}
 	// Without seeds the stranded chain (α = γ = p_init = 0) never leaves
-	// its first state, so the unseeded side runs into the step cap.
+	// its first level, so the unseeded side has no finite download time.
 	stranded := testParams()
 	stranded.Alpha, stranded.Gamma, stranded.PInit = 0, 0, 0
-	if _, err := SeedSpeedup(stranded, sp, stats.NewRNG(1, 3), 1); err == nil {
-		t.Error("a run that did not complete must be an error")
+	if _, err := SeedSpeedup(stranded, sp); err == nil {
+		t.Error("a download that cannot complete must be an error")
 	}
 }

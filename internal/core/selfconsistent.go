@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // The piece-count distribution ϕ is both an input of the model (through
@@ -13,11 +10,12 @@ import (
 // steady-state ϕ is the distribution of piece counts across peers, which
 // with Poisson arrivals is proportional to the expected time a download
 // spends at each count (renewal-reward). SelfConsistentPhi closes this
-// loop: starting from an initial guess it alternately (a) samples the
-// download chain under the current ϕ and (b) replaces ϕ with the observed
-// occupancy, until the distribution stops moving. The paper's Section 6
-// argues the trading dynamics drive ϕ towards uniform; the fixed point
-// makes that claim checkable within the model itself.
+// loop: starting from an initial guess it alternately (a) sweeps the
+// download chain under the current ϕ for its expected occupancy and (b)
+// replaces ϕ with that occupancy, until the distribution stops moving.
+// The paper's Section 6 argues the trading dynamics drive ϕ towards
+// uniform; the fixed point makes that claim checkable within the model
+// itself.
 
 // SelfConsistentResult reports the fixed-point iteration's outcome.
 type SelfConsistentResult struct {
@@ -32,16 +30,17 @@ type SelfConsistentResult struct {
 	Entropy float64
 }
 
-// SelfConsistentPhi iterates the occupancy map to a fixed point. runs
-// trajectories are sampled per iteration; damping in (0, 1] blends the
-// new occupancy into the previous ϕ (1 = full replacement). Iteration
-// stops when the L1 change drops below tol or maxIter is reached.
-func SelfConsistentPhi(p Params, r *stats.RNG, runs, maxIter int, damping, tol float64) (SelfConsistentResult, error) {
+// SelfConsistentPhi iterates the occupancy map to a fixed point. damping
+// in (0, 1] blends the new occupancy into the previous ϕ (1 = full
+// replacement). Iteration stops when the L1 change drops below tol or
+// maxIter is reached. A chain that can stay at some piece count forever
+// has no finite occupancy, and is an error.
+func SelfConsistentPhi(p Params, maxIter int, damping, tol float64) (SelfConsistentResult, error) {
 	if err := p.Validate(); err != nil {
 		return SelfConsistentResult{}, err
 	}
-	if runs < 1 || maxIter < 1 {
-		return SelfConsistentResult{}, fmt.Errorf("%w: runs=%d maxIter=%d", ErrBadParams, runs, maxIter)
+	if maxIter < 1 {
+		return SelfConsistentResult{}, fmt.Errorf("%w: maxIter=%d", ErrBadParams, maxIter)
 	}
 	if damping <= 0 || damping > 1 || tol <= 0 {
 		return SelfConsistentResult{}, fmt.Errorf("%w: damping=%g tol=%g", ErrBadParams, damping, tol)
@@ -50,11 +49,7 @@ func SelfConsistentPhi(p Params, r *stats.RNG, runs, maxIter int, damping, tol f
 	out := SelfConsistentResult{}
 	for it := 1; it <= maxIter; it++ {
 		p.Phi = tableDist{p: cur}
-		m, err := NewModel(p)
-		if err != nil {
-			return SelfConsistentResult{}, err
-		}
-		occ, err := occupancy(m, r.Split(), runs)
+		occ, err := occupancy(p)
 		if err != nil {
 			return SelfConsistentResult{}, err
 		}
@@ -76,26 +71,26 @@ func SelfConsistentPhi(p Params, r *stats.RNG, runs, maxIter int, damping, tol f
 	return out, nil
 }
 
-// occupancy estimates the normalized expected time spent holding exactly
-// j pieces (j = 1..B-1) over a download: PotCnt of one ensemble, which
-// counts every state a run visits, the joining state and the state at
-// the step cap included.
-func occupancy(m *Model, r *stats.RNG, runs int) ([]float64, error) {
-	acc, err := m.SampleRuns(context.Background(), r, 0, runs)
+// occupancy returns the normalized expected time a download spends
+// holding exactly j pieces (j = 1..B-1): the forward sweep's expected
+// visits, summed per level.
+func occupancy(p Params) ([]float64, error) {
+	k, v, err := visits(p)
 	if err != nil {
 		return nil, err
 	}
-	b := m.p.B
-	counts := make([]float64, b+1)
+	counts := make([]float64, p.B+1)
 	total := 0.0
-	for j := 1; j < b; j++ {
-		counts[j] = float64(acc.PotCnt[j])
+	for j := 1; j < p.B; j++ {
+		for _, vs := range v[k.at(j, 0, 0, false):k.at(j+1, 0, 0, false)] {
+			counts[j] += vs
+		}
 		total += counts[j]
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("core: occupancy sampling produced no mass")
+		return nil, fmt.Errorf("core: a download visits no level 1..%d", p.B-1)
 	}
-	for j := 1; j < b; j++ {
+	for j := 1; j < p.B; j++ {
 		counts[j] /= total
 	}
 	return counts, nil

@@ -1,91 +1,104 @@
 package core
 
 import (
-	"context"
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
 func TestSelfConsistentPhiValidation(t *testing.T) {
 	p := testParams()
-	r := stats.NewRNG(1, 1)
-	if _, err := SelfConsistentPhi(p, r, 0, 5, 0.5, 0.01); err == nil {
-		t.Error("zero runs must be rejected")
-	}
-	if _, err := SelfConsistentPhi(p, r, 10, 0, 0.5, 0.01); err == nil {
+	if _, err := SelfConsistentPhi(p, 0, 0.5, 0.01); err == nil {
 		t.Error("zero iters must be rejected")
 	}
-	if _, err := SelfConsistentPhi(p, r, 10, 5, 0, 0.01); err == nil {
+	if _, err := SelfConsistentPhi(p, 5, 0, 0.01); err == nil {
 		t.Error("zero damping must be rejected")
 	}
-	if _, err := SelfConsistentPhi(p, r, 10, 5, 0.5, 0); err == nil {
+	if _, err := SelfConsistentPhi(p, 5, 0.5, 0); err == nil {
 		t.Error("zero tol must be rejected")
 	}
 	bad := p
 	bad.B = 0
-	if _, err := SelfConsistentPhi(bad, r, 10, 5, 0.5, 0.01); err == nil {
+	if _, err := SelfConsistentPhi(bad, 5, 0.5, 0.01); err == nil {
 		t.Error("bad params must be rejected")
 	}
 }
 
+// btmodelParams is the configuration btmodel's pinned golden runs at:
+// -B 20 -k 3 -s 8 with the command's default probabilities.
+func btmodelParams() Params {
+	return Params{
+		B: 20, K: 3, S: 8,
+		PInit: 0.5, Alpha: 0.1, Gamma: 0.1, PR: 0.9, PN: 0.8,
+		Phi: UniformPhi(20),
+	}
+}
+
+// TestSelfConsistentPhiConverges: the iteration meets its tolerance
+// within maxIter, at a fixed point that is a distribution over 1..B-1 far
+// from degenerate.
 func TestSelfConsistentPhiConverges(t *testing.T) {
-	p := DefaultParams(15)
-	p.B = 30
-	p.Phi = UniformPhi(30)
-	res, err := SelfConsistentPhi(p, stats.NewRNG(11, 12), 300, 15, 0.7, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Phi == nil || res.Iterations < 1 {
-		t.Fatal("empty result")
-	}
-	// The fixed point is a probability distribution over 1..B-1.
-	sum := 0.0
-	for j := 1; j <= 30; j++ {
-		v := res.Phi.At(j)
-		if v < 0 || math.IsNaN(v) {
-			t.Fatalf("phi(%d) = %g", j, v)
+	b30 := DefaultParams(15)
+	b30.B = 30
+	b30.Phi = UniformPhi(30)
+	for _, c := range []struct {
+		name    string
+		p       Params
+		maxIter int
+		tol     float64
+	}{
+		{"B=30 s=15", b30, 15, 0.03},
+		{"btmodel", btmodelParams(), 20, 0.02},
+	} {
+		res, err := SelfConsistentPhi(c.p, c.maxIter, 0.7, c.tol)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("phi sums to %g", sum)
-	}
-	// Section 6: trading pushes the distribution far from degenerate.
-	if res.Entropy < 0.6 {
-		t.Errorf("fixed-point entropy %g, want > 0.6", res.Entropy)
+		if !(res.FinalDelta < c.tol) || res.Iterations >= c.maxIter {
+			t.Errorf("%s: %d of %d iterations, final delta %g, want < %g", c.name, res.Iterations, c.maxIter, res.FinalDelta, c.tol)
+		}
+		// The fixed point is a probability distribution over 1..B-1.
+		sum := 0.0
+		for j := 1; j <= c.p.B; j++ {
+			v := res.Phi.At(j)
+			if v < 0 || math.IsNaN(v) {
+				t.Fatalf("%s: phi(%d) = %g", c.name, j, v)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%s: phi sums to %g", c.name, sum)
+		}
+		// Section 6: trading pushes the distribution far from degenerate.
+		if res.Entropy < 0.6 {
+			t.Errorf("%s: fixed-point entropy %g, want > 0.6", c.name, res.Entropy)
+		}
 	}
 }
 
 func TestSelfConsistentPhiStartIndependent(t *testing.T) {
 	// The same fixed point (by entropy and mid-range mass) must emerge
-	// from a uniform and from a heavily skewed starting ϕ.
+	// from a uniform and from a heavily skewed starting ϕ, each within
+	// the tolerance before maxIter.
 	base := DefaultParams(15)
 	base.B = 30
-
-	pUniform := base
-	pUniform.Phi = UniformPhi(30)
-	resU, err := SelfConsistentPhi(pUniform, stats.NewRNG(21, 22), 300, 15, 0.7, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	skew, err := GeometricPhi(30, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSkew := base
-	pSkew.Phi = skew
-	resS, err := SelfConsistentPhi(pSkew, stats.NewRNG(23, 24), 300, 15, 0.7, 0.03)
-	if err != nil {
-		t.Fatal(err)
+	var res [2]SelfConsistentResult
+	for j, phi := range []PieceDist{UniformPhi(30), skew} {
+		p := base
+		p.Phi = phi
+		if res[j], err = SelfConsistentPhi(p, 15, 0.7, 0.03); err != nil {
+			t.Fatal(err)
+		}
+		if !(res[j].FinalDelta < 0.03) || res[j].Iterations >= 15 {
+			t.Errorf("start %d: %d of 15 iterations, final delta %g, want < 0.03", j, res[j].Iterations, res[j].FinalDelta)
+		}
 	}
-
+	resU, resS := res[0], res[1]
 	if d := math.Abs(resU.Entropy - resS.Entropy); d > 0.08 {
 		t.Errorf("fixed points diverge: entropy %g vs %g", resU.Entropy, resS.Entropy)
 	}
@@ -101,11 +114,7 @@ func TestSelfConsistentPhiStartIndependent(t *testing.T) {
 }
 
 func TestOccupancyNormalizes(t *testing.T) {
-	m, err := NewModel(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	occ, err := occupancy(m, stats.NewRNG(31, 32), 50)
+	occ, err := occupancy(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,81 +130,77 @@ func TestOccupancyNormalizes(t *testing.T) {
 	}
 }
 
-// serialOccupancy is occupancy as a serial loop over materialised
-// trajectories, run i on the i-th r.Split(): the reference the ensemble
-// form must match bit for bit.
-func serialOccupancy(m *Model, r *stats.RNG, runs int) []float64 {
+// serialOccupancy is the sampler's estimate of occupancy: the states runs
+// visit at each level 1..B-1 over all states they visit there, run i on
+// the i-th r.Split(), with each share's standard error as a ratio
+// estimator's, √Σ(c_j − occ_j·c)² / Σc over runs with c_j visits to level
+// j and c in all, expanded into the sums Σc_j², Σc_j·c and Σc².
+func serialOccupancy(m *Model, r *stats.RNG, runs int) (occ, se []float64) {
 	b := m.p.B
-	counts := make([]float64, b+1)
-	for i := 0; i < runs; i++ {
+	occ, se = make([]float64, b+1), make([]float64, b+1)
+	cross := make([]float64, b+1) // Σ c_j·c
+	run := make([]float64, b+1)
+	total, squares := 0.0, 0.0
+	for range runs {
+		clear(run)
+		c := 0.0
 		for _, s := range m.SampleTrajectory(r.Split()) {
 			if s.B >= 1 && s.B < b {
-				counts[s.B]++
+				run[s.B]++
+				c++
 			}
 		}
+		for j := 1; j < b; j++ {
+			occ[j] += run[j]
+			se[j] += run[j] * run[j]
+			cross[j] += run[j] * c
+		}
+		total += c
+		squares += c * c
 	}
-	total := 0.0
 	for j := 1; j < b; j++ {
-		total += counts[j]
+		occ[j] /= total
+		se[j] = math.Sqrt(max(se[j]-2*occ[j]*cross[j]+occ[j]*occ[j]*squares, 0)) / total
 	}
-	for j := 1; j < b; j++ {
-		counts[j] /= total
-	}
-	counts[b] = 0
-	return counts
+	return occ, se
 }
 
-// TestOccupancyMatchesSerial holds occupancy, and so SelfConsistentPhi,
-// bit-equal to the serial reference at one and two workers. The γ = 0
-// row strands some runs in the last phase, so the state at the step cap
-// is counted too.
+// TestOccupancyMatchesSerial holds the exact occupancy, and so every
+// step of SelfConsistentPhi, to the sampler's within 4 standard errors at
+// every level, plus one visit in the whole sample, the resolution of a
+// share no run reached. A γ = 0 chain strands runs in the last phase, so
+// it has no finite occupancy and both must say so.
 func TestOccupancyMatchesSerial(t *testing.T) {
-	defer par.SetDefaultJobs(0) //nolint:errcheck // 0 is always accepted
-	noGamma := testParams()
-	noGamma.Gamma = 0
+	const runs = 20000
 	for _, c := range []struct {
-		name   string
-		p      Params
-		runs   int
-		capped bool
+		name string
+		p    Params
 	}{
-		{"testParams", testParams(), 200, false},
-		{"DefaultParams(40)", DefaultParams(40), 100, false},
-		{"gamma=0", noGamma, 200, true},
+		{"testParams", testParams()},
+		{"DefaultParams(40)", DefaultParams(40)},
+		{"s=20 seeds 2x0.5", seededParams(20, 2, 0.5)},
 	} {
 		m, err := NewModel(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc, err := m.SampleRuns(context.Background(), stats.NewRNG(31, 32), 0, c.runs)
+		want, se := serialOccupancy(m, stats.NewRNG(31, 32), runs)
+		got, err := occupancy(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (acc.Truncated > 0) != c.capped {
-			t.Fatalf("%s: %d runs at the step cap, want capped = %v", c.name, acc.Truncated, c.capped)
-		}
-		want := serialOccupancy(m, stats.NewRNG(31, 32), c.runs)
-		var phi SelfConsistentResult
-		for _, jobs := range []int{1, 2} {
-			if err := par.SetDefaultJobs(jobs); err != nil {
-				t.Fatal(err)
-			}
-			got, err := occupancy(m, stats.NewRNG(31, 32), c.runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("%s jobs %d: occupancy differs from the serial loop", c.name, jobs)
-			}
-			res, err := SelfConsistentPhi(c.p, stats.NewRNG(5, 6), c.runs, 3, 0.7, 1e-9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jobs == 1 {
-				phi = res
-			} else if !reflect.DeepEqual(res, phi) {
-				t.Errorf("%s: SelfConsistentPhi at jobs 2 differs from jobs 1", c.name)
+		for j := 1; j < c.p.B; j++ {
+			if d := math.Abs(got[j] - want[j]); d > 4*se[j]+1.0/runs {
+				t.Errorf("%s level %d: exact %.5g vs MC %.5g ± %.2g", c.name, j, got[j], want[j], se[j])
 			}
 		}
+	}
+	noGamma := testParams()
+	noGamma.Gamma = 0
+	if occ, err := occupancy(noGamma); err == nil {
+		t.Errorf("gamma=0: occupancy %v, want an error", occ)
+	}
+	if res, err := SelfConsistentPhi(noGamma, 3, 0.7, 0.01); err == nil {
+		t.Errorf("gamma=0: SelfConsistentPhi %+v, want an error", res)
 	}
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"repro/internal/stats"
-)
+import "errors"
 
 // Entropy returns the Section 6 system entropy
 //
@@ -81,25 +75,4 @@ func leastSquaresSlope(xs, ys []float64) float64 {
 		return 0
 	}
 	return (n*sxy - sx*sy) / den
-}
-
-// PredictPopulation applies Little's law to the download model: with
-// Poisson arrivals at rate lambda (peers per exchange round) and the
-// model's mean download time E[T] (rounds), the steady-state leecher
-// population is N = λ·E[T]. This links the per-peer chain to the
-// swarm-level population the simulator measures (Figure 4b's stable
-// branch).
-func PredictPopulation(p Params, lambda float64, r *stats.RNG, runs int) (float64, error) {
-	if lambda <= 0 || math.IsNaN(lambda) {
-		return 0, fmt.Errorf("%w: lambda = %g", ErrBadParams, lambda)
-	}
-	m, err := NewModel(p)
-	if err != nil {
-		return 0, err
-	}
-	es, err := m.Ensemble(r, runs)
-	if err != nil {
-		return 0, err
-	}
-	return lambda * es.CompletionSteps.Mean, nil
 }

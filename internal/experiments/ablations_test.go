@@ -250,10 +250,11 @@ func TestPredictPopulationMatchesSim(t *testing.T) {
 	p := core.DefaultParams(s)
 	p.B = pieces
 	p.Phi = core.UniformPhi(pieces)
-	predicted, err := core.PredictPopulation(p, lambda, stats.NewRNG(61, 62), 300)
+	meanT, err := core.ExpectedDownloadTime(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	predicted := lambda * meanT
 
 	cfg := sim.DefaultConfig()
 	cfg.Pieces = pieces

@@ -143,15 +143,21 @@ one_phase_rule() {
 	absent one_phase_rule 'func phaseOf' 'internal/core/*.go' ':!*_test.go'
 }
 
-# The exact tier reads the sampler's own running sums as one
-# level-structured kernel and sweeps it (DESIGN.md §17): the generic
-# sparse chain it replaced, its materialising builder and state cap, and
-# the package-level sampler that re-evaluated f/g/h beside Model.Step may
-# not grow back.
+# The exact tier reads the sampler's own running sums, the seed term
+# included, as one level-structured kernel and sweeps it (DESIGN.md §17):
+# the generic sparse chain it replaced, its materialising builder and
+# state cap, the package-level sampler that re-evaluated f/g/h beside
+# Model.Step, and the sweep's refusal of seeds may not grow back. A mean
+# the sweep computes is not sampled: the seed ratio's ensemble mean, the
+# Little's-law population sampler, and any ensemble in the seeding,
+# self-consistent ϕ and stability files may not grow back either.
 one_exact_kernel() {
 	absent one_exact_kernel \
-		'repro/internal/markov|func BuildChain\(|maxExactStates|^func Step\(|func sampleOutcomes\(' \
+		'repro/internal/markov|func BuildChain\(|maxExactStates|^func Step\(|func sampleOutcomes\(|has no seed term|func meanSteps\(' \
 		'internal/core/*.go' ':!*_test.go'
+	absent one_exact_kernel 'PredictPopulation' '*.go' ':!*_test.go'
+	absent one_exact_kernel '(Ensemble|SampleRuns)\(' \
+		internal/core/seeding.go internal/core/selfconsistent.go internal/core/stability.go
 }
 
 # The simulator keeps one replication-degree table as pieces move, and

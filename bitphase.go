@@ -256,8 +256,8 @@ var (
 
 // SelfConsistentPhi closes the ϕ feedback loop of Section 6: the piece
 // distribution implied by the model's own download dynamics.
-func SelfConsistentPhi(p Params, maxIter int, damping, tol float64) (core.SelfConsistentResult, error) {
-	return core.SelfConsistentPhi(p, maxIter, damping, tol)
+func SelfConsistentPhi(p Params) (core.SelfConsistentResult, error) {
+	return core.SelfConsistentPhi(p)
 }
 
 // SeedParams is the Section 7.2 seeding term of the download model: the

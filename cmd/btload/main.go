@@ -48,11 +48,8 @@ func main() {
 		seed        = flag.Int64("seed", 1, "RNG seed; same seed + flags = same request sequence")
 		mix         = flag.String("mix", "model=2,efficiency=5,sim=1,fluid=2", "traffic mix weights by kind")
 		keys        = flag.Int("keys", 64, "distinct request bodies per kind (the key space)")
-		warmup      = flag.Bool("warmup", true, "prime every corpus key once before measuring (cached-traffic regime)")
 		batchSize   = flag.Int("batch-size", 0, "items per /v1/batch op (0 disables batch traffic)")
 		batchFrac   = flag.Float64("batch-frac", 0.1, "fraction of ops sent as batches under -batch-size")
-		sloP50      = flag.Float64("slo-p50-ms", 0, "fail if exact p50 latency exceeds this many ms (0 = off)")
-		sloP95      = flag.Float64("slo-p95-ms", 0, "fail if exact p95 latency exceeds this many ms (0 = off)")
 		sloP99      = flag.Float64("slo-p99-ms", 0, "fail if exact p99 latency exceeds this many ms (0 = off)")
 		maxErrRate  = flag.Float64("max-error-rate", -1, "fail if the non-2xx, non-429 fraction exceeds this (negative = off)")
 		maxShedRate = flag.Float64("max-shed-rate", -1, "fail if the 429 fraction exceeds this (negative = off)")
@@ -67,9 +64,9 @@ func main() {
 	rep, err := loadRun(context.Background(), loadOptions{
 		target: *target, replicas: splitList(*replicas),
 		duration: *duration, rate: *rate, concurrency: *concurrency,
-		seed: *seed, mix: *mix, keys: *keys, warmup: *warmup,
+		seed: *seed, mix: *mix, keys: *keys,
 		batchSize: *batchSize, batchFrac: *batchFrac,
-		sloP50: *sloP50, sloP95: *sloP95, sloP99: *sloP99,
+		sloP99:     *sloP99,
 		maxErrRate: *maxErrRate, maxShedRate: *maxShedRate, minRate: *minRate,
 		divergence: *divergence,
 	})
@@ -106,11 +103,8 @@ type loadOptions struct {
 	seed        int64
 	mix         string
 	keys        int
-	warmup      bool
 	batchSize   int
 	batchFrac   float64
-	sloP50      float64
-	sloP95      float64
 	sloP99      float64
 	maxErrRate  float64
 	maxShedRate float64
@@ -223,46 +217,19 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	tr.MaxIdleConnsPerHost = o.concurrency * 2
 	client := &http.Client{Transport: tr, Timeout: 2 * time.Minute}
 
-	// Warmup: prime every distinct key once (serially per worker slice)
-	// so the measured window exercises the cached-traffic regime the
-	// acceptance gate is about. Warmup failures are fatal: a target that
-	// cannot serve the corpus once is not worth measuring.
+	// The distinct request bodies, sorted so the divergence sample is
+	// reproducible.
 	uniq := map[string][]byte{}
 	for _, e := range corpus {
 		uniq[string(e.body)] = e.body
 	}
-	if o.warmup {
-		bodies := make([][]byte, 0, len(uniq))
-		for _, b := range uniq {
-			bodies = append(bodies, b)
-		}
-		sort.Slice(bodies, func(i, j int) bool { return bytes.Compare(bodies[i], bodies[j]) < 0 })
-		var werr error
-		var wmu sync.Mutex
-		var wg sync.WaitGroup
-		per := (len(bodies) + o.concurrency - 1) / o.concurrency
-		for w := 0; w < o.concurrency && w*per < len(bodies); w++ {
-			wg.Add(1)
-			go func(slice [][]byte) {
-				defer wg.Done()
-				for _, b := range slice {
-					status, _, _, err := postOnce(ctx, client, o.target+"/v1/query", b)
-					if err == nil && status != http.StatusOK && status != http.StatusTooManyRequests {
-						err = fmt.Errorf("warmup status %d", status)
-					}
-					if err != nil {
-						wmu.Lock()
-						werr = fmt.Errorf("warmup: %w", err)
-						wmu.Unlock()
-						return
-					}
-				}
-			}(bodies[w*per : min(len(bodies), (w+1)*per)])
-		}
-		wg.Wait()
-		if werr != nil {
-			return nil, werr
-		}
+	bodies := make([][]byte, 0, len(uniq))
+	for _, b := range uniq {
+		bodies = append(bodies, b)
+	}
+	sort.Slice(bodies, func(i, j int) bool { return bytes.Compare(bodies[i], bodies[j]) < 0 })
+	if err := warm(ctx, client, o.target, bodies, o.concurrency); err != nil {
+		return nil, err
 	}
 
 	rep := &report{Target: o.target, Duration: o.duration.String()}
@@ -365,7 +332,7 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	}
 
 	if o.divergence > 0 && len(o.replicas) > 0 {
-		checked, failed, err := checkDivergence(ctx, client, o, uniq)
+		checked, failed, err := checkDivergence(ctx, client, o, bodies)
 		if err != nil {
 			return nil, err
 		}
@@ -380,14 +347,9 @@ func loadRun(ctx context.Context, o loadOptions) (*report, error) {
 	if total == 0 {
 		rep.Violations = append(rep.Violations, "no requests completed")
 	} else {
-		check := func(name string, got, limit float64) {
-			if limit > 0 && got > limit {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("%s %.2fms > SLO %.2fms", name, got, limit))
-			}
+		if o.sloP99 > 0 && rep.P99Ms > o.sloP99 {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("p99 %.2fms > SLO %.2fms", rep.P99Ms, o.sloP99))
 		}
-		check("p50", rep.P50Ms, o.sloP50)
-		check("p95", rep.P95Ms, o.sloP95)
-		check("p99", rep.P99Ms, o.sloP99)
 		if o.maxErrRate >= 0 {
 			if r := float64(rep.Errors) / total; r > o.maxErrRate {
 				rep.Violations = append(rep.Violations, fmt.Sprintf("error rate %.4f > budget %.4f", r, o.maxErrRate))
@@ -424,16 +386,42 @@ func postOnce(ctx context.Context, client *http.Client, url string, body []byte)
 	return resp.StatusCode, resp.Header.Get("X-Cache"), b, nil
 }
 
-// checkDivergence replays a deterministic sample of the corpus through
-// the gateway and directly against every replica, byte-comparing the
-// responses. After warmup every path serves cached bytes, so any
-// difference is a real determinism break, not a race.
-func checkDivergence(ctx context.Context, client *http.Client, o loadOptions, uniq map[string][]byte) (checked, failed int, err error) {
-	bodies := make([][]byte, 0, len(uniq))
-	for _, b := range uniq {
-		bodies = append(bodies, b)
+// warm primes every distinct key once (serially per worker slice) so
+// the measured window exercises the cached-traffic regime the
+// acceptance gate is about. A failure is fatal: a target that cannot
+// serve the corpus once is not worth measuring.
+func warm(ctx context.Context, client *http.Client, target string, bodies [][]byte, concurrency int) error {
+	var werr error
+	var wmu sync.Mutex
+	var wg sync.WaitGroup
+	per := (len(bodies) + concurrency - 1) / concurrency
+	for w := 0; w < concurrency && w*per < len(bodies); w++ {
+		wg.Add(1)
+		go func(slice [][]byte) {
+			defer wg.Done()
+			for _, b := range slice {
+				status, _, _, err := postOnce(ctx, client, target+"/v1/query", b)
+				if err == nil && status != http.StatusOK && status != http.StatusTooManyRequests {
+					err = fmt.Errorf("warmup status %d", status)
+				}
+				if err != nil {
+					wmu.Lock()
+					werr = fmt.Errorf("warmup: %w", err)
+					wmu.Unlock()
+					return
+				}
+			}
+		}(bodies[w*per : min(len(bodies), (w+1)*per)])
 	}
-	sort.Slice(bodies, func(i, j int) bool { return bytes.Compare(bodies[i], bodies[j]) < 0 })
+	wg.Wait()
+	return werr
+}
+
+// checkDivergence replays a deterministic sample of the sorted distinct
+// bodies through the gateway and directly against every replica,
+// byte-comparing the responses. After warmup every path serves cached
+// bytes, so any difference is a real determinism break, not a race.
+func checkDivergence(ctx context.Context, client *http.Client, o loadOptions, bodies [][]byte) (checked, failed int, err error) {
 	rng := rand.New(rand.NewSource(o.seed ^ 0x5ca1ab1e))
 	n := min(o.divergence, len(bodies))
 	for _, i := range rng.Perm(len(bodies))[:n] {

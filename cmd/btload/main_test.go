@@ -61,7 +61,6 @@ func TestLoadRunAgainstLiveTarget(t *testing.T) {
 		seed:        7,
 		mix:         "efficiency=4,model=1",
 		keys:        4,
-		warmup:      true,
 		batchSize:   3,
 		batchFrac:   0.25,
 		maxErrRate:  0,
@@ -104,7 +103,6 @@ func TestLoadRunDeterministicSequence(t *testing.T) {
 		seed:        42,
 		mix:         "efficiency=1",
 		keys:        3,
-		warmup:      true,
 	}
 	a, err := loadRun(context.Background(), opts)
 	if err != nil {
@@ -135,7 +133,6 @@ func TestLoadRunFlagsSLOViolations(t *testing.T) {
 		seed:        1,
 		mix:         "efficiency=1",
 		keys:        2,
-		warmup:      true,
 		sloP99:      0.000001, // impossible: everything is slower than 1ns
 		minRate:     1e9,      // impossible throughput floor
 	})

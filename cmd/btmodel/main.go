@@ -107,7 +107,7 @@ func runSeeded(w io.Writer, p core.Params, conns int, serve float64) error {
 
 // runSelfPhi prints the self-consistent piece distribution, exactly.
 func runSelfPhi(w io.Writer, p core.Params) error {
-	res, err := core.SelfConsistentPhi(p, 20, 0.7, 0.02)
+	res, err := core.SelfConsistentPhi(p)
 	if err != nil {
 		return err
 	}

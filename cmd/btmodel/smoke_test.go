@@ -64,8 +64,8 @@ func TestBinarySmokeGolden(t *testing.T) {
 		}},
 		{"seeded_selfphi", append(base[:len(base):len(base)], "-seedconns", "2", "-seedserve", "0.5", "-selfphi"), []string{
 			"-> 1.36x speedup",
-			"4 iterations, final delta 0.0091, entropy 0.911",
-			"phi(   1) = 0.2363",
+			"33 iterations, final delta 0.0000, entropy 0.909",
+			"phi(   1) = 0.2377",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -42,7 +42,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8090", "listen address for /v1/query, /v1/stream, /healthz, /metrics")
 		cacheSize    = flag.Int("cache-size", 256, "result cache capacity in entries")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "result cache TTL (0 = never expire)")
 		workers      = flag.Int("workers", 4, "concurrently computing requests")
 		queue        = flag.Int("queue", 16, "admission waiting room beyond workers (-1 = none)")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request compute deadline")
@@ -56,7 +55,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if err := run(os.Stdout, logger, options{
-		addr: *addr, cacheSize: *cacheSize, cacheTTL: *cacheTTL,
+		addr: *addr, cacheSize: *cacheSize,
 		workers: *workers, queue: *queue, timeout: *timeout,
 		drainTimeout: *drainTimeout, debugAddr: *debugAddr, traceSpans: *traceSpans,
 	}, ctx.Done(), nil); err != nil {
@@ -68,7 +67,6 @@ func main() {
 type options struct {
 	addr         string
 	cacheSize    int
-	cacheTTL     time.Duration
 	workers      int
 	queue        int
 	timeout      time.Duration
@@ -103,7 +101,6 @@ func run(w io.Writer, logger *slog.Logger, o options, stop <-chan struct{}, read
 		Registry:       reg,
 		Logger:         logger,
 		CacheSize:      o.cacheSize,
-		CacheTTL:       o.cacheTTL,
 		Workers:        o.workers,
 		Queue:          o.queue,
 		RequestTimeout: o.timeout,

@@ -72,8 +72,6 @@ type Config struct {
 	// seed. Use NewStorage/NewSeededStorage for in-memory stores or
 	// NewFileStorage for disk-backed downloads with resume.
 	Storage *Storage
-	// PeerID identifies this client; zero means derive from the seeds.
-	PeerID [20]byte
 	// ListenAddr is the TCP listen address (default "127.0.0.1:0").
 	ListenAddr string
 	// MaxPeers caps the connected peer set (the neighbor set size s).
@@ -171,31 +169,36 @@ func (c *Config) setDefaults() error {
 	if c.ShakeThreshold < 0 || c.ShakeThreshold > 1 {
 		return fmt.Errorf("client: bad shake threshold %g", c.ShakeThreshold)
 	}
-	if c.PeerID == ([20]byte{}) {
-		copy(c.PeerID[:], "-BP0001-")
-		if c.Seed1 == 0 && c.Seed2 == 0 {
-			// No deterministic seed requested: derive a unique id, so two
-			// default-configured clients (e.g. btmake + btget on one
-			// machine) never collide at the tracker.
-			if _, err := cryptorand.Read(c.PeerID[8:]); err != nil {
-				return fmt.Errorf("client: derive peer id: %w", err)
-			}
-			for i := 8; i < 20; i++ {
-				c.PeerID[i] = 'a' + c.PeerID[i]%26
-			}
-		} else {
-			r := stats.NewRNG(c.Seed1^0x5eed, c.Seed2+0x1d)
-			for i := 8; i < 20; i++ {
-				c.PeerID[i] = byte('a' + r.IntN(26))
-			}
-		}
-	}
 	return nil
+}
+
+// peerID derives the client's 20-byte id: "-BP0001-" and twelve letters
+// drawn from the seeds, or from crypto/rand when no seed is set, so two
+// default-configured clients (e.g. btmake + btget on one machine) never
+// collide at the tracker.
+func peerID(seed1, seed2 uint64) ([20]byte, error) {
+	var id [20]byte
+	copy(id[:], "-BP0001-")
+	if seed1 == 0 && seed2 == 0 {
+		if _, err := cryptorand.Read(id[8:]); err != nil {
+			return id, fmt.Errorf("client: derive peer id: %w", err)
+		}
+		for i := 8; i < 20; i++ {
+			id[i] = 'a' + id[i]%26
+		}
+		return id, nil
+	}
+	r := stats.NewRNG(seed1^0x5eed, seed2+0x1d)
+	for i := 8; i < 20; i++ {
+		id[i] = byte('a' + r.IntN(26))
+	}
+	return id, nil
 }
 
 // Client is one running swarm participant.
 type Client struct {
 	cfg      Config
+	peerID   [20]byte
 	storage  *Storage
 	rng      *stats.RNG
 	listener net.Listener
@@ -246,9 +249,14 @@ func New(cfg Config) (*Client, error) {
 	if stInfo.NumPieces() != cfg.Torrent.Info.NumPieces() {
 		return nil, errors.New("client: storage does not match torrent")
 	}
+	id, err := peerID(cfg.Seed1, cfg.Seed2)
+	if err != nil {
+		return nil, err
+	}
 	dialCtx, dialCancel := context.WithCancel(context.Background())
 	return &Client{
 		cfg:     cfg,
+		peerID:  id,
 		storage: cfg.Storage,
 		rng:     stats.NewRNG(cfg.Seed1, cfg.Seed2),
 		trClient: &tracker.Client{
@@ -366,7 +374,7 @@ func (c *Client) acceptLoop() {
 // admit performs the handshake off the event loop, then hands the
 // connection over. The returned error lets outbound dial loops retry.
 func (c *Client) admit(conn net.Conn, inbound bool) error {
-	remoteID, err := performHandshake(conn, c.cfg.Torrent.Hash, c.cfg.PeerID, inbound, writeTimeout)
+	remoteID, err := performHandshake(conn, c.cfg.Torrent.Hash, c.peerID, inbound, writeTimeout)
 	if err != nil {
 		_ = conn.Close()
 		return err
@@ -506,7 +514,7 @@ func (c *Client) announceRequest(event tracker.Event) tracker.AnnounceRequest {
 	return tracker.AnnounceRequest{
 		AnnounceURL: c.cfg.Torrent.Announce,
 		InfoHash:    c.cfg.Torrent.Hash,
-		PeerID:      c.cfg.PeerID,
+		PeerID:      c.peerID,
 		Port:        max(c.listenPort(), 1), // the tracker requires a positive port
 		Downloaded:  c.storage.BytesVerified(),
 		Left:        c.storage.Left(),

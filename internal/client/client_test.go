@@ -292,7 +292,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.cfg.PeerID == ([20]byte{}) {
+	if cl.peerID == ([20]byte{}) {
 		t.Error("peer id must be derived")
 	}
 	cl.Stop() // Stop before Start must not panic

@@ -28,9 +28,6 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 		outage   = 5 // N: enough to reach the 8x cap and stay on it
 		interval = 40 * time.Millisecond
 	)
-	var leechID [20]byte
-	copy(leechID[:], "-BP0001-outageoutage")
-
 	// What the tracker saw at each announce from the leecher, taken on the
 	// client's own event loop while the request is held: a new announce is
 	// only sent once the previous result is booked, so request j of the
@@ -56,7 +53,7 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 		mu.Lock()
 		cl, left := leech, remaining
 		mu.Unlock()
-		if left < 0 || r.URL.Query().Get("peer_id") != string(leechID[:]) {
+		if left < 0 || r.URL.Query().Get("peer_id") != string(cl.peerID[:]) {
 			inner.ServeHTTP(w, r)
 			return
 		}
@@ -144,7 +141,7 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, err := New(Config{
-		Torrent: torrent, Storage: store, Name: "dl", PeerID: leechID,
+		Torrent: torrent, Storage: store, Name: "dl",
 		BlockSize: 1 << 10, MaxUploads: 4,
 		ChokeInterval:    50 * time.Millisecond,
 		SampleInterval:   50 * time.Millisecond,
@@ -187,7 +184,7 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 			}
 			hs, err := wire.ReadHandshake(c)
 			_ = c.Close()
-			if err == nil && hs.PeerID == leechID {
+			if err == nil && hs.PeerID == cl.peerID {
 				close(dialled)
 				return
 			}

@@ -315,8 +315,7 @@ func (m *ChunkModel) Solve(ctx context.Context, x0, y0, horizon float64, grid []
 	if x0 < 0 || y0 < 0 || math.IsNaN(x0) || math.IsNaN(y0) {
 		return nil, fmt.Errorf("fluid: chunk initial state (%g, %g)", x0, y0)
 	}
-	opts.Grid = grid
-	sol, err := Solve(ctx, m.Derivs(), m.InitialState(x0, y0), 0, horizon, opts)
+	sol, err := Solve(ctx, m.Derivs(), m.InitialState(x0, y0), 0, horizon, grid, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ func TestChunkFlowBalanceAtSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(context.Background(), m.Derivs(), m.InitialState(0, 1), 0, 400, SolveOpts{})
+	sol, err := Solve(context.Background(), m.Derivs(), m.InitialState(0, 1), 0, 400, nil, SolveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,8 +144,7 @@ func (p QSParams) SolveAdaptive(ctx context.Context, x0, y0, horizon float64, gr
 	if x0 < 0 || y0 < 0 || math.IsNaN(x0) || math.IsNaN(y0) {
 		return nil, nil, fmt.Errorf("fluid: initial state (%g, %g)", x0, y0)
 	}
-	opts.Grid = grid
-	sol, err := Solve(ctx, p.Derivs(), []float64{x0, y0}, 0, horizon, opts)
+	sol, err := Solve(ctx, p.Derivs(), []float64{x0, y0}, 0, horizon, grid, opts)
 	if err != nil {
 		return nil, nil, err
 	}

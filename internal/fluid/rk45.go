@@ -50,6 +50,10 @@ var (
 	}
 )
 
+// stepBudget bounds accepted plus rejected steps of one Solve;
+// exceeding it is an ErrDiverged.
+const stepBudget = 1_000_000
+
 // SolveOpts tunes an adaptive Solve. The zero value takes the documented
 // defaults.
 type SolveOpts struct {
@@ -57,15 +61,6 @@ type SolveOpts struct {
 	// embedded estimate (defaults 1e-6 and 1e-9). A step is accepted when
 	// the RMS of err_i / (ATol + RTol·max(|y_i|, |y'_i|)) is at most 1.
 	RTol, ATol float64
-	// MaxStep caps the step size (default: the full interval).
-	MaxStep float64
-	// MaxSteps bounds accepted plus rejected steps (default 1_000_000);
-	// exceeding it is an ErrDiverged.
-	MaxSteps int
-	// Grid lists times at which the solution is sampled through the
-	// dense-output interpolant, without constraining step acceptance.
-	// Must be non-decreasing and inside [t0, t1].
-	Grid []float64
 	// OnStep, when non-nil, is called after every accepted step with the
 	// step's end time and state (slice not retained). This is the serving
 	// layer's streaming hook.
@@ -101,17 +96,19 @@ type rk45 struct {
 // Solve integrates y' = f(t, y) from t0 to t1 with the adaptive
 // Dormand–Prince 5(4) scheme: embedded error control with a clamped
 // PI-free step controller, NaN/Inf divergence guards, and fourth-order
-// dense output onto opts.Grid. The ctx is checked once per accepted
-// step, so long solves abort cooperatively; pass context.Background()
-// when cancellation is not needed.
+// dense output onto grid, the times (non-decreasing, inside [t0, t1]) at
+// which the solution is sampled without constraining step acceptance.
+// A step may span the whole interval. The ctx is checked once per
+// accepted step, so long solves abort cooperatively; pass
+// context.Background() when cancellation is not needed.
 //
 // Determinism: the result — every accepted step, the sample values, and
-// the step counters — is a pure function of (f, y0, t0, t1, opts). The
-// solver allocates its scratch up front and then runs straight-line
-// float64 arithmetic; there is no randomness, no map iteration, and no
-// concurrency, so repeated solves are bit-identical across runs,
-// machines, and -jobs settings.
-func Solve(ctx context.Context, f Derivs, y0 []float64, t0, t1 float64, opts SolveOpts) (*Solution, error) {
+// the step counters — is a pure function of (f, y0, t0, t1, grid,
+// opts). The solver allocates its scratch up front and then runs
+// straight-line float64 arithmetic; there is no randomness, no map
+// iteration, and no concurrency, so repeated solves are bit-identical
+// across runs, machines, and -jobs settings.
+func Solve(ctx context.Context, f Derivs, y0 []float64, t0, t1 float64, grid []float64, opts SolveOpts) (*Solution, error) {
 	if len(y0) == 0 {
 		return nil, errors.New("fluid: empty state")
 	}
@@ -128,17 +125,8 @@ func Solve(ctx context.Context, f Derivs, y0 []float64, t0, t1 float64, opts Sol
 		(opts.RTol == 0 && opts.ATol == 0) {
 		return nil, fmt.Errorf("fluid: tolerances rtol=%g atol=%g out of range", opts.RTol, opts.ATol)
 	}
-	if opts.MaxStep == 0 {
-		opts.MaxStep = t1 - t0
-	}
-	if opts.MaxStep < 0 || math.IsNaN(opts.MaxStep) {
-		return nil, fmt.Errorf("fluid: MaxStep = %g", opts.MaxStep)
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 1_000_000
-	}
-	for i, tg := range opts.Grid {
-		if math.IsNaN(tg) || tg < t0 || tg > t1 || (i > 0 && tg < opts.Grid[i-1]) {
+	for i, tg := range grid {
+		if math.IsNaN(tg) || tg < t0 || tg > t1 || (i > 0 && tg < grid[i-1]) {
 			return nil, fmt.Errorf("fluid: grid[%d] = %g outside ordered [%g, %g]", i, tg, t0, t1)
 		}
 	}
@@ -158,7 +146,7 @@ func Solve(ctx context.Context, f Derivs, y0 []float64, t0, t1 float64, opts Sol
 	}
 	s.tmp = make([]float64, n)
 	s.yNew = make([]float64, n)
-	err := s.run(ctx, t0, t1)
+	err := s.run(ctx, t0, t1, grid)
 	if sp != nil {
 		sp.AnnotateInt("steps", s.sol.Steps)
 		sp.AnnotateInt("rejected", s.sol.Rejected)
@@ -174,9 +162,7 @@ func Solve(ctx context.Context, f Derivs, y0 []float64, t0, t1 float64, opts Sol
 	return s.sol, nil
 }
 
-func (s *rk45) run(ctx context.Context, t0, t1 float64) error {
-	opts := &s.opts
-	grid := opts.Grid
+func (s *rk45) run(ctx context.Context, t0, t1 float64, grid []float64) error {
 	gi := 0
 	// Grid points at exactly t0 sample the initial state.
 	for gi < len(grid) && grid[gi] == t0 {
@@ -202,11 +188,11 @@ func (s *rk45) run(ctx context.Context, t0, t1 float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if s.sol.Steps+s.sol.Rejected >= opts.MaxSteps {
-			return fmt.Errorf("%w: step budget %d exhausted at t=%g", ErrDiverged, opts.MaxSteps, t)
+		if s.sol.Steps+s.sol.Rejected >= stepBudget {
+			return fmt.Errorf("%w: step budget %d exhausted at t=%g", ErrDiverged, stepBudget, t)
 		}
-		if h > opts.MaxStep {
-			h = opts.MaxStep
+		if h > t1-t0 {
+			h = t1 - t0
 		}
 		last := false
 		if t+h >= t1 {
@@ -250,8 +236,8 @@ func (s *rk45) run(ctx context.Context, t0, t1 float64) error {
 		s.k[0], s.k[6] = s.k[6], s.k[0]
 		t = tNew
 		s.sol.Steps++
-		if opts.OnStep != nil {
-			opts.OnStep(t, s.y)
+		if s.opts.OnStep != nil {
+			s.opts.OnStep(t, s.y)
 		}
 		// Grow for the next step, clamped to [0.2, 5]×.
 		factor := 5.0
@@ -350,7 +336,7 @@ func (s *rk45) sample(tg float64, y []float64) {
 }
 
 // initialStep picks the first step size with the standard two-evaluation
-// heuristic (Hairer, Nørsett & Wanner II.4), clamped to MaxStep.
+// heuristic (Hairer, Nørsett & Wanner II.4), clamped to the interval.
 func (s *rk45) initialStep(t0, t1 float64) float64 {
 	span := t1 - t0
 	d0, d1 := 0.0, 0.0
@@ -385,7 +371,7 @@ func (s *rk45) initialStep(t0, t1 float64) float64 {
 	if m := math.Max(d1, d2); m > 1e-15 {
 		h1 = math.Pow(0.01/m, 0.2)
 	}
-	h := math.Min(math.Min(100*h0, h1), math.Min(span, s.opts.MaxStep))
+	h := math.Min(math.Min(100*h0, h1), span)
 	if h <= 0 || math.IsNaN(h) {
 		h = 1e-6 * span
 	}

@@ -12,7 +12,7 @@ import (
 func TestSolveExponentialDecay(t *testing.T) {
 	decay := func(_ float64, y, d []float64) { d[0] = -y[0] }
 	grid := []float64{0, 1, 2.5, 5}
-	sol, err := Solve(context.Background(), decay, []float64{1}, 0, 5, SolveOpts{Grid: grid, RTol: 1e-8, ATol: 1e-10})
+	sol, err := Solve(context.Background(), decay, []float64{1}, 0, 5, grid, SolveOpts{RTol: 1e-8, ATol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSolveHarmonicOscillatorAdaptive(t *testing.T) {
 	// phase, which a too-coarse fixed step would lose.
 	osc := func(_ float64, y, d []float64) { d[0], d[1] = y[1], -y[0] }
 	horizon := 20 * math.Pi
-	sol, err := Solve(context.Background(), osc, []float64{1, 0}, 0, horizon, SolveOpts{RTol: 1e-9, ATol: 1e-12})
+	sol, err := Solve(context.Background(), osc, []float64{1, 0}, 0, horizon, nil, SolveOpts{RTol: 1e-9, ATol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSolveDenseOutputAccuracy(t *testing.T) {
 	for i := range grid {
 		grid[i] = float64(i) * 0.1
 	}
-	sol, err := Solve(context.Background(), f, []float64{0}, 0, 10, SolveOpts{Grid: grid, RTol: 1e-6, ATol: 1e-9})
+	sol, err := Solve(context.Background(), f, []float64{0}, 0, 10, grid, SolveOpts{RTol: 1e-6, ATol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSolveDeterministicBitIdentical(t *testing.T) {
 	p := QSParams{Lambda: 2, C: 1, Mu: 0.5, Eta: 0.8, Gamma: 0.7}
 	grid := []float64{0, 10, 50, 100}
 	run := func() *Solution {
-		sol, err := Solve(context.Background(), p.Derivs(), []float64{0, 1}, 0, 100, SolveOpts{Grid: grid})
+		sol, err := Solve(context.Background(), p.Derivs(), []float64{0, 1}, 0, 100, grid, SolveOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSolveMatchesRK4OnSmoothProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(context.Background(), p.Derivs(), []float64{0, 1}, 0, 50, SolveOpts{RTol: 1e-9, ATol: 1e-12})
+	sol, err := Solve(context.Background(), p.Derivs(), []float64{0, 1}, 0, 50, nil, SolveOpts{RTol: 1e-9, ATol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSolveDivergenceGuard(t *testing.T) {
 	// y' = y² from y(0)=1 blows up at t=1; the solver must return
 	// ErrDiverged, not loop or emit Inf.
 	blow := func(_ float64, y, d []float64) { d[0] = y[0] * y[0] }
-	_, err := Solve(context.Background(), blow, []float64{1}, 0, 2, SolveOpts{MaxSteps: 10_000})
+	_, err := Solve(context.Background(), blow, []float64{1}, 0, 2, nil, SolveOpts{})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
@@ -126,7 +126,7 @@ func TestSolveNaNVectorField(t *testing.T) {
 			d[0] = math.NaN()
 		}
 	}
-	_, err := Solve(context.Background(), bad, []float64{0}, 0, 1, SolveOpts{MaxSteps: 1000})
+	_, err := Solve(context.Background(), bad, []float64{0}, 0, 1, nil, SolveOpts{})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
@@ -139,20 +139,20 @@ func TestSolveValidation(t *testing.T) {
 		y0   []float64
 		t0   float64
 		t1   float64
+		grid []float64
 		opts SolveOpts
 	}{
-		{"empty state", nil, 0, 1, SolveOpts{}},
-		{"reversed interval", []float64{1}, 1, 0, SolveOpts{}},
-		{"nan interval", []float64{1}, 0, math.NaN(), SolveOpts{}},
-		{"negative rtol", []float64{1}, 0, 1, SolveOpts{RTol: -1}},
-		{"nan atol", []float64{1}, 0, 1, SolveOpts{ATol: math.NaN()}},
-		{"grid out of range", []float64{1}, 0, 1, SolveOpts{Grid: []float64{2}}},
-		{"grid unordered", []float64{1}, 0, 1, SolveOpts{Grid: []float64{0.5, 0.2}}},
-		{"grid nan", []float64{1}, 0, 1, SolveOpts{Grid: []float64{math.NaN()}}},
-		{"negative maxstep", []float64{1}, 0, 1, SolveOpts{MaxStep: -1}},
+		{"empty state", nil, 0, 1, nil, SolveOpts{}},
+		{"reversed interval", []float64{1}, 1, 0, nil, SolveOpts{}},
+		{"nan interval", []float64{1}, 0, math.NaN(), nil, SolveOpts{}},
+		{"negative rtol", []float64{1}, 0, 1, nil, SolveOpts{RTol: -1}},
+		{"nan atol", []float64{1}, 0, 1, nil, SolveOpts{ATol: math.NaN()}},
+		{"grid out of range", []float64{1}, 0, 1, []float64{2}, SolveOpts{}},
+		{"grid unordered", []float64{1}, 0, 1, []float64{0.5, 0.2}, SolveOpts{}},
+		{"grid nan", []float64{1}, 0, 1, []float64{math.NaN()}, SolveOpts{}},
 	}
 	for _, tc := range cases {
-		if _, err := Solve(context.Background(), f, tc.y0, tc.t0, tc.t1, tc.opts); err == nil {
+		if _, err := Solve(context.Background(), f, tc.y0, tc.t0, tc.t1, tc.grid, tc.opts); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -160,7 +160,7 @@ func TestSolveValidation(t *testing.T) {
 
 func TestSolveEmptyInterval(t *testing.T) {
 	f := func(_ float64, _, d []float64) { d[0] = 1 }
-	sol, err := Solve(context.Background(), f, []float64{7}, 3, 3, SolveOpts{Grid: []float64{3, 3}})
+	sol, err := Solve(context.Background(), f, []float64{7}, 3, 3, []float64{3, 3}, SolveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSolveContextCancel(t *testing.T) {
 		}
 		d[0] = math.Sin(y[0])
 	}
-	_, err := Solve(ctx, slow, []float64{1}, 0, 1e6, SolveOpts{})
+	_, err := Solve(ctx, slow, []float64{1}, 0, 1e6, nil, SolveOpts{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -189,7 +189,7 @@ func TestSolveOnStepMonotone(t *testing.T) {
 	decay := func(_ float64, y, d []float64) { d[0] = -y[0] }
 	prev := 0.0
 	calls := 0
-	_, err := Solve(context.Background(), decay, []float64{1}, 0, 10, SolveOpts{
+	_, err := Solve(context.Background(), decay, []float64{1}, 0, 10, nil, SolveOpts{
 		OnStep: func(tt float64, y []float64) {
 			calls++
 			if tt <= prev || tt > 10 {
@@ -220,7 +220,7 @@ func TestSolveRandomizedProblemsStayControlled(t *testing.T) {
 			d[0] = -a*y[0] + b*y[1]
 			d[1] = -a*y[1] - b*y[0]
 		}
-		sol, err := Solve(context.Background(), f, []float64{1, 1}, 0, 8, SolveOpts{})
+		sol, err := Solve(context.Background(), f, []float64{1, 1}, 0, 8, nil, SolveOpts{})
 		if err != nil {
 			t.Fatalf("trial %d (a=%g b=%g): %v", trial, a, b, err)
 		}

@@ -374,7 +374,7 @@ func TestFluidStreamStillRejectsModelKinds(t *testing.T) {
 // TestFluidDivergenceIsClientError asks for an integration the solver
 // must refuse (step budget exhausted) and expects a 400, not a 500.
 func TestFluidDivergenceIsClientError(t *testing.T) {
-	// A huge horizon with the tightest tolerances exhausts MaxSteps.
+	// A huge horizon with the tightest tolerances exhausts the step budget.
 	_, ts, _ := newTestServer(t, Config{})
 	resp, b := postQuery(t, ts.URL,
 		`{"kind":"fluid","fluid":{"horizon":20000,"rtol":1e-12,"atol":1e-15,"lambda":5,"mu":0.9,"gamma":0.1}}`)

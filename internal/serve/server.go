@@ -31,12 +31,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Logger receives request-level events (nil = slog.Default()).
 	Logger *slog.Logger
-	// CacheSize is the LRU capacity in entries (default 256).
+	// CacheSize is the LRU capacity in entries (default 256). Entries
+	// never expire: results are pure functions of the request, so
+	// staleness is impossible, and the capacity bounds memory.
 	CacheSize int
-	// CacheTTL expires cached results (default 0 = never: results are
-	// pure functions of the request, so staleness is impossible — the
-	// TTL exists to bound memory for long-running deployments).
-	CacheTTL time.Duration
 	// Workers bounds concurrently computing requests (default 4).
 	Workers int
 	// Queue bounds requests waiting for a worker; beyond Workers+Queue
@@ -125,7 +123,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		logger:     cfg.Logger,
 		mux:        http.NewServeMux(),
-		cache:      NewCache(cfg.CacheSize, cfg.CacheTTL),
+		cache:      NewCache(cfg.CacheSize, 0),
 		flights:    &flightGroup{},
 		gate:       par.NewGate(cfg.Workers, cfg.Queue),
 		baseCtx:    ctx,

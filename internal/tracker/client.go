@@ -73,9 +73,6 @@ type Client struct {
 	// retry.LockedRand around a seeded stats.RNG for deterministic,
 	// concurrency-safe jitter.
 	Jitter retry.Rand
-	// UDP configures the BEP 15 transport (base timeout, retransmits).
-	// The zero value uses the protocol defaults.
-	UDP UDPConfig
 	// Metrics, when non-nil, receives the client-side announce counters
 	// under the "tracker_client." namespace: attempts, retries, giveups,
 	// failovers.
@@ -159,7 +156,7 @@ func (c *Client) announceURL(ctx context.Context, announceURL string, req Announ
 func (c *Client) announceOnce(ctx context.Context, parsed *url.URL, req AnnounceRequest) (*AnnounceResponse, error) {
 	u := *parsed // the query is mutated below; keep the original clean
 	if u.Scheme == "udp" {
-		return c.UDP.Announce(ctx, u.Host, req)
+		return announceUDP(ctx, u.Host, req)
 	}
 	q := url.Values{}
 	q.Set("info_hash", string(req.InfoHash[:]))

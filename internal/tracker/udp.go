@@ -215,54 +215,23 @@ func udpError(txn uint32, msg string) []byte {
 // ErrUDPTracker wraps tracker-reported UDP errors.
 var ErrUDPTracker = errors.New("tracker: udp announce failed")
 
-// DefaultUDPTimeout is the BEP 15 base retransmit timeout: a request is
-// retried after 15·2^n seconds.
-const DefaultUDPTimeout = 15 * time.Second
+// The BEP 15 client schedule: attempt n waits udpTimeout·2^n, and a
+// request is re-sent udpRetransmits times after the first timeout (BEP
+// 15 allows up to 8; two keep worst-case announce latency near a minute).
+const (
+	udpTimeout     = 15 * time.Second
+	udpRetransmits = 2
+)
 
-// DefaultUDPRetransmits is the default number of retransmits after the
-// first timeout (BEP 15 allows up to 8; two keeps worst-case announce
-// latency near a minute with the standard base).
-const DefaultUDPRetransmits = 2
-
-// UDPConfig parameterizes the BEP 15 client transport.
-type UDPConfig struct {
-	// Timeout is the base per-attempt timeout; attempt n waits
-	// Timeout·2^n per the UDP tracker convention (DefaultUDPTimeout
-	// when zero).
-	Timeout time.Duration
-	// MaxRetransmits is how many times a request is re-sent after the
-	// first timeout (DefaultUDPRetransmits when zero; negative disables
-	// retransmission entirely).
-	MaxRetransmits int
-}
-
-func (c UDPConfig) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return DefaultUDPTimeout
-	}
-	return c.Timeout
-}
-
-func (c UDPConfig) retransmits() int {
-	if c.MaxRetransmits < 0 {
-		return 0
-	}
-	if c.MaxRetransmits == 0 {
-		return DefaultUDPRetransmits
-	}
-	return c.MaxRetransmits
-}
-
-// exchange sends pkt and waits for a reply, retransmitting with the BEP
-// 15 backoff (timeout·2^n, bounded by MaxRetransmits) and honoring ctx
-// cancellation via the socket deadline.
-func (c UDPConfig) exchange(ctx context.Context, conn *net.UDPConn, pkt, buf []byte) (int, error) {
+// udpExchange sends pkt and waits for a reply, retransmitting with the BEP
+// 15 backoff and honoring ctx cancellation via the socket deadline.
+func udpExchange(ctx context.Context, conn *net.UDPConn, pkt, buf []byte) (int, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.retransmits(); attempt++ {
+	for attempt := 0; attempt <= udpRetransmits; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		deadline := time.Now().Add(c.timeout() << uint(attempt))
+		deadline := time.Now().Add(udpTimeout << uint(attempt))
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
@@ -284,12 +253,13 @@ func (c UDPConfig) exchange(ctx context.Context, conn *net.UDPConn, pkt, buf []b
 		}
 	}
 	return 0, fmt.Errorf("tracker: udp exchange gave up after %d sends: %w",
-		c.retransmits()+1, lastErr)
+		udpRetransmits+1, lastErr)
 }
 
-// Announce performs a BEP 15 connect + announce round trip against a UDP
-// tracker at addr, retransmitting each request with exponential backoff.
-func (c UDPConfig) Announce(ctx context.Context, addr string, req AnnounceRequest) (*AnnounceResponse, error) {
+// announceUDP performs a BEP 15 connect + announce round trip against a
+// UDP tracker at addr, retransmitting each request with exponential
+// backoff.
+func announceUDP(ctx context.Context, addr string, req AnnounceRequest) (*AnnounceResponse, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tracker: resolve %q: %w", addr, err)
@@ -307,7 +277,7 @@ func (c UDPConfig) Announce(ctx context.Context, addr string, req AnnounceReques
 	binary.BigEndian.PutUint32(pkt[8:12], udpActionConnect)
 	binary.BigEndian.PutUint32(pkt[12:16], txn)
 	buf := make([]byte, udpMaxPacket)
-	n, err := c.exchange(ctx, conn, pkt, buf)
+	n, err := udpExchange(ctx, conn, pkt, buf)
 	if err != nil {
 		return nil, fmt.Errorf("tracker: udp connect: %w", err)
 	}
@@ -334,7 +304,7 @@ func (c UDPConfig) Announce(ctx context.Context, addr string, req AnnounceReques
 	}
 	binary.BigEndian.PutUint32(pkt[92:96], uint32(numWant))
 	binary.BigEndian.PutUint16(pkt[96:98], uint16(req.Port))
-	n, err = c.exchange(ctx, conn, pkt, buf)
+	n, err = udpExchange(ctx, conn, pkt, buf)
 	if err != nil {
 		return nil, fmt.Errorf("tracker: udp announce: %w", err)
 	}

@@ -27,7 +27,7 @@ func TestUDPAnnounceLifecycle(t *testing.T) {
 	hash := id(0xE1)
 
 	// Seeder joins.
-	resp, err := (UDPConfig{}).Announce(context.Background(), addr, AnnounceRequest{
+	resp, err := announceUDP(context.Background(), addr, AnnounceRequest{
 		InfoHash: hash, PeerID: id(1), Port: 6881, Left: 0, Event: EventStarted,
 	})
 	if err != nil {
@@ -41,7 +41,7 @@ func TestUDPAnnounceLifecycle(t *testing.T) {
 	}
 
 	// Leecher joins and sees the seeder.
-	resp, err = (UDPConfig{}).Announce(context.Background(), addr, AnnounceRequest{
+	resp, err = announceUDP(context.Background(), addr, AnnounceRequest{
 		InfoHash: hash, PeerID: id(2), Port: 6882, Left: 500, Event: EventStarted,
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func TestUDPAnnounceLifecycle(t *testing.T) {
 	}
 
 	// Stop removes.
-	if _, err := (UDPConfig{}).Announce(context.Background(), addr, AnnounceRequest{
+	if _, err := announceUDP(context.Background(), addr, AnnounceRequest{
 		InfoHash: hash, PeerID: id(2), Port: 6882, Left: 500, Event: EventStopped,
 	}); err != nil {
 		t.Fatal(err)
@@ -125,13 +125,13 @@ func TestUDPAnnounceErrors(t *testing.T) {
 	_, srv := newUDPPair(t)
 	addr := srv.Addr().String()
 	// Port 0 is rejected by the server.
-	if _, err := (UDPConfig{}).Announce(context.Background(), addr, AnnounceRequest{
+	if _, err := announceUDP(context.Background(), addr, AnnounceRequest{
 		InfoHash: id(0xE2), PeerID: id(3), Port: 0, Left: 5,
 	}); !errors.Is(err, ErrUDPTracker) {
 		t.Errorf("bad port: %v", err)
 	}
 	// Unreachable address times out or errors.
-	if _, err := (UDPConfig{}).Announce(context.Background(), "127.0.0.1:1", AnnounceRequest{
+	if _, err := announceUDP(context.Background(), "127.0.0.1:1", AnnounceRequest{
 		InfoHash: id(0xE2), PeerID: id(3), Port: 6881, Left: 5,
 	}); err == nil {
 		t.Error("unreachable tracker must error")

@@ -294,6 +294,22 @@ one_chain_kernel() {
 		'*.go' ':!*_test.go'
 }
 
+# A setting that no caller varies is a constant (DESIGN.md §17):
+# SelfConsistentPhi's damping and stopping rule, fluid.Solve's step cap
+# and step budget, the BEP 15 retransmit schedule, the client's peer id,
+# the result cache's TTL, and btload's p50/p95 SLOs and warmup switch may
+# not come back as options (bench/ keeps serve.NewCache's ttl argument
+# until its next change).
+one_option_value() {
+	absent one_option_value \
+		'UDPConfig|MaxRetransmits|CacheTTL|^func [^{]*[(, ]damping[ ,]' \
+		'*.go' ':!*_test.go' ':!bench'
+	absent one_option_value '[^A-Za-z]MaxSteps?[^A-Za-z]' 'internal/fluid/*.go' ':!*_test.go'
+	absent one_option_value '^[[:space:]]+PeerID[[:space:]]+\[20\]byte|cfg\.PeerID' \
+		'internal/client/*.go' ':!*_test.go'
+	absent one_option_value 'flag\.[[:alnum:]]+\("(cache-ttl|slo-p50-ms|slo-p95-ms|warmup)"' 'cmd/*.go'
+}
+
 # CI's fuzz step loops over an explicit "package FuzzName" list; a fuzz
 # function missing from it would never be run with new inputs.
 every_fuzz_function_in_ci() {
@@ -335,6 +351,7 @@ one_liveness_signal
 one_event_clock
 one_chain_walk
 one_chain_kernel
+one_option_value
 every_fuzz_function_in_ci
 
 [ -z "$fired" ] || exit 1

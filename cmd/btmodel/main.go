@@ -142,6 +142,9 @@ func run(w io.Writer, p core.Params, runs int, seed uint64) error {
 	fmt.Fprintf(w, "  completion steps: mean %.1f, median %.1f, p25 %.1f, p75 %.1f\n",
 		es.CompletionSteps.Mean, es.CompletionSteps.Median,
 		es.CompletionSteps.P25, es.CompletionSteps.P75)
+	if es.Truncated > 0 {
+		fmt.Fprintf(w, "  never completed: %d of %d runs (stranded or at the step cap)\n", es.Truncated, runs)
+	}
 	fmt.Fprintf(w, "  phases: bootstrap %.1f, efficient %.1f, last %.1f steps on average\n",
 		es.Phases.MeanBootstrap, es.Phases.MeanEfficient, es.Phases.MeanLast)
 	fmt.Fprintf(w, "  stuck in bootstrap: %.1f%% of runs; entered last phase: %.1f%%\n\n",

@@ -67,7 +67,8 @@ func runByRunEnsemble(m *Model, r *stats.RNG, runs int) EnsembleStats {
 }
 
 // sameEnsemble compares bit for bit: DeepEqual treats NaN != NaN, but
-// the sparse-bucket NaNs are part of the contract.
+// the sparse-bucket NaNs, and those of a summary over fewer than two
+// completions, are part of the contract.
 func sameEnsemble(a, b EnsembleStats) bool {
 	sameBits := func(x, y []float64) bool {
 		if len(x) != len(y) {
@@ -82,13 +83,19 @@ func sameEnsemble(a, b EnsembleStats) bool {
 	}
 	if !sameBits(a.PotentialByPieces, b.PotentialByPieces) ||
 		!sameBits(a.FirstPassage, b.FirstPassage) ||
-		!sameBits(a.CompletionTimes, b.CompletionTimes) {
+		!sameBits(a.CompletionTimes, b.CompletionTimes) ||
+		!sameBits(summaryFields(a.CompletionSteps), summaryFields(b.CompletionSteps)) {
 		return false
 	}
+	a.CompletionSteps, b.CompletionSteps = stats.Summary{N: a.CompletionSteps.N}, stats.Summary{N: b.CompletionSteps.N}
 	a.PotentialByPieces, b.PotentialByPieces = nil, nil
 	a.FirstPassage, b.FirstPassage = nil, nil
 	a.CompletionTimes, b.CompletionTimes = nil, nil
 	return reflect.DeepEqual(a, b)
+}
+
+func summaryFields(s stats.Summary) []float64 {
+	return []float64{s.Mean, s.Stddev, s.Min, s.P25, s.Median, s.P75, s.Max}
 }
 
 // TestAccumFoldMatchesEnsemble is the exactness argument as a property:
@@ -236,20 +243,26 @@ func TestAccumChunkRule(t *testing.T) {
 // TestEnsembleAllocsIndependentOfRuns: an ensemble allocates the same
 // number of times at every size — each worker one accumulator, one
 // run-indexed completion slice, no per-run trajectory or substream —
-// under one and two workers. A model that never completes (PN = 0: after
-// the free first piece no connection ever opens) walks every run to the
-// step cap without allocating more than a completing ensemble; that row
-// takes about 0.4 s (two 100 ms ensembles per worker count).
+// under one and two workers. Runs that never complete allocate no more
+// than completing ones: a stranded model (PN = 0: after the free first
+// piece no connection ever opens) stops each run within two steps, and
+// a near-stranded one (pInit = 0, α = 1e-12) walks each to the step cap,
+// which takes about 0.4 s (two 100 ms ensembles per worker count).
 func TestEnsembleAllocsIndependentOfRuns(t *testing.T) {
 	m, err := NewModel(DefaultParams(40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuck := DefaultParams(40)
-	stuck.PN = 0
-	ms, err := NewModel(stuck)
-	if err != nil {
-		t.Fatal(err)
+	stranded, capped := DefaultParams(40), DefaultParams(40)
+	stranded.PN = 0
+	capped.PInit, capped.Alpha = 0, 1e-12
+	var never []*Model
+	for _, p := range []Params{stranded, capped} {
+		ms, err := NewModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		never = append(never, ms)
 	}
 	allocs := func(m *Model, runs, times int) float64 {
 		return testing.AllocsPerRun(times, func() {
@@ -273,8 +286,10 @@ func TestEnsembleAllocsIndependentOfRuns(t *testing.T) {
 				t.Errorf("jobs %d: %d runs allocate %v times, 64 runs %v", jobs, runs, got, base)
 			}
 		}
-		if got, want := allocs(ms, 2, 1), allocs(m, 2, 20); got > want {
-			t.Errorf("jobs %d: 2 runs to the step cap allocate %v times, 2 completing runs %v", jobs, got, want)
+		for i, ms := range never {
+			if got, want := allocs(ms, 2, 1), allocs(m, 2, 20); got > want {
+				t.Errorf("jobs %d: 2 runs that never complete (%d) allocate %v times, 2 completing runs %v", jobs, i, got, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/par"
@@ -132,27 +133,97 @@ func TestEnsembleJobsInvariance(t *testing.T) {
 	}
 }
 
+// TestEnsembleTruncated: a run that never finishes is surfaced in
+// Truncated, never folded into the completion summary. One row per law
+// that strands a peer at 1 <= b < B with no connection — p_n = 0; an
+// empty potential set with α = 0 (pInit = 0, or pInit = 0.01 at s = 1,
+// where about 99 % of runs start empty); with γ = 0 at s = 2 — must
+// finish and truncate exactly the runs a plain Step loop (to b = B or
+// 10 000 steps) finishes and truncates on the same substreams, and
+// count as many runs stuck in bootstrap and in the last phase. Every
+// row matches the run-by-run fold over SampleTrajectory bit for bit.
+// The near-stranded chain (pInit = 0, α = 1e-12) can still finish, so
+// its runs walk the whole step cap.
 func TestEnsembleTruncated(t *testing.T) {
-	// α = 0 with no initial potential set strands every run in the
-	// bootstrap phase; the step cap must be surfaced, not silently fold
-	// the capped runs out of the completion summary.
-	p := testParams()
-	p.PInit = 0
-	p.Alpha = 0
-	m, err := NewModel(p)
-	if err != nil {
-		t.Fatal(err)
+	with := func(edit func(p *Params)) Params {
+		p := DefaultParams(40)
+		edit(&p)
+		return p
 	}
-	const runs = 2
-	es, err := m.Ensemble(stats.NewRNG(3, 3), runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es.Truncated != runs {
-		t.Errorf("truncated = %d, want %d", es.Truncated, runs)
-	}
-	if es.CompletionSteps.N != 0 || len(es.CompletionTimes) != 0 {
-		t.Errorf("capped runs leaked into completion stats: %+v", es.CompletionSteps)
+	for _, c := range []struct {
+		name string
+		p    Params
+		runs int
+	}{
+		{"pn=0", with(func(p *Params) { p.PN = 0 }), 200},
+		{"pInit=alpha=0", with(func(p *Params) { p.PInit, p.Alpha = 0, 0 }), 200},
+		{"alpha=0 pInit=0.01 s=1", with(func(p *Params) { p.Alpha, p.PInit, p.S = 0, 0.01, 1 }), 200},
+		{"gamma=0 s=2", with(func(p *Params) { p.Gamma, p.S = 0, 2 }), 200},
+		{"near-stranded", with(func(p *Params) { p.PInit, p.Alpha = 0, 1e-12 }), 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewModel(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := stats.NewRNG(3, 3)
+			es, err := m.Ensemble(r, c.runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := runByRunEnsemble(m, r, c.runs); !sameEnsemble(es, ref) {
+				t.Fatalf("Ensemble %+v, run-by-run fold %+v", es, ref)
+			}
+			if c.runs == 2 {
+				if es.Truncated != c.runs || len(es.CompletionTimes) != 0 {
+					t.Fatalf("truncated %d, completions %v, want every run capped", es.Truncated, es.CompletionTimes)
+				}
+				ph := es.Phases
+				if steps := ph.MeanBootstrap + ph.MeanEfficient + ph.MeanLast; steps != MaxTrajectorySteps {
+					t.Fatalf("a capped run walked %g steps, want %d", steps, MaxTrajectorySteps)
+				}
+				return
+			}
+			var done []float64
+			var truncated, doneSteps, stuck, last int
+			for i := range c.runs {
+				ri, s := r.At(i), State{}
+				traj := Trajectory{s}
+				for step := 0; step < 10_000 && s.B != c.p.B; step++ {
+					s = m.Step(ri, s)
+					traj = append(traj, s)
+				}
+				if s.B == c.p.B {
+					done = append(done, float64(len(traj)-1))
+					doneSteps += len(traj) - 1
+				} else {
+					truncated++
+				}
+				pb := ClassifyPhases(c.p, traj)
+				if pb.Bootstrap > 1 {
+					stuck++
+				}
+				if pb.Last > 0 {
+					last++
+				}
+			}
+			if truncated == 0 {
+				t.Fatal("no run stranded; the row tests nothing")
+			}
+			if es.Truncated != truncated || !slices.Equal(es.CompletionTimes, done) {
+				t.Fatalf("truncated %d, completions %v; the Step loop truncates %d, completes %v",
+					es.Truncated, es.CompletionTimes, truncated, done)
+			}
+			ph, n := es.Phases, float64(c.runs)
+			walked := math.Round((ph.MeanBootstrap+ph.MeanEfficient+ph.MeanLast)*n) - float64(doneSteps)
+			if walked >= float64(truncated*10_000) {
+				t.Errorf("the %d truncated runs walked %g steps; a stranded run stops where it strands", truncated, walked)
+			}
+			if es.Phases.FracStuckBootstrap != float64(stuck)/n || es.Phases.FracLastPhase != float64(last)/n {
+				t.Errorf("stuck in bootstrap %g, in last phase %g; the Step loop %g, %g",
+					es.Phases.FracStuckBootstrap, es.Phases.FracLastPhase, float64(stuck)/n, float64(last)/n)
+			}
+		})
 	}
 }
 

@@ -133,6 +133,24 @@ func (m *Model) Step(r *stats.RNG, s State) State {
 	return State{N: nNext, B: bNext, I: iNext}
 }
 
+// strands reports whether no run can finish from s. Without seeds, a
+// peer with no connection at 1 ≤ b < B holds b for good when none can
+// open: p_n = 0 draws n' = 0 whatever i' is, and an empty potential set
+// whose escape probability (α at b = 1, γ above) is 0 stays empty, so
+// every slot count is 0. Step then never moves b. n is tested first, so
+// a run with live connections pays one comparison.
+func (m *Model) strands(s State) bool {
+	p := &m.p
+	if s.N != 0 || m.free != nil || s.B < 1 || s.B >= p.B {
+		return false
+	}
+	escape := p.Gamma
+	if s.B == 1 {
+		escape = p.Alpha
+	}
+	return p.PN == 0 || s.I == 0 && escape == 0
+}
+
 // iLaw writes into dst, of length S+1, the law Step draws i' from at
 // (n, b, i), Equation (2): the probabilities its running sums assign, and
 // for the waits those of its Bernoulli escape.

@@ -25,10 +25,12 @@ type State struct {
 // holds the state after t transition steps; entry 0 is the joining state.
 type Trajectory []State
 
-// MaxTrajectorySteps caps a single sampled download so pathological
-// parameter choices (e.g. α = γ = 0) terminate. It also bounds every
-// count an EnsembleAccum holds (see there), which is why it is exported:
-// callers that cap ensemble sizes check their caps against it.
+// MaxTrajectorySteps caps a single sampled download. A run that can
+// never finish already ends where it strands (Model.strands); the cap
+// bounds only chains that can still finish but very slowly, those with
+// a tiny positive α, γ or p_n. It also bounds every count an
+// EnsembleAccum holds (see there), which is why it is exported: callers
+// that cap ensemble sizes check their caps against it.
 const MaxTrajectorySteps = 1_000_000
 
 // ctxCheckSteps is how many transition steps pass between context polls
@@ -39,13 +41,15 @@ const MaxTrajectorySteps = 1_000_000
 const ctxCheckSteps = 1024
 
 // SampleTrajectory draws one download realization from joining until the
-// peer holds all B pieces (or the step cap is reached). It is the one
-// loop that materialises a trajectory; every Monte-Carlo estimate of the
-// chain walks its runs through SampleRuns instead.
+// peer holds all B pieces, one step past the state where it strands, or
+// the step cap. It is the one loop that materialises a trajectory; every
+// Monte-Carlo estimate of the chain walks its runs through SampleRuns
+// instead.
 func (m *Model) SampleTrajectory(r *stats.RNG) Trajectory {
-	s := State{}
+	s, stuck := State{}, false
 	traj := append(make(Trajectory, 0, m.p.B+16), s)
-	for step := 0; step < MaxTrajectorySteps && s.B != m.p.B; step++ {
+	for step := 0; step < MaxTrajectorySteps && s.B != m.p.B && !stuck; step++ {
+		stuck = m.strands(s)
 		s = m.Step(r, s)
 		traj = append(traj, s)
 	}
@@ -53,18 +57,20 @@ func (m *Model) SampleTrajectory(r *stats.RNG) Trajectory {
 }
 
 // walk samples one run from r straight into a and returns its completion
-// step, or -1 at the step cap. It takes SampleTrajectory's steps, polls
-// ctx every ctxCheckSteps of them, and folds each state as it lands:
-// into PotSum/PotCnt; into FPSum/FPCnt as a first passage in difference
-// form (b never decreases, so the step that first reaches s.B is the
-// first passage of every count not reached before it: +step at that
-// range's start, −step one past its end, summed by settleFirstPassages);
-// and, after the first state, into Phases as trace.Phaser labels it. A
-// context error leaves a part-way.
+// step, or -1 when it strands or reaches the step cap. A stranded run
+// takes one step inside its stranded state before it stops, so the phase
+// totals still count it: stuck in bootstrap, or in the last phase. It
+// takes SampleTrajectory's steps, polls ctx every ctxCheckSteps of them,
+// and folds each state as it lands: into PotSum/PotCnt; into FPSum/FPCnt
+// as a first passage in difference form (b never decreases, so the step
+// that first reaches s.B is the first passage of every count not reached
+// before it: +step at that range's start, −step one past its end, summed
+// by settleFirstPassages); and, after the first state, into Phases as
+// trace.Phaser labels it. A context error leaves a part-way.
 func (m *Model) walk(ctx context.Context, r *stats.RNG, a *EnsembleAccum) (int, error) {
 	var pb PhaseBreakdown
 	ph := trace.Phaser{B: m.p.B}
-	s, nextB := State{}, 0
+	s, nextB, stuck := State{}, 0, false
 	for step := 0; ; step++ {
 		a.PotSum[s.B] += int64(s.I)
 		a.PotCnt[s.B]++
@@ -80,7 +86,7 @@ func (m *Model) walk(ctx context.Context, r *stats.RNG, a *EnsembleAccum) (int, 
 			a.Phases.add(pb)
 			return step, nil
 		}
-		if step == MaxTrajectorySteps {
+		if stuck || step == MaxTrajectorySteps {
 			a.Phases.add(pb)
 			return -1, nil
 		}
@@ -89,6 +95,7 @@ func (m *Model) walk(ctx context.Context, r *stats.RNG, a *EnsembleAccum) (int, 
 				return -1, err
 			}
 		}
+		stuck = m.strands(s)
 		s = m.Step(r, s)
 		pb.count(ph.Next(s.B, s.I))
 	}
@@ -109,10 +116,11 @@ type EnsembleStats struct {
 	// distribution-level comparisons (e.g. Kolmogorov–Smirnov against a
 	// simulator's download durations).
 	CompletionTimes []float64
-	// Truncated counts the runs that hit the trajectory step cap without
-	// completing. Those runs contribute to the per-piece curves but not to
-	// CompletionSteps/CompletionTimes; a nonzero count means the completion
-	// summaries describe only the uncensored portion of the ensemble.
+	// Truncated counts the runs that stranded or hit the trajectory step
+	// cap without completing. Those runs contribute to the per-piece
+	// curves but not to CompletionSteps/CompletionTimes; a nonzero count
+	// means the completion summaries describe only the uncensored portion
+	// of the ensemble.
 	Truncated int
 	// Phases summarizes time spent per phase over the ensemble.
 	Phases PhaseSummary
@@ -145,7 +153,7 @@ type EnsembleAccum struct {
 	Phases phaseAccumulator
 	// Completion holds the step count of each completed run, in run order.
 	Completion []int
-	// Truncated counts the runs that hit the step cap instead.
+	// Truncated counts the runs that stranded or hit the step cap instead.
 	Truncated int
 }
 
@@ -374,7 +382,7 @@ func (m *Model) SampleRuns(ctx context.Context, r *stats.RNG, lo, hi int) (*Ense
 // sampleParts is SampleRuns before the fold: one settled accumulator per
 // worker, min(par.DefaultJobs(), chunks) of them, each holding the
 // chunks its worker pulled off one shared feed, and done[i-lo], run i's
-// completion step or -1 at the cap, in run order.
+// completion step or -1 if it never finished, in run order.
 func (m *Model) sampleParts(ctx context.Context, r *stats.RNG, lo, hi int) ([]*EnsembleAccum, []int, error) {
 	if lo < 0 || hi <= lo {
 		return nil, nil, fmt.Errorf("core: empty run range [%d,%d)", lo, hi)

@@ -9,10 +9,10 @@ import (
 	"repro/internal/stats"
 )
 
-// TestEnsembleCtxCancelled asserts EnsembleCtx surfaces cancellation. On
-// the stranded chain (α = γ = p_init = 0), where every run would walk the
-// whole step cap, a cancelled context stops each run at its first poll:
-// walk folds the joining state and returns.
+// TestEnsembleCtxCancelled asserts EnsembleCtx surfaces cancellation, on
+// the default chain and on the stranded one (α = γ = p_init = 0): a
+// cancelled context stops each run at its first poll, before any step,
+// so walk folds the joining state and returns.
 func TestEnsembleCtxCancelled(t *testing.T) {
 	stranded := DefaultParams(10)
 	stranded.Alpha, stranded.Gamma, stranded.PInit = 0, 0, 0

@@ -7,32 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// expvarSlot holds the registry most recently handed to ServeDebug /
-// NewDebugMux, exposed under the "metrics" expvar so /debug/vars shows
-// live registry snapshots next to memstats. expvar publication is
-// process-global and permanent, hence the indirection.
-var (
-	expvarSlot    atomic.Pointer[Registry]
-	expvarPublish sync.Once
-)
-
-func publishExpvar(reg *Registry) {
-	expvarSlot.Store(reg)
-	expvarPublish.Do(func() {
-		expvar.Publish("metrics", expvar.Func(func() any {
-			r := expvarSlot.Load()
-			if r == nil {
-				return nil
-			}
-			return r.Snapshot()
-		}))
-	})
-}
 
 // Route attaches an extra handler to a debug mux — e.g. the span
 // tracer's /debug/trace exporter (internal/obs/trace.Handler), which
@@ -43,11 +19,10 @@ type Route struct {
 }
 
 // NewDebugMux builds the debug HTTP mux: net/http/pprof under
-// /debug/pprof/, expvar under /debug/vars (including live registry
-// snapshots as the "metrics" var), a plain JSON snapshot of reg at
-// /metrics, plus any extra routes.
+// /debug/pprof/, expvar (memstats, cmdline) under /debug/vars, a plain
+// JSON snapshot of reg at /metrics — the registry's one export — plus
+// any extra routes.
 func NewDebugMux(reg *Registry, routes ...Route) *http.ServeMux {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

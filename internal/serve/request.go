@@ -345,15 +345,6 @@ func (q *ModelQuery) normalize() error {
 		return fmt.Errorf("%w: s = %d outside [1, %d]", ErrBadRequest, q.S, maxNeighbor)
 	case q.K < 1 || q.K > maxConns:
 		return fmt.Errorf("%w: k = %d outside [1, %d]", ErrBadRequest, q.K, maxConns)
-	// Two chains strand every peer at its free first piece, so each run
-	// walks to core.MaxTrajectorySteps (~40 ms): with pn = 0 no
-	// connection ever opens (n' = Bin(0, pr) + Bin(slots, 0) = 0), and
-	// with pInit = α = 0 the potential set stays empty, so none does.
-	// core keeps them for btmodel; serve does not spend its pool on them.
-	case *q.PN == 0 && q.B > 1:
-		return fmt.Errorf("%w: pn = 0 with b = %d: no connection ever opens, so no run completes", ErrBadRequest, q.B)
-	case *q.PInit == 0 && *q.Alpha == 0 && q.B > 1:
-		return fmt.Errorf("%w: pInit = alpha = 0 with b = %d: no peer leaves bootstrap, so no run completes", ErrBadRequest, q.B)
 	}
 	if err := q.params().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)

@@ -64,8 +64,7 @@ func BenchmarkSwarmChurn(b *testing.B) { benchSwarm(b, churnConfig()) }
 // BenchmarkSwarmSmall is Figure 1(b)'s s = 50 swarm (internal/experiments
 // fig1.go: B = 50, k = 7, 120 initial leechers, λ = 2, seed upload 6, at
 // the full horizon of 300): a small swarm whose tracker spends most of its
-// tries on draws that cannot link, and the longest single job of a quick
-// figures pass.
+// tries on draws that cannot link.
 func BenchmarkSwarmSmall(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Pieces = 50
@@ -77,6 +76,28 @@ func BenchmarkSwarmSmall(b *testing.B) {
 	cfg.Horizon = 300
 	cfg.TrackPeers = 0
 	cfg.Seed1, cfg.Seed2 = 50, 0x51B
+	benchSwarm(b, cfg)
+}
+
+// BenchmarkSwarmLastPhase is the normal arm of Figure 4(d) at quick scale
+// (internal/experiments fig4.go's fig4dConfig: B = 120, s = 8,
+// random-first, 150 initial leechers, λ = 3, seed upload 2, horizon 400),
+// the longest single job of a quick figures pass. Its B/op is where a
+// change to the peer store's bytes per slot shows.
+func BenchmarkSwarmLastPhase(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Pieces = 120
+	cfg.NeighborSet = 8
+	cfg.MaxConns = 7
+	cfg.InitialPeers = 150
+	cfg.ArrivalRate = 3
+	cfg.SeedUpload = 2
+	cfg.OptimisticProb = 0.1
+	cfg.PieceSelection = RandomFirst
+	cfg.TrackerRefreshRounds = 1000
+	cfg.Horizon = 400
+	cfg.TrackPeers = 0
+	cfg.Seed1, cfg.Seed2 = 0xF164D, 99
 	benchSwarm(b, cfg)
 }
 

@@ -193,8 +193,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: ShakeThreshold = %g", c.ShakeThreshold)
 	case c.TrackerRefreshRounds < 1:
 		return fmt.Errorf("sim: TrackerRefreshRounds = %d, need >= 1", c.TrackerRefreshRounds)
-	case !(c.Horizon > 0 && c.Horizon <= math.MaxFloat64):
-		return fmt.Errorf("sim: Horizon = %g, need finite > 0", c.Horizon)
+	case !(c.Horizon > 0 && c.Horizon <= math.MaxInt32):
+		// The acquisition log holds each piece's round as an int32.
+		return fmt.Errorf("sim: Horizon = %g, need > 0 and <= %d", c.Horizon, math.MaxInt32)
 	case c.TrackPeers < 0:
 		return fmt.Errorf("sim: TrackPeers = %d", c.TrackPeers)
 	case c.MaxPeers < 0:

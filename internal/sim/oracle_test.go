@@ -254,3 +254,31 @@ func TestOracleGoldens(t *testing.T) {
 		}
 	}
 }
+
+// TestAcquisitionsLandOnRounds pins the premise of the int32 acquisition
+// log: every piece is acquired at a whole round (the exchange, seed
+// uploads and optimistic unchokes run at round times, the initial skew
+// at 0), so every per-block download time and every completion time
+// across the oracle scenarios is a whole number of rounds.
+func TestAcquisitionsLandOnRounds(t *testing.T) {
+	completions := 0
+	for name, cfg := range oracleConfigs() {
+		cfg.Seed1, cfg.Seed2 = oracleSeeds[0][0], oracleSeeds[0][1]
+		res := runSwarm(t, cfg)
+		completions += len(res.Completions)
+		for _, c := range res.Completions {
+			if c.DoneAt != math.Trunc(c.DoneAt) {
+				t.Fatalf("%s: peer %d completed at %g, not a whole round", name, c.ID, c.DoneAt)
+			}
+			for m, dt := range c.TTD {
+				if dt != math.Trunc(dt) {
+					t.Fatalf("%s: peer %d TTD[%d] = %g, not a whole number of rounds", name, c.ID, m, dt)
+				}
+			}
+		}
+	}
+	if completions == 0 {
+		t.Fatal("no scenario completed a download")
+	}
+	t.Logf("%d completions checked", completions)
+}

@@ -55,11 +55,10 @@ type peerStore struct {
 	// incrementally maintained popcount so completion checks are O(1).
 	pieceWords []uint64
 	pieceCnt   []int32
-	// pieceTimes[sl*pieces+j] is when slot sl acquired piece j (-1 if
-	// not); acqOrder[sl*pieces : +acqLen[sl]] is its acquisition log.
-	pieceTimes []float64
-	acqOrder   []int32
-	acqLen     []int32
+	// acqRound[sl*pieces+m] is the round at which slot sl acquired its
+	// m-th piece: the acquisition log, pieceCnt[sl] entries long. Every
+	// acquisition lands on a whole round, so an int32 round is exact.
+	acqRound []int32
 
 	// Adjacency: neighbor and connection sets as fixed-stride rows of
 	// partner slots, kept sorted by partner PeerID — the same ascending-id
@@ -154,9 +153,7 @@ func (ps *peerStore) grow(n int) {
 	ps.lingerLeft = extend(ps.lingerLeft, n, 0)
 	ps.pieceWords = extend(ps.pieceWords, n*ps.words, 0)
 	ps.pieceCnt = extend(ps.pieceCnt, n, 0)
-	ps.pieceTimes = extend(ps.pieceTimes, n*ps.pieces, -1)
-	ps.acqOrder = extend(ps.acqOrder, n*ps.pieces, 0)
-	ps.acqLen = extend(ps.acqLen, n, 0)
+	ps.acqRound = extend(ps.acqRound, n*ps.pieces, 0)
 	ps.nbr = extend(ps.nbr, n*ps.nbrCap, 0)
 	ps.nbrLen = extend(ps.nbrLen, n, 0)
 	ps.conn = extend(ps.conn, n*ps.connCap, 0)
@@ -209,11 +206,6 @@ func (ps *peerStore) reset(sl int32) {
 	ps.lingerLeft[sl] = 0
 	bitset.RowClear(ps.pieceRow(sl))
 	ps.pieceCnt[sl] = 0
-	times := ps.pieceTimes[int(sl)*ps.pieces : (int(sl)+1)*ps.pieces]
-	for i := range times {
-		times[i] = -1
-	}
-	ps.acqLen[sl] = 0
 	ps.nbrLen[sl] = 0
 	ps.connLen[sl] = 0
 	ps.prevLen[sl] = 0
@@ -380,8 +372,7 @@ func (ps *peerStore) memBytes() int64 {
 	b += int64(cap(ps.seed)) + int64(cap(ps.slow)) + int64(cap(ps.active)) +
 		int64(cap(ps.shaken)) + int64(cap(ps.tracked)) + int64(cap(ps.gone))
 	b += int64(cap(ps.sinceTracker))*4 + int64(cap(ps.lingerLeft))*4
-	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4
-	b += int64(cap(ps.pieceTimes))*8 + int64(cap(ps.acqOrder))*4 + int64(cap(ps.acqLen))*4
+	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4 + int64(cap(ps.acqRound))*4
 	b += int64(cap(ps.nbr))*4 + int64(cap(ps.nbrLen))*4
 	b += int64(cap(ps.conn))*4 + int64(cap(ps.connLen))*4
 	b += int64(cap(ps.rare)) * 2

@@ -196,11 +196,8 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 		return
 	}
 	ps.pieceWords[wbase+j>>6] |= bit
+	ps.acqRound[int(sl)*ps.pieces+int(ps.pieceCnt[sl])] = int32(now)
 	ps.pieceCnt[sl]++
-	base := int(sl) * ps.pieces
-	ps.pieceTimes[base+j] = now
-	ps.acqOrder[base+int(ps.acqLen[sl])] = int32(j)
-	ps.acqLen[sl]++
 	s.degree[j]++
 	s.epoch++
 	if s.ps.useRare {
@@ -1076,26 +1073,20 @@ func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 	}
 }
 
-// recordCompletion converts the per-piece acquisition times of a departing
-// peer into a CompletionRecord.
+// recordCompletion converts the acquisition log of a completed leecher —
+// B rounds, one per piece — into a CompletionRecord.
 func (s *Swarm) recordCompletion(sl int32, now float64) {
 	ps := &s.ps
+	rounds := ps.acqRound[int(sl)*ps.pieces:][:ps.pieces]
 	rec := CompletionRecord{
 		ID:        ps.id[sl],
 		ArrivedAt: ps.arrived[sl],
 		DoneAt:    now,
+		TTD0:      float64(rounds[0]) - ps.arrived[sl],
+		TTD:       make([]float64, len(rounds)-1),
 	}
-	if n := int(ps.acqLen[sl]); n > 0 {
-		base := int(sl) * ps.pieces
-		first := ps.pieceTimes[base+int(ps.acqOrder[base])]
-		rec.TTD0 = first - ps.arrived[sl]
-		rec.TTD = make([]float64, 0, n-1)
-		prev := first
-		for i := 1; i < n; i++ {
-			t := ps.pieceTimes[base+int(ps.acqOrder[base+i])]
-			rec.TTD = append(rec.TTD, t-prev)
-			prev = t
-		}
+	for i := range rec.TTD {
+		rec.TTD[i] = float64(rounds[i+1]) - float64(rounds[i])
 	}
 	s.res.Completions = append(s.res.Completions, rec)
 	if ps.tracked[sl] {

@@ -54,6 +54,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TrackerRefreshRounds = 0 },
 		func(c *Config) { c.Horizon = -1 },
 		func(c *Config) { c.Horizon = math.Inf(1) },
+		func(c *Config) { c.Horizon = math.MaxInt32 + 1 },
 		func(c *Config) { c.TrackPeers = -1 },
 		func(c *Config) { c.MaxPeers = -1 },
 		func(c *Config) { c.InitialPeers = 0; c.ArrivalRate = 0 },
@@ -67,6 +68,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New must reject the zero config")
+	}
+	cfg := DefaultConfig()
+	cfg.Horizon = math.MaxInt32 // the last round the int32 acquisition log holds
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Horizon = MaxInt32 rejected: %v", err)
 	}
 }
 

@@ -170,6 +170,14 @@ one_degree_table() {
 		'internal/sim/*.go' ':!*_test.go'
 }
 
+# The simulator keeps one acquisition log per peer, the int32 round of
+# its m-th piece at row entry m (DESIGN.md §14): the per-piece time table,
+# the piece-order log beside it and that log's separate length may not
+# grow back.
+one_acquisition_log() {
+	absent one_acquisition_log 'pieceTimes|acqOrder|acqLen' 'internal/sim/*.go'
+}
+
 # The chain is the one download process: bttrace -gen draws its synthetic
 # traces from core's presets, and core.Estimate, which reads a trace pair
 # as one Model.Step, is the one fit (DESIGN.md §17). The hand-built
@@ -347,6 +355,7 @@ one_transition_sampler
 one_phase_rule
 one_exact_kernel
 one_degree_table
+one_acquisition_log
 one_trace_generator
 one_calibration_route
 one_tier_comparison

@@ -129,7 +129,7 @@ func Fig1b(scale Scale) (*Fig1bResult, error) {
 		if err != nil {
 			return column{}, err
 		}
-		return column{model: es.FirstPassage, sim: res.MeanFirstPassage(cfgs[i].Pieces)}, nil
+		return column{model: es.FirstPassage, sim: res.MeanFirstPassage()}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -59,9 +59,9 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTradingRoundAllocsBounded is the same gate for a swarm that is
-// really trading: a round may allocate one TTD slice per completion, plus
-// a small constant for the amortized growth of the peer store, the
-// completion log and the free list — and nothing per arrival, per
+// really trading: a round may allocate a small constant for the amortized
+// growth of the peer store, the completion records, the completion log's
+// pages and the free list — and nothing per completion, per arrival, per
 // exchange, per link or per neighbor scan.
 func TestTradingRoundAllocsBounded(t *testing.T) {
 	cfg := churnConfig()
@@ -88,8 +88,8 @@ func TestTradingRoundAllocsBounded(t *testing.T) {
 	if arrived+done < 100 {
 		t.Fatalf("only %.0f arrivals + completions per round: the swarm is not churning", arrived+done)
 	}
-	if avg > done+8 {
-		t.Errorf("a trading round allocates %.1f times for %.1f completions (and %.1f arrivals), want at most 8 more",
+	if avg > 4 {
+		t.Errorf("a trading round allocates %.1f times for %.1f completions (and %.1f arrivals), want at most 4",
 			avg, done, arrived)
 	}
 }

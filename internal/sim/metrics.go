@@ -3,21 +3,19 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// CompletionRecord describes one finished download.
+// CompletionRecord describes one finished download. Its acquisition
+// rounds are the row of the same index in the Result's completion log,
+// (*Result).Acquisitions.
 type CompletionRecord struct {
 	ID        PeerID
 	ArrivedAt float64
 	DoneAt    float64
-	// TTD[m] is the time between acquiring the m-th and (m+1)-th piece in
-	// acquisition order (length B-1); TTD0 is the wait for the first
-	// piece. These are the Figure 4(d) per-block download times.
-	TTD0 float64
-	TTD  []float64
 }
 
 // Duration returns the total download time.
@@ -75,6 +73,11 @@ type Result struct {
 
 	// Completions lists finished downloads in completion order.
 	Completions []CompletionRecord
+	// pages hold the completion log: row i, stride pieces (B), is the
+	// acquisition rounds of Completions[i]. Page j holds logPage0<<j rows
+	// and is never copied once allocated.
+	pieces int
+	pages  [][]int32
 	// Traces holds the tracked peers' instrumented trajectories.
 	Traces []PeerTrace
 
@@ -120,6 +123,7 @@ func newResult(cfg Config) *Result {
 	// exchange round), so appends in the round loop never reallocate.
 	rounds := int(math.Min(cfg.Horizon+2, 65536))
 	return &Result{
+		pieces:           cfg.Pieces,
 		PopulationSeries: stats.NewSeries(rounds),
 		EntropySeries:    stats.NewSeries(rounds),
 		EfficiencySeries: stats.NewSeries(rounds),
@@ -187,6 +191,36 @@ func (r *Result) MeanDownloadTime() float64 {
 	return sum / float64(len(r.Completions))
 }
 
+// logPage0 is the row count of the completion log's first page.
+const logPage0 = 16
+
+// logSlot locates row i of the completion log: page j starts at row
+// logPage0·(2^j − 1).
+func logSlot(i int) (page, off int) {
+	page = bits.Len(uint(i/logPage0+1)) - 1
+	return page, i - logPage0*(1<<page-1)
+}
+
+// logCompletion appends c to Completions and its B acquisition rounds to
+// the completion log.
+func (r *Result) logCompletion(c CompletionRecord, rounds []int32) {
+	if page, _ := logSlot(len(r.Completions)); page == len(r.pages) {
+		r.pages = append(r.pages, make([]int32, logPage0<<page*r.pieces))
+	}
+	r.Completions = append(r.Completions, c)
+	copy(r.Acquisitions(len(r.Completions)-1), rounds)
+}
+
+// Acquisitions returns the acquisition log of Completions[i]: entry m is
+// the round at which that peer acquired its (m+1)-th piece, B entries in
+// acquisition order. The slice is a view into the Result, capped at its
+// row.
+func (r *Result) Acquisitions(i int) []int32 {
+	_ = r.Completions[i]
+	page, off := logSlot(i)
+	return r.pages[page][off*r.pieces:][:r.pieces:r.pieces]
+}
+
 // MeanTTDByOrdinal returns, for each acquisition ordinal m (1-based piece
 // order), the mean time between the m-1-th and m-th piece over all
 // completions — the Figure 4(d) series. Index 0 is the first-piece wait.
@@ -194,32 +228,16 @@ func (r *Result) MeanTTDByOrdinal() []float64 {
 	if len(r.Completions) == 0 {
 		return nil
 	}
-	// Size from the longest TTD slice: completions can have differing
-	// lengths (partial initial inventories, skewed starts), and sizing
-	// from the first one used to index-panic on any longer follower.
-	b := 1
-	for _, c := range r.Completions {
-		if n := len(c.TTD) + 1; n > b {
-			b = n
+	out := make([]float64, r.pieces)
+	for i, c := range r.Completions {
+		row := r.Acquisitions(i)
+		out[0] += float64(row[0]) - c.ArrivedAt
+		for m := 1; m < len(row); m++ {
+			out[m] += float64(row[m]) - float64(row[m-1])
 		}
 	}
-	sums := make([]float64, b)
-	counts := make([]int, b)
-	for _, c := range r.Completions {
-		sums[0] += c.TTD0
-		counts[0]++
-		for m, dt := range c.TTD {
-			sums[m+1] += dt
-			counts[m+1]++
-		}
-	}
-	out := make([]float64, b)
-	for i := range out {
-		if counts[i] == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = sums[i] / float64(counts[i])
+	for m := range out {
+		out[m] /= float64(len(r.Completions))
 	}
 	return out
 }
@@ -227,31 +245,21 @@ func (r *Result) MeanTTDByOrdinal() []float64 {
 // MeanFirstPassage returns, for each piece count b (0..B), the mean time
 // from arrival until the b-th piece was acquired, averaged over all
 // completions — the simulation side of the Figure 1(b) evolution timeline.
-// Entry 0 is always 0; unobserved ordinals are NaN.
-func (r *Result) MeanFirstPassage(pieces int) []float64 {
-	sums := make([]float64, pieces+1)
-	counts := make([]int, pieces+1)
-	for _, c := range r.Completions {
-		t := c.TTD0
-		if 1 <= pieces {
-			sums[1] += t
-			counts[1]++
-		}
-		for m, dt := range c.TTD {
-			t += dt
-			if m+2 <= pieces {
-				sums[m+2] += t
-				counts[m+2]++
-			}
+// Entry 0 is always 0; with no completions every other entry is NaN.
+func (r *Result) MeanFirstPassage() []float64 {
+	out := make([]float64, r.pieces+1)
+	for i, c := range r.Completions {
+		row := r.Acquisitions(i)
+		t := float64(row[0]) - c.ArrivedAt
+		out[1] += t
+		for m := 1; m < len(row); m++ {
+			t += float64(row[m]) - float64(row[m-1])
+			out[m+1] += t
 		}
 	}
-	out := make([]float64, pieces+1)
-	for b := 1; b <= pieces; b++ {
-		if counts[b] == 0 {
-			out[b] = math.NaN()
-			continue
-		}
-		out[b] = sums[b] / float64(counts[b])
+	n := float64(len(r.Completions))
+	for b := 1; b < len(out); b++ {
+		out[b] /= n // 0/0: NaN when nothing completed
 	}
 	return out
 }

@@ -2,57 +2,74 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// TestMeanTTDByOrdinalRaggedLengths is the regression test for the sizing
-// bug: the aggregate used to size its accumulators from Completions[0] and
-// index-panicked whenever a later completion had acquired more pieces
-// (partial initial inventories make short first completions routine).
-func TestMeanTTDByOrdinalRaggedLengths(t *testing.T) {
-	r := &Result{Completions: []CompletionRecord{
-		{ID: 1, TTD0: 1, TTD: []float64{2}},          // 2 pieces
-		{ID: 2, TTD0: 3, TTD: []float64{4, 5, 6}},    // 4 pieces — longer than [0]
-		{ID: 3, TTD0: 5, TTD: nil},                   // skewed start: one piece
-		{ID: 4, TTD0: 7, TTD: []float64{8, 9, 6, 4}}, // 5 pieces
-	}}
-	got := r.MeanTTDByOrdinal()
-	if len(got) != 5 {
-		t.Fatalf("length %d, want 5 (longest completion)", len(got))
+// logOf builds a Result whose completion log holds rows (stride b):
+// completion i arrived at arrived[i%len(arrived)] and acquired its pieces
+// at rows[i%len(rows)], for n completions.
+func logOf(b, n int, arrived []float64, rows [][]int32) *Result {
+	r := newResult(Config{Pieces: b})
+	for i := range n {
+		r.logCompletion(CompletionRecord{ID: PeerID(i), ArrivedAt: arrived[i%len(arrived)]}, rows[i%len(rows)])
 	}
-	want := []float64{4, (2.0 + 4 + 8) / 3, (5.0 + 9) / 2, (6.0 + 6) / 2, 4}
-	for i, w := range want {
-		if math.Abs(got[i]-w) > 1e-12 {
-			t.Errorf("ordinal %d: got %g, want %g", i, got[i], w)
+	return r
+}
+
+// TestMeanTTDByOrdinalRaggedLengths reads Figure 4(d)'s means off a
+// stride-5 log whose 20 rows cross the first page boundary, and checks
+// every row reads back as logged, capped at its stride. The ragged rows
+// the test is named for (completions of differing lengths, which once
+// index-panicked the aggregate) can no longer exist: every completion
+// logs exactly B rounds.
+func TestMeanTTDByOrdinalRaggedLengths(t *testing.T) {
+	arrived := []float64{0, 1, 2, 3}
+	rows := [][]int32{
+		{1, 3, 4, 6, 10},     // wait 1, gaps 2 1 2 4
+		{4, 8, 13, 19, 20},   // wait 3, gaps 4 5 6 1
+		{7, 7, 8, 9, 9},      // wait 5, gaps 0 1 1 0
+		{10, 18, 27, 33, 37}, // wait 7, gaps 8 9 6 4
+	}
+	r := logOf(5, 20, arrived, rows)
+	if len(r.pages) != 2 {
+		t.Fatalf("%d pages for 20 rows, want 2", len(r.pages))
+	}
+	for i := range r.Completions {
+		row := r.Acquisitions(i)
+		if len(row) != 5 || cap(row) != 5 || !slices.Equal(row, rows[i%4]) {
+			t.Fatalf("row %d = %v (cap %d), want %v", i, row, cap(row), rows[i%4])
 		}
+	}
+	got := r.MeanTTDByOrdinal()
+	want := []float64{4, 3.5, 4, 3.75, 2.25}
+	if !slices.Equal(got, want) {
+		t.Errorf("mean TTD by ordinal %v, want %v", got, want)
 	}
 }
 
 func TestMeanTTDByOrdinalZeroCompletions(t *testing.T) {
-	var r Result
+	r := logOf(4, 0, nil, nil)
 	if got := r.MeanTTDByOrdinal(); got != nil {
 		t.Fatalf("zero completions: got %v, want nil", got)
 	}
 }
 
+// TestMeanTTDByOrdinalAllEmptyTTD: a one-piece file (B = 1) has no gaps,
+// only the first-piece wait, over 18 rows across the first page boundary.
 func TestMeanTTDByOrdinalAllEmptyTTD(t *testing.T) {
-	// Completions that recorded no acquisitions at all (zero-length
-	// acquireOrder) still yield a one-entry series for the first wait.
-	r := &Result{Completions: []CompletionRecord{{ID: 1}, {ID: 2}}}
+	r := logOf(1, 18, []float64{0, 1}, [][]int32{{0}, {3}}) // waits 0 and 2
 	got := r.MeanTTDByOrdinal()
-	if len(got) != 1 {
-		t.Fatalf("length %d, want 1", len(got))
-	}
-	if got[0] != 0 {
-		t.Fatalf("first-piece wait %g, want 0", got[0])
+	if !slices.Equal(got, []float64{1}) {
+		t.Fatalf("mean TTD %v, want [1]", got)
 	}
 }
 
 func TestMeanFirstPassageZeroCompletions(t *testing.T) {
-	var r Result
-	got := r.MeanFirstPassage(4)
+	r := logOf(4, 0, nil, nil)
+	got := r.MeanFirstPassage()
 	if len(got) != 5 {
 		t.Fatalf("length %d, want 5", len(got))
 	}
@@ -66,32 +83,49 @@ func TestMeanFirstPassageZeroCompletions(t *testing.T) {
 	}
 }
 
+// TestMeanFirstPassagePartialCompletions sums first passages over 18
+// rows of a stride-3 log across the first page boundary. Completions
+// shorter than B, whose unreached ordinals were NaN gaps, can no longer
+// exist: every completion logs B rounds.
 func TestMeanFirstPassagePartialCompletions(t *testing.T) {
-	// Completions shorter than the requested piece count leave NaN gaps at
-	// the unreached ordinals rather than zeros.
-	r := &Result{Completions: []CompletionRecord{
-		{ID: 1, TTD0: 1, TTD: []float64{2}},    // reaches b=2 at t=3
-		{ID: 2, TTD0: 2, TTD: []float64{1, 4}}, // reaches b=3 at t=7
-	}}
-	got := r.MeanFirstPassage(5)
-	if len(got) != 6 {
-		t.Fatalf("length %d, want 6", len(got))
+	r := logOf(3, 18, []float64{0, 1}, [][]int32{
+		{1, 3, 3}, // passages 1 3 3
+		{3, 4, 8}, // passages 2 3 7
+	})
+	got := r.MeanFirstPassage()
+	if want := []float64{0, 1.5, 3, 5}; !slices.Equal(got, want) {
+		t.Errorf("mean first passage %v, want %v", got, want)
 	}
-	if got[0] != 0 {
-		t.Errorf("entry 0 = %g, want 0", got[0])
+}
+
+// TestAcquisitionsMatchTraces holds the completion log to an oracle that
+// does not read acqRound: a tracked peer is sampled every round after the
+// round's transfers, so its (m+1)-th piece arrived at the first sample
+// holding at least m+1 pieces. The run has no initial skew, so every
+// piece is acquired at a round, and fills three pages of the log.
+func TestAcquisitionsMatchTraces(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TrackPeers = 1000
+	res := runSwarm(t, cfg)
+	if len(res.pages) < 3 {
+		t.Fatalf("%d completions on %d pages, want three pages", len(res.Completions), len(res.pages))
 	}
-	if want := 1.5; math.Abs(got[1]-want) != 0 {
-		t.Errorf("b=1: got %g, want %g", got[1], want)
+	samples := map[PeerID][]TraceSample{}
+	for _, tr := range res.Traces {
+		if tr.Completed {
+			samples[tr.ID] = tr.Samples
+		}
 	}
-	if want := 3.0; math.Abs(got[2]-want) != 0 {
-		t.Errorf("b=2: got %g, want %g", got[2], want)
-	}
-	if want := 7.0; math.Abs(got[3]-want) != 0 {
-		t.Errorf("b=3: got %g, want %g (only one completion reached it)", got[3], want)
-	}
-	for b := 4; b <= 5; b++ {
-		if !math.IsNaN(got[b]) {
-			t.Errorf("b=%d: got %g, want NaN gap", b, got[b])
+	for i, c := range res.Completions {
+		smp, ok := samples[c.ID]
+		if !ok {
+			t.Fatalf("completion %d (peer %d) has no trace", i, c.ID)
+		}
+		for m, at := range res.Acquisitions(i) {
+			j := slices.IndexFunc(smp, func(s TraceSample) bool { return s.Pieces >= m+1 })
+			if j < 0 || smp[j].Time != float64(at) {
+				t.Fatalf("peer %d acquired piece %d at round %d; trace %v", c.ID, m+1, at, smp)
+			}
 		}
 	}
 }
@@ -102,7 +136,7 @@ func TestMeanFirstPassageMonotoneFromRun(t *testing.T) {
 	if len(res.Completions) == 0 {
 		t.Fatal("no completions")
 	}
-	fp := res.MeanFirstPassage(cfg.Pieces)
+	fp := res.MeanFirstPassage()
 	prev := 0.0
 	for b := 1; b <= cfg.Pieces; b++ {
 		if math.IsNaN(fp[b]) {

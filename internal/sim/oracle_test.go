@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -129,10 +130,15 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 		return map[string]any{"t": fs(T), "v": fs(V)}
 	}
 	completions := make([]map[string]any, 0, len(res.Completions))
-	for _, c := range res.Completions {
+	for i, c := range res.Completions {
+		row := res.Acquisitions(i)
+		ttd := make([]float64, len(row)-1)
+		for m := range ttd {
+			ttd[m] = float64(row[m+1]) - float64(row[m])
+		}
 		completions = append(completions, map[string]any{
 			"id": int(c.ID), "arrived": f(c.ArrivedAt), "done": f(c.DoneAt),
-			"ttd0": f(c.TTD0), "ttd": fs(c.TTD),
+			"ttd0": f(float64(row[0]) - c.ArrivedAt), "ttd": fs(ttd),
 		})
 	}
 	traces := make([]map[string]any, 0, len(res.Traces))
@@ -258,22 +264,21 @@ func TestOracleGoldens(t *testing.T) {
 // TestAcquisitionsLandOnRounds pins the premise of the int32 acquisition
 // log: every piece is acquired at a whole round (the exchange, seed
 // uploads and optimistic unchokes run at round times, the initial skew
-// at 0), so every per-block download time and every completion time
-// across the oracle scenarios is a whole number of rounds.
+// at 0), so every completion time across the oracle scenarios is a whole
+// round, and the completion's logged rounds rise to it.
 func TestAcquisitionsLandOnRounds(t *testing.T) {
 	completions := 0
 	for name, cfg := range oracleConfigs() {
 		cfg.Seed1, cfg.Seed2 = oracleSeeds[0][0], oracleSeeds[0][1]
 		res := runSwarm(t, cfg)
 		completions += len(res.Completions)
-		for _, c := range res.Completions {
+		for i, c := range res.Completions {
 			if c.DoneAt != math.Trunc(c.DoneAt) {
 				t.Fatalf("%s: peer %d completed at %g, not a whole round", name, c.ID, c.DoneAt)
 			}
-			for m, dt := range c.TTD {
-				if dt != math.Trunc(dt) {
-					t.Fatalf("%s: peer %d TTD[%d] = %g, not a whole number of rounds", name, c.ID, m, dt)
-				}
+			row := res.Acquisitions(i)
+			if !slices.IsSorted(row) || float64(row[len(row)-1]) != c.DoneAt {
+				t.Fatalf("%s: peer %d completed at %g with acquisition rounds %v", name, c.ID, c.DoneAt, row)
 			}
 		}
 	}

@@ -66,8 +66,8 @@ func checkRandomConfig(t testing.TB, seed uint64) {
 			}
 		}
 	}
-	for _, c := range res.Completions {
-		if c.Duration() < 0 || len(c.TTD) != cfg.Pieces-1 {
+	for i, c := range res.Completions {
+		if c.Duration() < 0 || len(res.Acquisitions(i)) != cfg.Pieces {
 			t.Fatalf("seed %d: completion %+v", seed, c)
 		}
 	}

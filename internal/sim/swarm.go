@@ -1073,22 +1073,12 @@ func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 	}
 }
 
-// recordCompletion converts the acquisition log of a completed leecher —
-// B rounds, one per piece — into a CompletionRecord.
+// recordCompletion logs a completed leecher's record and its
+// acquisition log — B rounds, one per piece — in the Result.
 func (s *Swarm) recordCompletion(sl int32, now float64) {
 	ps := &s.ps
-	rounds := ps.acqRound[int(sl)*ps.pieces:][:ps.pieces]
-	rec := CompletionRecord{
-		ID:        ps.id[sl],
-		ArrivedAt: ps.arrived[sl],
-		DoneAt:    now,
-		TTD0:      float64(rounds[0]) - ps.arrived[sl],
-		TTD:       make([]float64, len(rounds)-1),
-	}
-	for i := range rec.TTD {
-		rec.TTD[i] = float64(rounds[i+1]) - float64(rounds[i])
-	}
-	s.res.Completions = append(s.res.Completions, rec)
+	s.res.logCompletion(CompletionRecord{ID: ps.id[sl], ArrivedAt: ps.arrived[sl], DoneAt: now},
+		ps.acqRound[int(sl)*ps.pieces:][:ps.pieces])
 	if ps.tracked[sl] {
 		var samples []TraceSample
 		if idx := ps.traceIdx[sl]; idx >= 0 {

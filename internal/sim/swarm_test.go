@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -89,18 +90,17 @@ func TestSwarmDownloadsComplete(t *testing.T) {
 	if len(res.Completions) == 0 {
 		t.Fatal("no downloads completed")
 	}
-	for _, c := range res.Completions {
+	for i, c := range res.Completions {
 		if c.DoneAt < c.ArrivedAt {
 			t.Fatalf("completion %d before arrival", c.ID)
 		}
-		if len(c.TTD) != smallConfig().Pieces-1 {
-			t.Fatalf("completion %d has %d TTD entries, want %d",
-				c.ID, len(c.TTD), smallConfig().Pieces-1)
+		row := res.Acquisitions(i)
+		if len(row) != smallConfig().Pieces {
+			t.Fatalf("completion %d has %d acquisition rounds, want %d",
+				c.ID, len(row), smallConfig().Pieces)
 		}
-		for _, dt := range c.TTD {
-			if dt < 0 {
-				t.Fatalf("negative inter-piece time %g", dt)
-			}
+		if float64(row[0]) < c.ArrivedAt || !slices.IsSorted(row) {
+			t.Fatalf("completion %d arrived at %g, acquisition rounds %v", c.ID, c.ArrivedAt, row)
 		}
 	}
 	if res.Exchanges() == 0 {
@@ -278,10 +278,11 @@ func TestShakeTriggers(t *testing.T) {
 func TestCompletionRecordTTDConsistency(t *testing.T) {
 	cfg := smallConfig()
 	res := runSwarm(t, cfg)
-	for _, c := range res.Completions {
-		total := c.TTD0
-		for _, dt := range c.TTD {
-			total += dt
+	for i, c := range res.Completions {
+		row := res.Acquisitions(i)
+		total := float64(row[0]) - c.ArrivedAt
+		for m := 1; m < len(row); m++ {
+			total += float64(row[m]) - float64(row[m-1])
 		}
 		if diff := math.Abs(total - c.Duration()); diff > 1e-9 {
 			t.Fatalf("TTD sum %g != duration %g", total, c.Duration())

@@ -178,6 +178,14 @@ one_acquisition_log() {
 	absent one_acquisition_log 'pieceTimes|acqOrder|acqLen' 'internal/sim/*.go'
 }
 
+# A finished download's acquisition rounds live once, as an int32 row of
+# the Result's completion log (DESIGN.md §14), read by
+# (*Result).Acquisitions: the first-piece wait and the per-record float64
+# gap slice that copied them may not grow back on CompletionRecord.
+one_completion_log() {
+	absent one_completion_log 'TTD0|TTD +\[\]float64' 'internal/sim/*.go'
+}
+
 # The chain is the one download process: bttrace -gen draws its synthetic
 # traces from core's presets, and core.Estimate, which reads a trace pair
 # as one Model.Step, is the one fit (DESIGN.md §17). The hand-built
@@ -356,6 +364,7 @@ one_phase_rule
 one_exact_kernel
 one_degree_table
 one_acquisition_log
+one_completion_log
 one_trace_generator
 one_calibration_route
 one_tier_comparison

@@ -50,7 +50,7 @@ func TestFacadeSwarmPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Error("no completions")
 	}
 	if e := bitphase.Entropy([]int{3, 4, 5}); math.Abs(e-0.6) > 1e-12 {

@@ -116,7 +116,7 @@ func run(w io.Writer, cfg sim.Config, series bool, tracesTo, metricsOut, debugAd
 	fmt.Fprintf(w, "swarm run: B=%d k=%d s=%d lambda=%g horizon=%g strategy=%s\n",
 		cfg.Pieces, cfg.MaxConns, cfg.NeighborSet, cfg.ArrivalRate, cfg.Horizon, cfg.PieceSelection)
 	fmt.Fprintf(w, "arrivals=%d completions=%d exchanges=%d seed-uploads=%d optimistic=%d shakes=%d\n",
-		res.Arrivals(), len(res.Completions), res.Exchanges(),
+		res.Arrivals(), res.NumCompletions(), res.Exchanges(),
 		res.SeedUploads(), res.OptimisticUploads(), res.Shakes())
 	fmt.Fprintf(w, "mean download time: %.2f rounds\n", res.MeanDownloadTime())
 	fmt.Fprintf(w, "mean efficiency (slot utilization): %.4f\n", res.MeanEfficiency())

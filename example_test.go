@@ -117,7 +117,7 @@ func ExampleNewSwarm() {
 		return
 	}
 	fmt.Printf("all %d initial peers completed: %v\n",
-		cfg.InitialPeers, len(res.Completions) == cfg.InitialPeers)
+		cfg.InitialPeers, res.NumCompletions() == cfg.InitialPeers)
 	// Output:
 	// all 20 initial peers completed: true
 }

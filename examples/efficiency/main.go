@@ -46,7 +46,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("%d   %.4f   %.4f     %.4f       %d\n",
-			k, res.MeanEfficiency(), model.Eta, res.MeanPR(), len(res.Completions))
+			k, res.MeanEfficiency(), model.Eta, res.MeanPR(), res.NumCompletions())
 	}
 	fmt.Println("\nexpected shape: a sharp jump from k=1 to k=2, then a plateau;")
 	fmt.Println("the model (iterated in increasing class order) upper-bounds the simulation.")

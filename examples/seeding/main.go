@@ -73,7 +73,7 @@ func run() error {
 		}
 		fmt.Printf("  %s entropy %.3f -> %.3f, completions %d, seed uploads %d\n",
 			mode, res.EntropySeries.V[0], res.EntropySeries.V[n-1],
-			len(res.Completions), res.SeedUploads())
+			res.NumCompletions(), res.SeedUploads())
 	}
 
 	// 3. Seed lingering: completed peers staying around add capacity.
@@ -99,7 +99,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("  linger=%2d rounds: mean DT %.1f, completions %d, lingered %d\n",
-			linger, res.MeanDownloadTime(), len(res.Completions), res.Lingered())
+			linger, res.MeanDownloadTime(), res.NumCompletions(), res.Lingered())
 	}
 	return nil
 }

@@ -258,7 +258,7 @@ func AblationSuperSeed(scale Scale) (*SuperSeedResult, error) {
 		return row{
 			mode:        modes[i],
 			meanEnt:     stats.Mean(res.EntropySeries.V),
-			completions: len(res.Completions),
+			completions: res.NumCompletions(),
 			uploads:     res.SeedUploads(),
 		}, nil
 	})

@@ -71,15 +71,11 @@ func FlashCrowd(scale Scale) (*FlashCrowdResult, error) {
 
 // drainTime finds the virtual time by which frac of the burst completed.
 func drainTime(res *sim.Result, burst int, frac float64) float64 {
-	target := int(frac * float64(burst))
-	count := 0
-	for _, c := range res.Completions {
-		count++
-		if count >= target {
-			return c.DoneAt
-		}
+	i := max(int(frac*float64(burst)), 1) - 1
+	if i >= res.NumCompletions() {
+		return math.NaN()
 	}
-	return math.NaN()
+	return res.Completion(i).DoneAt
 }
 
 // BurstTable renders the flash-crowd drain sweep.

@@ -62,7 +62,8 @@ func ValidateDistributions(scale Scale) (*ValidationResult, error) {
 		s, cfg, p := setSizes[i], cfgs[i], params[i]
 		var all, cohort []float64
 		longest := 0.0
-		for _, c := range res.Completions {
+		for k := range res.NumCompletions() {
+			c := res.Completion(k)
 			all = append(all, c.Duration())
 			if c.ArrivedAt > 0 {
 				cohort = append(cohort, c.Duration())

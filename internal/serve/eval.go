@@ -319,7 +319,7 @@ func simOut(req *Request, res *sim.Result) *SimOut {
 		Config:           *req.Sim,
 		Rounds:           res.Rounds(),
 		Arrivals:         res.Arrivals(),
-		Completions:      len(res.Completions),
+		Completions:      res.NumCompletions(),
 		Exchanges:        res.Exchanges(),
 		SeedUploads:      res.SeedUploads(),
 		Optimistic:       res.OptimisticUploads(),

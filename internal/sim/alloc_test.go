@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/stats"
+)
 
 // TestRoundSteadyStateAllocs drives the round loop directly (white-box)
 // and asserts the hot path stays allocation-free once the swarm's scratch
@@ -59,10 +64,10 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTradingRoundAllocsBounded is the same gate for a swarm that is
-// really trading: a round may allocate a small constant for the amortized
-// growth of the peer store, the completion records, the completion log's
-// pages and the free list — and nothing per completion, per arrival, per
-// exchange, per link or per neighbor scan.
+// really trading: a round may allocate a small constant for the peer
+// store's pages and the amortized growth of its flat arrays, the
+// completion log's pages and the free list — and nothing per completion,
+// per arrival, per exchange, per link or per neighbor scan.
 func TestTradingRoundAllocsBounded(t *testing.T) {
 	cfg := churnConfig()
 	cfg.InitialPeers, cfg.Seeds, cfg.ArrivalRate = 200, 20, 80
@@ -74,7 +79,7 @@ func TestTradingRoundAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 8
-	arrivals, completions := s.res.arrivals, len(s.res.Completions)
+	arrivals, completions := s.res.arrivals, s.res.NumCompletions()
 	at := s.now
 	// AllocsPerRun calls once to warm up, then rounds times.
 	avg := testing.AllocsPerRun(rounds, func() {
@@ -84,12 +89,49 @@ func TestTradingRoundAllocsBounded(t *testing.T) {
 		}
 	})
 	arrived := float64(s.res.arrivals-arrivals) / (rounds + 1)
-	done := float64(len(s.res.Completions)-completions) / (rounds + 1)
+	done := float64(s.res.NumCompletions()-completions) / (rounds + 1)
 	if arrived+done < 100 {
 		t.Fatalf("only %.0f arrivals + completions per round: the swarm is not churning", arrived+done)
 	}
 	if avg > 4 {
 		t.Errorf("a trading round allocates %.1f times for %.1f completions (and %.1f arrivals), want at most 4",
 			avg, done, arrived)
+	}
+}
+
+// TestRunAllocatesWhatItKeeps holds a churning run's whole allocation,
+// New to its Result, to 1.3× the bytes it keeps at the end: the peer
+// store (memBytes), the completion log's pages and the Result's series.
+// What lies between is growth garbage: the flat per-slot arrays' copies
+// and the swarm's scratch buffers. It reads 1.22× here, and 2.8× with
+// completion records grown by append and a store that copied every array
+// as it passed capacity.
+func TestRunAllocatesWhatItKeeps(t *testing.T) {
+	cfg := churnConfig() // at half its population and arrival rate
+	cfg.InitialPeers, cfg.Seeds, cfg.ArrivalRate = 1000, 100, 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	kept := s.ps.memBytes()
+	for _, pg := range res.pages {
+		kept += int64(cap(pg.recs))*24 + int64(cap(pg.rows))*4
+	}
+	for _, ser := range []*stats.Series{res.PopulationSeries, res.EntropySeries, res.EfficiencySeries, res.PRSeries} {
+		kept += int64(cap(ser.T)+cap(ser.V)) * 8
+	}
+	if res.NumCompletions() < 2*cfg.InitialPeers || len(s.ps.free) == 0 {
+		t.Fatalf("%d completions, %d free slots: the swarm is not churning", res.NumCompletions(), len(s.ps.free))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.3*float64(kept) {
+		t.Errorf("the run allocated %d B for %d B it keeps (%.2f×), want at most 1.3×",
+			got, kept, float64(got)/float64(kept))
 	}
 }

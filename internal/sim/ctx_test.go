@@ -21,10 +21,10 @@ func TestRunContextNilMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Exchanges() != b.Exchanges() || a.Rounds() != b.Rounds() ||
-		len(a.Completions) != len(b.Completions) {
+		a.NumCompletions() != b.NumCompletions() {
 		t.Fatalf("RunContext(nil) diverged: %d/%d/%d vs %d/%d/%d",
-			a.Exchanges(), a.Rounds(), len(a.Completions),
-			b.Exchanges(), b.Rounds(), len(b.Completions))
+			a.Exchanges(), a.Rounds(), a.NumCompletions(),
+			b.Exchanges(), b.Rounds(), b.NumCompletions())
 	}
 }
 

@@ -31,7 +31,8 @@ func completionTimesByClass(t *testing.T, slowFraction, slowRate float64) (fast,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Completions {
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		if slowIDs[c.ID] {
 			slow = append(slow, c.Duration())
 		} else {
@@ -135,7 +136,7 @@ func TestSuperSeedSwarmStillCompletes(t *testing.T) {
 	cfg := smallConfig()
 	cfg.SuperSeed = true
 	res := runSwarm(t, cfg)
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Fatal("super-seeded swarm made no progress")
 	}
 	if math.IsNaN(res.MeanDownloadTime()) {
@@ -191,7 +192,7 @@ func TestAbortRateDrainsLeechers(t *testing.T) {
 	// Aborted peers are gone: population plus cumulative departures stays
 	// consistent (indirect check: no negative population, completions
 	// still occur).
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Error("aborts should not prevent all completions")
 	}
 }
@@ -223,7 +224,8 @@ func TestSeedLingeringImprovesDownloads(t *testing.T) {
 	// Completion durations must be recorded at completion, not at the
 	// end of lingering: durations cannot systematically exceed the
 	// horizon and must be positive.
-	for _, c := range linger.Completions {
+	for i := range linger.NumCompletions() {
+		c := linger.Completion(i)
 		if c.Duration() <= 0 {
 			t.Fatalf("non-positive duration %g", c.Duration())
 		}

@@ -107,7 +107,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	a, b := runWith(t, cfg), runWith(t, cfg)
 	if a.FaultDrops() != b.FaultDrops() || a.Crashes() != b.Crashes() ||
 		a.Rejoins() != b.Rejoins() || a.BlackoutRounds() != b.BlackoutRounds() ||
-		len(a.Completions) != len(b.Completions) ||
+		a.NumCompletions() != b.NumCompletions() ||
 		a.MeanEfficiency() != b.MeanEfficiency() || a.MeanPR() != b.MeanPR() {
 		t.Fatalf("same plan diverged:\n%d/%d/%d/%d η=%.6f\n%d/%d/%d/%d η=%.6f",
 			a.FaultDrops(), a.Crashes(), a.Rejoins(), a.BlackoutRounds(), a.MeanEfficiency(),
@@ -157,13 +157,13 @@ func TestTrackerBlackoutDegradesGracefully(t *testing.T) {
 		t.Errorf("blackout rounds = %d, want ~30", res.BlackoutRounds())
 	}
 	base := runWith(t, faultTestConfig())
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Fatal("no downloads completed through the blackout")
 	}
 	// Degradation, not collapse: at least half the baseline completions.
-	if len(res.Completions) < len(base.Completions)/2 {
+	if res.NumCompletions() < base.NumCompletions()/2 {
 		t.Errorf("completions %d vs baseline %d: blackout collapsed the swarm",
-			len(res.Completions), len(base.Completions))
+			res.NumCompletions(), base.NumCompletions())
 	}
 }
 
@@ -175,7 +175,7 @@ func TestFaultFreePlanIsInert(t *testing.T) {
 	cfg.Faults = &faults.Plan{Seed: 99}
 	res := runWith(t, cfg)
 	if base.MeanEfficiency() != res.MeanEfficiency() ||
-		len(base.Completions) != len(res.Completions) ||
+		base.NumCompletions() != res.NumCompletions() ||
 		base.Exchanges() != res.Exchanges() {
 		t.Fatal("inactive fault plan perturbed the run")
 	}

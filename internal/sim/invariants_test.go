@@ -60,7 +60,7 @@ func checkInvariants(t testing.TB, s *Swarm) {
 				round, ps.id[sl], ps.gone[sl], ps.nbrLen[sl], ps.connLen[sl])
 		}
 		if s.ps.useRare {
-			for j, c := range ps.rare[int(sl)*ps.pieces:][:ps.pieces] {
+			for j, c := range ps.rareRow(sl) {
 				if c != 0 {
 					t.Fatalf("round %d: crashed peer %d keeps rare[%d] = %d", round, ps.id[sl], j, c)
 				}
@@ -158,7 +158,7 @@ func checkInvariants(t testing.TB, s *Swarm) {
 				countRowInto(recount, ps.pieceRow(q))
 			}
 			for j, want := range recount {
-				if got := int(ps.rare[int(sl)*ps.pieces+j]); got != want {
+				if got := int(ps.rareRow(sl)[j]); got != want {
 					t.Fatalf("round %d: peer %d rare[%d] = %d, recount over neighbors = %d",
 						round, id, j, got, want)
 				}
@@ -199,9 +199,9 @@ func checkInvariants(t testing.TB, s *Swarm) {
 			round, s.res.crashes, s.res.rejoins, len(s.crashList))
 	}
 	joined := cfg.InitialPeers + s.res.arrivals
-	if accounted := len(s.res.Completions) + s.res.aborts + leechers + crashed; joined != accounted {
+	if accounted := s.res.NumCompletions() + s.res.aborts + leechers + crashed; joined != accounted {
 		t.Fatalf("round %d: joined %d != completed %d + aborted %d + present %d + crashed %d",
-			round, joined, len(s.res.Completions), s.res.aborts, leechers, crashed)
+			round, joined, s.res.NumCompletions(), s.res.aborts, leechers, crashed)
 	}
 
 	// The census row of the round partitions that round's population.
@@ -271,6 +271,12 @@ func countRowInto(out []int, row []uint64) {
 	}
 }
 
+// hasNbr reports whether q is in p's neighbor row.
+func (ps *peerStore) hasNbr(p, q int32) bool { return slices.Contains(ps.nbrRow(p), q) }
+
+// connected reports whether p and q share a connection.
+func (ps *peerStore) connected(p, q int32) bool { return slices.Contains(ps.connRow(p), q) }
+
 // adjacency is a deep copy of everything detachAll may write.
 type adjacency struct {
 	nbr, nbrLen, conn, connLen []int32
@@ -279,20 +285,34 @@ type adjacency struct {
 	roomy                      int
 }
 
+// snapshotAdjacency copies the paged rows of every slot into flat rows of
+// the same strides.
 func snapshotAdjacency(ps *peerStore) adjacency {
-	return adjacency{
-		slices.Clone(ps.nbr), slices.Clone(ps.nbrLen), slices.Clone(ps.conn), slices.Clone(ps.connLen),
-		slices.Clone(ps.nbrVer), slices.Clone(ps.rare), ps.roomy,
+	a := adjacency{
+		nbrLen: slices.Clone(ps.nbrLen), connLen: slices.Clone(ps.connLen),
+		nbrVer: slices.Clone(ps.nbrVer), roomy: ps.roomy,
 	}
+	for sl := int32(0); int(sl) < len(ps.id); sl++ {
+		a.nbr = append(a.nbr, ps.nbrSlots(sl)...)
+		a.conn = append(a.conn, ps.connSlots(sl)...)
+		if ps.useRare {
+			a.rare = append(a.rare, ps.rareRow(sl)...)
+		}
+	}
+	return a
 }
 
 func (a adjacency) restore(ps *peerStore) {
-	copy(ps.nbr, a.nbr)
+	for sl := int32(0); int(sl) < len(ps.id); sl++ {
+		copy(ps.nbrSlots(sl), a.nbr[int(sl)*ps.nbrCap:])
+		copy(ps.connSlots(sl), a.conn[int(sl)*ps.connCap:])
+		if ps.useRare {
+			copy(ps.rareRow(sl), a.rare[int(sl)*ps.pieces:])
+		}
+	}
 	copy(ps.nbrLen, a.nbrLen)
-	copy(ps.conn, a.conn)
 	copy(ps.connLen, a.connLen)
 	copy(ps.nbrVer, a.nbrVer)
-	copy(ps.rare, a.rare)
 	ps.roomy = a.roomy
 }
 
@@ -310,10 +330,10 @@ func unlinkOracle(s *Swarm, p, q int32) {
 	if s.ps.useRare {
 		for j := 0; j < ps.pieces; j++ {
 			if bitset.RowHas(ps.pieceRow(q), j) {
-				ps.rare[int(p)*ps.pieces+j]--
+				ps.rareRow(p)[j]--
 			}
 			if bitset.RowHas(ps.pieceRow(p), j) {
-				ps.rare[int(q)*ps.pieces+j]--
+				ps.rareRow(q)[j]--
 			}
 		}
 	}
@@ -347,7 +367,7 @@ func checkDetachAll(t testing.TB, s *Swarm) {
 			}
 		}
 		if !slices.Equal(got.nbrLen, ps.nbrLen) || !slices.Equal(got.connLen, ps.connLen) ||
-			!slices.Equal(got.nbrVer, ps.nbrVer) || !slices.Equal(got.rare, ps.rare) || got.roomy != ps.roomy {
+			!slices.Equal(got.nbrVer, ps.nbrVer) || !slices.Equal(got.rare, snapshotAdjacency(ps).rare) || got.roomy != ps.roomy {
 			t.Fatalf("round %d: detaching peer %d: lengths, versions, rare counts or roomy differ from the unlink loop's",
 				s.res.rounds, ps.id[sl])
 		}

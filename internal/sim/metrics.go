@@ -71,13 +71,14 @@ type Result struct {
 	// from the previous round (the model's p_r).
 	PRSeries *stats.Series
 
-	// Completions lists finished downloads in completion order.
-	Completions []CompletionRecord
-	// pages hold the completion log: row i, stride pieces (B), is the
-	// acquisition rounds of Completions[i]. Page j holds logPage0<<j rows
-	// and is never copied once allocated.
+	// pages hold the completion log, in completion order: record i
+	// (NumCompletions, Completion) beside row i, stride pieces (B), its
+	// acquisition rounds (Acquisitions). Page j holds logPage0<<j records
+	// and rows and is never copied once allocated; done counts the
+	// records logged.
 	pieces int
-	pages  [][]int32
+	done   int
+	pages  []logPage
 	// Traces holds the tracked peers' instrumented trajectories.
 	Traces []PeerTrace
 
@@ -181,63 +182,99 @@ func (r *Result) MeanEfficiency() float64 { return r.effAcc.Mean() }
 // MeanDownloadTime returns the average completed download duration, or
 // NaN when nothing completed.
 func (r *Result) MeanDownloadTime() float64 {
-	if len(r.Completions) == 0 {
+	if r.done == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for _, c := range r.Completions {
-		sum += c.Duration()
+	for j, pg := range r.pages {
+		for _, c := range pg.recs[:r.filled(j)] {
+			sum += c.Duration()
+		}
 	}
-	return sum / float64(len(r.Completions))
+	return sum / float64(r.done)
 }
 
-// logPage0 is the row count of the completion log's first page.
+// logPage0 is the record count of the completion log's first page.
 const logPage0 = 16
 
-// logSlot locates row i of the completion log: page j starts at row
+// logPage is page j of the completion log: logPage0<<j records and as
+// many acquisition rows.
+type logPage struct {
+	recs []CompletionRecord
+	rows []int32
+}
+
+// logSlot locates completion i in the log: page j starts at completion
 // logPage0·(2^j − 1).
 func logSlot(i int) (page, off int) {
 	page = bits.Len(uint(i/logPage0+1)) - 1
 	return page, i - logPage0*(1<<page-1)
 }
 
-// logCompletion appends c to Completions and its B acquisition rounds to
-// the completion log.
-func (r *Result) logCompletion(c CompletionRecord, rounds []int32) {
-	if page, _ := logSlot(len(r.Completions)); page == len(r.pages) {
-		r.pages = append(r.pages, make([]int32, logPage0<<page*r.pieces))
-	}
-	r.Completions = append(r.Completions, c)
-	copy(r.Acquisitions(len(r.Completions)-1), rounds)
+// filled returns how many records page j holds.
+func (r *Result) filled(j int) int {
+	return min(logPage0<<j, r.done-logPage0*(1<<j-1))
 }
 
-// Acquisitions returns the acquisition log of Completions[i]: entry m is
+// logCompletion appends c and its B acquisition rounds to the completion
+// log.
+func (r *Result) logCompletion(c CompletionRecord, rounds []int32) {
+	page, off := logSlot(r.done)
+	if page == len(r.pages) {
+		n := logPage0 << page
+		r.pages = append(r.pages, logPage{make([]CompletionRecord, n), make([]int32, n*r.pieces)})
+	}
+	r.pages[page].recs[off] = c
+	copy(r.pages[page].rows[off*r.pieces:], rounds)
+	r.done++
+}
+
+// NumCompletions returns the number of finished downloads.
+func (r *Result) NumCompletions() int { return r.done }
+
+// at locates completion i, which must be below NumCompletions.
+func (r *Result) at(i int) (*logPage, int) {
+	if uint(i) >= uint(r.done) {
+		panic(fmt.Sprintf("sim: completion %d out of range [0:%d]", i, r.done))
+	}
+	page, off := logSlot(i)
+	return &r.pages[page], off
+}
+
+// Completion returns the i-th finished download, in completion order.
+func (r *Result) Completion(i int) CompletionRecord {
+	pg, off := r.at(i)
+	return pg.recs[off]
+}
+
+// Acquisitions returns the acquisition log of Completion(i): entry m is
 // the round at which that peer acquired its (m+1)-th piece, B entries in
 // acquisition order. The slice is a view into the Result, capped at its
 // row.
 func (r *Result) Acquisitions(i int) []int32 {
-	_ = r.Completions[i]
-	page, off := logSlot(i)
-	return r.pages[page][off*r.pieces:][:r.pieces:r.pieces]
+	pg, off := r.at(i)
+	return pg.rows[off*r.pieces:][:r.pieces:r.pieces]
 }
 
 // MeanTTDByOrdinal returns, for each acquisition ordinal m (1-based piece
 // order), the mean time between the m-1-th and m-th piece over all
 // completions — the Figure 4(d) series. Index 0 is the first-piece wait.
 func (r *Result) MeanTTDByOrdinal() []float64 {
-	if len(r.Completions) == 0 {
+	if r.done == 0 {
 		return nil
 	}
 	out := make([]float64, r.pieces)
-	for i, c := range r.Completions {
-		row := r.Acquisitions(i)
-		out[0] += float64(row[0]) - c.ArrivedAt
-		for m := 1; m < len(row); m++ {
-			out[m] += float64(row[m]) - float64(row[m-1])
+	for j, pg := range r.pages {
+		for k, c := range pg.recs[:r.filled(j)] {
+			row := pg.rows[k*r.pieces:][:r.pieces]
+			out[0] += float64(row[0]) - c.ArrivedAt
+			for m := 1; m < len(row); m++ {
+				out[m] += float64(row[m]) - float64(row[m-1])
+			}
 		}
 	}
 	for m := range out {
-		out[m] /= float64(len(r.Completions))
+		out[m] /= float64(r.done)
 	}
 	return out
 }
@@ -248,16 +285,18 @@ func (r *Result) MeanTTDByOrdinal() []float64 {
 // Entry 0 is always 0; with no completions every other entry is NaN.
 func (r *Result) MeanFirstPassage() []float64 {
 	out := make([]float64, r.pieces+1)
-	for i, c := range r.Completions {
-		row := r.Acquisitions(i)
-		t := float64(row[0]) - c.ArrivedAt
-		out[1] += t
-		for m := 1; m < len(row); m++ {
-			t += float64(row[m]) - float64(row[m-1])
-			out[m+1] += t
+	for j, pg := range r.pages {
+		for k, c := range pg.recs[:r.filled(j)] {
+			row := pg.rows[k*r.pieces:][:r.pieces]
+			t := float64(row[0]) - c.ArrivedAt
+			out[1] += t
+			for m := 1; m < len(row); m++ {
+				t += float64(row[m]) - float64(row[m-1])
+				out[m+1] += t
+			}
 		}
 	}
-	n := float64(len(r.Completions))
+	n := float64(r.done)
 	for b := 1; b < len(out); b++ {
 		out[b] /= n // 0/0: NaN when nothing completed
 	}

@@ -37,7 +37,7 @@ func TestMeanTTDByOrdinalRaggedLengths(t *testing.T) {
 	if len(r.pages) != 2 {
 		t.Fatalf("%d pages for 20 rows, want 2", len(r.pages))
 	}
-	for i := range r.Completions {
+	for i := range r.NumCompletions() {
 		row := r.Acquisitions(i)
 		if len(row) != 5 || cap(row) != 5 || !slices.Equal(row, rows[i%4]) {
 			t.Fatalf("row %d = %v (cap %d), want %v", i, row, cap(row), rows[i%4])
@@ -108,7 +108,7 @@ func TestAcquisitionsMatchTraces(t *testing.T) {
 	cfg.TrackPeers = 1000
 	res := runSwarm(t, cfg)
 	if len(res.pages) < 3 {
-		t.Fatalf("%d completions on %d pages, want three pages", len(res.Completions), len(res.pages))
+		t.Fatalf("%d completions on %d pages, want three pages", res.NumCompletions(), len(res.pages))
 	}
 	samples := map[PeerID][]TraceSample{}
 	for _, tr := range res.Traces {
@@ -116,7 +116,8 @@ func TestAcquisitionsMatchTraces(t *testing.T) {
 			samples[tr.ID] = tr.Samples
 		}
 	}
-	for i, c := range res.Completions {
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		smp, ok := samples[c.ID]
 		if !ok {
 			t.Fatalf("completion %d (peer %d) has no trace", i, c.ID)
@@ -133,7 +134,7 @@ func TestAcquisitionsMatchTraces(t *testing.T) {
 func TestMeanFirstPassageMonotoneFromRun(t *testing.T) {
 	cfg := smallConfig()
 	res := runSwarm(t, cfg)
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Fatal("no completions")
 	}
 	fp := res.MeanFirstPassage()

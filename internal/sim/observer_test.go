@@ -63,8 +63,8 @@ func TestObserverMatchesResult(t *testing.T) {
 	if co.aborts != res.Aborts() {
 		t.Errorf("aborts: observer %d, result %d", co.aborts, res.Aborts())
 	}
-	if co.completions != len(res.Completions) {
-		t.Errorf("completions: observer %d, result %d", co.completions, len(res.Completions))
+	if co.completions != res.NumCompletions() {
+		t.Errorf("completions: observer %d, result %d", co.completions, res.NumCompletions())
 	}
 	if co.connsFormed != res.ConnsFormed() {
 		t.Errorf("conns formed: observer %d, result %d", co.connsFormed, res.ConnsFormed())
@@ -101,11 +101,11 @@ func TestObserverDeterminismUnchanged(t *testing.T) {
 
 	if plain.Exchanges() != observed.Exchanges() ||
 		plain.Rounds() != observed.Rounds() ||
-		len(plain.Completions) != len(observed.Completions) ||
+		plain.NumCompletions() != observed.NumCompletions() ||
 		plain.EndTime != observed.EndTime {
 		t.Fatalf("observer changed the run: %d/%d/%d vs %d/%d/%d",
-			plain.Exchanges(), plain.Rounds(), len(plain.Completions),
-			observed.Exchanges(), observed.Rounds(), len(observed.Completions))
+			plain.Exchanges(), plain.Rounds(), plain.NumCompletions(),
+			observed.Exchanges(), observed.Rounds(), observed.NumCompletions())
 	}
 }
 
@@ -123,7 +123,7 @@ func TestRegistryObserverPopulates(t *testing.T) {
 		"sim.exchanges":     int64(res.Exchanges()),
 		"sim.seed_uploads":  int64(res.SeedUploads()),
 		"sim.optimistic":    int64(res.OptimisticUploads()),
-		"sim.completions":   int64(len(res.Completions)),
+		"sim.completions":   int64(res.NumCompletions()),
 		"sim.conns_formed":  int64(res.ConnsFormed()),
 		"sim.conns_dropped": int64(res.connsDropped),
 	}

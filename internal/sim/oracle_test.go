@@ -129,8 +129,9 @@ func oracleJSON(t *testing.T, res *Result) []byte {
 	ser := func(T, V []float64) map[string]any {
 		return map[string]any{"t": fs(T), "v": fs(V)}
 	}
-	completions := make([]map[string]any, 0, len(res.Completions))
-	for i, c := range res.Completions {
+	completions := make([]map[string]any, 0, res.NumCompletions())
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		row := res.Acquisitions(i)
 		ttd := make([]float64, len(row)-1)
 		for m := range ttd {
@@ -271,8 +272,9 @@ func TestAcquisitionsLandOnRounds(t *testing.T) {
 	for name, cfg := range oracleConfigs() {
 		cfg.Seed1, cfg.Seed2 = oracleSeeds[0][0], oracleSeeds[0][1]
 		res := runSwarm(t, cfg)
-		completions += len(res.Completions)
-		for i, c := range res.Completions {
+		completions += res.NumCompletions()
+		for i := range res.NumCompletions() {
+			c := res.Completion(i)
 			if c.DoneAt != math.Trunc(c.DoneAt) {
 				t.Fatalf("%s: peer %d completed at %g, not a whole round", name, c.ID, c.DoneAt)
 			}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"slices"
+	"unsafe"
 
 	"repro/internal/bitset"
 )
@@ -23,10 +23,12 @@ type TraceSample struct {
 // reused through a free list when peers depart, so the arrays stay dense
 // under churn and the total footprint is bounded by the peak population.
 // Variable-size per-peer state (piece inventory, acquisition log,
-// neighbor/connection sets) is stored as fixed-stride rows inside flat
-// slices: row i of a slice with stride k is [i*k, (i+1)*k). A slot's
-// identity is stable for the peer's whole lifetime — no adjacency row
-// ever holds a freed slot, because removal detaches before freeing.
+// neighbor/connection sets) is stored as fixed-stride rows: row i of a
+// slice with stride k is [i*k, (i+1)*k). The piece inventory's rows are
+// one flat slice; the wide rows live on slot pages (slotPage), which the
+// store adds as it grows and never copies. A slot's identity is stable
+// for the peer's whole lifetime — no adjacency row ever holds a freed
+// slot, because removal detaches before freeing.
 //
 // See DESIGN.md §14 for the memory layout and the per-round complexity
 // table.
@@ -55,18 +57,13 @@ type peerStore struct {
 	// incrementally maintained popcount so completion checks are O(1).
 	pieceWords []uint64
 	pieceCnt   []int32
-	// acqRound[sl*pieces+m] is the round at which slot sl acquired its
-	// m-th piece: the acquisition log, pieceCnt[sl] entries long. Every
-	// acquisition lands on a whole round, so an int32 round is exact.
-	acqRound []int32
 
-	// Adjacency: neighbor and connection sets as fixed-stride rows of
-	// partner slots, kept sorted by partner PeerID — the same ascending-id
-	// order the map-based core produced by sorting map keys, so every
-	// iteration that feeds the RNG sees the identical sequence.
-	nbr     []int32
+	// pages[sl>>slotShift] holds slot sl's wide rows, at row
+	// sl&(slotRun-1) (slotPage).
+	pages []slotPage
+
+	// Adjacency: the lengths of the neighbor and connection rows.
 	nbrLen  []int32
-	conn    []int32
 	connLen []int32
 	// roomy counts the peers in the swarm whose neighbor row has a free
 	// slot: the only ones a tracker top-up can link to.
@@ -75,14 +72,16 @@ type peerStore struct {
 	// rare[sl*pieces+j] counts how many of slot sl's neighbors hold piece
 	// j — the rarest-first replication view, maintained incrementally on
 	// link/detach/give instead of recomputed per candidate piece.
-	// Allocated only under the RarestFirst strategy (useRare).
+	// Allocated only under the RarestFirst strategy (useRare). It stays
+	// flat: give bumps one count at every neighbor of every receiver, the
+	// loop a page lookup per neighbor slowed most (DESIGN.md §14).
 	rare    []uint16
 	useRare bool
 
 	// Connection-persistence measurement state: the previous round's
-	// partner ids per slot, validated by an owner stamp plus the round
-	// ordinal so slot reuse and crash gaps cannot alias stale rows.
-	prevConn  []PeerID
+	// partner ids per slot (slotPage.prevConn), validated by an owner
+	// stamp plus the round ordinal so slot reuse and crash gaps cannot
+	// alias stale rows.
 	prevLen   []int32
 	prevOwner []PeerID
 	prevRound []int32
@@ -112,6 +111,32 @@ type peerStore struct {
 	warmed int32 // warm's sink: keeps its loads from being optimized away
 }
 
+// slotShift sets the slot run: slotRun consecutive slots, from a multiple
+// of slotRun on, share one slotPage. 64 keeps a page small next to a
+// small swarm, which may outgrow its initial population by a few peers.
+const (
+	slotShift = 6
+	slotRun   = 1 << slotShift
+)
+
+// slotPage holds the wide rows of one run of slots: row r of a slice with
+// stride k is [r*k, (r+1)*k).
+type slotPage struct {
+	// acqRound is the acquisition log, stride pieces: entry m of a slot's
+	// row is the round at which it acquired its m-th piece, pieceCnt
+	// entries long. Every acquisition lands on a whole round, so an int32
+	// round is exact.
+	acqRound []int32
+	// nbr and conn are the neighbor and connection sets, strides nbrCap
+	// and connCap: partner slots kept sorted by partner PeerID — the same
+	// ascending-id order the map-based core produced by sorting map keys,
+	// so every iteration that feeds the RNG sees the identical sequence.
+	nbr  []int32
+	conn []int32
+	// prevConn is the previous round's partner ids, stride connCap.
+	prevConn []PeerID
+}
+
 func newPeerStore(cfg Config) peerStore {
 	connCap := cfg.MaxConns
 	if cfg.NeighborSet < connCap {
@@ -126,19 +151,38 @@ func newPeerStore(cfg Config) peerStore {
 	}
 }
 
-// extend appends n copies of v to s.
+// extend appends n copies of v to a flat per-slot array. A full array
+// triples: the copies it leaves behind plus its unused room then come to
+// about 2.7 times its peak, the least a growth factor gets (DESIGN.md
+// §14).
 func extend[T any](s []T, n int, v T) []T {
-	s = slices.Grow(s, n)
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, 3*len(s)+n), s...)
+	}
 	for ; n > 0; n-- {
 		s = append(s, v)
 	}
 	return s
 }
 
-// grow appends n slots to every parallel array — one allocation per array
-// however many, so a swarm built with its initial population in one call
-// leaves no doubling garbage behind — and stacks them on the free list,
-// lowest slot on top.
+// rows returns rows [lo, hi) of s, stride k, capped at hi.
+func rows[T any](s []T, lo, hi, k int) []T { return s[lo*k : hi*k : hi*k] }
+
+// whole returns the rows of a run, stride k, lengthened with zero rows
+// to slotRun: a new run's page, or a partial run copied to a whole one.
+func whole[T any](s []T, k int) []T {
+	if len(s) < slotRun*k {
+		s = append(make([]T, 0, slotRun*k), s...)[:slotRun*k]
+	}
+	return s
+}
+
+// grow appends n slots to every parallel array and stacks them on the
+// free list, lowest slot on top. The first call (New's, the initial
+// population) allocates each wide row for exactly its n slots and enters
+// it run by run; every later run gets a page of its own when its first
+// slot is added. Only the initial population's last run, when it is
+// partial, is ever copied: once, to a whole page, as the store outgrows it.
 func (ps *peerStore) grow(n int) {
 	first := len(ps.id)
 	ps.id = extend(ps.id, n, -1)
@@ -153,15 +197,11 @@ func (ps *peerStore) grow(n int) {
 	ps.lingerLeft = extend(ps.lingerLeft, n, 0)
 	ps.pieceWords = extend(ps.pieceWords, n*ps.words, 0)
 	ps.pieceCnt = extend(ps.pieceCnt, n, 0)
-	ps.acqRound = extend(ps.acqRound, n*ps.pieces, 0)
-	ps.nbr = extend(ps.nbr, n*ps.nbrCap, 0)
 	ps.nbrLen = extend(ps.nbrLen, n, 0)
-	ps.conn = extend(ps.conn, n*ps.connCap, 0)
 	ps.connLen = extend(ps.connLen, n, 0)
 	if ps.useRare {
 		ps.rare = extend(ps.rare, n*ps.pieces, 0)
 	}
-	ps.prevConn = extend(ps.prevConn, n*ps.connCap, -1)
 	ps.prevLen = extend(ps.prevLen, n, 0)
 	ps.prevOwner = extend(ps.prevOwner, n, -1)
 	ps.prevRound = extend(ps.prevRound, n, -1)
@@ -173,6 +213,25 @@ func (ps *peerStore) grow(n int) {
 	ps.potEpoch = extend(ps.potEpoch, n, 0)
 	ps.potVer = extend(ps.potVer, n, 0)
 	ps.potVal = extend(ps.potVal, n, 0)
+	if first == 0 {
+		acq, nbr := make([]int32, n*ps.pieces), make([]int32, n*ps.nbrCap)
+		conn, prev := make([]int32, n*ps.connCap), make([]PeerID, n*ps.connCap)
+		ps.pages = make([]slotPage, 0, (n+slotRun-1)/slotRun)
+		for lo := 0; lo < n; lo += slotRun {
+			hi := min(lo+slotRun, n)
+			ps.pages = append(ps.pages, slotPage{rows(acq, lo, hi, ps.pieces),
+				rows(nbr, lo, hi, ps.nbrCap), rows(conn, lo, hi, ps.connCap), rows(prev, lo, hi, ps.connCap)})
+		}
+	} else {
+		for c := first >> slotShift; c<<slotShift < first+n; c++ {
+			if c == len(ps.pages) {
+				ps.pages = append(ps.pages, slotPage{})
+			}
+			pg := &ps.pages[c]
+			pg.acqRound, pg.nbr = whole(pg.acqRound, ps.pieces), whole(pg.nbr, ps.nbrCap)
+			pg.conn, pg.prevConn = whole(pg.conn, ps.connCap), whole(pg.prevConn, ps.connCap)
+		}
+	}
 	for sl := first + n - 1; sl >= first; sl-- {
 		ps.free = append(ps.free, int32(sl))
 	}
@@ -217,7 +276,7 @@ func (ps *peerStore) reset(sl int32) {
 	ps.optEpoch[sl] = 0
 	ps.potEpoch[sl] = 0
 	if ps.useRare {
-		clear(ps.rare[int(sl)*ps.pieces:][:ps.pieces])
+		clear(ps.rareRow(sl))
 	}
 }
 
@@ -232,16 +291,52 @@ func (ps *peerStore) pieceRow(sl int32) []uint64 {
 	return ps.pieceWords[base : base+ps.words]
 }
 
+// page returns the page holding slot sl's wide rows and sl's row in it.
+func (ps *peerStore) page(sl int32) (*slotPage, int) {
+	return &ps.pages[uint32(sl)>>slotShift], int(sl & (slotRun - 1))
+}
+
+// acqRow returns the slot's acquisition log, all B entries.
+func (ps *peerStore) acqRow(sl int32) []int32 {
+	pg, r := ps.page(sl)
+	return pg.acqRound[r*ps.pieces:][:ps.pieces]
+}
+
+// rareRow returns the slot's rarest-first replication counts.
+func (ps *peerStore) rareRow(sl int32) []uint16 {
+	return ps.rare[int(sl)*ps.pieces:][:ps.pieces]
+}
+
+// prevRow returns the slot's previous-round partner ids, connCap entries.
+func (ps *peerStore) prevRow(sl int32) []PeerID {
+	pg, r := ps.page(sl)
+	return pg.prevConn[r*ps.connCap:][:ps.connCap]
+}
+
+// nbrSlots returns the slot's whole neighbor row, nbrCap entries.
+func (ps *peerStore) nbrSlots(sl int32) []int32 {
+	pg, r := ps.page(sl)
+	return pg.nbr[r*ps.nbrCap:][:ps.nbrCap]
+}
+
+// connSlots returns the slot's whole connection row, connCap entries.
+func (ps *peerStore) connSlots(sl int32) []int32 {
+	pg, r := ps.page(sl)
+	return pg.conn[r*ps.connCap:][:ps.connCap]
+}
+
 // nbrRow returns the slot's live neighbor slots, sorted by partner id.
 func (ps *peerStore) nbrRow(sl int32) []int32 {
-	base := int(sl) * ps.nbrCap
-	return ps.nbr[base : base+int(ps.nbrLen[sl])]
+	pg, r := ps.page(sl)
+	base := r * ps.nbrCap
+	return pg.nbr[base : base+int(ps.nbrLen[sl])]
 }
 
 // connRow returns the slot's live connection slots, sorted by partner id.
 func (ps *peerStore) connRow(sl int32) []int32 {
-	base := int(sl) * ps.connCap
-	return ps.conn[base : base+int(ps.connLen[sl])]
+	pg, r := ps.page(sl)
+	base := r * ps.connCap
+	return pg.conn[base : base+int(ps.connLen[sl])]
 }
 
 // insertByID inserts q into row[:n] — row has room for one more — keeping
@@ -273,8 +368,7 @@ func removeSlot(row []int32, q int32) bool {
 
 // insertNbr inserts q into p's neighbor row.
 func (ps *peerStore) insertNbr(p, q int32) {
-	base := int(p) * ps.nbrCap
-	ps.insertByID(ps.nbr[base:base+ps.nbrCap], int(ps.nbrLen[p]), q)
+	ps.insertByID(ps.nbrSlots(p), int(ps.nbrLen[p]), q)
 	ps.nbrLen[p]++
 	if int(ps.nbrLen[p]) == ps.nbrCap {
 		ps.roomy--
@@ -291,13 +385,9 @@ func (ps *peerStore) removeNbr(p, q int32) {
 	}
 }
 
-// hasNbr reports whether q is in p's neighbor row.
-func (ps *peerStore) hasNbr(p, q int32) bool { return slices.Contains(ps.nbrRow(p), q) }
-
 // insertConn inserts q into p's connection row.
 func (ps *peerStore) insertConn(p, q int32) {
-	base := int(p) * ps.connCap
-	ps.insertByID(ps.conn[base:base+ps.connCap], int(ps.connLen[p]), q)
+	ps.insertByID(ps.connSlots(p), int(ps.connLen[p]), q)
 	ps.connLen[p]++
 }
 
@@ -308,9 +398,6 @@ func (ps *peerStore) removeConn(p, q int32) {
 	}
 }
 
-// connected reports whether p and q share a connection.
-func (ps *peerStore) connected(p, q int32) bool { return slices.Contains(ps.connRow(p), q) }
-
 // warm loads one word per cache line of the rows a membership change is
 // about to touch at each partner in qs. These loads do not depend on one
 // another, so their cache misses overlap; the change itself visits one
@@ -319,11 +406,12 @@ func (ps *peerStore) connected(p, q int32) bool { return slices.Contains(ps.conn
 func (ps *peerStore) warm(qs []int32) {
 	var sum int32
 	for _, q := range qs {
-		row := ps.nbr[int(q)*ps.nbrCap:][:ps.nbrCap]
+		pg, r := ps.page(q)
+		row := pg.nbr[r*ps.nbrCap:][:ps.nbrCap]
 		for i := 0; i < len(row); i += 16 {
 			sum += row[i]
 		}
-		sum += row[len(row)-1] + ps.conn[int(q)*ps.connCap]
+		sum += row[len(row)-1] + pg.conn[r*ps.connCap]
 		if ps.useRare {
 			sum += int32(ps.rare[int(q)*ps.pieces])
 		}
@@ -372,11 +460,15 @@ func (ps *peerStore) memBytes() int64 {
 	b += int64(cap(ps.seed)) + int64(cap(ps.slow)) + int64(cap(ps.active)) +
 		int64(cap(ps.shaken)) + int64(cap(ps.tracked)) + int64(cap(ps.gone))
 	b += int64(cap(ps.sinceTracker))*4 + int64(cap(ps.lingerLeft))*4
-	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4 + int64(cap(ps.acqRound))*4
-	b += int64(cap(ps.nbr))*4 + int64(cap(ps.nbrLen))*4
-	b += int64(cap(ps.conn))*4 + int64(cap(ps.connLen))*4
+	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4
+	b += int64(cap(ps.nbrLen))*4 + int64(cap(ps.connLen))*4
+	for _, pg := range ps.pages {
+		b += int64(cap(pg.acqRound))*4 + int64(cap(pg.nbr))*4 + int64(cap(pg.conn))*4 +
+			int64(cap(pg.prevConn))*8
+	}
 	b += int64(cap(ps.rare)) * 2
-	b += int64(cap(ps.prevConn))*8 + int64(cap(ps.prevLen))*4 +
+	b += int64(cap(ps.pages)) * int64(unsafe.Sizeof(slotPage{}))
+	b += int64(cap(ps.prevLen))*4 +
 		int64(cap(ps.prevOwner))*8 + int64(cap(ps.prevRound))*4 +
 		int64(cap(ps.inRound))*4
 	b += int64(cap(ps.traceIdx)) * 4

@@ -66,7 +66,8 @@ func checkRandomConfig(t testing.TB, seed uint64) {
 			}
 		}
 	}
-	for i, c := range res.Completions {
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		if c.Duration() < 0 || len(res.Acquisitions(i)) != cfg.Pieces {
 			t.Fatalf("seed %d: completion %+v", seed, c)
 		}

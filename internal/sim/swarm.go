@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,6 +120,7 @@ func New(cfg Config) (*Swarm, error) {
 		res:          newResult(cfg),
 	}
 	s.ps.grow(cfg.Seeds + cfg.InitialPeers)
+	s.alive = make([]int32, 0, cfg.Seeds+cfg.InitialPeers)
 	for i := 0; i < cfg.Seeds; i++ {
 		sl := s.ps.alloc()
 		s.ps.seed[sl] = true
@@ -196,7 +198,7 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 		return
 	}
 	ps.pieceWords[wbase+j>>6] |= bit
-	ps.acqRound[int(sl)*ps.pieces+int(ps.pieceCnt[sl])] = int32(now)
+	ps.acqRow(sl)[ps.pieceCnt[sl]] = int32(now)
 	ps.pieceCnt[sl]++
 	s.degree[j]++
 	s.epoch++
@@ -212,7 +214,7 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 // complement, rareDec) on detach.
 func (s *Swarm) rareShift(dst, src int32, delta uint16) {
 	ps := &s.ps
-	addInventory(ps, ps.rare[int(dst)*ps.pieces:][:ps.pieces], src, delta)
+	addInventory(ps, ps.rareRow(dst), src, delta)
 }
 
 // addInventory adds delta to row[j] for every piece j that src holds. An
@@ -276,7 +278,7 @@ func (s *Swarm) detachAll(sl int32) {
 	}
 	ps.nbrLen[sl], ps.connLen[sl] = 0, 0
 	if s.ps.useRare {
-		clear(ps.rare[int(sl)*ps.pieces:][:ps.pieces])
+		clear(ps.rareRow(sl))
 	}
 }
 
@@ -523,7 +525,7 @@ func (s *Swarm) deliverRound(now float64, leechers, seedCount int) {
 	if o == nil {
 		return
 	}
-	post, done := s.res.counters, len(s.res.Completions)
+	post, done := s.res.counters, s.res.NumCompletions()
 	prev, prevDone := s.prevSnap, s.prevDone
 	s.prevSnap, s.prevDone = post, done
 	steps := s.stepNanos
@@ -671,8 +673,8 @@ func (s *Swarm) topUpNeighbors(p int32) {
 	// A try can only link a roomy peer that is neither p (roomy, since it
 	// wants neighbors) nor one of its neighbors already. Once none is left
 	// the outcome of every further try is known, and only its draw remains.
-	viable := ps.roomy - 1
-	for _, q := range ps.nbrRow(p) {
+	viable, row := ps.roomy-1, ps.nbrSlots(p)
+	for _, q := range row[:ps.nbrLen[p]] {
 		if int(ps.nbrLen[q]) < ps.nbrCap {
 			viable--
 		}
@@ -683,7 +685,7 @@ func (s *Swarm) topUpNeighbors(p int32) {
 			continue
 		}
 		// Rejections draw nothing, so the O(1) tests go first.
-		if q := s.alive[r]; q != p && int(ps.nbrLen[q]) < ps.nbrCap && !ps.hasNbr(p, q) {
+		if q := s.alive[r]; q != p && int(ps.nbrLen[q]) < ps.nbrCap && !slices.Contains(row[:ps.nbrLen[p]], q) {
 			s.link(p, q)
 			need--
 			viable--
@@ -711,10 +713,10 @@ func (s *Swarm) establishConns(p int32) {
 	if ps.potVal[p] == 0 && ps.potEpoch[p] == s.epoch && ps.potVer[p] == ps.nbrVer[p] {
 		return
 	}
-	potential := s.potentialSet(p)
+	potential, conns := s.potentialSet(p), ps.connRow(p)
 	cands := potential[:0]
 	for _, q := range potential {
-		if !ps.connected(p, q) && int(ps.connLen[q]) < s.cfg.MaxConns {
+		if !slices.Contains(conns, q) && int(ps.connLen[q]) < s.cfg.MaxConns {
 			cands = append(cands, q)
 		}
 	}
@@ -757,14 +759,7 @@ func (s *Swarm) measureConnections(now float64, leechers []int32) {
 		if ps.prevOwner[p] != ps.id[p] || ps.prevRound[p] != lastRound {
 			return false
 		}
-		base := int(p) * ps.connCap
-		qid := ps.id[q]
-		for i := 0; i < int(ps.prevLen[p]); i++ {
-			if ps.prevConn[base+i] == qid {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(ps.prevRow(p)[:ps.prevLen[p]], ps.id[q])
 	}
 	for _, p := range leechers {
 		used += int(ps.connLen[p])
@@ -786,10 +781,9 @@ func (s *Swarm) measureConnections(now float64, leechers []int32) {
 	}
 	s.prevCount = curCount
 	for _, p := range leechers {
-		base := int(p) * ps.connCap
-		row := ps.connRow(p)
+		row, prev := ps.connRow(p), ps.prevRow(p)
 		for i, q := range row {
-			ps.prevConn[base+i] = ps.id[q]
+			prev[i] = ps.id[q]
 		}
 		ps.prevLen[p] = int32(len(row))
 		ps.prevOwner[p] = ps.id[p]
@@ -856,7 +850,7 @@ func (s *Swarm) pickPiece(src, dst int32) int {
 	// origin as the tie-break — equivalent to scanning the candidate list
 	// rotated by offset and keeping the first strict minimum.
 	offset := s.rng.IntN(n)
-	base := int(dst) * ps.pieces
+	rare := ps.rareRow(dst)
 	best, bestCount, bestPrio := -1, math.MaxInt, math.MaxInt
 	k := 0
 	for wi, w := range srow {
@@ -864,7 +858,7 @@ func (s *Swarm) pickPiece(src, dst int32) int {
 		for diff != 0 {
 			b := bits.TrailingZeros64(diff)
 			diff &= diff - 1
-			c := int(ps.rare[base+wi<<6+b])
+			c := int(rare[wi<<6+b])
 			prio := k - offset
 			if prio < 0 {
 				prio += n
@@ -1078,7 +1072,7 @@ func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 func (s *Swarm) recordCompletion(sl int32, now float64) {
 	ps := &s.ps
 	s.res.logCompletion(CompletionRecord{ID: ps.id[sl], ArrivedAt: ps.arrived[sl], DoneAt: now},
-		ps.acqRound[int(sl)*ps.pieces:][:ps.pieces])
+		ps.acqRow(sl))
 	if ps.tracked[sl] {
 		var samples []TraceSample
 		if idx := ps.traceIdx[sl]; idx >= 0 {

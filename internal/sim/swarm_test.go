@@ -87,10 +87,11 @@ func TestStrategyString(t *testing.T) {
 
 func TestSwarmDownloadsComplete(t *testing.T) {
 	res := runSwarm(t, smallConfig())
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Fatal("no downloads completed")
 	}
-	for i, c := range res.Completions {
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		if c.DoneAt < c.ArrivedAt {
 			t.Fatalf("completion %d before arrival", c.ID)
 		}
@@ -119,12 +120,11 @@ func TestSwarmDeterminism(t *testing.T) {
 	cfg.Horizon = 60
 	a := runSwarm(t, cfg)
 	b := runSwarm(t, cfg)
-	if len(a.Completions) != len(b.Completions) {
-		t.Fatalf("completions differ: %d vs %d", len(a.Completions), len(b.Completions))
+	if a.NumCompletions() != b.NumCompletions() {
+		t.Fatalf("completions differ: %d vs %d", a.NumCompletions(), b.NumCompletions())
 	}
-	for i := range a.Completions {
-		if a.Completions[i].ID != b.Completions[i].ID ||
-			a.Completions[i].DoneAt != b.Completions[i].DoneAt {
+	for i := range a.NumCompletions() {
+		if a.Completion(i) != b.Completion(i) {
 			t.Fatalf("completion %d differs", i)
 		}
 	}
@@ -134,8 +134,8 @@ func TestSwarmDeterminism(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Seed1 = 999
 	c := runSwarm(t, cfg2)
-	if c.Exchanges() == a.Exchanges() && len(c.Completions) == len(a.Completions) &&
-		(len(a.Completions) == 0 || c.Completions[0].DoneAt == a.Completions[0].DoneAt) {
+	if c.Exchanges() == a.Exchanges() && c.NumCompletions() == a.NumCompletions() &&
+		(a.NumCompletions() == 0 || c.Completion(0).DoneAt == a.Completion(0).DoneAt) {
 		t.Error("different seeds produced identical runs (suspicious)")
 	}
 }
@@ -258,8 +258,8 @@ func TestNoSeedsNoCompletions(t *testing.T) {
 	cfg.SeedUpload = 0
 	cfg.Horizon = 50
 	res := runSwarm(t, cfg)
-	if len(res.Completions) != 0 {
-		t.Errorf("%d completions without any piece source", len(res.Completions))
+	if res.NumCompletions() != 0 {
+		t.Errorf("%d completions without any piece source", res.NumCompletions())
 	}
 }
 
@@ -270,7 +270,7 @@ func TestShakeTriggers(t *testing.T) {
 	if res.Shakes() == 0 {
 		t.Error("no peer ever shook despite threshold")
 	}
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Error("shaking prevented completion entirely")
 	}
 }
@@ -278,7 +278,8 @@ func TestShakeTriggers(t *testing.T) {
 func TestCompletionRecordTTDConsistency(t *testing.T) {
 	cfg := smallConfig()
 	res := runSwarm(t, cfg)
-	for i, c := range res.Completions {
+	for i := range res.NumCompletions() {
+		c := res.Completion(i)
 		row := res.Acquisitions(i)
 		total := float64(row[0]) - c.ArrivedAt
 		for m := 1; m < len(row); m++ {
@@ -312,7 +313,7 @@ func TestRandomFirstStrategyRuns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PieceSelection = RandomFirst
 	res := runSwarm(t, cfg)
-	if len(res.Completions) == 0 {
+	if res.NumCompletions() == 0 {
 		t.Error("random-first swarm made no progress")
 	}
 }

@@ -186,6 +186,14 @@ one_completion_log() {
 	absent one_completion_log 'TTD0|TTD +\[\]float64' 'internal/sim/*.go'
 }
 
+# A finished download's record lives on the completion log's pages
+# beside its acquisition row (DESIGN.md §14), read by
+# (*Result).Completion: the exported record slice that grew by append,
+# copying every record each time it passed capacity, may not grow back.
+one_completion_page() {
+	absent one_completion_page 'Completions = append|Completions +\[\]CompletionRecord' 'internal/sim/*.go'
+}
+
 # The chain is the one download process: bttrace -gen draws its synthetic
 # traces from core's presets, and core.Estimate, which reads a trace pair
 # as one Model.Step, is the one fit (DESIGN.md §17). The hand-built
@@ -365,6 +373,7 @@ one_exact_kernel
 one_degree_table
 one_acquisition_log
 one_completion_log
+one_completion_page
 one_trace_generator
 one_calibration_route
 one_tier_comparison

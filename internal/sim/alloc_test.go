@@ -66,8 +66,9 @@ func TestRoundSteadyStateAllocs(t *testing.T) {
 // TestTradingRoundAllocsBounded is the same gate for a swarm that is
 // really trading: a round may allocate a small constant for the peer
 // store's pages and the amortized growth of its flat arrays, the
-// completion log's pages and the free list — and nothing per completion,
-// per arrival, per exchange, per link or per neighbor scan.
+// completion log's page pair per 64 completions and the free list — and
+// nothing per completion, per arrival, per exchange, per link or per
+// neighbor scan.
 func TestTradingRoundAllocsBounded(t *testing.T) {
 	cfg := churnConfig()
 	cfg.InitialPeers, cfg.Seeds, cfg.ArrivalRate = 200, 20, 80
@@ -120,10 +121,7 @@ func TestRunAllocatesWhatItKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	kept := s.ps.memBytes()
-	for _, pg := range res.pages {
-		kept += int64(cap(pg.recs))*24 + int64(cap(pg.rows))*4
-	}
+	kept := s.ps.memBytes() + res.recs.bytes() + res.rows.bytes()
 	for _, ser := range []*stats.Series{res.PopulationSeries, res.EntropySeries, res.EfficiencySeries, res.PRSeries} {
 		kept += int64(cap(ser.T)+cap(ser.V)) * 8
 	}

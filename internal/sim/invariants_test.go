@@ -293,8 +293,8 @@ func snapshotAdjacency(ps *peerStore) adjacency {
 		nbrVer: slices.Clone(ps.nbrVer), roomy: ps.roomy,
 	}
 	for sl := int32(0); int(sl) < len(ps.id); sl++ {
-		a.nbr = append(a.nbr, ps.nbrSlots(sl)...)
-		a.conn = append(a.conn, ps.connSlots(sl)...)
+		a.nbr = append(a.nbr, ps.nbr.row(int(sl))...)
+		a.conn = append(a.conn, ps.conn.row(int(sl))...)
 		if ps.useRare {
 			a.rare = append(a.rare, ps.rareRow(sl)...)
 		}
@@ -304,8 +304,8 @@ func snapshotAdjacency(ps *peerStore) adjacency {
 
 func (a adjacency) restore(ps *peerStore) {
 	for sl := int32(0); int(sl) < len(ps.id); sl++ {
-		copy(ps.nbrSlots(sl), a.nbr[int(sl)*ps.nbrCap:])
-		copy(ps.connSlots(sl), a.conn[int(sl)*ps.connCap:])
+		copy(ps.nbr.row(int(sl)), a.nbr[int(sl)*ps.nbr.k:])
+		copy(ps.conn.row(int(sl)), a.conn[int(sl)*ps.conn.k:])
 		if ps.useRare {
 			copy(ps.rareRow(sl), a.rare[int(sl)*ps.pieces:])
 		}
@@ -360,8 +360,8 @@ func checkDetachAll(t testing.TB, s *Swarm) {
 		for x := int32(0); int(x) < len(ps.id); x++ {
 			// Compare the live part of each row; what lies beyond the
 			// length is dead storage the two are free to leave differently.
-			if !slices.Equal(got.nbr[int(x)*ps.nbrCap:][:got.nbrLen[x]], ps.nbrRow(x)) ||
-				!slices.Equal(got.conn[int(x)*ps.connCap:][:got.connLen[x]], ps.connRow(x)) {
+			if !slices.Equal(got.nbr[int(x)*ps.nbr.k:][:got.nbrLen[x]], ps.nbrRow(x)) ||
+				!slices.Equal(got.conn[int(x)*ps.conn.k:][:got.connLen[x]], ps.connRow(x)) {
 				t.Fatalf("round %d: detaching peer %d: slot %d rows differ from the unlink loop's",
 					s.res.rounds, ps.id[sl], x)
 			}

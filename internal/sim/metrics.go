@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -71,14 +70,12 @@ type Result struct {
 	// from the previous round (the model's p_r).
 	PRSeries *stats.Series
 
-	// pages hold the completion log, in completion order: record i
-	// (NumCompletions, Completion) beside row i, stride pieces (B), its
-	// acquisition rounds (Acquisitions). Page j holds logPage0<<j records
-	// and rows and is never copied once allocated; done counts the
-	// records logged.
-	pieces int
-	done   int
-	pages  []logPage
+	// recs and rows hold the completion log, in completion order: record
+	// i (NumCompletions, Completion) and row i, stride B, its acquisition
+	// rounds (Acquisitions); done counts the records logged.
+	done int
+	recs paged[CompletionRecord]
+	rows paged[int32]
 	// Traces holds the tracked peers' instrumented trajectories.
 	Traces []PeerTrace
 
@@ -124,7 +121,8 @@ func newResult(cfg Config) *Result {
 	// exchange round), so appends in the round loop never reallocate.
 	rounds := int(math.Min(cfg.Horizon+2, 65536))
 	return &Result{
-		pieces:           cfg.Pieces,
+		recs:             paged[CompletionRecord]{k: 1},
+		rows:             paged[int32]{k: cfg.Pieces},
 		PopulationSeries: stats.NewSeries(rounds),
 		EntropySeries:    stats.NewSeries(rounds),
 		EfficiencySeries: stats.NewSeries(rounds),
@@ -186,65 +184,38 @@ func (r *Result) MeanDownloadTime() float64 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for j, pg := range r.pages {
-		for _, c := range pg.recs[:r.filled(j)] {
-			sum += c.Duration()
-		}
+	for i := range r.done {
+		sum += r.Completion(i).Duration()
 	}
 	return sum / float64(r.done)
 }
 
-// logPage0 is the record count of the completion log's first page.
-const logPage0 = 16
-
-// logPage is page j of the completion log: logPage0<<j records and as
-// many acquisition rows.
-type logPage struct {
-	recs []CompletionRecord
-	rows []int32
-}
-
-// logSlot locates completion i in the log: page j starts at completion
-// logPage0·(2^j − 1).
-func logSlot(i int) (page, off int) {
-	page = bits.Len(uint(i/logPage0+1)) - 1
-	return page, i - logPage0*(1<<page-1)
-}
-
-// filled returns how many records page j holds.
-func (r *Result) filled(j int) int {
-	return min(logPage0<<j, r.done-logPage0*(1<<j-1))
-}
-
 // logCompletion appends c and its B acquisition rounds to the completion
-// log.
+// log, growing both tables by a page at each pageRows-row boundary.
 func (r *Result) logCompletion(c CompletionRecord, rounds []int32) {
-	page, off := logSlot(r.done)
-	if page == len(r.pages) {
-		n := logPage0 << page
-		r.pages = append(r.pages, logPage{make([]CompletionRecord, n), make([]int32, n*r.pieces)})
+	if r.done&(pageRows-1) == 0 {
+		r.recs.grow(r.done, pageRows)
+		r.rows.grow(r.done, pageRows)
 	}
-	r.pages[page].recs[off] = c
-	copy(r.pages[page].rows[off*r.pieces:], rounds)
+	r.recs.row(r.done)[0] = c
+	copy(r.rows.row(r.done), rounds)
 	r.done++
 }
 
 // NumCompletions returns the number of finished downloads.
 func (r *Result) NumCompletions() int { return r.done }
 
-// at locates completion i, which must be below NumCompletions.
-func (r *Result) at(i int) (*logPage, int) {
+// check panics unless completion i is below NumCompletions.
+func (r *Result) check(i int) {
 	if uint(i) >= uint(r.done) {
 		panic(fmt.Sprintf("sim: completion %d out of range [0:%d]", i, r.done))
 	}
-	page, off := logSlot(i)
-	return &r.pages[page], off
 }
 
 // Completion returns the i-th finished download, in completion order.
 func (r *Result) Completion(i int) CompletionRecord {
-	pg, off := r.at(i)
-	return pg.recs[off]
+	r.check(i)
+	return r.recs.row(i)[0]
 }
 
 // Acquisitions returns the acquisition log of Completion(i): entry m is
@@ -252,8 +223,8 @@ func (r *Result) Completion(i int) CompletionRecord {
 // acquisition order. The slice is a view into the Result, capped at its
 // row.
 func (r *Result) Acquisitions(i int) []int32 {
-	pg, off := r.at(i)
-	return pg.rows[off*r.pieces:][:r.pieces:r.pieces]
+	r.check(i)
+	return r.rows.row(i)
 }
 
 // MeanTTDByOrdinal returns, for each acquisition ordinal m (1-based piece
@@ -263,14 +234,12 @@ func (r *Result) MeanTTDByOrdinal() []float64 {
 	if r.done == 0 {
 		return nil
 	}
-	out := make([]float64, r.pieces)
-	for j, pg := range r.pages {
-		for k, c := range pg.recs[:r.filled(j)] {
-			row := pg.rows[k*r.pieces:][:r.pieces]
-			out[0] += float64(row[0]) - c.ArrivedAt
-			for m := 1; m < len(row); m++ {
-				out[m] += float64(row[m]) - float64(row[m-1])
-			}
+	out := make([]float64, r.rows.k)
+	for i := range r.done {
+		row := r.Acquisitions(i)
+		out[0] += float64(row[0]) - r.Completion(i).ArrivedAt
+		for m := 1; m < len(row); m++ {
+			out[m] += float64(row[m]) - float64(row[m-1])
 		}
 	}
 	for m := range out {
@@ -284,16 +253,14 @@ func (r *Result) MeanTTDByOrdinal() []float64 {
 // completions — the simulation side of the Figure 1(b) evolution timeline.
 // Entry 0 is always 0; with no completions every other entry is NaN.
 func (r *Result) MeanFirstPassage() []float64 {
-	out := make([]float64, r.pieces+1)
-	for j, pg := range r.pages {
-		for k, c := range pg.recs[:r.filled(j)] {
-			row := pg.rows[k*r.pieces:][:r.pieces]
-			t := float64(row[0]) - c.ArrivedAt
-			out[1] += t
-			for m := 1; m < len(row); m++ {
-				t += float64(row[m]) - float64(row[m-1])
-				out[m+1] += t
-			}
+	out := make([]float64, r.rows.k+1)
+	for i := range r.done {
+		row := r.Acquisitions(i)
+		t := float64(row[0]) - r.Completion(i).ArrivedAt
+		out[1] += t
+		for m := 1; m < len(row); m++ {
+			t += float64(row[m]) - float64(row[m-1])
+			out[m+1] += t
 		}
 	}
 	n := float64(r.done)

@@ -20,7 +20,7 @@ func logOf(b, n int, arrived []float64, rows [][]int32) *Result {
 }
 
 // TestMeanTTDByOrdinalRaggedLengths reads Figure 4(d)'s means off a
-// stride-5 log whose 20 rows cross the first page boundary, and checks
+// stride-5 log whose 80 rows cross the first page boundary, and checks
 // every row reads back as logged, capped at its stride. The ragged rows
 // the test is named for (completions of differing lengths, which once
 // index-panicked the aggregate) can no longer exist: every completion
@@ -33,9 +33,9 @@ func TestMeanTTDByOrdinalRaggedLengths(t *testing.T) {
 		{7, 7, 8, 9, 9},      // wait 5, gaps 0 1 1 0
 		{10, 18, 27, 33, 37}, // wait 7, gaps 8 9 6 4
 	}
-	r := logOf(5, 20, arrived, rows)
-	if len(r.pages) != 2 {
-		t.Fatalf("%d pages for 20 rows, want 2", len(r.pages))
+	r := logOf(5, 80, arrived, rows)
+	if len(r.rows.pages) != 2 {
+		t.Fatalf("%d pages for 80 rows, want 2", len(r.rows.pages))
 	}
 	for i := range r.NumCompletions() {
 		row := r.Acquisitions(i)
@@ -58,9 +58,9 @@ func TestMeanTTDByOrdinalZeroCompletions(t *testing.T) {
 }
 
 // TestMeanTTDByOrdinalAllEmptyTTD: a one-piece file (B = 1) has no gaps,
-// only the first-piece wait, over 18 rows across the first page boundary.
+// only the first-piece wait, over 80 rows across the first page boundary.
 func TestMeanTTDByOrdinalAllEmptyTTD(t *testing.T) {
-	r := logOf(1, 18, []float64{0, 1}, [][]int32{{0}, {3}}) // waits 0 and 2
+	r := logOf(1, 80, []float64{0, 1}, [][]int32{{0}, {3}}) // waits 0 and 2
 	got := r.MeanTTDByOrdinal()
 	if !slices.Equal(got, []float64{1}) {
 		t.Fatalf("mean TTD %v, want [1]", got)
@@ -83,12 +83,12 @@ func TestMeanFirstPassageZeroCompletions(t *testing.T) {
 	}
 }
 
-// TestMeanFirstPassagePartialCompletions sums first passages over 18
+// TestMeanFirstPassagePartialCompletions sums first passages over 80
 // rows of a stride-3 log across the first page boundary. Completions
 // shorter than B, whose unreached ordinals were NaN gaps, can no longer
 // exist: every completion logs B rounds.
 func TestMeanFirstPassagePartialCompletions(t *testing.T) {
-	r := logOf(3, 18, []float64{0, 1}, [][]int32{
+	r := logOf(3, 80, []float64{0, 1}, [][]int32{
 		{1, 3, 3}, // passages 1 3 3
 		{3, 4, 8}, // passages 2 3 7
 	})
@@ -99,16 +99,16 @@ func TestMeanFirstPassagePartialCompletions(t *testing.T) {
 }
 
 // TestAcquisitionsMatchTraces holds the completion log to an oracle that
-// does not read acqRound: a tracked peer is sampled every round after the
-// round's transfers, so its (m+1)-th piece arrived at the first sample
-// holding at least m+1 pieces. The run has no initial skew, so every
-// piece is acquired at a round, and fills three pages of the log.
+// does not read the store's acq rows: a tracked peer is sampled every
+// round after the round's transfers, so its (m+1)-th piece arrived at the
+// first sample holding at least m+1 pieces. The run has no initial skew,
+// so every piece is acquired at a round, and fills three pages of the log.
 func TestAcquisitionsMatchTraces(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TrackPeers = 1000
 	res := runSwarm(t, cfg)
-	if len(res.pages) < 3 {
-		t.Fatalf("%d completions on %d pages, want three pages", res.NumCompletions(), len(res.pages))
+	if len(res.rows.pages) < 3 {
+		t.Fatalf("%d completions on %d pages, want three pages", res.NumCompletions(), len(res.rows.pages))
 	}
 	samples := map[PeerID][]TraceSample{}
 	for _, tr := range res.Traces {

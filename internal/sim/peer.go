@@ -25,18 +25,16 @@ type TraceSample struct {
 // Variable-size per-peer state (piece inventory, acquisition log,
 // neighbor/connection sets) is stored as fixed-stride rows: row i of a
 // slice with stride k is [i*k, (i+1)*k). The piece inventory's rows are
-// one flat slice; the wide rows live on slot pages (slotPage), which the
-// store adds as it grows and never copies. A slot's identity is stable
-// for the peer's whole lifetime — no adjacency row ever holds a freed
-// slot, because removal detaches before freeing.
+// one flat slice; the wide rows are paged tables (paged), which the store
+// grows without copying. A slot's identity is stable for the peer's whole
+// lifetime — no adjacency row ever holds a freed slot, because removal
+// detaches before freeing.
 //
 // See DESIGN.md §14 for the memory layout and the per-round complexity
 // table.
 type peerStore struct {
-	pieces  int // B: bits per piece inventory, entries per stride row
-	words   int // uint64 words per piece-inventory row
-	nbrCap  int // neighbor-set row stride (Config.NeighborSet)
-	connCap int // connection row stride (min(MaxConns, NeighborSet))
+	pieces int // B: bits per piece inventory, entries per stride row
+	words  int // uint64 words per piece-inventory row
 
 	// Ids are handed out by alloc in increasing order and never reused, so
 	// id[sl] == nextID-1 marks the newest peer: greater than any id in any row.
@@ -58,9 +56,16 @@ type peerStore struct {
 	pieceWords []uint64
 	pieceCnt   []int32
 
-	// pages[sl>>slotShift] holds slot sl's wide rows, at row
-	// sl&(slotRun-1) (slotPage).
-	pages []slotPage
+	// acq is the acquisition log, stride pieces: entry m of a slot's row
+	// is the round at which it acquired its m-th piece, pieceCnt entries
+	// long. Every acquisition lands on a whole round, so an int32 round is
+	// exact.
+	acq paged[int32]
+	// nbr and conn are the neighbor and connection sets, strides
+	// Config.NeighborSet and min(MaxConns, NeighborSet): partner slots kept sorted by partner PeerID — the same
+	// ascending-id order the map-based core produced by sorting map keys,
+	// so every iteration that feeds the RNG sees the identical sequence.
+	nbr, conn paged[int32]
 
 	// Adjacency: the lengths of the neighbor and connection rows.
 	nbrLen  []int32
@@ -79,9 +84,10 @@ type peerStore struct {
 	useRare bool
 
 	// Connection-persistence measurement state: the previous round's
-	// partner ids per slot (slotPage.prevConn), validated by an owner
+	// partner ids per slot (prev, stride conn.k), validated by an owner
 	// stamp plus the round ordinal so slot reuse and crash gaps cannot
 	// alias stale rows.
+	prev      paged[PeerID]
 	prevLen   []int32
 	prevOwner []PeerID
 	prevRound []int32
@@ -111,42 +117,71 @@ type peerStore struct {
 	warmed int32 // warm's sink: keeps its loads from being optimized away
 }
 
-// slotShift sets the slot run: slotRun consecutive slots, from a multiple
-// of slotRun on, share one slotPage. 64 keeps a page small next to a
-// small swarm, which may outgrow its initial population by a few peers.
+// pageShift sets a page's run: pageRows consecutive rows, from a
+// multiple of pageRows on, share one page. 64 keeps a page small next to
+// a small swarm, which may outgrow its initial population by a few peers.
 const (
-	slotShift = 6
-	slotRun   = 1 << slotShift
+	pageShift = 6
+	pageRows  = 1 << pageShift
 )
 
-// slotPage holds the wide rows of one run of slots: row r of a slice with
-// stride k is [r*k, (r+1)*k).
-type slotPage struct {
-	// acqRound is the acquisition log, stride pieces: entry m of a slot's
-	// row is the round at which it acquired its m-th piece, pieceCnt
-	// entries long. Every acquisition lands on a whole round, so an int32
-	// round is exact.
-	acqRound []int32
-	// nbr and conn are the neighbor and connection sets, strides nbrCap
-	// and connCap: partner slots kept sorted by partner PeerID — the same
-	// ascending-id order the map-based core produced by sorting map keys,
-	// so every iteration that feeds the RNG sees the identical sequence.
-	nbr  []int32
-	conn []int32
-	// prevConn is the previous round's partner ids, stride connCap.
-	prevConn []PeerID
+// paged holds rows of stride k on pages of pageRows rows that are never
+// copied: row i is row i&(pageRows-1) of pages[i>>pageShift].
+type paged[T any] struct {
+	k     int
+	pages [][]T
+}
+
+// row returns row i, capped at its end.
+func (p *paged[T]) row(i int) []T {
+	o := (i & (pageRows - 1)) * p.k
+	return p.pages[uint(i)>>pageShift][o : o+p.k : o+p.k]
+}
+
+// grow adds rows [first, first+n). The first call (first == 0) allocates
+// exactly n rows at once and enters them run by run; every later run
+// gets a page of its own when its first row is added. Only the first
+// call's last run, when it is partial, is ever copied: once, to a whole
+// page, as the table outgrows it.
+func (p *paged[T]) grow(first, n int) {
+	if first == 0 {
+		all := make([]T, n*p.k)
+		p.pages = make([][]T, 0, (n+pageRows-1)/pageRows)
+		for lo := 0; lo < n; lo += pageRows {
+			hi := min(lo+pageRows, n)
+			p.pages = append(p.pages, all[lo*p.k:hi*p.k:hi*p.k])
+		}
+		return
+	}
+	for c := first >> pageShift; c<<pageShift < first+n; c++ {
+		if c == len(p.pages) {
+			p.pages = append(p.pages, nil)
+		}
+		if len(p.pages[c]) < pageRows*p.k {
+			p.pages[c] = append(make([]T, 0, pageRows*p.k), p.pages[c]...)[:pageRows*p.k]
+		}
+	}
+}
+
+// bytes returns the capacity of the page table and of every page, in
+// bytes.
+func (p *paged[T]) bytes() int64 {
+	b := int64(cap(p.pages)) * int64(unsafe.Sizeof([]T(nil)))
+	for _, pg := range p.pages {
+		b += int64(cap(pg)) * int64(unsafe.Sizeof(*new(T)))
+	}
+	return b
 }
 
 func newPeerStore(cfg Config) peerStore {
-	connCap := cfg.MaxConns
-	if cfg.NeighborSet < connCap {
-		connCap = cfg.NeighborSet
-	}
+	connCap := min(cfg.MaxConns, cfg.NeighborSet)
 	return peerStore{
 		pieces:  cfg.Pieces,
 		words:   bitset.RowWords(cfg.Pieces),
-		nbrCap:  cfg.NeighborSet,
-		connCap: connCap,
+		acq:     paged[int32]{k: cfg.Pieces},
+		nbr:     paged[int32]{k: cfg.NeighborSet},
+		conn:    paged[int32]{k: connCap},
+		prev:    paged[PeerID]{k: connCap},
 		useRare: cfg.PieceSelection == RarestFirst,
 	}
 }
@@ -165,24 +200,8 @@ func extend[T any](s []T, n int, v T) []T {
 	return s
 }
 
-// rows returns rows [lo, hi) of s, stride k, capped at hi.
-func rows[T any](s []T, lo, hi, k int) []T { return s[lo*k : hi*k : hi*k] }
-
-// whole returns the rows of a run, stride k, lengthened with zero rows
-// to slotRun: a new run's page, or a partial run copied to a whole one.
-func whole[T any](s []T, k int) []T {
-	if len(s) < slotRun*k {
-		s = append(make([]T, 0, slotRun*k), s...)[:slotRun*k]
-	}
-	return s
-}
-
-// grow appends n slots to every parallel array and stacks them on the
-// free list, lowest slot on top. The first call (New's, the initial
-// population) allocates each wide row for exactly its n slots and enters
-// it run by run; every later run gets a page of its own when its first
-// slot is added. Only the initial population's last run, when it is
-// partial, is ever copied: once, to a whole page, as the store outgrows it.
+// grow appends n slots to every parallel array and paged table and
+// stacks them on the free list, lowest slot on top.
 func (ps *peerStore) grow(n int) {
 	first := len(ps.id)
 	ps.id = extend(ps.id, n, -1)
@@ -213,25 +232,10 @@ func (ps *peerStore) grow(n int) {
 	ps.potEpoch = extend(ps.potEpoch, n, 0)
 	ps.potVer = extend(ps.potVer, n, 0)
 	ps.potVal = extend(ps.potVal, n, 0)
-	if first == 0 {
-		acq, nbr := make([]int32, n*ps.pieces), make([]int32, n*ps.nbrCap)
-		conn, prev := make([]int32, n*ps.connCap), make([]PeerID, n*ps.connCap)
-		ps.pages = make([]slotPage, 0, (n+slotRun-1)/slotRun)
-		for lo := 0; lo < n; lo += slotRun {
-			hi := min(lo+slotRun, n)
-			ps.pages = append(ps.pages, slotPage{rows(acq, lo, hi, ps.pieces),
-				rows(nbr, lo, hi, ps.nbrCap), rows(conn, lo, hi, ps.connCap), rows(prev, lo, hi, ps.connCap)})
-		}
-	} else {
-		for c := first >> slotShift; c<<slotShift < first+n; c++ {
-			if c == len(ps.pages) {
-				ps.pages = append(ps.pages, slotPage{})
-			}
-			pg := &ps.pages[c]
-			pg.acqRound, pg.nbr = whole(pg.acqRound, ps.pieces), whole(pg.nbr, ps.nbrCap)
-			pg.conn, pg.prevConn = whole(pg.conn, ps.connCap), whole(pg.prevConn, ps.connCap)
-		}
-	}
+	ps.acq.grow(first, n)
+	ps.nbr.grow(first, n)
+	ps.conn.grow(first, n)
+	ps.prev.grow(first, n)
 	for sl := first + n - 1; sl >= first; sl-- {
 		ps.free = append(ps.free, int32(sl))
 	}
@@ -291,53 +295,16 @@ func (ps *peerStore) pieceRow(sl int32) []uint64 {
 	return ps.pieceWords[base : base+ps.words]
 }
 
-// page returns the page holding slot sl's wide rows and sl's row in it.
-func (ps *peerStore) page(sl int32) (*slotPage, int) {
-	return &ps.pages[uint32(sl)>>slotShift], int(sl & (slotRun - 1))
-}
-
-// acqRow returns the slot's acquisition log, all B entries.
-func (ps *peerStore) acqRow(sl int32) []int32 {
-	pg, r := ps.page(sl)
-	return pg.acqRound[r*ps.pieces:][:ps.pieces]
-}
-
 // rareRow returns the slot's rarest-first replication counts.
 func (ps *peerStore) rareRow(sl int32) []uint16 {
 	return ps.rare[int(sl)*ps.pieces:][:ps.pieces]
 }
 
-// prevRow returns the slot's previous-round partner ids, connCap entries.
-func (ps *peerStore) prevRow(sl int32) []PeerID {
-	pg, r := ps.page(sl)
-	return pg.prevConn[r*ps.connCap:][:ps.connCap]
-}
-
-// nbrSlots returns the slot's whole neighbor row, nbrCap entries.
-func (ps *peerStore) nbrSlots(sl int32) []int32 {
-	pg, r := ps.page(sl)
-	return pg.nbr[r*ps.nbrCap:][:ps.nbrCap]
-}
-
-// connSlots returns the slot's whole connection row, connCap entries.
-func (ps *peerStore) connSlots(sl int32) []int32 {
-	pg, r := ps.page(sl)
-	return pg.conn[r*ps.connCap:][:ps.connCap]
-}
-
 // nbrRow returns the slot's live neighbor slots, sorted by partner id.
-func (ps *peerStore) nbrRow(sl int32) []int32 {
-	pg, r := ps.page(sl)
-	base := r * ps.nbrCap
-	return pg.nbr[base : base+int(ps.nbrLen[sl])]
-}
+func (ps *peerStore) nbrRow(sl int32) []int32 { return ps.nbr.row(int(sl))[:ps.nbrLen[sl]] }
 
 // connRow returns the slot's live connection slots, sorted by partner id.
-func (ps *peerStore) connRow(sl int32) []int32 {
-	pg, r := ps.page(sl)
-	base := r * ps.connCap
-	return pg.conn[base : base+int(ps.connLen[sl])]
-}
+func (ps *peerStore) connRow(sl int32) []int32 { return ps.conn.row(int(sl))[:ps.connLen[sl]] }
 
 // insertByID inserts q into row[:n] — row has room for one more — keeping
 // ascending partner-id order, by shifting down from the top. The newest
@@ -368,9 +335,9 @@ func removeSlot(row []int32, q int32) bool {
 
 // insertNbr inserts q into p's neighbor row.
 func (ps *peerStore) insertNbr(p, q int32) {
-	ps.insertByID(ps.nbrSlots(p), int(ps.nbrLen[p]), q)
+	ps.insertByID(ps.nbr.row(int(p)), int(ps.nbrLen[p]), q)
 	ps.nbrLen[p]++
-	if int(ps.nbrLen[p]) == ps.nbrCap {
+	if int(ps.nbrLen[p]) == ps.nbr.k {
 		ps.roomy--
 	}
 }
@@ -378,7 +345,7 @@ func (ps *peerStore) insertNbr(p, q int32) {
 // removeNbr deletes q from p's neighbor row (no-op when absent).
 func (ps *peerStore) removeNbr(p, q int32) {
 	if removeSlot(ps.nbrRow(p), q) {
-		if int(ps.nbrLen[p]) == ps.nbrCap {
+		if int(ps.nbrLen[p]) == ps.nbr.k {
 			ps.roomy++
 		}
 		ps.nbrLen[p]--
@@ -387,7 +354,7 @@ func (ps *peerStore) removeNbr(p, q int32) {
 
 // insertConn inserts q into p's connection row.
 func (ps *peerStore) insertConn(p, q int32) {
-	ps.insertByID(ps.connSlots(p), int(ps.connLen[p]), q)
+	ps.insertByID(ps.conn.row(int(p)), int(ps.connLen[p]), q)
 	ps.connLen[p]++
 }
 
@@ -406,12 +373,11 @@ func (ps *peerStore) removeConn(p, q int32) {
 func (ps *peerStore) warm(qs []int32) {
 	var sum int32
 	for _, q := range qs {
-		pg, r := ps.page(q)
-		row := pg.nbr[r*ps.nbrCap:][:ps.nbrCap]
+		row := ps.nbr.row(int(q))
 		for i := 0; i < len(row); i += 16 {
 			sum += row[i]
 		}
-		sum += row[len(row)-1] + pg.conn[r*ps.connCap]
+		sum += row[len(row)-1] + ps.conn.row(int(q))[0]
 		if ps.useRare {
 			sum += int32(ps.rare[int(q)*ps.pieces])
 		}
@@ -432,7 +398,7 @@ func (ps *peerStore) complete(sl int32) bool {
 func (ps *peerStore) tradable(buf []int32, p int32) []int32 {
 	row := ps.nbrRow(p)
 	if cap(buf) < len(row) {
-		buf = make([]int32, ps.nbrCap)
+		buf = make([]int32, ps.nbr.k)
 	}
 	dst := buf[:len(row)]
 	words, pcs := ps.words, ps.pieceWords
@@ -462,12 +428,8 @@ func (ps *peerStore) memBytes() int64 {
 	b += int64(cap(ps.sinceTracker))*4 + int64(cap(ps.lingerLeft))*4
 	b += int64(cap(ps.pieceWords))*8 + int64(cap(ps.pieceCnt))*4
 	b += int64(cap(ps.nbrLen))*4 + int64(cap(ps.connLen))*4
-	for _, pg := range ps.pages {
-		b += int64(cap(pg.acqRound))*4 + int64(cap(pg.nbr))*4 + int64(cap(pg.conn))*4 +
-			int64(cap(pg.prevConn))*8
-	}
+	b += ps.acq.bytes() + ps.nbr.bytes() + ps.conn.bytes() + ps.prev.bytes()
 	b += int64(cap(ps.rare)) * 2
-	b += int64(cap(ps.pages)) * int64(unsafe.Sizeof(slotPage{}))
 	b += int64(cap(ps.prevLen))*4 +
 		int64(cap(ps.prevOwner))*8 + int64(cap(ps.prevRound))*4 +
 		int64(cap(ps.inRound))*4

@@ -198,7 +198,7 @@ func (s *Swarm) give(sl int32, j int, now float64) {
 		return
 	}
 	ps.pieceWords[wbase+j>>6] |= bit
-	ps.acqRow(sl)[ps.pieceCnt[sl]] = int32(now)
+	ps.acq.row(int(sl))[ps.pieceCnt[sl]] = int32(now)
 	ps.pieceCnt[sl]++
 	s.degree[j]++
 	s.epoch++
@@ -273,7 +273,7 @@ func (s *Swarm) detachAll(sl int32) {
 		}
 	}
 	ps.nbrVer[sl] += uint32(len(row))
-	if len(row) == ps.nbrCap {
+	if len(row) == ps.nbr.k {
 		ps.roomy++
 	}
 	ps.nbrLen[sl], ps.connLen[sl] = 0, 0
@@ -673,9 +673,9 @@ func (s *Swarm) topUpNeighbors(p int32) {
 	// A try can only link a roomy peer that is neither p (roomy, since it
 	// wants neighbors) nor one of its neighbors already. Once none is left
 	// the outcome of every further try is known, and only its draw remains.
-	viable, row := ps.roomy-1, ps.nbrSlots(p)
+	viable, row := ps.roomy-1, ps.nbr.row(int(p))
 	for _, q := range row[:ps.nbrLen[p]] {
-		if int(ps.nbrLen[q]) < ps.nbrCap {
+		if int(ps.nbrLen[q]) < ps.nbr.k {
 			viable--
 		}
 	}
@@ -685,7 +685,7 @@ func (s *Swarm) topUpNeighbors(p int32) {
 			continue
 		}
 		// Rejections draw nothing, so the O(1) tests go first.
-		if q := s.alive[r]; q != p && int(ps.nbrLen[q]) < ps.nbrCap && !slices.Contains(row[:ps.nbrLen[p]], q) {
+		if q := s.alive[r]; q != p && int(ps.nbrLen[q]) < ps.nbr.k && !slices.Contains(row[:ps.nbrLen[p]], q) {
 			s.link(p, q)
 			need--
 			viable--
@@ -759,7 +759,7 @@ func (s *Swarm) measureConnections(now float64, leechers []int32) {
 		if ps.prevOwner[p] != ps.id[p] || ps.prevRound[p] != lastRound {
 			return false
 		}
-		return slices.Contains(ps.prevRow(p)[:ps.prevLen[p]], ps.id[q])
+		return slices.Contains(ps.prev.row(int(p))[:ps.prevLen[p]], ps.id[q])
 	}
 	for _, p := range leechers {
 		used += int(ps.connLen[p])
@@ -781,7 +781,7 @@ func (s *Swarm) measureConnections(now float64, leechers []int32) {
 	}
 	s.prevCount = curCount
 	for _, p := range leechers {
-		row, prev := ps.connRow(p), ps.prevRow(p)
+		row, prev := ps.connRow(p), ps.prev.row(int(p))
 		for i, q := range row {
 			prev[i] = ps.id[q]
 		}
@@ -1072,7 +1072,7 @@ func (s *Swarm) recordMetrics(now float64, leechers []int32) {
 func (s *Swarm) recordCompletion(sl int32, now float64) {
 	ps := &s.ps
 	s.res.logCompletion(CompletionRecord{ID: ps.id[sl], ArrivedAt: ps.arrived[sl], DoneAt: now},
-		ps.acqRow(sl))
+		ps.acq.row(int(sl)))
 	if ps.tracked[sl] {
 		var samples []TraceSample
 		if idx := ps.traceIdx[sl]; idx >= 0 {

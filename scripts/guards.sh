@@ -194,6 +194,14 @@ one_completion_page() {
 	absent one_completion_page 'Completions = append|Completions +\[\]CompletionRecord' 'internal/sim/*.go'
 }
 
+# The simulator has one paging mechanism, paged[T] (DESIGN.md §14): the
+# peer store's wide rows and the Result's completion log are paged tables
+# of 64-row pages. The store's per-run slot pages and the log's doubling
+# pages with their slot arithmetic may not grow back.
+one_page_type() {
+	absent one_page_type 'slotPage|logPage|logPage0|logSlot' 'internal/sim/*.go' ':!*_test.go'
+}
+
 # The chain is the one download process: bttrace -gen draws its synthetic
 # traces from core's presets, and core.Estimate, which reads a trace pair
 # as one Model.Step, is the one fit (DESIGN.md §17). The hand-built
@@ -374,6 +382,7 @@ one_degree_table
 one_acquisition_log
 one_completion_log
 one_completion_page
+one_page_type
 one_trace_generator
 one_calibration_route
 one_tier_comparison

@@ -167,11 +167,20 @@ func TestGatewayBatchFailsOverTruncatedReply(t *testing.T) {
 	}
 }
 
+// emitted is what writeLine writes for index and rest, newline included.
+func emitted(index int, rest []byte) []byte {
+	var buf bytes.Buffer
+	bw := bufio.NewWriterSize(&buf, 16) // the line straddles flushes
+	writeLine(bw, index, rest)
+	_ = bw.Flush()
+	return buf.Bytes()
+}
+
 // TestItemLinePrefixRead is the property behind the batch relay: for any
 // BatchItem — payloads that themselves spell "index": and "status":
 // included — the routing fields read off the fixed prefix of its
-// marshaled line are the item's own, and the re-indexed line is the same
-// item with only Index changed. Lines without that exact prefix are
+// marshaled line are the item's own, and the line emitted under a new
+// index is the same item with only Index changed. Lines without that exact prefix are
 // rejected, never guessed at.
 func TestItemLinePrefixRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -203,8 +212,8 @@ func TestItemLinePrefixRead(t *testing.T) {
 		want := item
 		want.Index = rng.Intn(1 << 20)
 		var got serve.BatchItem
-		if err := json.Unmarshal(reindexed(want.Index, rest), &got); err != nil {
-			t.Fatalf("re-indexed line %s does not parse: %v", reindexed(want.Index, rest), err)
+		if err := json.Unmarshal(emitted(want.Index, rest), &got); err != nil {
+			t.Fatalf("re-indexed line %s does not parse: %v", emitted(want.Index, rest), err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("re-indexing %s to %d changed more than the index:\n got %+v\nwant %+v", line, want.Index, got, want)
@@ -242,8 +251,8 @@ func TestItemLinePrefixRead(t *testing.T) {
 // encoding/json has, with and without a retry hint — the line
 // serve.WriteItemLine writes (copying the body, never scanning it) is
 // byte for byte json.Encoder's, splitItemLine reads the item's own index
-// and status off it, and the re-indexed line is the encoder's line for
-// the same item at its new index.
+// and status off it, and the line emitted under a new index is the
+// encoder's line for the same item at that index.
 func TestItemLineWriterMatchesEncoder(t *testing.T) {
 	_, live := newReplica(t, serve.Config{})
 	var bodies [][]byte
@@ -305,7 +314,7 @@ func TestItemLineWriterMatchesEncoder(t *testing.T) {
 			t.Fatalf("prefix read of %s = (%d, %d, %v), want (%d, %d, true)", line, index, status, ok, item.Index, item.Status)
 		}
 		item.Index = rng.Intn(1 << 20)
-		if got, want := reindexed(item.Index, rest), bytes.TrimSuffix(encoded(item), []byte("\n")); !bytes.Equal(got, want) {
+		if got, want := emitted(item.Index, rest), encoded(item); !bytes.Equal(got, want) {
 			t.Fatalf("re-indexed line differs from the encoder's at index %d:\n got %s\nwant %s", item.Index, got, want)
 		}
 	}

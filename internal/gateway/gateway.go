@@ -379,10 +379,18 @@ func copyHeaders(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// relayBufs recycles handleQuery's reply buffers up to maxRelayBuf.
+// relayBufs recycles the buffers replica replies are read into, a
+// query's or a sub-batch's, up to maxRelayBuf.
 var relayBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxRelayBuf = 1 << 20
+
+func putRelayBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxRelayBuf {
+		buf.Reset()
+		relayBufs.Put(buf)
+	}
+}
 
 // handleQuery routes one query to its replica and relays the response
 // bytes untouched.
@@ -399,12 +407,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The whole body is read before any header goes out, so a failed
 		// read can still move on to a successor.
 		buf := relayBufs.Get().(*bytes.Buffer)
-		defer func() {
-			if buf.Cap() <= maxRelayBuf {
-				buf.Reset()
-				relayBufs.Put(buf)
-			}
-		}()
+		defer putRelayBuf(buf)
 		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			return err
 		}
@@ -471,7 +474,8 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 // with the replica's own decoder — an item it rejects is answered here
 // and never forwarded — and the rest travel as the bytes they arrived
 // in. Per-item statuses (including 429 retry hints) pass through
-// verbatim.
+// verbatim: each line is written from a view into its sub-batch's reply,
+// and the replies go back to relayBufs once the summary is flushed.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Inc()
 	g.batchRequests.Inc()
@@ -495,7 +499,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range raw {
 		req, err := serve.DecodeBatchItem(item)
 		if err != nil {
-			lines[i] = errorLine(i, serve.ErrorStatus(err), err.Error(), 0)
+			lines[i] = errorLine(serve.ErrorStatus(err), err.Error(), 0)
 			continue
 		}
 		key := req.Key()
@@ -523,7 +527,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 64<<10)
+	bw := serve.LineWriter(w)
 	sum := serve.BatchSummary{Type: "summary", Items: len(lines)}
 	for i := range lines {
 		switch lines[i].status {
@@ -536,35 +540,42 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			sum.Errors++
 		}
-		_, _ = bw.Write(lines[i].raw)
-		_ = bw.WriteByte('\n')
+		writeLine(bw, i, lines[i].rest)
 	}
 	sb, _ := json.Marshal(sum)
 	_, _ = bw.Write(sb)
 	_ = bw.WriteByte('\n')
 	_ = bw.Flush()
+	serve.PutLineWriter(bw)
+	for i := range subs {
+		if subs[i].reply != nil {
+			putRelayBuf(subs[i].reply)
+		}
+	}
 }
 
 // subBatch is one replica's share of a batch.
 type subBatch struct {
-	key     string // the first item's: where the ring walk starts
-	indices []int  // the items' positions in the caller's batch
-	body    []byte // "[item,item,..." — forwardSub closes the array
+	key     string        // the first item's: where the ring walk starts
+	indices []int         // the items' positions in the caller's batch
+	body    []byte        // "[item,item,..." — forwardSub closes the array
+	reply   *bytes.Buffer // the reply its items' lines are views into
 }
 
-// batchLine is one ready-to-emit JSONL item: the replica's bytes pass
-// through with only the index rewritten, never decoded and re-encoded —
-// the batch hot path is dominated by JSON work, so the gateway does the
-// minimum of it.
+// batchLine is one item of the caller's batch, ready to emit: the line
+// behind its index, whose bytes — the replica's, or an errorLine — pass
+// through never decoded and re-encoded. The batch hot path is dominated
+// by JSON work, so the gateway does the minimum of it.
 type batchLine struct {
-	raw    []byte
+	rest   []byte // splitItemLine's rest
 	status int
 }
 
 // errorLine builds a gateway-originated item line.
-func errorLine(index, status int, msg string, retrySec int) batchLine {
-	b, _ := json.Marshal(serve.BatchItem{Type: "item", Index: index, Status: status, Error: msg, RetryAfterSec: retrySec})
-	return batchLine{raw: b, status: status}
+func errorLine(status int, msg string, retrySec int) batchLine {
+	b, _ := json.Marshal(serve.BatchItem{Type: "item", Status: status, Error: msg, RetryAfterSec: retrySec})
+	_, _, rest, _ := splitItemLine(b)
+	return batchLine{rest: rest, status: status}
 }
 
 // digits reads the decimal number b starts with — at most nine digits,
@@ -600,28 +611,29 @@ func splitItemLine(line []byte) (index, status int, rest []byte, ok bool) {
 	return index, status, rest, true
 }
 
-// reindexed is the line rest was split from, under a new index: the one
-// copy a relayed item costs.
-func reindexed(index int, rest []byte) []byte {
-	out := make([]byte, 0, len(serve.ItemHead)+len(rest)+8)
-	out = strconv.AppendInt(append(out, serve.ItemHead...), int64(index), 10)
-	return append(out, rest...)
+// writeLine writes the line rest was split from under the caller's
+// index: the head, the index and rest, copied once, into the reply.
+func writeLine(bw *bufio.Writer, index int, rest []byte) {
+	_, _ = bw.Write(strconv.AppendInt(append(bw.AvailableBuffer(), serve.ItemHead...), int64(index), 10))
+	_, _ = bw.Write(rest)
+	_ = bw.WriteByte('\n')
 }
 
-// forwardSub sends one sub-batch and writes its items' ready-to-emit
-// lines, each re-indexed to the caller's position, into lines. A
-// non-200 reply stamps the replica's status, its error text (and
-// Retry-After, for a saturated replica) onto every item; a reply that
-// is cut short, answers an item twice or not at all, or holds a line
-// that is neither an item nor the terminal summary is no reply, and the
-// sub-batch goes to the next successor. With no replica left every item
-// is a 502.
+// forwardSub sends one sub-batch, reads the reply whole into sub.reply
+// and sets its items' lines to views into it. A non-200 reply stamps
+// the replica's status, its error text (and Retry-After, for a
+// saturated replica) onto every item; a reply that is cut short,
+// answers an item twice or not at all, or holds a line that is neither
+// an item nor the terminal summary is no reply, and the sub-batch goes
+// to the next successor. With no replica left every item is a 502.
 func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLine) {
 	fail := func(status int, msg string, retrySec int) {
+		line := errorLine(status, msg, retrySec)
 		for _, idx := range sub.indices {
-			lines[idx] = errorLine(idx, status, msg, retrySec)
+			lines[idx] = line
 		}
 	}
+	sub.reply = relayBufs.Get().(*bytes.Buffer)
 	err := g.do(ctx, exchange{
 		key: sub.key, path: "/v1/batch", body: append(sub.body, ']'), items: len(sub.indices),
 		consume: func(_, _ int, resp *http.Response) error {
@@ -640,27 +652,39 @@ func (g *Gateway) forwardSub(ctx context.Context, sub *subBatch, lines []batchLi
 				fail(resp.StatusCode, msg, retrySec)
 				return nil
 			}
-			got := make([]batchLine, len(sub.indices))
+			// A well-formed reply is a line per item and the summary, each
+			// at most MaxBatchBytes long.
+			buf, limit := sub.reply, int64(len(sub.indices)+1)*serve.MaxBatchBytes
+			buf.Reset()
+			_, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+			if int64(buf.Len()) > limit {
+				err = bufio.ErrTooLong
+			}
+			for _, idx := range sub.indices {
+				lines[idx] = batchLine{} // unanswered, whatever an earlier attempt set
+			}
 			n := 0
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 64<<10), serve.MaxBatchBytes)
-			for sc.Scan() {
-				line := sc.Bytes()
+			// Split as bufio.ScanLines splits, the last line too when the
+			// read failed part way.
+			for data := buf.Bytes(); len(data) > 0; {
+				adv, line, _ := bufio.ScanLines(data, true)
+				data = data[adv:]
+				if len(line) > serve.MaxBatchBytes {
+					err = bufio.ErrTooLong
+					break
+				}
 				index, status, rest, ok := splitItemLine(line)
 				switch {
-				case ok && index < len(got) && got[index].raw == nil:
-					got[index] = batchLine{raw: reindexed(sub.indices[index], rest), status: status}
+				case ok && index < len(sub.indices) && lines[sub.indices[index]].rest == nil:
+					lines[sub.indices[index]] = batchLine{rest: rest, status: status}
 					n++
 				case !ok && bytes.HasPrefix(line, []byte(serve.SummaryHead)):
 				default:
 					return fmt.Errorf("sub-batch reply line %.60q is not the protocol's", line)
 				}
 			}
-			if err := sc.Err(); err != nil || n != len(got) {
-				return fmt.Errorf("sub-batch answered %d/%d items: %v", n, len(got), err)
-			}
-			for j, idx := range sub.indices {
-				lines[idx] = got[j]
+			if err != nil || n != len(sub.indices) {
+				return fmt.Errorf("sub-batch answered %d/%d items: %v", n, len(sub.indices), err)
 			}
 			return nil
 		},

@@ -86,9 +86,10 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 // hash64 is the ring's placement and lookup hash: the first 8 bytes of
 // SHA-256, matching the content-address discipline (keys are already
 // SHA-256 hex; hashing again decorrelates ring position from key
-// prefix).
+// prefix). A key is copied to the stack, not converted onto the heap.
 func hash64(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
+	var buf [2 * sha256.Size]byte
+	sum := sha256.Sum256(append(buf[:0], s...))
 	return binary.BigEndian.Uint64(sum[:8])
 }
 

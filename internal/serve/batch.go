@@ -64,9 +64,24 @@ const (
 	SummaryHead = `{"type":"summary"`
 )
 
-// lineWriters holds the buffers replies are written through: a reply
-// costs neither a write per line nor a buffer of its own size.
+// lineWriters holds the buffers replies are written through, at both
+// tiers: a reply costs neither a write per line nor a buffer of its own
+// size.
 var lineWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// LineWriter takes a pooled 64 KiB writer onto w; PutLineWriter returns
+// it once the reply is flushed.
+func LineWriter(w io.Writer) *bufio.Writer {
+	bw := lineWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// PutLineWriter returns bw, flushed, to the pool.
+func PutLineWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	lineWriters.Put(bw)
+}
 
 // writeEnvelope is the one envelope writer: k's Response around result,
 // its cached bytes, as json.Marshal renders it. Kinds are ASCII, keys hex
@@ -227,8 +242,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	bw := lineWriters.Get().(*bufio.Writer)
-	bw.Reset(w)
+	bw := LineWriter(w)
 	sum := BatchSummary{Type: "summary", Items: len(items)}
 	retrySec := 0 // the reply's one Retry-After hint, taken on its first 429
 	for i := range items {
@@ -262,6 +276,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSONLine(bw, sum)
 	_ = bw.Flush() // a client that hung up loses only its own reply
-	bw.Reset(nil)
-	lineWriters.Put(bw)
+	PutLineWriter(bw)
 }

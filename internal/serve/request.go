@@ -556,8 +556,12 @@ func (q *FluidQuery) chunkParams() fluid.ChunkParams {
 // Canonical renders the canonicalized request as its canonical byte
 // form: a fixed field order, lowercase keys, shortest-round-trip float
 // formatting. The request must have passed Canonicalize first.
-func (r *Request) Canonical() []byte {
-	b := strconv.AppendInt(append(make([]byte, 0, 256), 'v'), int64(r.V), 10)
+func (r *Request) Canonical() []byte { return r.appendCanonical(make([]byte, 0, 256)) }
+
+// appendCanonical appends Canonical() to b: with b on the caller's
+// stack, hashing the form allocates nothing.
+func (r *Request) appendCanonical(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'v'), int64(r.V), 10)
 	b = append(append(b, ";kind="...), r.Kind...)
 	b = strconv.AppendUint(append(b, ";seed="...), r.Seed, 10)
 	name := func(k string) { b = append(append(append(b, ';'), k...), '=') }
@@ -627,7 +631,10 @@ func (r *Request) Canonical() []byte {
 
 // Key hashes the canonical byte form into the request's content
 // address: the hex SHA-256 of Canonical().
-func (r *Request) Key() string { return hexSHA256(r.Canonical()) }
+func (r *Request) Key() string {
+	var buf [256]byte // a longer form grows onto the heap
+	return hexSHA256(r.appendCanonical(buf[:0]))
+}
 
 func hexSHA256(b []byte) string {
 	sum := sha256.Sum256(b)
@@ -647,7 +654,8 @@ type keyed struct {
 }
 
 func keyOf(req *Request) keyed {
-	c := req.Canonical()
+	var buf [256]byte
+	c := req.appendCanonical(buf[:0])
 	key := hexSHA256(c)
 	if !seedFree[req.Kind] {
 		return keyed{req, key, key}

@@ -398,3 +398,30 @@ func TestSeedFreenessIsAProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyAllocatesOnlyItsHex: the canonical form is hashed from a
+// buffer on the caller's stack, so Key() allocates its hex string and
+// nothing else, and keyOf one string per address (a seedFree kind has a
+// compute key of its own). Rendered onto the heap, Key() read 2.
+func TestKeyAllocatesOnlyItsHex(t *testing.T) {
+	for _, c := range []struct {
+		body         string
+		key, keyedOf float64
+	}{
+		{`{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":60}}`, 1, 1},
+		{`{"kind":"efficiency","efficiency":{"k":5}}`, 1, 2},
+		{`{"kind":"fluid","fluid":{"model":"chunk","k":8,"s":4,"horizon":50}}`, 1, 2},
+		{`{"kind":"sim","seed":7,"sim":{"pieces":20,"initialPeers":30,"horizon":40}}`, 1, 1},
+	} {
+		req, err := DecodeRequest(strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = req.Key() }); got != c.key {
+			t.Errorf("%s: Key() allocates %v times, want %v", req.Kind, got, c.key)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = keyOf(req) }); got != c.keyedOf {
+			t.Errorf("%s: keyOf allocates %v times, want %v", req.Kind, got, c.keyedOf)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -220,13 +219,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", a.src)
 		w.Header().Set("Content-Type", "application/json")
-		bw := lineWriters.Get().(*bufio.Writer)
-		bw.Reset(w)
+		bw := LineWriter(w)
 		writeEnvelope(bw, &k, a.result)
 		_ = bw.WriteByte('\n')
 		_ = bw.Flush() // a client that hung up loses only its own reply
-		bw.Reset(nil)
-		lineWriters.Put(bw)
+		PutLineWriter(bw)
 	}
 }
 

@@ -110,6 +110,15 @@ one_item_line_writer() {
 		'*.go' ':!bench' ':!internal/serve/batch.go'
 }
 
+# The gateway relays a sub-batch reply without copying it (DESIGN.md
+# §16): the reply is read whole into a pooled buffer, each line is a view
+# into it, and the caller's batch is written through serve's pooled line
+# writer. The per-line copy, the per-sub-batch scanner and the per-batch
+# writer may not grow back.
+one_batch_relay() {
+	absent one_batch_relay 'reindexed|bufio\.NewScanner|bufio\.NewWriterSize' 'internal/gateway/*.go' ':!*_test.go'
+}
+
 # The replica caches a result alone, under its compute key, and writes
 # the /v1/query envelope around it in one place, writeEnvelope
 # (DESIGN.md §10): the envelope marshaler whose bytes the cache used to
@@ -374,6 +383,7 @@ one_efficiency_solver_one_log_choose
 one_way_to_check_the_stack
 one_shard_payload_encoding
 one_item_line_writer
+one_batch_relay
 one_envelope_writer
 one_transition_sampler
 one_phase_rule

@@ -496,32 +496,35 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// key's first healthy successor as one unit.
 	lines := make([]batchLine, len(raw))
 	subs := make([]subBatch, len(g.cfg.Replicas))
-	for i, item := range raw {
-		req, err := serve.DecodeBatchItem(item)
+	serve.DecodeBatch(raw, func(i int, req *serve.Request, err error) {
 		if err != nil {
 			lines[i] = errorLine(serve.ErrorStatus(err), err.Error(), 0)
-			continue
+			return
 		}
 		key := req.Key()
 		sub := &subs[g.ring.Owner(key)]
 		if len(sub.indices) == 0 {
 			sub.key = key
-			sub.body = append(make([]byte, 0, len(item)+1), '[')
-		} else {
-			sub.body = append(sub.body, ',')
 		}
 		sub.indices = append(sub.indices, i)
-		sub.body = append(sub.body, item...)
-	}
+		sub.size += len(raw[i]) + 1 // the item and the '[' or ',' before it
+	})
 	var wg sync.WaitGroup
 	for i := range subs {
-		if sub := &subs[i]; len(sub.indices) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				g.forwardSub(ctx, sub, lines) // writes only lines[sub.indices...]
-			}()
+		sub := &subs[i]
+		if len(sub.indices) == 0 {
+			continue
 		}
+		sub.body = make([]byte, 0, sub.size+1) // and forwardSub's ']'
+		for _, idx := range sub.indices {
+			sub.body = append(append(sub.body, ','), raw[idx]...)
+		}
+		sub.body[0] = '['
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.forwardSub(ctx, sub, lines) // writes only lines[sub.indices...]
+		}()
 	}
 	wg.Wait()
 
@@ -558,6 +561,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 type subBatch struct {
 	key     string        // the first item's: where the ring walk starts
 	indices []int         // the items' positions in the caller's batch
+	size    int           // len(body) before forwardSub's ']', summed as items decode
 	body    []byte        // "[item,item,..." — forwardSub closes the array
 	reply   *bytes.Buffer // the reply its items' lines are views into
 }

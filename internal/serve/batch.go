@@ -160,6 +160,48 @@ func DecodeBatchItem(raw json.RawMessage) (*Request, error) {
 	return DecodeRequest(bytes.NewReader(raw))
 }
 
+// DecodeBatch decodes the items SplitBatch returned and calls each with
+// item i's outcome, in order: the request, or the error DecodeBatchItem
+// gives for the same item. The items are one stream of values to one
+// decoder, so a batch builds one decoder and one buffer, not one per
+// item. SplitBatch has proved each item exactly one JSON value, and a
+// decoder reads a whole value before it decodes any of it — a type
+// error or an unknown field fails only that value — so the stream stays
+// in step and item i+1 decodes as it would alone.
+func DecodeBatch(items []json.RawMessage, each func(i int, req *Request, err error)) {
+	dec := json.NewDecoder(&itemStream{items: items})
+	reqs := make([]Request, len(items))
+	for i := range items {
+		if err := decodeNext(dec, &reqs[i]); err != nil {
+			each(i, nil, err)
+		} else {
+			each(i, &reqs[i], nil)
+		}
+	}
+}
+
+// itemStream reads items as one stream, each item followed by a newline.
+type itemStream struct {
+	items []json.RawMessage
+	off   int // bytes of items[0] read; len(items[0]) means its newline is next
+}
+
+func (s *itemStream) Read(p []byte) (n int, err error) {
+	for n < len(p) && len(s.items) > 0 {
+		if it := s.items[0]; s.off < len(it) {
+			c := copy(p[n:], it[s.off:])
+			n, s.off = n+c, s.off+c
+			continue
+		}
+		p[n] = '\n'
+		n, s.items, s.off = n+1, s.items[1:], 0
+	}
+	if n == 0 && len(s.items) == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
 // BatchKey derives the content address of a whole batch (for trace
 // identity): the hex SHA-256 over the items' raw bytes.
 func BatchKey(items []json.RawMessage) string {
@@ -220,11 +262,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	slot := make([]int, len(items))      // per valid item: its compute key's index in uniq
 	uniq := make([]keyed, 0, len(items)) // first-seen order
 	byKey := make(map[string]int, len(items))
-	for i, raw := range items {
-		req, err := DecodeBatchItem(raw)
+	DecodeBatch(items, func(i int, req *Request, err error) {
 		if err != nil {
 			bad[i] = err
-			continue
+			return
 		}
 		ks[i] = keyOf(req)
 		j, ok := byKey[ks[i].ckey]
@@ -234,7 +275,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			uniq = append(uniq, ks[i])
 		}
 		slot[i] = j
-	}
+	})
 	answers := s.resolve(tctx, uniq)
 	if answers == nil {
 		return

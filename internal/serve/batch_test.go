@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -300,12 +301,14 @@ func TestColdBatchDoesNotShedItself(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode fuzzes the batch decoder end to end (split, per-item
-// decode, canonicalize), seeded from the serve canonicalization corpus:
-// the request shapes the existing tests exercise, wrapped in arrays,
-// plus malformed envelopes. The decoder must never panic and must
-// classify every input as either a whole-batch 400 or per-item
-// statuses.
+// FuzzBatchDecode fuzzes the batch decoder end to end (split, decode,
+// canonicalize), seeded from the serve canonicalization corpus: the
+// request shapes the existing tests exercise, wrapped in arrays, failing
+// items ahead of good ones, and malformed envelopes. For every body
+// SplitBatch accepts, DecodeBatch's outcome for item i is
+// DecodeBatchItem(items[i])'s — the same error text, or the same
+// Canonical() and Key() — so one decoder per batch answers what one per
+// item did; and every decoded item survives a re-marshal with its key.
 func FuzzBatchDecode(f *testing.F) {
 	seeds := []string{
 		`[{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":60}}]`,
@@ -315,6 +318,14 @@ func FuzzBatchDecode(f *testing.F) {
 		`[{"kind":"fluid","fluid":{"model":"chunk","k":20,"s":5}},{"kind":"fluid","fluid":{"model":"qs","lambda":0}}]`,
 		`[{"v":1,"kind":"model"},{"v":2,"kind":"model"}]`,
 		`[{"kind":"model","model":{"b":-4}},{"bogus":true},42,"str",null]`,
+		`[{"kind":"model","model":{"b":"x","k":3}},{"kind":"model","model":{"b":20}}]`,
+		`[{"kind":"sim","sim":{"pieces":50,"extra":{"deep":[1,{"b":"x"}]}}},{"kind":"sim","sim":{"pieces":50}}]`,
+		`[{"kind":"model","sim":{"pieces":50}},{"kind":"efficiency","efficiency":{"k":3}}]`,
+		`[null,{"kind":"fluid"}]`,
+		`[1e3,{"kind":"fluid","fluid":{"grid":21}}]`,
+		`["str",{"kind":"efficiency","efficiency":{"k":4}}]`,
+		`[[1,[2,{"kind":"model"}]],{"kind":"model"}]`,
+		`[{"kind":"fluid","fluid":{"lambda":1e400}},{"kind":"fluid","fluid":{"lambda":1}}]`,
 		`[]`,
 		`[{}]`,
 		`[{"kind":"sim","sim":{"lambda":0,"initialPeers":0,"seeds":0}}]`,
@@ -332,15 +343,27 @@ func FuzzBatchDecode(f *testing.F) {
 		if len(items) == 0 || len(items) > MaxBatchItems {
 			t.Fatalf("SplitBatch accepted %d items", len(items))
 		}
-		for _, raw := range items {
-			req, err := DecodeBatchItem(raw)
-			if err != nil {
-				continue
+		next := 0
+		DecodeBatch(items, func(i int, req *Request, err error) {
+			if i != next {
+				t.Fatalf("DecodeBatch reported item %d after %d items", i, next)
+			}
+			next++
+			alone, aerr := DecodeBatchItem(items[i])
+			switch {
+			case (err == nil) != (aerr == nil):
+				t.Fatalf("item %d %s: batch error %v, alone %v", i, items[i], err, aerr)
+			case err != nil:
+				if err.Error() != aerr.Error() {
+					t.Fatalf("item %d %s: batch error %q, alone %q", i, items[i], err, aerr)
+				}
+				return
+			case !bytes.Equal(req.Canonical(), alone.Canonical()) || req.Key() != alone.Key():
+				t.Fatalf("item %d %s: batch decodes %s, alone %s", i, items[i], req.Canonical(), alone.Canonical())
 			}
 			// A canonicalized item must have a stable key and survive a
 			// re-marshal/re-canonicalize round trip with the same key (the
 			// gateway forwards re-marshaled canonical requests).
-			key := req.Key()
 			b, merr := json.Marshal(req)
 			if merr != nil {
 				t.Fatalf("canonical request does not marshal: %v", merr)
@@ -349,11 +372,62 @@ func FuzzBatchDecode(f *testing.F) {
 			if derr != nil {
 				t.Fatalf("canonical request does not re-decode: %v (body %s)", derr, b)
 			}
-			if again.Key() != key {
-				t.Fatalf("canonicalization not idempotent: %s -> %s (body %s)", key, again.Key(), b)
+			if again.Key() != req.Key() {
+				t.Fatalf("canonicalization not idempotent: %s -> %s (body %s)", req.Key(), again.Key(), b)
 			}
+		})
+		if next != len(items) {
+			t.Fatalf("DecodeBatch reported %d of %d items", next, len(items))
 		}
 	})
+}
+
+// TestDecodeBatchAllocatesPerBatch: a batch's items share one decoder and
+// its buffer, so a 64-item batch of every kind allocates at most half the
+// bytes of decoding each item alone, which builds a reader, a decoder and
+// a 512 B buffer per item. What is left is per request: the Request, its
+// section and what Canonicalize fills in.
+func TestDecodeBatchAllocatesPerBatch(t *testing.T) {
+	kinds := []string{
+		`{"kind":"model","seed":%d,"model":{"b":20,"k":3,"s":8,"runs":60}}`,
+		`{"kind":"efficiency","efficiency":{"k":%d}}`,
+		`{"kind":"sim","seed":%d,"sim":{"pieces":50,"horizon":100,"seeds":0}}`,
+		`{"kind":"stability","seed":%d,"sim":{"pieces":30,"initialPeers":20,"lambda":1,"horizon":80}}`,
+		`{"kind":"fluid","fluid":{"model":"chunk","k":%d,"s":4,"horizon":100,"grid":21}}`,
+	}
+	items := make([]json.RawMessage, 64)
+	for i := range items {
+		items[i] = json.RawMessage(fmt.Sprintf(kinds[i%len(kinds)], 2+i))
+	}
+	DecodeBatch(items, func(i int, _ *Request, err error) {
+		if err != nil {
+			t.Fatalf("item %d %s: %v", i, items[i], err)
+		}
+	})
+	// fewest is the fewest bytes one of 20 calls of f allocated.
+	fewest := func(f func()) uint64 {
+		var best uint64
+		for run := 0; run < 20; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			if b := after.TotalAlloc - before.TotalAlloc; run == 0 || b < best {
+				best = b
+			}
+		}
+		return best
+	}
+	batch := fewest(func() { DecodeBatch(items, func(int, *Request, error) {}) })
+	alone := fewest(func() {
+		for _, it := range items {
+			_, _ = DecodeBatchItem(it)
+		}
+	})
+	if batch > alone/2 {
+		t.Errorf("DecodeBatch allocates %d B for %d items, DecodeBatchItem %d B: want at most half", batch, len(items), alone)
+	}
+	t.Logf("allocated for %d items: %d B through DecodeBatch, %d B through DecodeBatchItem", len(items), batch, alone)
 }
 
 // FuzzItemLine: for any item the replica can emit — a 200 with one of

@@ -99,21 +99,28 @@ const (
 var ErrBadRequest = errors.New("serve: bad request")
 
 // DecodeRequest reads one JSON request from r — unknown fields rejected —
-// and canonicalizes it. It is the only request decoder: the replica's
-// /v1/query and /v1/stream bodies, each /v1/batch item, and the gateway
-// all go through it, so a malformed body is the same ErrBadRequest, with
-// the same message, at every tier.
+// and canonicalizes it. It and DecodeBatch are the only request
+// decoders, and both go through decodeNext: the replica's /v1/query and
+// /v1/stream bodies, each /v1/batch item, and the gateway all do, so a
+// malformed body is the same ErrBadRequest, with the same message, at
+// every tier.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	req := &Request{}
-	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if err := req.Canonicalize(); err != nil {
+	if err := decodeNext(json.NewDecoder(r), req); err != nil {
 		return nil, err
 	}
 	return req, nil
+}
+
+// decodeNext reads dec's next value into the zero Request req, unknown
+// fields rejected, and canonicalizes it: every 400 text a request gets
+// is built here.
+func decodeNext(dec *json.Decoder, req *Request) error {
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return req.Canonicalize()
 }
 
 // Request is the versioned query envelope. Exactly one parameter section

@@ -119,6 +119,15 @@ one_batch_relay() {
 	absent one_batch_relay 'reindexed|bufio\.NewScanner|bufio\.NewWriterSize' 'internal/gateway/*.go' ':!*_test.go'
 }
 
+# Both tiers decode a batch's items through serve.DecodeBatch, one
+# decoder per batch (DESIGN.md §16): a DecodeBatchItem per item, which
+# built a reader, a decoder and its buffer for every item, may not grow
+# back in either handler.
+one_batch_decoder() {
+	absent one_batch_decoder 'DecodeBatchItem\((raw|item)\)' \
+		'internal/serve/*.go' 'internal/gateway/*.go' ':!*_test.go'
+}
+
 # The replica caches a result alone, under its compute key, and writes
 # the /v1/query envelope around it in one place, writeEnvelope
 # (DESIGN.md §10): the envelope marshaler whose bytes the cache used to
@@ -384,6 +393,7 @@ one_way_to_check_the_stack
 one_shard_payload_encoding
 one_item_line_writer
 one_batch_relay
+one_batch_decoder
 one_envelope_writer
 one_transition_sampler
 one_phase_rule

@@ -95,7 +95,8 @@ type Config struct {
 	// AnnounceInterval re-contacts the tracker (default 10 s). The
 	// interval the tracker advertises is deliberately not read: loopback
 	// swarms announce every 150-500 ms against a tracker default of 120 s,
-	// so the configured cadence wins. Consecutive announce failures
+	// so the configured cadence wins. Its "min interval" is a floor: no
+	// periodic announce goes out sooner. Consecutive announce failures
 	// stretch it (see reannounceDelay).
 	AnnounceInterval time.Duration
 	// RequestTimeout drops a connection whose outstanding block requests
@@ -229,6 +230,9 @@ type Client struct {
 		// interval stretches with it (degraded mode) and it resets on the
 		// first success.
 		failures int
+		// minInterval is the last tracker reply's "min interval", the
+		// shortest re-announce delay it allows.
+		minInterval time.Duration
 		// timer fires the next periodic re-announce; eventLoop owns it.
 		timer *time.Timer
 	}
@@ -447,12 +451,13 @@ func (c *Client) teardown() {
 	c.conns = map[*peerConn]struct{}{}
 }
 
-// reannounceDelay is the current re-announce interval. Consecutive
-// announce failures stretch it exponentially (degraded mode, capped at
-// 8x) so an unreachable tracker is not hammered; peer connections stay
-// up the whole time, so the swarm keeps trading.
+// reannounceDelay is the current re-announce interval, never below the
+// tracker's last "min interval". Consecutive announce failures stretch
+// it exponentially (degraded mode, capped at 8x) so an unreachable
+// tracker is not hammered; peer connections stay up the whole time, so
+// the swarm keeps trading.
 func (c *Client) reannounceDelay() time.Duration {
-	return c.cfg.AnnounceInterval << min(c.announce.failures, maxAnnounceBackoff)
+	return max(c.cfg.AnnounceInterval<<min(c.announce.failures, maxAnnounceBackoff), c.announce.minInterval)
 }
 
 // requestAnnounce fires an asynchronous tracker announce; results come
@@ -479,18 +484,24 @@ func (c *Client) requestAnnounce(event tracker.Event) {
 					"err", err)
 				return
 			}
+			// The timer was armed when this announce was sent, with the
+			// stretched delay or before this reply's min interval was
+			// known. Re-armed from the reply, the next periodic announce
+			// reaches the tracker min interval after this one did.
+			rearm := c.announce.failures > 0 || resp.MinInterval > 0
+			c.announce.minInterval = resp.MinInterval
 			if c.announce.failures > 0 {
 				c.log.Info("announce recovered", "after_failures", c.announce.failures)
 				c.announce.failures = 0
-				// The timer was armed with the stretched delay when this
-				// announce was sent; the tracker is back, so is the cadence.
+			}
+			if rearm {
 				if !c.announce.timer.Stop() {
 					select {
 					case <-c.announce.timer.C:
 					default:
 					}
 				}
-				c.announce.timer.Reset(c.cfg.AnnounceInterval)
+				c.announce.timer.Reset(c.reannounceDelay())
 			}
 			if resp.Warning != "" {
 				c.log.Warn("tracker warning", "msg", resp.Warning)

@@ -251,3 +251,79 @@ func TestClientSurvivesTrackerOutage(t *testing.T) {
 		t.Errorf("client.dl.announce_failures = %d, want %d", n, outage)
 	}
 }
+
+// TestClientHonoursMinInterval runs a client whose own cadence is 20 ms
+// against a stub tracker that asks for a 1 s "min interval": every
+// periodic announce must reach the tracker at least that long after the
+// one before it. The floor holds from the first reply on, so the started
+// announce's reply re-arms a timer armed before it was known.
+func TestClientHonoursMinInterval(t *testing.T) {
+	const minInterval = time.Second
+	type announce struct {
+		at    time.Time
+		event string
+	}
+	var (
+		mu   sync.Mutex
+		seen []announce
+		done = make(chan struct{})
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, announce{time.Now(), r.URL.Query().Get("event")})
+		if len(seen) == 4 { // started, then three periodic announces
+			close(done)
+		}
+		mu.Unlock()
+		body, err := bencode.Encode(map[string]any{
+			"interval": int64(120), "min interval": int64(minInterval / time.Second), "peers": "",
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+
+	info, err := metainfo.FromContent("min.bin", testContent(16<<10, 5), 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := metainfo.Marshal(ts.URL+"/announce", info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torrent, err := metainfo.Unmarshal(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStorage(torrent.Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(Config{Torrent: torrent, Storage: store, Name: "min", AnnounceInterval: 20 * time.Millisecond, Seed1: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for three periodic announces")
+	}
+	cl.Stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if seen[0].event != "started" {
+		t.Fatalf("first announce has event %q, want started", seen[0].event)
+	}
+	for i := 1; i < 4; i++ {
+		if gap := seen[i].at.Sub(seen[i-1].at); seen[i].event != "" || gap < minInterval {
+			t.Errorf("announce %d (event %q) came %v after the one before, want a periodic one at least %v later",
+				i, seen[i].event, gap, minInterval)
+		}
+	}
+}

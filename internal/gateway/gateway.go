@@ -473,19 +473,22 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 // reassembles the items in input order. Each item is validated here
 // with the replica's own decoder — an item it rejects is answered here
 // and never forwarded — and the rest travel as the bytes they arrived
-// in. Per-item statuses (including 429 retry hints) pass through
-// verbatim: each line is written from a view into its sub-batch's reply,
-// and the replies go back to relayBufs once the summary is flushed.
+// in, copied out of the split body into each sub-batch's own body: the
+// transport may read a request body after RoundTrip returns. Per-item
+// statuses (including 429 retry hints) pass through verbatim: each line
+// is written from a view into its sub-batch's reply, and the replies and
+// the split go back to their pools once the summary is flushed.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Inc()
 	g.batchRequests.Inc()
 	start := time.Now()
 	defer func() { g.latency.Observe(obs.Ms(time.Since(start))) }()
-	raw, err := serve.SplitBatch(http.MaxBytesReader(w, r.Body, serve.MaxBatchBytes))
+	batch, err := serve.SplitBatch(http.MaxBytesReader(w, r.Body, serve.MaxBatchBytes))
 	if err != nil {
 		g.writeErr(w, serve.ErrorStatus(err), err)
 		return
 	}
+	raw := batch.Items
 	g.batchItemsC.Add(int64(len(raw)))
 	ctx, root := g.ingress(w, r, serve.BatchKey(raw), "/v1/batch")
 	defer root.End()
@@ -555,6 +558,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			putRelayBuf(subs[i].reply)
 		}
 	}
+	batch.Release()
 }
 
 // subBatch is one replica's share of a batch.

@@ -131,28 +131,132 @@ func writeJSONLine(w *bufio.Writer, v any) {
 	}
 }
 
+// Batch is a split /v1/batch body: Items are views into the pooled
+// buffer the body was read into, each item's bytes without whitespace
+// around them, as a json.Decoder hands them to a json.RawMessage.
+type Batch struct {
+	Items []json.RawMessage
+	body  bytes.Buffer
+}
+
+// batches recycles split bodies, keeping none above maxBatchBuf so that
+// one body near MaxBatchBytes does not stay pinned in the pool.
+var batches = sync.Pool{New: func() any { return new(Batch) }}
+
+const maxBatchBuf = 1 << 20
+
+// Release returns b to the pool; no item may be read after it, so a
+// handler releases its batch once its reply is flushed.
+func (b *Batch) Release() {
+	if b.body.Cap() <= maxBatchBuf {
+		b.Items = b.Items[:0]
+		b.body.Reset()
+		batches.Put(b)
+	}
+}
+
 // SplitBatch reads a JSON array of raw batch items from r, enforcing
 // the item cap. It rejects anything that is not a non-empty array.
 // Shared by the replica handler and the gateway so both tiers agree on
-// what a well-formed batch is.
-func SplitBatch(r io.Reader) ([]json.RawMessage, error) {
-	var items []json.RawMessage
+// what a well-formed batch is. The body is read once, whole, json.Valid
+// checks it and splitArray cuts it into views, so a batch allocates
+// nothing per item; a body it rejects gets splitError's text.
+func SplitBatch(r io.Reader) (*Batch, error) {
+	b := batches.Get().(*Batch)
+	_, rerr := b.body.ReadFrom(r)
+	body := b.body.Bytes()
+	n := -1
+	if rerr == nil && json.Valid(body) && bytes.TrimLeft(body, " \t\r\n")[0] == '[' {
+		b.Items, n = splitArray(body, b.Items[:0])
+	}
+	var err error
+	switch {
+	case n < 0:
+		err = splitError(body, rerr)
+	case n == 0:
+		err = fmt.Errorf("%w: empty batch", ErrBadRequest)
+	case n > MaxBatchItems:
+		err = fmt.Errorf("%w: batch of %d items exceeds cap %d", ErrBadRequest, n, MaxBatchItems)
+	default:
+		return b, nil
+	}
+	b.Release()
+	return nil, err
+}
+
+// splitArray appends to items the first MaxBatchItems elements of body,
+// a valid JSON array, and counts them all: in a valid body an element
+// is what lies between depth-0 commas, trimmed, once strings are skipped.
+func splitArray(body []byte, items []json.RawMessage) ([]json.RawMessage, int) {
+	depth, start, end, n := 0, -1, 0, 0
+	for i := bytes.IndexByte(body, '[') + 1; i < len(body); i++ {
+		switch c := body[i]; {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			continue
+		case depth == 0 && (c == ',' || c == ']'):
+			if start >= 0 { // not "[]"
+				if n < MaxBatchItems {
+					items = append(items, body[start:end:end])
+				}
+				n++
+			}
+			if c == ']' {
+				return items, n
+			}
+			start = -1
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+		switch body[i] {
+		case '"':
+			for i++; body[i] != '"'; i++ {
+				if body[i] == '\\' {
+					i++
+				}
+			}
+		case '[', '{':
+			depth++
+		case ']', '}':
+			depth--
+		}
+		end = i + 1
+	}
+	return items, n
+}
+
+// splitError is the error a json.Decoder reading the request gave, for
+// a body SplitBatch could not split: the decoder reads the body, then
+// readErr, so syntax and read errors come in the order the bytes did.
+// A value that is not an array takes json's type error for the item
+// slice (null, no items, is empty); an array here is followed by
+// trailing data or a failed read.
+func splitError(body []byte, readErr error) error {
+	var r io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		r = io.MultiReader(r, failingReader{readErr})
+	}
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&items); err != nil {
-		return nil, fmt.Errorf("%w: batch body must be a JSON array of requests: %v", ErrBadRequest, err)
+	var v json.RawMessage
+	err := dec.Decode(&v)
+	if err == nil && v[0] != '[' {
+		err = json.Unmarshal(v, new([]json.RawMessage))
+	}
+	if err != nil {
+		return fmt.Errorf("%w: batch body must be a JSON array of requests: %v", ErrBadRequest, err)
 	}
 	// Trailing garbage after the array is a malformed batch, not ignorable.
 	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after batch array", ErrBadRequest)
+		return fmt.Errorf("%w: trailing data after batch array", ErrBadRequest)
 	}
-	if len(items) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
-	}
-	if len(items) > MaxBatchItems {
-		return nil, fmt.Errorf("%w: batch of %d items exceeds cap %d", ErrBadRequest, len(items), MaxBatchItems)
-	}
-	return items, nil
+	return fmt.Errorf("%w: empty batch", ErrBadRequest)
 }
+
+// failingReader fails every read with err.
+type failingReader struct{ err error }
+
+func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // DecodeBatchItem decodes one raw batch item exactly as /v1/query decodes
 // its body.
@@ -245,11 +349,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.batchRequests.Inc()
 	defer s.observeLatency(time.Now())
-	items, err := SplitBatch(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
+	batch, err := SplitBatch(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
+	defer batch.Release() // after the reply is flushed: items are views into it
+	items := batch.Items
 	s.batchItems.Add(int64(len(items)))
 	tctx, root := s.rootSpan(w, r, BatchKey(items), "/v1/batch")
 	defer root.End()

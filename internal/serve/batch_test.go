@@ -180,32 +180,47 @@ func TestBatchMixedValidInvalid(t *testing.T) {
 	}
 }
 
+// batchRejects are the bodies a batch is refused for as a whole, each
+// with its 400 text: the text a json.Decoder split of the request gives.
+func batchRejects() []struct{ name, body, want string } {
+	const item = `{"kind":"efficiency"}`
+	notArray := "batch body must be a JSON array of requests: "
+	return []struct{ name, body, want string }{
+		{"not an array", item, notArray + "json: cannot unmarshal object into Go value of type []json.RawMessage"},
+		{"empty array", `[]`, "empty batch"},
+		{"empty body", ``, notArray + "EOF"},
+		{"trailing garbage", `[` + item + `] tail`, "trailing data after batch array"},
+		{"second array", `[` + item + `][]`, "trailing data after batch array"},
+		{"truncated", `[{"kind":"eff`, notArray + "unexpected EOF"},
+		{"item cap exceeded", "[" + strings.Repeat(item+",", MaxBatchItems) + item + "]", "batch of 257 items exceeds cap 256"},
+		{"trailing comma", `[1,]`, notArray + "invalid character ']' looking for beginning of value"},
+		{"byte order mark", "\xef\xbb\xbf[1]", notArray + "invalid character 'ï' looking for beginning of value"},
+		{"whitespace only", " \n\t ", notArray + "EOF"},
+		{"null", `null`, "empty batch"},
+		{"number", `12`, notArray + "json: cannot unmarshal number into Go value of type []json.RawMessage"},
+		{"over MaxBatchBytes", "[" + strings.Repeat(item+",", MaxBatchBytes/len(item)) + item + "]", notArray + "http: request body too large"},
+		// The split reads up to the cap, but the syntax error comes first.
+		{"over MaxBatchBytes, malformed early", "[x" + strings.Repeat(" ", MaxBatchBytes), notArray + "invalid character 'x' looking for beginning of value"},
+	}
+}
+
 // TestBatchDecoderRejects is the table test for the batch decoder's
-// whole-request failure modes.
+// whole-request failure modes: each is a 400 with its own text.
 func TestBatchDecoderRejects(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
-	big := "[" + strings.Repeat(`{"kind":"efficiency"},`, MaxBatchItems) + `{"kind":"efficiency"}]`
-	cases := []struct {
-		name, body string
-	}{
-		{"not an array", `{"kind":"efficiency"}`},
-		{"empty array", `[]`},
-		{"empty body", ``},
-		{"trailing garbage", `[{"kind":"efficiency"}] tail`},
-		{"second array", `[{"kind":"efficiency"}][]`},
-		{"truncated", `[{"kind":"eff`},
-		{"item cap exceeded", big},
-	}
-	for _, tc := range cases {
+	for _, tc := range batchRejects() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()              //nolint:errcheck
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
+			defer resp.Body.Close() //nolint:errcheck
+			var got errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if want := "serve: bad request: " + tc.want; resp.StatusCode != http.StatusBadRequest || got.Error != want {
+				t.Fatalf("status %d %q, want 400 %q", resp.StatusCode, got.Error, want)
 			}
 		})
 	}
@@ -301,14 +316,65 @@ func TestColdBatchDoesNotShedItself(t *testing.T) {
 	}
 }
 
+// referenceSplit is the split a json.Decoder makes of the request: the
+// array decoded into one json.RawMessage per item, then a token read to
+// prove nothing follows it. SplitBatch answers as it does, text for text.
+func referenceSplit(r io.Reader) ([]json.RawMessage, error) {
+	var items []json.RawMessage
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&items); err != nil {
+		return nil, fmt.Errorf("%w: batch body must be a JSON array of requests: %v", ErrBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after batch array", ErrBadRequest)
+	}
+	if len(items) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
+	}
+	if len(items) > MaxBatchItems {
+		return nil, fmt.Errorf("%w: batch of %d items exceeds cap %d", ErrBadRequest, len(items), MaxBatchItems)
+	}
+	return items, nil
+}
+
+// sameSplit splits what read returns with SplitBatch and with
+// referenceSplit and fails unless both accept or both reject, with one
+// 400 text, the same number of items and each item's same bytes.
+func sameSplit(t *testing.T, data []byte, read func() io.Reader) *Batch {
+	t.Helper()
+	got, err := SplitBatch(read())
+	want, werr := referenceSplit(read())
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("%q: SplitBatch error %v, reference %v", data, err, werr)
+	case err != nil:
+		if err.Error() != werr.Error() {
+			t.Fatalf("%q: SplitBatch error %q, reference %q", data, err, werr)
+		}
+		return nil
+	case len(got.Items) != len(want):
+		t.Fatalf("%q: SplitBatch gives %d items, reference %d", data, len(got.Items), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got.Items[i], want[i]) {
+			t.Fatalf("%q: item %d is %q, reference %q", data, i, got.Items[i], want[i])
+		}
+	}
+	return got
+}
+
 // FuzzBatchDecode fuzzes the batch decoder end to end (split, decode,
 // canonicalize), seeded from the serve canonicalization corpus: the
 // request shapes the existing tests exercise, wrapped in arrays, failing
-// items ahead of good ones, and malformed envelopes. For every body
-// SplitBatch accepts, DecodeBatch's outcome for item i is
-// DecodeBatchItem(items[i])'s — the same error text, or the same
-// Canonical() and Key() — so one decoder per batch answers what one per
-// item did; and every decoded item survives a re-marshal with its key.
+// items ahead of good ones, malformed envelopes, every whole-batch
+// rejection and the edges of the array syntax. For every body SplitBatch
+// agrees with referenceSplit — read whole, and cut by a byte cap halfway
+// as an oversized body is — on accepting it, the 400 text, the item
+// count and each item's bytes. For every body it accepts, DecodeBatch's
+// outcome for item i is DecodeBatchItem(items[i])'s — the same error
+// text, or the same Canonical() and Key() — so one decoder per batch
+// answers what one per item did; and every decoded item survives a
+// re-marshal with its key.
 func FuzzBatchDecode(f *testing.F) {
 	seeds := []string{
 		`[{"kind":"model","seed":5,"model":{"b":20,"k":3,"s":8,"runs":60}}]`,
@@ -332,17 +398,39 @@ func FuzzBatchDecode(f *testing.F) {
 		`not json at all`,
 		`[{"kind":"efficiency"}] trailing`,
 	}
+	// The edges of the array itself: whitespace around and between
+	// items, strings holding the bytes the split looks for, nesting, and
+	// the malformed arrays a scanner could mistake for items.
+	seeds = append(seeds,
+		" \t\r\n[ \n{\"kind\":\"efficiency\"} ,\t{\"kind\":\"fluid\"}\r\n] \n",
+		`[ 1 , "a" ,null,true , [ ] , { } ]`,
+		`[{"kind":"model","x":"]"},{"kind":"model","x":","},{"kind":"model","x":"\"],["}]`,
+		`[{"kind":"model","x":"\\"},"\\\"]",{"kind":"model","x":"a\\\\"}]`,
+		`["[", "{", "}", "]", ",", "\u005d"]`,
+		`[[[[]]],[{"a":[1,{"b":[]}]}],[[1],[2]]]`,
+		`[1,]`, `[,]`, `[1,,2]`, `[,1]`, `[1 2]`, `[{"a":1,}]`, `["unterminated]`, `["\x"]`,
+		"\xef\xbb\xbf[1]", " \n\t ", "[\"\x01\"]", "[\"\xff\"]", `null`, `12`, `true`, `"s"`, `{}`,
+	)
+	// Every whole-batch rejection, but the two over MaxBatchBytes: every
+	// input is also read through a byte cap below, which stands for them.
+	for _, tc := range batchRejects() {
+		if len(tc.body) < MaxBatchBytes {
+			seeds = append(seeds, tc.body)
+		}
+	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := SplitBatch(bytes.NewReader(data))
-		if err != nil {
+		sameSplit(t, data, func() io.Reader { // a cut body is always refused
+			return http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(data)), int64(len(data)/2))
+		})
+		batch := sameSplit(t, data, func() io.Reader { return bytes.NewReader(data) })
+		if batch == nil {
 			return // whole-batch rejection is a valid outcome
 		}
-		if len(items) == 0 || len(items) > MaxBatchItems {
-			t.Fatalf("SplitBatch accepted %d items", len(items))
-		}
+		defer batch.Release()
+		items := batch.Items
 		next := 0
 		DecodeBatch(items, func(i int, req *Request, err error) {
 			if i != next {
@@ -382,6 +470,45 @@ func FuzzBatchDecode(f *testing.F) {
 	})
 }
 
+// fewest is the fewest bytes one of 20 calls of f allocated.
+func fewest(f func()) uint64 {
+	var best uint64
+	for run := 0; run < 20; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; run == 0 || b < best {
+			best = b
+		}
+	}
+	return best
+}
+
+// TestSplitBatchAllocationIsFlatInItems: a split reads the body once into
+// a pooled buffer and hands its items out as views into it, so splitting
+// 256 items costs what splitting 16 does, within one item's bytes. A
+// json.Decoder split refilled a buffer to the body's size, copied every
+// item into a json.RawMessage of its own and grew the item slice.
+func TestSplitBatchAllocationIsFlatInItems(t *testing.T) {
+	const item = `{"kind":"efficiency","efficiency":{"k":3}}`
+	cost := func(n int) uint64 {
+		body := []byte("[" + strings.Repeat(item+",", n-1) + item + "]")
+		return fewest(func() {
+			batch, err := SplitBatch(bytes.NewReader(body))
+			if err != nil || len(batch.Items) != n {
+				t.Fatalf("split of %d items: %v", n, err)
+			}
+			batch.Release()
+		})
+	}
+	small, large := cost(16), cost(256)
+	if max(small, large)-min(small, large) >= uint64(len(item)) {
+		t.Errorf("splitting 16 items allocates %d B, 256 items %d B: want them within one item's %d B", small, large, len(item))
+	}
+	t.Logf("allocated per split: %d B for 16 items, %d B for 256", small, large)
+}
+
 // TestDecodeBatchAllocatesPerBatch: a batch's items share one decoder and
 // its buffer, so a 64-item batch of every kind allocates at most half the
 // bytes of decoding each item alone, which builds a reader, a decoder and
@@ -404,20 +531,6 @@ func TestDecodeBatchAllocatesPerBatch(t *testing.T) {
 			t.Fatalf("item %d %s: %v", i, items[i], err)
 		}
 	})
-	// fewest is the fewest bytes one of 20 calls of f allocated.
-	fewest := func(f func()) uint64 {
-		var best uint64
-		for run := 0; run < 20; run++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			if b := after.TotalAlloc - before.TotalAlloc; run == 0 || b < best {
-				best = b
-			}
-		}
-		return best
-	}
 	batch := fewest(func() { DecodeBatch(items, func(int, *Request, error) {}) })
 	alone := fewest(func() {
 		for _, it := range items {

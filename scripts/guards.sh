@@ -128,6 +128,17 @@ one_batch_decoder() {
 		'internal/serve/*.go' 'internal/gateway/*.go' ':!*_test.go'
 }
 
+# Both tiers split a batch body once (DESIGN.md §16): SplitBatch reads it
+# whole into a pooled buffer and its items are views into it. The
+# json.Decoder split that copied every item into a json.RawMessage of its
+# own, and any other per-item copy of the body, may not grow back; the
+# gateway copies items only into the sub-batch bodies it forwards.
+one_batch_split() {
+	absent one_batch_split \
+		'var [A-Za-z]+ +\[\]json\.RawMessage|Decode\(&items\)|append\((\[\]byte|json\.RawMessage)\(nil\)|bytes\.Clone\(' \
+		'internal/serve/*.go' 'internal/gateway/*.go' ':!*_test.go'
+}
+
 # The replica caches a result alone, under its compute key, and writes
 # the /v1/query envelope around it in one place, writeEnvelope
 # (DESIGN.md §10): the envelope marshaler whose bytes the cache used to
@@ -394,6 +405,7 @@ one_shard_payload_encoding
 one_item_line_writer
 one_batch_relay
 one_batch_decoder
+one_batch_split
 one_envelope_writer
 one_transition_sampler
 one_phase_rule
